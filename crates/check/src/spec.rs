@@ -1,6 +1,6 @@
 //! Speculation accounting for the optimistic (Time Warp) engine mode.
 //!
-//! The optimistic engine delivers some responses to process threads
+//! The optimistic engine delivers some responses to processes
 //! *speculatively* — before the event that justifies them has committed.
 //! Every such delivery must later be resolved exactly one of two ways:
 //!

@@ -1,25 +1,18 @@
-//! Simulation processes as OS-thread coroutines.
+//! OS-thread backend: one thread per process, single-slot channels.
 //!
-//! The paper's SPASM simulator is *execution-driven*: application code
-//! actually executes, and only operations that may touch the network are
-//! simulated. We reproduce that structure by running each simulated
-//! processor's program as a real OS thread that **rendezvouses** with the
-//! single-threaded simulator:
-//!
-//! * exactly one process thread is runnable at any instant — the simulator
-//!   resumes a process by sending it a response, then blocks until that
-//!   process either issues its next request or finishes;
-//! * consequently the interleaving of processes is chosen entirely by the
-//!   simulator's event queue, and simulations are fully deterministic;
-//! * application code is ordinary blocking Rust: control flow may depend on
-//!   values computed from shared data (dynamic task queues, sparse
-//!   structures), which is exactly what makes execution-driven simulation
-//!   more faithful than trace-driven simulation.
+//! The only backend on targets without the stack-switching fast path
+//! (see the parent module), and the reference the shared test suite also
+//! runs on targets that have it. Exactly one process thread is runnable
+//! at any instant: the simulator resumes a process by sending it a
+//! response, then waits until that process deposits its next envelope.
 
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+use super::{panic_message, ProcId, Shutdown, Step};
 
 // ---------------------------------------------------------------------------
 // Single-slot rendezvous channel
@@ -230,20 +223,6 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
-/// Identifier of a simulated processor / simulation process.
-pub type ProcId = usize;
-
-/// What a resumed process did with its time slice.
-#[derive(Debug)]
-pub enum Step<Q> {
-    /// The process issued a request and is blocked awaiting the response.
-    Request(Q),
-    /// The process's body returned normally.
-    Done,
-    /// The process's body panicked; the payload is the panic message.
-    Panicked(String),
-}
-
 enum Envelope<Q> {
     Request(ProcId, Q),
     Done(ProcId),
@@ -259,6 +238,8 @@ pub struct CoroCtx<Q, R> {
     me: ProcId,
     tx: Sender<Envelope<Q>>,
     rx: Receiver<R>,
+    /// Not `Send`, like the stack-switching backend's context.
+    _not_send: PhantomData<*mut ()>,
 }
 
 impl<Q, R> CoroCtx<Q, R> {
@@ -288,10 +269,6 @@ impl<Q, R> CoroCtx<Q, R> {
     }
 }
 
-/// Private unwind token for simulator-initiated shutdown of a blocked
-/// process thread. Not a real panic: bypasses the panic hook.
-struct Shutdown;
-
 #[derive(Debug)]
 struct ProcSlot<Q, R> {
     tx: Sender<R>,
@@ -303,6 +280,8 @@ struct ProcSlot<Q, R> {
     env: Receiver<Envelope<Q>>,
     handle: Option<JoinHandle<()>>,
     live: bool,
+    /// A `resume_async` has not been matched by its `collect` yet.
+    awaiting: bool,
 }
 
 /// A pool of simulation processes in rendezvous with the simulator.
@@ -340,6 +319,10 @@ struct ProcSlot<Q, R> {
 #[derive(Debug)]
 pub struct CoroPool<Q, R> {
     slots: Vec<ProcSlot<Q, R>>,
+    /// Not `Send` on either backend: the stack-switching one must never
+    /// resume a suspended stack on a different OS thread, and the API is
+    /// the same everywhere.
+    _not_send: PhantomData<*mut ()>,
 }
 
 impl<Q, R> CoroPool<Q, R>
@@ -370,7 +353,10 @@ where
             .enumerate()
             .map(|(id, body)| Self::spawn_proc(id, body))
             .collect();
-        CoroPool { slots }
+        CoroPool {
+            slots,
+            _not_send: PhantomData,
+        }
     }
 
     /// Spawns one process thread with fresh rendezvous channels.
@@ -393,6 +379,7 @@ where
                     me: id,
                     tx: env_tx.clone(),
                     rx: resp_rx,
+                    _not_send: PhantomData,
                 };
                 let result = catch_unwind(AssertUnwindSafe(|| body(id, &ctx)));
                 // If the simulator is gone these sends fail; that is the
@@ -417,6 +404,7 @@ where
             env: env_rx,
             handle: Some(handle),
             live: true,
+            awaiting: false,
         }
     }
 
@@ -460,6 +448,7 @@ where
         let slot = &mut self.slots[proc];
         assert!(slot.live, "resumed process {proc} after it finished");
         assert!(slot.tx.send(resp).is_ok(), "process thread vanished");
+        slot.awaiting = true;
     }
 
     /// Waits for the envelope from a previously resumed process `proc`.
@@ -470,9 +459,17 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if the process thread vanished without reporting.
+    /// Panics if no `resume_async` of `proc` is outstanding (a protocol
+    /// violation: there is no envelope to wait for), or if the process
+    /// thread vanished without reporting.
     pub fn collect(&mut self, proc: ProcId) -> Step<Q> {
-        match self.slots[proc].env.recv_spin() {
+        let slot = &mut self.slots[proc];
+        assert!(
+            slot.awaiting,
+            "collect without a pending resume_async on process {proc}"
+        );
+        slot.awaiting = false;
+        match slot.env.recv_spin() {
             Ok(Envelope::Request(p, q)) => {
                 debug_assert_eq!(p, proc, "request from unexpected process");
                 Step::Request(q)
@@ -501,9 +498,10 @@ where
     /// fresh body, replaying the committed response history. The slot goes
     /// dead until [`CoroPool::respawn`].
     ///
-    /// Note the thread is *joined*: a body spinning forever in pure
-    /// computation (never calling the simulator) would hang this join.
-    /// Simulation kernels always issue requests, so this is accepted.
+    /// On this backend the process may be *running* (after a
+    /// `resume_async`), and its thread is joined: `kill` returns once the
+    /// body reaches its next `call` or finishes. The stack-switching
+    /// backend never has a running process to wait for.
     pub fn kill(&mut self, proc: ProcId) {
         let slot = &mut self.slots[proc];
         slot.tx.close();
@@ -511,6 +509,7 @@ where
             let _ = h.join();
         }
         slot.live = false;
+        slot.awaiting = false;
         // At most one stale envelope can be in flight (`call` deposits
         // exactly one before blocking on the response); drop it.
         let _ = slot.env.try_take();
@@ -556,215 +555,6 @@ impl<Q, R> Drop for CoroPool<Q, R> {
             slot.tx.close();
             if let Some(h) = slot.handle.take() {
                 let _ = h.join();
-            }
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::needless_range_loop, clippy::type_complexity)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn single_process_request_response_cycle() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-            let a = ctx.call(10);
-            let b = ctx.call(a + 1);
-            assert_eq!(b, 22);
-        });
-        let q = match pool.resume(0, 0) {
-            Step::Request(q) => q,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(q, 10);
-        let q = match pool.resume(0, 11) {
-            Step::Request(q) => q,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(q, 12);
-        assert!(matches!(pool.resume(0, 22), Step::Done));
-        assert!(!pool.is_live(0));
-    }
-
-    #[test]
-    fn many_processes_interleave_deterministically() {
-        let n = 8;
-        let mut pool: CoroPool<usize, usize> = CoroPool::new(n, |id, ctx| {
-            for round in 0..3 {
-                let echoed = ctx.call(id * 100 + round);
-                assert_eq!(echoed, id * 100 + round);
-            }
-        });
-        // Drive round-robin; every request must come from the resumed proc.
-        let mut pending: Vec<Option<usize>> = vec![None; n];
-        for p in 0..n {
-            if let Step::Request(q) = pool.resume(p, 0) {
-                pending[p] = Some(q);
-            }
-        }
-        let mut done = 0;
-        while done < n {
-            done = 0;
-            for p in 0..n {
-                if let Some(q) = pending[p].take() {
-                    match pool.resume(p, q) {
-                        Step::Request(q2) => pending[p] = Some(q2),
-                        Step::Done => {}
-                        Step::Panicked(m) => panic!("{m}"),
-                    }
-                }
-                if !pool.is_live(p) {
-                    done += 1;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn distinct_bodies_per_process() {
-        let bodies: Vec<Box<dyn FnOnce(ProcId, &CoroCtx<u32, u32>) + Send>> = vec![
-            Box::new(|_, ctx| {
-                ctx.call(1);
-            }),
-            Box::new(|_, ctx| {
-                ctx.call(2);
-            }),
-        ];
-        let mut pool = CoroPool::from_bodies(bodies);
-        match pool.resume(0, 0) {
-            Step::Request(1) => {}
-            other => panic!("{other:?}"),
-        }
-        match pool.resume(1, 0) {
-            Step::Request(2) => {}
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(pool.resume(0, 0), Step::Done));
-        assert!(matches!(pool.resume(1, 0), Step::Done));
-    }
-
-    #[test]
-    fn panicking_body_is_reported_not_propagated() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, _| {
-            panic!("deliberate test panic");
-        });
-        match pool.resume(0, 0) {
-            Step::Panicked(msg) => assert!(msg.contains("deliberate test panic")),
-            other => panic!("{other:?}"),
-        }
-        assert!(!pool.is_live(0));
-    }
-
-    #[test]
-    fn body_returning_without_requests_is_done_immediately() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, _| {});
-        assert!(matches!(pool.resume(0, 0), Step::Done));
-    }
-
-    #[test]
-    fn dropping_pool_with_blocked_processes_does_not_hang() {
-        let pool: CoroPool<u32, u32> = CoroPool::new(4, |_, ctx| {
-            // Processes immediately block on their first call; the pool is
-            // dropped while they are blocked.
-            let _ = ctx.call(0);
-            unreachable!("never resumed");
-        });
-        let mut pool = pool;
-        // Start them so they are genuinely parked inside `call`.
-        for p in 0..4 {
-            match pool.resume(p, 0) {
-                Step::Request(_) => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        drop(pool); // must not deadlock or panic
-    }
-
-    #[test]
-    fn async_resume_batch_collects_in_any_order() {
-        let n = 4;
-        let mut pool: CoroPool<usize, usize> = CoroPool::new(n, |id, ctx| {
-            let echoed = ctx.call(id + 100);
-            assert_eq!(echoed, id + 100);
-        });
-        // Make every process runnable at once, then collect in reverse.
-        for p in 0..n {
-            pool.resume_async(p, 0);
-        }
-        for p in (0..n).rev() {
-            match pool.collect(p) {
-                Step::Request(q) => assert_eq!(q, p + 100),
-                other => panic!("{other:?}"),
-            }
-        }
-        for p in 0..n {
-            assert!(matches!(pool.resume(p, p + 100), Step::Done));
-        }
-    }
-
-    #[test]
-    fn kill_and_respawn_replays_a_fresh_body() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-            ctx.call(1);
-            ctx.call(2);
-        });
-        // Run to the second request, then kill mid-rendezvous.
-        assert!(matches!(pool.resume(0, 0), Step::Request(1)));
-        assert!(matches!(pool.resume(0, 0), Step::Request(2)));
-        pool.kill(0);
-        assert!(!pool.is_live(0));
-        // The respawned body starts from scratch: same request sequence.
-        pool.respawn(0, |_, ctx: &CoroCtx<u32, u32>| {
-            ctx.call(1);
-            ctx.call(2);
-        });
-        assert!(pool.is_live(0));
-        assert!(matches!(pool.resume(0, 0), Step::Request(1)));
-        assert!(matches!(pool.resume(0, 0), Step::Request(2)));
-        assert!(matches!(pool.resume(0, 0), Step::Done));
-    }
-
-    #[test]
-    fn kill_discards_a_deposited_envelope() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-            ctx.call(7);
-            unreachable!("killed before the response arrives");
-        });
-        // Resume asynchronously and give the thread time to deposit its
-        // request envelope, then kill without collecting it.
-        pool.resume_async(0, 0);
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        pool.kill(0);
-        pool.respawn(0, |_, ctx: &CoroCtx<u32, u32>| {
-            ctx.call(9);
-        });
-        // The stale envelope (7) must be gone: the first collect after the
-        // respawn sees the fresh body's request.
-        assert!(matches!(pool.resume(0, 0), Step::Request(9)));
-        assert!(matches!(pool.resume(0, 0), Step::Done));
-    }
-
-    #[test]
-    fn proc_id_visible_to_body() {
-        let mut pool: CoroPool<usize, usize> = CoroPool::new(3, |id, ctx| {
-            assert_eq!(ctx.id(), id);
-            ctx.call(id);
-        });
-        for p in 0..3 {
-            match pool.resume(p, 0) {
-                Step::Request(q) => assert_eq!(q, p),
-                other => panic!("{other:?}"),
             }
         }
     }

@@ -15,11 +15,12 @@
 //!   [`HeapQueue`] (binary heap), selected crate-wide by the
 //!   `heap-queue` cargo feature and verified against each other by a
 //!   differential test suite;
-//! * [`CoroPool`] — process-oriented simulation processes implemented as OS
-//!   threads in rendezvous with the (single-threaded) simulator, so that
+//! * [`CoroPool`] — process-oriented simulation processes implemented as
+//!   coroutines in rendezvous with the (single-threaded) simulator, so that
 //!   application code can be written as ordinary blocking Rust code while the
 //!   simulator retains full control over interleaving (exactly one process
-//!   runs at any instant);
+//!   runs at any instant). On x86-64 Linux a process is a stack the
+//!   simulator's own thread switches to; elsewhere it is an OS thread;
 //! * [`Facility`] — a CSIM-style FCFS single-server resource with wait-time
 //!   accounting.
 //!
@@ -37,7 +38,9 @@
 //! assert_eq!(q.pop(), Some((SimTime::from_ns(30), "beta")));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the stack-switching coroutine backend
+// (`coro::fiber`) is the one module in the workspace allowed to lift it.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod coro;

@@ -9,7 +9,7 @@
 //!   same code.
 //! * [`optimistic`] — a Time-Warp-style layer that delivers *predicted*
 //!   responses to processor coroutines before their commit events pop,
-//!   letting application threads run speculatively past the commit
+//!   letting application code run speculatively past the commit
 //!   horizon. Mispredictions roll the affected processor back (kill,
 //!   respawn, replay committed history) and are annihilated in a
 //!   conservation ledger. Engine-side state only ever mutates in

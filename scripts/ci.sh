@@ -11,6 +11,11 @@ cargo fmt --check
 echo "==> cargo clippy --offline --workspace -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# `unsafe` lives in exactly one module (desim's stack-switching coroutine
+# backend); every other crate forbids it. A second opt-out fails here.
+echo "==> exactly one module opts out of the unsafe_code lint"
+[ "$(grep -rn "allow(unsafe_code)" crates src | wc -l)" -eq 1 ]
+
 # --workspace so the release bins the later tiers drive (figures) are
 # built here explicitly, not as a side effect of the bench step.
 echo "==> cargo build --release --offline --workspace"
@@ -20,6 +25,11 @@ echo "==> cargo test -q --offline --workspace"
 tests_started=$SECONDS
 cargo test -q --offline --workspace
 echo "==> tests took $((SECONDS - tests_started))s"
+
+# The paper's R5 in host time (CLogP simulates faster than the target,
+# LogP slower) is only meaningful on the optimized build.
+echo "==> R5 host time: cargo test --release --test reproduction -- --ignored r5_host_time"
+cargo test --release --offline --test reproduction -- --ignored r5_host_time
 
 # Differential tier: the identical suite on the seed-era BinaryHeap
 # event queue (the calendar queue is the default; see desim's
