@@ -1,30 +1,29 @@
 //! Regenerates every figure of the paper's evaluation section.
 //!
-//! ```text
-//! figures --all [--size test|small|full] [--procs 2,4,8,16,32]
-//!         [--seed N] [--csv PATH] [--jobs N|auto] [--serial]
-//!         [--budget-events N] [--journal PATH [--resume]]
-//!         [--deadline-secs N]
-//! figures --figure F13 [...]
-//! figures --list
-//! ```
+//! The synopsis is [`USAGE`], printed on any usage error. `--all`,
+//! `--figure ID` (repeatable) and `--scenario FILE` pick what to sweep;
+//! `--list` prints the figure ids; `--ablation g|protocol|cache` runs one
+//! of the extension studies (EXPERIMENTS.md A2–A4) instead of a sweep.
 //!
 //! Sweep points run on the `spasm-exec` worker pool — one worker per
 //! host hardware thread by default (`--jobs auto`); `--serial` forces
 //! the inline single-thread path. Output is byte-identical either way;
 //! per-series and total elapsed times go to stderr so the speedup is
-//! visible without polluting the table/CSV streams.
+//! visible without polluting the table/CSV streams. `--chart` adds an
+//! ASCII plot under each table and `--csv PATH` writes every row to one
+//! CSV file.
+//!
+//! `--check` / `--strict-check` turn on the online invariant checkers
+//! for every run (a violation fails the point), `--faults SEED` injects
+//! an adversarial fault plan, `--budget-events N` caps each run's
+//! simulator events, and `--engine sequential|optimistic[:N]` picks the
+//! engine (results are bit-identical across engines).
 //!
 //! `--journal PATH` records every completed point in a durable
 //! per-figure journal (`PATH.<figure-id>`); after a crash or SIGKILL,
 //! the same command with `--resume` replays completed points and runs
 //! only the rest, producing byte-identical stdout. `--deadline-secs N`
 //! bounds each point's wall time via the executor watchdog.
-//!
-//! ```text
-//! figures --shard K/N --journal DIR [--resume] (--all | --figure ID) [...]
-//! figures --merge DIR (--all | --figure ID) [...]
-//! ```
 //!
 //! `--scenario FILE` (repeatable) compiles a declarative `.scn`
 //! workload (see `spasm-scenario`) into a figure and sweeps it like
@@ -45,10 +44,8 @@
 //! results), and points no surviving shard covers degrade to FAILED
 //! rows naming the absent shard.
 //!
-//! Exit codes: 0 clean · 2 usage · 3 point failures (partial figures
-//! salvaged) · 4 journal/configuration mismatch · 5 journal or CSV I/O
-//! failure or corruption · 6 shard overlap conflict (two shards claim
-//! the same point with different results — a determinism failure).
+//! Exit codes are the [`Exit`] enum; when several apply, the largest
+//! wins.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -59,7 +56,9 @@ use spasm_bench::{parse_jobs, parse_procs, parse_size};
 use spasm_core::figures::{self, FigureSpec};
 use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
-use spasm_core::sweep::{run_figure_journaled, run_figure_observed, run_figure_shard, SweepConfig};
+use spasm_core::sweep::{
+    run_figure_journaled, run_figure_observed, run_figure_shard, FigureData, Outcome, SweepConfig,
+};
 use spasm_exec::ExecEvent;
 use spasm_machine::{CheckMode, EngineMode, FaultPlan, RunBudget, TelemetryConfig};
 
@@ -103,29 +102,52 @@ struct Args {
     engine: EngineMode,
 }
 
-/// Exit code when points failed but partial figures were salvaged.
-const EXIT_SALVAGED: u8 = 3;
-/// Exit code when a journal's fingerprint rejects this configuration.
-const EXIT_MISMATCH: u8 = 4;
-/// Exit code for journal or CSV I/O failures.
-const EXIT_IO: u8 = 5;
-/// Exit code when two shards claim the same point with different
-/// results — a determinism failure nothing should paper over.
-const EXIT_OVERLAP: u8 = 6;
+/// Every exit code of the binary. Ordered by severity: a run that meets
+/// several reports the largest.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Exit {
+    /// Every requested point completed and every output was written.
+    Clean = 0,
+    /// An `--ablation` study's simulation failed.
+    Ablation = 1,
+    /// Bad flags, an unknown figure or ablation, an unreadable scenario.
+    Usage = 2,
+    /// Points failed but partial figures were salvaged.
+    Salvaged = 3,
+    /// A journal's fingerprint rejects this configuration.
+    Mismatch = 4,
+    /// Journal, CSV or telemetry I/O failure, or journal corruption.
+    Io = 5,
+    /// Two shards claim the same point with different results — a
+    /// determinism failure nothing should paper over.
+    Overlap = 6,
+}
+
+impl Exit {
+    fn exit(self) -> ! {
+        std::process::exit(self as i32)
+    }
+}
+
+impl From<Exit> for ExitCode {
+    fn from(e: Exit) -> ExitCode {
+        ExitCode::from(e as u8)
+    }
+}
+
+const USAGE: &str = "\
+usage: figures (--all | --figure ID | --list | --ablation g|protocol|cache)
+               [--size test|small|full] [--procs 2,4,...] [--seed N]
+               [--csv PATH] [--chart] [--jobs N|auto] [--serial]
+               [--budget-events N] [--check] [--strict-check] [--faults SEED]
+               [--journal PATH [--resume]] [--deadline-secs N]
+               [--shard K/N --journal DIR] [--merge DIR]
+               [--scenario FILE] [--telemetry FILE [--telemetry-interval-us N]]
+               [--engine sequential|optimistic[:N]]";
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: figures (--all | --figure ID | --list | --ablation g|protocol|cache) \
-         [--size test|small|full] \
-         [--procs 2,4,...] [--seed N] [--csv PATH] [--chart] \
-         [--jobs N|auto] [--serial] [--budget-events N] \
-         [--check] [--strict-check] [--faults SEED] \
-         [--journal PATH [--resume]] [--deadline-secs N] \
-         [--shard K/N --journal DIR] [--merge DIR] \
-         [--scenario FILE] [--telemetry FILE [--telemetry-interval-us N]] \
-         [--engine sequential|optimistic[:N]]"
-    );
-    std::process::exit(2)
+    eprintln!("{USAGE}");
+    Exit::Usage.exit()
 }
 
 fn parse_args() -> Args {
@@ -160,7 +182,7 @@ fn parse_args() -> Args {
                     Some(spec) => args.figures.push(spec),
                     None => {
                         eprintln!("unknown figure {id}; try --list");
-                        std::process::exit(2);
+                        Exit::Usage.exit();
                     }
                 }
             }
@@ -175,7 +197,7 @@ fn parse_args() -> Args {
                         f.expect
                     );
                 }
-                std::process::exit(0);
+                Exit::Clean.exit();
             }
             "--size" => {
                 args.size =
@@ -223,7 +245,7 @@ fn parse_args() -> Args {
                     Ok(s) => args.shard = Some(s),
                     Err(e) => {
                         eprintln!("--shard {spec}: {e}");
-                        std::process::exit(2);
+                        Exit::Usage.exit();
                     }
                 }
             }
@@ -232,17 +254,17 @@ fn parse_args() -> Args {
                 let path = it.next().unwrap_or_else(|| usage());
                 let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
                     eprintln!("cannot read scenario {path}: {e}");
-                    std::process::exit(2);
+                    Exit::Usage.exit();
                 });
                 let sc = spasm_scenario::parse(&text).unwrap_or_else(|e| {
                     eprintln!("scenario {path}: {e}");
-                    std::process::exit(2);
+                    Exit::Usage.exit();
                 });
                 match spasm_scenario::compile(&sc) {
                     Ok(spec) => args.figures.push(spec),
                     Err(e) => {
                         eprintln!("scenario {path}: {e}");
-                        std::process::exit(2);
+                        Exit::Usage.exit();
                     }
                 }
             }
@@ -260,7 +282,7 @@ fn parse_args() -> Args {
                     Some(mode) => args.engine = mode,
                     None => {
                         eprintln!("--engine {name}: expected sequential or optimistic[:workers]");
-                        std::process::exit(2);
+                        Exit::Usage.exit();
                     }
                 }
             }
@@ -309,7 +331,7 @@ fn parse_args() -> Args {
 fn ablation_run<T>(which: &str, result: Result<T, spasm_core::ExperimentError>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("ablation {which} failed: {e}");
-        std::process::exit(1);
+        Exit::Ablation.exit();
     })
 }
 
@@ -332,7 +354,7 @@ fn run_ablation(which: &str, jobs: usize) {
             for app in AppId::ALL {
                 let s = ablation_run(
                     which,
-                    ablation::traffic_aware_g_jobs(app, SizeClass::Test, Net::Mesh, 8, 1995, jobs),
+                    ablation::traffic_aware_g(app, SizeClass::Test, Net::Mesh, 8, 1995, jobs),
                 );
                 println!(
                     "{:>9} {:>8.0}% {:>12.1} {:>12.1} {:>12.1}",
@@ -353,14 +375,7 @@ fn run_ablation(which: &str, jobs: usize) {
             for app in AppId::ALL {
                 let s = ablation_run(
                     which,
-                    ablation::protocol_sensitivity_jobs(
-                        app,
-                        SizeClass::Test,
-                        Net::Full,
-                        8,
-                        1995,
-                        jobs,
-                    ),
+                    ablation::protocol_sensitivity(app, SizeClass::Test, Net::Full, 8, 1995, jobs),
                 );
                 println!(
                     "{:>9} {:>14.1} {:>18.1} {:>7.1}%",
@@ -381,7 +396,7 @@ fn run_ablation(which: &str, jobs: usize) {
             for app in AppId::ALL {
                 let points = ablation_run(
                     which,
-                    ablation::cache_working_set_jobs(
+                    ablation::cache_working_set(
                         app,
                         SizeClass::Test,
                         Net::Full,
@@ -401,7 +416,7 @@ fn run_ablation(which: &str, jobs: usize) {
         }
         _ => {
             eprintln!("unknown ablation {which}; expected g | protocol | cache");
-            std::process::exit(2);
+            Exit::Usage.exit();
         }
     }
     eprintln!(
@@ -420,22 +435,24 @@ fn jobs_label(jobs: usize) -> String {
     }
 }
 
-/// Creates or resumes the per-figure journal, mapping each failure
-/// class onto its exit code (4 = fingerprint mismatch, 5 = I/O or
-/// corruption).
-fn open_journal(
-    path: &str,
+/// The one way a journal is used: create or resume it (mapping each
+/// failure class onto its exit code), report a repaired torn tail, hand
+/// it to `pass`, then report what the pass did to its durability.
+/// Returns `pass`'s value and whether the journal stopped persisting.
+fn with_journal<T>(
+    jpath: &str,
     spec: &FigureSpec,
     args: &Args,
     sweep: &SweepConfig,
-) -> Result<SweepJournal, ExitCode> {
+    pass: impl FnOnce(&SweepJournal) -> T,
+) -> Result<(T, bool), Exit> {
     let opened = if args.resume {
-        SweepJournal::resume(path, spec, args.size, &args.procs, args.seed, sweep)
+        SweepJournal::resume(jpath, spec, args.size, &args.procs, args.seed, sweep)
     } else {
-        SweepJournal::create(path, spec, args.size, &args.procs, args.seed, sweep)
+        SweepJournal::create(jpath, spec, args.size, &args.procs, args.seed, sweep)
     };
-    opened.map_err(|e| {
-        eprintln!("journal {path}: {e}");
+    let journal = opened.map_err(|e| {
+        eprintln!("journal {jpath}: {e}");
         if matches!(
             e,
             spasm_core::journal::ResumeError::Journal(
@@ -445,11 +462,99 @@ fn open_journal(
             eprintln!("(pass --resume to continue the interrupted sweep)");
         }
         if e.is_fingerprint_mismatch() {
-            ExitCode::from(EXIT_MISMATCH)
+            Exit::Mismatch
         } else {
-            ExitCode::from(EXIT_IO)
+            Exit::Io
         }
-    })
+    })?;
+    if journal.repaired_bytes() > 0 {
+        eprintln!(
+            "{}: journal {jpath}: dropped a {}-byte torn tail",
+            spec.id,
+            journal.repaired_bytes()
+        );
+    }
+    let value = pass(&journal);
+    let stopped = journal.io_error();
+    if let Some(e) = &stopped {
+        eprintln!(
+            "{}: warning: journal {jpath} stopped persisting ({e}); \
+             points after that will re-run on resume",
+            spec.id
+        );
+    }
+    if let Some(w) = journal.dir_sync_warning() {
+        eprintln!("{}: warning: {w}", spec.id);
+    }
+    Ok((value, stopped.is_some()))
+}
+
+/// What every mode that renders figures does after the sweep: print
+/// each figure, name its failed points, collect the CSV and telemetry
+/// rows, write the requested files, and settle the exit code.
+struct Output {
+    csv: String,
+    jsonl: String,
+    failed_points: usize,
+}
+
+impl Output {
+    fn new() -> Self {
+        Output {
+            csv: String::from("figure,app,net,metric,procs,machine,value,reason\n"),
+            jsonl: String::new(),
+            failed_points: 0,
+        }
+    }
+
+    /// Table (and chart) to stdout, every failed point to stderr — a
+    /// failure never aborts the remaining figures.
+    fn figure(&mut self, data: &FigureData, chart: bool) {
+        println!("{}", data.render_table());
+        if chart {
+            println!("{}", data.render_chart(12));
+        }
+        for s in &data.series {
+            for (i, outcome) in s.outcomes.iter().enumerate() {
+                if let Outcome::Failed { error, attempts } = outcome {
+                    self.failed_points += 1;
+                    eprintln!(
+                        "{}: p={} {}: FAILED after {attempts} attempt(s): {error}",
+                        data.spec.id, data.procs[i], s.machine
+                    );
+                }
+            }
+        }
+        // Append all but the shared header line.
+        for line in data.to_csv().lines().skip(1) {
+            self.csv.push_str(line);
+            self.csv.push('\n');
+        }
+        self.jsonl.push_str(&data.to_telemetry_jsonl());
+    }
+
+    /// Writes `--csv` and `--telemetry` (both are attempted even if the
+    /// first fails) and folds what happened into `worst`.
+    fn finish(self, args: &Args, mut worst: Exit) -> ExitCode {
+        for (path, bytes) in [(&args.csv, &self.csv), (&args.telemetry, &self.jsonl)] {
+            let Some(path) = path else { continue };
+            match std::fs::File::create(path).and_then(|mut f| f.write_all(bytes.as_bytes())) {
+                Ok(()) => println!("wrote {path}"),
+                Err(e) => {
+                    eprintln!("cannot write {path}: {e}");
+                    worst = worst.max(Exit::Io);
+                }
+            }
+        }
+        if self.failed_points > 0 {
+            eprintln!(
+                "{} point(s) failed (partial figures salvaged)",
+                self.failed_points
+            );
+            worst = worst.max(Exit::Salvaged);
+        }
+        worst.into()
+    }
 }
 
 /// Worker mode: run only `shard`'s points of each requested figure into
@@ -467,52 +572,43 @@ fn run_shard(args: &Args, sweep: &SweepConfig, shard: ShardSpec) -> ExitCode {
     }
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create journal directory {dir}: {e}");
-        return ExitCode::from(EXIT_IO);
+        return Exit::Io.into();
     }
     let started = Instant::now();
-    let mut worst = 0u8;
+    let mut worst = Exit::Clean;
     for spec in &args.figures {
         let jpath = std::path::Path::new(dir)
             .join(shard.file_name(spec.id))
             .display()
             .to_string();
-        let journal = match open_journal(&jpath, spec, args, sweep) {
-            Ok(j) => j,
-            Err(code) => return code,
+        let pass = with_journal(&jpath, spec, args, sweep, |journal| {
+            run_figure_shard(
+                spec,
+                args.size,
+                &args.procs,
+                args.seed,
+                *sweep,
+                shard,
+                journal,
+                |_| {},
+            )
+        });
+        let (report, stopped) = match pass {
+            Ok(p) => p,
+            Err(code) => return code.into(),
         };
-        if journal.repaired_bytes() > 0 {
-            eprintln!(
-                "{}: journal {jpath}: dropped a {}-byte torn tail",
-                spec.id,
-                journal.repaired_bytes()
-            );
-        }
-        let report = run_figure_shard(
-            spec,
-            args.size,
-            &args.procs,
-            args.seed,
-            *sweep,
-            shard,
-            &journal,
-            |_| {},
-        );
         eprintln!(
             "{} shard {shard}: {} owned, {} replayed, {} fresh, {} failed",
             spec.id, report.owned, report.replayed, report.fresh, report.failed
         );
-        if let Some(e) = journal.io_error() {
+        if stopped {
             // Unlike the single-process journaled path, a shard has no
             // stdout to fall back on: a journal that stopped persisting
             // means the work is simply not done.
-            eprintln!("{}: journal {jpath} stopped persisting: {e}", spec.id);
-            worst = worst.max(EXIT_IO);
-        }
-        if let Some(w) = journal.dir_sync_warning() {
-            eprintln!("{}: warning: {w}", spec.id);
+            worst = worst.max(Exit::Io);
         }
         if report.failed > 0 {
-            worst = worst.max(EXIT_SALVAGED);
+            worst = worst.max(Exit::Salvaged);
         }
     }
     eprintln!(
@@ -521,17 +617,15 @@ fn run_shard(args: &Args, sweep: &SweepConfig, shard: ShardSpec) -> ExitCode {
         started.elapsed(),
         jobs_label(args.jobs)
     );
-    ExitCode::from(worst)
+    worst.into()
 }
 
 /// Merge mode: reassemble per-shard journals under `dir` into stdout
 /// byte-identical to a serial run, quarantining what cannot be trusted
 /// and salvaging partial figures from what can.
 fn run_merge(args: &Args, sweep: &SweepConfig, dir: &str) -> ExitCode {
-    let mut csv = String::from("figure,app,net,metric,procs,machine,value,reason\n");
-    let mut jsonl = String::new();
-    let mut worst = 0u8;
-    let mut failed_points = 0usize;
+    let mut out = Output::new();
+    let mut worst = Exit::Clean;
     for spec in &args.figures {
         let report = match merge_shards(
             std::path::Path::new(dir),
@@ -544,11 +638,11 @@ fn run_merge(args: &Args, sweep: &SweepConfig, dir: &str) -> ExitCode {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{}: merge {dir}: {e}", spec.id);
-                let code = match e {
-                    ShardError::Overlap { .. } => EXIT_OVERLAP,
-                    _ => EXIT_IO,
-                };
-                return ExitCode::from(code);
+                return match e {
+                    ShardError::Overlap { .. } => Exit::Overlap,
+                    _ => Exit::Io,
+                }
+                .into();
             }
         };
         eprintln!(
@@ -565,8 +659,8 @@ fn run_merge(args: &Args, sweep: &SweepConfig, dir: &str) -> ExitCode {
         for q in &report.quarantined {
             eprintln!("{}: quarantined shard: {q}", spec.id);
             worst = worst.max(match q {
-                ShardError::FingerprintMismatch { .. } => EXIT_MISMATCH,
-                _ => EXIT_IO,
+                ShardError::FingerprintMismatch { .. } => Exit::Mismatch,
+                _ => Exit::Io,
             });
         }
         if report.missing_points > 0 {
@@ -575,58 +669,16 @@ fn run_merge(args: &Args, sweep: &SweepConfig, dir: &str) -> ExitCode {
                 spec.id, report.missing_points
             );
         }
-        let data = report.data;
-        println!("{}", data.render_table());
-        if args.chart {
-            println!("{}", data.render_chart(12));
-        }
-        for s in &data.series {
-            for (i, outcome) in s.outcomes.iter().enumerate() {
-                if let spasm_core::sweep::Outcome::Failed { error, attempts } = outcome {
-                    failed_points += 1;
-                    eprintln!(
-                        "{}: p={} {}: FAILED after {attempts} attempt(s): {error}",
-                        spec.id, data.procs[i], s.machine
-                    );
-                }
-            }
-        }
-        for line in data.to_csv().lines().skip(1) {
-            csv.push_str(line);
-            csv.push('\n');
-        }
-        jsonl.push_str(&data.to_telemetry_jsonl());
+        out.figure(&report.data, args.chart);
     }
-    if let Some(path) = &args.csv {
-        match std::fs::File::create(path).and_then(|mut f| f.write_all(csv.as_bytes())) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                worst = worst.max(EXIT_IO);
-            }
-        }
-    }
-    if let Some(path) = &args.telemetry {
-        match std::fs::File::create(path).and_then(|mut f| f.write_all(jsonl.as_bytes())) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                worst = worst.max(EXIT_IO);
-            }
-        }
-    }
-    if failed_points > 0 {
-        eprintln!("{failed_points} point(s) failed (partial figures salvaged)");
-        worst = worst.max(EXIT_SALVAGED);
-    }
-    ExitCode::from(worst)
+    out.finish(args, worst)
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
     if let Some(which) = &args.ablation {
         run_ablation(which, args.jobs);
-        return ExitCode::SUCCESS;
+        return Exit::Clean.into();
     }
     let sweep = SweepConfig {
         jobs: args.jobs,
@@ -641,7 +693,6 @@ fn main() -> ExitCode {
             .as_ref()
             .map(|_| TelemetryConfig::every_us(args.telemetry_interval_us)),
         engine: args.engine,
-        ..SweepConfig::default()
     };
     if let Some(dir) = &args.merge {
         return run_merge(&args, &sweep, dir);
@@ -652,69 +703,51 @@ fn main() -> ExitCode {
     let total_started = Instant::now();
     let mut total_busy = Duration::ZERO;
     let mut total_points = 0usize;
-    let mut csv = String::from("figure,app,net,metric,procs,machine,value,reason\n");
-    let mut jsonl = String::new();
-    let mut failed_points = 0;
+    let mut out = Output::new();
     for spec in &args.figures {
         let started = Instant::now();
-        // Per-point wall times, folded per series by the observer as the
-        // pool reports completions (job indices are series-major). Under
-        // a resumed journal the fresh points are a sparse subset, so the
-        // index->series mapping no longer holds and timing is folded
-        // into one figure-level total instead.
-        let points_per_series = args.procs.len().max(1);
-        let mut series_busy = vec![Duration::ZERO; spec.machines.len()];
-        let mut fresh_busy = Duration::ZERO;
-        let mut fresh_points = 0usize;
         let data = if let Some(base) = &args.journal {
+            // Under a resumed journal the fresh points are a sparse
+            // subset of the grid, so timing is one figure-level total.
             let jpath = format!("{base}.{}", spec.id);
-            let journal = match open_journal(&jpath, spec, &args, &sweep) {
-                Ok(j) => j,
-                Err(code) => return code,
-            };
-            if journal.repaired_bytes() > 0 {
+            let pass = with_journal(&jpath, spec, &args, &sweep, |journal| {
+                let mut fresh_points = 0usize;
+                let data = run_figure_journaled(
+                    spec,
+                    args.size,
+                    &args.procs,
+                    args.seed,
+                    sweep,
+                    journal,
+                    |ev| {
+                        if let ExecEvent::Finished { wall, .. }
+                        | ExecEvent::Panicked { wall, .. }
+                        | ExecEvent::Deadlined { wall, .. } = ev
+                        {
+                            total_busy += *wall;
+                            fresh_points += 1;
+                        }
+                    },
+                );
                 eprintln!(
-                    "{}: journal {jpath}: dropped a {}-byte torn tail",
+                    "{}: journal {jpath}: {} point(s) replayed, {} run fresh",
                     spec.id,
-                    journal.repaired_bytes()
+                    journal.replayed(),
+                    fresh_points
                 );
+                data
+            });
+            // A journal that stopped persisting costs nothing here: the
+            // results are complete in memory and on stdout.
+            match pass {
+                Ok((data, _stopped)) => data,
+                Err(code) => return code.into(),
             }
-            let data = run_figure_journaled(
-                spec,
-                args.size,
-                &args.procs,
-                args.seed,
-                sweep,
-                &journal,
-                |ev| {
-                    if let ExecEvent::Finished { wall, .. }
-                    | ExecEvent::Panicked { wall, .. }
-                    | ExecEvent::Deadlined { wall, .. } = ev
-                    {
-                        fresh_busy += *wall;
-                        fresh_points += 1;
-                    }
-                },
-            );
-            eprintln!(
-                "{}: journal {jpath}: {} point(s) replayed, {} run fresh",
-                spec.id,
-                journal.replayed(),
-                fresh_points
-            );
-            if let Some(e) = journal.io_error() {
-                eprintln!(
-                    "{}: warning: journal {jpath} stopped persisting ({e}); \
-                     results are complete in memory but will re-run on resume",
-                    spec.id
-                );
-            }
-            if let Some(w) = journal.dir_sync_warning() {
-                eprintln!("{}: warning: {w}", spec.id);
-            }
-            total_busy += fresh_busy;
-            data
         } else {
+            // Per-point wall times, folded per series by the observer as
+            // the pool reports completions (job indices are series-major).
+            let points_per_series = args.procs.len().max(1);
+            let mut series_busy = vec![Duration::ZERO; spec.machines.len()];
             let data = run_figure_observed(spec, args.size, &args.procs, args.seed, sweep, |ev| {
                 if let ExecEvent::Finished { job, wall, .. }
                 | ExecEvent::Panicked { job, wall, .. }
@@ -737,37 +770,14 @@ fn main() -> ExitCode {
             }
             data
         };
-        let figure_wall = started.elapsed();
-        println!("{}", data.render_table());
-        if args.chart {
-            println!("{}", data.render_chart(12));
-        }
         eprintln!(
             "{}: swept in {:.1?} ({})",
             spec.id,
-            figure_wall,
+            started.elapsed(),
             jobs_label(args.jobs)
         );
         total_points += data.series.len() * data.procs.len();
-        // Every failed point is named on stderr but does not abort the
-        // remaining figures.
-        for s in &data.series {
-            for (i, outcome) in s.outcomes.iter().enumerate() {
-                if let spasm_core::sweep::Outcome::Failed { error, attempts } = outcome {
-                    failed_points += 1;
-                    eprintln!(
-                        "{}: p={} {}: FAILED after {attempts} attempt(s): {error}",
-                        spec.id, data.procs[i], s.machine
-                    );
-                }
-            }
-        }
-        // Append all but the shared header line.
-        for line in data.to_csv().lines().skip(1) {
-            csv.push_str(line);
-            csv.push('\n');
-        }
-        jsonl.push_str(&data.to_telemetry_jsonl());
+        out.figure(&data, args.chart);
     }
     let total_wall = total_started.elapsed();
     eprintln!(
@@ -779,27 +789,5 @@ fn main() -> ExitCode {
         total_busy.as_secs_f64() / total_wall.as_secs_f64().max(1e-9),
         jobs_label(args.jobs)
     );
-    if let Some(path) = args.csv {
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes())) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        }
-    }
-    if let Some(path) = args.telemetry {
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(jsonl.as_bytes())) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        }
-    }
-    if failed_points > 0 {
-        eprintln!("{failed_points} point(s) failed (partial figures salvaged)");
-        return ExitCode::from(EXIT_SALVAGED);
-    }
-    ExitCode::SUCCESS
+    out.finish(&args, Exit::Clean)
 }

@@ -1,19 +1,18 @@
-//! # spasm-bench — benchmarks and the figure-regeneration harness
+//! # spasm-bench — the command-line front ends
 //!
-//! * the `figures` binary (`cargo run -p spasm-bench --release --bin
-//!   figures -- --all`) regenerates the data behind every figure of the
-//!   paper's evaluation section as aligned tables and CSV;
-//! * the benches (`cargo bench`), built on the in-tree [`harness`]
-//!   module, measure the simulator itself: network message cost per
-//!   topology, coherence transaction cost, and — reproducing the
-//!   paper's §7 "Speed of Simulation" — the wall-clock cost of
-//!   simulating each machine characterization. Each bench writes a
-//!   `BENCH_<name>.json` summary for machine consumption.
+//! * `figures` (`cargo run -p spasm-bench --release --bin figures --
+//!   --all`) regenerates the data behind every figure of the paper's
+//!   evaluation section as aligned tables and CSV;
+//! * `chaos` drives the crash-consistency oracle of `spasm_core::chaos`;
+//! * `scnlint` validates the telemetry JSONL that `figures --telemetry`
+//!   writes.
+//!
+//! This library holds the flag-value parsers the binaries share. Host-time
+//! measurement of the simulator itself lives in the repository's
+//! `benchmark/` package (`bash benchmark/run.sh`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod harness;
 
 use spasm_apps::SizeClass;
 

@@ -21,8 +21,9 @@ use crate::{Experiment, ExperimentError, Machine, Net, RunMetrics};
 
 /// Runs a batch of independent (experiment, config) pairs on a worker
 /// pool (`jobs` as in [`crate::sweep::SweepConfig::jobs`]), returning
-/// per-run results in submission order. Job-level failures (escaped
-/// panics, cancellations) map onto [`ExperimentError::Aborted`].
+/// per-run results in submission order. A job-level failure (a panic
+/// that escaped the experiment's own fence) maps onto
+/// [`ExperimentError::Aborted`].
 fn run_batch(
     jobs: usize,
     runs: Vec<(Experiment, MachineConfig)>,
@@ -76,31 +77,16 @@ impl GStudy {
 }
 
 /// Runs the traffic-aware-g study: target (measurement) + CLogP with the
-/// naive and corrected g.
-///
-/// # Errors
-///
-/// Propagates the first failed or unverified simulation.
-pub fn traffic_aware_g(
-    app: AppId,
-    size: SizeClass,
-    net: Net,
-    procs: usize,
-    seed: u64,
-) -> Result<GStudy, ExperimentError> {
-    traffic_aware_g_jobs(app, size, net, procs, seed, 1)
-}
-
-/// [`traffic_aware_g`] on a worker pool: the target and naive-CLogP runs
-/// are independent and execute concurrently; the aware run needs the
-/// target's measured crossing fraction and follows. Results are
-/// identical to the serial study for the same seed.
+/// naive and corrected g, on a pool of `jobs` workers (`1` = serial).
+/// The target and naive-CLogP runs are independent and execute
+/// concurrently; the aware run needs the target's measured crossing
+/// fraction and follows. Results do not depend on `jobs`.
 ///
 /// # Errors
 ///
 /// Propagates the first failed or unverified simulation, in the serial
 /// study's order (target, then naive, then aware).
-pub fn traffic_aware_g_jobs(
+pub fn traffic_aware_g(
     app: AppId,
     size: SizeClass,
     net: Net,
@@ -164,30 +150,15 @@ pub struct CachePoint {
 /// Associativity (2) and block size (32 B) stay at the paper's values;
 /// capacities must keep a power-of-two set count.
 ///
-/// # Errors
-///
-/// Propagates the first failed or unverified simulation.
-pub fn cache_working_set(
-    app: AppId,
-    size: SizeClass,
-    net: Net,
-    procs: usize,
-    seed: u64,
-    capacities: &[usize],
-) -> Result<Vec<CachePoint>, ExperimentError> {
-    cache_working_set_jobs(app, size, net, procs, seed, capacities, 1)
-}
-
-/// [`cache_working_set`] on a worker pool: one job per capacity. The
-/// returned curve (and, on failure, the error) matches the serial sweep:
-/// failures surface in capacity order, so the reported error is the one
-/// the serial short-circuit would have hit first.
+/// One job per capacity on a pool of `jobs` workers (`1` = serial). The
+/// returned curve (and, on failure, the error) does not depend on
+/// `jobs`: failures surface in capacity order, so the reported error is
+/// the one a serial short-circuit would have hit first.
 ///
 /// # Errors
 ///
 /// The first failed or unverified simulation, in capacity order.
-#[allow(clippy::too_many_arguments)]
-pub fn cache_working_set_jobs(
+pub fn cache_working_set(
     app: AppId,
     size: SizeClass,
     net: Net,
@@ -250,28 +221,15 @@ impl ProtocolStudy {
 /// protocols", which licenses abstracting the protocol away entirely in
 /// CLogP.
 ///
-/// # Errors
-///
-/// Propagates the first failed or unverified simulation.
-pub fn protocol_sensitivity(
-    app: AppId,
-    size: SizeClass,
-    net: Net,
-    procs: usize,
-    seed: u64,
-) -> Result<ProtocolStudy, ExperimentError> {
-    protocol_sensitivity_jobs(app, size, net, procs, seed, 1)
-}
-
-/// [`protocol_sensitivity`] on a worker pool: the two protocol runs are
-/// independent and execute concurrently, with identical results to the
-/// serial study.
+/// The two protocol runs are independent and execute concurrently on a
+/// pool of `jobs` workers (`1` = serial); results do not depend on
+/// `jobs`.
 ///
 /// # Errors
 ///
 /// Propagates the first failed or unverified simulation (Berkeley
-/// first, matching the serial order).
-pub fn protocol_sensitivity_jobs(
+/// first).
+pub fn protocol_sensitivity(
     app: AppId,
     size: SizeClass,
     net: Net,
@@ -319,7 +277,7 @@ mod tests {
 
     #[test]
     fn crossing_fraction_is_a_fraction() {
-        let s = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3).unwrap();
+        let s = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3, 1).unwrap();
         assert!((0.0..=1.0).contains(&s.crossing_fraction));
         // FFT's butterfly partners are mostly nearby once the high stages
         // pass; a meaningful share of traffic must stay local.
@@ -328,7 +286,7 @@ mod tests {
 
     #[test]
     fn aware_g_reduces_contention_estimate() {
-        let s = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3).unwrap();
+        let s = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3, 1).unwrap();
         assert!(
             s.aware.contention_us < s.naive.contention_us,
             "scaling g by measured locality must lower contention: {} vs {}",
@@ -340,7 +298,7 @@ mod tests {
     #[test]
     fn working_set_curve_is_monotone_then_flat() {
         let points =
-            cache_working_set(AppId::Cg, SizeClass::Test, Net::Full, 4, 3, CACHE_SWEEP).unwrap();
+            cache_working_set(AppId::Cg, SizeClass::Test, Net::Full, 4, 3, CACHE_SWEEP, 1).unwrap();
         // Larger caches never hurt (no pathological thrash in this suite).
         for w in points.windows(2) {
             assert!(
@@ -370,6 +328,7 @@ mod tests {
             8,
             1995,
             &[1 << 10, 64 << 10],
+            1,
         )
         .unwrap();
         assert!(
@@ -391,23 +350,22 @@ mod tests {
                 m.events,
             )
         };
-        let a = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3).unwrap();
-        let b = traffic_aware_g_jobs(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3, 4).unwrap();
+        let a = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3, 1).unwrap();
+        let b = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3, 4).unwrap();
         assert_eq!(bits(&a.target), bits(&b.target));
         assert_eq!(bits(&a.naive), bits(&b.naive));
         assert_eq!(bits(&a.aware), bits(&b.aware));
         assert_eq!(a.crossing_fraction.to_bits(), b.crossing_fraction.to_bits());
 
-        let a = protocol_sensitivity(AppId::Cg, SizeClass::Test, Net::Full, 4, 1995).unwrap();
-        let b =
-            protocol_sensitivity_jobs(AppId::Cg, SizeClass::Test, Net::Full, 4, 1995, 2).unwrap();
+        let a = protocol_sensitivity(AppId::Cg, SizeClass::Test, Net::Full, 4, 1995, 1).unwrap();
+        let b = protocol_sensitivity(AppId::Cg, SizeClass::Test, Net::Full, 4, 1995, 2).unwrap();
         assert_eq!(bits(&a.berkeley), bits(&b.berkeley));
         assert_eq!(bits(&a.write_back_on_read), bits(&b.write_back_on_read));
 
         let a =
-            cache_working_set(AppId::Cg, SizeClass::Test, Net::Full, 4, 3, CACHE_SWEEP).unwrap();
-        let b = cache_working_set_jobs(AppId::Cg, SizeClass::Test, Net::Full, 4, 3, CACHE_SWEEP, 4)
-            .unwrap();
+            cache_working_set(AppId::Cg, SizeClass::Test, Net::Full, 4, 3, CACHE_SWEEP, 1).unwrap();
+        let b =
+            cache_working_set(AppId::Cg, SizeClass::Test, Net::Full, 4, 3, CACHE_SWEEP, 4).unwrap();
         for (pa, pb) in a.iter().zip(&b) {
             assert_eq!(pa.size_bytes, pb.size_bytes);
             assert_eq!(bits(&pa.metrics), bits(&pb.metrics));
@@ -420,8 +378,8 @@ mod tests {
         // fails identically under both paths, and the parallel path
         // reports the *first* bad capacity like the serial short-circuit.
         let caps = &[3 << 10, 1 << 10];
-        let serial = cache_working_set(AppId::Ep, SizeClass::Test, Net::Full, 2, 1, caps);
-        let parallel = cache_working_set_jobs(AppId::Ep, SizeClass::Test, Net::Full, 2, 1, caps, 2);
+        let serial = cache_working_set(AppId::Ep, SizeClass::Test, Net::Full, 2, 1, caps, 1);
+        let parallel = cache_working_set(AppId::Ep, SizeClass::Test, Net::Full, 2, 1, caps, 2);
         match (serial, parallel) {
             (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
             other => panic!("both paths must fail the same way, got {other:?}"),
@@ -434,7 +392,7 @@ mod tests {
         // protocols' execution times differ by well under the gap between
         // machine characterizations.
         for app in AppId::ALL {
-            let s = protocol_sensitivity(app, SizeClass::Test, Net::Full, 4, 1995).unwrap();
+            let s = protocol_sensitivity(app, SizeClass::Test, Net::Full, 4, 1995, 1).unwrap();
             assert!(
                 s.exec_gap() < 0.20,
                 "{app}: protocols diverge by {:.0}% ({:.0}us vs {:.0}us)",
@@ -450,7 +408,7 @@ mod tests {
         // The two protocols produce *different* traffic (downgrade
         // writebacks trade against avoided victim writebacks) but stay
         // within a narrow band — the substance of the insensitivity claim.
-        let s = protocol_sensitivity(AppId::Cg, SizeClass::Test, Net::Full, 4, 1995).unwrap();
+        let s = protocol_sensitivity(AppId::Cg, SizeClass::Test, Net::Full, 4, 1995, 1).unwrap();
         assert_ne!(
             (s.berkeley.messages, s.berkeley.bytes),
             (s.write_back_on_read.messages, s.write_back_on_read.bytes),
@@ -465,7 +423,7 @@ mod tests {
         // The correction targets apps with communication locality on
         // low-connectivity networks — exactly where the paper found the
         // naive g most pessimistic.
-        let s = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3).unwrap();
+        let s = traffic_aware_g(AppId::Fft, SizeClass::Test, Net::Mesh, 8, 3, 1).unwrap();
         assert!(
             s.aware_error() < s.naive_error(),
             "aware {:.1}us vs naive {:.1}us (target {:.1}us)",

@@ -225,16 +225,13 @@ impl ExperimentError {
 }
 
 /// A job-level failure from the parallel executor: a panic outside the
-/// experiment's own `catch_unwind` fence or a pre-run cancellation maps
-/// onto the abort class; a deadline overrun keeps its own typed variant
-/// so renderers and retry policy can distinguish "slow" from "broken".
+/// experiment's own `catch_unwind` fence maps onto the abort class; a
+/// deadline overrun keeps its own typed variant so renderers and retry
+/// policy can distinguish "slow" from "broken".
 impl From<spasm_exec::JobError> for ExperimentError {
     fn from(e: spasm_exec::JobError) -> Self {
         match e {
             spasm_exec::JobError::Panicked(msg) => ExperimentError::Aborted(msg),
-            spasm_exec::JobError::Cancelled(reason) => {
-                ExperimentError::Aborted(format!("job not run: {reason}"))
-            }
             spasm_exec::JobError::Deadline { limit } => ExperimentError::Deadline { limit },
         }
     }
@@ -322,20 +319,7 @@ impl Experiment {
     /// and surface as [`ExperimentError::Aborted`] — they never escape
     /// to poison a sweep.
     pub fn run_with_config(&self, config: MachineConfig) -> Result<RunMetrics, ExperimentError> {
-        self.run_with_config_full(config).map(|(m, _)| m)
-    }
-
-    /// As [`Experiment::run_with_config`], additionally returning the
-    /// run's interval telemetry (empty unless `config.telemetry` is set).
-    ///
-    /// # Errors
-    ///
-    /// As [`Experiment::run_with_config`].
-    pub fn run_with_config_full(
-        &self,
-        config: MachineConfig,
-    ) -> Result<(RunMetrics, Vec<IntervalRecord>), ExperimentError> {
-        self.run_observed(config, None).map(|(m, t, _)| (m, t))
+        self.run_observed(config, None).map(|(m, _, _)| m)
     }
 
     /// The full-control entry point behind every other `run_*`: an

@@ -11,12 +11,11 @@
 //!
 //! Only completed *attempt cycles* are journaled: a point that ran to a
 //! verdict (`Ok`, or `Failed` with `attempts >= 1`) is durable, while
-//! job-level casualties — points cancelled by a shared budget, killed
-//! by the deadline watchdog, or lost to a SIGKILL — are not, so a
-//! resumed sweep re-runs exactly those and converges on the same
-//! [`crate::sweep::FigureData`] an uninterrupted run produces,
-//! byte-for-byte (failure reasons replay verbatim via
-//! [`ExperimentError::Replayed`]).
+//! job-level casualties — points killed by the deadline watchdog or
+//! lost to a SIGKILL — are not, so a resumed sweep re-runs exactly those
+//! and converges on the same [`crate::sweep::FigureData`] an
+//! uninterrupted run produces, byte-for-byte (failure reasons replay
+//! verbatim via [`ExperimentError::Replayed`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -29,7 +28,7 @@ use spasm_journal::{DirSyncWarning, Fingerprint, Journal, JournalError, RealVfs,
 use spasm_machine::IntervalRecord;
 
 use crate::figures::FigureSpec;
-use crate::sweep::{Outcome, SweepConfig};
+use crate::sweep::{Outcome, SweepConfig, MAX_ATTEMPTS};
 use crate::{ExperimentError, Machine, RunMetrics};
 
 /// Why a journal could not be created, opened, or replayed.
@@ -83,12 +82,10 @@ impl ResumeError {
 
 /// Fingerprint of everything that determines a sweep's point outcomes.
 ///
-/// Scheduling knobs are deliberately excluded — `jobs`, `deadline`, and
-/// `backoff` change *when* points run, not what they compute, and a
-/// sweep may legitimately be resumed with more workers or a longer
-/// deadline than the run that was killed. `total_events` *is* included:
-/// its cuts depend on completion timing, so resuming under a different
-/// global budget could not reproduce the original run either way.
+/// Scheduling knobs are deliberately excluded — `jobs` and `deadline`
+/// change *when* points run, not what they compute, and a sweep may
+/// legitimately be resumed with more workers or a longer deadline than
+/// the run that was killed.
 pub fn sweep_fingerprint(
     spec: &FigureSpec,
     size: SizeClass,
@@ -129,9 +126,13 @@ pub fn sweep_fingerprint(
     fp.absorb_u64(seed);
     fp.absorb_str(&format!("{:?}", sweep.faults));
     fp.absorb_str(&format!("{:?}", sweep.budget));
-    fp.absorb_u64(u64::from(sweep.max_attempts));
+    // The attempt ceiling was once a per-sweep knob absorbed here; the
+    // constant keeps its slot so journals written back then stay valid.
+    fp.absorb_u64(u64::from(MAX_ATTEMPTS));
     fp.absorb_str(&format!("{:?}", sweep.check));
-    fp.absorb_str(&format!("{:?}", sweep.total_events));
+    // Likewise the slot of a removed sweep-wide event budget, which every
+    // journal ever written by `figures` absorbed as its unset rendering.
+    fp.absorb_str("None");
     fp.absorb_str(&format!("{:?}", sweep.telemetry));
     // The engine knob never changes results — the optimistic engine is
     // certified bit-identical — but it goes in anyway so a journal
@@ -687,14 +688,6 @@ mod tests {
             base,
             sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 6, &SweepConfig::default())
         );
-        let budgeted = SweepConfig {
-            total_events: Some(10),
-            ..SweepConfig::default()
-        };
-        assert_ne!(
-            base,
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &budgeted)
-        );
         // Telemetry changes what every record carries, so it separates.
         let instrumented = SweepConfig {
             telemetry: Some(spasm_machine::TelemetryConfig::every_us(100)),
@@ -718,15 +711,34 @@ mod tests {
         let rescheduled = SweepConfig {
             jobs: 7,
             deadline: Some(Duration::from_secs(30)),
-            backoff: spasm_exec::Backoff::exponential(
-                Duration::from_millis(1),
-                Duration::from_millis(8),
-            ),
             ..SweepConfig::default()
         };
         assert_eq!(
             base,
             sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &rescheduled)
+        );
+    }
+
+    #[test]
+    fn fingerprint_stream_is_pinned_to_journals_already_on_disk() {
+        // Literals computed at the commit before `max_attempts` and
+        // `total_events` left `SweepConfig`: a change to the absorb order,
+        // or to the two constants kept in their slots, orphans every
+        // journal and shard written so far, and fails here first.
+        let spec = figures::by_id("F1").unwrap();
+        assert_eq!(
+            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &SweepConfig::default()),
+            0xe152_ea82_c8d8_8aa5
+        );
+        let knobs = SweepConfig {
+            faults: Some(spasm_machine::FaultPlan::adversarial(7)),
+            telemetry: Some(spasm_machine::TelemetryConfig::every_us(100)),
+            engine: spasm_machine::EngineMode::Optimistic { workers: 4 },
+            ..SweepConfig::default()
+        };
+        assert_eq!(
+            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &knobs),
+            0x1f9d_73eb_1de5_e7e3
         );
     }
 

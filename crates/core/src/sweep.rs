@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use spasm_apps::SizeClass;
-use spasm_exec::{execute, Backoff, CostBudget, ExecConfig, ExecEvent, JobCtx, JobOutput};
+use spasm_exec::{execute, ExecConfig, ExecEvent, JobCtx, JobOutput};
 use spasm_machine::{
     CheckMode, EngineMode, FaultPlan, IntervalRecord, RunBudget, RunError, TelemetryConfig,
 };
@@ -88,23 +88,11 @@ pub struct SweepConfig {
     /// Resource budget per run; an exceeded budget fails the point, not
     /// the figure.
     pub budget: RunBudget,
-    /// Attempt ceiling per point. Retries happen only for budget-class
-    /// failures under an active fault plan (each retry reseeds the fault
-    /// stream); deterministic failures are never retried.
-    pub max_attempts: u32,
     /// Worker count for the sweep's point executor: `1` (the default)
     /// runs inline on the calling thread, `0` means one worker per host
     /// hardware thread, `n > 1` spawns `n` OS workers. Output is
     /// byte-identical across all settings.
     pub jobs: usize,
-    /// Global simulator-event budget for the *whole* sweep, accounted
-    /// across all workers (the parallel analogue of the per-run
-    /// [`RunBudget`]): once exceeded, remaining points fail with
-    /// [`ExperimentError::Aborted`] instead of running. `None` is
-    /// unlimited. Which points are cut depends on completion timing, so
-    /// set this only as a safety valve, not in determinism-sensitive
-    /// sweeps.
-    pub total_events: Option<u64>,
     /// Online invariant checking applied to every run. A violated
     /// invariant fails the point (never retried — the checkers are
     /// deterministic) without failing the figure.
@@ -118,10 +106,6 @@ pub struct SweepConfig {
     /// so a resume with a longer deadline re-runs exactly the points
     /// that timed out.
     pub deadline: Option<Duration>,
-    /// Pause schedule between reseeded retries of budget-class failures
-    /// (deterministic capped exponential, jittered per point seed).
-    /// [`Backoff::NONE`] (the default) retries immediately.
-    pub backoff: Backoff,
     /// Streaming interval telemetry applied to every run. `None` (the
     /// default) collects nothing. Telemetry is outcome-affecting for
     /// journaling purposes — the records ride in the journal — so it
@@ -139,12 +123,9 @@ impl Default for SweepConfig {
         SweepConfig {
             faults: None,
             budget: RunBudget::UNLIMITED,
-            max_attempts: 3,
             jobs: 1,
-            total_events: None,
             check: CheckMode::Off,
             deadline: None,
-            backoff: Backoff::NONE,
             telemetry: None,
             engine: EngineMode::Sequential,
         }
@@ -160,6 +141,11 @@ impl SweepConfig {
         }
     }
 }
+
+/// Attempt ceiling per point. Retries happen only for budget-class
+/// failures under an active fault plan (each retry reseeds the fault
+/// stream); deterministic failures are never retried.
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
 
 /// The fault seed used for attempt `attempt` (1-based) of a point whose
 /// plan is seeded with `base`: attempt 1 keeps the plan's own seed, and
@@ -234,9 +220,9 @@ pub fn run_figure_observed(
 /// resumed journal: the final [`FigureData`] is byte-identical to an
 /// uninterrupted sweep.
 ///
-/// Points that never completed an attempt cycle — cancelled by the
-/// shared event budget, overrun by the deadline watchdog, or lost to
-/// the crash itself — are *not* journaled, so a resume re-runs them.
+/// Points that never completed an attempt cycle — overrun by the
+/// deadline watchdog or lost to the crash itself — are *not* journaled,
+/// so a resume re-runs them.
 pub fn run_figure_journaled(
     spec: &FigureSpec,
     size: SizeClass,
@@ -283,46 +269,24 @@ pub fn run_figure_shard(
     journal: &SweepJournal,
     observe: impl FnMut(&ExecEvent),
 ) -> ShardRunReport {
-    let mut owned = 0usize;
-    let mut replayed = 0usize;
-    let mut failed = 0usize;
-    let mut points = Vec::new();
-    for (i, (machine, exp)) in grid(spec, size, procs, seed).into_iter().enumerate() {
-        if !shard.owns(i) {
-            continue;
-        }
-        owned += 1;
-        match journal.lookup(machine, exp.procs) {
-            Some((outcome, _, _)) => {
-                replayed += 1;
-                if !outcome.is_ok() {
-                    failed += 1;
-                }
-            }
-            None => points.push((machine, exp)),
-        }
-    }
-    let fresh = points.len();
-    let report = execute(
-        exec_config(sweep, seed),
-        points,
-        |ctx, (machine, exp)| journaled_point(Some(journal), sweep, machine, &exp, Some(ctx)),
+    let (verdicts, fresh) = sweep_points(
+        spec,
+        size,
+        procs,
+        seed,
+        sweep,
+        Some(journal),
+        |i| shard.owns(i),
         observe,
     );
-    for slot in &report.results {
-        match slot {
-            Ok((outcome, _, _)) if outcome.is_ok() => {}
-            // A failed point or a job-level casualty (cancelled,
-            // deadlined, panicked) — the latter never reached the
-            // journal and will re-run on the next resume.
-            _ => failed += 1,
-        }
-    }
     ShardRunReport {
-        owned,
-        replayed,
+        owned: verdicts.len(),
+        replayed: verdicts.len() - fresh,
         fresh,
-        failed,
+        // A failed point or a job-level casualty (deadlined, panicked) —
+        // the latter never reached the journal and will re-run on the
+        // next resume.
+        failed: verdicts.iter().filter(|(o, _, _)| !o.is_ok()).count(),
     }
 }
 
@@ -356,18 +320,79 @@ fn grid(
         .collect()
 }
 
-/// The executor configuration shared by the full and sharded sweep
-/// paths.
-fn exec_config(sweep: SweepConfig, seed: u64) -> ExecConfig {
-    ExecConfig {
-        jobs: sweep.jobs,
-        seed,
-        deadline: sweep.deadline,
-        cost_budget: sweep
-            .total_events
-            .map_or(CostBudget::UNLIMITED, CostBudget::units),
-        ..ExecConfig::default()
+/// One point's verdict: replayed from a journal or fresh from a run.
+type PointVerdict = (Outcome, Option<RunMetrics>, Vec<IntervalRecord>);
+
+/// The one sweep path under both [`run_figure_journaled`] and
+/// [`run_figure_shard`]: of the grid points `owns` selects (by point
+/// index), those the journal already holds are replayed and the rest run
+/// on the executor. Returns one verdict per owned point in grid order,
+/// and how many of them ran fresh.
+#[allow(clippy::too_many_arguments)] // the sweep's identity + who runs what
+fn sweep_points(
+    spec: &FigureSpec,
+    size: SizeClass,
+    procs: &[usize],
+    seed: u64,
+    sweep: SweepConfig,
+    journal: Option<&SweepJournal>,
+    owns: impl Fn(usize) -> bool,
+    observe: impl FnMut(&ExecEvent),
+) -> (Vec<PointVerdict>, usize) {
+    // Series-major order, minus already-journaled points: submission
+    // indices — and thus results — stay deterministic for a fixed replay
+    // set.
+    let mut verdicts = Vec::new();
+    let mut pending = Vec::new();
+    for (i, (machine, exp)) in grid(spec, size, procs, seed).into_iter().enumerate() {
+        if !owns(i) {
+            continue;
+        }
+        // A replayed point never enters the executor, so it consumes no
+        // result slot.
+        let replayed = journal.and_then(|j| j.lookup(machine, exp.procs));
+        if replayed.is_none() {
+            pending.push((machine, exp));
+        }
+        verdicts.push(replayed);
     }
+    let fresh = pending.len();
+    let report = execute(
+        ExecConfig {
+            jobs: sweep.jobs,
+            deadline: sweep.deadline,
+        },
+        pending,
+        |ctx, (machine, exp)| journaled_point(journal, sweep, machine, &exp, ctx),
+        observe,
+    );
+    let mut slots = report.results.into_iter();
+    let verdicts = verdicts
+        .into_iter()
+        .map(|replayed| {
+            replayed.unwrap_or_else(|| {
+                match slots
+                    .next()
+                    .expect("one result slot per non-journaled point")
+                {
+                    Ok(point) => point,
+                    // A job-level failure (panic past the experiment
+                    // fence, or a deadline overrun) becomes a FAILED cell
+                    // like any other; attempts = 0 records that the
+                    // simulation never completed an attempt cycle.
+                    Err(e) => (
+                        Outcome::Failed {
+                            error: e.into(),
+                            attempts: 0,
+                        },
+                        None,
+                        Vec::new(),
+                    ),
+                }
+            })
+        })
+        .collect();
+    (verdicts, fresh)
 }
 
 /// Runs one submitted point on a worker and makes it durable: the
@@ -379,13 +404,13 @@ fn journaled_point(
     sweep: SweepConfig,
     machine: Machine,
     exp: &Experiment,
-    ctx: Option<&JobCtx<'_>>,
-) -> JobOutput<(Outcome, Option<RunMetrics>, Vec<IntervalRecord>)> {
+    ctx: &JobCtx<'_>,
+) -> JobOutput<PointVerdict> {
     let (outcome, m, telemetry) = run_point(exp, machine, sweep, ctx);
-    // A mid-run cancellation (deadline watchdog, batch cancel) is not a
-    // verdict on the point — the executor discards the result anyway —
-    // so it must never reach the journal: a journaled "failure" from an
-    // aborted run would poison every resume with uncommitted history.
+    // A mid-run cancellation (the deadline watchdog) is not a verdict on
+    // the point — the executor discards the result anyway — so it must
+    // never reach the journal: a journaled "failure" from an aborted run
+    // would poison every resume with uncommitted history.
     let cancelled = matches!(
         &outcome,
         Outcome::Failed {
@@ -415,54 +440,16 @@ fn run_figure_inner(
     journal: Option<&SweepJournal>,
     observe: impl FnMut(&ExecEvent),
 ) -> FigureData {
-    // Series-major order, minus already-journaled points: submission
-    // indices — and thus job seeds and results — stay deterministic for
-    // a fixed replay set.
-    let points: Vec<(Machine, Experiment)> = grid(spec, size, procs, seed)
-        .into_iter()
-        .filter(|&(machine, ref exp)| {
-            journal.is_none_or(|j| j.lookup(machine, exp.procs).is_none())
-        })
-        .collect();
-    let report = execute(
-        exec_config(sweep, seed),
-        points,
-        |ctx, (machine, exp)| journaled_point(journal, sweep, machine, &exp, Some(ctx)),
-        observe,
-    );
-
-    let mut slots = report.results.into_iter();
+    let (verdicts, _) = sweep_points(spec, size, procs, seed, sweep, journal, |_| true, observe);
+    let mut verdicts = verdicts.into_iter();
     let mut series = Vec::with_capacity(spec.machines.len());
     for &machine in spec.machines {
         let mut values = Vec::with_capacity(procs.len());
         let mut metrics = Vec::with_capacity(procs.len());
         let mut outcomes = Vec::with_capacity(procs.len());
         let mut telemetry = Vec::with_capacity(procs.len());
-        for &p in procs {
-            let (outcome, m, intervals) = match journal.and_then(|j| j.lookup(machine, p)) {
-                // Replayed from the journal: this point never entered
-                // the executor, so it consumes no result slot.
-                Some(replayed) => replayed,
-                None => match slots
-                    .next()
-                    .expect("one result slot per non-journaled point")
-                {
-                    Ok(point) => point,
-                    // A job-level failure (panic past the experiment
-                    // fence, a point cancelled by the shared budget, or
-                    // a deadline overrun) becomes a FAILED cell like any
-                    // other; attempts = 0 records that the simulation
-                    // never completed an attempt cycle.
-                    Err(e) => (
-                        Outcome::Failed {
-                            error: e.into(),
-                            attempts: 0,
-                        },
-                        None,
-                        Vec::new(),
-                    ),
-                },
-            };
+        for _ in procs {
+            let (outcome, m, intervals) = verdicts.next().expect("one verdict per grid point");
             values.push(m.as_ref().map_or(f64::NAN, |m| extract(spec.metric, m)));
             metrics.push(m);
             outcomes.push(outcome);
@@ -489,16 +476,15 @@ fn run_figure_inner(
 /// is deterministic and would fail identically. Shared verbatim by the
 /// serial and parallel paths (the executor calls it from worker
 /// threads), with [`retry_seed`] supplying the per-attempt fault seed.
-/// The executor's `ctx`, when present, supplies a cancellation probe the
-/// engine polls between events, so a deadline-expired point aborts
-/// mid-run instead of finishing a forfeit simulation.
+/// The executor's `ctx` supplies a cancellation probe the engine polls
+/// between events, so a deadline-expired point aborts mid-run instead of
+/// finishing a forfeit simulation.
 fn run_point(
     exp: &Experiment,
     machine: Machine,
     sweep: SweepConfig,
-    ctx: Option<&JobCtx<'_>>,
-) -> (Outcome, Option<RunMetrics>, Vec<IntervalRecord>) {
-    let max_attempts = sweep.max_attempts.max(1);
+    ctx: &JobCtx<'_>,
+) -> PointVerdict {
     let mut attempts = 0;
     loop {
         attempts += 1;
@@ -511,15 +497,9 @@ fn run_point(
             seed: retry_seed(f.seed, attempts),
             ..f
         });
-        match exp.run_observed(config, ctx.map(JobCtx::cancel_probe)) {
+        match exp.run_observed(config, Some(ctx.cancel_probe())) {
             Ok((m, telemetry, _spec)) => return (Outcome::Ok, Some(m), telemetry),
-            Err(e) if e.is_retryable() && sweep.faults.is_some() && attempts < max_attempts => {
-                // Deterministic in (config, point seed, attempt): the
-                // pause schedule never perturbs results, only pacing.
-                let pause = sweep.backoff.delay(exp.seed, attempts);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
+            Err(e) if e.is_retryable() && sweep.faults.is_some() && attempts < MAX_ATTEMPTS => {
                 continue;
             }
             Err(e) => return (Outcome::Failed { error: e, attempts }, None, Vec::new()),
@@ -890,7 +870,7 @@ mod tests {
     fn budget_failures_retry_reseeded_then_fail_typed() {
         // An absurdly small event budget under an active fault plan: every
         // attempt exhausts the budget, so the point fails after exactly
-        // `max_attempts` reseeded tries.
+        // `MAX_ATTEMPTS` reseeded tries.
         let spec = figures::FigureSpec {
             id: "B",
             app: AppId::Ep,
@@ -902,7 +882,6 @@ mod tests {
         let sweep = SweepConfig {
             faults: Some(FaultPlan::quiet(7)),
             budget: RunBudget::events(3),
-            max_attempts: 2,
             ..SweepConfig::default()
         };
         let data = run_figure_with(&spec, SizeClass::Test, &[2], 1, sweep);
@@ -915,7 +894,7 @@ mod tests {
                     ),
                     "{error}"
                 );
-                assert_eq!(*attempts, 2);
+                assert_eq!(*attempts, MAX_ATTEMPTS);
             }
             other => panic!("expected Failed outcome, got {other:?}"),
         }
@@ -978,30 +957,6 @@ mod tests {
         );
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(parallel.failed_points(), 2);
-    }
-
-    #[test]
-    fn sweep_total_event_budget_aborts_the_tail() {
-        // A one-event global budget: the first point to finish trips it
-        // and later points abort before running. Serial pool keeps the
-        // cut deterministic.
-        let spec = figures::by_id("F12").unwrap();
-        let sweep = SweepConfig {
-            total_events: Some(1),
-            ..SweepConfig::default()
-        };
-        let data = run_figure_with(spec, SizeClass::Test, &[2, 4], 5, sweep);
-        assert!(data.series[0].outcomes[0].is_ok(), "first point still runs");
-        match &data.series[2].outcomes[1] {
-            Outcome::Failed { error, attempts } => {
-                assert!(
-                    matches!(error, ExperimentError::Aborted(_)),
-                    "expected Aborted, got {error}"
-                );
-                assert_eq!(*attempts, 0, "cancelled points never attempt");
-            }
-            other => panic!("expected Failed outcome, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,30 +1,22 @@
-//! Timestamped event queues with stable tie-breaking.
+//! The timestamped event queue, with stable tie-breaking.
 //!
-//! Two interchangeable implementations live here:
+//! [`CalendarQueue`] is a bucketed ladder/calendar queue with O(1)
+//! amortized push/pop, and the crate-wide [`EventQueue`](crate::EventQueue).
 //!
-//! * [`CalendarQueue`] — a bucketed ladder/calendar queue with O(1)
-//!   amortized push/pop, the default [`EventQueue`];
-//! * [`HeapQueue`] — the original `BinaryHeap`-backed queue, retained as
-//!   the differential-testing oracle and selectable crate-wide with the
-//!   `heap-queue` feature.
-//!
-//! Both order events by `(time, push sequence)`: events scheduled for the
+//! Events are ordered by `(time, push sequence)`: events scheduled for the
 //! same instant pop in the order they were pushed (FIFO within a
 //! timestamp). This total order is what makes entire simulations built on
-//! these queues deterministic — no behaviour ever depends on container
-//! internals — and it is also what makes the two implementations
-//! *exactly* interchangeable: `crates/desim/tests/queue_diff.rs` drives
-//! adversarial schedules through both and demands identical pop
-//! sequences and accounting.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! the queue deterministic — no behaviour ever depends on container
+//! internals. `crates/desim/tests/queue_diff.rs` holds the reference
+//! implementation (a `BinaryHeap` ordered by the same key) and drives
+//! adversarial schedules through both, demanding identical pop sequences
+//! and accounting.
 
 use crate::SimTime;
 
-/// Result of [`CalendarQueue::pop_if_before`] / [`HeapQueue::pop_if_before`]:
-/// a single head-comparison-and-pop, so callers with a time budget never
-/// peek and then pop (two head traversals) in their hot loop.
+/// Result of [`CalendarQueue::pop_if_before`]: a single
+/// head-comparison-and-pop, so callers with a time budget never peek and
+/// then pop (two head traversals) in their hot loop.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PopIfBefore<E> {
     /// The earliest event's time was at or before the limit; it has been
@@ -36,153 +28,6 @@ pub enum PopIfBefore<E> {
     /// No events are pending.
     Empty,
 }
-
-// ---------------------------------------------------------------------------
-// HeapQueue — the original binary-heap implementation (differential oracle)
-// ---------------------------------------------------------------------------
-
-/// A min-ordered queue of `(SimTime, E)` events backed by a binary heap.
-///
-/// This is the seed-era implementation, kept verbatim behind the
-/// `heap-queue` feature as a differential-testing oracle for
-/// [`CalendarQueue`]. Events scheduled for the same instant are popped in
-/// the order they were pushed (FIFO within a timestamp).
-///
-/// # Example
-///
-/// ```
-/// use spasm_desim::{HeapQueue, SimTime};
-///
-/// let mut q = HeapQueue::new();
-/// q.push(SimTime::from_ns(5), 'b');
-/// q.push(SimTime::from_ns(1), 'a');
-/// assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
-/// assert_eq!(q.pop(), Some((SimTime::from_ns(1), 'a')));
-/// ```
-#[derive(Debug)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    popped: u64,
-    last_popped: Option<SimTime>,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // (time, seq) out first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            popped: 0,
-            last_popped: None,
-        }
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            self.popped += 1;
-            self.last_popped = Some(e.time);
-            (e.time, e.event)
-        })
-    }
-
-    /// Pops the earliest event only if its timestamp is at or before
-    /// `limit` — a combined head-compare-and-pop. See [`PopIfBefore`].
-    pub fn pop_if_before(&mut self, limit: SimTime) -> PopIfBefore<E> {
-        match self.heap.peek() {
-            None => PopIfBefore::Empty,
-            Some(e) if e.time > limit => PopIfBefore::Deferred(e.time),
-            Some(_) => {
-                let (t, e) = self.pop().expect("peeked head must pop");
-                PopIfBefore::Popped(t, e)
-            }
-        }
-    }
-
-    /// Returns the timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever pushed (a simulator "event count" metric).
-    pub fn pushed(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total number of events ever popped. Invariant checkers compare this
-    /// against [`HeapQueue::pushed`] at end of run: a drained queue must
-    /// have popped exactly what was pushed.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Timestamp of the most recently popped event, if any — the queue-side
-    /// record of the simulation clock, for monotonicity checks.
-    pub fn last_popped(&self) -> Option<SimTime> {
-        self.last_popped
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CalendarQueue — bucketed ladder/calendar queue (the default EventQueue)
-// ---------------------------------------------------------------------------
 
 /// Number of ring buckets. Power of two so the ring index is a mask. The
 /// engine's pending-event population is small (a handful per processor),
@@ -207,8 +52,9 @@ const MAX_WIDTH_SHIFT: u32 = 40;
 /// the bucket being drained), and each event is sorted exactly once, in
 /// the small batch of its bucket, when the drain front reaches it. The
 /// observable behaviour — pop order, FIFO stability within a timestamp,
-/// `pushed`/`popped`/`last_popped` accounting — is bit-identical to
-/// [`HeapQueue`], which the differential suite enforces.
+/// `pushed`/`popped`/`last_popped` accounting — is bit-identical to a
+/// binary heap ordered by `(time, seq)`, which the differential suite
+/// (`tests/queue_diff.rs`) enforces.
 ///
 /// # Example
 ///
@@ -485,10 +331,9 @@ impl<E> Default for CalendarQueue<E> {
 mod tests {
     use super::*;
 
-    // The unit suite runs generically over both implementations; the
-    // module-level tests pin the shared behaviour on whichever one is the
-    // crate-wide `EventQueue`, and `both_agree_*` cases below drive the
-    // pair directly (the full adversarial suite is tests/queue_diff.rs).
+    // Queue-contract tests name the crate-wide alias; the ones that probe
+    // calendar internals (spill ladder, window edges) name the type. The
+    // differential suite against the heap oracle is tests/queue_diff.rs.
     use crate::EventQueue;
 
     #[test]
@@ -629,25 +474,5 @@ mod tests {
         q.push(SimTime::from_us(90), 'c'); // ring range
         assert_eq!(q.pop(), Some((SimTime::from_ns(5), 'a')));
         assert_eq!(q.pop(), Some((SimTime::from_us(90), 'c')));
-    }
-
-    #[test]
-    fn both_agree_on_a_monotonic_engine_stream() {
-        let mut cal = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        for i in 0..64u64 {
-            cal.push(SimTime::from_ns(i % 7), i);
-            heap.push(SimTime::from_ns(i % 7), i);
-        }
-        for i in 0..10_000u64 {
-            let a = cal.pop().unwrap();
-            let b = heap.pop().unwrap();
-            assert_eq!(a, b);
-            let t = a.0 + SimTime::from_ns((a.1 * 2654435761) % 4096 + 1);
-            cal.push(t, i);
-            heap.push(t, i);
-        }
-        assert_eq!(cal.len(), heap.len());
-        assert_eq!(cal.peek_time(), heap.peek_time());
     }
 }

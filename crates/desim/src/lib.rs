@@ -9,12 +9,10 @@
 //! * [`SimTime`] — simulated time in nanoseconds, with saturating arithmetic;
 //! * [`EventQueue`] — a min-ordered queue of timestamped events with
 //!   **stable tie-breaking** (events at equal times pop in push order),
-//!   which makes whole simulations deterministic and reproducible. Two
-//!   implementations exist: the default [`CalendarQueue`] (a bucketed
-//!   ladder/calendar queue, O(1) amortized) and the seed-era
-//!   [`HeapQueue`] (binary heap), selected crate-wide by the
-//!   `heap-queue` cargo feature and verified against each other by a
-//!   differential test suite;
+//!   which makes whole simulations deterministic and reproducible. It is
+//!   a [`CalendarQueue`] (a bucketed ladder/calendar queue, O(1)
+//!   amortized), verified against a binary-heap reference by the
+//!   differential suite in `tests/queue_diff.rs`;
 //! * [`CoroPool`] — process-oriented simulation processes implemented as
 //!   coroutines in rendezvous with the (single-threaded) simulator, so that
 //!   application code can be written as ordinary blocking Rust code while the
@@ -51,18 +49,9 @@ mod time;
 
 pub use coro::{CoroCtx, CoroPool, ProcId, Step};
 pub use epoch::EpochClock;
-pub use event_queue::{CalendarQueue, HeapQueue, PopIfBefore};
+pub use event_queue::{CalendarQueue, PopIfBefore};
 pub use facility::{Facility, FacilityStats};
 pub use time::SimTime;
 
-/// The crate-wide event queue: [`CalendarQueue`] by default, or the
-/// seed-era [`HeapQueue`] when the `heap-queue` feature is enabled (the
-/// differential tier in `scripts/ci.sh` runs the whole test suite under
-/// both).
-#[cfg(not(feature = "heap-queue"))]
+/// The crate-wide event queue.
 pub type EventQueue<E> = CalendarQueue<E>;
-
-/// The crate-wide event queue (the `heap-queue` feature is enabled:
-/// binary-heap implementation).
-#[cfg(feature = "heap-queue")]
-pub type EventQueue<E> = HeapQueue<E>;

@@ -1,13 +1,111 @@
 //! Differential queue property suite: `CalendarQueue` must be
-//! observationally identical to the seed-era `HeapQueue` oracle — pop
+//! observationally identical to the `HeapQueue` oracle below — pop
 //! sequences (including FIFO tie order), `peek_time`, lengths, and the
 //! `pushed()`/`popped()`/`last_popped()` accounting — across adversarial
 //! schedules: same-timestamp bursts, far-future spills, interleaved
 //! push/pop, monotonic engine-like streams, and non-monotonic inserts
 //! into the past.
 
-use spasm_desim::{CalendarQueue, HeapQueue, SimTime};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use spasm_desim::{CalendarQueue, PopIfBefore, SimTime};
 use spasm_testkit::{check, gens, prop_assert, prop_assert_eq};
+
+/// The reference implementation: the simulator's original event queue, a
+/// `BinaryHeap` keyed by `(time, push sequence)`. It was the product
+/// queue until the calendar queue replaced it, and every committed
+/// golden was first generated on it; here it defines what "the same
+/// behaviour" means for any queue that takes its place.
+struct HeapQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    seq: u64,
+    popped: u64,
+    last_popped: Option<SimTime>,
+}
+
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want the earliest
+        // (time, seq) out first.
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+impl<E> HeapQueue<E> {
+    fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            popped: 0,
+            last_popped: None,
+        }
+    }
+
+    fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Entry { time, seq, event });
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|e| {
+            self.popped += 1;
+            self.last_popped = Some(e.time);
+            (e.time, e.event)
+        })
+    }
+
+    fn pop_if_before(&mut self, limit: SimTime) -> PopIfBefore<E> {
+        match self.heap.peek() {
+            None => PopIfBefore::Empty,
+            Some(e) if e.time > limit => PopIfBefore::Deferred(e.time),
+            Some(_) => {
+                let (t, e) = self.pop().expect("peeked head must pop");
+                PopIfBefore::Popped(t, e)
+            }
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn pushed(&self) -> u64 {
+        self.seq
+    }
+
+    fn popped(&self) -> u64 {
+        self.popped
+    }
+
+    fn last_popped(&self) -> Option<SimTime> {
+        self.last_popped
+    }
+}
 
 /// One scripted operation against both queues.
 #[derive(Clone, Debug)]
@@ -88,6 +186,26 @@ fn decode(origin: u64, sel: u64, tsel: u64, tweak: u64) -> Op {
         6 => Op::PopIfBefore(t),
         _ => Op::PeekAndAudit,
     }
+}
+
+#[test]
+fn both_agree_on_a_monotonic_engine_stream() {
+    let mut cal = CalendarQueue::new();
+    let mut heap = HeapQueue::new();
+    for i in 0..64u64 {
+        cal.push(SimTime::from_ns(i % 7), i);
+        heap.push(SimTime::from_ns(i % 7), i);
+    }
+    for i in 0..10_000u64 {
+        let a = cal.pop().unwrap();
+        let b = heap.pop().unwrap();
+        assert_eq!(a, b);
+        let t = a.0 + SimTime::from_ns((a.1 * 2654435761) % 4096 + 1);
+        cal.push(t, i);
+        heap.push(t, i);
+    }
+    assert_eq!(cal.len(), heap.len());
+    assert_eq!(cal.peek_time(), heap.peek_time());
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use crate::{CancelReason, JobError};
+use crate::JobError;
 
 /// One job state transition, as seen by the observer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,14 +66,6 @@ pub enum ExecEvent {
         /// The deadline it overran.
         limit: Duration,
     },
-    /// The job was dropped without running because the pool was
-    /// cancelled before a worker reached it.
-    Cancelled {
-        /// Submission index of the job.
-        job: usize,
-        /// Why the pool was cancelled.
-        reason: CancelReason,
-    },
 }
 
 impl ExecEvent {
@@ -84,8 +76,7 @@ impl ExecEvent {
             | ExecEvent::Started { job, .. }
             | ExecEvent::Finished { job, .. }
             | ExecEvent::Panicked { job, .. }
-            | ExecEvent::Deadlined { job, .. }
-            | ExecEvent::Cancelled { job, .. } => job,
+            | ExecEvent::Deadlined { job, .. } => job,
         }
     }
 }
@@ -104,8 +95,6 @@ pub struct ExecStats {
     pub panicked: usize,
     /// Jobs cancelled mid-run by the per-job deadline watchdog.
     pub deadlined: usize,
-    /// Jobs dropped by cancellation before starting.
-    pub cancelled: usize,
     /// Wall-clock time of the whole batch (queue to last completion).
     pub wall: Duration,
     /// Sum of per-job wall times — the "busy" time; `busy / wall`
@@ -139,7 +128,6 @@ impl ExecStats {
                 self.deadlined += 1;
                 self.busy += *wall;
             }
-            ExecEvent::Cancelled { .. } => self.cancelled += 1,
         }
     }
 

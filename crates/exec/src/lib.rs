@@ -12,24 +12,19 @@
 //!
 //! * results come back in **submission order**, one slot per job,
 //!   regardless of completion order ([`ExecReport::results`]);
-//! * jobs receive a **seed** derived only from the configured base seed
-//!   and their submission index ([`seed_for`]), never from scheduling;
 //! * a panicking job is caught at the job boundary ([`JobError::Panicked`])
 //!   and the worker continues — one bad point cannot poison a batch;
 //! * with `jobs <= 1` the pool degenerates to an inline loop on the
 //!   calling thread with the *same* code path and event stream, so a
 //!   serial run is the trivial case of a parallel one, not a fork.
 //!
-//! Shared machinery: a [`CancelToken`] aborts the not-yet-started tail of
-//! a batch (user-triggered, e.g. fail-fast from the observer), a
-//! [`CostBudget`] bounds the *total* cost (simulator events, by
-//! convention) spent across all workers, and a wall-clock budget turns a
-//! runaway batch into typed [`JobError::Cancelled`] results for the
-//! remaining jobs. Progress and metrics flow to the submitting thread as
-//! an [`ExecEvent`] stream (queued/started/finished, per-job wall time,
-//! injected-fault counters).
+//! A per-job wall-clock deadline ([`ExecConfig::deadline`]) turns an
+//! overdue job into a typed [`JobError::Deadline`]; every job always
+//! starts. Progress and metrics flow to the submitting thread as an
+//! [`ExecEvent`] stream (queued/started/finished, per-job wall time,
+//! cost and injected-fault counters).
 //!
-//! The crate is hermetic: `std` plus the in-tree `spasm-prng` only.
+//! The crate is hermetic: `std` only.
 //!
 //! # Example
 //!
@@ -55,40 +50,16 @@ pub use events::{ExecEvent, ExecReport, ExecStats};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Why a pool stopped taking new jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelReason {
-    /// [`CancelToken::cancel`] was called.
-    User,
-    /// The shared [`CostBudget`] ran out.
-    CostBudget,
-    /// The batch exceeded its wall-clock budget.
-    WallBudget,
-}
-
-impl fmt::Display for CancelReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CancelReason::User => "cancelled by caller",
-            CancelReason::CostBudget => "shared cost budget exhausted",
-            CancelReason::WallBudget => "wall-clock budget exceeded",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Why one job produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// The job's closure panicked; the payload is the rendered message.
     Panicked(String),
-    /// The pool was cancelled before a worker reached this job.
-    Cancelled(CancelReason),
     /// The job overran its per-job wall-clock deadline
     /// ([`ExecConfig::deadline`]). The watchdog *cancels* an overdue
     /// job — it never kills the thread — so the closure ran to
@@ -107,7 +78,6 @@ impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
-            JobError::Cancelled(reason) => write!(f, "job not run: {reason}"),
             JobError::Deadline { limit } => {
                 write!(f, "job overran its {limit:?} wall-clock deadline")
             }
@@ -122,91 +92,12 @@ impl std::error::Error for JobError {}
 /// meant to catch minute-scale hangs.
 const WATCHDOG_TICK: Duration = Duration::from_millis(2);
 
-const CANCEL_NONE: u8 = 0;
-const CANCEL_USER: u8 = 1;
-const CANCEL_COST: u8 = 2;
-const CANCEL_WALL: u8 = 3;
-
-/// Shared, clonable cancellation flag. Cancelling stops *queued* jobs
-/// from starting; jobs already running complete (a simulation cannot be
-/// safely interrupted mid-event-loop) and their results are kept.
-///
-/// The first cancellation reason wins; later calls are no-ops.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    state: Arc<AtomicU8>,
-}
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation on behalf of the caller.
-    pub fn cancel(&self) {
-        self.trigger(CANCEL_USER);
-    }
-
-    fn trigger(&self, code: u8) {
-        let _ = self
-            .state
-            .compare_exchange(CANCEL_NONE, code, Ordering::AcqRel, Ordering::Acquire);
-    }
-
-    /// The cancellation reason, if any.
-    pub fn reason(&self) -> Option<CancelReason> {
-        match self.state.load(Ordering::Acquire) {
-            CANCEL_USER => Some(CancelReason::User),
-            CANCEL_COST => Some(CancelReason::CostBudget),
-            CANCEL_WALL => Some(CancelReason::WallBudget),
-            _ => None,
-        }
-    }
-
-    /// True once any cancellation was requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.reason().is_some()
-    }
-}
-
-/// A shared bound on the total cost spent by a batch, accounted across
-/// all workers. Cost units are whatever the jobs report — the experiment
-/// layer charges simulator events, making this the parallel analogue of
-/// the engine's per-run `RunBudget`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CostBudget {
-    /// Maximum total cost units; `None` is unlimited.
-    pub max_cost: Option<u64>,
-}
-
-impl CostBudget {
-    /// No bound.
-    pub const UNLIMITED: CostBudget = CostBudget { max_cost: None };
-
-    /// A bound of `max` total cost units.
-    pub fn units(max: u64) -> Self {
-        CostBudget {
-            max_cost: Some(max),
-        }
-    }
-}
-
 /// Pool configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
     /// Worker count: `0` means auto (host parallelism), `1` runs inline
     /// on the calling thread, `n > 1` spawns `min(n, jobs)` workers.
     pub jobs: usize,
-    /// Base seed for the per-job seed stream ([`seed_for`]).
-    pub seed: u64,
-    /// Shared cost bound across all jobs of the batch.
-    pub cost_budget: CostBudget,
-    /// Wall-clock bound on the whole batch; once exceeded, queued jobs
-    /// are cancelled with [`CancelReason::WallBudget`]. Running jobs
-    /// still complete — pair with a per-run budget (the experiment
-    /// layer's `RunBudget`) so individual runs cannot hang forever.
-    pub wall_budget: Option<Duration>,
     /// Per-job wall-clock deadline, enforced by a monotonic-clock
     /// watchdog thread. An overdue job is *cancelled* (cooperatively —
     /// the closure keeps running and may poll
@@ -215,9 +106,6 @@ pub struct ExecConfig {
     /// returns after expiry. `None` (the default) spawns no watchdog
     /// and adds no per-job cost.
     pub deadline: Option<Duration>,
-    /// External cancellation handle; clone it before passing the config
-    /// to keep the ability to cancel mid-batch.
-    pub cancel: CancelToken,
 }
 
 impl ExecConfig {
@@ -257,35 +145,16 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The seed handed to job `job` under base seed `base`: a pure splitmix
-/// derivation, independent of worker assignment and completion order.
-/// `seed_for(base, 0) != base` by construction, so job streams never
-/// collide with a caller's own use of the base seed.
-pub fn seed_for(base: u64, job: u64) -> u64 {
-    let mut s = base ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(job.wrapping_add(1));
-    spasm_prng::splitmix64(&mut s)
-}
-
 /// Per-job context handed to the job closure.
 #[derive(Debug)]
 pub struct JobCtx<'a> {
     /// Submission index of this job.
     pub job: usize,
-    /// This job's derived seed ([`seed_for`]).
-    pub seed: u64,
-    cancel: &'a CancelToken,
     /// This job's lifecycle phase, when a deadline watchdog is active.
     phase: Option<&'a Arc<AtomicU8>>,
 }
 
 impl JobCtx<'_> {
-    /// True if the batch has been cancelled *or* this job's own
-    /// deadline has expired; long-running jobs may poll this to bail
-    /// out early (e.g. by tightening their own budget).
-    pub fn cancelled(&self) -> bool {
-        self.cancel.is_cancelled() || self.deadline_expired()
-    }
-
     /// True once the watchdog has expired this job's deadline. The
     /// job's result is already forfeit ([`JobError::Deadline`]);
     /// returning early just frees the worker sooner.
@@ -294,79 +163,25 @@ impl JobCtx<'_> {
             .is_some_and(|p| p.load(Ordering::Acquire) == PHASE_EXPIRED)
     }
 
-    /// An owned probe over this job's cancellation state: a boxed
-    /// closure equivalent to [`JobCtx::cancelled`] that captures clones
-    /// of the shared flags and so outlives the `JobCtx` borrow. The
-    /// experiment layer installs it into the simulation engine, which
-    /// polls it between events — a cancelled or deadline-expired job
-    /// then aborts mid-run (mid-speculation included, in the optimistic
-    /// engine) instead of completing a forfeit simulation.
+    /// An owned probe equivalent to [`JobCtx::deadline_expired`]: a boxed
+    /// closure that captures a clone of the phase flag and so outlives
+    /// the `JobCtx` borrow. The experiment layer installs it into the
+    /// simulation engine, which polls it between events — a
+    /// deadline-expired job then aborts mid-run (mid-speculation
+    /// included, in the optimistic engine) instead of completing a
+    /// forfeit simulation.
     pub fn cancel_probe(&self) -> Box<dyn Fn() -> bool + Send + 'static> {
-        let cancel = self.cancel.clone();
         let phase = self.phase.cloned();
         Box::new(move || {
-            cancel.is_cancelled()
-                || phase
-                    .as_ref()
-                    .is_some_and(|p| p.load(Ordering::Acquire) == PHASE_EXPIRED)
+            phase
+                .as_ref()
+                .is_some_and(|p| p.load(Ordering::Acquire) == PHASE_EXPIRED)
         })
     }
 }
 
-/// Deterministic capped exponential backoff for retryable failures.
-///
-/// The schedule is pure: the delay before retry `k` depends only on
-/// `(self, seed, k)`, so a resumed sweep waits out exactly the pauses
-/// the original would have — no global clock, no shared RNG. Delay
-/// before retry `k` (1-based) is drawn from
-/// `[ceil/2, ceil]` where `ceil = min(cap, base << (k-1))`, with the
-/// jitter derived by splitmix from `(seed, k)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backoff {
-    /// First-retry ceiling; `ZERO` disables backoff entirely.
-    pub base: Duration,
-    /// Upper bound the exponential curve saturates at.
-    pub cap: Duration,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff::NONE
-    }
-}
-
-impl Backoff {
-    /// No backoff: every delay is zero.
-    pub const NONE: Backoff = Backoff {
-        base: Duration::ZERO,
-        cap: Duration::ZERO,
-    };
-
-    /// A capped exponential schedule starting at `base`.
-    pub fn exponential(base: Duration, cap: Duration) -> Self {
-        Backoff { base, cap }
-    }
-
-    /// The delay before retry `retry` (1-based; `0` and a zero `base`
-    /// both yield zero). Pure and deterministic in `(self, seed, retry)`.
-    pub fn delay(&self, seed: u64, retry: u32) -> Duration {
-        if self.base.is_zero() || retry == 0 {
-            return Duration::ZERO;
-        }
-        let to_ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        let base_ns = to_ns(self.base);
-        let cap_ns = to_ns(self.cap).max(base_ns);
-        let shift = (retry - 1).min(63);
-        let ceiling = base_ns.saturating_mul(1u64 << shift).min(cap_ns);
-        let half = ceiling / 2;
-        let mut s = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(retry));
-        let jitter = spasm_prng::splitmix64(&mut s) % (ceiling - half + 1);
-        Duration::from_nanos(half + jitter)
-    }
-}
-
 /// What one job hands back: its value plus metered cost and fault counts
-/// for the shared budget and the event stream.
+/// for the event stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobOutput<R> {
     /// The job's result value.
@@ -392,9 +207,8 @@ impl<R> JobOutput<R> {
 /// returns the results in submission order. `observe` sees every
 /// [`ExecEvent`] on the calling thread, serialized.
 ///
-/// Panics inside `run` are caught per job ([`JobError::Panicked`]);
-/// cancellation and exhausted budgets surface as
-/// [`JobError::Cancelled`] on the jobs that never started.
+/// Panics inside `run` are caught per job ([`JobError::Panicked`]); a job
+/// that overruns [`ExecConfig::deadline`] is [`JobError::Deadline`].
 pub fn execute<T, R, F, O>(
     config: ExecConfig,
     items: Vec<T>,
@@ -420,7 +234,6 @@ where
         config: &config,
         run: &run,
         next: AtomicUsize::new(0),
-        spent: AtomicU64::new(0),
         cells: items.into_iter().map(|t| Mutex::new(Some(t))).collect(),
         slots: (0..n).map(|_| Mutex::new(None)).collect(),
         phases: if config.deadline.is_some() {
@@ -429,7 +242,6 @@ where
             Vec::new()
         },
         filled: AtomicUsize::new(0),
-        started_at,
     };
 
     for job in 0..n {
@@ -476,16 +288,10 @@ where
             }
             drop(tx);
             // Drain events on the submitting thread until every worker
-            // sender is gone; doubles as the wall-budget watchdog.
-            loop {
-                match rx.recv_timeout(Duration::from_millis(20)) {
-                    Ok(ev) => {
-                        stats.absorb(&ev);
-                        observe(&ev);
-                    }
-                    Err(RecvTimeoutError::Timeout) => pool.check_wall(),
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+            // sender is gone.
+            for ev in rx {
+                stats.absorb(&ev);
+                observe(&ev);
             }
         });
     }
@@ -532,8 +338,6 @@ struct Pool<'a, T, R, F> {
     /// Submission-order job cursor; `fetch_add` hands each worker the
     /// next unclaimed job, so starts follow submission order.
     next: AtomicUsize,
-    /// Cost units charged so far against the shared budget.
-    spent: AtomicU64,
     /// One take-once cell per input item.
     cells: Vec<Mutex<Option<T>>>,
     /// One write-once result slot per job, in submission order.
@@ -543,7 +347,6 @@ struct Pool<'a, T, R, F> {
     phases: Vec<JobPhase>,
     /// Slots written so far — the watchdog's termination condition.
     filled: AtomicUsize,
-    started_at: Instant,
 }
 
 impl<T, R, F> Pool<'_, T, R, F>
@@ -558,12 +361,6 @@ where
         let job = self.next.fetch_add(1, Ordering::Relaxed);
         if job >= self.cells.len() {
             return false;
-        }
-        self.check_wall();
-        if let Some(reason) = self.config.cancel.reason() {
-            self.fill(job, Err(JobError::Cancelled(reason)));
-            emit(ExecEvent::Cancelled { job, reason });
-            return true;
         }
         let item = self.cells[job]
             .lock()
@@ -580,8 +377,6 @@ where
         }
         let ctx = JobCtx {
             job,
-            seed: seed_for(self.config.seed, job as u64),
-            cancel: &self.config.cancel,
             phase: self.phases.get(job).map(|s| &s.phase),
         };
         match catch_unwind(AssertUnwindSafe(|| (self.run)(&ctx, item))) {
@@ -605,7 +400,6 @@ where
                         limit,
                     });
                 } else {
-                    self.charge(cost);
                     self.fill(job, Ok(value));
                     emit(ExecEvent::Finished {
                         job,
@@ -679,27 +473,6 @@ where
                 }
             }
             std::thread::sleep(WATCHDOG_TICK);
-        }
-    }
-
-    /// Charges `cost` against the shared budget; the job that crosses the
-    /// line cancels the batch for everyone behind it.
-    fn charge(&self, cost: u64) {
-        let Some(max) = self.config.cost_budget.max_cost else {
-            return;
-        };
-        let spent = self.spent.fetch_add(cost, Ordering::AcqRel) + cost;
-        if spent > max {
-            self.config.cancel.trigger(CANCEL_COST);
-        }
-    }
-
-    /// Trips the wall-budget cancellation once the batch overruns.
-    fn check_wall(&self) {
-        if let Some(limit) = self.config.wall_budget {
-            if self.started_at.elapsed() > limit {
-                self.config.cancel.trigger(CANCEL_WALL);
-            }
         }
     }
 }
@@ -789,90 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_budget_cancels_the_tail_serially() {
-        // Serial pool: deterministic — each job costs 10, budget 25, so
-        // jobs 0..3 run (the third crosses the line) and the rest cancel.
-        let config = ExecConfig {
-            jobs: 1,
-            cost_budget: CostBudget::units(25),
-            ..ExecConfig::default()
-        };
-        let report = execute(
-            config,
-            (0u64..8).collect(),
-            |_ctx, v| JobOutput {
-                value: v,
-                cost: 10,
-                faults: 0,
-            },
-            |_| {},
-        );
-        assert_eq!(report.stats.finished, 3);
-        assert_eq!(report.stats.cancelled, 5);
-        assert_eq!(report.stats.cost_spent, 30);
-        for r in &report.results[3..] {
-            assert_eq!(*r, Err(JobError::Cancelled(CancelReason::CostBudget)));
-        }
-    }
-
-    #[test]
-    fn user_cancel_from_observer_stops_the_tail() {
-        let cancel = CancelToken::new();
-        let config = ExecConfig {
-            jobs: 1,
-            cancel: cancel.clone(),
-            ..ExecConfig::default()
-        };
-        let report = execute(
-            config,
-            (0u64..10).collect(),
-            |ctx, v| {
-                assert!(!ctx.cancelled() || v > 2);
-                JobOutput::plain(v)
-            },
-            |ev| {
-                if matches!(ev, ExecEvent::Finished { job: 2, .. }) {
-                    cancel.cancel();
-                }
-            },
-        );
-        assert_eq!(report.stats.finished, 3);
-        assert_eq!(report.stats.cancelled, 7);
-        assert_eq!(
-            report.results[9],
-            Err(JobError::Cancelled(CancelReason::User))
-        );
-    }
-
-    #[test]
-    fn wall_budget_trips_slow_batches() {
-        let config = ExecConfig {
-            jobs: 2,
-            wall_budget: Some(Duration::from_millis(30)),
-            ..ExecConfig::default()
-        };
-        let report = execute(
-            config,
-            (0u64..64).collect(),
-            |_ctx, v| {
-                std::thread::sleep(Duration::from_millis(5));
-                JobOutput::plain(v)
-            },
-            |_| {},
-        );
-        assert!(
-            report.stats.cancelled > 0,
-            "64 jobs x 5ms on 2 workers must overrun a 30ms wall budget: {:?}",
-            report.stats
-        );
-        // Every slot is still filled, split between finished and cancelled.
-        assert_eq!(
-            report.stats.finished + report.stats.cancelled,
-            report.stats.jobs
-        );
-    }
-
-    #[test]
     fn events_cover_every_job_and_stats_fold_them() {
         let mut seen_started = [false; 12];
         let mut seen_done = [false; 12];
@@ -898,37 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_stream_is_pure_and_spread() {
-        assert_eq!(seed_for(1995, 0), seed_for(1995, 0));
-        assert_ne!(seed_for(1995, 0), seed_for(1995, 1));
-        assert_ne!(seed_for(1995, 0), seed_for(1996, 0));
-        assert_ne!(seed_for(1995, 0), 1995);
-        // Jobs observe exactly this stream.
-        let report = execute(
-            ExecConfig {
-                jobs: 4,
-                seed: 7,
-                ..ExecConfig::default()
-            },
-            (0u64..8).collect(),
-            |ctx, _| JobOutput::plain(ctx.seed),
-            |_| {},
-        );
-        for (i, r) in report.results.iter().enumerate() {
-            assert_eq!(*r.as_ref().unwrap(), seed_for(7, i as u64));
-        }
-    }
-
-    #[test]
-    fn cancel_reason_first_wins() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        t.trigger(CANCEL_COST);
-        t.cancel();
-        assert_eq!(t.reason(), Some(CancelReason::CostBudget));
-    }
-
-    #[test]
     fn deadline_forfeits_the_result_even_when_the_closure_returns_ok() {
         // The exact race the phase CAS exists for: the job *observes*
         // its expiry, then returns Ok anyway. The slot must still
@@ -939,14 +597,16 @@ mod tests {
             ExecConfig {
                 jobs: 1,
                 deadline: Some(limit),
-                ..ExecConfig::default()
             },
             vec![()],
             |ctx, ()| {
                 while !ctx.deadline_expired() {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                assert!(ctx.cancelled(), "own expiry must read as cancelled");
+                assert!(
+                    ctx.cancel_probe()(),
+                    "own expiry must trip the engine probe"
+                );
                 JobOutput::plain("raced to ok")
             },
             |ev| {
@@ -967,7 +627,6 @@ mod tests {
             ExecConfig {
                 jobs: 2,
                 deadline: Some(Duration::from_secs(60)),
-                ..ExecConfig::default()
             },
             (0u64..8).collect(),
             |_ctx, v| JobOutput::plain(v * 3),
@@ -985,7 +644,6 @@ mod tests {
             ExecConfig {
                 jobs: 1,
                 deadline: Some(Duration::from_millis(5)),
-                ..ExecConfig::default()
             },
             vec![()],
             |ctx, ()| -> JobOutput<()> {
@@ -1000,27 +658,5 @@ mod tests {
             Err(JobError::Panicked(msg)) => assert!(msg.contains("died late"), "{msg}"),
             other => panic!("expected Panicked, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn backoff_schedule_is_pure_capped_and_bounded() {
-        let b = Backoff::exponential(Duration::from_millis(10), Duration::from_millis(80));
-        assert_eq!(Backoff::NONE.delay(7, 3), Duration::ZERO);
-        assert_eq!(b.delay(7, 0), Duration::ZERO);
-        // Pure: same inputs, same delay; different retries decorrelate.
-        assert_eq!(b.delay(7, 1), b.delay(7, 1));
-        assert_ne!(b.delay(7, 1), b.delay(8, 1));
-        // Each delay lies in [ceil/2, ceil] for ceil = min(cap, base<<k).
-        for (retry, ceil_ms) in [(1u32, 10u64), (2, 20), (3, 40), (4, 80), (5, 80), (60, 80)] {
-            let d = b.delay(1995, retry);
-            let ceil = Duration::from_millis(ceil_ms);
-            assert!(
-                d >= ceil / 2 && d <= ceil,
-                "retry {retry}: {d:?} vs {ceil:?}"
-            );
-        }
-        // Saturation safety: a huge retry index must not overflow.
-        let wide = Backoff::exponential(Duration::from_secs(1), Duration::from_secs(30));
-        assert!(wide.delay(3, u32::MAX) <= Duration::from_secs(30));
     }
 }

@@ -5,10 +5,7 @@
 
 use std::time::Duration;
 
-use spasm_exec::{
-    execute, seed_for, Backoff, CancelReason, CancelToken, CostBudget, ExecConfig, ExecEvent,
-    JobError, JobOutput,
-};
+use spasm_exec::{execute, ExecConfig, ExecEvent, JobError, JobOutput};
 use spasm_testkit::{check, check_with, gens, prop_assert, prop_assert_eq, Config};
 
 #[test]
@@ -142,214 +139,6 @@ fn event_stream_is_complete_and_consistent() {
 }
 
 #[test]
-fn budget_exhausted_exactly_at_job_boundary() {
-    // The budget cancels only when spent strictly exceeds the cap, so a
-    // budget of exactly k jobs' cost lets job k+1 start (it is the one
-    // whose charge crosses the line) and cancels everything after it:
-    // serially, exactly min(n, k+1) jobs finish, the rest are typed
-    // `Cancelled(CostBudget)`, in submission order.
-    check(
-        "exec_budget_boundary",
-        &gens::tuple3(gens::u64s(1..6), gens::usizes(1..20), gens::usizes(0..24)),
-        |&(cost, n, k)| {
-            let report = execute(
-                ExecConfig {
-                    jobs: 1,
-                    cost_budget: CostBudget::units(cost * k as u64),
-                    ..ExecConfig::default()
-                },
-                (0..n).collect::<Vec<usize>>(),
-                |_ctx, v| JobOutput {
-                    value: v,
-                    cost,
-                    faults: 0,
-                },
-                |_| {},
-            );
-            let expect = n.min(k + 1);
-            prop_assert_eq!(report.stats.finished, expect);
-            prop_assert_eq!(report.stats.cancelled, n - expect);
-            for (i, r) in report.results.iter().enumerate() {
-                if i < expect {
-                    prop_assert_eq!(r.as_ref().unwrap(), &i);
-                } else {
-                    prop_assert!(
-                        matches!(r, Err(JobError::Cancelled(CancelReason::CostBudget))),
-                        "job {i}: {r:?}"
-                    );
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn parallel_budget_still_runs_at_least_the_boundary_jobs() {
-    // In parallel the set of finished jobs is schedule-dependent (jobs
-    // already running when the budget trips complete and are kept), but
-    // the trip itself needs more than k jobs' cost charged — so at
-    // least min(n, k+1) finish, and every slot is either a kept result
-    // or a typed cost-budget cancellation.
-    check(
-        "exec_budget_parallel",
-        &gens::tuple3(gens::usizes(2..6), gens::usizes(1..20), gens::usizes(0..10)),
-        |&(workers, n, k)| {
-            let report = execute(
-                ExecConfig {
-                    jobs: workers,
-                    cost_budget: CostBudget::units(k as u64),
-                    ..ExecConfig::default()
-                },
-                (0..n).collect::<Vec<usize>>(),
-                |_ctx, v| JobOutput {
-                    value: v,
-                    cost: 1,
-                    faults: 0,
-                },
-                |_| {},
-            );
-            prop_assert!(
-                report.stats.finished >= n.min(k + 1),
-                "finished {} < min({n}, {})",
-                report.stats.finished,
-                k + 1
-            );
-            for (i, r) in report.results.iter().enumerate() {
-                match r {
-                    Ok(v) => prop_assert_eq!(v, &i),
-                    Err(JobError::Cancelled(CancelReason::CostBudget)) => {}
-                    other => return Err(format!("job {i}: unexpected {other:?}")),
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn cancel_raced_with_the_last_job_changes_nothing_serially() {
-    // A cancellation issued from inside the final job arrives after
-    // every other job already completed and while the canceller itself
-    // is running — running jobs always complete and keep their results,
-    // so the batch is indistinguishable from an uncancelled one except
-    // for the latched reason.
-    check("exec_cancel_last_job", &gens::usizes(1..16), |&n| {
-        let token = CancelToken::new();
-        let inner = token.clone();
-        let report = execute(
-            ExecConfig {
-                jobs: 1,
-                cancel: token.clone(),
-                ..ExecConfig::default()
-            },
-            (0..n).collect::<Vec<usize>>(),
-            move |ctx, v| {
-                if ctx.job == n - 1 {
-                    inner.cancel();
-                }
-                JobOutput::plain(v)
-            },
-            |_| {},
-        );
-        prop_assert_eq!(report.stats.finished, n);
-        prop_assert_eq!(report.stats.cancelled, 0);
-        prop_assert_eq!(token.reason(), Some(CancelReason::User));
-        for (i, r) in report.results.iter().enumerate() {
-            prop_assert_eq!(r.as_ref().unwrap(), &i);
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn mid_batch_cancel_keeps_the_canceller_and_types_the_rest() {
-    // Cancel issued from an arbitrary job in a parallel batch: the
-    // canceller always keeps its own result (it was running), and every
-    // other slot is either a kept result or `Cancelled(User)` — never a
-    // panic, never a missing slot.
-    check(
-        "exec_cancel_races",
-        &gens::tuple3(gens::usizes(2..6), gens::usizes(1..16), gens::usizes(0..16)),
-        |&(workers, n, who)| {
-            let who = who % n;
-            let token = CancelToken::new();
-            let inner = token.clone();
-            let report = execute(
-                ExecConfig {
-                    jobs: workers,
-                    cancel: token.clone(),
-                    ..ExecConfig::default()
-                },
-                (0..n).collect::<Vec<usize>>(),
-                move |ctx, v| {
-                    if ctx.job == who {
-                        inner.cancel();
-                    }
-                    JobOutput::plain(v)
-                },
-                |_| {},
-            );
-            prop_assert_eq!(report.stats.finished + report.stats.cancelled, n);
-            prop_assert_eq!(report.results[who].as_ref().unwrap(), &who);
-            for (i, r) in report.results.iter().enumerate() {
-                match r {
-                    Ok(v) => prop_assert_eq!(v, &i),
-                    Err(JobError::Cancelled(CancelReason::User)) => {}
-                    other => return Err(format!("job {i}: unexpected {other:?}")),
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn first_cancellation_reason_wins_over_a_simultaneous_budget_trip() {
-    // A user cancel from inside job 0 lands before that job's cost is
-    // charged against an already-exhausted budget: the latched reason —
-    // and every cancelled job's error — must say `User`, not
-    // `CostBudget`.
-    check(
-        "exec_cancel_reason_race",
-        &gens::tuple2(gens::u64s(1..6), gens::usizes(2..12)),
-        |&(cost, n)| {
-            let token = CancelToken::new();
-            let inner = token.clone();
-            let report = execute(
-                ExecConfig {
-                    jobs: 1,
-                    cancel: token.clone(),
-                    cost_budget: CostBudget::units(0),
-                    ..ExecConfig::default()
-                },
-                (0..n).collect::<Vec<usize>>(),
-                move |ctx, v| {
-                    if ctx.job == 0 {
-                        inner.cancel();
-                    }
-                    JobOutput {
-                        value: v,
-                        cost,
-                        faults: 0,
-                    }
-                },
-                |_| {},
-            );
-            prop_assert_eq!(token.reason(), Some(CancelReason::User));
-            prop_assert_eq!(report.stats.finished, 1);
-            for r in &report.results[1..] {
-                prop_assert!(
-                    matches!(r, Err(JobError::Cancelled(CancelReason::User))),
-                    "{r:?}"
-                );
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn deadline_expiry_observed_by_a_job_never_races_to_ok() {
     // Regression for the cancel-path race: a job that *sees* its own
     // deadline expire (via `ctx.deadline_expired()`) and then returns a
@@ -373,7 +162,6 @@ fn deadline_expiry_observed_by_a_job_never_races_to_ok() {
                 ExecConfig {
                     jobs: *workers,
                     deadline: Some(limit),
-                    ..ExecConfig::default()
                 },
                 perm.clone(),
                 |ctx, rank| {
@@ -411,87 +199,6 @@ fn deadline_expiry_observed_by_a_job_never_races_to_ok() {
             }
             prop_assert_eq!(report.stats.deadlined, deadlined);
             prop_assert_eq!(report.stats.finished + report.stats.deadlined, n);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn job_seeds_are_schedule_independent() {
-    check(
-        "exec_seed_purity",
-        &gens::tuple2(gens::u64s(0..u64::MAX), gens::usizes(1..6)),
-        |(base, workers)| {
-            let seeds = |jobs: usize| -> Vec<u64> {
-                execute(
-                    ExecConfig {
-                        jobs,
-                        seed: *base,
-                        ..ExecConfig::default()
-                    },
-                    vec![(); 12],
-                    |ctx, ()| JobOutput::plain(ctx.seed),
-                    |_| {},
-                )
-                .results
-                .into_iter()
-                .map(Result::unwrap)
-                .collect()
-            };
-            let expect: Vec<u64> = (0..12).map(|i| seed_for(*base, i)).collect();
-            prop_assert_eq!(seeds(1), expect.clone());
-            prop_assert_eq!(seeds(*workers), expect);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn backoff_schedule_is_jittered_capped_exponential_and_pure() {
-    // The documented contract of Backoff::delay: for retry k (1-based)
-    // the delay lies in [ceil/2, ceil] with ceil = min(cap, base << (k-1))
-    // (cap never undercutting base), the ceiling grows monotonically
-    // until it saturates at the cap, and the whole schedule is a pure
-    // function of (base, cap, seed, k) — byte-identical on every call.
-    check(
-        "exec_backoff_schedule",
-        &gens::tuple3(
-            gens::u64s(1..2_000_000_000),
-            gens::u64s(0..2_000_000_000),
-            gens::u64s(0..u64::MAX),
-        ),
-        |&(base_ns, cap_ns, seed)| {
-            let b =
-                Backoff::exponential(Duration::from_nanos(base_ns), Duration::from_nanos(cap_ns));
-            prop_assert_eq!(b.delay(seed, 0), Duration::ZERO);
-            let eff_cap = cap_ns.max(base_ns);
-            let mut prev_ceiling = 0u64;
-            // Past retry 64 the shift saturates; 70 covers both regimes.
-            for retry in 1..=70u32 {
-                let shift = (retry - 1).min(63);
-                let ceiling = base_ns.saturating_mul(1u64 << shift).min(eff_cap);
-                prop_assert!(
-                    ceiling >= prev_ceiling && ceiling <= eff_cap,
-                    "retry {}: ceiling {} not monotone-capped (prev {}, cap {})",
-                    retry,
-                    ceiling,
-                    prev_ceiling,
-                    eff_cap
-                );
-                prev_ceiling = ceiling;
-                let d = u64::try_from(b.delay(seed, retry).as_nanos()).unwrap();
-                prop_assert!(
-                    d >= ceiling / 2 && d <= ceiling,
-                    "retry {}: delay {} outside [{}, {}]",
-                    retry,
-                    d,
-                    ceiling / 2,
-                    ceiling
-                );
-                prop_assert_eq!(b.delay(seed, retry), b.delay(seed, retry));
-                // Jitter is per-seed: NONE stays identically zero.
-                prop_assert_eq!(Backoff::NONE.delay(seed, retry), Duration::ZERO);
-            }
             Ok(())
         },
     );

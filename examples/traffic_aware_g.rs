@@ -27,8 +27,8 @@ fn main() {
         "app", "crossing", "target (us)", "naive g", "aware g", "error removed"
     );
     for app in AppId::ALL {
-        let s =
-            traffic_aware_g(app, SizeClass::Test, Net::Mesh, procs, 1995).expect("verified runs");
+        let s = traffic_aware_g(app, SizeClass::Test, Net::Mesh, procs, 1995, 1)
+            .expect("verified runs");
         let removed = if s.naive_error() > 0.0 {
             100.0 * (1.0 - s.aware_error() / s.naive_error())
         } else {

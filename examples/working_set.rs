@@ -28,7 +28,7 @@ fn main() {
         "{:>10} {:>12} {:>12} {:>12} {:>10}",
         "cache", "exec (us)", "latency", "contention", "msgs"
     );
-    let points = cache_working_set(app, SizeClass::Test, Net::Full, procs, 1995, CACHE_SWEEP)
+    let points = cache_working_set(app, SizeClass::Test, Net::Full, procs, 1995, CACHE_SWEEP, 1)
         .expect("verified runs");
     for p in points {
         println!(

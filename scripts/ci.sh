@@ -5,6 +5,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# expect_rc N [NEEDLE] -- CMD...: CMD must exit with status N (its stdout
+# is discarded) and, when NEEDLE is given, say it on stderr.
+expect_rc() {
+    local want=$1 needle="" err rc=0
+    shift
+    if [ "$1" != "--" ]; then
+        needle=$1
+        shift
+    fi
+    shift
+    err=$("$@" 2>&1 > /dev/null) || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        echo "ERROR: exit $rc, expected $want: $*" >&2
+        echo "$err" >&2
+        exit 1
+    fi
+    if [ -n "$needle" ] && ! grep -q -- "$needle" <<< "$err"; then
+        echo "ERROR: stderr does not say \"$needle\": $*" >&2
+        echo "$err" >&2
+        exit 1
+    fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -16,8 +39,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> exactly one module opts out of the unsafe_code lint"
 [ "$(grep -rn "allow(unsafe_code)" crates src | wc -l)" -eq 1 ]
 
-# --workspace so the release bins the later tiers drive (figures) are
-# built here explicitly, not as a side effect of the bench step.
+# One build of the workspace: a cargo feature is a second product that
+# every tier below would have to run again to cover.
+echo "==> no cargo features"
+if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
+    echo "ERROR: a manifest declares a [features] table" >&2
+    exit 1
+fi
+
+# --workspace so the release bins the later tiers drive (figures, chaos,
+# scnlint) are built here explicitly.
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
@@ -31,22 +62,35 @@ echo "==> tests took $((SECONDS - tests_started))s"
 echo "==> R5 host time: cargo test --release --test reproduction -- --ignored r5_host_time"
 cargo test --release --offline --test reproduction -- --ignored r5_host_time
 
-# Differential tier: the identical suite on the seed-era BinaryHeap
-# event queue (the calendar queue is the default; see desim's
-# `heap-queue` feature). Both implementations must pass everything —
-# determinism, goldens, conformance — not just the queue unit tests.
-echo "==> cargo test -q --offline --workspace --features spasm-desim/heap-queue"
-tests_started=$SECONDS
-cargo test -q --offline --workspace --features spasm-desim/heap-queue
-echo "==> heap-queue tests took $((SECONDS - tests_started))s"
+# Paper-wide golden: every figure except S1 (host milliseconds are not
+# byte-stable) regenerated at --size small must match the committed
+# tables and CSV byte for byte. The non-S1 bytes were first generated on
+# the BinaryHeap event queue (the oracle in desim's tests/queue_diff.rs),
+# so this is also the whole-stack differential check of the calendar
+# queue: 285 points, every machine model, every app.
+echo "==> golden: figures_small.{txt,csv} regenerate byte for byte"
+gdir=$(mktemp -d)
+trap 'rm -rf "$gdir"' EXIT
+ids=$(./target/release/figures --list | awk '$1 != "S1" { print "--figure", $1 }')
+./target/release/figures $ids --size small --csv "$gdir/figures_small.csv" \
+    2> /dev/null | grep -v '^wrote ' > "$gdir/figures_small.txt"
+cmp figures_small.txt "$gdir/figures_small.txt"
+cmp figures_small.csv "$gdir/figures_small.csv"
+rm -rf "$gdir"
+trap - EXIT
 
-# Bench regression smoke: re-runs the wall-clock benches at 3
-# iterations and diffs min-wall against the committed BENCH_*.json
-# baselines. The lax smoke tolerance catches order-of-magnitude
-# breakage (an accidentally quadratic queue); percent-level gating is
-# scripts/bench_compare.sh without --smoke on a quiet machine.
-echo "==> scripts/bench_compare.sh --smoke"
-scripts/bench_compare.sh --smoke
+# The repo benchmark is a package of its own (benchmark/, built by the
+# pipeline from each commit's sources): its unit tests and a test-size
+# pass over all four workloads here mean an API break in the crates it
+# links turns this gate red before it turns the benchmark build red.
+echo "==> benchmark package: unit tests + run.sh --smoke"
+CARGO_TARGET_DIR=target cargo test -q --offline --manifest-path benchmark/Cargo.toml
+out=$(bash benchmark/run.sh --smoke 2> /dev/null)
+if [ "$(grep -c '^record .* failed=0 ' <<< "$out")" -ne 4 ]; then
+    echo "ERROR: benchmark smoke did not record four workloads with failed=0:" >&2
+    echo "$out" >&2
+    exit 1
+fi
 
 # Executor smoke: one real figure sweep on 2 workers. Belt and braces
 # against a hung pool: the shell kills the process after 60s, and
@@ -91,17 +135,8 @@ trap - EXIT
 # fire (nonzero exit naming an invariant); a quiet pass here would mean
 # the checker is wired to nothing.
 echo "==> figures --strict-check --faults 7 must fail with a named invariant"
-if out=$(timeout 60 ./target/release/figures \
-    --figure F12 --size test --procs 2 --strict-check --faults 7 --jobs 1 \
-    2>&1 > /dev/null); then
-    echo "ERROR: adversarial faults passed the strict checker" >&2
-    exit 1
-fi
-if ! grep -q "invariant" <<< "$out"; then
-    echo "ERROR: checker failure did not name an invariant:" >&2
-    echo "$out" >&2
-    exit 1
-fi
+expect_rc 3 "invariant" -- timeout 60 ./target/release/figures \
+    --figure F12 --size test --procs 2 --strict-check --faults 7 --jobs 1
 
 # Kill-and-resume: a journaled sweep SIGKILLed mid-run and resumed must
 # produce byte-identical stdout to an uninterrupted run. The poll loop
@@ -135,41 +170,13 @@ fi
 # fingerprint mismatch, 5 = journal I/O / interior corruption (which
 # must also name the damaged record on stderr).
 echo "==> figures exit codes: salvaged=3, mismatch=4, corrupt=5"
-set +e
-timeout 60 ./target/release/figures --figure F2 --size test --procs 2,3 \
-    --serial > /dev/null 2>&1
-rc=$?
-set -e
-if [ "$rc" -ne 3 ]; then
-    echo "ERROR: salvaged partial figure exited $rc, expected 3" >&2
-    exit 1
-fi
-set +e
-timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
-    --seed 7 --serial --budget-events 50000000 --journal "$jdir/j" --resume \
-    > /dev/null 2>&1
-rc=$?
-set -e
-if [ "$rc" -ne 4 ]; then
-    echo "ERROR: fingerprint mismatch exited $rc, expected 4" >&2
-    exit 1
-fi
+expect_rc 3 -- timeout 60 ./target/release/figures --figure F2 --size test --procs 2,3 --serial
+expect_rc 4 -- timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
+    --seed 7 --serial --budget-events 50000000 --journal "$jdir/j" --resume
 printf '\x41' | dd of="$jdir/j.F2" bs=1 seek=40 conv=notrunc 2>/dev/null
-set +e
-out=$(timeout 60 ./target/release/figures --figure F2 --size test \
+expect_rc 5 "record" -- timeout 60 ./target/release/figures --figure F2 --size test \
     --procs 2,4,8 --serial --budget-events 50000000 --journal "$jdir/j" \
-    --resume 2>&1 > /dev/null)
-rc=$?
-set -e
-if [ "$rc" -ne 5 ]; then
-    echo "ERROR: corrupted journal exited $rc, expected 5" >&2
-    exit 1
-fi
-if ! grep -q "record" <<< "$out"; then
-    echo "ERROR: corrupted-journal error did not name the record:" >&2
-    echo "$out" >&2
-    exit 1
-fi
+    --resume
 
 # Sharded fan-out: fleet.sh launches 3 shard workers over one journal
 # directory, SIGKILLs shard 2 after its first committed record,
@@ -193,37 +200,11 @@ fi
 echo "==> shard merge exit codes: corrupt=5, missing=3"
 printf '\x41' | dd of="$fdir/F2.shard-1-of-3.journal" bs=1 seek=40 \
     conv=notrunc 2>/dev/null
-set +e
-out=$(timeout 60 ./target/release/figures --merge "$fdir" --figure F2 \
-    --size test --procs 2,4,8 --serial --budget-events 50000000 \
-    2>&1 > /dev/null)
-rc=$?
-set -e
-if [ "$rc" -ne 5 ]; then
-    echo "ERROR: corrupt-shard merge exited $rc, expected 5" >&2
-    exit 1
-fi
-if ! grep -q "quarantined" <<< "$out"; then
-    echo "ERROR: corrupt-shard merge did not report a quarantine:" >&2
-    echo "$out" >&2
-    exit 1
-fi
+expect_rc 5 "quarantined" -- timeout 60 ./target/release/figures --merge "$fdir" --figure F2 \
+    --size test --procs 2,4,8 --serial --budget-events 50000000
 rm "$fdir/F2.shard-1-of-3.journal"
-set +e
-out=$(timeout 60 ./target/release/figures --merge "$fdir" --figure F2 \
-    --size test --procs 2,4,8 --serial --budget-events 50000000 \
-    2>&1 > /dev/null)
-rc=$?
-set -e
-if [ "$rc" -ne 3 ]; then
-    echo "ERROR: missing-shard merge exited $rc, expected 3" >&2
-    exit 1
-fi
-if ! grep -q "shard 1/3" <<< "$out"; then
-    echo "ERROR: salvaged rows did not name the absent shard:" >&2
-    echo "$out" >&2
-    exit 1
-fi
+expect_rc 3 "shard 1/3" -- timeout 60 ./target/release/figures --merge "$fdir" --figure F2 \
+    --size test --procs 2,4,8 --serial --budget-events 50000000
 
 # Scenario tier: every bundled .scn workload sweeps clean on all four
 # machine models with the strict invariant checkers on, and its
