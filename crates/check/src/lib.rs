@@ -120,7 +120,11 @@ pub struct CheckViolation {
 
 impl CheckViolation {
     /// Builds a violation with the given ring dump.
-    pub fn new(invariant: &'static str, message: String, ring: &EventRing) -> Self {
+    pub fn new<E: fmt::Display>(
+        invariant: &'static str,
+        message: String,
+        ring: &EventRing<E>,
+    ) -> Self {
         CheckViolation {
             invariant,
             message,
@@ -148,15 +152,23 @@ impl fmt::Display for CheckViolation {
 
 impl std::error::Error for CheckViolation {}
 
-/// A fixed-capacity ring buffer of formatted events, dumped into every
+/// A fixed-capacity ring buffer of recent events, dumped into every
 /// [`CheckViolation`] so a failure names not just the invariant but the
-/// history that led to it.
-#[derive(Debug, Clone, Default)]
-pub struct EventRing {
-    buf: VecDeque<String>,
+/// history that led to it. Entries are rendered only by
+/// [`EventRing::dump`], so a checker on a per-event path can record
+/// `Copy` values and pay for text only when a violation fires.
+#[derive(Debug, Clone)]
+pub struct EventRing<E = String> {
+    buf: VecDeque<E>,
 }
 
-impl EventRing {
+impl<E> Default for EventRing<E> {
+    fn default() -> Self {
+        EventRing::new()
+    }
+}
+
+impl<E> EventRing<E> {
     /// An empty ring holding up to [`RING_CAPACITY`] events.
     pub fn new() -> Self {
         EventRing {
@@ -165,16 +177,19 @@ impl EventRing {
     }
 
     /// Records one event, discarding the oldest when full.
-    pub fn record(&mut self, event: String) {
+    pub fn record(&mut self, event: E) {
         if self.buf.len() == RING_CAPACITY {
             self.buf.pop_front();
         }
         self.buf.push_back(event);
     }
 
-    /// The retained events, oldest first.
-    pub fn dump(&self) -> Vec<String> {
-        self.buf.iter().cloned().collect()
+    /// The retained events rendered, oldest first.
+    pub fn dump(&self) -> Vec<String>
+    where
+        E: fmt::Display,
+    {
+        self.buf.iter().map(E::to_string).collect()
     }
 
     /// Number of retained events.
@@ -209,7 +224,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_events() {
-        let mut r = EventRing::new();
+        let mut r = EventRing::<String>::new();
         assert!(r.is_empty());
         for i in 0..RING_CAPACITY + 5 {
             r.record(format!("e{i}"));
@@ -223,7 +238,7 @@ mod tests {
 
     #[test]
     fn violation_display_names_invariant_and_history() {
-        let mut ring = EventRing::new();
+        let mut ring = EventRing::<String>::new();
         ring.record("t=0 read".into());
         ring.record("t=30 write".into());
         let v = CheckViolation::new("single-writer", "two owners of block 7".into(), &ring);

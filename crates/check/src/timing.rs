@@ -1,6 +1,7 @@
 //! Engine-level timing and message-conservation checks.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 
 use spasm_desim::SimTime;
 
@@ -27,8 +28,12 @@ use crate::{CheckMode, CheckViolation, EventRing};
 /// taken as the schedule, so a faulted run is checked for internal
 /// consistency — conservation and monotonicity still hold — without
 /// reporting the injection itself.
+///
+/// `E` is the engine's own event type: the ring keeps the most recent
+/// events as values and renders them (`t=<time> <event:?>`) only into a
+/// violation, so observing an event allocates nothing.
 #[derive(Debug)]
-pub struct EngineChecker {
+pub struct EngineChecker<E> {
     strict: bool,
     last: SimTime,
     /// (dst, tag) → scheduled delivery times, in scheduling order.
@@ -37,10 +42,20 @@ pub struct EngineChecker {
     scheduled: u64,
     delivered: u64,
     dropped: u64,
-    ring: EventRing,
+    ring: EventRing<Stamped<E>>,
 }
 
-impl EngineChecker {
+/// One ring entry: an event and the time it was popped at.
+#[derive(Debug, Clone, Copy)]
+struct Stamped<E>(SimTime, E);
+
+impl<E: fmt::Debug> fmt::Display for Stamped<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "t={} {:?}", self.0, self.1)
+    }
+}
+
+impl<E: Copy + fmt::Debug> EngineChecker<E> {
     /// A checker for one run under `mode` (which must be enabled).
     pub fn new(mode: CheckMode) -> Self {
         EngineChecker {
@@ -55,18 +70,14 @@ impl EngineChecker {
         }
     }
 
-    /// Observes one popped event at time `t`; `describe` renders it for
-    /// the ring buffer.
+    /// Observes one popped event at time `t`, keeping `event` for the
+    /// ring buffer.
     ///
     /// # Errors
     ///
     /// `event-monotonicity` if `t` precedes the previous event.
-    pub fn on_event(
-        &mut self,
-        t: SimTime,
-        describe: impl FnOnce() -> String,
-    ) -> Result<(), CheckViolation> {
-        self.ring.record(format!("t={t} {}", describe()));
+    pub fn on_event(&mut self, t: SimTime, event: E) -> Result<(), CheckViolation> {
+        self.ring.record(Stamped(t, event));
         if t < self.last {
             return Err(self.violation(
                 "event-monotonicity",
@@ -295,39 +306,41 @@ mod tests {
         SimTime::from_ns(n)
     }
 
+    /// Most tests observe no event, so the entry type is named here
+    /// instead of inferred.
+    fn checker(mode: CheckMode) -> EngineChecker<&'static str> {
+        EngineChecker::new(mode)
+    }
+
     #[test]
     fn clean_send_deliver_cycle_balances() {
-        let mut c = EngineChecker::new(CheckMode::Strict);
-        c.on_event(ns(0), || "dispatch send".into()).unwrap();
+        let mut c = checker(CheckMode::Strict);
+        c.on_event(ns(0), "dispatch send").unwrap();
         c.on_send(1, 7, ns(1600), ns(1600), 1).unwrap();
-        c.on_event(ns(1600), || "deliver".into()).unwrap();
+        c.on_event(ns(1600), "deliver").unwrap();
         c.on_deliver(1, 7, ns(1600)).unwrap();
         c.on_run_end(0, 0).unwrap();
     }
 
     #[test]
     fn time_going_backwards_is_caught() {
-        let mut c = EngineChecker::new(CheckMode::On);
-        c.on_event(ns(100), || "a".into()).unwrap();
-        let v = c.on_event(ns(50), || "b".into()).unwrap_err();
+        let mut c = checker(CheckMode::On);
+        c.on_event(ns(100), "a").unwrap();
+        let v = c.on_event(ns(50), "b").unwrap_err();
         assert_eq!(v.invariant, "event-monotonicity");
-        assert!(
-            v.recent.iter().any(|e| e.contains("t=50ns")),
-            "{:?}",
-            v.recent
-        );
+        assert_eq!(v.recent, ["t=100ns \"a\"", "t=50ns \"b\""]);
     }
 
     #[test]
     fn duplicate_is_a_conservation_violation_in_strict_mode() {
-        let mut c = EngineChecker::new(CheckMode::Strict);
+        let mut c = checker(CheckMode::Strict);
         let v = c.on_send(2, 0, ns(100), ns(100), 2).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
     }
 
     #[test]
     fn duplicate_is_tolerated_and_balanced_in_lenient_mode() {
-        let mut c = EngineChecker::new(CheckMode::On);
+        let mut c = checker(CheckMode::On);
         c.on_send(2, 0, ns(100), ns(100), 2).unwrap();
         c.on_deliver(2, 0, ns(100)).unwrap();
         c.on_deliver(2, 0, ns(100)).unwrap();
@@ -336,11 +349,11 @@ mod tests {
 
     #[test]
     fn delayed_message_is_a_delivery_conformance_violation_in_strict_mode() {
-        let mut c = EngineChecker::new(CheckMode::Strict);
+        let mut c = checker(CheckMode::Strict);
         let v = c.on_send(1, 0, ns(100), ns(250), 1).unwrap_err();
         assert_eq!(v.invariant, "delivery-conformance");
         // Lenient mode takes the perturbed schedule as truth.
-        let mut c = EngineChecker::new(CheckMode::On);
+        let mut c = checker(CheckMode::On);
         c.on_send(1, 0, ns(100), ns(250), 1).unwrap();
         c.on_deliver(1, 0, ns(250)).unwrap();
         c.on_run_end(0, 0).unwrap();
@@ -348,19 +361,19 @@ mod tests {
 
     #[test]
     fn stall_and_access_delay_are_strict_violations() {
-        let mut c = EngineChecker::new(CheckMode::Strict);
+        let mut c = checker(CheckMode::Strict);
         let v = c.on_dispatch(3, ns(10), ns(40)).unwrap_err();
         assert_eq!(v.invariant, "dispatch-conformance");
         let v = c.on_access(3, ns(300), ns(900)).unwrap_err();
         assert_eq!(v.invariant, "access-conformance");
-        let mut c = EngineChecker::new(CheckMode::On);
+        let mut c = checker(CheckMode::On);
         c.on_dispatch(3, ns(10), ns(40)).unwrap();
         c.on_access(3, ns(300), ns(900)).unwrap();
     }
 
     #[test]
     fn unmatched_delivery_is_caught() {
-        let mut c = EngineChecker::new(CheckMode::On);
+        let mut c = checker(CheckMode::On);
         let v = c.on_deliver(0, 9, ns(10)).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
         assert!(v.message.contains("matches no scheduled send"), "{v}");
@@ -370,7 +383,7 @@ mod tests {
     fn out_of_order_deliveries_on_one_tag_still_match() {
         // Send A scheduled late, send B scheduled early: the queue pops B
         // first. Matching is by time, not FIFO.
-        let mut c = EngineChecker::new(CheckMode::Strict);
+        let mut c = checker(CheckMode::Strict);
         c.on_send(0, 5, ns(400), ns(400), 1).unwrap();
         c.on_send(0, 5, ns(200), ns(200), 1).unwrap();
         c.on_deliver(0, 5, ns(200)).unwrap();
@@ -380,7 +393,7 @@ mod tests {
 
     #[test]
     fn dropped_message_is_a_conservation_violation_in_strict_mode() {
-        let mut c = EngineChecker::new(CheckMode::Strict);
+        let mut c = checker(CheckMode::Strict);
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
         let v = c.on_drop(1, 7, ns(100), ns(400)).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
@@ -389,7 +402,7 @@ mod tests {
 
     #[test]
     fn dropped_message_is_rebooked_and_balanced_in_lenient_mode() {
-        let mut c = EngineChecker::new(CheckMode::On);
+        let mut c = checker(CheckMode::On);
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
         c.on_drop(1, 7, ns(100), ns(400)).unwrap();
         c.on_deliver(1, 7, ns(400)).unwrap();
@@ -398,7 +411,7 @@ mod tests {
 
     #[test]
     fn unmatched_drop_is_caught() {
-        let mut c = EngineChecker::new(CheckMode::On);
+        let mut c = checker(CheckMode::On);
         let v = c.on_drop(3, 9, ns(50), ns(80)).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
         assert!(v.message.contains("matches no scheduled send"), "{v}");
@@ -408,7 +421,7 @@ mod tests {
     fn retransmit_count_disagreement_is_a_ledger_imbalance() {
         // The injector says one retransmission happened; the checker
         // never saw a drop. The end-of-run ledger must refuse.
-        let mut c = EngineChecker::new(CheckMode::On);
+        let mut c = checker(CheckMode::On);
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
         c.on_deliver(1, 7, ns(100)).unwrap();
         let v = c.on_run_end(0, 1).unwrap_err();
@@ -418,7 +431,7 @@ mod tests {
 
     #[test]
     fn lost_message_is_caught_at_run_end() {
-        let mut c = EngineChecker::new(CheckMode::On);
+        let mut c = checker(CheckMode::On);
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
         let v = c.on_run_end(0, 0).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");

@@ -63,12 +63,11 @@ impl fmt::Display for UnallocatedAddress {
 
 impl std::error::Error for UnallocatedAddress {}
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Region {
-    start: u64,
-    end: u64,
     home: usize,
-    label: Option<&'static str>,
+    /// Index into [`AddressMap::labels`].
+    label: Option<usize>,
 }
 
 /// The NUMA placement map: which node's memory is home to each address.
@@ -80,9 +79,18 @@ struct Region {
 /// cache block (no accidental false sharing between data structures; false
 /// sharing *within* an allocation is of course still possible and is part
 /// of what the paper's FFT spatial-locality discussion is about).
+///
+/// That alignment is also what makes a lookup one array index: every
+/// block belongs to exactly one region (padding included), so the map
+/// keeps one region number per allocated block and never searches.
 #[derive(Debug, Clone, Default)]
 pub struct AddressMap {
     regions: Vec<Region>,
+    /// Block number → index into `regions`, for every allocated block.
+    block_region: Vec<u32>,
+    /// Distinct label texts in first-allocation order; a label's index
+    /// here is its id.
+    labels: Vec<&'static str>,
     next: u64,
     p: usize,
 }
@@ -92,9 +100,8 @@ impl AddressMap {
     pub fn new(p: usize) -> Self {
         assert!(p > 0, "need at least one node");
         AddressMap {
-            regions: Vec::new(),
-            next: 0,
             p,
+            ..AddressMap::default()
         }
     }
 
@@ -108,33 +115,48 @@ impl AddressMap {
     }
 
     /// Allocates `words` words homed at `home`, attributing the region's
-    /// traffic to `label` in SPASM-style per-structure profiles.
+    /// traffic to `label` in SPASM-style per-structure profiles. Labels
+    /// are compared by text: two allocations labeled `"x"` share one
+    /// profile row wherever their string constants live.
     ///
     /// # Panics
     ///
-    /// Panics if `home` is out of range or `words` is zero.
+    /// Panics if `home` is out of range, `words` is zero, or the
+    /// allocation does not fit the address space.
     pub fn alloc_labeled(&mut self, home: usize, words: u64, label: Option<&'static str>) -> Addr {
         assert!(home < self.p, "home node {home} out of range");
         assert!(words > 0, "zero-length allocation");
         let start = self.next;
-        let bytes = words * WORD_BYTES;
-        // Round the next allocation up to a block boundary.
-        let end = (start + bytes).div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
-        self.regions.push(Region {
-            start,
-            end,
-            home,
-            label,
+        let end = words
+            .checked_mul(WORD_BYTES)
+            .and_then(|bytes| start.checked_add(bytes))
+            // Round the next allocation up to a block boundary.
+            .and_then(|end| end.checked_next_multiple_of(BLOCK_BYTES));
+        let blocks = end.and_then(|end| usize::try_from(end / BLOCK_BYTES).ok());
+        let region = u32::try_from(self.regions.len());
+        let (Some(end), Some(blocks), Ok(region)) = (end, blocks, region) else {
+            panic!("allocation of {words} words at node {home} overflows the address space");
+        };
+        let label = label.map(|text| {
+            self.labels
+                .iter()
+                .position(|&known| known == text)
+                .unwrap_or_else(|| {
+                    self.labels.push(text);
+                    self.labels.len() - 1
+                })
         });
+        self.regions.push(Region { home, label });
+        self.block_region.resize(blocks, region);
         self.next = end;
         Addr(start)
     }
 
+    #[inline]
     fn region_of(&self, addr: Addr) -> Option<&Region> {
-        let i = self.regions.partition_point(|r| r.end <= addr.0);
-        self.regions
-            .get(i)
-            .filter(|r| r.start <= addr.0 && addr.0 < r.end)
+        let block = usize::try_from(addr.block()).ok()?;
+        let &region = self.block_region.get(block)?;
+        Some(&self.regions[region as usize])
     }
 
     /// The home node of `addr`.
@@ -143,6 +165,7 @@ impl AddressMap {
     ///
     /// [`UnallocatedAddress`] if no allocation covers `addr` — surfaced by
     /// the engine as [`crate::RunError::UnallocatedAddress`].
+    #[inline]
     pub fn home_of(&self, addr: Addr) -> Result<usize, UnallocatedAddress> {
         self.region_of(addr)
             .map(|r| r.home)
@@ -154,7 +177,18 @@ impl AddressMap {
     /// simply has no label; [`AddressMap::home_of`] is the lookup that
     /// reports unallocated addresses as errors.
     pub fn label_of(&self, addr: Addr) -> Option<&'static str> {
+        self.label_id_of(addr).map(|id| self.labels[id])
+    }
+
+    /// [`AddressMap::label_of`] as an index into [`AddressMap::labels`].
+    #[inline]
+    pub(crate) fn label_id_of(&self, addr: Addr) -> Option<usize> {
         self.region_of(addr).and_then(|r| r.label)
+    }
+
+    /// Every distinct label allocated so far, indexed by label id.
+    pub(crate) fn labels(&self) -> &[&'static str] {
+        &self.labels
     }
 
     /// Number of nodes.
@@ -223,6 +257,92 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_home_panics() {
         AddressMap::new(2).alloc(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "allocation of 2305843009213693952 words at node 1 overflows")]
+    fn allocation_size_overflow_panics() {
+        AddressMap::new(2).alloc(1, 1 << 61);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the address space")]
+    fn allocation_end_overflow_panics() {
+        let mut m = AddressMap::new(1);
+        m.alloc(0, 1);
+        // 2^64 - 8 bytes: the size fits a u64, the end address does not.
+        m.alloc(0, u64::MAX / WORD_BYTES);
+    }
+
+    #[test]
+    fn labels_are_interned_by_text() {
+        let (a, b) = twins();
+        let mut m = AddressMap::new(1);
+        let first = m.alloc_labeled(0, 1, Some(a));
+        m.alloc_labeled(0, 1, Some("other"));
+        let second = m.alloc_labeled(0, 1, Some(b));
+        assert_eq!(m.labels(), ["twin", "other"]);
+        assert_eq!(m.label_id_of(first), Some(0));
+        assert_eq!(m.label_id_of(second), Some(0));
+    }
+
+    /// Two labels with equal text at different addresses.
+    fn twins() -> (&'static str, &'static str) {
+        let (a, b) = "twintwin".split_at(4);
+        assert!(a == b && !std::ptr::eq(a, b));
+        (a, b)
+    }
+
+    /// The lookup the block table replaced, kept as its oracle: a binary
+    /// search over the `[start, end)` intervals of the allocations made.
+    #[derive(Default)]
+    struct SearchedMap {
+        regions: Vec<(u64, u64, usize, Option<&'static str>)>,
+    }
+
+    impl SearchedMap {
+        fn region_of(&self, addr: Addr) -> Option<&(u64, u64, usize, Option<&'static str>)> {
+            let i = self.regions.partition_point(|r| r.1 <= addr.0);
+            self.regions
+                .get(i)
+                .filter(|r| r.0 <= addr.0 && addr.0 < r.1)
+        }
+    }
+
+    #[test]
+    fn block_table_agrees_with_the_binary_search() {
+        use spasm_testkit::{check, gens, prop_assert_eq};
+        let (twin_a, twin_b) = twins();
+        let labels = [None, Some("a"), Some("b"), Some(twin_a), Some(twin_b)];
+        let allocs = gens::vecs(
+            gens::tuple3(gens::usizes(0..4), gens::u64s(1..101), gens::usizes(0..5)),
+            1..40,
+        );
+        check("block table == binary search", &allocs, |allocs| {
+            let mut map = AddressMap::new(4);
+            let mut oracle = SearchedMap::default();
+            let mut probes = Vec::new();
+            for &(home, words, label) in allocs {
+                let start = map.alloc_labeled(home, words, labels[label]).0;
+                let used = start + words * WORD_BYTES;
+                let end = used.div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
+                oracle.regions.push((start, end, home, labels[label]));
+                // First byte, last word, every padding byte.
+                probes.extend([start, used - WORD_BYTES]);
+                probes.extend(used..end);
+                prop_assert_eq!(map.allocated_bytes(), end);
+            }
+            probes.extend([map.allocated_bytes(), map.allocated_bytes() + BLOCK_BYTES]);
+            for addr in probes.into_iter().map(Addr) {
+                let expected = oracle.region_of(addr);
+                prop_assert_eq!(
+                    map.home_of(addr),
+                    expected.map(|r| r.2).ok_or(UnallocatedAddress(addr))
+                );
+                prop_assert_eq!(map.label_of(addr), expected.and_then(|r| r.3));
+            }
+            Ok(())
+        });
     }
 
     #[test]

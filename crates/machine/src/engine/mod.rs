@@ -297,7 +297,7 @@ impl RunReport {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// Handle a processor's request at its issue time.
     Dispatch(usize, MemReq),
@@ -312,6 +312,26 @@ pub(crate) enum Ev {
         value: u64,
         drops: u32,
     },
+}
+
+/// What the checker's ring remembers of one queue pop: the event, or the
+/// injected loss that intercepted a delivery. Rendered (through `Debug`)
+/// only into a violation.
+#[derive(Clone, Copy)]
+pub(crate) enum Popped {
+    Event(Ev),
+    DroppedDeliver { dst: usize, tag: u64 },
+}
+
+impl fmt::Debug for Popped {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Popped::Event(ev) => ev.fmt(f),
+            Popped::DroppedDeliver { dst, tag } => {
+                write!(f, "Drop Deliver {{ dst: {dst}, tag: {tag} }}")
+            }
+        }
+    }
 }
 
 /// `Copy` so a scheduled commit can also be inspected by the optimistic
@@ -379,7 +399,10 @@ pub struct Engine {
     slab: EvSlab,
     /// word index → processors spin-waiting on that word.
     watchers: FxHashMap<u64, Vec<(usize, Pred)>>,
-    region_traffic: FxHashMap<&'static str, Buckets>,
+    /// Label id (see [`AddressMap::labels`]) → overheads attributed to the
+    /// label's regions; `None` until the first access, so the report
+    /// lists exactly the labels that were touched.
+    region_traffic: Vec<Option<Buckets>>,
     /// (receiver, tag) → arrived-but-unconsumed message payloads, FIFO.
     mailboxes: FxHashMap<(usize, u64), std::collections::VecDeque<u64>>,
     /// Per-processor pending blocking receive (tag), if any.
@@ -390,7 +413,7 @@ pub struct Engine {
     now: SimTime,
     budget: RunBudget,
     injector: Option<FaultInjector>,
-    checker: Option<EngineChecker>,
+    checker: Option<EngineChecker<Popped>>,
     telemetry: Option<Collector>,
     processed: u64,
     check: CheckMode,
@@ -432,7 +455,10 @@ impl Engine {
         let p = topo.nodes();
         assert_eq!(bodies.len(), p, "one body per processor");
         assert_eq!(setup.nodes(), p, "setup sized for a different machine");
+        // The address space is final from here on: nothing allocates
+        // once the engine owns the map.
         let (amap, store) = setup.into_parts();
+        let labels = amap.labels().len();
         let wrapped: Vec<_> = bodies
             .into_iter()
             .enumerate()
@@ -451,7 +477,7 @@ impl Engine {
             events: EventQueue::new(),
             slab: EvSlab::default(),
             watchers: FxHashMap::default(),
-            region_traffic: FxHashMap::default(),
+            region_traffic: vec![None; labels],
             mailboxes: FxHashMap::default(),
             recv_wait: vec![None; p],
             wait_start: vec![None; p],

@@ -18,7 +18,7 @@ use crate::ops::{MemReq, MemResp};
 use crate::stats::Buckets;
 use crate::{Addr, CYCLE_NS};
 
-use super::{Action, Engine, Ev, RunError, RunReport};
+use super::{Action, Engine, Ev, Popped, RunError, RunReport};
 
 /// How often (in popped events) the cooperative cancellation probe is
 /// polled. Cheap enough to keep the hot loop unaffected, frequent enough
@@ -112,7 +112,7 @@ impl Engine {
                 {
                     let retry_at = t + pause;
                     if let Some(chk) = &mut self.checker {
-                        chk.on_event(t, || format!("Drop Deliver {{ dst: {dst}, tag: {tag} }}"))?;
+                        chk.on_event(t, Popped::DroppedDeliver { dst, tag })?;
                         chk.on_drop(dst, tag, t, retry_at)?;
                     }
                     self.push_ev(
@@ -128,9 +128,9 @@ impl Engine {
                 }
             }
             if let Some(chk) = &mut self.checker {
-                chk.on_event(t, || format!("{ev:?}"))?;
-                if let Ev::Deliver { dst, tag, .. } = &ev {
-                    chk.on_deliver(*dst, *tag, t)?;
+                chk.on_event(t, Popped::Event(ev))?;
+                if let Ev::Deliver { dst, tag, .. } = ev {
+                    chk.on_deliver(dst, tag, t)?;
                 }
             }
             match ev {
@@ -197,18 +197,25 @@ impl Engine {
             totals.add(&s.buckets);
             exec_time = exec_time.max(s.finish);
         }
-        let mut region_traffic: Vec<(&'static str, Buckets)> =
-            self.region_traffic.iter().map(|(&k, &v)| (k, v)).collect();
-        region_traffic.sort_by_key(|&(k, _)| k);
+        let mut region_traffic: Vec<(&'static str, Buckets)> = self
+            .amap
+            .labels()
+            .iter()
+            .zip(&self.region_traffic)
+            .filter_map(|(&label, &touched)| Some((label, touched?)))
+            .collect();
+        region_traffic.sort_by_key(|&(label, _)| label);
         Ok(RunReport {
             kind: self.model.kind(),
             exec_time,
-            per_proc: self.stats.clone(),
+            // The pool is finished, so this engine cannot run again and
+            // the report may take the stats and the store with it.
+            per_proc: std::mem::take(&mut self.stats),
             totals,
             events: self.events.pushed(),
             summary: self.model.summary(p),
             region_traffic,
-            final_store: self.store.clone(),
+            final_store: std::mem::take(&mut self.store),
             faults: self
                 .injector
                 .as_ref()
@@ -371,10 +378,9 @@ impl Engine {
             chk.on_access(proc, model_finish, cost.finish)?;
         }
         self.stats[proc].buckets.add(&cost.buckets);
-        if let Some(label) = self.amap.label_of(addr) {
-            self.region_traffic
-                .entry(label)
-                .or_default()
+        if let Some(label) = self.amap.label_id_of(addr) {
+            self.region_traffic[label]
+                .get_or_insert_with(Buckets::default)
                 .add(&cost.buckets);
         }
         Ok(cost.finish)

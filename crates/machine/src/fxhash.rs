@@ -1,8 +1,10 @@
 //! A fast, deterministic hasher for the engine's hot maps.
 //!
-//! The engine consults several `HashMap`s on every simulated memory
-//! operation (the value store, per-block serialization times, spin
-//! watchers, mailboxes, region-traffic attribution). The standard
+//! The engine keeps a few `HashMap`s whose keys are sparse by nature
+//! (the target's per-block serialization times, spin watchers,
+//! mailboxes, the optimistic layer's hot addresses); what every memory
+//! operation consults — address map, region traffic, value store — is
+//! array-indexed instead (DESIGN.md §13). The standard
 //! `RandomState`/SipHash pays DoS-resistance costs that are pointless for
 //! simulator-internal keys, and its per-process random seed makes map
 //! iteration order vary between runs. This module provides the classic

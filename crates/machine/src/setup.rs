@@ -33,20 +33,28 @@ impl SetupCtx {
         }
     }
 
+    /// Allocates in the map and extends the store's dense range over the
+    /// new region, so every allocated word is array-indexed.
+    fn alloc_region(&mut self, home: usize, words: u64, label: Option<&'static str>) -> Addr {
+        let base = self.amap.alloc_labeled(home, words, label);
+        self.store.cover(self.amap.allocated_bytes());
+        base
+    }
+
     /// Allocates `words` words homed at node `home`.
     pub fn alloc(&mut self, home: usize, words: u64) -> Addr {
-        self.amap.alloc(home, words)
+        self.alloc_region(home, words, None)
     }
 
     /// Allocates `words` words homed at `home`, attributing the region's
     /// traffic to `label` in the run report's per-structure profile.
     pub fn alloc_labeled(&mut self, home: usize, words: u64, label: &'static str) -> Addr {
-        self.amap.alloc_labeled(home, words, Some(label))
+        self.alloc_region(home, words, Some(label))
     }
 
     /// Allocates and fills a word array homed at `home`.
     pub fn alloc_init(&mut self, home: usize, values: &[u64]) -> Addr {
-        let base = self.amap.alloc(home, values.len() as u64);
+        let base = self.alloc(home, values.len() as u64);
         for (i, &v) in values.iter().enumerate() {
             self.store.write_word(base.offset_words(i as u64), v);
         }
@@ -55,7 +63,7 @@ impl SetupCtx {
 
     /// Allocates and fills an `f64` array homed at `home`.
     pub fn alloc_init_f64(&mut self, home: usize, values: &[f64]) -> Addr {
-        let base = self.amap.alloc(home, values.len() as u64);
+        let base = self.alloc(home, values.len() as u64);
         for (i, &v) in values.iter().enumerate() {
             self.store.write_f64(base.offset_words(i as u64), v);
         }

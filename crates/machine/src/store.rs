@@ -1,6 +1,8 @@
 //! The simulated shared-memory value store.
 
-use crate::fxhash::FxHashMap;
+use std::collections::BTreeMap;
+
+use crate::addr::WORD_BYTES;
 use crate::Addr;
 
 /// Word-granular storage for simulated shared memory values.
@@ -10,11 +12,20 @@ use crate::Addr;
 /// processes the completion event), so overlapping atomic operations
 /// serialize in commit order. Unwritten words read as zero.
 ///
+/// The allocated address space is one dense vector indexed by word
+/// ([`crate::SetupCtx`] extends it with every allocation), so the engine's
+/// reads and writes — which only ever reach allocated words — are array
+/// accesses. A word outside it still works, through a sparse side map, so
+/// no allocation is ever proportional to an address nobody allocated.
+///
 /// Floating-point values are stored as `u64` bit patterns; see
 /// [`ValueStore::read_f64`] / [`ValueStore::write_f64`].
 #[derive(Debug, Clone, Default)]
 pub struct ValueStore {
-    words: FxHashMap<u64, u64>,
+    /// Word `i` of the allocated address space.
+    dense: Vec<u64>,
+    /// Word index → value, for written words outside `dense`.
+    overflow: BTreeMap<u64, u64>,
 }
 
 impl ValueStore {
@@ -23,14 +34,33 @@ impl ValueStore {
         ValueStore::default()
     }
 
+    /// Extends the dense range to the first `bytes` bytes of the address
+    /// space, keeping every value written so far.
+    pub(crate) fn cover(&mut self, bytes: u64) {
+        let words = bytes / WORD_BYTES;
+        let len = usize::try_from(words).expect("allocated space fits host memory");
+        self.dense.resize(len, 0);
+        if !self.overflow.is_empty() {
+            let outside = self.overflow.split_off(&words);
+            for (word, value) in std::mem::replace(&mut self.overflow, outside) {
+                self.dense[word as usize] = value;
+            }
+        }
+    }
+
     /// Reads the word at `addr`.
     ///
     /// # Panics
     ///
     /// Panics if the address is not word-aligned.
+    #[inline]
     pub fn read_word(&self, addr: Addr) -> u64 {
         assert!(addr.is_word_aligned(), "unaligned read at {addr}");
-        self.words.get(&addr.word_index()).copied().unwrap_or(0)
+        let word = addr.word_index();
+        match usize::try_from(word).ok().and_then(|i| self.dense.get(i)) {
+            Some(&value) => value,
+            None => self.overflow.get(&word).copied().unwrap_or(0),
+        }
     }
 
     /// Writes the word at `addr`.
@@ -38,9 +68,16 @@ impl ValueStore {
     /// # Panics
     ///
     /// Panics if the address is not word-aligned.
+    #[inline]
     pub fn write_word(&mut self, addr: Addr, value: u64) {
         assert!(addr.is_word_aligned(), "unaligned write at {addr}");
-        self.words.insert(addr.word_index(), value);
+        let word = addr.word_index();
+        let index = usize::try_from(word).ok();
+        if let Some(slot) = index.and_then(|i| self.dense.get_mut(i)) {
+            *slot = value;
+        } else {
+            self.overflow.insert(word, value);
+        }
     }
 
     /// Reads the word at `addr` as an `f64` bit pattern.
@@ -52,11 +89,6 @@ impl ValueStore {
     pub fn write_f64(&mut self, addr: Addr, value: f64) {
         self.write_word(addr, value.to_bits());
     }
-
-    /// Number of words that have ever been written.
-    pub fn written_words(&self) -> usize {
-        self.words.len()
-    }
 }
 
 #[cfg(test)]
@@ -65,9 +97,15 @@ mod tests {
 
     #[test]
     fn unwritten_words_read_zero() {
-        let s = ValueStore::new();
+        let mut s = ValueStore::new();
         assert_eq!(s.read_word(Addr(0)), 0);
         assert_eq!(s.read_word(Addr(8192)), 0);
+        // Inside the dense range, on its edge, and far outside it.
+        s.cover(64);
+        assert_eq!(s.dense.len(), 8);
+        for a in [0, 56, 64, 8192, 1 << 60] {
+            assert_eq!(s.read_word(Addr(a)), 0, "{a:#x}");
+        }
     }
 
     #[test]
@@ -76,7 +114,51 @@ mod tests {
         s.write_word(Addr(16), 42);
         assert_eq!(s.read_word(Addr(16)), 42);
         assert_eq!(s.read_word(Addr(24)), 0);
-        assert_eq!(s.written_words(), 1);
+    }
+
+    #[test]
+    fn a_write_far_above_the_allocated_space_stays_sparse() {
+        let mut s = ValueStore::new();
+        s.cover(32);
+        s.write_word(Addr(24), 7);
+        assert!(s.overflow.is_empty());
+        s.write_word(Addr(1 << 60), 99);
+        assert_eq!(s.read_word(Addr(24)), 7);
+        assert_eq!(s.read_word(Addr(1 << 60)), 99);
+        assert_eq!(s.read_word(Addr((1 << 60) + 8)), 0);
+        assert_eq!(s.dense.len(), 4);
+        assert_eq!(s.overflow.len(), 1);
+    }
+
+    #[test]
+    fn cover_keeps_values_written_before_the_range_reached_them() {
+        let mut s = ValueStore::new();
+        s.write_word(Addr(40), 5);
+        s.write_word(Addr(64), 6);
+        s.cover(64);
+        assert_eq!(s.read_word(Addr(40)), 5);
+        assert_eq!(s.read_word(Addr(64)), 6);
+        assert_eq!(s.dense[5], 5);
+        assert_eq!(s.overflow.len(), 1);
+    }
+
+    #[test]
+    fn initial_values_reach_the_final_store() {
+        use crate::{Engine, MachineKind, SetupCtx};
+        let mut setup = SetupCtx::new(2);
+        let ints = setup.alloc_init(1, &[10, 20, 30]);
+        let reals = setup.alloc_init_f64(0, &[0.5]);
+        let report = Engine::new(
+            MachineKind::Pram,
+            &spasm_topology::Topology::full(2),
+            setup,
+            vec![Box::new(|_, _| {}), Box::new(|_, _| {})],
+        )
+        .run()
+        .expect("idle run");
+        assert_eq!(report.final_store.read_word(ints.offset_words(2)), 30);
+        assert_eq!(report.final_store.read_f64(reals), 0.5);
+        assert_eq!(report.final_store.read_word(reals.offset_words(1)), 0);
     }
 
     #[test]

@@ -271,15 +271,7 @@ fn lenient_mode_tolerates_every_species() {
 
 #[test]
 fn violations_render_the_event_ring() {
-    // A delayed message fires inside the popped `Send` event, so the
-    // ring has history to dump (a stall on the *first* dispatch would
-    // legitimately precede any popped event).
-    let plan = FaultPlan {
-        delay_prob: 1.0,
-        max_delay_ns: 500,
-        ..FaultPlan::quiet(5)
-    };
-    match run(
+    let ring_under = |plan| match run(
         MachineKind::Target,
         CheckMode::Strict,
         plan,
@@ -288,11 +280,38 @@ fn violations_render_the_event_ring() {
         Err(RunError::Check(v)) => {
             let rendered = v.to_string();
             assert!(rendered.contains("invariant"), "{rendered}");
-            assert!(
-                !v.recent.is_empty(),
-                "violation should carry recent events for diagnosis"
-            );
+            assert!(rendered.contains(&v.recent[0]), "{rendered}");
+            v.recent
         }
         other => panic!("expected a check violation, got {other:?}"),
-    }
+    };
+    // A delayed message fires inside the popped `Send` event, so the
+    // ring has history to dump (a stall on the *first* dispatch would
+    // legitimately precede any popped event).
+    let delayed = ring_under(FaultPlan {
+        delay_prob: 1.0,
+        max_delay_ns: 500,
+        ..FaultPlan::quiet(5)
+    });
+    assert_eq!(
+        delayed,
+        ["t=0ns Dispatch(0, Send { dst: 1, bytes: 8, tag: 42, value: 1234 })"]
+    );
+    // A dropped delivery is recorded under its own name, not as the
+    // `Deliver` event it intercepted.
+    let dropped = ring_under(FaultPlan {
+        loss_prob: 1.0,
+        retransmit_ns: 1_000,
+        max_retransmits: 1,
+        ..FaultPlan::quiet(6)
+    });
+    assert_eq!(
+        dropped,
+        [
+            "t=0ns Dispatch(0, Send { dst: 1, bytes: 8, tag: 42, value: 1234 })",
+            "t=0ns Dispatch(1, Recv { tag: 42 })",
+            "t=400ns Commit(0, Sent)",
+            "t=400ns Drop Deliver { dst: 1, tag: 42 }",
+        ]
+    );
 }

@@ -58,7 +58,7 @@ cargo test -q --offline --workspace
 echo "==> tests took $((SECONDS - tests_started))s"
 
 # The paper's R5 in host time (CLogP simulates faster than the target,
-# LogP slower) is only meaningful on the optimized build.
+# LogP no faster) is only meaningful on the optimized build.
 echo "==> R5 host time: cargo test --release --test reproduction -- --ignored r5_host_time"
 cargo test --release --offline --test reproduction -- --ignored r5_host_time
 
@@ -83,12 +83,21 @@ trap - EXIT
 # pipeline from each commit's sources): its unit tests and a test-size
 # pass over all four workloads here mean an API break in the crates it
 # links turns this gate red before it turns the benchmark build red.
-echo "==> benchmark package: unit tests + run.sh --smoke"
+# The smoke's event counts and outcome fingerprints (the figures golden
+# carries no event counts) must equal scripts/smoke_fingerprints.txt: a
+# PR meaning to change simulated outcomes updates that file in the same diff.
+echo "==> benchmark package: unit tests + run.sh --smoke == smoke_fingerprints.txt"
 CARGO_TARGET_DIR=target cargo test -q --offline --manifest-path benchmark/Cargo.toml
 out=$(bash benchmark/run.sh --smoke 2> /dev/null)
 if [ "$(grep -c '^record .* failed=0 ' <<< "$out")" -ne 4 ]; then
     echo "ERROR: benchmark smoke did not record four workloads with failed=0:" >&2
     echo "$out" >&2
+    exit 1
+fi
+if ! diff scripts/smoke_fingerprints.txt <(sed -n \
+    's/^record workload=\([a-z_]*\) .* events=\([0-9]*\) sim_fingerprint=\([0-9a-f]*\)$/\1 \2 \3/p' \
+    <<< "$out"); then
+    echo "ERROR: benchmark smoke events/fingerprints differ from scripts/smoke_fingerprints.txt" >&2
     exit 1
 fi
 

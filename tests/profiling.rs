@@ -79,3 +79,44 @@ fn unlabeled_runs_have_empty_region_table() {
     assert!(r.region_traffic.is_empty());
     assert!(!r.profile().contains("per-structure"));
 }
+
+/// The region table has one row per label *text* that was accessed,
+/// sorted by label — whatever the accesses cost.
+#[test]
+fn region_rows_follow_label_text_and_touch() {
+    // Equal text at two addresses, as two crates' string constants are.
+    let (twin_a, twin_b) = "twintwin".split_at(4);
+    assert!(!std::ptr::eq(twin_a, twin_b));
+    for kind in [MachineKind::Target, MachineKind::Pram] {
+        let topo = Topology::full(2);
+        let mut setup = SetupCtx::new(2);
+        let zeta = setup.alloc_labeled(1, 4, "zeta");
+        let near = setup.alloc_labeled(0, 1, twin_a);
+        setup.alloc_labeled(0, 4, "idle");
+        let far = setup.alloc_labeled(1, 1, twin_b);
+        let alpha = setup.alloc_labeled(1, 1, "alpha");
+        let bodies: Vec<spasm::machine::ProcBody> = vec![
+            Box::new(move |_, ctx| {
+                let mem = spasm::machine::MemCtx::new(ctx);
+                for addr in [zeta, near, far, alpha] {
+                    mem.read(addr);
+                }
+            }),
+            Box::new(|_, _| {}),
+        ];
+        let r = Engine::new(kind, &topo, setup, bodies).run().unwrap();
+        let labels: Vec<&str> = r.region_traffic.iter().map(|&(l, _)| l).collect();
+        assert_eq!(labels, ["alpha", "twin", "zeta"], "{kind}");
+        let msgs: Vec<u64> = r.region_traffic.iter().map(|&(_, b)| b.msgs).collect();
+        if kind == MachineKind::Pram {
+            assert_eq!(msgs, [0, 0, 0], "a PRAM has no network to load");
+        } else {
+            // `near` is a local miss, `far` a remote one like the others.
+            assert!(
+                msgs[0] > 0 && msgs[1] == msgs[0] && msgs[2] == msgs[0],
+                "{msgs:?}"
+            );
+            assert_eq!(msgs.iter().sum::<u64>(), r.totals.msgs);
+        }
+    }
+}

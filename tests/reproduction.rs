@@ -177,9 +177,15 @@ fn r5_event_counts_order_logp_heaviest() {
 /// LogP machine is dearer. Measured over the benchmark's 41-point grid
 /// (`benchmark/src/grid.rs`) at the small size; interference only ever
 /// adds time, so each point counts its fastest of five runs, with the
-/// machines interleaved so a slow spell hits all three alike. The bounds
-/// leave room for a noisy host: release builds on the 2-vCPU reference
-/// host read 0.77–0.86 and 1.10–1.19.
+/// machines interleaved so a slow spell hits all three alike. Sixteen
+/// release runs on the 2-vCPU reference host read `clogp/target`
+/// 0.79–0.84 and `logp/target` 0.99–1.04: LogP's host-time surplus over
+/// the target was its 2.2× accesses multiplied by per-access bookkeeping
+/// that is now an array index (it read 1.09–1.17 before), so here LogP
+/// simulates *at par* with the target, and "LogP is the heaviest to
+/// simulate" is held in its deterministic form by
+/// [`r5_event_counts_order_logp_heaviest`]. Each bound sits at least
+/// 0.05 outside what those runs read.
 #[test]
 #[ignore = "host time: release build, run by scripts/ci.sh"]
 fn r5_host_time_clogp_beats_target() {
@@ -217,8 +223,8 @@ fn r5_host_time_clogp_beats_target() {
         "CLogP must simulate clearly faster than the target: {clogp:.3}s vs {target:.3}s"
     );
     assert!(
-        logp / target >= 1.0,
-        "LogP must not simulate faster than the target: {logp:.3}s vs {target:.3}s"
+        logp / target >= 0.90,
+        "LogP must not simulate clearly faster than the target: {logp:.3}s vs {target:.3}s"
     );
 }
 
