@@ -19,7 +19,7 @@
 //! `--campaign` fuzzes random multi-fault scripts (torn/short writes,
 //! ENOSPC, dropped fsyncs, failed renames, power cuts) across four
 //! failure families — plain journal, two-shard fleet with merge,
-//! deadline-cut resume, optimistic engine under anti-message loss — and
+//! deadline-cut resume, checked sweep under a machine fault plan — and
 //! on the first oracle violation shrinks the script to a minimal
 //! reproducer before exiting nonzero.
 //!

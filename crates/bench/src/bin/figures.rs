@@ -1,9 +1,10 @@
 //! Regenerates every figure of the paper's evaluation section.
 //!
 //! The synopsis is [`USAGE`], printed on any usage error. `--all`,
-//! `--figure ID` (repeatable) and `--scenario FILE` pick what to sweep;
-//! `--list` prints the figure ids; `--ablation g|protocol|cache` runs one
-//! of the extension studies (EXPERIMENTS.md A2–A4) instead of a sweep.
+//! `--figure ID` (repeatable) and `--scenario FILE` pick what to sweep,
+//! each id once in first-mention order; `--list` prints the figure ids;
+//! `--ablation g|protocol|cache` runs one of the extension studies
+//! (EXPERIMENTS.md A2–A4) instead of a sweep.
 //!
 //! Sweep points run on the `spasm-exec` worker pool — one worker per
 //! host hardware thread by default (`--jobs auto`); `--serial` forces
@@ -15,9 +16,8 @@
 //!
 //! `--check` / `--strict-check` turn on the online invariant checkers
 //! for every run (a violation fails the point), `--faults SEED` injects
-//! an adversarial fault plan, `--budget-events N` caps each run's
-//! simulator events, and `--engine sequential|optimistic[:N]` picks the
-//! engine (results are bit-identical across engines).
+//! an adversarial fault plan, and `--budget-events N` caps each run's
+//! simulator events.
 //!
 //! `--journal PATH` records every completed point in a durable
 //! per-figure journal (`PATH.<figure-id>`); after a crash or SIGKILL,
@@ -60,7 +60,7 @@ use spasm_core::sweep::{
     run_figure_journaled, run_figure_observed, run_figure_shard, FigureData, Outcome, SweepConfig,
 };
 use spasm_exec::ExecEvent;
-use spasm_machine::{CheckMode, EngineMode, FaultPlan, RunBudget, TelemetryConfig};
+use spasm_machine::{CheckMode, FaultPlan, RunBudget, TelemetryConfig};
 
 struct Args {
     figures: Vec<&'static FigureSpec>,
@@ -96,10 +96,6 @@ struct Args {
     telemetry: Option<String>,
     /// Telemetry bucket width in simulated microseconds.
     telemetry_interval_us: u64,
-    /// Which engine drives each run (`--engine sequential|optimistic:N`).
-    /// Output is bit-identical either way — the optimistic engine trades
-    /// host threads for wall time, never results.
-    engine: EngineMode,
 }
 
 /// Every exit code of the binary. Ordered by severity: a run that meets
@@ -142,8 +138,7 @@ usage: figures (--all | --figure ID | --list | --ablation g|protocol|cache)
                [--budget-events N] [--check] [--strict-check] [--faults SEED]
                [--journal PATH [--resume]] [--deadline-secs N]
                [--shard K/N --journal DIR] [--merge DIR]
-               [--scenario FILE] [--telemetry FILE [--telemetry-interval-us N]]
-               [--engine sequential|optimistic[:N]]";
+               [--scenario FILE] [--telemetry FILE [--telemetry-interval-us N]]";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -170,12 +165,11 @@ fn parse_args() -> Args {
         merge: None,
         telemetry: None,
         telemetry_interval_us: 100,
-        engine: EngineMode::Sequential,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--all" => args.figures = figures::FIGURES.iter().collect(),
+            "--all" => args.figures.extend(figures::FIGURES),
             "--figure" => {
                 let id = it.next().unwrap_or_else(|| usage());
                 match figures::by_id(&id) {
@@ -276,16 +270,6 @@ fn parse_args() -> Args {
                     .filter(|&us| us > 0)
                     .unwrap_or_else(|| usage());
             }
-            "--engine" => {
-                let name = it.next().unwrap_or_else(|| usage());
-                match EngineMode::from_name(&name) {
-                    Some(mode) => args.engine = mode,
-                    None => {
-                        eprintln!("--engine {name}: expected sequential or optimistic[:workers]");
-                        Exit::Usage.exit();
-                    }
-                }
-            }
             "--deadline-secs" => {
                 args.deadline = Some(Duration::from_secs(
                     it.next()
@@ -299,6 +283,9 @@ fn parse_args() -> Args {
     if args.figures.is_empty() && args.ablation.is_none() {
         usage();
     }
+    // A repeated id would only collide with its own journal.
+    let mut seen = std::collections::HashSet::new();
+    args.figures.retain(|f| seen.insert(f.id));
     if args.resume && args.journal.is_none() {
         eprintln!("--resume requires --journal PATH");
         usage();
@@ -311,17 +298,28 @@ fn parse_args() -> Args {
         eprintln!("--shard produces no stdout; --csv/--chart belong on the --merge invocation");
         usage();
     }
-    if args.telemetry.is_some() && args.ablation.is_some() {
-        eprintln!("--telemetry applies to figure sweeps, not ablations");
-        usage();
-    }
     if args.merge.is_some() && (args.shard.is_some() || args.journal.is_some()) {
         eprintln!("--merge reads finished shard journals; it conflicts with --shard/--journal");
         usage();
     }
-    if (args.shard.is_some() || args.merge.is_some()) && args.ablation.is_some() {
-        eprintln!("--shard/--merge apply to figure sweeps, not ablations");
-        usage();
+    if args.ablation.is_some() {
+        let sweep_only = [
+            ("--journal", args.journal.is_some()),
+            ("--resume", args.resume),
+            ("--csv", args.csv.is_some()),
+            ("--chart", args.chart),
+            ("--check/--strict-check", args.check != CheckMode::Off),
+            ("--faults", args.faults.is_some()),
+            ("--budget-events", args.budget_events.is_some()),
+            ("--deadline-secs", args.deadline.is_some()),
+            ("--telemetry", args.telemetry.is_some()),
+            ("--shard", args.shard.is_some()),
+            ("--merge", args.merge.is_some()),
+        ];
+        if let Some((flag, _)) = sweep_only.iter().find(|(_, set)| *set) {
+            eprintln!("{flag} applies to figure sweeps, not ablations");
+            usage();
+        }
     }
     args
 }
@@ -692,7 +690,6 @@ fn main() -> ExitCode {
             .telemetry
             .as_ref()
             .map(|_| TelemetryConfig::every_us(args.telemetry_interval_us)),
-        engine: args.engine,
     };
     if let Some(dir) = &args.merge {
         return run_merge(&args, &sweep, dir);

@@ -112,12 +112,6 @@ struct Meta {
     state: BState,
 }
 
-/// An opaque, complete snapshot of a [`Cache`]'s state, taken with
-/// [`Cache::save`] and reapplied with [`Cache::restore`]. Used by the
-/// optimistic engine's rollback machinery and its property tests.
-#[derive(Debug, Clone)]
-pub struct CacheSnapshot(Cache);
-
 /// Sentinel for [`Cache::mru`]: no valid hint for this set.
 const NO_MRU: u32 = u32::MAX;
 
@@ -279,30 +273,10 @@ impl Cache {
         self.lens.iter().map(|&n| n as usize).sum()
     }
 
-    /// Captures the cache's complete state for a later [`Cache::restore`].
-    pub fn save(&self) -> CacheSnapshot {
-        CacheSnapshot(self.clone())
-    }
-
-    /// Reverts the cache to a previously saved snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a cache with different geometry —
-    /// snapshots only travel between a cache and its own history.
-    pub fn restore(&mut self, snap: &CacheSnapshot) {
-        assert!(
-            self.set_mask == snap.0.set_mask && self.assoc == snap.0.assoc,
-            "restore from a snapshot of different cache geometry"
-        );
-        *self = snap.0.clone();
-    }
-
     /// A 64-bit digest of the complete cache state (FNV-1a over every
     /// field, in declaration order). Two caches with equal hashes are
-    /// equal for all practical purposes; the optimistic engine's strict
-    /// mode uses this to audit that rollback replay reconstructs state
-    /// exactly.
+    /// equal for all practical purposes; property tests use this to see
+    /// which components an access perturbed.
     pub fn state_hash(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for set in 0..self.lens.len() {

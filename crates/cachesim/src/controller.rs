@@ -1,8 +1,6 @@
 //! The Berkeley-protocol coherence state machine.
 
-use crate::{
-    fnv_word, BState, Cache, CacheConfig, CacheSnapshot, Directory, DirectorySnapshot, FNV_OFFSET,
-};
+use crate::{BState, Cache, CacheConfig, Directory};
 
 /// The two access kinds the protocol distinguishes. Atomic read-modify-write
 /// operations are writes for coherence purposes (they need exclusivity).
@@ -252,50 +250,6 @@ impl CoherenceController {
     pub fn nodes(&self) -> usize {
         self.caches.len()
     }
-
-    /// Captures the complete protocol state — every node's cache plus the
-    /// directory — for a later [`CoherenceController::restore`].
-    pub fn save(&self) -> CoherenceSnapshot {
-        CoherenceSnapshot {
-            caches: self.caches.iter().map(Cache::save).collect(),
-            dir: self.dir.save(),
-        }
-    }
-
-    /// Reverts the protocol state to a previously saved snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot covers a different node count.
-    pub fn restore(&mut self, snap: &CoherenceSnapshot) {
-        assert_eq!(
-            self.caches.len(),
-            snap.caches.len(),
-            "restore from a snapshot of a different machine size"
-        );
-        for (cache, s) in self.caches.iter_mut().zip(&snap.caches) {
-            cache.restore(s);
-        }
-        self.dir.restore(&snap.dir);
-    }
-
-    /// A 64-bit digest over every cache (in node order) and the
-    /// directory's logical state.
-    pub fn state_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for cache in &self.caches {
-            fnv_word(&mut h, cache.state_hash());
-        }
-        fnv_word(&mut h, self.dir.state_hash());
-        h
-    }
-}
-
-/// An opaque snapshot of a [`CoherenceController`]'s complete state.
-#[derive(Debug, Clone)]
-pub struct CoherenceSnapshot {
-    caches: Vec<CacheSnapshot>,
-    dir: DirectorySnapshot,
 }
 
 #[cfg(test)]

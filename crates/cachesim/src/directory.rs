@@ -87,9 +87,8 @@ impl DirEntry {
 /// SipHash.
 ///
 /// Equality compares the physical table (slot layout included), so it
-/// only holds between directories with identical insertion histories —
-/// exactly what snapshot/restore round-trips produce. For a
-/// layout-independent comparison use [`Directory::state_hash`].
+/// only holds between directories with identical insertion histories.
+/// For a layout-independent comparison use [`Directory::state_hash`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directory {
     /// Power-of-two slot array; `None` is an empty slot.
@@ -187,17 +186,6 @@ impl Directory {
         self.slots.iter().flatten().map(|&(k, _)| k)
     }
 
-    /// Captures the directory's complete state for a later
-    /// [`Directory::restore`].
-    pub fn save(&self) -> DirectorySnapshot {
-        DirectorySnapshot(self.clone())
-    }
-
-    /// Reverts the directory to a previously saved snapshot.
-    pub fn restore(&mut self, snap: &DirectorySnapshot) {
-        *self = snap.0.clone();
-    }
-
     /// A 64-bit digest of the directory's *logical* state: per-entry
     /// hashes combined commutatively, so the digest is independent of
     /// slot layout and table capacity (entries land in different slots
@@ -218,11 +206,6 @@ impl Directory {
         out
     }
 }
-
-/// An opaque, complete snapshot of a [`Directory`], taken with
-/// [`Directory::save`] and reapplied with [`Directory::restore`].
-#[derive(Debug, Clone)]
-pub struct DirectorySnapshot(Directory);
 
 #[cfg(test)]
 mod tests {

@@ -45,11 +45,9 @@ mod cache;
 mod controller;
 mod directory;
 
-pub use cache::{Cache, CacheConfig, CacheSnapshot, CacheStats, Evicted};
-pub use controller::{
-    AccessKind, CoherenceController, CoherenceSnapshot, Outcome, ProtocolKind, Supplier, Writeback,
-};
-pub use directory::{DirEntry, Directory, DirectorySnapshot};
+pub use cache::{Cache, CacheConfig, CacheStats, Evicted};
+pub use controller::{AccessKind, CoherenceController, Outcome, ProtocolKind, Supplier, Writeback};
+pub use directory::{DirEntry, Directory};
 
 /// FNV-1a offset basis, shared by the crate's state-hash digests.
 pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;

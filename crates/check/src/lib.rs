@@ -36,7 +36,6 @@
 
 mod coherence;
 mod net;
-mod spec;
 mod timing;
 
 use std::collections::VecDeque;
@@ -44,7 +43,6 @@ use std::fmt;
 
 pub use coherence::CoherenceChecker;
 pub use net::NetChecker;
-pub use spec::SpecLedger;
 pub use timing::EngineChecker;
 
 /// How much invariant checking a run performs.

@@ -24,8 +24,8 @@
 //!   dropped-fsync × delayed-crash grid that manufactures torn files).
 //! - [`run_campaign`] fuzzes random multi-fault scripts across four
 //!   failure families: the plain journal, a sharded fleet with merge,
-//!   deadline-cut sweeps resumed without the deadline, and the
-//!   optimistic engine under an anti-message-loss [`FaultPlan`].
+//!   deadline-cut sweeps resumed without the deadline, and a checked
+//!   sweep under a machine [`FaultPlan`].
 //! - [`shrink_demo`] shows the [`spasm_testkit`] shrinker reducing a
 //!   many-entry failing script to a minimal reproducer.
 
@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use spasm_apps::SizeClass;
 use spasm_journal::{Fault, FaultScript, FaultVfs, TraceEntry, Vfs, VfsOpKind};
-use spasm_machine::{CheckMode, EngineMode, FaultPlan};
+use spasm_machine::{CheckMode, FaultPlan};
 use spasm_testkit::{gens, minimize, Gen, TestRng};
 
 use crate::figures::{self, FigureSpec};
@@ -548,7 +548,7 @@ pub fn explore_crash_points(
 
 /// The four failure families [`run_campaign`] rotates through, in trial
 /// order.
-pub const FAMILIES: [&str; 4] = ["journal", "shard-merge", "deadline", "anti-loss"];
+pub const FAMILIES: [&str; 4] = ["journal", "shard-merge", "deadline", "machine-faults"];
 
 /// Campaign dimensions: how many trials, seeded where, shrinking how
 /// hard.
@@ -645,8 +645,8 @@ fn script_gen(max_op: usize) -> Gen<Vec<(usize, Fault)>> {
 /// Runs a fuzzing campaign: each trial draws a random multi-fault
 /// script and applies the recovery oracle in one of the [`FAMILIES`] —
 /// the plain journal, a two-shard fleet with merge, a deadline-cut
-/// victim resumed without its deadline, and the optimistic engine under
-/// an anti-message-loss [`FaultPlan::chaos`] plan. On the first oracle
+/// victim resumed without its deadline, and a checked sweep under a
+/// [`FaultPlan::chaos`] machine fault plan. On the first oracle
 /// violation the failing script is shrunk to a minimal reproducer and
 /// returned as a [`CampaignFailure`].
 pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<CampaignFailure>> {
@@ -678,9 +678,8 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
         deadline: Some(Duration::from_millis(1)),
         ..base.sweep
     };
-    let anti = ChaosSweep {
+    let faulted = ChaosSweep {
         sweep: SweepConfig {
-            engine: EngineMode::Optimistic { workers: 2 },
             faults: Some(FaultPlan::chaos(config.seed)),
             check: CheckMode::On,
             ..base.sweep
@@ -690,12 +689,12 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
     let empty = FaultScript::default();
     let (expected_base, trace_base) =
         run_reference(&base).map_err(|e| harness_failure("journal", 0, &empty, e.to_string()))?;
-    let (expected_anti, trace_anti) =
-        run_reference(&anti).map_err(|e| harness_failure("anti-loss", 0, &empty, e.to_string()))?;
+    let (expected_faulted, trace_faulted) = run_reference(&faulted)
+        .map_err(|e| harness_failure("machine-faults", 0, &empty, e.to_string()))?;
 
     // A two-shard fleet roughly doubles the op universe; the +8 keeps
     // some scripts poking past the end (inert entries must stay inert).
-    let max_op = trace_base.len().max(trace_anti.len()) * 2 + 8;
+    let max_op = trace_base.len().max(trace_faulted.len()) * 2 + 8;
     let entries_gen = script_gen(max_op);
 
     let mut identical = 0usize;
@@ -713,7 +712,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
             "journal" => verify_script(&base, &expected_base, s),
             "shard-merge" => verify_shard_script(&base, 2, &expected_base, s),
             "deadline" => verify_script_with(&base, &deadline_victim, &expected_base, s),
-            _ => verify_script(&anti, &expected_anti, s),
+            _ => verify_script(&faulted, &expected_faulted, s),
         };
         match verify(&script) {
             Ok(CrashVerdict::Identical { .. }) => identical += 1,

@@ -7,8 +7,8 @@ use std::time::Duration;
 use spasm_apps::{AppId, SizeClass};
 use spasm_logp::GapPolicy;
 use spasm_machine::{
-    CancelProbe, Engine, EngineMode, IntervalRecord, MachineConfig, MachineKind, ProcBody,
-    RunError, SetupCtx, SpecStats,
+    CancelProbe, Engine, IntervalRecord, MachineConfig, MachineKind, ProcBody, RunError, SetupCtx,
+    SpecStats,
 };
 use spasm_topology::{Topology, TopologyKind};
 
@@ -325,15 +325,10 @@ impl Experiment {
     /// The full-control entry point behind every other `run_*`: an
     /// optional cancellation probe (polled by the engine between events,
     /// so an expired sweep deadline aborts the run mid-flight instead of
-    /// letting a forfeit simulation finish), and the run's speculation
-    /// statistics alongside the metrics — all zeros on the sequential
-    /// engine, counters the equivalence suite asserts on under the
-    /// optimistic one.
-    ///
-    /// Under [`EngineMode::Optimistic`] this also installs the process
-    /// body factory (re-deriving any processor's body from the app's
-    /// deterministic builder), which the engine's rollback path needs to
-    /// respawn a mis-speculated process.
+    /// letting a forfeit simulation finish), and the run's telemetry
+    /// alongside the metrics. The third element is inert (always
+    /// `SpecStats::default()`): `benchmark/src/grid.rs` destructures
+    /// it; it goes when that stops.
     ///
     /// # Errors
     ///
@@ -353,27 +348,12 @@ impl Experiment {
             let built = app.build(&mut setup, self.seed);
             let mut engine =
                 Engine::with_config(self.machine.kind(), &topo, config, setup, built.bodies);
-            if config.engine != EngineMode::Sequential {
-                let (app_id, size, procs, seed) = (self.app, self.size, self.procs, self.seed);
-                engine.set_body_factory(Box::new(move |proc| {
-                    // The builder is deterministic in (app, size, seed),
-                    // so rebuilding and picking the proc-th body yields
-                    // exactly the code the engine first spawned.
-                    let mut s = SetupCtx::new(procs);
-                    let built = app_id.instantiate(size).build(&mut s, seed);
-                    built
-                        .bodies
-                        .into_iter()
-                        .nth(proc)
-                        .expect("factory proc within the build's processor count")
-                }));
-            }
             if let Some(probe) = cancel {
                 engine.set_cancel_probe(probe);
             }
             let report = engine.run().map_err(ExperimentError::Run)?;
             (built.verify)(&report.final_store).map_err(ExperimentError::Verify)?;
-            Ok((metrics_of(&report), report.telemetry, report.spec))
+            Ok((metrics_of(&report), report.telemetry, SpecStats::default()))
         }));
         outcome.unwrap_or_else(|payload| Err(ExperimentError::Aborted(panic_message(&*payload))))
     }

@@ -134,13 +134,9 @@ pub fn sweep_fingerprint(
     // journal ever written by `figures` absorbed as its unset rendering.
     fp.absorb_str("None");
     fp.absorb_str(&format!("{:?}", sweep.telemetry));
-    // The engine knob never changes results — the optimistic engine is
-    // certified bit-identical — but it goes in anyway so a journal
-    // records which engine produced its points: if an equivalence bug
-    // ever slips in, resumes cannot silently mix engines. (The per-series
-    // machine configs above absorb `Machine::config()` defaults, which
-    // are always Sequential; only this line sees the sweep's choice.)
-    fp.absorb_str(&format!("{:?}", sweep.engine));
+    // And the slot of the engine selector retired with Time Warp, which
+    // every un-faulted journal on disk absorbed as this rendering.
+    fp.absorb_str("Sequential");
     fp.finish()
 }
 
@@ -697,16 +693,6 @@ mod tests {
             base,
             sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &instrumented)
         );
-        // The engine knob separates even though results are identical:
-        // the journal records which engine produced its points.
-        let optimistic = SweepConfig {
-            engine: spasm_machine::EngineMode::Optimistic { workers: 4 },
-            ..SweepConfig::default()
-        };
-        assert_ne!(
-            base,
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &optimistic)
-        );
         // Scheduling knobs do NOT separate: resume may change them.
         let rescheduled = SweepConfig {
             jobs: 7,
@@ -721,24 +707,22 @@ mod tests {
 
     #[test]
     fn fingerprint_stream_is_pinned_to_journals_already_on_disk() {
-        // Literals computed at the commit before `max_attempts` and
-        // `total_events` left `SweepConfig`: a change to the absorb order,
-        // or to the two constants kept in their slots, orphans every
-        // journal and shard written so far, and fails here first.
+        // Literals computed while `max_attempts`, `total_events` and
+        // `engine` were still `SweepConfig` fields: a change to the absorb
+        // order, or to the three constants kept in their slots, orphans
+        // every journal and shard written so far, and fails here first.
         let spec = figures::by_id("F1").unwrap();
         assert_eq!(
             sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &SweepConfig::default()),
             0xe152_ea82_c8d8_8aa5
         );
-        let knobs = SweepConfig {
-            faults: Some(spasm_machine::FaultPlan::adversarial(7)),
+        let instrumented = SweepConfig {
             telemetry: Some(spasm_machine::TelemetryConfig::every_us(100)),
-            engine: spasm_machine::EngineMode::Optimistic { workers: 4 },
             ..SweepConfig::default()
         };
         assert_eq!(
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &knobs),
-            0x1f9d_73eb_1de5_e7e3
+            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &instrumented),
+            0x8c82_8994_495c_1fef
         );
     }
 

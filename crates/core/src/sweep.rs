@@ -17,9 +17,7 @@ use std::time::Duration;
 
 use spasm_apps::SizeClass;
 use spasm_exec::{execute, ExecConfig, ExecEvent, JobCtx, JobOutput};
-use spasm_machine::{
-    CheckMode, EngineMode, FaultPlan, IntervalRecord, RunBudget, RunError, TelemetryConfig,
-};
+use spasm_machine::{CheckMode, FaultPlan, IntervalRecord, RunBudget, RunError, TelemetryConfig};
 
 use crate::figures::{FigureSpec, Metric};
 use crate::journal::SweepJournal;
@@ -111,11 +109,6 @@ pub struct SweepConfig {
     /// journaling purposes — the records ride in the journal — so it
     /// enters the sweep fingerprint, unlike the scheduling knobs.
     pub telemetry: Option<TelemetryConfig>,
-    /// Which engine drives every run: sequential (the default) or
-    /// optimistic with a worker budget. Results are bit-identical across
-    /// engines, but the knob still enters the sweep fingerprint so a
-    /// resumed journal records which engine produced its points.
-    pub engine: EngineMode,
 }
 
 impl Default for SweepConfig {
@@ -127,7 +120,6 @@ impl Default for SweepConfig {
             check: CheckMode::Off,
             deadline: None,
             telemetry: None,
-            engine: EngineMode::Sequential,
         }
     }
 }
@@ -492,7 +484,6 @@ fn run_point(
         config.budget = sweep.budget;
         config.check = sweep.check;
         config.telemetry = sweep.telemetry;
-        config.engine = sweep.engine;
         config.faults = sweep.faults.map(|f| FaultPlan {
             seed: retry_seed(f.seed, attempts),
             ..f

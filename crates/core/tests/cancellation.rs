@@ -1,9 +1,8 @@
-//! Cancellation under speculation: aborting an optimistic run — at any
-//! poll point, including mid-rollback — must be clean. Clean means a
-//! typed [`RunError::Cancelled`], no panic, and *nothing from
-//! uncommitted history becoming durable*: a cancelled point never
-//! reaches the sweep journal, so a later resume re-runs it from scratch
-//! and converges on the same bytes as an uninterrupted sweep.
+//! Cancellation: aborting a run at any poll point must be clean. Clean
+//! means a typed [`RunError::Cancelled`], no panic, and *nothing from
+//! the aborted run becoming durable*: a cancelled point never reaches
+//! the sweep journal, so a later resume re-runs it from scratch and
+//! converges on the same bytes as an uninterrupted sweep.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,89 +12,77 @@ use spasm_apps::SizeClass;
 use spasm_core::journal::SweepJournal;
 use spasm_core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
 use spasm_core::{figures, Machine};
-use spasm_machine::{CheckMode, Engine, EngineMode, MemCtx, ProcBody, RunError, SetupCtx};
+use spasm_machine::{CheckMode, Engine, MemCtx, ProcBody, RunError, SetupCtx};
 use spasm_topology::Topology;
 
-/// The rollback-heavy schedule from the equivalence suite: two
-/// processors race bare `fetch_add`s on a word homed at node 0, so the
-/// remote RMW's dispatch-to-commit window keeps swallowing the local
-/// one's commit.
-fn straggler_bodies(counter: spasm_machine::Addr) -> Vec<ProcBody> {
-    (0..2)
+/// The engine polls its probe once per this many popped events.
+const POLL_STRIDE: u64 = 1024;
+
+/// Two processors race `fetch_add`s on a word homed at node 0: four
+/// events per processor per iteration, so 600 iterations cross the poll
+/// stride four times.
+fn contended_engine() -> Engine {
+    let topo = Topology::full(2);
+    let mut setup = SetupCtx::new(2);
+    let counter = setup.alloc(0, 1);
+    let bodies = (0..2)
         .map(|_| {
             let b: ProcBody = Box::new(move |_, ctx| {
                 let mem = MemCtx::new(ctx);
-                for _ in 0..30 {
+                for _ in 0..600 {
                     mem.fetch_add(counter, 1);
                     mem.compute(5);
                 }
             });
             b
         })
-        .collect()
-}
-
-fn straggler_engine() -> Engine {
-    let topo = Topology::full(2);
-    let mut setup = SetupCtx::new(2);
-    let counter = setup.alloc(0, 1);
+        .collect();
     let mut config = Machine::CLogP.config();
-    config.engine = EngineMode::Optimistic { workers: 4 };
     config.check = CheckMode::Strict;
-    let mut eng = Engine::with_config(
+    Engine::with_config(
         spasm_machine::MachineKind::CLogP,
         &topo,
         config,
         setup,
-        straggler_bodies(counter),
-    );
-    eng.set_body_factory(Box::new(move |proc| {
-        straggler_bodies(counter)
-            .into_iter()
-            .nth(proc)
-            .expect("two bodies")
-    }));
-    eng
+        bodies,
+    )
 }
 
 /// Exhaustive kill sweep: count how many times an uncancelled run polls
-/// the probe (the poll sites include one *before every rollback*), then
-/// re-run the identical schedule killing it at each poll index in turn.
-/// Every kill — including the ones landing exactly on the mid-rollback
-/// polls — must surface as a typed `Cancelled`, never a panic, hang, or
-/// silently completed run.
+/// the probe, then re-run the identical schedule killing it at each poll
+/// index in turn. Every kill must surface as a typed `Cancelled` at
+/// exactly that poll's event count, never a panic, hang, or silently
+/// completed run.
 #[test]
-fn killing_an_optimistic_run_at_every_poll_point_aborts_cleanly() {
-    // Pass 1: count polls without cancelling; prove the schedule rolls
-    // back so the sweep below necessarily covers mid-rollback polls.
+fn killing_a_run_at_every_poll_point_aborts_cleanly() {
+    // Pass 1: count polls without cancelling.
     let polls = Arc::new(AtomicU64::new(0));
-    let mut eng = straggler_engine();
+    let mut eng = contended_engine();
     let seen = Arc::clone(&polls);
-    eng.set_cancel_probe(Box::new(move |/* poll */| {
+    eng.set_cancel_probe(Box::new(move || {
         seen.fetch_add(1, Ordering::Relaxed);
         false
     }));
     let report = eng.run().expect("uncancelled run completes");
     let total_polls = polls.load(Ordering::Relaxed);
+    assert_eq!(total_polls, report.events / POLL_STRIDE);
     assert!(
-        report.spec.rollbacks > 0,
-        "schedule must roll back so the kill sweep reaches mid-rollback polls"
-    );
-    assert!(
-        total_polls >= report.spec.rollbacks,
-        "every rollback polls the probe first"
+        total_polls >= 3,
+        "only {total_polls} poll(s): schedule too short"
     );
 
     // Pass 2: kill at each poll index.
     for kill_at in 1..=total_polls {
-        let mut eng = straggler_engine();
+        let mut eng = contended_engine();
         let calls = Arc::new(AtomicU64::new(0));
         let seen = Arc::clone(&calls);
         eng.set_cancel_probe(Box::new(move || {
             seen.fetch_add(1, Ordering::Relaxed) + 1 >= kill_at
         }));
         match eng.run() {
-            Err(RunError::Cancelled { .. }) => {}
+            Err(RunError::Cancelled { events, .. }) => {
+                assert_eq!(events, kill_at * POLL_STRIDE, "kill at poll {kill_at}");
+            }
             other => {
                 panic!("kill at poll {kill_at}/{total_polls}: expected Cancelled, got {other:?}")
             }
@@ -104,20 +91,16 @@ fn killing_an_optimistic_run_at_every_poll_point_aborts_cleanly() {
 }
 
 /// The durability half of the contract, through the public sweep path:
-/// a zero deadline cancels every point of an optimistic journaled sweep
-/// mid-speculation, the journal must end *empty* — an aborted run's
-/// uncommitted history is not a verdict — and resuming that journal
-/// without the deadline converges byte-for-byte on an uninterrupted
-/// sweep's output.
+/// a zero deadline cancels every point of a journaled sweep mid-run, the
+/// journal must end *empty* — an aborted run is not a verdict — and
+/// resuming that journal without the deadline converges byte-for-byte
+/// on an uninterrupted sweep's output.
 #[test]
 fn cancelled_points_never_reach_the_journal() {
     let spec = figures::by_id("F1").expect("F1 exists");
     let procs = [8usize];
     let seed = 1995;
-    let sweep = SweepConfig {
-        engine: EngineMode::Optimistic { workers: 4 },
-        ..SweepConfig::default()
-    };
+    let sweep = SweepConfig::default();
 
     let dir = std::env::temp_dir().join("spasm-cancel-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -141,13 +124,13 @@ fn cancelled_points_never_reach_the_journal() {
     );
     drop(j);
 
-    // The journal recorded nothing from the aborted speculation.
+    // The journal recorded nothing from the aborted runs.
     let resumed =
         SweepJournal::resume(&path, spec, SizeClass::Small, &procs, seed, &sweep).unwrap();
     assert_eq!(
         resumed.replayed(),
         0,
-        "cancelled points leaked uncommitted history into the journal"
+        "cancelled points leaked into the journal"
     );
 
     // Pass 2: resume without the deadline; the re-run must match an

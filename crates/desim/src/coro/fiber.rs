@@ -14,9 +14,9 @@
 //! * **the stack** — [`STACK_BYTES`] (std's default thread stack size, so
 //!   every body that fits a thread fits a coroutine) above one `PROT_NONE`
 //!   guard page, mapped `MAP_NORESERVE` on the first resume and unmapped
-//!   as soon as the body finishes or is killed. Untouched pages cost no
-//!   memory; an overflow faults on the guard page and kills the program
-//!   with SIGSEGV instead of corrupting a neighbour;
+//!   as soon as the body finishes or its pool is dropped. Untouched pages
+//!   cost no memory; an overflow faults on the guard page and kills the
+//!   program with SIGSEGV instead of corrupting a neighbour;
 //! * **the shared cell** — one heap cell per process through which the two
 //!   sides pass the response, the next envelope, the shutdown flag and
 //!   each other's saved stack pointer.
@@ -28,20 +28,20 @@
 //!    it (thread-local addresses cached in its frames stay valid).
 //! 2. *One side runs at a time.* A coroutine executes only inside
 //!    [`Coroutine::switch_in`], i.e. while its owner is blocked in
-//!    `resume_async`, `kill` or a drop; the owner executes only while the
-//!    coroutine is suspended in [`CoroCtx::call`], has finished, or has
-//!    not started. The shared cell is therefore never accessed
-//!    concurrently, and it is built from `Cell`s so that neither side
-//!    ever holds a `&mut` into it across a switch.
+//!    `resume` or a drop; the owner executes only while the coroutine is
+//!    suspended in [`CoroCtx::call`], has finished, or has not started.
+//!    The shared cell is therefore never accessed concurrently, and it is
+//!    built from `Cell`s so that neither side ever holds a `&mut` into it
+//!    across a switch.
 //! 3. *The cell outlives the stack.* The cell is freed only by
 //!    `Coroutine::drop`, after the coroutine has finished (or was never
 //!    started); every pointer to it on the coroutine's stack is dead by
 //!    then.
 //! 4. *Unwinding never crosses a switch.* The body runs inside
 //!    `catch_unwind` in the coroutine's root frame: an application panic
-//!    becomes `Step::Panicked`, and a kill is a `Shutdown` unwind raised
-//!    by `call` on the coroutine's own stack and caught by that same root
-//!    frame. The boot trampoline marks `rip` undefined in its CFI, so
+//!    becomes `Step::Panicked`, and the pool's drop is a `Shutdown` unwind
+//!    raised by `call` on the coroutine's own stack and caught by that same
+//!    root frame. The boot trampoline marks `rip` undefined in its CFI, so
 //!    unwinders and backtraces stop there.
 //! 5. *A finished stack is never re-entered.* The root frame's last act
 //!    is a switch to the owner, who unmaps the stack before doing
@@ -289,7 +289,7 @@ impl<Q, R> Coroutine<Q, R> {
             self.shared().resp.set(Some(resp));
         }
         self.switch_in()
-            .expect("a process unwound with Shutdown without being killed")
+            .expect("a process unwound with Shutdown outside its pool's drop")
     }
 
     /// Switches to the coroutine and returns what it hands back; unmaps
@@ -352,7 +352,7 @@ fn run<Q, R>(shared: &Shared<Q, R>) {
     };
     let step = match catch_unwind(AssertUnwindSafe(|| body(shared.id, &ctx))) {
         Ok(()) => Some(Step::Done),
-        // A kill, not an application panic: nothing to report.
+        // The pool's drop, not an application panic: nothing to report.
         Err(payload) if payload.is::<Shutdown>() => None,
         Err(payload) => Some(Step::Panicked(panic_message(payload.as_ref()))),
     };
@@ -392,12 +392,12 @@ impl<Q, R> CoroCtx<Q, R> {
     /// # Panics
     ///
     /// Unwinds (terminating the process body) if the simulator is
-    /// shutting this process down: [`CoroPool::kill`] and the pool's drop
-    /// resume a suspended process exactly so that it unwinds and drops
-    /// its locals. The unwind uses [`std::panic::resume_unwind`] with a
-    /// private `Shutdown` token, so it never reaches the global panic
-    /// hook (no spurious backtraces) and is caught silently by the
-    /// coroutine's root frame.
+    /// shutting this process down: the pool's drop resumes a suspended
+    /// process exactly so that it unwinds and drops its locals. The
+    /// unwind uses [`std::panic::resume_unwind`] with a private
+    /// `Shutdown` token, so it never reaches the global panic hook (no
+    /// spurious backtraces) and is caught silently by the coroutine's
+    /// root frame.
     pub fn call(&self, req: Q) -> R {
         // SAFETY: a context exists only in the root frame of a running
         // coroutine, whose owner keeps the cell alive (invariant 3).
@@ -425,27 +425,6 @@ impl<Q, R> CoroCtx<Q, R> {
 // ---------------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------------
-
-struct ProcSlot<Q, R> {
-    /// `None` once the body has finished or was killed.
-    coro: Option<Coroutine<Q, R>>,
-    /// The envelope `resume_async` parked for `collect`.
-    pending: Option<Step<Q>>,
-    /// Flips in `collect` / `kill`, not when the body finishes inside
-    /// `resume_async`, so `is_live` reads the same as on the thread
-    /// backend.
-    live: bool,
-}
-
-impl<Q, R> ProcSlot<Q, R> {
-    fn new(id: ProcId, body: Body<Q, R>) -> Self {
-        ProcSlot {
-            coro: Some(Coroutine::new(id, body)),
-            pending: None,
-            live: true,
-        }
-    }
-}
 
 /// A pool of simulation processes in rendezvous with the simulator.
 ///
@@ -487,7 +466,8 @@ impl<Q, R> ProcSlot<Q, R> {
 /// assert_send::<spasm_desim::CoroPool<u64, u64>>();
 /// ```
 pub struct CoroPool<Q, R> {
-    slots: Vec<ProcSlot<Q, R>>,
+    /// `None` once the body has finished.
+    slots: Vec<Option<Coroutine<Q, R>>>,
 }
 
 impl<Q, R> fmt::Debug for CoroPool<Q, R> {
@@ -524,7 +504,7 @@ where
         let slots = bodies
             .into_iter()
             .enumerate()
-            .map(|(id, body)| ProcSlot::new(id, Box::new(body)))
+            .map(|(id, body)| Some(Coroutine::new(id, Box::new(body))))
             .collect();
         CoroPool { slots }
     }
@@ -547,104 +527,20 @@ where
     /// Panics if `proc` already finished (resuming a dead process is a
     /// simulator logic error).
     pub fn resume(&mut self, proc: ProcId, resp: R) -> Step<Q> {
-        self.resume_async(proc, resp);
-        self.collect(proc)
-    }
-
-    /// Delivers response `resp` to process `proc` and parks its next
-    /// envelope for [`CoroPool::collect`].
-    ///
-    /// This is the speculation primitive: an optimistic simulator can
-    /// resume several processes and only look at each envelope when it is
-    /// actually needed. On this backend the process runs to its next
-    /// `call` (or to completion) before `resume_async` returns, so
-    /// nothing overlaps; exactly one `collect` must still follow each
-    /// `resume_async`, in any order across processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` already finished, or if its previous envelope has
-    /// not been collected.
-    pub fn resume_async(&mut self, proc: ProcId, resp: R) {
         let slot = &mut self.slots[proc];
-        assert!(slot.live, "resumed process {proc} after it finished");
-        assert!(
-            slot.pending.is_none(),
-            "resume_async on process {proc} before collecting its last envelope"
-        );
-        let coro = slot
-            .coro
-            .as_mut()
-            .expect("a live process with no parked envelope is suspended");
+        let Some(coro) = slot else {
+            panic!("resumed process {proc} after it finished");
+        };
         let step = coro.resume(resp);
         if !matches!(step, Step::Request(_)) {
-            slot.coro = None;
-        }
-        slot.pending = Some(step);
-    }
-
-    /// Takes the envelope of a previously resumed process `proc`.
-    /// Exactly one `collect` must follow each [`CoroPool::resume_async`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no `resume_async` of `proc` is outstanding (a protocol
-    /// violation: there is no envelope to take).
-    pub fn collect(&mut self, proc: ProcId) -> Step<Q> {
-        let slot = &mut self.slots[proc];
-        let Some(step) = slot.pending.take() else {
-            panic!("collect without a pending resume_async on process {proc}");
-        };
-        if !matches!(step, Step::Request(_)) {
-            slot.live = false;
+            *slot = None;
         }
         step
     }
 
-    /// Forcibly terminates process `proc`, discarding whatever it was
-    /// doing: a process suspended in `call` is resumed once to unwind its
-    /// stack (dropping the body's locals), one that never started is
-    /// simply dropped, and an envelope parked by `resume_async` is
-    /// discarded.
-    ///
-    /// This is the rollback primitive: a mis-speculated process cannot be
-    /// "rewound", so the optimistic simulator kills it and respawns a
-    /// fresh body, replaying the committed response history. The slot goes
-    /// dead until [`CoroPool::respawn`].
-    ///
-    /// On this backend a process is never *running* while the simulator
-    /// is, so `kill` has nothing to wait for and returns as soon as the
-    /// body's destructors have run. (The thread backend joins the
-    /// process's thread, which may still be computing towards its next
-    /// `call`.)
-    pub fn kill(&mut self, proc: ProcId) {
-        let slot = &mut self.slots[proc];
-        slot.coro = None;
-        slot.pending = None;
-        slot.live = false;
-    }
-
-    /// Replaces a killed (or finished) process slot with a fresh body.
-    /// The new process is parked awaiting its first resume, exactly like
-    /// at pool construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is still live — kill or retire it first.
-    pub fn respawn<F>(&mut self, proc: ProcId, body: F)
-    where
-        F: FnOnce(ProcId, &CoroCtx<Q, R>) + Send + 'static,
-    {
-        assert!(
-            !self.slots[proc].live,
-            "respawned process {proc} while it is still live"
-        );
-        self.slots[proc] = ProcSlot::new(proc, Box::new(body));
-    }
-
     /// Returns `true` if `proc` has not yet finished.
     pub fn is_live(&self, proc: ProcId) -> bool {
-        self.slots[proc].live
+        self.slots[proc].is_some()
     }
 }
 
@@ -760,12 +656,11 @@ mod tests {
             let mut pool: CoroPool<u32, u32> = CoroPool::new(4, |_, ctx| {
                 ctx.call(0);
             });
-            // One of each end: finished, killed, dropped suspended (x2).
+            // Both ends: finished, dropped suspended (x3).
             for p in 0..4 {
                 assert!(matches!(pool.resume(p, 0), Step::Request(0)));
             }
             assert!(matches!(pool.resume(0, 0), Step::Done));
-            pool.kill(1);
         }
         let grown = vm_size_bytes().saturating_sub(before);
         // Leaking every stack would be 80 GiB (and would exhaust the

@@ -217,73 +217,7 @@ macro_rules! backend_tests {
             }
 
             #[test]
-            fn async_resume_batch_collects_in_any_order() {
-                let n = 4;
-                let mut pool: CoroPool<usize, usize> = CoroPool::new(n, |id, ctx| {
-                    let echoed = ctx.call(id + 100);
-                    assert_eq!(echoed, id + 100);
-                });
-                // Make every process runnable at once, then collect in reverse.
-                for p in 0..n {
-                    pool.resume_async(p, 0);
-                }
-                for p in (0..n).rev() {
-                    match pool.collect(p) {
-                        Step::Request(q) => assert_eq!(q, p + 100),
-                        other => panic!("{other:?}"),
-                    }
-                }
-                for p in 0..n {
-                    assert!(matches!(pool.resume(p, p + 100), Step::Done));
-                }
-            }
-
-            #[test]
-            fn kill_and_respawn_replays_a_fresh_body() {
-                let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-                    ctx.call(1);
-                    ctx.call(2);
-                });
-                // Run to the second request, then kill mid-rendezvous.
-                assert!(matches!(pool.resume(0, 0), Step::Request(1)));
-                assert!(matches!(pool.resume(0, 0), Step::Request(2)));
-                pool.kill(0);
-                assert!(!pool.is_live(0));
-                // The respawned body starts from scratch: same request sequence.
-                pool.respawn(0, |_, ctx: &CoroCtx<u32, u32>| {
-                    ctx.call(1);
-                    ctx.call(2);
-                });
-                assert!(pool.is_live(0));
-                assert!(matches!(pool.resume(0, 0), Step::Request(1)));
-                assert!(matches!(pool.resume(0, 0), Step::Request(2)));
-                assert!(matches!(pool.resume(0, 0), Step::Done));
-            }
-
-            #[test]
-            fn kill_discards_a_deposited_envelope() {
-                let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-                    ctx.call(7);
-                    unreachable!("killed before the response arrives");
-                });
-                // Resume asynchronously and kill without collecting. The
-                // stack-switching backend has parked the request envelope
-                // by the time `resume_async` returns; the thread backend's
-                // `kill` joins the thread, which deposits it (or dies in
-                // `call`) first.
-                pool.resume_async(0, 0);
-                pool.kill(0);
-                pool.respawn(0, |_, ctx: &CoroCtx<u32, u32>| {
-                    ctx.call(9);
-                });
-                // The stale envelope (7) must be gone: the first collect after the
-                // respawn sees the fresh body's request.
-                assert!(matches!(pool.resume(0, 0), Step::Request(9)));
-                assert!(matches!(pool.resume(0, 0), Step::Done));
-            }
-
-            #[test]
-            fn kill_releases_a_body_in_any_state() {
+            fn dropping_the_pool_releases_a_body_in_any_state() {
                 use std::sync::Arc;
 
                 let token = Arc::new(());
@@ -299,10 +233,7 @@ macro_rules! backend_tests {
                 assert!(matches!(pool.resume(2, 0), Step::Done));
                 // Held by: the test, bodies 0 and 1, and 1's stack.
                 assert_eq!(Arc::strong_count(&token), 4);
-                for p in 0..3 {
-                    pool.kill(p);
-                    assert!(!pool.is_live(p));
-                }
+                drop(pool);
                 assert_eq!(Arc::strong_count(&token), 1);
             }
 
@@ -318,16 +249,6 @@ macro_rules! backend_tests {
                         other => panic!("{other:?}"),
                     }
                 }
-            }
-
-            #[test]
-            #[should_panic(expected = "collect without a pending resume_async")]
-            fn collect_without_resume_is_a_named_protocol_violation() {
-                let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-                    ctx.call(1);
-                });
-                assert!(matches!(pool.resume(0, 0), Step::Request(1)));
-                pool.collect(0);
             }
         }
     };

@@ -272,16 +272,10 @@ impl<Q, R> CoroCtx<Q, R> {
 #[derive(Debug)]
 struct ProcSlot<Q, R> {
     tx: Sender<R>,
-    /// This process's private envelope channel. One channel per process
-    /// (rather than one shared by the pool) so several processes can have
-    /// deposited envelopes at once — the optimistic engine resumes many
-    /// processes speculatively and collects their envelopes later, which
-    /// would overfill a single shared rendezvous slot.
+    /// This process's envelope channel; only the simulator reads it.
     env: Receiver<Envelope<Q>>,
     handle: Option<JoinHandle<()>>,
     live: bool,
-    /// A `resume_async` has not been matched by its `collect` yet.
-    awaiting: bool,
 }
 
 /// A pool of simulation processes in rendezvous with the simulator.
@@ -404,7 +398,6 @@ where
             env: env_rx,
             handle: Some(handle),
             live: true,
-            awaiting: false,
         }
     }
 
@@ -427,48 +420,11 @@ where
     /// simulator logic error) or if the process thread vanished without
     /// reporting (should be impossible).
     pub fn resume(&mut self, proc: ProcId, resp: R) -> Step<Q> {
-        self.resume_async(proc, resp);
-        self.collect(proc)
-    }
-
-    /// Delivers response `resp` to process `proc` without waiting for its
-    /// next envelope. The process becomes runnable and will deposit its
-    /// next envelope whenever the OS schedules it; pair with
-    /// [`CoroPool::collect`] to retrieve it.
-    ///
-    /// This is the speculation primitive: an optimistic simulator can make
-    /// several processes runnable at once and only synchronize with each
-    /// when its envelope is actually needed, amortizing context switches
-    /// across the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` already finished or its thread vanished.
-    pub fn resume_async(&mut self, proc: ProcId, resp: R) {
         let slot = &mut self.slots[proc];
         assert!(slot.live, "resumed process {proc} after it finished");
         assert!(slot.tx.send(resp).is_ok(), "process thread vanished");
-        slot.awaiting = true;
-    }
-
-    /// Waits for the envelope from a previously resumed process `proc`.
-    ///
-    /// Spins rather than parks: the process is runnable and about to
-    /// deposit (or already has). Exactly one `collect` must follow each
-    /// [`CoroPool::resume_async`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no `resume_async` of `proc` is outstanding (a protocol
-    /// violation: there is no envelope to wait for), or if the process
-    /// thread vanished without reporting.
-    pub fn collect(&mut self, proc: ProcId) -> Step<Q> {
-        let slot = &mut self.slots[proc];
-        assert!(
-            slot.awaiting,
-            "collect without a pending resume_async on process {proc}"
-        );
-        slot.awaiting = false;
+        // Spins rather than parks: the process is the only runnable peer
+        // and is about to deposit its envelope.
         match slot.env.recv_spin() {
             Ok(Envelope::Request(p, q)) => {
                 debug_assert_eq!(p, proc, "request from unexpected process");
@@ -486,51 +442,6 @@ where
             }
             Err(()) => panic!("process thread vanished"),
         }
-    }
-
-    /// Forcibly terminates process `proc`, discarding whatever it was
-    /// doing. Closing the response channel unwinds the thread out of its
-    /// next (or current) `call`; any envelope it deposited before dying is
-    /// drained and discarded.
-    ///
-    /// This is the rollback primitive: a mis-speculated process cannot be
-    /// "rewound", so the optimistic simulator kills it and respawns a
-    /// fresh body, replaying the committed response history. The slot goes
-    /// dead until [`CoroPool::respawn`].
-    ///
-    /// On this backend the process may be *running* (after a
-    /// `resume_async`), and its thread is joined: `kill` returns once the
-    /// body reaches its next `call` or finishes. The stack-switching
-    /// backend never has a running process to wait for.
-    pub fn kill(&mut self, proc: ProcId) {
-        let slot = &mut self.slots[proc];
-        slot.tx.close();
-        if let Some(h) = slot.handle.take() {
-            let _ = h.join();
-        }
-        slot.live = false;
-        slot.awaiting = false;
-        // At most one stale envelope can be in flight (`call` deposits
-        // exactly one before blocking on the response); drop it.
-        let _ = slot.env.try_take();
-    }
-
-    /// Replaces a killed (or finished) process slot with a freshly spawned
-    /// body. The new process is parked awaiting its first resume, exactly
-    /// like at pool construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is still live — kill or retire it first.
-    pub fn respawn<F>(&mut self, proc: ProcId, body: F)
-    where
-        F: FnOnce(ProcId, &CoroCtx<Q, R>) + Send + 'static,
-    {
-        assert!(
-            !self.slots[proc].live,
-            "respawned process {proc} while it is still live"
-        );
-        self.slots[proc] = Self::spawn_proc(proc, body);
     }
 
     fn retire(&mut self, proc: ProcId) {

@@ -42,13 +42,11 @@
 #![warn(missing_docs)]
 
 mod coro;
-mod epoch;
 mod event_queue;
 mod facility;
 mod time;
 
 pub use coro::{CoroCtx, CoroPool, ProcId, Step};
-pub use epoch::EpochClock;
 pub use event_queue::{CalendarQueue, PopIfBefore};
 pub use facility::{Facility, FacilityStats};
 pub use time::SimTime;

@@ -167,8 +167,7 @@ impl JobCtx<'_> {
     /// closure that captures a clone of the phase flag and so outlives
     /// the `JobCtx` borrow. The experiment layer installs it into the
     /// simulation engine, which polls it between events — a
-    /// deadline-expired job then aborts mid-run (mid-speculation
-    /// included, in the optimistic engine) instead of completing a
+    /// deadline-expired job then aborts mid-run instead of completing a
     /// forfeit simulation.
     pub fn cancel_probe(&self) -> Box<dyn Fn() -> bool + Send + 'static> {
         let phase = self.phase.cloned();

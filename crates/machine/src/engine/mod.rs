@@ -1,27 +1,14 @@
-//! The execution-driven simulation engine.
-//!
-//! The engine comes in two modes (see [`EngineMode`]):
-//!
-//! * [`sequential`] — the committed execution path: one event popped, one
-//!   effect applied, one processor resumed, in deterministic virtual-time
-//!   order. This module also owns all the machinery the optimistic mode
-//!   reuses, because optimistic execution *commits* through exactly the
-//!   same code.
-//! * [`optimistic`] — a Time-Warp-style layer that delivers *predicted*
-//!   responses to processor coroutines before their commit events pop,
-//!   letting application code run speculatively past the commit
-//!   horizon. Mispredictions roll the affected processor back (kill,
-//!   respawn, replay committed history) and are annihilated in a
-//!   conservation ledger. Engine-side state only ever mutates in
-//!   committed order, which is what makes the two modes bit-identical.
+//! The execution-driven simulation engine: one event popped, one
+//! effect applied, one processor resumed, in deterministic virtual-time
+//! order. This module holds the engine's types and construction;
+//! [`sequential`] is the event loop itself.
 
-mod optimistic;
 mod sequential;
 
 use std::fmt;
 use std::time::Duration;
 
-use spasm_check::{CheckMode, CheckViolation, EngineChecker};
+use spasm_check::{CheckViolation, EngineChecker};
 use spasm_desim::{CoroCtx, CoroPool, EventQueue, SimTime};
 use spasm_topology::{Topology, TopologyError};
 
@@ -34,66 +21,26 @@ use crate::stats::{Buckets, ProcStats};
 use crate::telemetry::{Collector, IntervalRecord, Snapshot};
 use crate::{Addr, AddressMap, SetupCtx, ValueStore};
 
-use optimistic::SpecState;
-
 /// One simulated processor's program.
 pub type ProcBody = Box<dyn FnOnce(usize, &CoroCtx<MemReq, MemResp>) + Send + 'static>;
 
-/// Produces a fresh copy of processor `proc`'s body, for optimistic
-/// rollback (the engine kills a mis-speculated coroutine and replays a
-/// fresh instance through committed history). Must be deterministic: two
-/// bodies from the same factory must issue identical request sequences
-/// given identical response sequences.
-pub type BodyFactory = Box<dyn Fn(usize) -> ProcBody + Send>;
-
 /// Cooperative cancellation probe, polled by [`Engine::run`] between
-/// events. Returning `true` aborts the run with [`RunError::Cancelled`]
-/// without committing any speculative state.
+/// events. Returning `true` aborts the run with [`RunError::Cancelled`].
 pub type CancelProbe = Box<dyn Fn() -> bool + Send>;
 
-/// Which execution strategy drives the event loop.
-///
-/// Both modes produce **bit-identical** results — same `RunReport`
-/// fields, same fingerprints, same telemetry — because all engine-side
-/// state mutates in committed event order in either mode; the optimistic
-/// mode only moves *application coroutine* execution ahead of the commit
-/// horizon. `tests/optimistic_equivalence.rs` proves this cell by cell.
+/// Inert remnant of the Time Warp engine retired at PR 19: names only,
+/// no behaviour. Stays because `benchmark/src/grid.rs` constructs
+/// `Optimistic`; goes when that stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Classic sequential event loop (the default).
+    /// The one engine.
     #[default]
     Sequential,
-    /// Time-Warp-style speculation: up to `workers` processors may hold
-    /// a speculatively delivered response at once.
+    /// Accepted and ignored.
     Optimistic {
-        /// Speculation width: maximum processors running ahead of the
-        /// commit horizon simultaneously (clamped to at least 1).
+        /// Ignored.
         workers: usize,
     },
-}
-
-impl EngineMode {
-    /// Parses `"sequential"`, `"optimistic"` (width 4), or
-    /// `"optimistic:N"`.
-    pub fn from_name(name: &str) -> Option<EngineMode> {
-        match name {
-            "sequential" => Some(EngineMode::Sequential),
-            "optimistic" => Some(EngineMode::Optimistic { workers: 4 }),
-            _ => {
-                let n: usize = name.strip_prefix("optimistic:")?.parse().ok()?;
-                (n >= 1).then_some(EngineMode::Optimistic { workers: n })
-            }
-        }
-    }
-}
-
-impl fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineMode::Sequential => f.write_str("sequential"),
-            EngineMode::Optimistic { workers } => write!(f, "optimistic:{workers}"),
-        }
-    }
 }
 
 /// Why a simulation failed.
@@ -128,8 +75,7 @@ pub enum RunError {
         events: u64,
     },
     /// A cancellation probe (see [`Engine::set_cancel_probe`]) asked the
-    /// run to stop. No state from uncommitted (speculative) history
-    /// survives: the report is never produced and speculative coroutines
+    /// run to stop. The report is never produced; suspended processes
     /// are torn down with the engine.
     Cancelled {
         /// Simulated time when the cancellation was observed.
@@ -212,30 +158,13 @@ impl From<CheckViolation> for RunError {
     }
 }
 
-/// Speculation counters from an optimistic run (all zero under
-/// [`EngineMode::Sequential`]).
-///
-/// Like [`RunReport::wall`], these describe *how* the run executed, not
-/// *what* it computed — the differential equivalence suite excludes them
-/// (and `wall`) when comparing engines, and they feed the
-/// `timewarp_speed` bench's rollback-rate gauges.
+/// Inert remnant of the same retired engine: always zero. Stays because
+/// `benchmark/src/grid.rs` reads `.rollbacks` off
+/// `Experiment::run_observed`'s third element; goes when that stops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpecStats {
-    /// Responses delivered speculatively, ahead of their commit events.
-    pub spec_resumes: u64,
-    /// Speculative deliveries whose prediction the commit confirmed.
-    pub spec_hits: u64,
-    /// Mispredictions rolled back (kill + respawn + replay).
+    /// Always 0.
     pub rollbacks: u64,
-    /// Anti-messages that annihilated a mis-speculated execution
-    /// (equals `rollbacks` unless an anti-message-loss fault is forged).
-    pub annihilated: u64,
-    /// Committed events re-driven through respawned coroutines during
-    /// rollback replays.
-    pub replayed_events: u64,
-    /// GVT epochs crossed (committed-event strides at which the engine
-    /// reclaims retired processors' replay histories).
-    pub gvt_epochs: u64,
 }
 
 /// Results of one simulation run.
@@ -266,10 +195,6 @@ pub struct RunReport {
     /// order (empty unless the run's [`MachineConfig`] enabled a
     /// [`crate::TelemetryConfig`]).
     pub telemetry: Vec<IntervalRecord>,
-    /// Speculation counters (zero under [`EngineMode::Sequential`]).
-    /// Execution metadata like [`RunReport::wall`]: excluded from
-    /// engine-equivalence comparisons.
-    pub spec: SpecStats,
     /// Host wall-clock time the simulation took (§7 "Speed of Simulation").
     pub wall: Duration,
 }
@@ -334,8 +259,7 @@ impl fmt::Debug for Popped {
     }
 }
 
-/// `Copy` so a scheduled commit can also be inspected by the optimistic
-/// speculation hook without cloning through the slab.
+/// The effect a [`Ev::Commit`] applies when it pops.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Action {
     Compute,
@@ -416,10 +340,6 @@ pub struct Engine {
     checker: Option<EngineChecker<Popped>>,
     telemetry: Option<Collector>,
     processed: u64,
-    check: CheckMode,
-    /// Speculation state; `Some` iff the mode is optimistic.
-    spec: Option<SpecState>,
-    body_factory: Option<BodyFactory>,
     cancel: Option<CancelProbe>,
 }
 
@@ -495,31 +415,12 @@ impl Engine {
                 .then(|| EngineChecker::new(config.check)),
             telemetry: config.telemetry.map(Collector::new),
             processed: 0,
-            check: config.check,
-            spec: match config.engine {
-                EngineMode::Sequential => None,
-                EngineMode::Optimistic { workers } => {
-                    Some(SpecState::new(workers.max(1), p, config.check.enabled()))
-                }
-            },
-            body_factory: None,
             cancel: None,
         }
     }
 
-    /// Installs the body factory the optimistic mode needs to roll back
-    /// inexact speculations (see [`BodyFactory`]).
-    ///
-    /// Without a factory the optimistic engine degrades gracefully: it
-    /// only speculates responses it can predict *exactly* (acks and
-    /// already-materialized receive payloads), which can never
-    /// mispredict, so no rollback is ever required.
-    pub fn set_body_factory(&mut self, factory: BodyFactory) {
-        self.body_factory = Some(factory);
-    }
-
-    /// Installs a cooperative cancellation probe, polled between events
-    /// and before every rollback. See [`RunError::Cancelled`].
+    /// Installs a cooperative cancellation probe, polled between events.
+    /// See [`RunError::Cancelled`].
     pub fn set_cancel_probe(&mut self, probe: CancelProbe) {
         self.cancel = Some(probe);
     }

@@ -1,12 +1,8 @@
-//! The committed execution path: the event loop, pricing, and effects.
+//! The event loop, pricing, and effects.
 //!
 //! Everything here runs in strict virtual-time order and mutates
 //! engine-side state (model, store, stats, queue, checkers, telemetry)
-//! only at event pops. Both engine modes share this path — the
-//! optimistic layer in [`super::optimistic`] never applies an effect
-//! early, it only lets *application coroutines* run ahead; commits flow
-//! through [`Engine::deliver_resume`], which is the single seam between
-//! the two modes.
+//! only at event pops.
 
 use std::time::Instant;
 
@@ -68,7 +64,9 @@ impl Engine {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.processed += 1;
-            if self.processed.is_multiple_of(CANCEL_POLL_EVENTS) && self.poll_cancelled() {
+            if self.processed.is_multiple_of(CANCEL_POLL_EVENTS)
+                && self.cancel.as_ref().is_some_and(|probe| probe())
+            {
                 return Err(RunError::Cancelled {
                     at: self.now,
                     events: self.processed,
@@ -160,7 +158,6 @@ impl Engine {
                 waiting,
             });
         }
-        self.spec_run_end()?;
         if let Some(chk) = &mut self.checker {
             let (duplicates, retransmits) = self
                 .injector
@@ -222,26 +219,8 @@ impl Engine {
                 .map(|i| i.counters)
                 .unwrap_or_default(),
             telemetry,
-            spec: self.spec.as_ref().map(|s| s.stats).unwrap_or_default(),
             wall: wall_start.elapsed(),
         })
-    }
-
-    /// Polls the cooperative cancellation probe, if one is installed.
-    #[inline]
-    pub(super) fn poll_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|probe| probe())
-    }
-
-    /// Schedules a commit for `proc` at `at` and offers it to the
-    /// optimistic layer as a speculation opportunity (a no-op under
-    /// [`super::EngineMode::Sequential`]).
-    #[inline]
-    fn sched_commit(&mut self, at: SimTime, proc: usize, action: Action) {
-        self.push_ev(at, Ev::Commit(proc, action));
-        if self.spec.is_some() {
-            self.consider_speculation(proc, action);
-        }
     }
 
     fn dispatch(&mut self, proc: usize, req: MemReq) -> Result<(), RunError> {
@@ -251,23 +230,23 @@ impl Engine {
             MemReq::Compute { cycles } => {
                 let dur = SimTime::from_ns(cycles * CYCLE_NS);
                 self.stats[proc].buckets.busy += dur;
-                self.sched_commit(now + dur, proc, Action::Compute);
+                self.push_ev(now + dur, Ev::Commit(proc, Action::Compute));
             }
             MemReq::Read { addr } => {
                 let finish = self.priced_access(proc, addr, AccessKind::Read)?;
-                self.sched_commit(finish, proc, Action::Read(addr));
+                self.push_ev(finish, Ev::Commit(proc, Action::Read(addr)));
             }
             MemReq::Write { addr, value } => {
                 let finish = self.priced_access(proc, addr, AccessKind::Write)?;
-                self.sched_commit(finish, proc, Action::Write(addr, value));
+                self.push_ev(finish, Ev::Commit(proc, Action::Write(addr, value)));
             }
             MemReq::Rmw { addr, op } => {
                 let finish = self.priced_access(proc, addr, AccessKind::Write)?;
-                self.sched_commit(finish, proc, Action::Rmw(addr, op));
+                self.push_ev(finish, Ev::Commit(proc, Action::Rmw(addr, op)));
             }
             MemReq::WaitUntil { addr, pred } => {
                 let finish = self.priced_access(proc, addr, AccessKind::Read)?;
-                self.sched_commit(finish, proc, Action::Check(addr, pred));
+                self.push_ev(finish, Ev::Commit(proc, Action::Check(addr, pred)));
             }
             MemReq::Send {
                 dst,
@@ -304,7 +283,7 @@ impl Engine {
                 if let Some(chk) = &mut self.checker {
                     chk.on_send(dst, tag, cost.delivered, delivered, copies)?;
                 }
-                self.sched_commit(cost.sender_free, proc, Action::Sent);
+                self.push_ev(cost.sender_free, Ev::Commit(proc, Action::Sent));
                 for _ in 0..copies {
                     self.push_ev(
                         delivered,
@@ -325,7 +304,7 @@ impl Engine {
                 {
                     // Message already arrived: charge the receive handoff.
                     let finish = self.now + SimTime::from_ns(CYCLE_NS);
-                    self.sched_commit(finish, proc, Action::Received(value));
+                    self.push_ev(finish, Ev::Commit(proc, Action::Received(value)));
                 } else {
                     if self.recv_wait[proc].is_some() {
                         return Err(RunError::BadRequest {
@@ -387,30 +366,29 @@ impl Engine {
     }
 
     fn commit(&mut self, proc: usize, action: Action) -> Result<(), RunError> {
-        self.spec_on_commit_event();
         match action {
-            Action::Compute => self.deliver_resume(proc, MemResp::Ack),
+            Action::Compute => self.resume(proc, MemResp::Ack),
             Action::Read(addr) => {
                 let v = self.store.read_word(addr);
-                self.deliver_resume(proc, MemResp::Value(v))
+                self.resume(proc, MemResp::Value(v))
             }
             Action::Write(addr, value) => {
                 self.store.write_word(addr, value);
                 self.wake_watchers(addr);
-                self.deliver_resume(proc, MemResp::Ack)
+                self.resume(proc, MemResp::Ack)
             }
             Action::Rmw(addr, op) => {
                 let old = self.store.read_word(addr);
                 self.store.write_word(addr, op.apply(old));
                 self.wake_watchers(addr);
-                self.deliver_resume(proc, MemResp::Value(old))
+                self.resume(proc, MemResp::Value(old))
             }
-            Action::Sent => self.deliver_resume(proc, MemResp::Ack),
+            Action::Sent => self.resume(proc, MemResp::Ack),
             Action::Received(value) => {
                 if let Some(start) = self.wait_start[proc].take() {
                     self.stats[proc].buckets.sync += self.now - start;
                 }
-                self.deliver_resume(proc, MemResp::Value(value))
+                self.resume(proc, MemResp::Value(value))
             }
             Action::Check(addr, pred) => {
                 let v = self.store.read_word(addr);
@@ -418,7 +396,7 @@ impl Engine {
                     if let Some(start) = self.wait_start[proc].take() {
                         self.stats[proc].buckets.sync += self.now - start;
                     }
-                    self.deliver_resume(proc, MemResp::Value(v))
+                    self.resume(proc, MemResp::Value(v))
                 } else {
                     if self.wait_start[proc].is_none() {
                         self.wait_start[proc] = Some(self.now);
@@ -441,20 +419,6 @@ impl Engine {
                     Ok(())
                 }
             }
-        }
-    }
-
-    /// The seam between the two engine modes: hands the committed
-    /// response to the processor. Sequentially that is a synchronous
-    /// resume; optimistically the response may already have been
-    /// delivered speculatively, in which case the commit either confirms
-    /// it (and merely collects the next request) or refutes it (and
-    /// rolls the processor back before redelivering).
-    fn deliver_resume(&mut self, proc: usize, resp: MemResp) -> Result<(), RunError> {
-        if self.spec.is_some() {
-            self.commit_speculative(proc, resp)
-        } else {
-            self.resume(proc, resp)
         }
     }
 
@@ -484,23 +448,12 @@ impl Engine {
         }
     }
 
-    /// Synchronously delivers `resp` and handles the processor's next
-    /// step. Records the delivery in the replay history when running
-    /// optimistically.
-    pub(super) fn resume(&mut self, proc: usize, resp: MemResp) -> Result<(), RunError> {
-        self.record_resp(proc, resp);
-        let step = self.pool.resume(proc, resp);
-        self.handle_step(proc, step)
-    }
-
-    /// Consumes one coroutine step in committed order: dispatches the
-    /// next request (drawing any injected stall *here*, so both engine
-    /// modes consume the fault stream at identical points), retires a
-    /// finished processor, or surfaces a panic.
-    pub(super) fn handle_step(&mut self, proc: usize, step: Step<MemReq>) -> Result<(), RunError> {
-        match step {
+    /// Delivers `resp` to the processor and consumes its next step:
+    /// dispatches the next request, retires a finished processor, or
+    /// surfaces a panic.
+    fn resume(&mut self, proc: usize, resp: MemResp) -> Result<(), RunError> {
+        match self.pool.resume(proc, resp) {
             Step::Request(req) => {
-                self.record_req(proc, req);
                 // Injected stall window: the node pauses (an OS interrupt,
                 // a slow board) before its next operation dispatches. The
                 // wait is charged as synchronization-like idle time.
@@ -520,7 +473,6 @@ impl Engine {
             Step::Done => {
                 self.stats[proc].finish = self.now;
                 self.live -= 1;
-                self.spec_on_done(proc);
                 Ok(())
             }
             Step::Panicked(message) => Err(RunError::Panicked { proc, message }),

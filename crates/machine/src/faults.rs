@@ -96,14 +96,6 @@ pub struct FaultPlan {
     pub retry_prob: f64,
     /// Maximum forced retries per transaction.
     pub max_retries: u32,
-    /// Probability that the optimistic engine *loses* the anti-message
-    /// that should annihilate a refuted speculation — the rollback still
-    /// runs, but its annihilation record is forged away. This is a fault
-    /// against the speculation ledger itself, so it only perturbs the
-    /// `optimistic` engine mode, and it draws from its own decision
-    /// stream (see [`FaultInjector`]) so enabling it never shifts the
-    /// network/stall/retry draw sequence.
-    pub anti_loss_prob: f64,
 }
 
 impl FaultPlan {
@@ -122,7 +114,6 @@ impl FaultPlan {
             stall_ns: 0,
             retry_prob: 0.0,
             max_retries: 0,
-            anti_loss_prob: 0.0,
         }
     }
 
@@ -143,25 +134,18 @@ impl FaultPlan {
             stall_ns: 5_000,
             retry_prob: 0.10,
             max_retries: 1,
-            // Not an execution fault: forged anti-message loss corrupts
-            // the speculation ledger, so it stays out of the standard
-            // adversarial mix (the equivalence suite runs this plan on
-            // both engines and expects identical, *valid* results).
-            anti_loss_prob: 0.0,
         }
     }
 
     /// A randomized plan for chaos campaigns: every knob is drawn
     /// deterministically from the seed (decorrelated via SplitMix64),
     /// spanning near-quiet corners up to beyond-adversarial
-    /// intensities, and — unlike [`FaultPlan::adversarial`] — with the
-    /// speculation-ledger fault ([`FaultPlan::anti_loss_prob`]) in
-    /// play. Two calls with the same seed build the identical plan, so
-    /// a chaos trial's reference run and its crash-recovery replays
-    /// inject the same faults.
+    /// intensities. Two calls with the same seed build the identical
+    /// plan, so a chaos trial's reference run and its crash-recovery
+    /// replays inject the same faults.
     pub fn chaos(seed: u64) -> Self {
         let mut s = seed ^ 0xc0a5_c0de_0b5e_55edu64;
-        let mut d = [0u64; 12];
+        let mut d = [0u64; 10];
         for slot in &mut d {
             *slot = spasm_prng::splitmix64(&mut s);
         }
@@ -180,7 +164,6 @@ impl FaultPlan {
             stall_ns: 1_000 + d[7] % 8_000,
             retry_prob: prob(d[8], 150),
             max_retries: 1 + (d[9] % 2) as u32,
-            anti_loss_prob: prob(d[10], 300),
         }
     }
 
@@ -200,7 +183,6 @@ impl FaultPlan {
             || self.loss_prob > 0.0
             || self.stall_prob > 0.0
             || self.retry_prob > 0.0
-            || self.anti_loss_prob > 0.0
     }
 }
 
@@ -217,33 +199,20 @@ pub struct FaultCounters {
     pub stalls: u64,
     /// Coherence/memory transactions forced to retry.
     pub retries: u64,
-    /// Anti-messages forged away (speculation-ledger fault; optimistic
-    /// engine only).
-    pub anti_losses: u64,
 }
 
 impl FaultCounters {
     /// Total faults of all classes.
     pub fn total(&self) -> u64 {
-        self.delayed
-            + self.duplicated
-            + self.retransmits
-            + self.stalls
-            + self.retries
-            + self.anti_losses
+        self.delayed + self.duplicated + self.retransmits + self.stalls + self.retries
     }
 }
-
-/// Salt separating the anti-message-loss decision stream from the main
-/// fault stream, so the ledger fault never shifts execution-fault draws.
-const ANTI_STREAM_SALT: u64 = 0xA27B_5D14_93E6_0C48;
 
 /// The engine-side fault roller: owns the decision stream and counters.
 #[derive(Debug)]
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: SplitMix64,
-    anti_rng: SplitMix64,
     pub(crate) counters: FaultCounters,
 }
 
@@ -252,7 +221,6 @@ impl FaultInjector {
         FaultInjector {
             plan,
             rng: SplitMix64::new(plan.seed),
-            anti_rng: SplitMix64::new(plan.seed ^ ANTI_STREAM_SALT),
             counters: FaultCounters::default(),
         }
     }
@@ -309,19 +277,6 @@ impl FaultInjector {
         }
     }
 
-    /// Whether to forge away the anti-message for a refuted speculation.
-    /// Draws from the dedicated anti-message stream — each rollback
-    /// consumes exactly one draw regardless of the other knobs, so the
-    /// main fault stream stays bit-identical with this knob on or off.
-    pub(crate) fn anti_message_loss(&mut self) -> bool {
-        let lost =
-            self.plan.anti_loss_prob > 0.0 && self.anti_rng.gen_f64() < self.plan.anti_loss_prob;
-        if lost {
-            self.counters.anti_losses += 1;
-        }
-        lost
-    }
-
     /// Number of forced retries for a network-touching transaction.
     pub(crate) fn coherence_retries(&mut self) -> u32 {
         if self.plan.max_retries == 0 || !self.roll(self.plan.retry_prob) {
@@ -346,7 +301,6 @@ mod tests {
             assert!(inj.message_loss(0).is_none());
             assert!(inj.stall().is_none());
             assert_eq!(inj.coherence_retries(), 0);
-            assert!(!inj.anti_message_loss());
         }
         assert_eq!(inj.counters.total(), 0);
         assert!(!FaultPlan::quiet(7).is_active());
@@ -424,37 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn anti_loss_draws_from_its_own_stream() {
-        // The main-stream decisions must be bit-identical whether or not
-        // anti-message losses are being rolled in between them.
-        let decisions = |anti: bool| {
-            let plan = FaultPlan {
-                anti_loss_prob: 1.0,
-                ..FaultPlan::adversarial(11)
-            };
-            let mut inj = FaultInjector::new(plan);
-            (0..256)
-                .map(|_| {
-                    if anti {
-                        assert!(inj.anti_message_loss());
-                    }
-                    (inj.message_delay(), inj.duplicate(), inj.stall())
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(decisions(false), decisions(true));
-        let plan = FaultPlan {
-            anti_loss_prob: 0.5,
-            ..FaultPlan::quiet(3)
-        };
-        assert!(plan.is_active());
-        let mut inj = FaultInjector::new(plan);
-        let hits = (0..1000).filter(|_| inj.anti_message_loss()).count();
-        assert!(hits > 300 && hits < 700, "{hits} losses in 1000 rolls");
-        assert_eq!(inj.counters.anti_losses, hits as u64);
-    }
-
-    #[test]
     fn chaos_plans_are_deterministic_bounded_and_seed_sensitive() {
         let a = FaultPlan::chaos(7);
         let b = FaultPlan::chaos(7);
@@ -463,12 +386,9 @@ mod tests {
         for seed in 0..64 {
             let p = FaultPlan::chaos(seed);
             assert!(p.delay_prob <= 0.15 && p.loss_prob <= 0.05, "{p:?}");
-            assert!(p.anti_loss_prob <= 0.30, "{p:?}");
             assert!(p.max_retransmits >= 1 && p.max_retries >= 1, "{p:?}");
             assert!(p.max_delay_ns >= 500 && p.retransmit_ns >= 1_000, "{p:?}");
         }
-        // The ledger fault must actually be in play for some seeds.
-        assert!((0..64).any(|s| FaultPlan::chaos(s).anti_loss_prob > 0.0));
     }
 
     #[test]

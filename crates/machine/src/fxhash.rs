@@ -2,9 +2,9 @@
 //!
 //! The engine keeps a few `HashMap`s whose keys are sparse by nature
 //! (the target's per-block serialization times, spin watchers,
-//! mailboxes, the optimistic layer's hot addresses); what every memory
-//! operation consults — address map, region traffic, value store — is
-//! array-indexed instead (DESIGN.md §13). The standard
+//! mailboxes); what every memory operation consults — address map,
+//! region traffic, value store — is array-indexed instead (DESIGN.md
+//! §13). The standard
 //! `RandomState`/SipHash pays DoS-resistance costs that are pointless for
 //! simulator-internal keys, and its per-process random seed makes map
 //! iteration order vary between runs. This module provides the classic
@@ -73,9 +73,6 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` using [`FxHasher`].
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A `HashSet` using [`FxHasher`].
-pub(crate) type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -112,12 +112,6 @@ impl CLogPModel {
         chk.verify_all(&self.coherence).err()
     }
 
-    /// Digest of the ideal-cache coherence state, for the optimistic
-    /// engine's rollback-purity audit.
-    pub(crate) fn coherence_hash(&self) -> u64 {
-        self.coherence.state_hash()
-    }
-
     /// The derived LogP parameters in force.
     pub fn params(&self) -> spasm_logp::LogPParams {
         self.net.params()

@@ -79,10 +79,8 @@ pub struct MachineConfig {
     /// and the report carries one [`crate::IntervalRecord`] per non-empty
     /// bucket.
     pub telemetry: Option<crate::TelemetryConfig>,
-    /// Which execution strategy drives the event loop. Sequential (the
-    /// default) and optimistic produce bit-identical results (see
-    /// [`EngineMode`]); the knob still goes into the sweep fingerprint
-    /// so resumed journals know which engine produced their points.
+    /// Inert: accepted and ignored. Stays only because
+    /// `benchmark/src/grid.rs` assigns it; goes when that stops.
     pub engine: EngineMode,
 }
 
@@ -307,19 +305,6 @@ impl Model {
     /// machine, where a spin loop really does re-touch the network.
     pub fn is_polling(&self) -> bool {
         matches!(self, Model::LogP(_))
-    }
-
-    /// A digest of the model's mutable coherence state (0 for the
-    /// cache-less machines, which keep no per-access mutable state worth
-    /// auditing). The optimistic engine's strict mode hashes this around
-    /// every rollback to prove replay never perturbs committed state.
-    pub fn state_hash(&self) -> u64 {
-        match self {
-            Model::Pram(_) => 0,
-            Model::Target(m) => m.coherence_hash(),
-            Model::LogP(_) => 0,
-            Model::CLogP(m) => m.coherence_hash(),
-        }
     }
 
     /// Aggregate counters for the run report.

@@ -284,12 +284,6 @@ impl TargetModel {
         chk.verify_all(&self.coherence).err()
     }
 
-    /// Digest of the coherence state (caches + directory), for the
-    /// optimistic engine's rollback-purity audit.
-    pub(crate) fn coherence_hash(&self) -> u64 {
-        self.coherence.state_hash()
-    }
-
     /// Run-report counters.
     pub fn summary(&self, p: usize) -> ModelSummary {
         let net = self.net.stats();

@@ -152,84 +152,6 @@ fn forced_retry_trips_access_conformance() {
     }
 }
 
-/// A schedule that reliably mis-speculates under the optimistic engine:
-/// two processors race bare `fetch_add`s on one word homed at node 0,
-/// so the remote RMW's dispatch-to-commit window keeps containing the
-/// local one's commit. Every mis-speculation forces a rollback, and
-/// every rollback must annihilate exactly one speculation — the ledger
-/// entry the anti-loss fault forges away.
-fn speculative_engine(plan: FaultPlan, mode: CheckMode) -> Engine {
-    fn bodies(counter: spasm_machine::Addr) -> Vec<ProcBody> {
-        (0..2)
-            .map(|_| {
-                let b: ProcBody = Box::new(move |_, ctx| {
-                    let mem = MemCtx::new(ctx);
-                    for _ in 0..30 {
-                        mem.fetch_add(counter, 1);
-                        mem.compute(5);
-                    }
-                });
-                b
-            })
-            .collect()
-    }
-    let topo = Topology::full(2);
-    let mut setup = SetupCtx::new(2);
-    let counter = setup.alloc(0, 1);
-    let config = MachineConfig {
-        check: mode,
-        faults: Some(plan),
-        engine: spasm_machine::EngineMode::Optimistic { workers: 4 },
-        ..MachineConfig::default()
-    };
-    let mut eng = Engine::with_config(MachineKind::CLogP, &topo, config, setup, bodies(counter));
-    eng.set_body_factory(Box::new(move |proc| {
-        bodies(counter).into_iter().nth(proc).expect("two bodies")
-    }));
-    eng
-}
-
-#[test]
-fn lost_anti_message_trips_speculation_annihilation() {
-    // Forge every anti-message lost: rollbacks still happen, but the
-    // ledger never sees their annihilations, so the books cannot
-    // balance. Strict mode must say so by name.
-    let plan = FaultPlan {
-        anti_loss_prob: 1.0,
-        ..FaultPlan::quiet(7)
-    };
-    match speculative_engine(plan, CheckMode::Strict).run() {
-        Err(RunError::Check(v)) => assert_eq!(
-            v.invariant, "speculation-annihilation",
-            "wrong invariant fired: {v}"
-        ),
-        other => panic!("expected a speculation-annihilation violation, got {other:?}"),
-    }
-}
-
-#[test]
-fn lenient_mode_credits_lost_anti_messages() {
-    // Lenient mode certifies the perturbed-but-consistent run: the
-    // injected losses are credited against the ledger, the run
-    // completes, and the commutative increments still all land.
-    let plan = FaultPlan {
-        anti_loss_prob: 1.0,
-        ..FaultPlan::quiet(7)
-    };
-    let report = speculative_engine(plan, CheckMode::On)
-        .run()
-        .expect("lenient mode tolerates forged anti-message loss");
-    assert!(report.spec.rollbacks > 0, "schedule must roll back");
-    assert!(
-        report.faults.anti_losses > 0,
-        "every rollback's anti-message was forged lost"
-    );
-    assert_eq!(
-        report.spec.annihilated, 0,
-        "forged losses must not be double-counted as annihilations"
-    );
-}
-
 #[test]
 fn lenient_mode_tolerates_every_species() {
     // CheckMode::On certifies internal consistency of the perturbed

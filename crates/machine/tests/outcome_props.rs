@@ -1,25 +1,17 @@
-//! Property-based certification of the snapshot machinery the optimistic
-//! engine's rollback path stands on: `save`/`restore` on the coherence
-//! state machine (per-node caches plus the directory).
+//! Property-based certification of what the target model's pricing rests
+//! on: an access changes only the caches its [`Outcome`] names, plus the
+//! directory. The model sends messages to exactly the nodes the outcome
+//! lists (supplier, invalidated sharers, downgraded owner), so a cache
+//! that changed without being named would be state the model moved for
+//! free.
 //!
-//! Three laws are checked over testkit-generated mutation sequences, under
-//! both coherence protocols:
-//!
-//! 1. `restore(save(s)) == s` — restoring reverts *every* component, no
-//!    matter what ran in between;
-//! 2. rollback past K events then replaying the same K events
-//!    reconstructs the identical state (hash *and* per-access outcomes) —
-//!    the exact contract the optimistic engine's replay relies on;
-//! 3. an access perturbs only the components its outcome names — no
-//!    hidden coupling that a snapshot could miss.
-//!
-//! Failures shrink (testkit halves and drops ops from the generated
-//! sequence) and every comparison goes through [`first_divergence`], so a
-//! shrunk counterexample names the first diverging field — `cache[n]` or
-//! `directory` — rather than an opaque whole-state hash mismatch.
+//! Checked over testkit-generated access sequences under both coherence
+//! protocols. Failures shrink (testkit halves and drops ops from the
+//! generated sequence), and state is compared per component, so a shrunk
+//! counterexample names the field that moved — `cache[n]` or `directory`.
 
 use spasm_cache::{AccessKind, CacheConfig, CoherenceController, Outcome, ProtocolKind, Supplier};
-use spasm_testkit::{check_with, gens, prop_assert, prop_assert_eq, Config, Gen};
+use spasm_testkit::{check_with, gens, prop_assert, Config, Gen};
 
 /// Nodes in the generated machine.
 const NODES: usize = 4;
@@ -80,7 +72,7 @@ fn apply(c: &mut CoherenceController, ops: &[RawOp]) -> Vec<Outcome> {
 }
 
 /// Per-component digests: one per cache, one for the directory. Named so
-/// divergence reports localize to a field.
+/// a failure localizes to a field.
 fn component_hashes(c: &CoherenceController) -> Vec<(String, u64)> {
     let mut v: Vec<(String, u64)> = (0..c.nodes())
         .map(|n| (format!("cache[{n}]"), c.cache(n).state_hash()))
@@ -89,89 +81,11 @@ fn component_hashes(c: &CoherenceController) -> Vec<(String, u64)> {
     v
 }
 
-/// The first component whose digest differs between two states, if any.
-fn first_divergence(a: &[(String, u64)], b: &[(String, u64)]) -> Option<String> {
-    a.iter()
-        .zip(b)
-        .find(|((_, ha), (_, hb))| ha != hb)
-        .map(|((name, _), _)| name.clone())
-}
-
-/// Law 1: restore reverts every component, regardless of what ran between
-/// save and restore. The sequence is split in half: the prefix builds an
-/// arbitrary warm state, the suffix is the speculation to be undone.
-#[test]
-fn restore_reverts_every_component() {
-    check_with(
-        Config::default(),
-        "restore_reverts_every_component",
-        &sequences(),
-        |(ops, proto)| {
-            let mut c =
-                CoherenceController::with_protocol(NODES, tiny_cache(), protocol_of(*proto));
-            let split = ops.len() / 2;
-            apply(&mut c, &ops[..split]);
-            let snap = c.save();
-            let at_save = component_hashes(&c);
-            let whole = c.state_hash();
-            apply(&mut c, &ops[split..]);
-            c.restore(&snap);
-            prop_assert_eq!(
-                first_divergence(&component_hashes(&c), &at_save),
-                None,
-                "restore failed to revert this component"
-            );
-            prop_assert_eq!(c.state_hash(), whole, "aggregate hash diverged");
-            Ok(())
-        },
-    );
-}
-
-/// Law 2: the optimistic engine's replay contract. Restoring a snapshot
-/// taken K events back and re-applying the identical K events must land
-/// on the identical state *and* reproduce the identical outcomes — replay
-/// is not merely convergent, it is exact.
-#[test]
-fn rollback_replay_reconstructs_state_exactly() {
-    check_with(
-        Config::default(),
-        "rollback_replay_reconstructs_state_exactly",
-        &sequences(),
-        |(ops, proto)| {
-            let proto = protocol_of(*proto);
-            // Straight-line reference run.
-            let mut reference = CoherenceController::with_protocol(NODES, tiny_cache(), proto);
-            let ref_outcomes = apply(&mut reference, ops);
-            let ref_components = component_hashes(&reference);
-
-            // Rolled-back run: save K events before the end, run to the
-            // end (the doomed speculation), roll back, replay.
-            let k = ops.len() - ops.len() / 3;
-            let mut c = CoherenceController::with_protocol(NODES, tiny_cache(), proto);
-            let prefix_outcomes = apply(&mut c, &ops[..k]);
-            let snap = c.save();
-            apply(&mut c, &ops[k..]);
-            c.restore(&snap);
-            let replay_outcomes = apply(&mut c, &ops[k..]);
-
-            prop_assert_eq!(
-                first_divergence(&component_hashes(&c), &ref_components),
-                None,
-                "replay after rollback diverged from the straight-line run"
-            );
-            let mut rolled = prefix_outcomes;
-            rolled.extend(replay_outcomes);
-            prop_assert_eq!(&rolled, &ref_outcomes, "replayed outcomes diverged");
-            Ok(())
-        },
-    );
-}
-
-/// Law 3: an access perturbs only the components its outcome names — the
+/// An access perturbs only the components its outcome names — the
 /// accessor's cache, the caches the outcome says were invalidated or
 /// supplied/downgraded from, and the directory. Anything outside that set
-/// must hash identically before and after. This is what makes component
-/// snapshots trustworthy: there is no hidden cross-component coupling.
+/// must hash identically before and after: there is no hidden
+/// cross-component coupling.
 #[test]
 fn access_perturbs_only_named_components() {
     let gen = gens::tuple2(
