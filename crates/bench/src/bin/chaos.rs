@@ -34,10 +34,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use spasm_bench::{parse_procs, parse_size};
-use spasm_core::chaos::{
-    explore_crash_points, run_campaign, shrink_demo, CampaignConfig, ChaosSweep,
-};
+use spasm_core::chaos::{explore_crash_points, run_campaign, shrink_demo, CampaignConfig};
 use spasm_core::figures;
+use spasm_core::sweep::Sweep;
 
 const EXIT_OK: u8 = 0;
 const EXIT_FAIL: u8 = 1;
@@ -119,13 +118,7 @@ fn main() -> ExitCode {
                 eprintln!("chaos: unknown figure {fig} (try: figures --list)");
                 return usage();
             };
-            let cs = ChaosSweep {
-                size,
-                procs,
-                seed,
-                ..ChaosSweep::smoke(spec)
-            };
-            match explore_crash_points(&cs, torn_window) {
+            match explore_crash_points(&Sweep::new(spec, size, &procs, seed), torn_window) {
                 Ok(report) => {
                     for (script, error) in &report.refusals {
                         eprintln!("refused under {script}: {error}");

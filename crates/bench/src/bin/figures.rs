@@ -9,7 +9,7 @@
 //! Sweep points run on the `spasm-exec` worker pool — one worker per
 //! host hardware thread by default (`--jobs auto`); `--serial` forces
 //! the inline single-thread path. Output is byte-identical either way;
-//! per-series and total elapsed times go to stderr so the speedup is
+//! per-series and total simulated times go to stderr so the speedup is
 //! visible without polluting the table/CSV streams. `--chart` adds an
 //! ASCII plot under each table and `--csv PATH` writes every row to one
 //! CSV file.
@@ -23,7 +23,7 @@
 //! per-figure journal (`PATH.<figure-id>`); after a crash or SIGKILL,
 //! the same command with `--resume` replays completed points and runs
 //! only the rest, producing byte-identical stdout. `--deadline-secs N`
-//! bounds each point's wall time via the executor watchdog.
+//! bounds each point's wall time.
 //!
 //! `--scenario FILE` (repeatable) compiles a declarative `.scn`
 //! workload (see `spasm-scenario`) into a figure and sweeps it like
@@ -49,6 +49,7 @@
 
 use std::io::Write;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spasm_apps::SizeClass;
@@ -56,10 +57,9 @@ use spasm_bench::{parse_jobs, parse_procs, parse_size};
 use spasm_core::figures::{self, FigureSpec};
 use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
-use spasm_core::sweep::{
-    run_figure_journaled, run_figure_observed, run_figure_shard, FigureData, Outcome, SweepConfig,
-};
+use spasm_core::sweep::{FigureData, Outcome, Sweep, SweepConfig};
 use spasm_exec::ExecEvent;
+use spasm_journal::RealVfs;
 use spasm_machine::{CheckMode, FaultPlan, RunBudget, TelemetryConfig};
 
 struct Args {
@@ -84,7 +84,7 @@ struct Args {
     journal: Option<String>,
     /// Replay an existing journal instead of refusing to clobber it.
     resume: bool,
-    /// Per-point wall-clock deadline for the executor watchdog.
+    /// Per-point wall-clock deadline.
     deadline: Option<Duration>,
     /// Worker mode: run only this shard's points into a journal
     /// directory (`--shard K/N`, requires `--journal DIR`).
@@ -94,8 +94,8 @@ struct Args {
     merge: Option<String>,
     /// Stream per-interval telemetry JSONL into this file.
     telemetry: Option<String>,
-    /// Telemetry bucket width in simulated microseconds.
-    telemetry_interval_us: u64,
+    /// Telemetry bucket width in simulated microseconds (default 100).
+    telemetry_interval_us: Option<u64>,
 }
 
 /// Every exit code of the binary. Ordered by severity: a run that meets
@@ -164,7 +164,7 @@ fn parse_args() -> Args {
         shard: None,
         merge: None,
         telemetry: None,
-        telemetry_interval_us: 100,
+        telemetry_interval_us: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -264,11 +264,12 @@ fn parse_args() -> Args {
             }
             "--telemetry" => args.telemetry = Some(it.next().unwrap_or_else(|| usage())),
             "--telemetry-interval-us" => {
-                args.telemetry_interval_us = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&us| us > 0)
-                    .unwrap_or_else(|| usage());
+                args.telemetry_interval_us = Some(
+                    it.next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&us| us > 0)
+                        .unwrap_or_else(|| usage()),
+                );
             }
             "--deadline-secs" => {
                 args.deadline = Some(Duration::from_secs(
@@ -288,6 +289,10 @@ fn parse_args() -> Args {
     args.figures.retain(|f| seen.insert(f.id));
     if args.resume && args.journal.is_none() {
         eprintln!("--resume requires --journal PATH");
+        usage();
+    }
+    if args.telemetry_interval_us.is_some() && args.telemetry.is_none() {
+        eprintln!("--telemetry-interval-us requires --telemetry FILE");
         usage();
     }
     if args.shard.is_some() && args.journal.is_none() {
@@ -433,23 +438,18 @@ fn jobs_label(jobs: usize) -> String {
     }
 }
 
-/// The one way a journal is used: create or resume it (mapping each
+/// The one way a journal is used: open it for `sweep` (mapping each
 /// failure class onto its exit code), report a repaired torn tail, hand
 /// it to `pass`, then report what the pass did to its durability.
 /// Returns `pass`'s value and whether the journal stopped persisting.
 fn with_journal<T>(
     jpath: &str,
-    spec: &FigureSpec,
-    args: &Args,
-    sweep: &SweepConfig,
+    sweep: &Sweep<'_>,
+    resume: bool,
     pass: impl FnOnce(&SweepJournal) -> T,
 ) -> Result<(T, bool), Exit> {
-    let opened = if args.resume {
-        SweepJournal::resume(jpath, spec, args.size, &args.procs, args.seed, sweep)
-    } else {
-        SweepJournal::create(jpath, spec, args.size, &args.procs, args.seed, sweep)
-    };
-    let journal = opened.map_err(|e| {
+    let id = sweep.spec.id;
+    let journal = SweepJournal::open(Arc::new(RealVfs), jpath, sweep, resume).map_err(|e| {
         eprintln!("journal {jpath}: {e}");
         if matches!(
             e,
@@ -467,8 +467,7 @@ fn with_journal<T>(
     })?;
     if journal.repaired_bytes() > 0 {
         eprintln!(
-            "{}: journal {jpath}: dropped a {}-byte torn tail",
-            spec.id,
+            "{id}: journal {jpath}: dropped a {}-byte torn tail",
             journal.repaired_bytes()
         );
     }
@@ -476,13 +475,12 @@ fn with_journal<T>(
     let stopped = journal.io_error();
     if let Some(e) = &stopped {
         eprintln!(
-            "{}: warning: journal {jpath} stopped persisting ({e}); \
-             points after that will re-run on resume",
-            spec.id
+            "{id}: warning: journal {jpath} stopped persisting ({e}); \
+             points after that will re-run on resume"
         );
     }
     if let Some(w) = journal.dir_sync_warning() {
-        eprintln!("{}: warning: {w}", spec.id);
+        eprintln!("{id}: warning: {w}");
     }
     Ok((value, stopped.is_some()))
 }
@@ -560,7 +558,7 @@ impl Output {
 /// journal is the shard's entire output, so a merge over the directory
 /// is the only way results become visible, and killing this process at
 /// any instant costs at most one in-flight point.
-fn run_shard(args: &Args, sweep: &SweepConfig, shard: ShardSpec) -> ExitCode {
+fn run_shard(args: &Args, sweeps: &[Sweep<'_>], shard: ShardSpec) -> ExitCode {
     let dir = args.journal.as_deref().expect("checked in parse_args");
     if let Some(path) = &args.telemetry {
         eprintln!(
@@ -574,30 +572,22 @@ fn run_shard(args: &Args, sweep: &SweepConfig, shard: ShardSpec) -> ExitCode {
     }
     let started = Instant::now();
     let mut worst = Exit::Clean;
-    for spec in &args.figures {
+    for sweep in sweeps {
+        let id = sweep.spec.id;
         let jpath = std::path::Path::new(dir)
-            .join(shard.file_name(spec.id))
+            .join(shard.file_name(id))
             .display()
             .to_string();
-        let pass = with_journal(&jpath, spec, args, sweep, |journal| {
-            run_figure_shard(
-                spec,
-                args.size,
-                &args.procs,
-                args.seed,
-                *sweep,
-                shard,
-                journal,
-                |_| {},
-            )
+        let pass = with_journal(&jpath, sweep, args.resume, |journal| {
+            sweep.run_shard(shard, journal, |_| {})
         });
         let (report, stopped) = match pass {
             Ok(p) => p,
-            Err(code) => return code.into(),
+            Err(code) => return worst.max(code).into(),
         };
         eprintln!(
-            "{} shard {shard}: {} owned, {} replayed, {} fresh, {} failed",
-            spec.id, report.owned, report.replayed, report.fresh, report.failed
+            "{id} shard {shard}: {} owned, {} replayed, {} fresh, {} failed",
+            report.owned, report.replayed, report.fresh, report.failed
         );
         if stopped {
             // Unlike the single-process journaled path, a shard has no
@@ -611,7 +601,7 @@ fn run_shard(args: &Args, sweep: &SweepConfig, shard: ShardSpec) -> ExitCode {
     }
     eprintln!(
         "shard {shard}: {} figure(s) in {:.1?} ({})",
-        args.figures.len(),
+        sweeps.len(),
         started.elapsed(),
         jobs_label(args.jobs)
     );
@@ -621,41 +611,35 @@ fn run_shard(args: &Args, sweep: &SweepConfig, shard: ShardSpec) -> ExitCode {
 /// Merge mode: reassemble per-shard journals under `dir` into stdout
 /// byte-identical to a serial run, quarantining what cannot be trusted
 /// and salvaging partial figures from what can.
-fn run_merge(args: &Args, sweep: &SweepConfig, dir: &str) -> ExitCode {
+fn run_merge(args: &Args, sweeps: &[Sweep<'_>], dir: &str) -> ExitCode {
     let mut out = Output::new();
     let mut worst = Exit::Clean;
-    for spec in &args.figures {
-        let report = match merge_shards(
-            std::path::Path::new(dir),
-            spec,
-            args.size,
-            &args.procs,
-            args.seed,
-            sweep,
-        ) {
+    for sweep in sweeps {
+        let id = sweep.spec.id;
+        let report = match merge_shards(&RealVfs, std::path::Path::new(dir), sweep) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("{}: merge {dir}: {e}", spec.id);
-                return match e {
-                    ShardError::Overlap { .. } => Exit::Overlap,
-                    _ => Exit::Io,
-                }
-                .into();
+                eprintln!("{id}: merge {dir}: {e}");
+                return worst
+                    .max(match e {
+                        ShardError::Overlap { .. } => Exit::Overlap,
+                        _ => Exit::Io,
+                    })
+                    .into();
             }
         };
         eprintln!(
-            "{}: merged {} shard journal(s): {} point(s), {} duplicate(s) deduped",
-            spec.id, report.shards_merged, report.points_merged, report.duplicates
+            "{id}: merged {} shard journal(s): {} point(s), {} duplicate(s) deduped",
+            report.shards_merged, report.points_merged, report.duplicates
         );
         for (path, bytes) in &report.torn {
             eprintln!(
-                "{}: {}: tolerated a {bytes}-byte torn tail",
-                spec.id,
+                "{id}: {}: tolerated a {bytes}-byte torn tail",
                 path.display()
             );
         }
         for q in &report.quarantined {
-            eprintln!("{}: quarantined shard: {q}", spec.id);
+            eprintln!("{id}: quarantined shard: {q}");
             worst = worst.max(match q {
                 ShardError::FingerprintMismatch { .. } => Exit::Mismatch,
                 _ => Exit::Io,
@@ -663,13 +647,85 @@ fn run_merge(args: &Args, sweep: &SweepConfig, dir: &str) -> ExitCode {
         }
         if report.missing_points > 0 {
             eprintln!(
-                "{}: {} point(s) not covered by any surviving shard",
-                spec.id, report.missing_points
+                "{id}: {} point(s) not covered by any surviving shard",
+                report.missing_points
             );
         }
         out.figure(&report.data, args.chart);
     }
     out.finish(args, worst)
+}
+
+/// Sweep mode: run every requested figure (under its `--journal`, when
+/// one is given) and render it. Timing goes to stderr: the stdout stream
+/// stays parseable (tables/CSV only) and byte-identical across `--jobs`
+/// settings and `--resume`.
+fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
+    let total_started = Instant::now();
+    let mut total_busy = Duration::ZERO;
+    let mut total_points = 0usize;
+    let mut out = Output::new();
+    for sweep in sweeps {
+        let id = sweep.spec.id;
+        let started = Instant::now();
+        // Only fresh points enter the executor (the rest are replayed),
+        // so its events time what this invocation itself simulated.
+        let mut fresh = 0usize;
+        let fresh_points = |ev: &ExecEvent| {
+            if let ExecEvent::Finished { wall, .. }
+            | ExecEvent::Panicked { wall, .. }
+            | ExecEvent::Deadlined { wall, .. } = ev
+            {
+                fresh += 1;
+                total_busy += *wall;
+            }
+        };
+        let data = match &args.journal {
+            None => sweep.run(None, fresh_points),
+            Some(base) => {
+                let jpath = format!("{base}.{id}");
+                let pass = with_journal(&jpath, sweep, args.resume, |journal| {
+                    sweep.run(Some(journal), fresh_points)
+                });
+                // A journal that stopped persisting costs nothing here:
+                // the results are complete in memory and on stdout.
+                match pass {
+                    Ok((data, _stopped)) => data,
+                    Err(code) => return code.into(),
+                }
+            }
+        };
+        // Every completed point carries its own wall time, journaled with
+        // it, so the per-series sums hold for replayed points too.
+        for s in &data.series {
+            let busy: Duration = s.metrics.iter().flatten().map(|m| m.wall).sum();
+            eprintln!(
+                "{id}: series {}: {busy:.1?} simulated across {} point(s)",
+                s.machine,
+                data.procs.len()
+            );
+        }
+        let points = data.series.len() * data.procs.len();
+        eprintln!(
+            "{id}: swept in {:.1?} ({fresh} fresh, {} replayed, {})",
+            started.elapsed(),
+            points - fresh,
+            jobs_label(args.jobs)
+        );
+        total_points += points;
+        out.figure(&data, args.chart);
+    }
+    let total_wall = total_started.elapsed();
+    eprintln!(
+        "total: {} figure(s), {} point(s), {:.1?} simulated in {:.1?} wall ({:.1}x, {})",
+        sweeps.len(),
+        total_points,
+        total_busy,
+        total_wall,
+        total_busy.as_secs_f64() / total_wall.as_secs_f64().max(1e-9),
+        jobs_label(args.jobs)
+    );
+    out.finish(args, Exit::Clean)
 }
 
 fn main() -> ExitCode {
@@ -678,7 +734,7 @@ fn main() -> ExitCode {
         run_ablation(which, args.jobs);
         return Exit::Clean.into();
     }
-    let sweep = SweepConfig {
+    let config = SweepConfig {
         jobs: args.jobs,
         budget: args
             .budget_events
@@ -689,102 +745,25 @@ fn main() -> ExitCode {
         telemetry: args
             .telemetry
             .as_ref()
-            .map(|_| TelemetryConfig::every_us(args.telemetry_interval_us)),
+            .map(|_| TelemetryConfig::every_us(args.telemetry_interval_us.unwrap_or(100))),
     };
+    // One sweep value per requested figure; every mode below takes these.
+    let sweeps: Vec<Sweep<'_>> = args
+        .figures
+        .iter()
+        .map(|&spec| Sweep {
+            spec,
+            size: args.size,
+            procs: &args.procs,
+            seed: args.seed,
+            config,
+        })
+        .collect();
     if let Some(dir) = &args.merge {
-        return run_merge(&args, &sweep, dir);
+        run_merge(&args, &sweeps, dir)
+    } else if let Some(shard) = args.shard {
+        run_shard(&args, &sweeps, shard)
+    } else {
+        run_sweeps(&args, &sweeps)
     }
-    if let Some(shard) = args.shard {
-        return run_shard(&args, &sweep, shard);
-    }
-    let total_started = Instant::now();
-    let mut total_busy = Duration::ZERO;
-    let mut total_points = 0usize;
-    let mut out = Output::new();
-    for spec in &args.figures {
-        let started = Instant::now();
-        let data = if let Some(base) = &args.journal {
-            // Under a resumed journal the fresh points are a sparse
-            // subset of the grid, so timing is one figure-level total.
-            let jpath = format!("{base}.{}", spec.id);
-            let pass = with_journal(&jpath, spec, &args, &sweep, |journal| {
-                let mut fresh_points = 0usize;
-                let data = run_figure_journaled(
-                    spec,
-                    args.size,
-                    &args.procs,
-                    args.seed,
-                    sweep,
-                    journal,
-                    |ev| {
-                        if let ExecEvent::Finished { wall, .. }
-                        | ExecEvent::Panicked { wall, .. }
-                        | ExecEvent::Deadlined { wall, .. } = ev
-                        {
-                            total_busy += *wall;
-                            fresh_points += 1;
-                        }
-                    },
-                );
-                eprintln!(
-                    "{}: journal {jpath}: {} point(s) replayed, {} run fresh",
-                    spec.id,
-                    journal.replayed(),
-                    fresh_points
-                );
-                data
-            });
-            // A journal that stopped persisting costs nothing here: the
-            // results are complete in memory and on stdout.
-            match pass {
-                Ok((data, _stopped)) => data,
-                Err(code) => return code.into(),
-            }
-        } else {
-            // Per-point wall times, folded per series by the observer as
-            // the pool reports completions (job indices are series-major).
-            let points_per_series = args.procs.len().max(1);
-            let mut series_busy = vec![Duration::ZERO; spec.machines.len()];
-            let data = run_figure_observed(spec, args.size, &args.procs, args.seed, sweep, |ev| {
-                if let ExecEvent::Finished { job, wall, .. }
-                | ExecEvent::Panicked { job, wall, .. }
-                | ExecEvent::Deadlined { job, wall, .. } = ev
-                {
-                    series_busy[job / points_per_series] += *wall;
-                }
-            });
-            // Timing goes to stderr: the stdout stream stays parseable
-            // (tables/CSV only) and byte-identical across --jobs settings.
-            for (s, busy) in data.series.iter().zip(&series_busy) {
-                eprintln!(
-                    "{}: series {}: {:.1?} simulated across {} point(s)",
-                    spec.id,
-                    s.machine,
-                    busy,
-                    data.procs.len()
-                );
-                total_busy += *busy;
-            }
-            data
-        };
-        eprintln!(
-            "{}: swept in {:.1?} ({})",
-            spec.id,
-            started.elapsed(),
-            jobs_label(args.jobs)
-        );
-        total_points += data.series.len() * data.procs.len();
-        out.figure(&data, args.chart);
-    }
-    let total_wall = total_started.elapsed();
-    eprintln!(
-        "total: {} figure(s), {} point(s), {:.1?} simulated in {:.1?} wall ({:.1}x, {})",
-        args.figures.len(),
-        total_points,
-        total_busy,
-        total_wall,
-        total_busy.as_secs_f64() / total_wall.as_secs_f64().max(1e-9),
-        jobs_label(args.jobs)
-    );
-    out.finish(&args, Exit::Clean)
 }

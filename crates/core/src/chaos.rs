@@ -14,7 +14,8 @@
 //!
 //! Anything else — a run that completes but renders different bytes —
 //! is silent divergence ([`ChaosError::Divergence`]) and fails the
-//! harness.
+//! harness. The sweep under test travels as a [`Sweep`]: its `config` is
+//! what reference and recovery runs use, its seed the default tear seed.
 //!
 //! Three drivers sit on top of the oracle:
 //!
@@ -41,51 +42,24 @@ use spasm_testkit::{gens, minimize, Gen, TestRng};
 
 use crate::figures::{self, FigureSpec};
 use crate::journal::SweepJournal;
-use crate::shard::{merge_shards_with, ShardSpec};
-use crate::sweep::{run_figure_journaled, run_figure_shard, FigureData, SweepConfig};
+use crate::shard::{merge_shards, ShardSpec};
+use crate::sweep::{FigureData, Sweep, SweepConfig};
 
-/// One figure sweep pinned down tightly enough for byte-identity
-/// comparisons: the figure, its size class, processor counts, seed, and
-/// the [`SweepConfig`] used for *recovery* runs (victim runs may use a
-/// different, fingerprint-compatible config — see
-/// [`verify_script_with`]).
-#[derive(Debug, Clone)]
-pub struct ChaosSweep {
-    /// The figure under test.
-    pub spec: &'static FigureSpec,
-    /// Problem size class for every point.
-    pub size: SizeClass,
-    /// Processor counts swept.
-    pub procs: Vec<usize>,
-    /// Base seed for the sweep (also the default tear seed).
-    pub seed: u64,
-    /// Configuration for the reference and recovery runs.
-    pub sweep: SweepConfig,
+/// The smallest interesting sweep of `spec`: test size, one processor
+/// count, default configuration. Fast enough to re-run hundreds of times
+/// inside the crash-point explorer.
+fn smoke(spec: &FigureSpec) -> Sweep<'_> {
+    Sweep::new(spec, SizeClass::Test, &[2], 42)
 }
 
-impl ChaosSweep {
-    /// The smallest interesting sweep of `spec`: test size, one
-    /// processor count, default configuration. Fast enough to re-run
-    /// hundreds of times inside the crash-point explorer.
-    pub fn smoke(spec: &'static FigureSpec) -> ChaosSweep {
-        ChaosSweep {
-            spec,
-            size: SizeClass::Test,
-            procs: vec![2],
-            seed: 42,
-            sweep: SweepConfig::default(),
-        }
-    }
+/// Total points `sweep` simulates (every machine × every processor
+/// count).
+pub fn total_points(sweep: &Sweep<'_>) -> usize {
+    sweep.spec.machines.len() * sweep.procs.len()
+}
 
-    /// Total points the sweep simulates (every machine × every
-    /// processor count).
-    pub fn total_points(&self) -> usize {
-        self.spec.machines.len() * self.procs.len()
-    }
-
-    fn journal_path(&self) -> PathBuf {
-        PathBuf::from(format!("/chaos/{}.journal", self.spec.id))
-    }
+fn journal_path(sweep: &Sweep<'_>) -> PathBuf {
+    PathBuf::from(format!("/chaos/{}.journal", sweep.spec.id))
 }
 
 /// The byte-identity surface the recovery oracle compares: CSV, the
@@ -161,28 +135,11 @@ fn divergence(script: &FaultScript, context: &str, expected: &str, got: &str) ->
 /// Runs the uninterrupted reference sweep on a pristine [`FaultVfs`]
 /// and returns its rendering plus the recorded I/O operation trace —
 /// the crash-point universe [`explore_crash_points`] walks.
-pub fn run_reference(cs: &ChaosSweep) -> Result<(String, Vec<TraceEntry>), ChaosError> {
+pub fn run_reference(cs: &Sweep<'_>) -> Result<(String, Vec<TraceEntry>), ChaosError> {
     let fault = Arc::new(FaultVfs::pristine());
-    let vfs: Arc<dyn Vfs> = fault.clone();
-    let journal = SweepJournal::create_with(
-        vfs,
-        cs.journal_path(),
-        cs.spec,
-        cs.size,
-        &cs.procs,
-        cs.seed,
-        &cs.sweep,
-    )
-    .map_err(|e| ChaosError::Harness(format!("reference journal create failed: {e}")))?;
-    let data = run_figure_journaled(
-        cs.spec,
-        cs.size,
-        &cs.procs,
-        cs.seed,
-        cs.sweep,
-        &journal,
-        |_| {},
-    );
+    let journal = SweepJournal::open(fault.clone(), journal_path(cs), cs, false)
+        .map_err(|e| ChaosError::Harness(format!("reference journal create failed: {e}")))?;
+    let data = cs.run(Some(&journal), |_| {});
     if let Some(err) = journal.io_error() {
         return Err(ChaosError::Harness(format!(
             "reference run hit a journal I/O error on a pristine vfs: {err}"
@@ -194,54 +151,41 @@ pub fn run_reference(cs: &ChaosSweep) -> Result<(String, Vec<TraceEntry>), Chaos
 /// Applies the recovery oracle to one fault script: run the victim
 /// sweep under the script, then keep power-cycling and resuming until
 /// an attempt finishes without crashing, and compare its rendering to
-/// `expected`. Victim and recovery both use [`ChaosSweep::sweep`].
+/// `expected`. Victim and recovery both use `cs`'s own config.
 pub fn verify_script(
-    cs: &ChaosSweep,
+    cs: &Sweep<'_>,
     expected: &str,
     script: &FaultScript,
 ) -> Result<CrashVerdict, ChaosError> {
-    verify_script_with(cs, &cs.sweep, expected, script)
+    verify_script_with(cs, &cs.config, expected, script)
 }
 
 /// [`verify_script`] with a distinct victim configuration. The victim
-/// config must be fingerprint-compatible with [`ChaosSweep::sweep`]
-/// (scheduling knobs like [`SweepConfig::deadline`] are excluded from
-/// the journal fingerprint precisely so this works); when the two
-/// configs differ the uncrashed-victim identity check is skipped, since
-/// e.g. a deadline legitimately cuts points until recovery re-runs
-/// them.
+/// config must be fingerprint-compatible with `cs`'s (scheduling knobs
+/// like [`SweepConfig::deadline`] are excluded from the journal
+/// fingerprint precisely so this works); when the two configs differ
+/// the uncrashed-victim identity check is skipped, since e.g. a
+/// deadline legitimately cuts points until recovery re-runs them.
 pub fn verify_script_with(
-    cs: &ChaosSweep,
+    cs: &Sweep<'_>,
     victim: &SweepConfig,
     expected: &str,
     script: &FaultScript,
 ) -> Result<CrashVerdict, ChaosError> {
     let fault = Arc::new(FaultVfs::new(script.clone()));
     let vfs: Arc<dyn Vfs> = fault.clone();
-    let path = cs.journal_path();
+    let path = journal_path(cs);
+    let victim = Sweep {
+        config: *victim,
+        ..*cs
+    };
 
     // Victim pass. Creation can fail under an immediate scripted fault
     // (the tool refuses to start); that leaves nothing durable, which
     // recovery below treats as a clean fresh start.
-    if let Ok(journal) = SweepJournal::create_with(
-        vfs.clone(),
-        &path,
-        cs.spec,
-        cs.size,
-        &cs.procs,
-        cs.seed,
-        victim,
-    ) {
-        let data = run_figure_journaled(
-            cs.spec,
-            cs.size,
-            &cs.procs,
-            cs.seed,
-            *victim,
-            &journal,
-            |_| {},
-        );
-        if !fault.crashed() && victim.deadline == cs.sweep.deadline {
+    if let Ok(journal) = SweepJournal::open(vfs.clone(), &path, &victim, false) {
+        let data = victim.run(Some(&journal), |_| {});
+        if !fault.crashed() && victim.config.deadline == cs.config.deadline {
             // Non-crash faults may wreck durability, but they must
             // never corrupt the in-memory figure of a run that was
             // allowed to finish.
@@ -263,26 +207,10 @@ pub fn verify_script_with(
     // fault-free attempt.
     for _ in 0..script.faults.len() + 2 {
         fault.reboot();
-        match SweepJournal::resume_with(
-            vfs.clone(),
-            &path,
-            cs.spec,
-            cs.size,
-            &cs.procs,
-            cs.seed,
-            &cs.sweep,
-        ) {
+        match SweepJournal::open(vfs.clone(), &path, cs, true) {
             Ok(journal) => {
                 let replayed = journal.replayed();
-                let data = run_figure_journaled(
-                    cs.spec,
-                    cs.size,
-                    &cs.procs,
-                    cs.seed,
-                    cs.sweep,
-                    &journal,
-                    |_| {},
-                );
+                let data = cs.run(Some(&journal), |_| {});
                 if fault.crashed() {
                     continue;
                 }
@@ -315,7 +243,7 @@ pub fn verify_script_with(
 /// the whole fleet is re-run (the operator's retry loop), so the merge
 /// only happens after a fully clean pass.
 pub fn verify_shard_script(
-    cs: &ChaosSweep,
+    cs: &Sweep<'_>,
     shards: usize,
     expected: &str,
     script: &FaultScript,
@@ -331,25 +259,8 @@ pub fn verify_shard_script(
     // crash (if any) takes the machine down.
     for &shard in &specs {
         let path = dir.join(shard.file_name(cs.spec.id));
-        if let Ok(journal) = SweepJournal::create_with(
-            vfs.clone(),
-            &path,
-            cs.spec,
-            cs.size,
-            &cs.procs,
-            cs.seed,
-            &cs.sweep,
-        ) {
-            run_figure_shard(
-                cs.spec,
-                cs.size,
-                &cs.procs,
-                cs.seed,
-                cs.sweep,
-                shard,
-                &journal,
-                |_| {},
-            );
+        if let Ok(journal) = SweepJournal::open(vfs.clone(), &path, cs, false) {
+            cs.run_shard(shard, &journal, |_| {});
         }
         if fault.crashed() {
             break;
@@ -361,26 +272,9 @@ pub fn verify_shard_script(
         let mut replayed = 0usize;
         for &shard in &specs {
             let path = dir.join(shard.file_name(cs.spec.id));
-            match SweepJournal::resume_with(
-                vfs.clone(),
-                &path,
-                cs.spec,
-                cs.size,
-                &cs.procs,
-                cs.seed,
-                &cs.sweep,
-            ) {
+            match SweepJournal::open(vfs.clone(), &path, cs, true) {
                 Ok(journal) => {
-                    let report = run_figure_shard(
-                        cs.spec,
-                        cs.size,
-                        &cs.procs,
-                        cs.seed,
-                        cs.sweep,
-                        shard,
-                        &journal,
-                        |_| {},
-                    );
+                    let report = cs.run_shard(shard, &journal, |_| {});
                     if fault.crashed() || journal.io_error().is_some() {
                         continue 'attempt;
                     }
@@ -396,10 +290,7 @@ pub fn verify_shard_script(
                 }
             }
         }
-        let report = merge_shards_with(
-            &*fault, &dir, cs.spec, cs.size, &cs.procs, cs.seed, &cs.sweep,
-        )
-        .map_err(|err| ChaosError::Divergence {
+        let report = merge_shards(&*fault, &dir, cs).map_err(|err| ChaosError::Divergence {
             script: script.clone(),
             detail: format!("shard merge failed after a clean recovery: {err}"),
         })?;
@@ -484,7 +375,7 @@ impl fmt::Display for CrashExploration {
 /// divergence found — the report itself proves "zero silent
 /// divergence" over every explored point.
 pub fn explore_crash_points(
-    cs: &ChaosSweep,
+    cs: &Sweep<'_>,
     torn_window: usize,
 ) -> Result<CrashExploration, ChaosError> {
     let (expected, trace) = run_reference(cs)?;
@@ -673,18 +564,18 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
             ));
         }
     };
-    let base = ChaosSweep::smoke(spec);
+    let base = smoke(spec);
     let deadline_victim = SweepConfig {
         deadline: Some(Duration::from_millis(1)),
-        ..base.sweep
+        ..base.config
     };
-    let faulted = ChaosSweep {
-        sweep: SweepConfig {
+    let faulted = Sweep {
+        config: SweepConfig {
             faults: Some(FaultPlan::chaos(config.seed)),
             check: CheckMode::On,
-            ..base.sweep
+            ..base.config
         },
-        ..base.clone()
+        ..base
     };
     let empty = FaultScript::default();
     let (expected_base, trace_base) =
@@ -787,9 +678,9 @@ pub struct ShrinkDemo {
 pub fn shrink_demo(seed: u64) -> Result<ShrinkDemo, ChaosError> {
     let spec = figures::by_id("F1")
         .ok_or_else(|| ChaosError::Harness("figure F1 is not registered".into()))?;
-    let cs = ChaosSweep::smoke(spec);
+    let cs = smoke(spec);
     let (expected, trace) = run_reference(&cs)?;
-    let total = cs.total_points();
+    let total = total_points(&cs);
     let last_sync = trace
         .iter()
         .rev()

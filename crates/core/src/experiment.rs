@@ -185,7 +185,7 @@ pub enum ExperimentError {
     /// model, or verifier) and was caught at the experiment boundary.
     Aborted(String),
     /// The point's job overran the sweep's per-job wall-clock deadline
-    /// and was cancelled by the executor's watchdog.
+    /// and was cancelled by the executor.
     Deadline {
         /// The deadline the job overran.
         limit: Duration,

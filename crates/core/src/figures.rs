@@ -1,7 +1,7 @@
 //! Declarative specifications of every figure in the paper's evaluation.
 //!
 //! Each [`FigureSpec`] names the application, network, metric, and machine
-//! series of one figure; [`crate::sweep::run_figure`] executes the
+//! series of one figure; [`crate::sweep::Sweep::run`] executes the
 //! processor sweep. The qualitative expectation recorded in `expect` is
 //! what EXPERIMENTS.md checks the reproduction against.
 

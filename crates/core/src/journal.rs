@@ -3,16 +3,17 @@
 //! A [`SweepJournal`] wraps a durable `spasm-journal` file with one
 //! record per *completed* sweep point — the point's identity (machine,
 //! processor count), its [`Outcome`] and, for successful points, the
-//! full [`RunMetrics`]. The file's header carries a fingerprint of
-//! everything that determines point outcomes (figure spec, size, procs
-//! grid, seed, machine configurations, resilience knobs), so a resume
+//! full [`RunMetrics`]. The file's header carries [`Sweep::fingerprint`]
+//! — everything that determines point outcomes (figure spec, size, procs
+//! grid, seed, machine configurations, resilience knobs) — so a resume
 //! against a journal written under a different configuration fails with
-//! a typed error instead of silently mixing incompatible results.
+//! a typed error instead of silently mixing incompatible results, and
+//! [`Sweep::run`] refuses a journal opened for another sweep.
 //!
 //! Only completed *attempt cycles* are journaled: a point that ran to a
 //! verdict (`Ok`, or `Failed` with `attempts >= 1`) is durable, while
-//! job-level casualties — points killed by the deadline watchdog or
-//! lost to a SIGKILL — are not, so a resumed sweep re-runs exactly those
+//! job-level casualties — points cut by the deadline or lost to a
+//! SIGKILL — are not, so a resumed sweep re-runs exactly those
 //! and converges on the same [`crate::sweep::FigureData`] an
 //! uninterrupted run produces, byte-for-byte (failure reasons replay
 //! verbatim via [`ExperimentError::Replayed`]).
@@ -28,7 +29,7 @@ use spasm_journal::{DirSyncWarning, Fingerprint, Journal, JournalError, RealVfs,
 use spasm_machine::IntervalRecord;
 
 use crate::figures::FigureSpec;
-use crate::sweep::{Outcome, SweepConfig, MAX_ATTEMPTS};
+use crate::sweep::{Outcome, PointVerdict, Sweep, SweepConfig, MAX_ATTEMPTS};
 use crate::{ExperimentError, Machine, RunMetrics};
 
 /// Why a journal could not be created, opened, or replayed.
@@ -80,64 +81,68 @@ impl ResumeError {
     }
 }
 
-/// Fingerprint of everything that determines a sweep's point outcomes.
-///
-/// Scheduling knobs are deliberately excluded — `jobs` and `deadline`
-/// change *when* points run, not what they compute, and a sweep may
-/// legitimately be resumed with more workers or a longer deadline than
-/// the run that was killed.
-pub fn sweep_fingerprint(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: &SweepConfig,
-) -> u64 {
-    let mut fp = Fingerprint::new();
-    // v2: records carry interval telemetry and the fingerprint absorbs
-    // the telemetry knob plus dynamic-app definitions; v1 journals are
-    // refused typed rather than mis-decoded.
-    fp.absorb_str("spasm-sweep-v2");
-    // The shard contract rides in the fingerprint: per-shard journals
-    // and a serial journal of the same sweep interoperate, while shards
-    // cut under a different point→shard mapping are refused by
-    // `shard::merge_shards` instead of silently mis-merged.
-    fp.absorb_str(crate::shard::CONTRACT);
-    fp.absorb_str(spec.id);
-    fp.absorb_str(&spec.app.to_string());
-    // A dynamically registered app (a compiled scenario) is identified
-    // by its canonical definition text, not just its name: journals
-    // written under one scenario file refuse to resume under an edited
-    // one even when the name is reused. Built-ins contribute a fixed
-    // empty detail.
-    fp.absorb_str(spec.app.fingerprint_detail().unwrap_or(""));
-    fp.absorb_str(&spec.net.to_string());
-    fp.absorb_str(&format!("{:?}", spec.metric));
-    fp.absorb_u64(spec.machines.len() as u64);
-    for &m in spec.machines {
-        fp.absorb_str(&m.to_string());
-        m.config().absorb_fingerprint(&mut fp);
+impl Sweep<'_> {
+    /// Fingerprint of everything that determines this sweep's point
+    /// outcomes — what a journal's header certifies.
+    ///
+    /// Scheduling knobs are deliberately excluded — `jobs` and `deadline`
+    /// change *when* points run, not what they compute, and a sweep may
+    /// legitimately be resumed with more workers or a longer deadline than
+    /// the run that was killed.
+    pub fn fingerprint(&self) -> u64 {
+        let Sweep {
+            spec,
+            size,
+            procs,
+            seed,
+            config,
+        } = *self;
+        let mut fp = Fingerprint::new();
+        // v2: records carry interval telemetry and the fingerprint absorbs
+        // the telemetry knob plus dynamic-app definitions; v1 journals are
+        // refused typed rather than mis-decoded.
+        fp.absorb_str("spasm-sweep-v2");
+        // The shard contract rides in the fingerprint: per-shard journals
+        // and a serial journal of the same sweep interoperate, while shards
+        // cut under a different point→shard mapping are refused by
+        // `shard::merge_shards` instead of silently mis-merged.
+        fp.absorb_str(crate::shard::CONTRACT);
+        fp.absorb_str(spec.id);
+        fp.absorb_str(&spec.app.to_string());
+        // A dynamically registered app (a compiled scenario) is identified
+        // by its canonical definition text, not just its name: journals
+        // written under one scenario file refuse to resume under an edited
+        // one even when the name is reused. Built-ins contribute a fixed
+        // empty detail.
+        fp.absorb_str(spec.app.fingerprint_detail().unwrap_or(""));
+        fp.absorb_str(&spec.net.to_string());
+        fp.absorb_str(&format!("{:?}", spec.metric));
+        fp.absorb_u64(spec.machines.len() as u64);
+        for &m in spec.machines {
+            fp.absorb_str(&m.to_string());
+            m.config().absorb_fingerprint(&mut fp);
+        }
+        fp.absorb_str(&format!("{size:?}"));
+        fp.absorb_u64(procs.len() as u64);
+        for &p in procs {
+            fp.absorb_u64(p as u64);
+        }
+        fp.absorb_u64(seed);
+        fp.absorb_str(&format!("{:?}", config.faults));
+        fp.absorb_str(&format!("{:?}", config.budget));
+        // The attempt ceiling was once a per-sweep knob absorbed here; the
+        // constant keeps its slot so journals written back then stay valid.
+        fp.absorb_u64(u64::from(MAX_ATTEMPTS));
+        fp.absorb_str(&format!("{:?}", config.check));
+        // Likewise the slot of a removed sweep-wide event budget, which every
+        // journal ever written by `figures` absorbed as its unset rendering.
+        fp.absorb_str("None");
+        fp.absorb_str(&format!("{:?}", config.telemetry));
+        // And the slot of the engine selector retired with Time Warp, which
+        // every un-faulted journal on disk absorbed as this rendering.
+        fp.absorb_str("Sequential");
+        fp.finish()
     }
-    fp.absorb_str(&format!("{size:?}"));
-    fp.absorb_u64(procs.len() as u64);
-    for &p in procs {
-        fp.absorb_u64(p as u64);
-    }
-    fp.absorb_u64(seed);
-    fp.absorb_str(&format!("{:?}", sweep.faults));
-    fp.absorb_str(&format!("{:?}", sweep.budget));
-    // The attempt ceiling was once a per-sweep knob absorbed here; the
-    // constant keeps its slot so journals written back then stay valid.
-    fp.absorb_u64(u64::from(MAX_ATTEMPTS));
-    fp.absorb_str(&format!("{:?}", sweep.check));
-    // Likewise the slot of a removed sweep-wide event budget, which every
-    // journal ever written by `figures` absorbed as its unset rendering.
-    fp.absorb_str("None");
-    fp.absorb_str(&format!("{:?}", sweep.telemetry));
-    // And the slot of the engine selector retired with Time Warp, which
-    // every un-faulted journal on disk absorbed as this rendering.
-    fp.absorb_str("Sequential");
-    fp.finish()
 }
 
 /// A decoded journal record, held for replay (also the unit
@@ -148,6 +153,25 @@ pub(crate) enum ReplayPoint {
     Failed { reason: String, attempts: u32 },
 }
 
+impl ReplayPoint {
+    /// The verdict this record replays as. Failed points come back as
+    /// [`ExperimentError::Replayed`] carrying the original error's
+    /// rendering verbatim.
+    pub(crate) fn verdict(&self) -> PointVerdict {
+        match self {
+            ReplayPoint::Ok(m, telemetry) => (Outcome::Ok, Some(*m), telemetry.clone()),
+            ReplayPoint::Failed { reason, attempts } => (
+                Outcome::Failed {
+                    error: ExperimentError::Replayed(reason.clone()),
+                    attempts: *attempts,
+                },
+                None,
+                Vec::new(),
+            ),
+        }
+    }
+}
+
 /// A durable journal bound to one figure sweep, usable from worker
 /// threads (appends serialize on an internal mutex; each append is a
 /// full atomic rewrite, cheap next to a multi-second simulation).
@@ -156,6 +180,8 @@ pub struct SweepJournal {
     inner: Mutex<Inner>,
     replay: HashMap<(Machine, usize), ReplayPoint>,
     repaired_bytes: usize,
+    /// The header's fingerprint: the one sweep this journal serves.
+    fingerprint: u64,
 }
 
 #[derive(Debug)]
@@ -168,91 +194,74 @@ struct Inner {
 }
 
 impl SweepJournal {
-    /// Creates a fresh journal for this sweep. Refuses to clobber an
-    /// existing file — resuming must be an explicit choice.
-    pub fn create(
-        path: impl AsRef<Path>,
-        spec: &FigureSpec,
-        size: SizeClass,
-        procs: &[usize],
-        seed: u64,
-        sweep: &SweepConfig,
-    ) -> Result<SweepJournal, ResumeError> {
-        SweepJournal::create_with(Arc::new(RealVfs), path, spec, size, procs, seed, sweep)
-    }
-
-    /// [`SweepJournal::create`] on an explicit [`Vfs`] — the entry point
-    /// the chaos harness drives with a fault-scripted filesystem.
-    #[allow(clippy::too_many_arguments)] // mirrors create + the vfs
-    pub fn create_with(
+    /// Opens the journal of `sweep` at `path` on `vfs` (the disk is
+    /// `Arc::new(RealVfs)`; the chaos harness passes a fault-scripted
+    /// filesystem).
+    ///
+    /// With `resume` off this creates a fresh journal and refuses to
+    /// clobber an existing file — resuming must be an explicit choice.
+    /// With `resume` on an existing file is validated against
+    /// [`Sweep::fingerprint`], a torn tail is repaired and every intact
+    /// record is loaded for replay; a missing file is created (resuming
+    /// nothing is a clean start, which makes retry loops idempotent).
+    pub fn open(
         vfs: Arc<dyn Vfs>,
         path: impl AsRef<Path>,
-        spec: &FigureSpec,
-        size: SizeClass,
-        procs: &[usize],
-        seed: u64,
-        sweep: &SweepConfig,
-    ) -> Result<SweepJournal, ResumeError> {
-        let fp = sweep_fingerprint(spec, size, procs, seed, sweep);
-        let journal = Journal::create_with(vfs, path, fp)?;
-        Ok(SweepJournal {
-            inner: Mutex::new(Inner {
-                journal,
-                io_error: None,
-            }),
-            replay: HashMap::new(),
-            repaired_bytes: 0,
-        })
-    }
-
-    /// Opens an existing journal for resumption — validating its
-    /// fingerprint against this sweep's configuration, repairing a torn
-    /// tail, and loading every intact record for replay — or creates a
-    /// fresh one if `path` does not exist (resuming nothing is a clean
-    /// start, which makes retry loops idempotent).
-    pub fn resume(
-        path: impl AsRef<Path>,
-        spec: &FigureSpec,
-        size: SizeClass,
-        procs: &[usize],
-        seed: u64,
-        sweep: &SweepConfig,
-    ) -> Result<SweepJournal, ResumeError> {
-        SweepJournal::resume_with(Arc::new(RealVfs), path, spec, size, procs, seed, sweep)
-    }
-
-    /// [`SweepJournal::resume`] on an explicit [`Vfs`] — the recovery
-    /// entry point the chaos harness's crash-point oracle exercises.
-    #[allow(clippy::too_many_arguments)] // mirrors resume + the vfs
-    pub fn resume_with(
-        vfs: Arc<dyn Vfs>,
-        path: impl AsRef<Path>,
-        spec: &FigureSpec,
-        size: SizeClass,
-        procs: &[usize],
-        seed: u64,
-        sweep: &SweepConfig,
+        sweep: &Sweep<'_>,
+        resume: bool,
     ) -> Result<SweepJournal, ResumeError> {
         let path = path.as_ref();
-        if !vfs.exists(path) {
-            return SweepJournal::create_with(vfs, path, spec, size, procs, seed, sweep);
-        }
-        let fp = sweep_fingerprint(spec, size, procs, seed, sweep);
-        let (journal, recovery) = Journal::open_with(vfs, path, fp)?;
+        let fingerprint = sweep.fingerprint();
         let mut replay = HashMap::new();
-        for (index, record) in recovery.records.iter().enumerate() {
-            let (machine, procs, point) =
-                decode_point(record).map_err(|detail| ResumeError::BadRecord { index, detail })?;
-            replay.insert((machine, procs), point);
-        }
+        let mut repaired_bytes = 0;
+        let journal = if resume && vfs.exists(path) {
+            let (journal, recovery) = Journal::open_with(vfs, path, fingerprint)?;
+            for (index, record) in recovery.records.iter().enumerate() {
+                let (machine, procs, point) = decode_point(record)
+                    .map_err(|detail| ResumeError::BadRecord { index, detail })?;
+                replay.insert((machine, procs), point);
+            }
+            repaired_bytes = recovery.truncated_bytes;
+            journal
+        } else {
+            Journal::create_with(vfs, path, fingerprint)?
+        };
         Ok(SweepJournal {
             inner: Mutex::new(Inner {
                 journal,
                 io_error: None,
             }),
             replay,
-            repaired_bytes: recovery.truncated_bytes,
+            repaired_bytes,
+            fingerprint,
         })
+    }
+
+    /// Remnant of the positional constructors: [`SweepJournal::open`] on the
+    /// disk, resuming. Stays because `benchmark/src/fleet.rs::load` calls it;
+    /// goes when that stops.
+    pub fn resume(
+        path: impl AsRef<Path>,
+        spec: &FigureSpec,
+        size: SizeClass,
+        procs: &[usize],
+        seed: u64,
+        config: &SweepConfig,
+    ) -> Result<SweepJournal, ResumeError> {
+        let sweep = Sweep {
+            spec,
+            size,
+            procs,
+            seed,
+            config: *config,
+        };
+        SweepJournal::open(Arc::new(RealVfs), path, &sweep, true)
+    }
+
+    /// Fingerprint of the sweep this journal was opened for; the only
+    /// sweep [`Sweep::run`] lets it serve.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Number of points loaded for replay.
@@ -287,25 +296,9 @@ impl SweepJournal {
             .dir_sync_warning()
     }
 
-    /// The journaled verdict for a point, if one exists. Failed points
-    /// come back as [`ExperimentError::Replayed`] carrying the original
-    /// error's rendering verbatim.
-    pub(crate) fn lookup(
-        &self,
-        machine: Machine,
-        procs: usize,
-    ) -> Option<(Outcome, Option<RunMetrics>, Vec<IntervalRecord>)> {
-        match self.replay.get(&(machine, procs))? {
-            ReplayPoint::Ok(m, telemetry) => Some((Outcome::Ok, Some(*m), telemetry.clone())),
-            ReplayPoint::Failed { reason, attempts } => Some((
-                Outcome::Failed {
-                    error: ExperimentError::Replayed(reason.clone()),
-                    attempts: *attempts,
-                },
-                None,
-                Vec::new(),
-            )),
-        }
+    /// The journaled verdict for a point, if one exists.
+    pub(crate) fn lookup(&self, machine: Machine, procs: usize) -> Option<PointVerdict> {
+        self.replay.get(&(machine, procs)).map(ReplayPoint::verdict)
     }
 
     /// Appends one completed point. Called from worker threads as points
@@ -648,61 +641,54 @@ mod tests {
     #[test]
     fn fingerprint_separates_every_outcome_affecting_knob() {
         let spec = figures::by_id("F1").unwrap();
-        let base = sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &SweepConfig::default());
+        let base = Sweep::new(spec, SizeClass::Test, &[2, 4], 5);
+        let fp = base.fingerprint();
         // Same inputs, same fingerprint.
         assert_eq!(
-            base,
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &SweepConfig::default())
+            fp,
+            Sweep::new(spec, SizeClass::Test, &[2, 4], 5).fingerprint()
         );
-        // Each knob separates.
-        let other_spec = figures::by_id("F2").unwrap();
-        assert_ne!(
-            base,
-            sweep_fingerprint(
-                other_spec,
-                SizeClass::Test,
-                &[2, 4],
-                5,
-                &SweepConfig::default()
-            )
-        );
-        assert_ne!(
-            base,
-            sweep_fingerprint(spec, SizeClass::Small, &[2, 4], 5, &SweepConfig::default())
-        );
-        assert_ne!(
-            base,
-            sweep_fingerprint(
-                spec,
-                SizeClass::Test,
-                &[2, 4, 8],
-                5,
-                &SweepConfig::default()
-            )
-        );
-        assert_ne!(
-            base,
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 6, &SweepConfig::default())
-        );
-        // Telemetry changes what every record carries, so it separates.
+        let with = |config| Sweep { config, ..base };
+        // Each knob separates; telemetry too, since it changes what every
+        // record carries.
         let instrumented = SweepConfig {
             telemetry: Some(spasm_machine::TelemetryConfig::every_us(100)),
             ..SweepConfig::default()
         };
-        assert_ne!(
-            base,
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &instrumented)
-        );
+        for (knob, other) in [
+            (
+                "spec",
+                Sweep {
+                    spec: figures::by_id("F2").unwrap(),
+                    ..base
+                },
+            ),
+            (
+                "size",
+                Sweep {
+                    size: SizeClass::Small,
+                    ..base
+                },
+            ),
+            (
+                "procs",
+                Sweep {
+                    procs: &[2, 4, 8],
+                    ..base
+                },
+            ),
+            ("seed", Sweep { seed: 6, ..base }),
+            ("telemetry", with(instrumented)),
+        ] {
+            assert_ne!(fp, other.fingerprint(), "{knob}");
+        }
         // Scheduling knobs do NOT separate: resume may change them.
         let rescheduled = SweepConfig {
             jobs: 7,
             deadline: Some(Duration::from_secs(30)),
             ..SweepConfig::default()
         };
-        assert_eq!(
-            base,
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &rescheduled)
-        );
+        assert_eq!(fp, with(rescheduled).fingerprint());
     }
 
     #[test]
@@ -712,16 +698,18 @@ mod tests {
         // order, or to the three constants kept in their slots, orphans
         // every journal and shard written so far, and fails here first.
         let spec = figures::by_id("F1").unwrap();
-        assert_eq!(
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &SweepConfig::default()),
-            0xe152_ea82_c8d8_8aa5
-        );
+        let base = Sweep::new(spec, SizeClass::Test, &[2, 4], 5);
+        assert_eq!(base.fingerprint(), 0xe152_ea82_c8d8_8aa5);
         let instrumented = SweepConfig {
             telemetry: Some(spasm_machine::TelemetryConfig::every_us(100)),
             ..SweepConfig::default()
         };
         assert_eq!(
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &instrumented),
+            Sweep {
+                config: instrumented,
+                ..base
+            }
+            .fingerprint(),
             0x8c82_8994_495c_1fef
         );
     }
@@ -729,9 +717,9 @@ mod tests {
     #[test]
     fn create_refuses_existing_and_resume_replays() {
         let spec = figures::by_id("F12").unwrap();
-        let sweep = SweepConfig::default();
+        let sweep = Sweep::new(spec, SizeClass::Test, &[2], 5);
         let path = scratch("create-resume");
-        let j = SweepJournal::create(&path, spec, SizeClass::Test, &[2], 5, &sweep).unwrap();
+        let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).unwrap();
         j.record(
             Machine::Pram,
             2,
@@ -753,13 +741,13 @@ mod tests {
         drop(j);
 
         // A second create must refuse the existing file.
-        match SweepJournal::create(&path, spec, SizeClass::Test, &[2], 5, &sweep) {
+        match SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false) {
             Err(ResumeError::Journal(JournalError::AlreadyExists { .. })) => {}
             other => panic!("expected AlreadyExists, got {other:?}"),
         }
 
         // Resume replays both points, typed and verbatim.
-        let r = SweepJournal::resume(&path, spec, SizeClass::Test, &[2], 5, &sweep).unwrap();
+        let r = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, true).unwrap();
         assert_eq!(r.replayed(), 2);
         assert_eq!(r.repaired_bytes(), 0);
         let (outcome, metrics, telemetry) = r.lookup(Machine::Pram, 2).unwrap();
@@ -780,7 +768,7 @@ mod tests {
         assert!(r.lookup(Machine::LogP, 2).is_none());
 
         // Resume under a different seed must refuse the journal.
-        match SweepJournal::resume(&path, spec, SizeClass::Test, &[2], 6, &sweep) {
+        match SweepJournal::open(Arc::new(RealVfs), &path, &Sweep { seed: 6, ..sweep }, true) {
             Err(e) => assert!(e.is_fingerprint_mismatch(), "{e}"),
             Ok(_) => panic!("fingerprint mismatch accepted"),
         }
@@ -791,15 +779,8 @@ mod tests {
     fn resume_of_a_missing_path_is_a_clean_start() {
         let spec = figures::by_id("F12").unwrap();
         let path = scratch("resume-fresh");
-        let j = SweepJournal::resume(
-            &path,
-            spec,
-            SizeClass::Test,
-            &[2],
-            5,
-            &SweepConfig::default(),
-        )
-        .unwrap();
+        let sweep = Sweep::new(spec, SizeClass::Test, &[2], 5);
+        let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, true).unwrap();
         assert_eq!(j.replayed(), 0);
         assert!(
             path.exists(),

@@ -9,8 +9,11 @@
 //!   simulation with verification, producing [`RunMetrics`];
 //! * [`figures`] — the declarative specs for Figures 1–20 plus the §7
 //!   simulation-speed study (S1) and the gap-policy ablation (A1);
-//! * [`sweep`] — drives a figure's processor sweep across its series and
-//!   renders aligned tables / CSV.
+//! * [`sweep`] — [`sweep::Sweep`], one figure's processor sweep as a
+//!   value: run it (resiliently, in parallel, under an optional
+//!   [`journal`]), shard it across worker processes ([`shard`]), and
+//!   render aligned tables / CSV;
+//! * [`chaos`] — the crash-consistency harness over journaled sweeps.
 //!
 //! # Example
 //!

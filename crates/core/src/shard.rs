@@ -11,7 +11,7 @@
 //! other configuration difference — is refused, never merged.
 //!
 //! Each worker runs only its own points through the journaled sweep
-//! path ([`crate::sweep::run_figure_shard`]) into a per-shard journal
+//! path ([`Sweep::run_shard`]) into a per-shard journal
 //! named by [`ShardSpec::file_name`]. [`merge_shards`] then reassembles
 //! any set of shard journals into a [`FigureData`] whose renderings are
 //! byte-identical to a single-process serial run:
@@ -34,12 +34,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use spasm_apps::SizeClass;
-use spasm_journal::{Journal, JournalError, RealVfs, Vfs};
+use spasm_journal::{Journal, JournalError, Vfs};
 
-use crate::figures::FigureSpec;
-use crate::journal::{decode_point, sweep_fingerprint, ReplayPoint};
-use crate::sweep::{extract, FigureData, Outcome, Series, SweepConfig};
+use crate::journal::{decode_point, ReplayPoint};
+use crate::sweep::{FigureData, Outcome, Sweep};
 use crate::{ExperimentError, Machine, RunMetrics};
 
 /// Whether two records of the same point agree on everything the
@@ -248,11 +246,12 @@ pub struct MergeReport {
     pub missing_points: usize,
 }
 
-/// Reassembles the per-shard journals for `spec` found in `dir` into a
-/// full figure, byte-identical to a serial run when every point is
-/// covered. See the module docs for the robustness ladder (torn tails
-/// tolerated, corrupt/mismatched shards quarantined, overlaps
-/// deduplicated-then-conflict-checked, missing points salvaged).
+/// Reassembles the per-shard journals of `sweep` found in `dir` (on
+/// `vfs`: `&RealVfs` for the disk) into a full figure, byte-identical to
+/// a serial run when every point is covered. See the module docs for
+/// the robustness ladder (torn tails tolerated, corrupt/mismatched
+/// shards quarantined, overlaps deduplicated-then-conflict-checked,
+/// missing points salvaged).
 ///
 /// Purely a reader: no simulation runs, and no shard file is modified.
 ///
@@ -263,29 +262,12 @@ pub struct MergeReport {
 /// point's result. Corrupt and mismatched shards are *not* errors here;
 /// they are quarantined into [`MergeReport::quarantined`].
 pub fn merge_shards(
-    dir: &Path,
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: &SweepConfig,
-) -> Result<MergeReport, ShardError> {
-    merge_shards_with(&RealVfs, dir, spec, size, procs, seed, sweep)
-}
-
-/// [`merge_shards`] on an explicit [`Vfs`] — the entry point the chaos
-/// harness drives against crashed, fault-scripted shard directories.
-#[allow(clippy::too_many_arguments)] // mirrors merge_shards + the vfs
-pub fn merge_shards_with(
     vfs: &dyn Vfs,
     dir: &Path,
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: &SweepConfig,
+    sweep: &Sweep<'_>,
 ) -> Result<MergeReport, ShardError> {
-    let fp = sweep_fingerprint(spec, size, procs, seed, sweep);
+    let spec = sweep.spec;
+    let fp = sweep.fingerprint();
 
     // Discover this figure's shard files, ignoring stray non-shard
     // entries (CSVs, notes, other figures' journals). Sorted by
@@ -398,63 +380,30 @@ pub fn merge_shards_with(
     // recovered points verbatim, uncovered points as salvaged FAILED
     // cells naming the shard that should have produced them.
     let mut missing_points = 0usize;
-    let mut series = Vec::with_capacity(spec.machines.len());
-    for (mi, &machine) in spec.machines.iter().enumerate() {
-        let mut values = Vec::with_capacity(procs.len());
-        let mut metrics = Vec::with_capacity(procs.len());
-        let mut outcomes = Vec::with_capacity(procs.len());
-        let mut telemetry = Vec::with_capacity(procs.len());
-        for (pi, &p) in procs.iter().enumerate() {
-            let (outcome, m, intervals) = match merged.get(&(machine, p)) {
-                Some((ReplayPoint::Ok(m, t), _)) => (Outcome::Ok, Some(*m), t.clone()),
-                Some((ReplayPoint::Failed { reason, attempts }, _)) => (
-                    Outcome::Failed {
-                        error: ExperimentError::Replayed(reason.clone()),
-                        attempts: *attempts,
-                    },
-                    None,
-                    Vec::new(),
-                ),
-                None => {
-                    missing_points += 1;
-                    let owner = (mi * procs.len() + pi) % width + 1;
-                    (
-                        Outcome::Failed {
-                            error: ExperimentError::Replayed(format!(
-                                "point not merged: shard {owner}/{width} \
-                                 ({}) is absent, incomplete, or quarantined",
-                                ShardSpec {
-                                    index: owner,
-                                    count: width
-                                }
-                                .file_name(spec.id)
-                            )),
-                            attempts: 0,
-                        },
-                        None,
-                        Vec::new(),
-                    )
-                }
+    let data = FigureData::assemble(sweep, |machine, p, i| match merged.get(&(machine, p)) {
+        Some((point, _)) => point.verdict(),
+        None => {
+            missing_points += 1;
+            let owner = ShardSpec {
+                index: i % width + 1,
+                count: width,
             };
-            values.push(m.as_ref().map_or(f64::NAN, |m| extract(spec.metric, m)));
-            metrics.push(m);
-            outcomes.push(outcome);
-            telemetry.push(intervals);
+            (
+                Outcome::Failed {
+                    error: ExperimentError::Replayed(format!(
+                        "point not merged: shard {owner} ({}) is absent, \
+                         incomplete, or quarantined",
+                        owner.file_name(spec.id)
+                    )),
+                    attempts: 0,
+                },
+                None,
+                Vec::new(),
+            )
         }
-        series.push(Series {
-            machine,
-            values,
-            metrics,
-            outcomes,
-            telemetry,
-        });
-    }
+    });
     Ok(MergeReport {
-        data: FigureData {
-            spec: *spec,
-            procs: procs.to_vec(),
-            series,
-        },
+        data,
         shards_merged,
         points_merged,
         duplicates,

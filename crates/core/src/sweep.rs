@@ -1,5 +1,10 @@
 //! Processor sweeps over a figure's series, with table/CSV rendering.
 //!
+//! A sweep is one value, [`Sweep`]: [`Sweep::run`] produces the figure
+//! (under an optional [`SweepJournal`]), [`Sweep::run_shard`] one fleet
+//! worker's slice of it, [`Sweep::fingerprint`] what a journal header
+//! certifies, and [`crate::shard::merge_shards`] reassembles it.
+//!
 //! Sweeps are *resilient*: a failed point (invalid configuration,
 //! exhausted budget, deadlock, wrong answer) is recorded as a
 //! [`Outcome::Failed`] cell instead of aborting the whole figure, and
@@ -95,8 +100,8 @@ pub struct SweepConfig {
     /// invariant fails the point (never retried — the checkers are
     /// deterministic) without failing the figure.
     pub check: CheckMode,
-    /// Per-point wall-clock deadline, enforced by the executor's
-    /// watchdog: an overdue point is cancelled (cooperatively — the
+    /// Per-point wall-clock deadline, read off the executor's monotonic
+    /// clock: an overdue point is cancelled (cooperatively — the
     /// simulation thread is never killed) and fails typed as
     /// [`ExperimentError::Deadline`]. `None` (the default) never
     /// deadlines. A scheduling knob: it does not enter the sweep's
@@ -165,66 +170,24 @@ pub fn extract(metric: Metric, m: &RunMetrics) -> f64 {
     }
 }
 
-/// Runs the full processor sweep for one figure with default resilience
-/// settings (no faults, no budget). Never fails as a whole: each point
-/// carries its own [`Outcome`].
-pub fn run_figure(spec: &FigureSpec, size: SizeClass, procs: &[usize], seed: u64) -> FigureData {
-    run_figure_with(spec, size, procs, seed, SweepConfig::default())
-}
-
-/// Runs the sweep under explicit resilience settings: optional fault
-/// injection, per-run budgets, bounded reseeded retries for budget-class
-/// failures, and a worker pool sized by [`SweepConfig::jobs`].
-pub fn run_figure_with(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: SweepConfig,
-) -> FigureData {
-    run_figure_observed(spec, size, procs, seed, sweep, |_| {})
-}
-
-/// [`run_figure_with`], streaming executor progress events (queue /
-/// start / finish, per-point wall time and fault counts) to `observe` on
-/// the calling thread — the hook the `figures` CLI uses for live timing.
-///
-/// Points are submitted series-major (every processor count of the first
-/// machine, then the second, …), exactly the serial iteration order, and
-/// results are reassembled by submission index, so the returned
-/// [`FigureData`] does not depend on scheduling.
-pub fn run_figure_observed(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: SweepConfig,
-    observe: impl FnMut(&ExecEvent),
-) -> FigureData {
-    run_figure_inner(spec, size, procs, seed, sweep, None, observe)
-}
-
-/// [`run_figure_observed`] under a durable [`SweepJournal`]: points the
-/// journal already holds are replayed without simulating (and without
-/// entering the executor, so the observer sees only fresh points), and
-/// every freshly completed point is appended to the journal before its
-/// result is assembled. Kill this at any moment and re-run with a
-/// resumed journal: the final [`FigureData`] is byte-identical to an
-/// uninterrupted sweep.
-///
-/// Points that never completed an attempt cycle — overrun by the
-/// deadline watchdog or lost to the crash itself — are *not* journaled,
-/// so a resume re-runs them.
-pub fn run_figure_journaled(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: SweepConfig,
-    journal: &SweepJournal,
-    observe: impl FnMut(&ExecEvent),
-) -> FigureData {
-    run_figure_inner(spec, size, procs, seed, sweep, Some(journal), observe)
+/// One figure sweep as a value: what is swept (`spec`), at which size,
+/// over which processor counts, from which seed, under which
+/// [`SweepConfig`]. Everything that runs, journals, shards or merges a
+/// sweep takes one of these, so the run that appends to a journal and
+/// the header that certifies it cannot name different sweeps. Variants
+/// derive by struct update: `Sweep { seed: 6, ..base }`.
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep<'a> {
+    /// The figure swept.
+    pub spec: &'a FigureSpec,
+    /// Problem size class of every point.
+    pub size: SizeClass,
+    /// Processor counts swept.
+    pub procs: &'a [usize],
+    /// Base seed of every point.
+    pub seed: u64,
+    /// Resilience and scheduling knobs.
+    pub config: SweepConfig,
 }
 
 /// What one shard worker's pass over its points amounted to.
@@ -241,150 +204,214 @@ pub struct ShardRunReport {
     pub failed: usize,
 }
 
-/// Runs only the points shard `shard` owns (see
-/// [`crate::shard::ShardSpec::owns`]) through the journaled sweep path:
-/// one worker process's slice of a fleet-wide figure sweep.
-///
-/// No [`FigureData`] is assembled — a shard's output *is* its journal,
-/// which [`crate::shard::merge_shards`] later reassembles byte-identically
-/// to a serial run. Kill this worker at any moment and re-run it with a
-/// resumed journal: completed points replay, the rest re-run, and the
-/// shard converges on the same records.
-#[allow(clippy::too_many_arguments)] // mirrors run_figure_journaled + the shard
-pub fn run_figure_shard(
+/// One point's verdict: replayed from a journal or fresh from a run.
+pub(crate) type PointVerdict = (Outcome, Option<RunMetrics>, Vec<IntervalRecord>);
+
+impl<'a> Sweep<'a> {
+    /// The sweep of `spec` under default resilience settings (no faults,
+    /// no budget, serial).
+    pub fn new(spec: &'a FigureSpec, size: SizeClass, procs: &'a [usize], seed: u64) -> Self {
+        Sweep {
+            spec,
+            size,
+            procs,
+            seed,
+            config: SweepConfig::default(),
+        }
+    }
+
+    /// Runs the full processor sweep. Never fails as a whole: each point
+    /// carries its own [`Outcome`], budget-class failures under a fault
+    /// plan get bounded reseeded retries, and [`SweepConfig::jobs`] sizes
+    /// the worker pool.
+    ///
+    /// Points are submitted series-major (every processor count of the
+    /// first machine, then the second, …), exactly the serial iteration
+    /// order, and results are reassembled by submission index, so the
+    /// returned [`FigureData`] does not depend on scheduling. `observe`
+    /// sees the executor's progress events (queue / start / finish,
+    /// per-point wall time and fault counts) on the calling thread.
+    ///
+    /// Under a `journal`, points it already holds are replayed without
+    /// simulating (and without entering the executor, so the observer
+    /// sees only fresh points), and every freshly completed point is
+    /// appended before its result is assembled. Kill this at any moment
+    /// and re-run with a resumed journal: the final [`FigureData`] is
+    /// byte-identical to an uninterrupted sweep. Points that never
+    /// completed an attempt cycle — overrun by the deadline or lost to
+    /// the crash itself — are *not* journaled, so a resume re-runs them.
+    ///
+    /// # Panics
+    ///
+    /// If `journal` was opened for a sweep with a different
+    /// [`Sweep::fingerprint`] (see [`SweepJournal::open`]).
+    pub fn run(
+        &self,
+        journal: Option<&SweepJournal>,
+        observe: impl FnMut(&ExecEvent),
+    ) -> FigureData {
+        let (verdicts, _) = self.points(journal, |_| true, observe);
+        let mut verdicts = verdicts.into_iter();
+        FigureData::assemble(self, |_, _, _| {
+            verdicts.next().expect("one verdict per grid point")
+        })
+    }
+
+    /// Runs only the points shard `shard` owns (see
+    /// [`crate::shard::ShardSpec::owns`]): one worker process's slice of a
+    /// fleet-wide figure sweep.
+    ///
+    /// No [`FigureData`] is assembled — a shard's output *is* its journal,
+    /// which [`crate::shard::merge_shards`] later reassembles byte-identically
+    /// to a serial run. Kill this worker at any moment and re-run it with a
+    /// resumed journal: completed points replay, the rest re-run, and the
+    /// shard converges on the same records.
+    ///
+    /// # Panics
+    ///
+    /// As [`Sweep::run`], on a journal opened for another sweep.
+    pub fn run_shard(
+        &self,
+        shard: crate::shard::ShardSpec,
+        journal: &SweepJournal,
+        observe: impl FnMut(&ExecEvent),
+    ) -> ShardRunReport {
+        let (verdicts, fresh) = self.points(Some(journal), |i| shard.owns(i), observe);
+        ShardRunReport {
+            owned: verdicts.len(),
+            replayed: verdicts.len() - fresh,
+            fresh,
+            // A failed point or a job-level casualty (deadlined, panicked) —
+            // the latter never reached the journal and will re-run on the
+            // next resume.
+            failed: verdicts.iter().filter(|(o, _, _)| !o.is_ok()).count(),
+        }
+    }
+
+    /// The sweep's full point grid in series-major (= serial iteration)
+    /// order: every processor count of the first machine, then the second,
+    /// …. The enumeration index of this order is the *point index* the
+    /// shard contract ([`crate::shard::ShardSpec::owns`]) partitions.
+    fn grid(&self) -> Vec<(Machine, Experiment)> {
+        self.spec
+            .machines
+            .iter()
+            .flat_map(|&machine| {
+                self.procs.iter().map(move |&p| {
+                    (
+                        machine,
+                        Experiment {
+                            app: self.spec.app,
+                            size: self.size,
+                            net: self.spec.net,
+                            machine,
+                            procs: p,
+                            seed: self.seed,
+                        },
+                    )
+                })
+            })
+            .collect()
+    }
+
+    /// The one sweep path under both [`Sweep::run`] and
+    /// [`Sweep::run_shard`]: of the grid points `owns` selects (by point
+    /// index), those the journal already holds are replayed and the rest run
+    /// on the executor. Returns one verdict per owned point in grid order,
+    /// and how many of them ran fresh.
+    fn points(
+        &self,
+        journal: Option<&SweepJournal>,
+        owns: impl Fn(usize) -> bool,
+        observe: impl FnMut(&ExecEvent),
+    ) -> (Vec<PointVerdict>, usize) {
+        // The header certifies what every record under it was computed
+        // from; scheduling knobs are outside the fingerprint, so a resume
+        // may still change `jobs` or `deadline`.
+        if let Some(j) = journal {
+            assert!(
+                j.fingerprint() == self.fingerprint(),
+                "journal opened for sweep {:#018x} cannot serve sweep {:#018x}",
+                j.fingerprint(),
+                self.fingerprint()
+            );
+        }
+        // Series-major order, minus already-journaled points: submission
+        // indices — and thus results — stay deterministic for a fixed replay
+        // set.
+        let mut verdicts = Vec::new();
+        let mut pending = Vec::new();
+        for (i, (machine, exp)) in self.grid().into_iter().enumerate() {
+            if !owns(i) {
+                continue;
+            }
+            // A replayed point never enters the executor, so it consumes no
+            // result slot.
+            let replayed = journal.and_then(|j| j.lookup(machine, exp.procs));
+            if replayed.is_none() {
+                pending.push((machine, exp));
+            }
+            verdicts.push(replayed);
+        }
+        let fresh = pending.len();
+        let report = execute(
+            ExecConfig {
+                jobs: self.config.jobs,
+                deadline: self.config.deadline,
+            },
+            pending,
+            |ctx, (machine, exp)| journaled_point(journal, self.config, machine, &exp, ctx),
+            observe,
+        );
+        let mut slots = report.results.into_iter();
+        let verdicts = verdicts
+            .into_iter()
+            .map(|replayed| {
+                replayed.unwrap_or_else(|| {
+                    match slots
+                        .next()
+                        .expect("one result slot per non-journaled point")
+                    {
+                        Ok(point) => point,
+                        // A job-level failure (panic past the experiment
+                        // fence, or a deadline overrun) becomes a FAILED cell
+                        // like any other; attempts = 0 records that the
+                        // simulation never completed an attempt cycle.
+                        Err(e) => (
+                            Outcome::Failed {
+                                error: e.into(),
+                                attempts: 0,
+                            },
+                            None,
+                            Vec::new(),
+                        ),
+                    }
+                })
+            })
+            .collect();
+        (verdicts, fresh)
+    }
+}
+
+/// Remnant of the positional entry points: [`Sweep::run`] under a journal.
+/// Stays because `benchmark/src/fleet.rs::load` calls it; goes when that stops.
+pub fn run_figure_journaled(
     spec: &FigureSpec,
     size: SizeClass,
     procs: &[usize],
     seed: u64,
-    sweep: SweepConfig,
-    shard: crate::shard::ShardSpec,
+    config: SweepConfig,
     journal: &SweepJournal,
     observe: impl FnMut(&ExecEvent),
-) -> ShardRunReport {
-    let (verdicts, fresh) = sweep_points(
+) -> FigureData {
+    Sweep {
         spec,
         size,
         procs,
         seed,
-        sweep,
-        Some(journal),
-        |i| shard.owns(i),
-        observe,
-    );
-    ShardRunReport {
-        owned: verdicts.len(),
-        replayed: verdicts.len() - fresh,
-        fresh,
-        // A failed point or a job-level casualty (deadlined, panicked) —
-        // the latter never reached the journal and will re-run on the
-        // next resume.
-        failed: verdicts.iter().filter(|(o, _, _)| !o.is_ok()).count(),
+        config,
     }
-}
-
-/// The sweep's full point grid in series-major (= serial iteration)
-/// order: every processor count of the first machine, then the second,
-/// …. The enumeration index of this order is the *point index* the
-/// shard contract ([`crate::shard::ShardSpec::owns`]) partitions.
-fn grid(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-) -> Vec<(Machine, Experiment)> {
-    spec.machines
-        .iter()
-        .flat_map(|&machine| {
-            procs.iter().map(move |&p| {
-                (
-                    machine,
-                    Experiment {
-                        app: spec.app,
-                        size,
-                        net: spec.net,
-                        machine,
-                        procs: p,
-                        seed,
-                    },
-                )
-            })
-        })
-        .collect()
-}
-
-/// One point's verdict: replayed from a journal or fresh from a run.
-type PointVerdict = (Outcome, Option<RunMetrics>, Vec<IntervalRecord>);
-
-/// The one sweep path under both [`run_figure_journaled`] and
-/// [`run_figure_shard`]: of the grid points `owns` selects (by point
-/// index), those the journal already holds are replayed and the rest run
-/// on the executor. Returns one verdict per owned point in grid order,
-/// and how many of them ran fresh.
-#[allow(clippy::too_many_arguments)] // the sweep's identity + who runs what
-fn sweep_points(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: SweepConfig,
-    journal: Option<&SweepJournal>,
-    owns: impl Fn(usize) -> bool,
-    observe: impl FnMut(&ExecEvent),
-) -> (Vec<PointVerdict>, usize) {
-    // Series-major order, minus already-journaled points: submission
-    // indices — and thus results — stay deterministic for a fixed replay
-    // set.
-    let mut verdicts = Vec::new();
-    let mut pending = Vec::new();
-    for (i, (machine, exp)) in grid(spec, size, procs, seed).into_iter().enumerate() {
-        if !owns(i) {
-            continue;
-        }
-        // A replayed point never enters the executor, so it consumes no
-        // result slot.
-        let replayed = journal.and_then(|j| j.lookup(machine, exp.procs));
-        if replayed.is_none() {
-            pending.push((machine, exp));
-        }
-        verdicts.push(replayed);
-    }
-    let fresh = pending.len();
-    let report = execute(
-        ExecConfig {
-            jobs: sweep.jobs,
-            deadline: sweep.deadline,
-        },
-        pending,
-        |ctx, (machine, exp)| journaled_point(journal, sweep, machine, &exp, ctx),
-        observe,
-    );
-    let mut slots = report.results.into_iter();
-    let verdicts = verdicts
-        .into_iter()
-        .map(|replayed| {
-            replayed.unwrap_or_else(|| {
-                match slots
-                    .next()
-                    .expect("one result slot per non-journaled point")
-                {
-                    Ok(point) => point,
-                    // A job-level failure (panic past the experiment
-                    // fence, or a deadline overrun) becomes a FAILED cell
-                    // like any other; attempts = 0 records that the
-                    // simulation never completed an attempt cycle.
-                    Err(e) => (
-                        Outcome::Failed {
-                            error: e.into(),
-                            attempts: 0,
-                        },
-                        None,
-                        Vec::new(),
-                    ),
-                }
-            })
-        })
-        .collect();
-    (verdicts, fresh)
+    .run(Some(journal), observe)
 }
 
 /// Runs one submitted point on a worker and makes it durable: the
@@ -396,11 +423,11 @@ fn journaled_point(
     sweep: SweepConfig,
     machine: Machine,
     exp: &Experiment,
-    ctx: &JobCtx<'_>,
+    ctx: &JobCtx,
 ) -> JobOutput<PointVerdict> {
     let (outcome, m, telemetry) = run_point(exp, machine, sweep, ctx);
-    // A mid-run cancellation (the deadline watchdog) is not a verdict on
-    // the point — the executor discards the result anyway — so it must
+    // A mid-run cancellation (the deadline) is not a verdict on the
+    // point — the executor discards the result anyway — so it must
     // never reach the journal: a journaled "failure" from an aborted run
     // would poison every resume with uncommitted history.
     let cancelled = matches!(
@@ -423,45 +450,6 @@ fn journaled_point(
     }
 }
 
-fn run_figure_inner(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: SweepConfig,
-    journal: Option<&SweepJournal>,
-    observe: impl FnMut(&ExecEvent),
-) -> FigureData {
-    let (verdicts, _) = sweep_points(spec, size, procs, seed, sweep, journal, |_| true, observe);
-    let mut verdicts = verdicts.into_iter();
-    let mut series = Vec::with_capacity(spec.machines.len());
-    for &machine in spec.machines {
-        let mut values = Vec::with_capacity(procs.len());
-        let mut metrics = Vec::with_capacity(procs.len());
-        let mut outcomes = Vec::with_capacity(procs.len());
-        let mut telemetry = Vec::with_capacity(procs.len());
-        for _ in procs {
-            let (outcome, m, intervals) = verdicts.next().expect("one verdict per grid point");
-            values.push(m.as_ref().map_or(f64::NAN, |m| extract(spec.metric, m)));
-            metrics.push(m);
-            outcomes.push(outcome);
-            telemetry.push(intervals);
-        }
-        series.push(Series {
-            machine,
-            values,
-            metrics,
-            outcomes,
-            telemetry,
-        });
-    }
-    FigureData {
-        spec: *spec,
-        procs: procs.to_vec(),
-        series,
-    }
-}
-
 /// Runs one sweep point with bounded retry. A retry is worthwhile only
 /// when the failure is budget-class *and* a fault plan is active — a
 /// reseeded fault stream changes the run; without faults the simulation
@@ -471,12 +459,7 @@ fn run_figure_inner(
 /// The executor's `ctx` supplies a cancellation probe the engine polls
 /// between events, so a deadline-expired point aborts mid-run instead of
 /// finishing a forfeit simulation.
-fn run_point(
-    exp: &Experiment,
-    machine: Machine,
-    sweep: SweepConfig,
-    ctx: &JobCtx<'_>,
-) -> PointVerdict {
+fn run_point(exp: &Experiment, machine: Machine, sweep: SweepConfig, ctx: &JobCtx) -> PointVerdict {
     let mut attempts = 0;
     loop {
         attempts += 1;
@@ -529,6 +512,46 @@ fn csv_sanitize(reason: &str) -> String {
 }
 
 impl FigureData {
+    /// Builds the figure of `sweep` from one verdict per grid point:
+    /// `verdict_of(machine, procs, point index)` is asked series-major,
+    /// the order a serial sweep runs in.
+    pub(crate) fn assemble(
+        sweep: &Sweep<'_>,
+        mut verdict_of: impl FnMut(Machine, usize, usize) -> PointVerdict,
+    ) -> FigureData {
+        let mut index = 0;
+        let mut series = Vec::with_capacity(sweep.spec.machines.len());
+        for &machine in sweep.spec.machines {
+            let mut values = Vec::with_capacity(sweep.procs.len());
+            let mut metrics = Vec::with_capacity(sweep.procs.len());
+            let mut outcomes = Vec::with_capacity(sweep.procs.len());
+            let mut telemetry = Vec::with_capacity(sweep.procs.len());
+            for &p in sweep.procs {
+                let (outcome, m, intervals) = verdict_of(machine, p, index);
+                index += 1;
+                values.push(
+                    m.as_ref()
+                        .map_or(f64::NAN, |m| extract(sweep.spec.metric, m)),
+                );
+                metrics.push(m);
+                outcomes.push(outcome);
+                telemetry.push(intervals);
+            }
+            series.push(Series {
+                machine,
+                values,
+                metrics,
+                outcomes,
+                telemetry,
+            });
+        }
+        FigureData {
+            spec: *sweep.spec,
+            procs: sweep.procs.to_vec(),
+            series,
+        }
+    }
+
     /// Number of failed points across all series.
     pub fn failed_points(&self) -> usize {
         self.series
@@ -740,11 +763,13 @@ mod tests {
     use crate::figures;
     use crate::Net;
     use spasm_apps::AppId;
+    use spasm_journal::RealVfs;
+    use std::sync::Arc;
 
     #[test]
     fn small_sweep_produces_aligned_data() {
         let spec = figures::by_id("F1").unwrap();
-        let data = run_figure(spec, SizeClass::Test, &[2, 4], 5);
+        let data = Sweep::new(spec, SizeClass::Test, &[2, 4], 5).run(None, |_| {});
         assert_eq!(data.procs, vec![2, 4]);
         assert_eq!(data.series.len(), 3);
         assert_eq!(data.failed_points(), 0);
@@ -761,7 +786,7 @@ mod tests {
     #[test]
     fn table_and_csv_render() {
         let spec = figures::by_id("F12").unwrap();
-        let data = run_figure(spec, SizeClass::Test, &[2], 5);
+        let data = Sweep::new(spec, SizeClass::Test, &[2], 5).run(None, |_| {});
         let table = data.render_table();
         assert!(table.contains("F12"));
         assert!(table.contains("target"));
@@ -774,7 +799,7 @@ mod tests {
     #[test]
     fn chart_renders_axes_key_and_points() {
         let spec = figures::by_id("F12").unwrap();
-        let data = run_figure(spec, SizeClass::Test, &[2, 4], 5);
+        let data = Sweep::new(spec, SizeClass::Test, &[2, 4], 5).run(None, |_| {});
         let chart = data.render_chart(8);
         assert!(chart.contains("F12"));
         assert!(chart.contains("T=target"));
@@ -800,7 +825,7 @@ mod tests {
             machines: &[Machine::Pram],
             expect: "zeros",
         };
-        let data = run_figure(&spec, SizeClass::Test, &[2], 1);
+        let data = Sweep::new(&spec, SizeClass::Test, &[2], 1).run(None, |_| {});
         assert!(data.render_chart(6).contains("all values zero"));
     }
 
@@ -814,7 +839,7 @@ mod tests {
             machines: &[Machine::Pram, Machine::Target],
             expect: "test",
         };
-        let data = run_figure(&spec, SizeClass::Test, &[2], 1);
+        let data = Sweep::new(&spec, SizeClass::Test, &[2], 1).run(None, |_| {});
         assert!(data.series_for(Machine::Pram).is_some());
         assert!(data.series_for(Machine::LogP).is_none());
         // PRAM is the ideal-time floor.
@@ -835,7 +860,7 @@ mod tests {
             machines: &[Machine::Pram, Machine::Target],
             expect: "one failed column",
         };
-        let data = run_figure(&spec, SizeClass::Test, &[2, 3, 4], 1);
+        let data = Sweep::new(&spec, SizeClass::Test, &[2, 3, 4], 1).run(None, |_| {});
         assert_eq!(data.failed_points(), 2); // one per series
         for s in &data.series {
             assert!(s.values[0].is_finite());
@@ -870,12 +895,16 @@ mod tests {
             machines: &[Machine::Target],
             expect: "budget exceeded",
         };
-        let sweep = SweepConfig {
+        let config = SweepConfig {
             faults: Some(FaultPlan::quiet(7)),
             budget: RunBudget::events(3),
             ..SweepConfig::default()
         };
-        let data = run_figure_with(&spec, SizeClass::Test, &[2], 1, sweep);
+        let sweep = Sweep {
+            config,
+            ..Sweep::new(&spec, SizeClass::Test, &[2], 1)
+        };
+        let data = sweep.run(None, |_| {});
         match &data.series[0].outcomes[0] {
             Outcome::Failed { error, attempts } => {
                 assert!(
@@ -914,8 +943,13 @@ mod tests {
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
         let spec = figures::by_id("F1").unwrap();
-        let serial = run_figure_with(spec, SizeClass::Test, &[2, 4], 5, SweepConfig::default());
-        let parallel = run_figure_with(spec, SizeClass::Test, &[2, 4], 5, SweepConfig::parallel(4));
+        let sweep = Sweep::new(spec, SizeClass::Test, &[2, 4], 5);
+        let serial = sweep.run(None, |_| {});
+        let parallel = Sweep {
+            config: SweepConfig::parallel(4),
+            ..sweep
+        }
+        .run(None, |_| {});
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(serial.render_table(), parallel.render_table());
         assert_eq!(serial.render_chart(10), parallel.render_chart(10));
@@ -938,14 +972,13 @@ mod tests {
             machines: &[Machine::Pram, Machine::Target],
             expect: "one failed column, both paths",
         };
-        let serial = run_figure(&spec, SizeClass::Test, &[2, 3, 4], 1);
-        let parallel = run_figure_with(
-            &spec,
-            SizeClass::Test,
-            &[2, 3, 4],
-            1,
-            SweepConfig::parallel(3),
-        );
+        let sweep = Sweep::new(&spec, SizeClass::Test, &[2, 3, 4], 1);
+        let serial = sweep.run(None, |_| {});
+        let parallel = Sweep {
+            config: SweepConfig::parallel(3),
+            ..sweep
+        }
+        .run(None, |_| {});
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(parallel.failed_points(), 2);
     }
@@ -955,46 +988,49 @@ mod tests {
         use std::cell::RefCell;
         let spec = figures::by_id("F12").unwrap();
         let finished = RefCell::new(0usize);
-        let data = run_figure_observed(
-            spec,
-            SizeClass::Test,
-            &[2, 4],
-            5,
-            SweepConfig::parallel(2),
-            |ev| {
-                if matches!(ev, spasm_exec::ExecEvent::Finished { .. }) {
-                    *finished.borrow_mut() += 1;
-                }
-            },
-        );
+        let sweep = Sweep {
+            config: SweepConfig::parallel(2),
+            ..Sweep::new(spec, SizeClass::Test, &[2, 4], 5)
+        };
+        let data = sweep.run(None, |ev| {
+            if matches!(ev, spasm_exec::ExecEvent::Finished { .. }) {
+                *finished.borrow_mut() += 1;
+            }
+        });
         assert_eq!(*finished.borrow(), data.series.len() * data.procs.len());
+    }
+
+    /// A fresh scratch path for one journaling test.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("spasm-sweep-journal-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{}-{name}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
     fn journaled_sweep_matches_plain_and_replays_without_simulating() {
-        use crate::journal::SweepJournal;
         let spec = figures::by_id("F1").unwrap();
-        let sweep = SweepConfig::default();
-        let plain = run_figure_with(spec, SizeClass::Test, &[2, 4], 5, sweep);
-
-        let dir = std::env::temp_dir().join("spasm-sweep-journal-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}-f1.journal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let sweep = Sweep::new(spec, SizeClass::Test, &[2, 4], 5);
+        let plain = sweep.run(None, |_| {});
+        let path = scratch("f1");
 
         // First journaled run: identical output, every point recorded.
-        let j = SweepJournal::create(&path, spec, SizeClass::Test, &[2, 4], 5, &sweep).unwrap();
-        let first = run_figure_journaled(spec, SizeClass::Test, &[2, 4], 5, sweep, &j, |_| {});
+        let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).unwrap();
+        let first = sweep.run(Some(&j), |_| {});
         assert!(j.io_error().is_none());
         assert_eq!(first.to_csv(), plain.to_csv());
         drop(j);
 
-        // Resume over the complete journal: zero fresh simulations, and
-        // still byte-identical tables and CSV.
-        let r = SweepJournal::resume(&path, spec, SizeClass::Test, &[2, 4], 5, &sweep).unwrap();
+        // Resume over the complete journal — through the two remnants,
+        // called exactly as `benchmark/src/fleet.rs::load` calls them:
+        // zero fresh simulations, and still byte-identical tables and CSV.
+        let config = SweepConfig::default();
+        let r = SweepJournal::resume(&path, spec, SizeClass::Test, &[2, 4], 5, &config).unwrap();
         assert_eq!(r.replayed(), spec.machines.len() * 2);
         let mut fresh = 0usize;
-        let resumed = run_figure_journaled(spec, SizeClass::Test, &[2, 4], 5, sweep, &r, |ev| {
+        let resumed = run_figure_journaled(spec, SizeClass::Test, &[2, 4], 5, config, &r, |ev| {
             if matches!(ev, ExecEvent::Finished { .. }) {
                 fresh += 1;
             }
@@ -1002,6 +1038,41 @@ mod tests {
         assert_eq!(fresh, 0, "a complete journal must replay every point");
         assert_eq!(resumed.to_csv(), plain.to_csv());
         assert_eq!(resumed.render_table(), plain.render_table());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_journal_refuses_a_sweep_it_was_not_opened_for() {
+        let spec = figures::by_id("F1").unwrap();
+        let sweep = Sweep::new(spec, SizeClass::Test, &[2, 4], 5);
+        let path = scratch("refusal");
+        let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).unwrap();
+
+        // Another seed is another sweep: its points must not land under
+        // this header, so the run panics before simulating anything.
+        let other = Sweep { seed: 6, ..sweep };
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| other.run(Some(&j), |_| {})));
+        let payload = refused.expect_err("a journal of seed 5 served a sweep of seed 6");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        for fp in [sweep.fingerprint(), other.fingerprint()] {
+            assert!(message.contains(&format!("{fp:#018x}")), "{message}");
+        }
+        let on_disk = spasm_journal::Journal::read(&path, sweep.fingerprint()).unwrap();
+        assert!(on_disk.records.is_empty(), "the refused sweep journaled");
+
+        // Scheduling knobs are outside the fingerprint: same sweep.
+        let rescheduled = Sweep {
+            config: SweepConfig {
+                jobs: 4,
+                deadline: Some(Duration::from_secs(60)),
+                ..sweep.config
+            },
+            ..sweep
+        };
+        let data = rescheduled.run(Some(&j), |_| {});
+        assert!(j.io_error().is_none());
+        assert_eq!(data.to_csv(), sweep.run(None, |_| {}).to_csv());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1015,7 +1086,7 @@ mod tests {
             machines: &[Machine::Pram],
             expect: "reason column",
         };
-        let data = run_figure(&spec, SizeClass::Test, &[2, 3], 1);
+        let data = Sweep::new(&spec, SizeClass::Test, &[2, 3], 1).run(None, |_| {});
         let csv = data.to_csv();
         let mut lines = csv.lines();
         assert_eq!(
@@ -1041,12 +1112,16 @@ mod tests {
     #[test]
     fn faulted_sweep_is_deterministic_per_fault_seed() {
         let spec = figures::by_id("F12").unwrap();
-        let sweep = SweepConfig {
+        let config = SweepConfig {
             faults: Some(FaultPlan::adversarial(11)),
             ..SweepConfig::default()
         };
-        let a = run_figure_with(spec, SizeClass::Test, &[2], 5, sweep);
-        let b = run_figure_with(spec, SizeClass::Test, &[2], 5, sweep);
+        let sweep = Sweep {
+            config,
+            ..Sweep::new(spec, SizeClass::Test, &[2], 5)
+        };
+        let a = sweep.run(None, |_| {});
+        let b = sweep.run(None, |_| {});
         for (sa, sb) in a.series.iter().zip(&b.series) {
             assert_eq!(
                 sa.values[0].to_bits(),

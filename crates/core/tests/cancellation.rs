@@ -10,8 +10,9 @@ use std::time::Duration;
 
 use spasm_apps::SizeClass;
 use spasm_core::journal::SweepJournal;
-use spasm_core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
+use spasm_core::sweep::{Sweep, SweepConfig};
 use spasm_core::{figures, Machine};
+use spasm_journal::RealVfs;
 use spasm_machine::{CheckMode, Engine, MemCtx, ProcBody, RunError, SetupCtx};
 use spasm_topology::Topology;
 
@@ -98,24 +99,25 @@ fn killing_a_run_at_every_poll_point_aborts_cleanly() {
 #[test]
 fn cancelled_points_never_reach_the_journal() {
     let spec = figures::by_id("F1").expect("F1 exists");
-    let procs = [8usize];
-    let seed = 1995;
-    let sweep = SweepConfig::default();
+    let sweep = Sweep::new(spec, SizeClass::Small, &[8], 1995);
 
     let dir = std::env::temp_dir().join("spasm-cancel-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{}-cancel.journal", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
-    // Pass 1: every point is expired by the watchdog the moment it
-    // starts running (the deadline is a scheduling knob — it stays out
-    // of the journal fingerprint, so pass 2 can drop it).
-    let doomed = SweepConfig {
-        deadline: Some(Duration::ZERO),
+    // Pass 1: every point is overdue the moment it starts running (the
+    // deadline is a scheduling knob — it stays out of the journal
+    // fingerprint, so pass 2 can drop it).
+    let doomed = Sweep {
+        config: SweepConfig {
+            deadline: Some(Duration::ZERO),
+            ..sweep.config
+        },
         ..sweep
     };
-    let j = SweepJournal::create(&path, spec, SizeClass::Small, &procs, seed, &doomed).unwrap();
-    let data = run_figure_journaled(spec, SizeClass::Small, &procs, seed, doomed, &j, |_| {});
+    let j = SweepJournal::open(Arc::new(RealVfs), &path, &doomed, false).unwrap();
+    let data = doomed.run(Some(&j), |_| {});
     assert!(j.io_error().is_none());
     assert_eq!(
         data.failed_points(),
@@ -125,8 +127,7 @@ fn cancelled_points_never_reach_the_journal() {
     drop(j);
 
     // The journal recorded nothing from the aborted runs.
-    let resumed =
-        SweepJournal::resume(&path, spec, SizeClass::Small, &procs, seed, &sweep).unwrap();
+    let resumed = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, true).unwrap();
     assert_eq!(
         resumed.replayed(),
         0,
@@ -135,16 +136,8 @@ fn cancelled_points_never_reach_the_journal() {
 
     // Pass 2: resume without the deadline; the re-run must match an
     // uninterrupted sweep exactly.
-    let clean = run_figure_with(spec, SizeClass::Small, &procs, seed, sweep);
-    let recovered = run_figure_journaled(
-        spec,
-        SizeClass::Small,
-        &procs,
-        seed,
-        sweep,
-        &resumed,
-        |_| {},
-    );
+    let clean = sweep.run(None, |_| {});
+    let recovered = sweep.run(Some(&resumed), |_| {});
     assert_eq!(recovered.failed_points(), 0);
     assert_eq!(recovered.to_csv(), clean.to_csv(), "recovery diverged");
     std::fs::remove_file(&path).unwrap();

@@ -29,8 +29,8 @@
 //!   returns — no futex, no scheduler, no spinning. All of the crate's
 //!   `unsafe` lives in that one module.
 //! * **everywhere else — OS threads** (`thread`). One thread per process,
-//!   handing off through single-slot channels; a crossing costs a
-//!   scheduler context switch. It is also compiled into this crate's unit
+//!   handing off through `std::sync::mpsc` channels; a crossing costs a
+//!   parked handoff (futex wake plus scheduler context switch). It is also compiled into this crate's unit
 //!   tests on the stack-switching platform, where the shared test suite
 //!   at the bottom of this file runs against both.
 //!

@@ -1,227 +1,21 @@
-//! OS-thread backend: one thread per process, single-slot channels.
+//! OS-thread backend: one thread per process, handing off over
+//! `std::sync::mpsc` channels.
 //!
 //! The only backend on targets without the stack-switching fast path
 //! (see the parent module), and the reference the shared test suite also
 //! runs on targets that have it. Exactly one process thread is runnable
 //! at any instant: the simulator resumes a process by sending it a
-//! response, then waits until that process deposits its next envelope.
+//! response, then waits until that process sends its next envelope.
+//! Every wait parks on the channel, so a crossing costs a futex handoff
+//! on top of the scheduler's context switch — the price of a fallback
+//! no workload is tuned for.
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use super::{panic_message, ProcId, Shutdown, Step};
-
-// ---------------------------------------------------------------------------
-// Single-slot rendezvous channel
-// ---------------------------------------------------------------------------
-//
-// The simulator↔process handoff is the hottest edge in the whole stack:
-// every simulated memory operation crosses it twice (request out,
-// response in). `std::sync::mpsc` channels park the receiving thread on
-// every recv, which costs a futex sleep + wake syscall pair per crossing.
-// But a rendezvous has a special shape — exactly one value is ever in
-// flight, and the peer is about to produce it — so a single-slot channel
-// that briefly spins and yields before parking completes most handoffs
-// with no syscall beyond the scheduler's own context switch.
-//
-// Protocol safety: `waiting` is only set by the receiver while holding
-// the lock, and `Condvar::wait` releases that lock atomically, so a
-// sender that sees `waiting == true` knows the receiver is (or is about
-// to be) parked and a `notify_one` cannot be lost. A sender that sees
-// `waiting == false` skips the notify entirely — the receiver is in its
-// spin/yield phase and will observe the value on its next lock.
-
-/// Spin-then-yield budget before parking on the condvar. The first few
-/// iterations use `spin_loop` (cheap, helps when the peer runs on another
-/// core); the rest call `yield_now`, which on a loaded or single-CPU host
-/// donates the timeslice straight to the peer thread.
-const SPIN_ROUNDS: u32 = 16;
-const YIELD_ROUNDS: u32 = 4;
-
-struct Slot<T> {
-    value: Option<T>,
-    waiting: bool,
-    closed: bool,
-}
-
-struct Chan<T> {
-    slot: Mutex<Slot<T>>,
-    cv: Condvar,
-    /// Bumped under the lock on every deposit/close. Receivers spin on
-    /// this instead of taking the lock each round; a change guarantees
-    /// the next locked check finds the value (or the close flag).
-    gen: AtomicU32,
-}
-
-struct Sender<T>(Arc<Chan<T>>);
-
-struct Receiver<T> {
-    chan: Arc<Chan<T>>,
-}
-
-// Bound-free Debug (like mpsc's endpoints): the payload is opaque.
-impl<T> std::fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Sender { .. }")
-    }
-}
-
-impl<T> std::fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Receiver { .. }")
-    }
-}
-
-fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let chan = Arc::new(Chan {
-        slot: Mutex::new(Slot {
-            value: None,
-            waiting: false,
-            closed: false,
-        }),
-        cv: Condvar::new(),
-        gen: AtomicU32::new(0),
-    });
-    (Sender(Arc::clone(&chan)), Receiver { chan })
-}
-
-impl<T> Chan<T> {
-    fn close(&self) {
-        let mut s = self.slot.lock().expect("rendezvous lock poisoned");
-        s.closed = true;
-        self.gen.fetch_add(1, Ordering::Release);
-        self.cv.notify_all();
-    }
-}
-
-impl<T> Sender<T> {
-    /// Deposits `value` for the receiver. Errors (returning the value)
-    /// if the channel is closed. The rendezvous protocol guarantees the
-    /// slot is empty: only one value is ever in flight per channel.
-    fn send(&self, value: T) -> Result<(), T> {
-        let mut s = self.0.slot.lock().expect("rendezvous lock poisoned");
-        if s.closed {
-            return Err(value);
-        }
-        assert!(
-            s.value.is_none(),
-            "rendezvous protocol violation: slot full"
-        );
-        s.value = Some(value);
-        self.0.gen.fetch_add(1, Ordering::Release);
-        if s.waiting {
-            self.0.cv.notify_one();
-        }
-        Ok(())
-    }
-
-    /// Closes the channel, waking and erroring any parked receiver.
-    fn close(&self) {
-        self.0.close();
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    // Cloning shares the channel; dropping a clone does NOT close it
-    // (the env channel has one sender per process thread).
-    fn clone(&self) -> Self {
-        Sender(Arc::clone(&self.0))
-    }
-}
-
-impl<T> Receiver<T> {
-    /// One locked inspection of the slot. `Some(result)` if a value or
-    /// close was found; `None` (plus the generation observed under the
-    /// lock) if the slot is still empty.
-    fn try_take(&self) -> Result<Result<T, ()>, u32> {
-        let mut s = self.chan.slot.lock().expect("rendezvous lock poisoned");
-        if let Some(v) = s.value.take() {
-            return Ok(Ok(v));
-        }
-        if s.closed {
-            return Ok(Err(()));
-        }
-        // `gen` only changes under this lock, so the value read here is
-        // exact: any later bump means a deposit or close we have not seen.
-        Err(self.chan.gen.load(Ordering::Acquire))
-    }
-
-    /// Blocks until a value arrives or the channel closes, parking on the
-    /// condvar once the spin/yield budget runs out. Used by process
-    /// threads: their next resume may be arbitrarily far in the future
-    /// (other processes run first), so they must eventually sleep.
-    fn recv(&self) -> Result<T, ()> {
-        let gen0 = match self.try_take() {
-            Ok(done) => return done,
-            Err(g) => g,
-        };
-        // Fast path: watch the generation hint without touching the lock.
-        for round in 0..(SPIN_ROUNDS + YIELD_ROUNDS) {
-            if self.chan.gen.load(Ordering::Acquire) != gen0 {
-                if let Ok(done) = self.try_take() {
-                    return done;
-                }
-                unreachable!("generation advanced but slot empty and open");
-            }
-            if round < SPIN_ROUNDS {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // Slow path: park until the sender notifies.
-        let mut s = self.chan.slot.lock().expect("rendezvous lock poisoned");
-        loop {
-            if let Some(v) = s.value.take() {
-                return Ok(v);
-            }
-            if s.closed {
-                return Err(());
-            }
-            s.waiting = true;
-            s = self.chan.cv.wait(s).expect("rendezvous lock poisoned");
-            s.waiting = false;
-        }
-    }
-
-    /// Like [`Receiver::recv`] but never parks: spins and donates
-    /// timeslices until the value arrives. Used by the simulator while
-    /// awaiting the envelope from the one process it just resumed — that
-    /// process is the only runnable peer and always replies, so parking
-    /// would only add a futex sleep/wake pair to every rendezvous.
-    fn recv_spin(&self) -> Result<T, ()> {
-        let gen0 = match self.try_take() {
-            Ok(done) => return done,
-            Err(g) => g,
-        };
-        let mut round = 0u32;
-        loop {
-            if self.chan.gen.load(Ordering::Acquire) != gen0 {
-                if let Ok(done) = self.try_take() {
-                    return done;
-                }
-                unreachable!("generation advanced but slot empty and open");
-            }
-            if round < SPIN_ROUNDS {
-                round += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    // A vanished receiver must fail subsequent sends (the simulator
-    // treats that as "process thread vanished").
-    fn drop(&mut self) {
-        self.chan.close();
-    }
-}
 
 enum Envelope<Q> {
     Request(ProcId, Q),
@@ -264,14 +58,15 @@ impl<Q, R> CoroCtx<Q, R> {
         }
         match self.rx.recv() {
             Ok(resp) => resp,
-            Err(()) => std::panic::resume_unwind(Box::new(Shutdown)),
+            Err(_) => std::panic::resume_unwind(Box::new(Shutdown)),
         }
     }
 }
 
 #[derive(Debug)]
 struct ProcSlot<Q, R> {
-    tx: Sender<R>,
+    /// The response channel; `None` once [`CoroPool`]'s drop closed it.
+    tx: Option<Sender<R>>,
     /// This process's envelope channel; only the simulator reads it.
     env: Receiver<Envelope<Q>>,
     handle: Option<JoinHandle<()>>,
@@ -359,9 +154,9 @@ where
         F: FnOnce(ProcId, &CoroCtx<Q, R>) + Send + 'static,
     {
         // Rendezvous channels: the process blocks until resumed, and its
-        // envelopes land in a slot only the simulator reads.
-        let (resp_tx, resp_rx) = channel::<R>();
-        let (env_tx, env_rx) = channel::<Envelope<Q>>();
+        // envelopes land in a queue only the simulator reads.
+        let (resp_tx, resp_rx) = mpsc::channel::<R>();
+        let (env_tx, env_rx) = mpsc::channel::<Envelope<Q>>();
         let handle = std::thread::Builder::new()
             .name(format!("sim-proc-{id}"))
             .spawn(move || {
@@ -394,7 +189,7 @@ where
             })
             .expect("spawn simulation process thread");
         ProcSlot {
-            tx: resp_tx,
+            tx: Some(resp_tx),
             env: env_rx,
             handle: Some(handle),
             live: true,
@@ -422,10 +217,9 @@ where
     pub fn resume(&mut self, proc: ProcId, resp: R) -> Step<Q> {
         let slot = &mut self.slots[proc];
         assert!(slot.live, "resumed process {proc} after it finished");
-        assert!(slot.tx.send(resp).is_ok(), "process thread vanished");
-        // Spins rather than parks: the process is the only runnable peer
-        // and is about to deposit its envelope.
-        match slot.env.recv_spin() {
+        let tx = slot.tx.as_ref().expect("the pool is not being dropped");
+        assert!(tx.send(resp).is_ok(), "process thread vanished");
+        match slot.env.recv() {
             Ok(Envelope::Request(p, q)) => {
                 debug_assert_eq!(p, proc, "request from unexpected process");
                 Step::Request(q)
@@ -440,7 +234,7 @@ where
                 self.retire(proc);
                 Step::Panicked(msg)
             }
-            Err(()) => panic!("process thread vanished"),
+            Err(_) => panic!("process thread vanished"),
         }
     }
 
@@ -460,10 +254,11 @@ where
 
 impl<Q, R> Drop for CoroPool<Q, R> {
     fn drop(&mut self) {
-        // Unblock any process still parked in `call`: closing the response
-        // channel makes its recv fail, which unwinds the body thread.
+        // Unblock any process still parked in `call`: dropping the response
+        // sender closes the channel, so its recv fails, which unwinds the
+        // body thread.
         for slot in &mut self.slots {
-            slot.tx.close();
+            slot.tx = None;
             if let Some(h) = slot.handle.take() {
                 let _ = h.join();
             }

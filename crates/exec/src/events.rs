@@ -52,9 +52,9 @@ pub enum ExecEvent {
         /// Rendered panic payload.
         message: String,
     },
-    /// The job ran past its per-job wall-clock deadline: the watchdog
-    /// cancelled it while it was still running, and when its closure
-    /// eventually returned the result was discarded as
+    /// The job ran past its per-job wall-clock deadline: it was
+    /// cancelled while still running, and when its closure eventually
+    /// returned the result was discarded as
     /// [`JobError::Deadline`](crate::JobError::Deadline).
     Deadlined {
         /// Submission index of the job.
@@ -93,7 +93,7 @@ pub struct ExecStats {
     pub finished: usize,
     /// Jobs whose closure panicked.
     pub panicked: usize,
-    /// Jobs cancelled mid-run by the per-job deadline watchdog.
+    /// Jobs cancelled mid-run by the per-job deadline.
     pub deadlined: usize,
     /// Wall-clock time of the whole batch (queue to last completion).
     pub wall: Duration,

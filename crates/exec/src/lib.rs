@@ -50,9 +50,9 @@ pub use events::{ExecEvent, ExecReport, ExecStats};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Why one job produced no result.
@@ -61,12 +61,11 @@ pub enum JobError {
     /// The job's closure panicked; the payload is the rendered message.
     Panicked(String),
     /// The job overran its per-job wall-clock deadline
-    /// ([`ExecConfig::deadline`]). The watchdog *cancels* an overdue
-    /// job — it never kills the thread — so the closure ran to
-    /// completion, but its result was discarded: once the deadline has
-    /// expired the job is deadlined, whatever its closure later
-    /// returns (there is no race between expiry and the result-slot
-    /// write; see the pool's phase protocol).
+    /// ([`ExecConfig::deadline`]). An overdue job is *cancelled* — its
+    /// thread is never killed — so the closure ran to completion, but
+    /// its result was discarded: a job is deadlined iff the clock read
+    /// past the limit when its closure returned, and since that clock
+    /// is monotonic, a job that saw its own expiry can never land `Ok`.
     Deadline {
         /// The deadline the job overran. (Deliberately not the elapsed
         /// time: the rendered error stays byte-stable across runs.)
@@ -87,24 +86,19 @@ impl fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// How often the deadline watchdog wakes to scan running jobs; expiry
-/// resolution is therefore ~this coarse, which is fine for deadlines
-/// meant to catch minute-scale hangs.
-const WATCHDOG_TICK: Duration = Duration::from_millis(2);
-
 /// Pool configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
     /// Worker count: `0` means auto (host parallelism), `1` runs inline
     /// on the calling thread, `n > 1` spawns `min(n, jobs)` workers.
     pub jobs: usize,
-    /// Per-job wall-clock deadline, enforced by a monotonic-clock
-    /// watchdog thread. An overdue job is *cancelled* (cooperatively —
+    /// Per-job wall-clock deadline, read off the monotonic clock each
+    /// job starts on. An overdue job is *cancelled* (cooperatively —
     /// the closure keeps running and may poll
     /// [`JobCtx::deadline_expired`] to bail out early), and its slot
     /// records [`JobError::Deadline`] no matter what the closure
-    /// returns after expiry. `None` (the default) spawns no watchdog
-    /// and adds no per-job cost.
+    /// returns after expiry. `None` (the default) never reads the
+    /// clock for it.
     pub deadline: Option<Duration>,
 }
 
@@ -147,35 +141,33 @@ pub fn available_parallelism() -> usize {
 
 /// Per-job context handed to the job closure.
 #[derive(Debug)]
-pub struct JobCtx<'a> {
+pub struct JobCtx {
     /// Submission index of this job.
     pub job: usize,
-    /// This job's lifecycle phase, when a deadline watchdog is active.
-    phase: Option<&'a Arc<AtomicU8>>,
+    /// When the worker picked the job up (monotonic, so suspend or a
+    /// clock step cannot expire it early).
+    started: Instant,
+    /// [`ExecConfig::deadline`].
+    limit: Option<Duration>,
 }
 
-impl JobCtx<'_> {
-    /// True once the watchdog has expired this job's deadline. The
-    /// job's result is already forfeit ([`JobError::Deadline`]);
-    /// returning early just frees the worker sooner.
+impl JobCtx {
+    /// True once this job has run past its deadline. The job's result is
+    /// already forfeit ([`JobError::Deadline`]); returning early just
+    /// frees the worker sooner.
     pub fn deadline_expired(&self) -> bool {
-        self.phase
-            .is_some_and(|p| p.load(Ordering::Acquire) == PHASE_EXPIRED)
+        self.limit.is_some_and(|l| self.started.elapsed() > l)
     }
 
     /// An owned probe equivalent to [`JobCtx::deadline_expired`]: a boxed
-    /// closure that captures a clone of the phase flag and so outlives
-    /// the `JobCtx` borrow. The experiment layer installs it into the
-    /// simulation engine, which polls it between events — a
-    /// deadline-expired job then aborts mid-run instead of completing a
-    /// forfeit simulation.
+    /// closure that outlives the `JobCtx` borrow. The experiment layer
+    /// installs it into the simulation engine, which polls it between
+    /// events — a deadline-expired job then aborts mid-run instead of
+    /// completing a forfeit simulation. Without a deadline it reads no
+    /// clock.
     pub fn cancel_probe(&self) -> Box<dyn Fn() -> bool + Send + 'static> {
-        let phase = self.phase.cloned();
-        Box::new(move || {
-            phase
-                .as_ref()
-                .is_some_and(|p| p.load(Ordering::Acquire) == PHASE_EXPIRED)
-        })
+        let (started, limit) = (self.started, self.limit);
+        Box::new(move || limit.is_some_and(|l| started.elapsed() > l))
     }
 }
 
@@ -217,7 +209,7 @@ pub fn execute<T, R, F, O>(
 where
     T: Send,
     R: Send,
-    F: Fn(&JobCtx<'_>, T) -> JobOutput<R> + Sync,
+    F: Fn(&JobCtx, T) -> JobOutput<R> + Sync,
     O: FnMut(&ExecEvent),
 {
     let n = items.len();
@@ -235,12 +227,6 @@ where
         next: AtomicUsize::new(0),
         cells: items.into_iter().map(|t| Mutex::new(Some(t))).collect(),
         slots: (0..n).map(|_| Mutex::new(None)).collect(),
-        phases: if config.deadline.is_some() {
-            (0..n).map(|_| JobPhase::default()).collect()
-        } else {
-            Vec::new()
-        },
-        filled: AtomicUsize::new(0),
     };
 
     for job in 0..n {
@@ -251,28 +237,15 @@ where
 
     if workers <= 1 {
         // Inline serial path: same pool code, synchronous event
-        // delivery. A deadline still needs the watchdog thread — it is
-        // what flips an overdue job's phase while the job runs.
+        // delivery.
         let mut emit = |ev: ExecEvent| {
             stats.absorb(&ev);
             observe(&ev);
         };
-        if let Some(limit) = config.deadline {
-            std::thread::scope(|s| {
-                let pool = &pool;
-                s.spawn(move || pool.watchdog(limit));
-                while pool.run_next(0, &mut emit) {}
-            });
-        } else {
-            while pool.run_next(0, &mut emit) {}
-        }
+        while pool.run_next(0, &mut emit) {}
     } else {
         let (tx, rx) = mpsc::channel::<ExecEvent>();
         std::thread::scope(|s| {
-            if let Some(limit) = config.deadline {
-                let pool = &pool;
-                s.spawn(move || pool.watchdog(limit));
-            }
             for worker in 0..workers {
                 let tx = tx.clone();
                 let pool = &pool;
@@ -308,28 +281,6 @@ where
     ExecReport { results, stats }
 }
 
-/// Lifecycle phases of one job under deadline supervision. The worker
-/// and the watchdog race on a single CAS: worker `Running → Done` at
-/// result-slot write, watchdog `Running → Expired` at deadline expiry.
-/// Exactly one wins, so a job can never both expire and land `Ok` —
-/// the loser of the CAS observes the winner's verdict.
-// (Pending is the AtomicU8 default, 0; no code needs to name it.)
-const PHASE_RUNNING: u8 = 1;
-const PHASE_DONE: u8 = 2;
-const PHASE_EXPIRED: u8 = 3;
-
-/// Per-job deadline-supervision state (allocated only when
-/// [`ExecConfig::deadline`] is set).
-#[derive(Debug, Default)]
-struct JobPhase {
-    /// Shared so [`JobCtx::cancel_probe`] can hand the engine an owned
-    /// handle that outlives the pool borrow.
-    phase: Arc<AtomicU8>,
-    /// When the worker picked the job up; `None` until then. Instant is
-    /// monotonic, so suspend/clock-step cannot fire the watchdog early.
-    started: Mutex<Option<Instant>>,
-}
-
 /// The shared state of one batch, borrowed by every worker.
 struct Pool<'a, T, R, F> {
     config: &'a ExecConfig,
@@ -341,18 +292,13 @@ struct Pool<'a, T, R, F> {
     cells: Vec<Mutex<Option<T>>>,
     /// One write-once result slot per job, in submission order.
     slots: Vec<Mutex<Option<Result<R, JobError>>>>,
-    /// Per-job phase state for the deadline watchdog; empty when no
-    /// deadline is configured (zero overhead on the common path).
-    phases: Vec<JobPhase>,
-    /// Slots written so far — the watchdog's termination condition.
-    filled: AtomicUsize,
 }
 
 impl<T, R, F> Pool<'_, T, R, F>
 where
     T: Send,
     R: Send,
-    F: Fn(&JobCtx<'_>, T) -> JobOutput<R> + Sync,
+    F: Fn(&JobCtx, T) -> JobOutput<R> + Sync,
 {
     /// Claims and runs the next queued job. Returns `false` once the
     /// queue is empty (the worker's signal to exit).
@@ -367,59 +313,51 @@ where
             .take()
             .expect("each job claimed exactly once");
         emit(ExecEvent::Started { job, worker });
-        let t0 = Instant::now();
-        if let Some(state) = self.phases.get(job) {
-            // Publish the start time before entering Running, so the
-            // watchdog never sees a Running job without a start time.
-            *state.started.lock().expect("phase start poisoned") = Some(t0);
-            state.phase.store(PHASE_RUNNING, Ordering::Release);
-        }
         let ctx = JobCtx {
             job,
-            phase: self.phases.get(job).map(|s| &s.phase),
+            started: Instant::now(),
+            limit: self.config.deadline,
         };
         match catch_unwind(AssertUnwindSafe(|| (self.run)(&ctx, item))) {
             Ok(JobOutput {
                 value,
                 cost,
                 faults,
-            }) => {
-                if self.finish_phase(job) {
-                    // The watchdog expired this job while it ran: its
-                    // result is forfeit, whatever the closure returned
-                    // and however it observed cancellation. The CAS in
-                    // finish_phase is the single arbiter, so there is
-                    // no expiry/slot-write race to lose.
-                    let limit = self.config.deadline.expect("expired implies a deadline");
+            }) => match self.config.deadline {
+                // Forfeit once overdue, whatever the closure returned and
+                // however it observed cancellation: a job that saw its
+                // own expiry gets here later on the same monotonic
+                // clock, so this read cannot disagree with it.
+                Some(limit) if ctx.deadline_expired() => {
                     self.fill(job, Err(JobError::Deadline { limit }));
                     emit(ExecEvent::Deadlined {
                         job,
                         worker,
-                        wall: t0.elapsed(),
+                        wall: ctx.started.elapsed(),
                         limit,
                     });
-                } else {
+                }
+                _ => {
                     self.fill(job, Ok(value));
                     emit(ExecEvent::Finished {
                         job,
                         worker,
-                        wall: t0.elapsed(),
+                        wall: ctx.started.elapsed(),
                         cost,
                         faults,
                     });
                 }
-            }
+            },
             Err(payload) => {
                 // A panic outranks a deadline expiry: the panic message
                 // says *why* the job died, a deadline only that it was
-                // slow. finish_phase still runs to settle the CAS.
-                self.finish_phase(job);
+                // slow.
                 let message = panic_message(payload.as_ref());
                 self.fill(job, Err(JobError::Panicked(message.clone())));
                 emit(ExecEvent::Panicked {
                     job,
                     worker,
-                    wall: t0.elapsed(),
+                    wall: ctx.started.elapsed(),
                     message,
                 });
             }
@@ -429,50 +367,6 @@ where
 
     fn fill(&self, job: usize, result: Result<R, JobError>) {
         *self.slots[job].lock().expect("result slot poisoned") = Some(result);
-        self.filled.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Settles the worker/watchdog race for `job`: CAS `Running → Done`.
-    /// Returns true if the watchdog won (the job is expired) — the
-    /// caller must then record [`JobError::Deadline`], never `Ok`.
-    fn finish_phase(&self, job: usize) -> bool {
-        match self.phases.get(job) {
-            None => false,
-            Some(state) => state
-                .phase
-                .compare_exchange(
-                    PHASE_RUNNING,
-                    PHASE_DONE,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_err(),
-        }
-    }
-
-    /// The deadline watchdog body: scan Running jobs on the monotonic
-    /// clock, expire any that overran `limit`, exit once every result
-    /// slot is written. Cancels cooperatively — it flips a phase flag;
-    /// it never kills a thread mid-simulation.
-    fn watchdog(&self, limit: Duration) {
-        while self.filled.load(Ordering::Acquire) < self.slots.len() {
-            for state in &self.phases {
-                if state.phase.load(Ordering::Acquire) == PHASE_RUNNING {
-                    let started = *state.started.lock().expect("phase start poisoned");
-                    if started.is_some_and(|t0| t0.elapsed() > limit) {
-                        // Worker may have CASed to Done meanwhile —
-                        // then this fails and the result is kept.
-                        let _ = state.phase.compare_exchange(
-                            PHASE_RUNNING,
-                            PHASE_EXPIRED,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                    }
-                }
-            }
-            std::thread::sleep(WATCHDOG_TICK);
-        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! (the target's per-block serialization times, spin watchers,
 //! mailboxes); what every memory operation consults — address map,
 //! region traffic, value store — is array-indexed instead (DESIGN.md
-//! §13). The standard
+//! §12). The standard
 //! `RandomState`/SipHash pays DoS-resistance costs that are pointless for
 //! simulator-internal keys, and its per-process random seed makes map
 //! iteration order vary between runs. This module provides the classic

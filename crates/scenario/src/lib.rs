@@ -12,12 +12,12 @@
 //! Everything downstream is the ordinary figure pipeline:
 //!
 //! ```no_run
-//! use spasm_core::{figures::PROC_SWEEP, sweep};
+//! use spasm_core::{figures::PROC_SWEEP, sweep::Sweep};
 //! use spasm_apps::SizeClass;
 //!
 //! let sc = spasm_scenario::parse("[scenario]\nname = demo\n[phase]\nkind = barrier\n")?;
 //! let spec = spasm_scenario::compile(&sc)?;
-//! let data = sweep::run_figure(spec, SizeClass::Test, PROC_SWEEP, 42);
+//! let data = Sweep::new(spec, SizeClass::Test, PROC_SWEEP, 42).run(None, |_| {});
 //! println!("{}", spasm_scenario::report(&sc, &data));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -307,7 +307,7 @@ pub fn report(sc: &Scenario, data: &FigureData) -> ScenarioReport {
 mod tests {
     use super::*;
     use spasm_apps::SizeClass;
-    use spasm_core::sweep::{self, SweepConfig};
+    use spasm_core::sweep::{Sweep, SweepConfig};
     use spasm_core::TelemetryConfig;
 
     fn tiny(name: &str) -> Scenario {
@@ -337,7 +337,7 @@ mod tests {
             .unwrap_err()
             .contains("different definition"));
 
-        let data = sweep::run_figure(spec, SizeClass::Test, &[2, 4], 7);
+        let data = Sweep::new(spec, SizeClass::Test, &[2, 4], 7).run(None, |_| {});
         let rep = report(&sc, &data);
         assert_eq!(rep.points, 8);
         assert_eq!(rep.failed, 0, "{}", data.render_table());
@@ -350,11 +350,15 @@ mod tests {
     fn telemetry_flows_through_scenario_sweeps() {
         let sc = tiny("lib-telemetry");
         let spec = compile(&sc).unwrap();
-        let cfg = SweepConfig {
+        let config = SweepConfig {
             telemetry: Some(TelemetryConfig::every_us(50)),
             ..SweepConfig::default()
         };
-        let data = sweep::run_figure_with(spec, SizeClass::Test, &[2], 7, cfg);
+        let sweep = Sweep {
+            config,
+            ..Sweep::new(spec, SizeClass::Test, &[2], 7)
+        };
+        let data = sweep.run(None, |_| {});
         let rep = report(&sc, &data);
         assert_eq!(rep.failed, 0);
         assert!(rep.intervals > 0, "intervals must be recorded");

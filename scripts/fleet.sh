@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Fault-tolerant sharded sweep fan-out (DESIGN.md §14).
+# Fault-tolerant sharded sweep fan-out (DESIGN.md §13).
 #
 # Launches N `figures --shard k/N` worker processes over one shared
 # journal directory, supervises each shard to convergence with bounded

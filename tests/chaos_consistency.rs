@@ -4,15 +4,19 @@
 //! corruption** — zero silent divergence — and a failing chaos
 //! campaign must shrink to a minimal reproducing fault script.
 
+use spasm::apps::SizeClass;
 use spasm::core::chaos::{
-    explore_crash_points, run_campaign, shrink_demo, verify_script, CampaignConfig, ChaosSweep,
+    explore_crash_points, run_campaign, shrink_demo, total_points, verify_script, CampaignConfig,
     CrashVerdict,
 };
 use spasm::core::figures;
+use spasm::core::sweep::Sweep;
 use spasm::journal::{Fault, FaultScript};
 
-fn smoke() -> ChaosSweep {
-    ChaosSweep::smoke(figures::by_id("F1").expect("F1 is a defined figure"))
+/// The smallest interesting sweep — the one the campaign itself uses.
+fn smoke() -> Sweep<'static> {
+    let spec = figures::by_id("F1").expect("F1 is a defined figure");
+    Sweep::new(spec, SizeClass::Test, &[2], 42)
 }
 
 #[test]
@@ -28,7 +32,7 @@ fn every_crash_point_resumes_byte_identically() {
     assert_eq!(report.identical, report.crash_points);
     // Coverage, not vacuity: early crashes leave nothing to replay,
     // late crashes replay all but the in-flight point.
-    let total = cs.total_points();
+    let total = total_points(&cs);
     assert_eq!(report.min_replayed, 0, "a crash before the first commit");
     assert!(
         report.max_replayed + 1 >= total,

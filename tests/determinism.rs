@@ -89,35 +89,23 @@ fn golden_fingerprint_full_matrix() {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     use spasm::core::figures;
-    use spasm::core::sweep::{run_figure_with, SweepConfig};
+    use spasm::core::sweep::{Sweep, SweepConfig};
     use spasm::machine::FaultPlan;
 
     let spec = figures::by_id("F2").expect("F2 exists");
-    let procs = [2, 4, 8];
+    let base = Sweep::new(spec, SizeClass::Test, &[2, 4, 8], 1995);
     let plans: [Option<FaultPlan>; 2] = [None, Some(FaultPlan::adversarial(1995))];
     for faults in plans {
-        let serial = run_figure_with(
-            spec,
-            SizeClass::Test,
-            &procs,
-            1995,
-            SweepConfig {
+        let on = |jobs| {
+            let config = SweepConfig {
                 faults,
-                jobs: 1,
-                ..SweepConfig::default()
-            },
-        );
-        let parallel = run_figure_with(
-            spec,
-            SizeClass::Test,
-            &procs,
-            1995,
-            SweepConfig {
-                faults,
-                jobs: 4,
-                ..SweepConfig::default()
-            },
-        );
+                jobs,
+                ..base.config
+            };
+            Sweep { config, ..base }.run(None, |_| {})
+        };
+        let serial = on(1);
+        let parallel = on(4);
         let label = if faults.is_some() {
             "faulted"
         } else {

@@ -8,17 +8,27 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use spasm::apps::SizeClass;
-use spasm::core::figures;
+use spasm::core::figures::{self, FigureSpec};
 use spasm::core::journal::{ResumeError, SweepJournal};
-use spasm::core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
-use spasm::journal::JournalError;
+use spasm::core::sweep::Sweep;
+use spasm::journal::{JournalError, RealVfs};
 use spasm_testkit::{check_with, gens, prop_assert, prop_assert_eq, Config};
 
 const SEED: u64 = 5;
 const PROCS: [usize; 2] = [2, 4];
+
+/// The suite's sweep shape, over `spec`.
+fn sweep_of(spec: &FigureSpec) -> Sweep<'_> {
+    Sweep::new(spec, SizeClass::Test, &PROCS, SEED)
+}
+
+/// The sweep every damaged journal in this suite was written by.
+fn f1() -> Sweep<'static> {
+    sweep_of(figures::by_id("F1").expect("F1 is a defined figure"))
+}
 
 /// A unique scratch path per call, so shrinking re-runs never collide.
 fn scratch() -> PathBuf {
@@ -37,14 +47,11 @@ fn scratch() -> PathBuf {
 fn fixture() -> &'static (String, String, Vec<u8>) {
     static FIXTURE: OnceLock<(String, String, Vec<u8>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let spec = figures::by_id("F1").expect("F1 is a defined figure");
-        let sweep = SweepConfig::default();
-        let clean = run_figure_with(spec, SizeClass::Test, &PROCS, SEED, sweep);
+        let clean = f1().run(None, |_| {});
         let path = scratch();
-        let j = SweepJournal::create(&path, spec, SizeClass::Test, &PROCS, SEED, &sweep)
-            .expect("create in temp dir");
-        let journaled =
-            run_figure_journaled(spec, SizeClass::Test, &PROCS, SEED, sweep, &j, |_| {});
+        let j =
+            SweepJournal::open(Arc::new(RealVfs), &path, &f1(), false).expect("create in temp dir");
+        let journaled = f1().run(Some(&j), |_| {});
         assert_eq!(journaled.to_csv(), clean.to_csv());
         let bytes = fs::read(&path).expect("journal readable");
         fs::remove_file(&path).expect("cleanup");
@@ -56,11 +63,9 @@ fn fixture() -> &'static (String, String, Vec<u8>) {
 /// opens, completes the sweep and demands byte-identical output.
 fn resume_and_compare(path: &PathBuf) -> Result<Result<(), ResumeError>, String> {
     let (clean_csv, clean_table, _) = fixture();
-    let spec = figures::by_id("F1").expect("F1 is a defined figure");
-    let sweep = SweepConfig::default();
-    match SweepJournal::resume(path, spec, SizeClass::Test, &PROCS, SEED, &sweep) {
+    match SweepJournal::open(Arc::new(RealVfs), path, &f1(), true) {
         Ok(j) => {
-            let data = run_figure_journaled(spec, SizeClass::Test, &PROCS, SEED, sweep, &j, |_| {});
+            let data = f1().run(Some(&j), |_| {});
             prop_assert_eq!(&data.to_csv(), clean_csv, "CSV diverged after resume");
             prop_assert_eq!(
                 &data.render_table(),
@@ -174,14 +179,13 @@ fn journals_from_a_different_scenario_definition_are_refused() {
     // A journal written under scenario A refuses scenario B outright —
     // the scenario's canonical text is part of the sweep fingerprint.
     let path = scratch();
-    let sweep = SweepConfig::default();
-    drop(SweepJournal::create(&path, a, SizeClass::Test, &PROCS, SEED, &sweep).expect("create"));
-    match SweepJournal::resume(&path, b, SizeClass::Test, &PROCS, SEED, &sweep) {
+    drop(SweepJournal::open(Arc::new(RealVfs), &path, &sweep_of(a), false).expect("create"));
+    match SweepJournal::open(Arc::new(RealVfs), &path, &sweep_of(b), true) {
         Err(e) => assert!(e.is_fingerprint_mismatch(), "{e}"),
         Ok(_) => panic!("a journal from a different scenario was accepted"),
     }
     // Sanity: the journal still resumes under its own definition.
-    SweepJournal::resume(&path, a, SizeClass::Test, &PROCS, SEED, &sweep)
+    SweepJournal::open(Arc::new(RealVfs), &path, &sweep_of(a), true)
         .expect("same definition resumes");
     fs::remove_file(&path).expect("cleanup");
 }
@@ -190,31 +194,18 @@ fn journals_from_a_different_scenario_definition_are_refused() {
 fn resume_under_a_different_configuration_is_refused() {
     let path = scratch();
     fs::write(&path, &fixture().2).expect("write journal copy");
-    let spec = figures::by_id("F1").expect("F1 is a defined figure");
-    // Same file, different seed: the fingerprint must refuse it.
-    match SweepJournal::resume(
-        &path,
-        spec,
-        SizeClass::Test,
-        &PROCS,
-        SEED + 1,
-        &SweepConfig::default(),
-    ) {
-        Err(e) => assert!(e.is_fingerprint_mismatch(), "{e}"),
-        Ok(_) => panic!("a mismatched fingerprint was accepted"),
-    }
-    // A different figure entirely: also refused, not mixed.
-    let other = figures::by_id("F2").expect("F2 is a defined figure");
-    match SweepJournal::resume(
-        &path,
-        other,
-        SizeClass::Test,
-        &PROCS,
-        SEED,
-        &SweepConfig::default(),
-    ) {
-        Err(e) => assert!(e.is_fingerprint_mismatch(), "{e}"),
-        Ok(_) => panic!("a mismatched fingerprint was accepted"),
+    // Same file, different seed: the fingerprint must refuse it. And a
+    // different figure entirely: also refused, not mixed.
+    let reseeded = Sweep {
+        seed: SEED + 1,
+        ..f1()
+    };
+    let other = sweep_of(figures::by_id("F2").expect("F2 is a defined figure"));
+    for mismatched in [reseeded, other] {
+        match SweepJournal::open(Arc::new(RealVfs), &path, &mismatched, true) {
+            Err(e) => assert!(e.is_fingerprint_mismatch(), "{e}"),
+            Ok(_) => panic!("a mismatched fingerprint was accepted"),
+        }
     }
     fs::remove_file(&path).expect("cleanup");
 }

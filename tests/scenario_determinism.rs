@@ -7,12 +7,13 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use spasm::apps::SizeClass;
 use spasm::core::figures::FigureSpec;
 use spasm::core::journal::SweepJournal;
-use spasm::core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
+use spasm::core::sweep::{Sweep, SweepConfig};
+use spasm::journal::RealVfs;
 use spasm::machine::TelemetryConfig;
 
 const SEED: u64 = 7;
@@ -32,10 +33,15 @@ fn spec() -> &'static FigureSpec {
     })
 }
 
-fn sweep(jobs: usize) -> SweepConfig {
-    SweepConfig {
+/// The instrumented sweep of the scenario on `jobs` workers.
+fn sweep(jobs: usize) -> Sweep<'static> {
+    let config = SweepConfig {
         telemetry: Some(TelemetryConfig::every_us(50)),
         ..SweepConfig::parallel(jobs)
+    };
+    Sweep {
+        config,
+        ..Sweep::new(spec(), SizeClass::Test, &PROCS, SEED)
     }
 }
 
@@ -52,7 +58,7 @@ fn scratch() -> PathBuf {
 
 #[test]
 fn telemetry_is_byte_identical_across_worker_counts() {
-    let serial = run_figure_with(spec(), SizeClass::Test, &PROCS, SEED, sweep(1));
+    let serial = sweep(1).run(None, |_| {});
     assert_eq!(serial.failed_points(), 0);
     let jsonl = serial.to_telemetry_jsonl();
     assert!(
@@ -60,7 +66,7 @@ fn telemetry_is_byte_identical_across_worker_counts() {
         "telemetry must actually be on"
     );
     for jobs in [2usize, 4] {
-        let parallel = run_figure_with(spec(), SizeClass::Test, &PROCS, SEED, sweep(jobs));
+        let parallel = sweep(jobs).run(None, |_| {});
         assert_eq!(
             parallel.to_telemetry_jsonl(),
             jsonl,
@@ -74,9 +80,9 @@ fn telemetry_is_byte_identical_across_worker_counts() {
 fn telemetry_survives_kill_and_resume_byte_identical() {
     // The uninterrupted journaled run is the reference.
     let path = scratch();
-    let j = SweepJournal::create(&path, spec(), SizeClass::Test, &PROCS, SEED, &sweep(1))
-        .expect("create journal");
-    let clean = run_figure_journaled(spec(), SizeClass::Test, &PROCS, SEED, sweep(1), &j, |_| {});
+    let sweep = sweep(1);
+    let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).expect("create journal");
+    let clean = sweep.run(Some(&j), |_| {});
     assert_eq!(clean.failed_points(), 0);
     let jsonl = clean.to_telemetry_jsonl();
     assert!(jsonl.contains("\"kind\":\"interval\""));
@@ -88,10 +94,9 @@ fn telemetry_survives_kill_and_resume_byte_identical() {
     for cut in [bytes.len() / 4, bytes.len() / 2, bytes.len() * 3 / 4] {
         let damaged = scratch();
         fs::write(&damaged, &bytes[..cut]).expect("write damaged copy");
-        let j = SweepJournal::resume(&damaged, spec(), SizeClass::Test, &PROCS, SEED, &sweep(1))
+        let j = SweepJournal::open(Arc::new(RealVfs), &damaged, &sweep, true)
             .unwrap_or_else(|e| panic!("resume after cut at {cut}: {e}"));
-        let resumed =
-            run_figure_journaled(spec(), SizeClass::Test, &PROCS, SEED, sweep(1), &j, |_| {});
+        let resumed = sweep.run(Some(&j), |_| {});
         assert_eq!(
             resumed.to_telemetry_jsonl(),
             jsonl,

@@ -8,20 +8,25 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use spasm::apps::SizeClass;
 use spasm::core::figures::{self, FigureSpec};
-use spasm::core::journal::{sweep_fingerprint, SweepJournal};
+use spasm::core::journal::SweepJournal;
 use spasm::core::shard::{merge_shards, MergeReport, ShardError, ShardSpec};
-use spasm::core::sweep::{run_figure_shard, run_figure_with, Outcome, SweepConfig};
-use spasm::journal::Journal;
+use spasm::core::sweep::{Outcome, Sweep};
+use spasm::journal::{Journal, RealVfs};
 
 const SEED: u64 = 5;
 const PROCS: [usize; 2] = [2, 4];
 
 fn spec() -> &'static FigureSpec {
     figures::by_id("F1").expect("F1 is a defined figure")
+}
+
+/// The one sweep every shard in this suite is a slice of.
+fn sweep() -> Sweep<'static> {
+    Sweep::new(spec(), SizeClass::Test, &PROCS, SEED)
 }
 
 /// A unique scratch directory per call, so tests never collide.
@@ -38,13 +43,7 @@ fn scratch_dir() -> PathBuf {
 fn serial() -> &'static (String, String) {
     static FIXTURE: OnceLock<(String, String)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let data = run_figure_with(
-            spec(),
-            SizeClass::Test,
-            &PROCS,
-            SEED,
-            SweepConfig::default(),
-        );
+        let data = sweep().run(None, |_| {});
         (data.render_table(), data.to_csv())
     })
 }
@@ -53,30 +52,13 @@ fn serial() -> &'static (String, String) {
 /// `figures --shard K/N --journal dir --resume` does.
 fn run_shard(dir: &Path, shard: ShardSpec) {
     let path = dir.join(shard.file_name(spec().id));
-    let sweep = SweepConfig::default();
-    let journal = SweepJournal::resume(&path, spec(), SizeClass::Test, &PROCS, SEED, &sweep)
-        .expect("shard journal opens");
-    run_figure_shard(
-        spec(),
-        SizeClass::Test,
-        &PROCS,
-        SEED,
-        sweep,
-        shard,
-        &journal,
-        |_| {},
-    );
+    let journal =
+        SweepJournal::open(Arc::new(RealVfs), &path, &sweep(), true).expect("shard journal opens");
+    sweep().run_shard(shard, &journal, |_| {});
 }
 
 fn merge(dir: &Path) -> Result<MergeReport, ShardError> {
-    merge_shards(
-        dir,
-        spec(),
-        SizeClass::Test,
-        &PROCS,
-        SEED,
-        &SweepConfig::default(),
-    )
+    merge_shards(&RealVfs, dir, &sweep())
 }
 
 fn assert_identical(report: &MergeReport) {
@@ -252,13 +234,11 @@ fn mismatched_fingerprint_shard_is_quarantined() {
     let dir = scratch_dir();
     run_shard(&dir, ShardSpec::new(1, 1).unwrap());
     let honest = dir.join(ShardSpec::new(1, 1).unwrap().file_name(spec().id));
-    let alien = sweep_fingerprint(
-        spec(),
-        SizeClass::Test,
-        &PROCS,
-        SEED + 1, // a different seed: honest work, wrong configuration
-        &SweepConfig::default(),
-    );
+    let alien = Sweep {
+        seed: SEED + 1, // a different seed: honest work, wrong configuration
+        ..sweep()
+    }
+    .fingerprint();
     assert_ne!(alien, header_fingerprint(&honest));
     let path = dir.join(ShardSpec::new(2, 2).unwrap().file_name(spec().id));
     Journal::create(&path, alien).expect("alien shard creates");
