@@ -64,15 +64,19 @@ fn input_signal(n: usize, seed: u64) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Direct O(N^2) DFT for verification.
+/// Direct O(N^2) DFT for verification: the sum stays the textbook one,
+/// independent of the radix-2 code under test, but the N distinct twiddles
+/// `e^(-2*pi*i*j/N)` are computed once instead of once per term.
 fn reference_dft(x: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let n = x.len();
+    let tw: Vec<(f64, f64)> = (0..n)
+        .map(|j| (-2.0 * PI * j as f64 / n as f64).sin_cos())
+        .collect();
     (0..n)
         .map(|k| {
             let mut acc = (0.0f64, 0.0f64);
             for (t, &(re, im)) in x.iter().enumerate() {
-                let ang = -2.0 * PI * (k * t % n) as f64 / n as f64;
-                let (s, c) = ang.sin_cos();
+                let (s, c) = tw[k * t % n];
                 acc.0 += re * c - im * s;
                 acc.1 += re * s + im * c;
             }
@@ -191,6 +195,41 @@ mod tests {
     use super::*;
     use spasm_machine::{Engine, MachineKind};
     use spasm_topology::Topology;
+
+    /// The reference as it was before the twiddle table: `sin_cos` per
+    /// term, N^2 calls. The oracle the table is held to, bit for bit.
+    fn reference_dft_per_term(x: &[(f64, f64)]) -> Vec<(f64, f64)> {
+        let n = x.len();
+        (0..n)
+            .map(|k| {
+                let mut acc = (0.0f64, 0.0f64);
+                for (t, &(re, im)) in x.iter().enumerate() {
+                    let ang = -2.0 * PI * (k * t % n) as f64 / n as f64;
+                    let (s, c) = ang.sin_cos();
+                    acc.0 += re * c - im * s;
+                    acc.1 += re * s + im * c;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn twiddle_table_leaves_every_reference_value_bit_identical() {
+        for n in [8usize, 64, 256] {
+            let x = input_signal(n, 1995);
+            let bits = |v: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+                v.iter()
+                    .map(|&(re, im)| (re.to_bits(), im.to_bits()))
+                    .collect()
+            };
+            assert_eq!(
+                bits(reference_dft(&x)),
+                bits(reference_dft_per_term(&x)),
+                "n = {n}"
+            );
+        }
+    }
 
     #[test]
     fn reference_dft_of_impulse_is_flat() {

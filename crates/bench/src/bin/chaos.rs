@@ -14,7 +14,9 @@
 //! with a power cut injected there, plus a dropped-fsync ×
 //! delayed-crash grid (`--torn-window`, default 8) that manufactures
 //! torn journals. Every point must either resume byte-identically or
-//! refuse with a typed error naming the corruption.
+//! refuse with a typed error naming the corruption. The exploration then
+//! repeats from a warm point cache — the sweep as a later figure of one
+//! `figures` invocation runs it, its hits journaled in one batched commit.
 //!
 //! `--campaign` fuzzes random multi-fault scripts (torn/short writes,
 //! ENOSPC, dropped fsyncs, failed renames, power cuts) across four
@@ -36,7 +38,7 @@ use std::time::Instant;
 use spasm_bench::{parse_procs, parse_size};
 use spasm_core::chaos::{explore_crash_points, run_campaign, shrink_demo, CampaignConfig};
 use spasm_core::figures;
-use spasm_core::sweep::Sweep;
+use spasm_core::sweep::{PointCache, Sweep};
 
 const EXIT_OK: u8 = 0;
 const EXIT_FAIL: u8 = 1;
@@ -118,28 +120,33 @@ fn main() -> ExitCode {
                 eprintln!("chaos: unknown figure {fig} (try: figures --list)");
                 return usage();
             };
-            match explore_crash_points(&Sweep::new(spec, size, &procs, seed), torn_window) {
-                Ok(report) => {
-                    for (script, error) in &report.refusals {
-                        eprintln!("refused under {script}: {error}");
+            let sweep = Sweep::new(spec, size, &procs, seed);
+            let mut warm = PointCache::default();
+            sweep.run(None, &mut warm, |_| {});
+            for (pass, shared) in [("", PointCache::default()), (" shared", warm)] {
+                match explore_crash_points(&sweep, &shared, torn_window) {
+                    Ok(report) => {
+                        for (script, error) in &report.refusals {
+                            eprintln!("refused under {script}: {error}");
+                        }
+                        println!("chaos explore {}{pass}: {report}", spec.id);
+                        if report.refused_pure_crash > 0 {
+                            eprintln!(
+                                "chaos: {} pure power cuts were refused instead of resuming — \
+                                 the atomic-rename commit should make every clean crash recoverable",
+                                report.refused_pure_crash
+                            );
+                            return ExitCode::from(EXIT_FAIL);
+                        }
                     }
-                    println!("chaos explore {}: {report}", spec.id);
-                    eprintln!("explored in {:.1?}", started.elapsed());
-                    if report.refused_pure_crash > 0 {
-                        eprintln!(
-                            "chaos: {} pure power cuts were refused instead of resuming — \
-                             the atomic-rename commit should make every clean crash recoverable",
-                            report.refused_pure_crash
-                        );
+                    Err(err) => {
+                        eprintln!("chaos explore {}{pass}: {err}", spec.id);
                         return ExitCode::from(EXIT_FAIL);
                     }
-                    ExitCode::from(EXIT_OK)
-                }
-                Err(err) => {
-                    eprintln!("chaos explore {}: {err}", spec.id);
-                    ExitCode::from(EXIT_FAIL)
                 }
             }
+            eprintln!("explored in {:.1?}", started.elapsed());
+            ExitCode::from(EXIT_OK)
         }
         Some(Mode::Campaign) => {
             let config = CampaignConfig::new(seed, trials);

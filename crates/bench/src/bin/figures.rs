@@ -9,10 +9,13 @@
 //! Sweep points run on the `spasm-exec` worker pool — one worker per
 //! host hardware thread by default (`--jobs auto`); `--serial` forces
 //! the inline single-thread path. Output is byte-identical either way;
-//! per-series and total simulated times go to stderr so the speedup is
-//! visible without polluting the table/CSV streams. `--chart` adds an
-//! ASCII plot under each table and `--csv PATH` writes every row to one
-//! CSV file.
+//! per-series run times and the total simulated time go to stderr so the
+//! speedup is visible without polluting the table/CSV streams. Figures
+//! that plot the same (app, net, machine) points — F3 and F12, say —
+//! share them: each distinct point is simulated once per invocation, and
+//! stderr says how many of a figure's points were `shared`. `--chart`
+//! adds an ASCII plot under each table and `--csv PATH` writes every row
+//! to one CSV file.
 //!
 //! `--check` / `--strict-check` turn on the online invariant checkers
 //! for every run (a violation fails the point), `--faults SEED` injects
@@ -57,7 +60,7 @@ use spasm_bench::{parse_jobs, parse_procs, parse_size};
 use spasm_core::figures::{self, FigureSpec};
 use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
-use spasm_core::sweep::{FigureData, Outcome, Sweep, SweepConfig};
+use spasm_core::sweep::{FigureData, Outcome, PointCache, Sweep, SweepConfig};
 use spasm_exec::ExecEvent;
 use spasm_journal::RealVfs;
 use spasm_machine::{CheckMode, FaultPlan, RunBudget, TelemetryConfig};
@@ -572,6 +575,7 @@ fn run_shard(args: &Args, sweeps: &[Sweep<'_>], shard: ShardSpec) -> ExitCode {
     }
     let started = Instant::now();
     let mut worst = Exit::Clean;
+    let mut cache = PointCache::default();
     for sweep in sweeps {
         let id = sweep.spec.id;
         let jpath = std::path::Path::new(dir)
@@ -579,15 +583,15 @@ fn run_shard(args: &Args, sweeps: &[Sweep<'_>], shard: ShardSpec) -> ExitCode {
             .display()
             .to_string();
         let pass = with_journal(&jpath, sweep, args.resume, |journal| {
-            sweep.run_shard(shard, journal, |_| {})
+            sweep.run_shard(shard, journal, &mut cache, |_| {})
         });
         let (report, stopped) = match pass {
             Ok(p) => p,
             Err(code) => return worst.max(code).into(),
         };
         eprintln!(
-            "{id} shard {shard}: {} owned, {} replayed, {} fresh, {} failed",
-            report.owned, report.replayed, report.fresh, report.failed
+            "{id} shard {shard}: {} owned, {} replayed, {} shared, {} fresh, {} failed",
+            report.owned, report.replayed, report.shared, report.fresh, report.failed
         );
         if stopped {
             // Unlike the single-process journaled path, a shard has no
@@ -663,13 +667,16 @@ fn run_merge(args: &Args, sweeps: &[Sweep<'_>], dir: &str) -> ExitCode {
 fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
     let total_started = Instant::now();
     let mut total_busy = Duration::ZERO;
-    let mut total_points = 0usize;
+    let (mut total_points, mut total_fresh) = (0usize, 0usize);
     let mut out = Output::new();
+    // One cache for the invocation: a point an earlier figure completed
+    // is not simulated again.
+    let mut cache = PointCache::default();
     for sweep in sweeps {
         let id = sweep.spec.id;
         let started = Instant::now();
-        // Only fresh points enter the executor (the rest are replayed),
-        // so its events time what this invocation itself simulated.
+        // Only fresh points enter the executor (the rest are replayed or
+        // shared), so its events time what this invocation itself simulated.
         let mut fresh = 0usize;
         let fresh_points = |ev: &ExecEvent| {
             if let ExecEvent::Finished { wall, .. }
@@ -680,12 +687,13 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
                 total_busy += *wall;
             }
         };
+        let shared_before = cache.hits();
         let data = match &args.journal {
-            None => sweep.run(None, fresh_points),
+            None => sweep.run(None, &mut cache, fresh_points),
             Some(base) => {
                 let jpath = format!("{base}.{id}");
                 let pass = with_journal(&jpath, sweep, args.resume, |journal| {
-                    sweep.run(Some(journal), fresh_points)
+                    sweep.run(Some(journal), &mut cache, fresh_points)
                 });
                 // A journal that stopped persisting costs nothing here:
                 // the results are complete in memory and on stdout.
@@ -695,31 +703,39 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
                 }
             }
         };
-        // Every completed point carries its own wall time, journaled with
-        // it, so the per-series sums hold for replayed points too.
+        // Every completed point carries the wall time of the one run that
+        // produced it — journaled with it, cached with it — so these sums
+        // hold for replayed and shared points too, and name a run once per
+        // figure that plots it. What this invocation simulated is `total:`.
         for s in &data.series {
             let busy: Duration = s.metrics.iter().flatten().map(|m| m.wall).sum();
             eprintln!(
-                "{id}: series {}: {busy:.1?} simulated across {} point(s)",
+                "{id}: series {}: {busy:.1?} of recorded run time across {} point(s)",
                 s.machine,
                 data.procs.len()
             );
         }
         let points = data.series.len() * data.procs.len();
+        let shared = cache.hits() - shared_before;
+        let replayed = points - fresh - shared;
         eprintln!(
-            "{id}: swept in {:.1?} ({fresh} fresh, {} replayed, {})",
+            "{id}: swept in {:.1?} ({fresh} fresh, {replayed} replayed, {shared} shared, {})",
             started.elapsed(),
-            points - fresh,
             jobs_label(args.jobs)
         );
         total_points += points;
+        total_fresh += fresh;
         out.figure(&data, args.chart);
     }
     let total_wall = total_started.elapsed();
     eprintln!(
-        "total: {} figure(s), {} point(s), {:.1?} simulated in {:.1?} wall ({:.1}x, {})",
+        "total: {} figure(s), {} point(s) ({} fresh, {} replayed, {} shared), \
+         {:.1?} simulated in {:.1?} wall ({:.1}x, {})",
         sweeps.len(),
         total_points,
+        total_fresh,
+        total_points - total_fresh - cache.hits(),
+        cache.hits(),
         total_busy,
         total_wall,
         total_busy.as_secs_f64() / total_wall.as_secs_f64().max(1e-9),

@@ -16,6 +16,11 @@
 //! is silent divergence ([`ChaosError::Divergence`]) and fails the
 //! harness. The sweep under test travels as a [`Sweep`]: its `config` is
 //! what reference and recovery runs use, its seed the default tear seed.
+//! The [`PointCache`] a victim starts from is the other input: empty, every
+//! point runs and commits alone; warm, the hits land in one batched commit
+//! — which must survive a crash whole or not at all. Recovery always
+//! starts empty, as a process that lost its memory does, so trials cannot
+//! leak results into each other.
 //!
 //! Three drivers sit on top of the oracle:
 //!
@@ -43,7 +48,7 @@ use spasm_testkit::{gens, minimize, Gen, TestRng};
 use crate::figures::{self, FigureSpec};
 use crate::journal::SweepJournal;
 use crate::shard::{merge_shards, ShardSpec};
-use crate::sweep::{FigureData, Sweep, SweepConfig};
+use crate::sweep::{FigureData, PointCache, Sweep, SweepConfig};
 
 /// The smallest interesting sweep of `spec`: test size, one processor
 /// count, default configuration. Fast enough to re-run hundreds of times
@@ -132,14 +137,18 @@ fn divergence(script: &FaultScript, context: &str, expected: &str, got: &str) ->
     }
 }
 
-/// Runs the uninterrupted reference sweep on a pristine [`FaultVfs`]
-/// and returns its rendering plus the recorded I/O operation trace —
-/// the crash-point universe [`explore_crash_points`] walks.
-pub fn run_reference(cs: &Sweep<'_>) -> Result<(String, Vec<TraceEntry>), ChaosError> {
+/// Runs the uninterrupted reference sweep on a pristine [`FaultVfs`],
+/// starting from a copy of `shared`, and returns its rendering plus the
+/// recorded I/O operation trace — the crash-point universe
+/// [`explore_crash_points`] walks.
+pub fn run_reference(
+    cs: &Sweep<'_>,
+    shared: &PointCache,
+) -> Result<(String, Vec<TraceEntry>), ChaosError> {
     let fault = Arc::new(FaultVfs::pristine());
     let journal = SweepJournal::open(fault.clone(), journal_path(cs), cs, false)
         .map_err(|e| ChaosError::Harness(format!("reference journal create failed: {e}")))?;
-    let data = cs.run(Some(&journal), |_| {});
+    let data = cs.run(Some(&journal), &mut shared.clone(), |_| {});
     if let Some(err) = journal.io_error() {
         return Err(ChaosError::Harness(format!(
             "reference run hit a journal I/O error on a pristine vfs: {err}"
@@ -151,24 +160,27 @@ pub fn run_reference(cs: &Sweep<'_>) -> Result<(String, Vec<TraceEntry>), ChaosE
 /// Applies the recovery oracle to one fault script: run the victim
 /// sweep under the script, then keep power-cycling and resuming until
 /// an attempt finishes without crashing, and compare its rendering to
-/// `expected`. Victim and recovery both use `cs`'s own config.
+/// `expected`. Victim and recovery both use `cs`'s own config, and the
+/// victim shares nothing.
 pub fn verify_script(
     cs: &Sweep<'_>,
     expected: &str,
     script: &FaultScript,
 ) -> Result<CrashVerdict, ChaosError> {
-    verify_script_with(cs, &cs.config, expected, script)
+    verify_script_with(cs, &cs.config, &PointCache::default(), expected, script)
 }
 
-/// [`verify_script`] with a distinct victim configuration. The victim
-/// config must be fingerprint-compatible with `cs`'s (scheduling knobs
-/// like [`SweepConfig::deadline`] are excluded from the journal
-/// fingerprint precisely so this works); when the two configs differ
-/// the uncrashed-victim identity check is skipped, since e.g. a
-/// deadline legitimately cuts points until recovery re-runs them.
+/// [`verify_script`] with a distinct victim: its own configuration, and a
+/// copy of `shared` to start from. The victim config must be
+/// fingerprint-compatible with `cs`'s (scheduling knobs like
+/// [`SweepConfig::deadline`] are excluded from the journal fingerprint
+/// precisely so this works); when the two configs differ the
+/// uncrashed-victim identity check is skipped, since e.g. a deadline
+/// legitimately cuts points until recovery re-runs them.
 pub fn verify_script_with(
     cs: &Sweep<'_>,
     victim: &SweepConfig,
+    shared: &PointCache,
     expected: &str,
     script: &FaultScript,
 ) -> Result<CrashVerdict, ChaosError> {
@@ -184,7 +196,7 @@ pub fn verify_script_with(
     // (the tool refuses to start); that leaves nothing durable, which
     // recovery below treats as a clean fresh start.
     if let Ok(journal) = SweepJournal::open(vfs.clone(), &path, &victim, false) {
-        let data = victim.run(Some(&journal), |_| {});
+        let data = victim.run(Some(&journal), &mut shared.clone(), |_| {});
         if !fault.crashed() && victim.config.deadline == cs.config.deadline {
             // Non-crash faults may wreck durability, but they must
             // never corrupt the in-memory figure of a run that was
@@ -210,7 +222,7 @@ pub fn verify_script_with(
         match SweepJournal::open(vfs.clone(), &path, cs, true) {
             Ok(journal) => {
                 let replayed = journal.replayed();
-                let data = cs.run(Some(&journal), |_| {});
+                let data = cs.run(Some(&journal), &mut PointCache::default(), |_| {});
                 if fault.crashed() {
                     continue;
                 }
@@ -260,7 +272,7 @@ pub fn verify_shard_script(
     for &shard in &specs {
         let path = dir.join(shard.file_name(cs.spec.id));
         if let Ok(journal) = SweepJournal::open(vfs.clone(), &path, cs, false) {
-            cs.run_shard(shard, &journal, |_| {});
+            cs.run_shard(shard, &journal, &mut PointCache::default(), |_| {});
         }
         if fault.crashed() {
             break;
@@ -274,7 +286,7 @@ pub fn verify_shard_script(
             let path = dir.join(shard.file_name(cs.spec.id));
             match SweepJournal::open(vfs.clone(), &path, cs, true) {
                 Ok(journal) => {
-                    let report = cs.run_shard(shard, &journal, |_| {});
+                    let report = cs.run_shard(shard, &journal, &mut PointCache::default(), |_| {});
                     if fault.crashed() || journal.io_error().is_some() {
                         continue 'attempt;
                     }
@@ -371,14 +383,17 @@ impl fmt::Display for CrashExploration {
 /// sweep with a power cut at `k` and applies the recovery oracle. A
 /// second pass manufactures torn files by pairing a dropped fsync at
 /// each `SyncFile` operation with a crash up to `torn_window`
-/// operations later. Returns the coverage report, or the first
-/// divergence found — the report itself proves "zero silent
-/// divergence" over every explored point.
+/// operations later. Every victim starts from a copy of `shared`, so a
+/// warm cache puts the batched commit of its hits into the universe.
+/// Returns the coverage report, or the first divergence found — the
+/// report itself proves "zero silent divergence" over every explored
+/// point.
 pub fn explore_crash_points(
     cs: &Sweep<'_>,
+    shared: &PointCache,
     torn_window: usize,
 ) -> Result<CrashExploration, ChaosError> {
-    let (expected, trace) = run_reference(cs)?;
+    let (expected, trace) = run_reference(cs, shared)?;
     let ops = trace.len();
     let mut report = CrashExploration {
         ops,
@@ -414,7 +429,7 @@ pub fn explore_crash_points(
     for k in 0..ops {
         let script = FaultScript::crash_at(k);
         report.crash_points += 1;
-        let verdict = verify_script(cs, &expected, &script)?;
+        let verdict = verify_script_with(cs, &cs.config, shared, &expected, &script)?;
         tally(&mut report, script, verdict, true);
     }
 
@@ -427,7 +442,7 @@ pub fn explore_crash_points(
                 faults: vec![(sync.index, Fault::DropSync), (k, Fault::Crash)],
             };
             report.torn_points += 1;
-            let verdict = verify_script(cs, &expected, &script)?;
+            let verdict = verify_script_with(cs, &cs.config, shared, &expected, &script)?;
             tally(&mut report, script, verdict, false);
         }
     }
@@ -578,9 +593,10 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
         ..base
     };
     let empty = FaultScript::default();
-    let (expected_base, trace_base) =
-        run_reference(&base).map_err(|e| harness_failure("journal", 0, &empty, e.to_string()))?;
-    let (expected_faulted, trace_faulted) = run_reference(&faulted)
+    let cold = PointCache::default();
+    let (expected_base, trace_base) = run_reference(&base, &cold)
+        .map_err(|e| harness_failure("journal", 0, &empty, e.to_string()))?;
+    let (expected_faulted, trace_faulted) = run_reference(&faulted, &cold)
         .map_err(|e| harness_failure("machine-faults", 0, &empty, e.to_string()))?;
 
     // A two-shard fleet roughly doubles the op universe; the +8 keeps
@@ -602,7 +618,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
         let verify = |s: &FaultScript| match family {
             "journal" => verify_script(&base, &expected_base, s),
             "shard-merge" => verify_shard_script(&base, 2, &expected_base, s),
-            "deadline" => verify_script_with(&base, &deadline_victim, &expected_base, s),
+            "deadline" => verify_script_with(&base, &deadline_victim, &cold, &expected_base, s),
             _ => verify_script(&faulted, &expected_faulted, s),
         };
         match verify(&script) {
@@ -679,7 +695,7 @@ pub fn shrink_demo(seed: u64) -> Result<ShrinkDemo, ChaosError> {
     let spec = figures::by_id("F1")
         .ok_or_else(|| ChaosError::Harness("figure F1 is not registered".into()))?;
     let cs = smoke(spec);
-    let (expected, trace) = run_reference(&cs)?;
+    let (expected, trace) = run_reference(&cs, &PointCache::default())?;
     let total = total_points(&cs);
     let last_sync = trace
         .iter()

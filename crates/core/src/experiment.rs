@@ -153,8 +153,10 @@ impl fmt::Display for Machine {
     }
 }
 
-/// A fully specified simulation run.
-#[derive(Debug, Clone, Copy)]
+/// A fully specified simulation run. Equal experiments run the same
+/// simulation (under equal machine configurations), which is what lets
+/// [`crate::sweep::PointCache`] key on them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Experiment {
     /// Which application.
     pub app: AppId,

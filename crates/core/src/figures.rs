@@ -265,6 +265,22 @@ mod tests {
         assert_eq!(ids.len(), 22);
     }
 
+    /// The census the cross-figure `PointCache` rests on (EXPERIMENTS.md
+    /// quotes it): the figures name 60 (app, net, machine) series, 31 of
+    /// them distinct, so a whole-paper sweep of 300 points learns 155.
+    #[test]
+    fn sixty_series_of_which_thirty_one_are_distinct() {
+        let series: Vec<(AppId, Net, Machine)> = FIGURES
+            .iter()
+            .flat_map(|f| f.machines.iter().map(|&m| (f.app, f.net, m)))
+            .collect();
+        assert_eq!(series.len(), 60);
+        let distinct: std::collections::HashSet<_> = series.iter().collect();
+        assert_eq!(distinct.len(), 31);
+        assert_eq!(series.len() * PROC_SWEEP.len(), 300);
+        assert_eq!(distinct.len() * PROC_SWEEP.len(), 155);
+    }
+
     #[test]
     fn lookup_by_id() {
         assert_eq!(by_id("f8").unwrap().id, "F8");

@@ -128,16 +128,20 @@ impl Sweep<'_> {
             fp.absorb_u64(p as u64);
         }
         fp.absorb_u64(seed);
-        fp.absorb_str(&format!("{:?}", config.faults));
-        fp.absorb_str(&format!("{:?}", config.budget));
+        // The same four renderings key the cross-figure `PointCache`, so
+        // what a header certifies and what two figures may share cannot
+        // drift apart.
+        let [faults, budget, check, telemetry] = config.outcome_knobs();
+        fp.absorb_str(&faults);
+        fp.absorb_str(&budget);
         // The attempt ceiling was once a per-sweep knob absorbed here; the
         // constant keeps its slot so journals written back then stay valid.
         fp.absorb_u64(u64::from(MAX_ATTEMPTS));
-        fp.absorb_str(&format!("{:?}", config.check));
+        fp.absorb_str(&check);
         // Likewise the slot of a removed sweep-wide event budget, which every
         // journal ever written by `figures` absorbed as its unset rendering.
         fp.absorb_str("None");
-        fp.absorb_str(&format!("{:?}", config.telemetry));
+        fp.absorb_str(&telemetry);
         // And the slot of the engine selector retired with Time Warp, which
         // every un-faulted journal on disk absorbed as this rendering.
         fp.absorb_str("Sequential");
@@ -301,19 +305,21 @@ impl SweepJournal {
         self.replay.get(&(machine, procs)).map(ReplayPoint::verdict)
     }
 
-    /// Appends one completed point. Called from worker threads as points
-    /// finish; an append failure is latched (see
-    /// [`SweepJournal::io_error`]) rather than failing the sweep — the
-    /// in-memory figure is still correct.
-    pub(crate) fn record(
+    /// Appends completed points under one commit: one point as a worker
+    /// thread finishes it, or all of a figure's cache hits at once (a
+    /// crash keeps every one of them or none). An append failure is
+    /// latched (see [`SweepJournal::io_error`]) rather than failing the
+    /// sweep — the in-memory figure is still correct.
+    pub(crate) fn record<'a>(
         &self,
-        machine: Machine,
-        procs: usize,
-        outcome: &Outcome,
-        metrics: Option<&RunMetrics>,
-        telemetry: &[IntervalRecord],
+        points: impl IntoIterator<Item = (Machine, usize, &'a PointVerdict)>,
     ) {
-        let payload = encode_point(machine, procs, outcome, metrics, telemetry);
+        let payloads: Vec<Vec<u8>> = points
+            .into_iter()
+            .map(|(machine, procs, (outcome, metrics, telemetry))| {
+                encode_point(machine, procs, outcome, metrics.as_ref(), telemetry)
+            })
+            .collect();
         let mut inner = self
             .inner
             .lock()
@@ -321,7 +327,7 @@ impl SweepJournal {
         if inner.io_error.is_some() {
             return;
         }
-        if let Err(e) = inner.journal.append(&payload) {
+        if let Err(e) = inner.journal.append_all(&payloads) {
             inner.io_error = Some(e);
         }
     }
@@ -505,7 +511,7 @@ pub(crate) fn decode_point(record: &[u8]) -> Result<(Machine, usize, ReplayPoint
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::figures;
 
@@ -517,7 +523,7 @@ mod tests {
         path
     }
 
-    fn sample_metrics() -> RunMetrics {
+    pub(crate) fn sample_metrics() -> RunMetrics {
         RunMetrics {
             exec_us: 1.5,
             latency_us: 0.25,
@@ -720,23 +726,13 @@ mod tests {
         let sweep = Sweep::new(spec, SizeClass::Test, &[2], 5);
         let path = scratch("create-resume");
         let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).unwrap();
-        j.record(
-            Machine::Pram,
-            2,
-            &Outcome::Ok,
-            Some(&sample_metrics()),
-            &sample_telemetry(),
-        );
-        j.record(
-            Machine::Target,
-            2,
-            &Outcome::Failed {
-                error: ExperimentError::Verify("wrong sum".into()),
-                attempts: 1,
-            },
-            None,
-            &[],
-        );
+        let ok = (Outcome::Ok, Some(sample_metrics()), sample_telemetry());
+        j.record([(Machine::Pram, 2, &ok)]);
+        let failed = Outcome::Failed {
+            error: ExperimentError::Verify("wrong sum".into()),
+            attempts: 1,
+        };
+        j.record([(Machine::Target, 2, &(failed, None, Vec::new()))]);
         assert!(j.io_error().is_none());
         drop(j);
 

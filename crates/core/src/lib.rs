@@ -11,8 +11,9 @@
 //!   simulation-speed study (S1) and the gap-policy ablation (A1);
 //! * [`sweep`] — [`sweep::Sweep`], one figure's processor sweep as a
 //!   value: run it (resiliently, in parallel, under an optional
-//!   [`journal`]), shard it across worker processes ([`shard`]), and
-//!   render aligned tables / CSV;
+//!   [`journal`], sharing points with other figures through a
+//!   [`sweep::PointCache`]), shard it across worker processes
+//!   ([`shard`]), and render aligned tables / CSV;
 //! * [`chaos`] — the crash-consistency harness over journaled sweeps.
 //!
 //! # Example

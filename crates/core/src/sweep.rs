@@ -17,7 +17,15 @@
 //! order, and each point's simulation is internally unchanged, so the
 //! resulting [`FigureData`] — table, CSV, chart, metric bits — is
 //! **byte-identical** to a serial sweep of the same seeds.
+//!
+//! And sweeps *share*: the paper's 22 figures name 60 (app, net, machine)
+//! series of which 31 are distinct, so whoever sweeps several figures
+//! passes one [`PointCache`] to all of them and each distinct point is
+//! simulated once. A verdict therefore has three sources — the figure's
+//! journal, the cache, a run — and which one served it changes no byte of
+//! any rendering or journal.
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use spasm_apps::SizeClass;
@@ -137,6 +145,60 @@ impl SweepConfig {
             ..SweepConfig::default()
         }
     }
+
+    /// The outcome-affecting knobs — `faults`, `budget`, `check`,
+    /// `telemetry` — as the renderings [`Sweep::fingerprint`] absorbs and
+    /// [`PointCache`] keys on. `jobs` and `deadline` decide when a point
+    /// runs, never what it computes, so they appear in neither.
+    pub(crate) fn outcome_knobs(&self) -> [String; 4] {
+        [
+            format!("{:?}", self.faults),
+            format!("{:?}", self.budget),
+            format!("{:?}", self.check),
+            format!("{:?}", self.telemetry),
+        ]
+    }
+}
+
+/// What a cached point was computed from: the experiment and
+/// [`SweepConfig::outcome_knobs`].
+type PointKey = (Experiment, [String; 4]);
+
+/// Completed points remembered across the figures of one invocation, so a
+/// point several figures plot (F3 and F12 are the same fifteen runs read
+/// through different metrics) is simulated once.
+///
+/// A value its caller owns, never a global: whoever sweeps figures that
+/// may share points passes one cache to all of them, and everyone else
+/// passes a fresh empty one. Only [`Outcome::Ok`] verdicts enter it —
+/// a failure re-runs under the next figure as it would alone — and the key
+/// (the [`Experiment`] plus the four outcome-affecting [`SweepConfig`]
+/// knobs, exactly as [`Sweep::fingerprint`] absorbs them) holds
+/// process-local `AppId::Custom` indices, so it is never persisted.
+#[derive(Debug, Clone, Default)]
+pub struct PointCache {
+    points: HashMap<PointKey, (RunMetrics, Vec<IntervalRecord>)>,
+    hits: usize,
+}
+
+impl PointCache {
+    /// Verdicts served from the cache so far, over every sweep it was
+    /// passed to: points that neither ran nor replayed from a journal.
+    pub fn hits(&self) -> usize {
+        self.hits
+    }
+
+    fn get(&mut self, key: &PointKey) -> Option<PointVerdict> {
+        let (m, telemetry) = self.points.get(key)?;
+        self.hits += 1;
+        Some((Outcome::Ok, Some(*m), telemetry.clone()))
+    }
+
+    fn insert(&mut self, key: PointKey, verdict: &PointVerdict) {
+        if let (Outcome::Ok, Some(m), telemetry) = verdict {
+            self.points.insert(key, (*m, telemetry.clone()));
+        }
+    }
 }
 
 /// Attempt ceiling per point. Retries happen only for budget-class
@@ -197,6 +259,9 @@ pub struct ShardRunReport {
     pub owned: usize,
     /// Owned points replayed from the journal without simulating.
     pub replayed: usize,
+    /// Owned points taken from the [`PointCache`] (and journaled) without
+    /// simulating; `owned == replayed + shared + fresh`.
+    pub shared: usize,
     /// Owned points simulated (and journaled) by this pass.
     pub fresh: usize,
     /// Owned points whose verdict — replayed or fresh — is a failure,
@@ -204,7 +269,8 @@ pub struct ShardRunReport {
     pub failed: usize,
 }
 
-/// One point's verdict: replayed from a journal or fresh from a run.
+/// One point's verdict: replayed from a journal, shared through a
+/// [`PointCache`], or fresh from a run.
 pub(crate) type PointVerdict = (Outcome, Option<RunMetrics>, Vec<IntervalRecord>);
 
 impl<'a> Sweep<'a> {
@@ -241,6 +307,12 @@ impl<'a> Sweep<'a> {
     /// completed an attempt cycle — overrun by the deadline or lost to
     /// the crash itself — are *not* journaled, so a resume re-runs them.
     ///
+    /// Points `cache` already holds do not run either: they are appended
+    /// to *this* sweep's journal under one commit, so the journal ends up
+    /// holding every point of its figure whoever simulated it, and every
+    /// point this sweep completes (or replays) enters `cache` for the next.
+    /// Pass `&mut PointCache::default()` to share nothing.
+    ///
     /// # Panics
     ///
     /// If `journal` was opened for a sweep with a different
@@ -248,9 +320,10 @@ impl<'a> Sweep<'a> {
     pub fn run(
         &self,
         journal: Option<&SweepJournal>,
+        cache: &mut PointCache,
         observe: impl FnMut(&ExecEvent),
     ) -> FigureData {
-        let (verdicts, _) = self.points(journal, |_| true, observe);
+        let (verdicts, _) = self.points(journal, cache, |_| true, observe);
         let mut verdicts = verdicts.into_iter();
         FigureData::assemble(self, |_, _, _| {
             verdicts.next().expect("one verdict per grid point")
@@ -265,7 +338,8 @@ impl<'a> Sweep<'a> {
     /// which [`crate::shard::merge_shards`] later reassembles byte-identically
     /// to a serial run. Kill this worker at any moment and re-run it with a
     /// resumed journal: completed points replay, the rest re-run, and the
-    /// shard converges on the same records.
+    /// shard converges on the same records. `cache` shares points between
+    /// the figures one worker sweeps, as in [`Sweep::run`].
     ///
     /// # Panics
     ///
@@ -274,12 +348,16 @@ impl<'a> Sweep<'a> {
         &self,
         shard: crate::shard::ShardSpec,
         journal: &SweepJournal,
+        cache: &mut PointCache,
         observe: impl FnMut(&ExecEvent),
     ) -> ShardRunReport {
-        let (verdicts, fresh) = self.points(Some(journal), |i| shard.owns(i), observe);
+        let hits_before = cache.hits();
+        let (verdicts, fresh) = self.points(Some(journal), cache, |i| shard.owns(i), observe);
+        let shared = cache.hits() - hits_before;
         ShardRunReport {
             owned: verdicts.len(),
-            replayed: verdicts.len() - fresh,
+            replayed: verdicts.len() - shared - fresh,
+            shared,
             fresh,
             // A failed point or a job-level casualty (deadlined, panicked) —
             // the latter never reached the journal and will re-run on the
@@ -316,12 +394,14 @@ impl<'a> Sweep<'a> {
 
     /// The one sweep path under both [`Sweep::run`] and
     /// [`Sweep::run_shard`]: of the grid points `owns` selects (by point
-    /// index), those the journal already holds are replayed and the rest run
-    /// on the executor. Returns one verdict per owned point in grid order,
-    /// and how many of them ran fresh.
+    /// index), those the journal already holds are replayed, those `cache`
+    /// holds are shared (and journaled), and the rest run on the executor.
+    /// Returns one verdict per owned point in grid order, and how many of
+    /// them ran fresh.
     fn points(
         &self,
         journal: Option<&SweepJournal>,
+        cache: &mut PointCache,
         owns: impl Fn(usize) -> bool,
         observe: impl FnMut(&ExecEvent),
     ) -> (Vec<PointVerdict>, usize) {
@@ -336,22 +416,44 @@ impl<'a> Sweep<'a> {
                 self.fingerprint()
             );
         }
-        // Series-major order, minus already-journaled points: submission
-        // indices — and thus results — stay deterministic for a fixed replay
-        // set.
-        let mut verdicts = Vec::new();
+        // Series-major order, minus the points already known: submission
+        // indices — and thus results — stay deterministic for a fixed
+        // replay set. A known point never enters the executor, so it
+        // consumes no result slot.
+        let knobs = self.config.outcome_knobs();
+        let mut points = Vec::new();
+        let mut hits = Vec::new();
         let mut pending = Vec::new();
         for (i, (machine, exp)) in self.grid().into_iter().enumerate() {
             if !owns(i) {
                 continue;
             }
-            // A replayed point never enters the executor, so it consumes no
-            // result slot.
-            let replayed = journal.and_then(|j| j.lookup(machine, exp.procs));
-            if replayed.is_none() {
-                pending.push((machine, exp));
-            }
-            verdicts.push(replayed);
+            let key = (exp, knobs.clone());
+            let known = match journal.and_then(|j| j.lookup(machine, exp.procs)) {
+                Some(replayed) => {
+                    cache.insert(key, &replayed);
+                    Some(replayed)
+                }
+                None => {
+                    let hit = cache.get(&key);
+                    match &hit {
+                        Some(_) => hits.push(points.len()),
+                        None => pending.push((machine, exp)),
+                    }
+                    hit
+                }
+            };
+            points.push((exp, known));
+        }
+        // One commit for all of this figure's hits, before anything runs:
+        // a hit costs nothing to compute, so a commit apiece would be most
+        // of what sharing saves.
+        if let Some(j) = journal {
+            j.record(hits.iter().map(|&at| {
+                let (exp, hit) = &points[at];
+                let hit = hit.as_ref().expect("a hit holds its verdict");
+                (exp.machine, exp.procs, hit)
+            }));
         }
         let fresh = pending.len();
         let report = execute(
@@ -363,16 +465,20 @@ impl<'a> Sweep<'a> {
             |ctx, (machine, exp)| journaled_point(journal, self.config, machine, &exp, ctx),
             observe,
         );
+        // Back on the calling thread: no worker ever touches the cache.
         let mut slots = report.results.into_iter();
-        let verdicts = verdicts
+        let verdicts = points
             .into_iter()
-            .map(|replayed| {
-                replayed.unwrap_or_else(|| {
+            .map(|(exp, known)| {
+                known.unwrap_or_else(|| {
                     match slots
                         .next()
-                        .expect("one result slot per non-journaled point")
+                        .expect("one result slot per point that had to run")
                     {
-                        Ok(point) => point,
+                        Ok(point) => {
+                            cache.insert((exp, knobs.clone()), &point);
+                            point
+                        }
                         // A job-level failure (panic past the experiment
                         // fence, or a deadline overrun) becomes a FAILED cell
                         // like any other; attempts = 0 records that the
@@ -393,8 +499,9 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Remnant of the positional entry points: [`Sweep::run`] under a journal.
-/// Stays because `benchmark/src/fleet.rs::load` calls it; goes when that stops.
+/// Remnant of the positional entry points: [`Sweep::run`] under a journal,
+/// sharing nothing. Stays because `benchmark/src/fleet.rs::load` calls it;
+/// goes when that stops.
 pub fn run_figure_journaled(
     spec: &FigureSpec,
     size: SizeClass,
@@ -411,7 +518,7 @@ pub fn run_figure_journaled(
         seed,
         config,
     }
-    .run(Some(journal), observe)
+    .run(Some(journal), &mut PointCache::default(), observe)
 }
 
 /// Runs one submitted point on a worker and makes it durable: the
@@ -425,13 +532,14 @@ fn journaled_point(
     exp: &Experiment,
     ctx: &JobCtx,
 ) -> JobOutput<PointVerdict> {
-    let (outcome, m, telemetry) = run_point(exp, machine, sweep, ctx);
+    let verdict = run_point(exp, machine, sweep, ctx);
+    let (outcome, m, _) = &verdict;
     // A mid-run cancellation (the deadline) is not a verdict on the
     // point — the executor discards the result anyway — so it must
     // never reach the journal: a journaled "failure" from an aborted run
     // would poison every resume with uncommitted history.
     let cancelled = matches!(
-        &outcome,
+        outcome,
         Outcome::Failed {
             error: ExperimentError::Run(RunError::Cancelled { .. }),
             ..
@@ -439,12 +547,12 @@ fn journaled_point(
     );
     if let Some(j) = journal {
         if !cancelled {
-            j.record(machine, exp.procs, &outcome, m.as_ref(), &telemetry);
+            j.record([(machine, exp.procs, &verdict)]);
         }
     }
     let (cost, faults) = m.as_ref().map_or((0, 0), |m| (m.events, m.faults_injected));
     JobOutput {
-        value: (outcome, m, telemetry),
+        value: verdict,
         cost,
         faults,
     }
@@ -761,15 +869,22 @@ impl FigureData {
 mod tests {
     use super::*;
     use crate::figures;
+    use crate::journal::tests::sample_metrics;
     use crate::Net;
     use spasm_apps::AppId;
     use spasm_journal::RealVfs;
+    use spasm_testkit::{check_with, gens, prop_assert_eq, Config};
     use std::sync::Arc;
+
+    /// `sweep` on its own: no journal, nothing shared, nobody watching.
+    fn alone(sweep: Sweep<'_>) -> FigureData {
+        sweep.run(None, &mut PointCache::default(), |_| {})
+    }
 
     #[test]
     fn small_sweep_produces_aligned_data() {
         let spec = figures::by_id("F1").unwrap();
-        let data = Sweep::new(spec, SizeClass::Test, &[2, 4], 5).run(None, |_| {});
+        let data = alone(Sweep::new(spec, SizeClass::Test, &[2, 4], 5));
         assert_eq!(data.procs, vec![2, 4]);
         assert_eq!(data.series.len(), 3);
         assert_eq!(data.failed_points(), 0);
@@ -786,7 +901,7 @@ mod tests {
     #[test]
     fn table_and_csv_render() {
         let spec = figures::by_id("F12").unwrap();
-        let data = Sweep::new(spec, SizeClass::Test, &[2], 5).run(None, |_| {});
+        let data = alone(Sweep::new(spec, SizeClass::Test, &[2], 5));
         let table = data.render_table();
         assert!(table.contains("F12"));
         assert!(table.contains("target"));
@@ -799,7 +914,7 @@ mod tests {
     #[test]
     fn chart_renders_axes_key_and_points() {
         let spec = figures::by_id("F12").unwrap();
-        let data = Sweep::new(spec, SizeClass::Test, &[2, 4], 5).run(None, |_| {});
+        let data = alone(Sweep::new(spec, SizeClass::Test, &[2, 4], 5));
         let chart = data.render_chart(8);
         assert!(chart.contains("F12"));
         assert!(chart.contains("T=target"));
@@ -825,7 +940,7 @@ mod tests {
             machines: &[Machine::Pram],
             expect: "zeros",
         };
-        let data = Sweep::new(&spec, SizeClass::Test, &[2], 1).run(None, |_| {});
+        let data = alone(Sweep::new(&spec, SizeClass::Test, &[2], 1));
         assert!(data.render_chart(6).contains("all values zero"));
     }
 
@@ -839,7 +954,7 @@ mod tests {
             machines: &[Machine::Pram, Machine::Target],
             expect: "test",
         };
-        let data = Sweep::new(&spec, SizeClass::Test, &[2], 1).run(None, |_| {});
+        let data = alone(Sweep::new(&spec, SizeClass::Test, &[2], 1));
         assert!(data.series_for(Machine::Pram).is_some());
         assert!(data.series_for(Machine::LogP).is_none());
         // PRAM is the ideal-time floor.
@@ -860,7 +975,7 @@ mod tests {
             machines: &[Machine::Pram, Machine::Target],
             expect: "one failed column",
         };
-        let data = Sweep::new(&spec, SizeClass::Test, &[2, 3, 4], 1).run(None, |_| {});
+        let data = alone(Sweep::new(&spec, SizeClass::Test, &[2, 3, 4], 1));
         assert_eq!(data.failed_points(), 2); // one per series
         for s in &data.series {
             assert!(s.values[0].is_finite());
@@ -904,7 +1019,7 @@ mod tests {
             config,
             ..Sweep::new(&spec, SizeClass::Test, &[2], 1)
         };
-        let data = sweep.run(None, |_| {});
+        let data = alone(sweep);
         match &data.series[0].outcomes[0] {
             Outcome::Failed { error, attempts } => {
                 assert!(
@@ -944,12 +1059,12 @@ mod tests {
     fn parallel_sweep_is_bit_identical_to_serial() {
         let spec = figures::by_id("F1").unwrap();
         let sweep = Sweep::new(spec, SizeClass::Test, &[2, 4], 5);
-        let serial = sweep.run(None, |_| {});
+        let serial = alone(sweep);
         let parallel = Sweep {
             config: SweepConfig::parallel(4),
             ..sweep
         }
-        .run(None, |_| {});
+        .run(None, &mut PointCache::default(), |_| {});
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(serial.render_table(), parallel.render_table());
         assert_eq!(serial.render_chart(10), parallel.render_chart(10));
@@ -973,12 +1088,12 @@ mod tests {
             expect: "one failed column, both paths",
         };
         let sweep = Sweep::new(&spec, SizeClass::Test, &[2, 3, 4], 1);
-        let serial = sweep.run(None, |_| {});
+        let serial = alone(sweep);
         let parallel = Sweep {
             config: SweepConfig::parallel(3),
             ..sweep
         }
-        .run(None, |_| {});
+        .run(None, &mut PointCache::default(), |_| {});
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(parallel.failed_points(), 2);
     }
@@ -992,12 +1107,118 @@ mod tests {
             config: SweepConfig::parallel(2),
             ..Sweep::new(spec, SizeClass::Test, &[2, 4], 5)
         };
-        let data = sweep.run(None, |ev| {
+        let data = sweep.run(None, &mut PointCache::default(), |ev| {
             if matches!(ev, spasm_exec::ExecEvent::Finished { .. }) {
                 *finished.borrow_mut() += 1;
             }
         });
         assert_eq!(*finished.borrow(), data.series.len() * data.procs.len());
+    }
+
+    /// One (experiment, config) pair picked by twelve binary choices: the
+    /// ten dimensions a point's outcome depends on, then `jobs` and
+    /// `deadline`.
+    fn pick(c: &[usize]) -> (Experiment, SweepConfig) {
+        let exp = Experiment {
+            app: [AppId::Ep, AppId::Fft][c[0]],
+            size: [SizeClass::Test, SizeClass::Small][c[1]],
+            net: [Net::Full, Net::Mesh][c[2]],
+            machine: [Machine::Target, Machine::CLogP][c[3]],
+            procs: [2, 4][c[4]],
+            seed: [5, 6][c[5]],
+        };
+        let config = SweepConfig {
+            faults: [None, Some(FaultPlan::quiet(7))][c[6]],
+            budget: [RunBudget::UNLIMITED, RunBudget::events(3)][c[7]],
+            check: [CheckMode::Off, CheckMode::On][c[8]],
+            telemetry: [None, Some(TelemetryConfig::every_us(100))][c[9]],
+            jobs: [1, 4][c[10]],
+            deadline: [None, Some(Duration::from_secs(9))][c[11]],
+        };
+        (exp, config)
+    }
+
+    #[test]
+    fn two_points_share_a_cache_entry_iff_their_outcomes_must_agree() {
+        // A pair and up to two of its twelve choices flipped (12 = none),
+        // so a good share of the cases differ in nothing that matters.
+        let cases = gens::tuple3(
+            gens::vecs(gens::usizes(0..2), 12..13),
+            gens::usizes(0..13),
+            gens::usizes(0..13),
+        );
+        let config = Config {
+            cases: 256,
+            ..Config::default()
+        };
+        let f1 = figures::by_id("F1").unwrap();
+        check_with(config, "point_cache_key", &cases, |(a, f1st, f2nd)| {
+            let mut b = a.clone();
+            for flip in [*f1st, *f2nd].into_iter().filter(|&f| f < 12) {
+                b[flip] ^= 1;
+            }
+            let ((exp_a, config_a), (exp_b, config_b)) = (pick(a), pick(&b));
+            let verdict = (Outcome::Ok, Some(sample_metrics()), Vec::new());
+            let mut cache = PointCache::default();
+            cache.insert((exp_a, config_a.outcome_knobs()), &verdict);
+            let served = cache.get(&(exp_b, config_b.outcome_knobs())).is_some();
+            prop_assert_eq!(served, a[..10] == b[..10], "{:?} served {:?}", a, b);
+            prop_assert_eq!(cache.hits(), usize::from(served));
+
+            // The key's config half and the journal fingerprint move
+            // together: what a header certifies is what may be shared.
+            let of = |config| Sweep {
+                config,
+                ..Sweep::new(f1, SizeClass::Test, &[2], 5)
+            };
+            prop_assert_eq!(
+                of(config_a).fingerprint() == of(config_b).fingerprint(),
+                config_a.outcome_knobs() == config_b.outcome_knobs(),
+                "fingerprint and key disagree on {:?} vs {:?}",
+                config_a,
+                config_b
+            );
+            Ok(())
+        });
+    }
+
+    /// Sweeps F3 then F12 — the same fifteen-point series read through two
+    /// metrics — through one cache, returning F12's data and how many
+    /// points each figure ran.
+    fn f3_then_f12(config: SweepConfig, cache: &mut PointCache) -> (FigureData, [usize; 2]) {
+        let mut ran = [0usize; 2];
+        let mut last = None;
+        for (i, id) in ["F3", "F12"].into_iter().enumerate() {
+            let sweep = Sweep {
+                config,
+                ..Sweep::new(figures::by_id(id).unwrap(), SizeClass::Test, &[2, 4], 5)
+            };
+            last = Some(sweep.run(None, cache, |ev| {
+                ran[i] += usize::from(matches!(ev, ExecEvent::Finished { .. }));
+            }));
+        }
+        (last.expect("two figures swept"), ran)
+    }
+
+    #[test]
+    fn a_completed_point_runs_once_and_a_failed_one_under_every_figure() {
+        let mut cache = PointCache::default();
+        let (f12, ran) = f3_then_f12(SweepConfig::default(), &mut cache);
+        assert_eq!(ran, [6, 0], "F12 plots the six points F3 ran");
+        assert_eq!(cache.hits(), 6);
+        assert_eq!(f12.failed_points(), 0);
+
+        // Nothing survives three events: no verdict is `Ok`, so none is
+        // cached and F12 runs every point again, as it would alone.
+        let starved = SweepConfig {
+            budget: RunBudget::events(3),
+            ..SweepConfig::default()
+        };
+        let mut cache = PointCache::default();
+        let (f12, ran) = f3_then_f12(starved, &mut cache);
+        assert_eq!(ran, [6, 6]);
+        assert_eq!(cache.hits(), 0);
+        assert_eq!(f12.failed_points(), 6);
     }
 
     /// A fresh scratch path for one journaling test.
@@ -1013,12 +1234,12 @@ mod tests {
     fn journaled_sweep_matches_plain_and_replays_without_simulating() {
         let spec = figures::by_id("F1").unwrap();
         let sweep = Sweep::new(spec, SizeClass::Test, &[2, 4], 5);
-        let plain = sweep.run(None, |_| {});
+        let plain = alone(sweep);
         let path = scratch("f1");
 
         // First journaled run: identical output, every point recorded.
         let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).unwrap();
-        let first = sweep.run(Some(&j), |_| {});
+        let first = sweep.run(Some(&j), &mut PointCache::default(), |_| {});
         assert!(j.io_error().is_none());
         assert_eq!(first.to_csv(), plain.to_csv());
         drop(j);
@@ -1051,8 +1272,9 @@ mod tests {
         // Another seed is another sweep: its points must not land under
         // this header, so the run panics before simulating anything.
         let other = Sweep { seed: 6, ..sweep };
-        let refused =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| other.run(Some(&j), |_| {})));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            other.run(Some(&j), &mut PointCache::default(), |_| {})
+        }));
         let payload = refused.expect_err("a journal of seed 5 served a sweep of seed 6");
         let message = payload.downcast_ref::<String>().expect("a formatted panic");
         for fp in [sweep.fingerprint(), other.fingerprint()] {
@@ -1070,9 +1292,9 @@ mod tests {
             },
             ..sweep
         };
-        let data = rescheduled.run(Some(&j), |_| {});
+        let data = rescheduled.run(Some(&j), &mut PointCache::default(), |_| {});
         assert!(j.io_error().is_none());
-        assert_eq!(data.to_csv(), sweep.run(None, |_| {}).to_csv());
+        assert_eq!(data.to_csv(), alone(sweep).to_csv());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1086,7 +1308,7 @@ mod tests {
             machines: &[Machine::Pram],
             expect: "reason column",
         };
-        let data = Sweep::new(&spec, SizeClass::Test, &[2, 3], 1).run(None, |_| {});
+        let data = alone(Sweep::new(&spec, SizeClass::Test, &[2, 3], 1));
         let csv = data.to_csv();
         let mut lines = csv.lines();
         assert_eq!(
@@ -1120,8 +1342,8 @@ mod tests {
             config,
             ..Sweep::new(spec, SizeClass::Test, &[2], 5)
         };
-        let a = sweep.run(None, |_| {});
-        let b = sweep.run(None, |_| {});
+        let a = alone(sweep);
+        let b = alone(sweep);
         for (sa, sb) in a.series.iter().zip(&b.series) {
             assert_eq!(
                 sa.values[0].to_bits(),

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use spasm_apps::SizeClass;
 use spasm_core::journal::SweepJournal;
-use spasm_core::sweep::{Sweep, SweepConfig};
+use spasm_core::sweep::{PointCache, Sweep, SweepConfig};
 use spasm_core::{figures, Machine};
 use spasm_journal::RealVfs;
 use spasm_machine::{CheckMode, Engine, MemCtx, ProcBody, RunError, SetupCtx};
@@ -117,7 +117,7 @@ fn cancelled_points_never_reach_the_journal() {
         ..sweep
     };
     let j = SweepJournal::open(Arc::new(RealVfs), &path, &doomed, false).unwrap();
-    let data = doomed.run(Some(&j), |_| {});
+    let data = doomed.run(Some(&j), &mut PointCache::default(), |_| {});
     assert!(j.io_error().is_none());
     assert_eq!(
         data.failed_points(),
@@ -136,8 +136,8 @@ fn cancelled_points_never_reach_the_journal() {
 
     // Pass 2: resume without the deadline; the re-run must match an
     // uninterrupted sweep exactly.
-    let clean = sweep.run(None, |_| {});
-    let recovered = sweep.run(Some(&resumed), |_| {});
+    let clean = sweep.run(None, &mut PointCache::default(), |_| {});
+    let recovered = sweep.run(Some(&resumed), &mut PointCache::default(), |_| {});
     assert_eq!(recovered.failed_points(), 0);
     assert_eq!(recovered.to_csv(), clean.to_csv(), "recovery diverged");
     std::fs::remove_file(&path).unwrap();

@@ -14,8 +14,8 @@
 //! * every commit is **write-then-atomic-rename**: the full journal is
 //!   written to a sibling temp file, fsynced, and renamed over the live
 //!   path, so the on-disk journal transitions atomically from *n* to
-//!   *n + 1* records (journals are KB-scale — one record per
-//!   multi-second simulation — so rewriting is cheap and buys true
+//!   *n + 1* records — or, for a batch ([`Journal::append_all`]), to
+//!   *n + k* (journals are KB-scale, so rewriting is cheap and buys true
 //!   atomicity);
 //! * a **torn tail** (a final record cut short by a crash, a non-atomic
 //!   filesystem, or an external truncation) is detected on open and
@@ -527,17 +527,36 @@ impl Journal {
     ///
     /// [`JournalError::RecordTooLarge`] or [`JournalError::Io`].
     pub fn append(&mut self, payload: &[u8]) -> Result<(), JournalError> {
-        let len = u32::try_from(payload.len())
-            .map_err(|_| JournalError::RecordTooLarge { len: payload.len() })?;
+        self.append_all(&[payload])
+    }
+
+    /// Appends every record of `payloads`, in order, under **one** durable
+    /// commit: after a crash at any instant the journal holds all of them
+    /// or none. An empty batch does no I/O.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::RecordTooLarge`] or [`JournalError::Io`]; either
+    /// way none of the batch was appended.
+    pub fn append_all(&mut self, payloads: &[impl AsRef<[u8]>]) -> Result<(), JournalError> {
+        if payloads.is_empty() {
+            return Ok(());
+        }
         let rollback = self.buf.len();
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(&crc64(payload).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        if let Err(e) = self.commit() {
+        let staged = payloads.iter().try_for_each(|payload| {
+            let payload = payload.as_ref();
+            let len = u32::try_from(payload.len())
+                .map_err(|_| JournalError::RecordTooLarge { len: payload.len() })?;
+            self.buf.extend_from_slice(&len.to_le_bytes());
+            self.buf.extend_from_slice(&crc64(payload).to_le_bytes());
+            self.buf.extend_from_slice(payload);
+            Ok(())
+        });
+        if let Err(e) = staged.and_then(|()| self.commit()) {
             self.buf.truncate(rollback); // keep memory consistent with disk
             return Err(e);
         }
-        self.records += 1;
+        self.records += payloads.len();
         Ok(())
     }
 
@@ -898,6 +917,53 @@ mod tests {
         assert_eq!(j.records(), 2);
         let rec = Journal::read_with(&*vfs, &path, 11).unwrap();
         assert_eq!(rec.records[1], b"two");
+    }
+
+    #[test]
+    fn a_batch_lands_whole_under_one_commit_or_not_at_all() {
+        let path = PathBuf::from("/chaos/batch.journal");
+        let batch: [&[u8]; 3] = [b"one", b"", b"three"];
+        let reference = Arc::new(FaultVfs::pristine());
+        let mut j = Journal::create_with(reference.clone(), &path, 5).unwrap();
+        let ops_created = reference.trace().len();
+        j.append(b"before").unwrap();
+        let ops_before = reference.trace().len();
+        j.append_all(&batch).unwrap();
+        assert_eq!(j.records(), 4);
+        let ops = reference.trace().len();
+        // Three records cost what one does, and an empty batch nothing.
+        assert_eq!(ops - ops_before, ops_before - ops_created);
+        j.append_all(&[] as &[&[u8]]).unwrap();
+        assert_eq!(reference.trace().len(), ops);
+
+        // A power cut at every operation of the batched commit leaves the
+        // one earlier record alone or all four — never part of the batch.
+        for k in ops_before..=ops {
+            let vfs = Arc::new(FaultVfs::new(FaultScript::crash_at(k)));
+            let mut j = Journal::create_with(vfs.clone(), &path, 5).unwrap();
+            j.append(b"before").unwrap();
+            let _ = j.append_all(&batch);
+            vfs.reboot();
+            let survived = Journal::read_with(&*vfs, &path, 5).unwrap().records.len();
+            assert_eq!(survived, if k < ops { 1 } else { 4 }, "crash at op {k}");
+        }
+
+        // A failed commit rolls the whole batch back in memory too: the
+        // next append continues the committed prefix.
+        let vfs = Arc::new(FaultVfs::new(FaultScript {
+            seed: 0,
+            faults: vec![(ops_before, Fault::Enospc)],
+        }));
+        let mut j = Journal::create_with(vfs.clone(), &path, 5).unwrap();
+        j.append(b"before").unwrap();
+        assert!(matches!(
+            j.append_all(&batch),
+            Err(JournalError::Io { op: "write", .. })
+        ));
+        assert_eq!(j.records(), 1);
+        j.append(b"after").unwrap();
+        let rec = Journal::read_with(&*vfs, &path, 5).unwrap();
+        assert_eq!(rec.records, vec![b"before".to_vec(), b"after".to_vec()]);
     }
 
     #[test]

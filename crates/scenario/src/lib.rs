@@ -12,12 +12,13 @@
 //! Everything downstream is the ordinary figure pipeline:
 //!
 //! ```no_run
-//! use spasm_core::{figures::PROC_SWEEP, sweep::Sweep};
+//! use spasm_core::{figures::PROC_SWEEP, sweep::{PointCache, Sweep}};
 //! use spasm_apps::SizeClass;
 //!
 //! let sc = spasm_scenario::parse("[scenario]\nname = demo\n[phase]\nkind = barrier\n")?;
 //! let spec = spasm_scenario::compile(&sc)?;
-//! let data = Sweep::new(spec, SizeClass::Test, PROC_SWEEP, 42).run(None, |_| {});
+//! let sweep = Sweep::new(spec, SizeClass::Test, PROC_SWEEP, 42);
+//! let data = sweep.run(None, &mut PointCache::default(), |_| {});
 //! println!("{}", spasm_scenario::report(&sc, &data));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -307,7 +308,7 @@ pub fn report(sc: &Scenario, data: &FigureData) -> ScenarioReport {
 mod tests {
     use super::*;
     use spasm_apps::SizeClass;
-    use spasm_core::sweep::{Sweep, SweepConfig};
+    use spasm_core::sweep::{PointCache, Sweep, SweepConfig};
     use spasm_core::TelemetryConfig;
 
     fn tiny(name: &str) -> Scenario {
@@ -337,7 +338,11 @@ mod tests {
             .unwrap_err()
             .contains("different definition"));
 
-        let data = Sweep::new(spec, SizeClass::Test, &[2, 4], 7).run(None, |_| {});
+        let data = Sweep::new(spec, SizeClass::Test, &[2, 4], 7).run(
+            None,
+            &mut PointCache::default(),
+            |_| {},
+        );
         let rep = report(&sc, &data);
         assert_eq!(rep.points, 8);
         assert_eq!(rep.failed, 0, "{}", data.render_table());
@@ -358,7 +363,7 @@ mod tests {
             config,
             ..Sweep::new(spec, SizeClass::Test, &[2], 7)
         };
-        let data = sweep.run(None, |_| {});
+        let data = sweep.run(None, &mut PointCache::default(), |_| {});
         let rep = report(&sc, &data);
         assert_eq!(rep.failed, 0);
         assert!(rep.intervals > 0, "intervals must be recorded");

@@ -140,6 +140,29 @@ timeout 60 ./target/release/figures \
     --figure F12 --size test --procs 2,4 --check --jobs 2 \
     --budget-events 50000000 > /dev/null
 
+# Shared points: F3 and F12 plot the same runs, so one invocation sweeping
+# both simulates them once — F12 runs nothing — and still leaves F12 a
+# whole journal of its own: resumed alone it prints what a journal-less
+# solo F12 prints. (The golden tier above is the wide version: its one
+# invocation shares 130 of 285 points and must still match byte for byte.)
+echo "==> shared points: F12 after F3 runs 0 fresh, and its journal resumes alone"
+pdir=$(mktemp -d)
+trap 'rm -rf "$pdir"' EXIT
+expect_rc 0 "F12: swept in .*(0 fresh, 0 replayed, 6 shared" -- timeout 60 \
+    ./target/release/figures --figure F3 --figure F12 --size test --procs 2,4 \
+    --jobs 2 --journal "$pdir/j"
+timeout 60 ./target/release/figures --figure F12 --size test --procs 2,4 \
+    --jobs 2 > "$pdir/solo.out" 2> /dev/null
+timeout 60 ./target/release/figures --figure F12 --size test --procs 2,4 \
+    --jobs 2 --journal "$pdir/j" --resume > "$pdir/resume.out" 2> "$pdir/resume.err"
+grep -q "F12: swept in .*(0 fresh, 6 replayed, 0 shared" "$pdir/resume.err"
+if ! diff "$pdir/solo.out" "$pdir/resume.out"; then
+    echo "ERROR: F12 resumed from a journal of shared points differs from a solo F12" >&2
+    exit 1
+fi
+rm -rf "$pdir"
+trap - EXIT
+
 # Fault-negative: under a hostile fault plan the strict checker MUST
 # fire (nonzero exit naming an invariant); a quiet pass here would mean
 # the checker is wired to nothing.
@@ -172,6 +195,30 @@ timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
     > "$jdir/resume.out"
 if ! diff "$jdir/ref.out" "$jdir/resume.out"; then
     echo "ERROR: resumed sweep is not byte-identical to the straight run" >&2
+    exit 1
+fi
+
+# And a second kill aimed inside a figure that shares: A1 takes its target
+# and clogp series from F8 (one batched commit, the moment its journal
+# grows past the header) and then runs clogp-pet itself, which is where
+# the kill should land. Wherever it lands, the resume must converge.
+echo "==> kill-and-resume: SIGKILL inside a figure written partly from shared points"
+timeout 60 ./target/release/figures --figure F8 --figure A1 --size small \
+    --serial > "$jdir/ref2.out" 2> /dev/null
+./target/release/figures --figure F8 --figure A1 --size small --serial \
+    --journal "$jdir/k" > /dev/null 2>&1 &
+victim=$!
+for _ in $(seq 1 2000); do
+    size=$(stat -c %s "$jdir/k.A1" 2>/dev/null || echo 0)
+    [ "$size" -gt 16 ] && break
+    sleep 0.005
+done
+kill -9 "$victim" 2>/dev/null || true
+wait "$victim" 2>/dev/null || true
+timeout 60 ./target/release/figures --figure F8 --figure A1 --size small \
+    --serial --journal "$jdir/k" --resume > "$jdir/resume2.out" 2> /dev/null
+if ! diff "$jdir/ref2.out" "$jdir/resume2.out"; then
+    echo "ERROR: a sweep killed inside a sharing figure did not resume byte-identically" >&2
     exit 1
 fi
 

@@ -6,11 +6,11 @@
 
 use spasm::apps::SizeClass;
 use spasm::core::chaos::{
-    explore_crash_points, run_campaign, shrink_demo, total_points, verify_script, CampaignConfig,
-    CrashVerdict,
+    explore_crash_points, run_campaign, run_reference, shrink_demo, total_points, verify_script,
+    verify_script_with, CampaignConfig, CrashVerdict,
 };
-use spasm::core::figures;
-use spasm::core::sweep::Sweep;
+use spasm::core::figures::{self, FigureSpec};
+use spasm::core::sweep::{PointCache, Sweep};
 use spasm::journal::{Fault, FaultScript};
 
 /// The smallest interesting sweep — the one the campaign itself uses.
@@ -22,7 +22,7 @@ fn smoke() -> Sweep<'static> {
 #[test]
 fn every_crash_point_resumes_byte_identically() {
     let cs = smoke();
-    let report = explore_crash_points(&cs, 0).expect("zero divergence");
+    let report = explore_crash_points(&cs, &PointCache::default(), 0).expect("zero divergence");
     assert!(report.ops > 0, "the reference sweep must do I/O");
     assert_eq!(report.crash_points, report.ops, "one power cut per op");
     // A pure power cut can never corrupt the journal: the whole-file
@@ -49,7 +49,7 @@ fn torn_journals_repair_or_refuse_but_never_diverge() {
     // the classic torn-file grid. Identical (torn-tail repair) and
     // Refused (the tear destroyed the header — NotAJournal) are both
     // lawful; divergence would have returned Err.
-    let report = explore_crash_points(&cs, 8).expect("zero divergence");
+    let report = explore_crash_points(&cs, &PointCache::default(), 8).expect("zero divergence");
     assert!(report.torn_points > 0, "the grid must cover some sync ops");
     assert_eq!(report.refused_pure_crash, 0);
     for (script, error) in &report.refusals {
@@ -64,10 +64,65 @@ fn torn_journals_repair_or_refuse_but_never_diverge() {
     }
 }
 
+/// A victim whose cache an earlier figure warmed journals its hits in one
+/// batched commit. Whatever crashes inside it, a resume that shares
+/// nothing finds all of the batch or none of it — and still converges.
+#[test]
+fn a_crash_inside_a_batched_commit_keeps_all_of_the_batch_or_none() {
+    let spec = figures::by_id("F1").expect("F1 is a defined figure");
+    let cs = Sweep::new(spec, SizeClass::Test, &[2, 4], 42);
+    let total = total_points(&cs);
+    let (_, cold_trace) = run_reference(&cs, &PointCache::default()).expect("reference");
+    // A cache warmed by an earlier figure that plotted the first `series`
+    // series of this one.
+    let warmed = |series: usize| {
+        let earlier = FigureSpec {
+            machines: &spec.machines[..series],
+            ..*spec
+        };
+        let mut warm = PointCache::default();
+        Sweep {
+            spec: &earlier,
+            ..cs
+        }
+        .run(None, &mut warm, |_| {});
+        warm
+    };
+    // The first series only (a batch, then single commits), and the whole
+    // figure (nothing but the batch).
+    for series in [1, spec.machines.len()] {
+        let warm = warmed(series);
+        let batch = series * cs.procs.len();
+        let (expected, trace) = run_reference(&cs, &warm).expect("reference run is clean");
+        assert!(
+            trace.len() < cold_trace.len(),
+            "{batch} hits must cost fewer commits than {batch} runs"
+        );
+        for k in 0..trace.len() {
+            let script = FaultScript::crash_at(k);
+            match verify_script_with(&cs, &cs.config, &warm, &expected, &script) {
+                Ok(CrashVerdict::Identical { replayed }) => assert!(
+                    replayed == 0 || (batch..=total).contains(&replayed),
+                    "crash at op {k}: {replayed} of a {batch}-point batch survived"
+                ),
+                other => panic!("crash at op {k}: {other:?}"),
+            }
+        }
+    }
+    // The explorer proper over the all-hits universe, torn-file grid
+    // included: repair or refuse, never diverge.
+    let all = warmed(spec.machines.len());
+    let report = explore_crash_points(&cs, &all, 8).expect("zero divergence");
+    assert!(report.crash_points < cold_trace.len() && report.torn_points > 0);
+    assert_eq!(report.refused_pure_crash, 0, "{:?}", report.refusals);
+    assert_eq!((report.min_replayed, report.max_replayed), (0, total));
+}
+
 #[test]
 fn single_fault_species_each_meet_the_oracle() {
     let cs = smoke();
-    let (expected, trace) = spasm::core::chaos::run_reference(&cs).expect("reference run is clean");
+    let (expected, trace) =
+        run_reference(&cs, &PointCache::default()).expect("reference run is clean");
     let mid = trace.len() / 2;
     for fault in [
         Fault::FailDirSync,

@@ -89,7 +89,7 @@ fn golden_fingerprint_full_matrix() {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     use spasm::core::figures;
-    use spasm::core::sweep::{Sweep, SweepConfig};
+    use spasm::core::sweep::{PointCache, Sweep, SweepConfig};
     use spasm::machine::FaultPlan;
 
     let spec = figures::by_id("F2").expect("F2 exists");
@@ -102,7 +102,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
                 jobs,
                 ..base.config
             };
-            Sweep { config, ..base }.run(None, |_| {})
+            Sweep { config, ..base }.run(None, &mut PointCache::default(), |_| {})
         };
         let serial = on(1);
         let parallel = on(4);
@@ -136,6 +136,67 @@ fn parallel_sweep_is_byte_identical_to_serial() {
                         a.machine
                     ),
                 }
+            }
+        }
+    }
+}
+
+/// Sharing changes nothing observable: F12 swept after F3 through one
+/// `PointCache` — every one of its points a hit, none simulated — equals
+/// F12 swept alone in every metric but the host's `wall` and in every
+/// rendered byte, on either schedule, with telemetry riding along or not.
+#[test]
+fn a_shared_sweep_is_byte_identical_to_a_solo_one() {
+    use spasm::core::figures;
+    use spasm::core::sweep::{PointCache, Sweep, SweepConfig};
+    use spasm::core::TelemetryConfig;
+
+    let f3 = figures::by_id("F3").expect("F3 exists");
+    let f12 = figures::by_id("F12").expect("F12 exists");
+    for telemetry in [None, Some(TelemetryConfig::every_us(100))] {
+        for jobs in [1, 2] {
+            let config = SweepConfig {
+                jobs,
+                telemetry,
+                ..SweepConfig::default()
+            };
+            let of = |spec| Sweep {
+                config,
+                ..Sweep::new(spec, SizeClass::Test, &[2, 4, 8], 1995)
+            };
+            let solo = of(f12).run(None, &mut PointCache::default(), |_| {});
+            let mut cache = PointCache::default();
+            of(f3).run(None, &mut cache, |_| {});
+            let mut ran = 0usize;
+            let shared = of(f12).run(None, &mut cache, |_| ran += 1);
+            let label = format!("jobs={jobs}, telemetry={}", telemetry.is_some());
+            assert_eq!((ran, cache.hits()), (0, 9), "{label}: F12 must run nothing");
+
+            assert_eq!(shared.to_csv(), solo.to_csv(), "{label}");
+            assert_eq!(shared.render_table(), solo.render_table(), "{label}");
+            assert_eq!(
+                shared.to_telemetry_jsonl(),
+                solo.to_telemetry_jsonl(),
+                "{label}"
+            );
+            assert_eq!(
+                shared.to_telemetry_jsonl().is_empty(),
+                telemetry.is_none(),
+                "{label}"
+            );
+            let timeless = |m: &Option<RunMetrics>| {
+                m.map(|m| RunMetrics {
+                    wall: std::time::Duration::ZERO,
+                    ..m
+                })
+            };
+            for (a, b) in shared.series.iter().zip(&solo.series) {
+                let (ma, mb): (Vec<_>, Vec<_>) = (
+                    a.metrics.iter().map(timeless).collect(),
+                    b.metrics.iter().map(timeless).collect(),
+                );
+                assert!(ma.iter().all(Option::is_some), "{label}: {}", a.machine);
+                assert_eq!(ma, mb, "{label}: {} metrics", a.machine);
             }
         }
     }

@@ -13,8 +13,8 @@ use std::sync::{Arc, OnceLock};
 use spasm::apps::SizeClass;
 use spasm::core::figures::{self, FigureSpec};
 use spasm::core::journal::{ResumeError, SweepJournal};
-use spasm::core::sweep::Sweep;
-use spasm::journal::{JournalError, RealVfs};
+use spasm::core::sweep::{PointCache, Sweep};
+use spasm::journal::{Journal, JournalError, RealVfs};
 use spasm_testkit::{check_with, gens, prop_assert, prop_assert_eq, Config};
 
 const SEED: u64 = 5;
@@ -47,11 +47,11 @@ fn scratch() -> PathBuf {
 fn fixture() -> &'static (String, String, Vec<u8>) {
     static FIXTURE: OnceLock<(String, String, Vec<u8>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let clean = f1().run(None, |_| {});
+        let clean = f1().run(None, &mut PointCache::default(), |_| {});
         let path = scratch();
         let j =
             SweepJournal::open(Arc::new(RealVfs), &path, &f1(), false).expect("create in temp dir");
-        let journaled = f1().run(Some(&j), |_| {});
+        let journaled = f1().run(Some(&j), &mut PointCache::default(), |_| {});
         assert_eq!(journaled.to_csv(), clean.to_csv());
         let bytes = fs::read(&path).expect("journal readable");
         fs::remove_file(&path).expect("cleanup");
@@ -65,7 +65,7 @@ fn resume_and_compare(path: &PathBuf) -> Result<Result<(), ResumeError>, String>
     let (clean_csv, clean_table, _) = fixture();
     match SweepJournal::open(Arc::new(RealVfs), path, &f1(), true) {
         Ok(j) => {
-            let data = f1().run(Some(&j), |_| {});
+            let data = f1().run(Some(&j), &mut PointCache::default(), |_| {});
             prop_assert_eq!(&data.to_csv(), clean_csv, "CSV diverged after resume");
             prop_assert_eq!(
                 &data.render_table(),
@@ -159,6 +159,62 @@ fn byte_flip_anywhere_resumes_byte_identical_or_fails_typed() {
             verdict
         },
     );
+}
+
+/// A figure whose every point an earlier figure already ran journals them
+/// all in one batched commit. That journal is a whole journal — resumed
+/// alone it replays every point to the bytes of a solo sweep — and cut
+/// anywhere inside the batch it repairs to the records that survived and
+/// re-runs the rest.
+#[test]
+fn a_journal_written_from_cache_hits_is_a_whole_journal() {
+    let f3 = sweep_of(figures::by_id("F3").expect("F3 is a defined figure"));
+    let f12 = sweep_of(figures::by_id("F12").expect("F12 is a defined figure"));
+    let points = f12.spec.machines.len() * PROCS.len();
+    let solo = f12.run(None, &mut PointCache::default(), |_| {});
+    // Resumes F12 alone, sharing nothing; returns how many points
+    // replayed and demands the rest re-run to the solo bytes.
+    let resume_alone = |path: &PathBuf| {
+        let j = SweepJournal::open(Arc::new(RealVfs), path, &f12, true).expect("resumes");
+        let mut fresh = 0usize;
+        let data = f12.run(Some(&j), &mut PointCache::default(), |ev| {
+            fresh += usize::from(matches!(ev, spasm::exec::ExecEvent::Finished { .. }));
+        });
+        assert_eq!(j.replayed() + fresh, points);
+        assert_eq!(data.to_csv(), solo.to_csv());
+        assert_eq!(data.render_table(), solo.render_table());
+        j.replayed()
+    };
+
+    let mut cache = PointCache::default();
+    f3.run(None, &mut cache, |_| {});
+    let path = scratch();
+    let j = SweepJournal::open(Arc::new(RealVfs), &path, &f12, false).expect("create");
+    let shared = f12.run(Some(&j), &mut cache, |_| {
+        panic!("a hit entered the executor")
+    });
+    assert!(j.io_error().is_none());
+    drop(j);
+    assert_eq!(shared.to_csv(), solo.to_csv());
+    let whole = fs::read(&path).expect("journal readable");
+    let on_disk = Journal::read(&path, f12.fingerprint()).expect("journal reads");
+    assert_eq!(on_disk.records.len(), points);
+    assert_eq!(resume_alone(&path), points, "a whole journal replays whole");
+
+    // Every thirteenth byte of the batch, and each frame boundary with its
+    // neighbours (all 900-odd cuts pass too; they take nine seconds).
+    let mut cuts: Vec<usize> = (16..whole.len()).step_by(13).collect();
+    let mut at = 16;
+    for record in &on_disk.records {
+        at += 12 + record.len();
+        cuts.extend([at - 1, at, at + 1]);
+    }
+    for cut in cuts.into_iter().filter(|&c| c < whole.len()) {
+        fs::write(&path, &whole[..cut]).expect("write damaged copy");
+        let survived = resume_alone(&path);
+        assert!(survived < points, "cut at {cut} of {}", whole.len());
+    }
+    fs::remove_file(&path).expect("cleanup");
 }
 
 #[test]

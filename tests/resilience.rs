@@ -177,7 +177,7 @@ fn quiet_fault_plan_matches_unfaulted_baseline() {
 #[test]
 fn figure_sweep_renders_failed_point_without_dropping_series() {
     use spasm::core::figures::{FigureSpec, Metric};
-    use spasm::core::sweep::{Outcome, Sweep};
+    use spasm::core::sweep::{Outcome, PointCache, Sweep};
 
     let spec = FigureSpec {
         id: "RX",
@@ -187,7 +187,11 @@ fn figure_sweep_renders_failed_point_without_dropping_series() {
         machines: &[Machine::Pram, Machine::Target, Machine::LogP],
         expect: "p=3 fails, the rest survive",
     };
-    let data = Sweep::new(&spec, SizeClass::Test, &[2, 3, 4], 1).run(None, |_| {});
+    let data = Sweep::new(&spec, SizeClass::Test, &[2, 3, 4], 1).run(
+        None,
+        &mut PointCache::default(),
+        |_| {},
+    );
     assert_eq!(data.failed_points(), 3, "one failed point per series");
     for s in &data.series {
         assert!(s.values[0].is_finite() && s.values[2].is_finite());

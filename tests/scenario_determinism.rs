@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 use spasm::apps::SizeClass;
 use spasm::core::figures::FigureSpec;
 use spasm::core::journal::SweepJournal;
-use spasm::core::sweep::{Sweep, SweepConfig};
+use spasm::core::sweep::{PointCache, Sweep, SweepConfig};
 use spasm::journal::RealVfs;
 use spasm::machine::TelemetryConfig;
 
@@ -58,7 +58,7 @@ fn scratch() -> PathBuf {
 
 #[test]
 fn telemetry_is_byte_identical_across_worker_counts() {
-    let serial = sweep(1).run(None, |_| {});
+    let serial = sweep(1).run(None, &mut PointCache::default(), |_| {});
     assert_eq!(serial.failed_points(), 0);
     let jsonl = serial.to_telemetry_jsonl();
     assert!(
@@ -66,7 +66,7 @@ fn telemetry_is_byte_identical_across_worker_counts() {
         "telemetry must actually be on"
     );
     for jobs in [2usize, 4] {
-        let parallel = sweep(jobs).run(None, |_| {});
+        let parallel = sweep(jobs).run(None, &mut PointCache::default(), |_| {});
         assert_eq!(
             parallel.to_telemetry_jsonl(),
             jsonl,
@@ -82,7 +82,7 @@ fn telemetry_survives_kill_and_resume_byte_identical() {
     let path = scratch();
     let sweep = sweep(1);
     let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).expect("create journal");
-    let clean = sweep.run(Some(&j), |_| {});
+    let clean = sweep.run(Some(&j), &mut PointCache::default(), |_| {});
     assert_eq!(clean.failed_points(), 0);
     let jsonl = clean.to_telemetry_jsonl();
     assert!(jsonl.contains("\"kind\":\"interval\""));
@@ -96,7 +96,7 @@ fn telemetry_survives_kill_and_resume_byte_identical() {
         fs::write(&damaged, &bytes[..cut]).expect("write damaged copy");
         let j = SweepJournal::open(Arc::new(RealVfs), &damaged, &sweep, true)
             .unwrap_or_else(|e| panic!("resume after cut at {cut}: {e}"));
-        let resumed = sweep.run(Some(&j), |_| {});
+        let resumed = sweep.run(Some(&j), &mut PointCache::default(), |_| {});
         assert_eq!(
             resumed.to_telemetry_jsonl(),
             jsonl,

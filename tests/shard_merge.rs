@@ -14,7 +14,7 @@ use spasm::apps::SizeClass;
 use spasm::core::figures::{self, FigureSpec};
 use spasm::core::journal::SweepJournal;
 use spasm::core::shard::{merge_shards, MergeReport, ShardError, ShardSpec};
-use spasm::core::sweep::{Outcome, Sweep};
+use spasm::core::sweep::{Outcome, PointCache, Sweep};
 use spasm::journal::{Journal, RealVfs};
 
 const SEED: u64 = 5;
@@ -43,7 +43,7 @@ fn scratch_dir() -> PathBuf {
 fn serial() -> &'static (String, String) {
     static FIXTURE: OnceLock<(String, String)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let data = sweep().run(None, |_| {});
+        let data = sweep().run(None, &mut PointCache::default(), |_| {});
         (data.render_table(), data.to_csv())
     })
 }
@@ -54,7 +54,7 @@ fn run_shard(dir: &Path, shard: ShardSpec) {
     let path = dir.join(shard.file_name(spec().id));
     let journal =
         SweepJournal::open(Arc::new(RealVfs), &path, &sweep(), true).expect("shard journal opens");
-    sweep().run_shard(shard, &journal, |_| {});
+    sweep().run_shard(shard, &journal, &mut PointCache::default(), |_| {});
 }
 
 fn merge(dir: &Path) -> Result<MergeReport, ShardError> {
@@ -91,6 +91,51 @@ fn merge_is_byte_identical_to_serial_for_every_width() {
         assert_eq!(report.shards_merged, n, "N={n}");
         fs::remove_dir_all(&dir).expect("cleanup");
     }
+}
+
+/// Three workers each sweep F3 and then F12 through a cache of their own,
+/// as `figures --shard K/3 --figure F3 --figure F12` does: every F12 point
+/// a worker owns is a point of F3 it ran a moment earlier, so its F12
+/// journal is written from hits alone — and the fleet's journals still
+/// merge to the bytes of the serial figures.
+#[test]
+fn shards_that_share_points_merge_byte_identically_to_serial() {
+    let dir = scratch_dir();
+    let sweeps = ["F3", "F12"].map(|id| Sweep {
+        spec: figures::by_id(id).expect("a defined figure"),
+        ..sweep()
+    });
+    for k in 1..=3 {
+        let shard = ShardSpec::new(k, 3).unwrap();
+        let mut cache = PointCache::default();
+        let reports = sweeps.map(|sweep| {
+            let path = dir.join(shard.file_name(sweep.spec.id));
+            let journal =
+                SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).expect("creates");
+            let report = sweep.run_shard(shard, &journal, &mut cache, |_| {});
+            assert!(journal.io_error().is_none());
+            report
+        });
+        let [f3, f12] = reports;
+        assert_eq!((f3.owned, f3.shared, f3.fresh), (2, 0, 2), "shard {k}");
+        assert_eq!((f12.owned, f12.shared, f12.fresh), (2, 2, 0), "shard {k}");
+        assert_eq!((f3.replayed, f12.replayed, f12.failed), (0, 0, 0));
+    }
+    for sweep in sweeps {
+        let serial = sweep.run(None, &mut PointCache::default(), |_| {});
+        let report = merge_shards(&RealVfs, &dir, &sweep).expect("merge succeeds");
+        assert_eq!(report.data.render_table(), serial.render_table());
+        assert_eq!(report.data.to_csv(), serial.to_csv());
+        assert_eq!(
+            (
+                report.points_merged,
+                report.duplicates,
+                report.missing_points
+            ),
+            (6, 0, 0)
+        );
+    }
+    fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
