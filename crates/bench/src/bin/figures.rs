@@ -9,8 +9,9 @@
 //! Sweep points run on the `spasm-exec` worker pool — one worker per
 //! host hardware thread by default (`--jobs auto`); `--serial` forces
 //! the inline single-thread path. Output is byte-identical either way;
-//! per-series run times and the total simulated time go to stderr so the
-//! speedup is visible without polluting the table/CSV streams. Figures
+//! per-series run times and the total simulated time go to stderr so how
+//! busy the workers were is visible without polluting the table/CSV
+//! streams. Figures
 //! that plot the same (app, net, machine) points — F3 and F12, say —
 //! share them: each distinct point is simulated once per invocation, and
 //! stderr says how many of a figure's points were `shared`. `--chart`
@@ -25,8 +26,10 @@
 //! `--journal PATH` records every completed point in a durable
 //! per-figure journal (`PATH.<figure-id>`); after a crash or SIGKILL,
 //! the same command with `--resume` replays completed points and runs
-//! only the rest, producing byte-identical stdout. `--deadline-secs N`
-//! bounds each point's wall time.
+//! only the rest, producing byte-identical stdout. Workers never wait
+//! for the disk — this thread commits what they finish, in batches —
+//! and stderr says in how many `commits`. `--deadline-secs N` bounds
+//! each point's wall time.
 //!
 //! `--scenario FILE` (repeatable) compiles a declarative `.scn`
 //! workload (see `spasm-scenario`) into a figure and sweeps it like
@@ -432,10 +435,19 @@ fn run_ablation(which: &str, jobs: usize) {
     );
 }
 
+/// The worker count a `--jobs` setting asks for (0 = auto).
+fn workers(jobs: usize) -> usize {
+    if jobs == 0 {
+        spasm_exec::available_parallelism()
+    } else {
+        jobs
+    }
+}
+
 /// Human label for a `--jobs` setting.
 fn jobs_label(jobs: usize) -> String {
     if jobs == 0 {
-        format!("jobs=auto({})", spasm_exec::available_parallelism())
+        format!("jobs=auto({})", workers(jobs))
     } else {
         format!("jobs={jobs}")
     }
@@ -444,13 +456,14 @@ fn jobs_label(jobs: usize) -> String {
 /// The one way a journal is used: open it for `sweep` (mapping each
 /// failure class onto its exit code), report a repaired torn tail, hand
 /// it to `pass`, then report what the pass did to its durability.
-/// Returns `pass`'s value and whether the journal stopped persisting.
+/// Returns `pass`'s value, how many commits it took
+/// ([`SweepJournal::commits`]) and whether the journal stopped persisting.
 fn with_journal<T>(
     jpath: &str,
     sweep: &Sweep<'_>,
     resume: bool,
     pass: impl FnOnce(&SweepJournal) -> T,
-) -> Result<(T, bool), Exit> {
+) -> Result<(T, usize, bool), Exit> {
     let id = sweep.spec.id;
     let journal = SweepJournal::open(Arc::new(RealVfs), jpath, sweep, resume).map_err(|e| {
         eprintln!("journal {jpath}: {e}");
@@ -485,7 +498,7 @@ fn with_journal<T>(
     if let Some(w) = journal.dir_sync_warning() {
         eprintln!("{id}: warning: {w}");
     }
-    Ok((value, stopped.is_some()))
+    Ok((value, journal.commits(), stopped.is_some()))
 }
 
 /// What every mode that renders figures does after the sweep: print
@@ -560,7 +573,8 @@ impl Output {
 /// `DIR/<figure>.shard-K-of-N.journal`. Prints nothing to stdout — the
 /// journal is the shard's entire output, so a merge over the directory
 /// is the only way results become visible, and killing this process at
-/// any instant costs at most one in-flight point.
+/// any instant costs the points in flight plus those that finished during
+/// the commit in flight (none, at `--serial`).
 fn run_shard(args: &Args, sweeps: &[Sweep<'_>], shard: ShardSpec) -> ExitCode {
     let dir = args.journal.as_deref().expect("checked in parse_args");
     if let Some(path) = &args.telemetry {
@@ -585,12 +599,13 @@ fn run_shard(args: &Args, sweeps: &[Sweep<'_>], shard: ShardSpec) -> ExitCode {
         let pass = with_journal(&jpath, sweep, args.resume, |journal| {
             sweep.run_shard(shard, journal, &mut cache, |_| {})
         });
-        let (report, stopped) = match pass {
+        let (report, commits, stopped) = match pass {
             Ok(p) => p,
             Err(code) => return worst.max(code).into(),
         };
         eprintln!(
-            "{id} shard {shard}: {} owned, {} replayed, {} shared, {} fresh, {} failed",
+            "{id} shard {shard}: {} owned, {} replayed, {} shared, {} fresh, {} failed, \
+             {commits} commits",
             report.owned, report.replayed, report.shared, report.fresh, report.failed
         );
         if stopped {
@@ -676,7 +691,11 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
         let id = sweep.spec.id;
         let started = Instant::now();
         // Only fresh points enter the executor (the rest are replayed or
-        // shared), so its events time what this invocation itself simulated.
+        // shared), so its events time what this invocation itself simulated
+        // — and nothing else: a worker never commits to the journal, so a
+        // point's wall holds no disk time. Summed over wall time that is how
+        // many workers were busy simulating, not a speedup: two points at
+        // once on two contended vCPUs each run slower than one alone.
         let mut fresh = 0usize;
         let fresh_points = |ev: &ExecEvent| {
             if let ExecEvent::Finished { wall, .. }
@@ -688,6 +707,10 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
             }
         };
         let shared_before = cache.hits();
+        // Under a journal, how the fresh points were batched: one commit
+        // each at `--serial` (plus one for all the shared), fewer with
+        // workers, where a commit takes whatever finished during the last.
+        let mut commits = None;
         let data = match &args.journal {
             None => sweep.run(None, &mut cache, fresh_points),
             Some(base) => {
@@ -698,7 +721,10 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
                 // A journal that stopped persisting costs nothing here:
                 // the results are complete in memory and on stdout.
                 match pass {
-                    Ok((data, _stopped)) => data,
+                    Ok((data, n, _stopped)) => {
+                        commits = Some(n);
+                        data
+                    }
                     Err(code) => return code.into(),
                 }
             }
@@ -719,8 +745,9 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
         let shared = cache.hits() - shared_before;
         let replayed = points - fresh - shared;
         eprintln!(
-            "{id}: swept in {:.1?} ({fresh} fresh, {replayed} replayed, {shared} shared, {})",
+            "{id}: swept in {:.1?} ({fresh} fresh, {replayed} replayed, {shared} shared, {}{})",
             started.elapsed(),
+            commits.map_or(String::new(), |n| format!("{n} commits, ")),
             jobs_label(args.jobs)
         );
         total_points += points;
@@ -730,7 +757,7 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
     let total_wall = total_started.elapsed();
     eprintln!(
         "total: {} figure(s), {} point(s) ({} fresh, {} replayed, {} shared), \
-         {:.1?} simulated in {:.1?} wall ({:.1}x, {})",
+         {:.1?} simulated in {:.1?} wall ({:.1} of {} workers busy, {})",
         sweeps.len(),
         total_points,
         total_fresh,
@@ -739,6 +766,7 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
         total_busy,
         total_wall,
         total_busy.as_secs_f64() / total_wall.as_secs_f64().max(1e-9),
+        workers(args.jobs),
         jobs_label(args.jobs)
     );
     out.finish(args, Exit::Clean)

@@ -538,7 +538,10 @@ const FAULT_MENU: [Fault; 7] = [
     Fault::Crash,
 ];
 
-fn script_gen(max_op: usize) -> Gen<Vec<(usize, Fault)>> {
+/// Generates the entries of a multi-fault script — one to five faults of
+/// any species at operation indices below `max_op` — shrinking toward
+/// fewer, earlier, milder faults.
+pub fn script_gen(max_op: usize) -> Gen<Vec<(usize, Fault)>> {
     gens::vecs(
         gens::tuple2(
             gens::usizes(0..max_op.max(1)),

@@ -176,12 +176,20 @@ impl ReplayPoint {
     }
 }
 
-/// A durable journal bound to one figure sweep, usable from worker
-/// threads (appends serialize on an internal mutex; each append is a
-/// full atomic rewrite, cheap next to a multi-second simulation).
+/// A durable journal bound to one figure sweep, committed as a pipelined
+/// group-commit log. A commit is a full atomic rewrite plus two fsyncs —
+/// milliseconds on a disk, as much as a small point — so no worker pays
+/// for one: a worker [`enqueue`](SweepJournal::enqueue)s its finished
+/// point and moves on, and the thread that submitted the sweep
+/// [`drain`](SweepJournal::drain)s whatever has accumulated under one
+/// commit. While that commit is in flight the next batch forms by itself,
+/// so batch size follows fsync latency with nothing to tune.
 #[derive(Debug)]
 pub struct SweepJournal {
     inner: Mutex<Inner>,
+    /// Encoded records of points that finished since the last drain; held
+    /// only for a push or a swap, never across I/O.
+    backlog: Mutex<Vec<Vec<u8>>>,
     replay: HashMap<(Machine, usize), ReplayPoint>,
     repaired_bytes: usize,
     /// The header's fingerprint: the one sweep this journal serves.
@@ -195,6 +203,8 @@ struct Inner {
     /// in-memory results, but the caller can surface the lost
     /// durability.
     io_error: Option<JournalError>,
+    /// Successful point commits since open.
+    commits: usize,
 }
 
 impl SweepJournal {
@@ -234,7 +244,9 @@ impl SweepJournal {
             inner: Mutex::new(Inner {
                 journal,
                 io_error: None,
+                commits: 0,
             }),
+            backlog: Mutex::new(Vec::new()),
             replay,
             repaired_bytes,
             fingerprint,
@@ -305,21 +317,62 @@ impl SweepJournal {
         self.replay.get(&(machine, procs)).map(ReplayPoint::verdict)
     }
 
-    /// Appends completed points under one commit: one point as a worker
-    /// thread finishes it, or all of a figure's cache hits at once (a
-    /// crash keeps every one of them or none). An append failure is
-    /// latched (see [`SweepJournal::io_error`]) rather than failing the
-    /// sweep — the in-memory figure is still correct.
+    /// Successful point commits since open — not the create, not a
+    /// torn-tail repair. A serial sweep makes one per fresh point plus one
+    /// for its cache hits; with workers, fewer: each commit takes every
+    /// point that finished during the one before it.
+    pub fn commits(&self) -> usize {
+        self.inner
+            .lock()
+            .expect("journal mutex poisoned: a journal append panicked")
+            .commits
+    }
+
+    /// Commits completed points at once, on the calling thread, under one
+    /// commit: all of a figure's cache hits (a crash keeps every one of
+    /// them or none). An append failure is latched (see
+    /// [`SweepJournal::io_error`]) rather than failing the sweep — the
+    /// in-memory figure is still correct.
     pub(crate) fn record<'a>(
         &self,
         points: impl IntoIterator<Item = (Machine, usize, &'a PointVerdict)>,
     ) {
         let payloads: Vec<Vec<u8>> = points
             .into_iter()
-            .map(|(machine, procs, (outcome, metrics, telemetry))| {
-                encode_point(machine, procs, outcome, metrics.as_ref(), telemetry)
-            })
+            .map(|(machine, procs, verdict)| encode_verdict(machine, procs, verdict))
             .collect();
+        self.commit(&payloads);
+    }
+
+    /// A worker's whole part in journaling: encodes the point it just
+    /// finished and leaves it for the next [`SweepJournal::drain`]. No
+    /// I/O, and no lock a commit ever holds.
+    pub(crate) fn enqueue(&self, machine: Machine, procs: usize, verdict: &PointVerdict) {
+        let payload = encode_verdict(machine, procs, verdict);
+        self.backlog
+            .lock()
+            .expect("backlog mutex poisoned: a push panicked")
+            .push(payload);
+    }
+
+    /// Commits everything enqueued since the last drain under one commit;
+    /// nothing enqueued, no I/O. The submitting thread calls it on every
+    /// executor event and once more after the last, so a sweep returns
+    /// with each record it produced durable or its failure latched.
+    pub(crate) fn drain(&self) {
+        let batch = std::mem::take(
+            &mut *self
+                .backlog
+                .lock()
+                .expect("backlog mutex poisoned: a push panicked"),
+        );
+        self.commit(&batch);
+    }
+
+    fn commit(&self, payloads: &[Vec<u8>]) {
+        if payloads.is_empty() {
+            return;
+        }
         let mut inner = self
             .inner
             .lock()
@@ -327,8 +380,9 @@ impl SweepJournal {
         if inner.io_error.is_some() {
             return;
         }
-        if let Err(e) = inner.journal.append_all(&payloads) {
-            inner.io_error = Some(e);
+        match inner.journal.append_all(payloads) {
+            Ok(()) => inner.commits += 1,
+            Err(e) => inner.io_error = Some(e),
         }
     }
 }
@@ -393,6 +447,11 @@ impl<'a> Cursor<'a> {
 
 const TAG_OK: u64 = 0;
 const TAG_FAILED: u64 = 1;
+
+fn encode_verdict(machine: Machine, procs: usize, verdict: &PointVerdict) -> Vec<u8> {
+    let (outcome, metrics, telemetry) = verdict;
+    encode_point(machine, procs, outcome, metrics.as_ref(), telemetry)
+}
 
 fn encode_point(
     machine: Machine,
@@ -514,6 +573,7 @@ pub(crate) fn decode_point(record: &[u8]) -> Result<(Machine, usize, ReplayPoint
 pub(crate) mod tests {
     use super::*;
     use crate::figures;
+    use spasm_journal::{Fault, FaultScript, FaultVfs};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("spasm-core-journal-tests");
@@ -769,6 +829,103 @@ pub(crate) mod tests {
             Ok(_) => panic!("fingerprint mismatch accepted"),
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// F12 at p = 2 — three points, one per machine — and a verdict to
+    /// journal for any of them.
+    fn three_points() -> (Sweep<'static>, PointVerdict) {
+        let spec = figures::by_id("F12").unwrap();
+        let ok = (Outcome::Ok, Some(sample_metrics()), sample_telemetry());
+        (Sweep::new(spec, SizeClass::Test, &[2], 5), ok)
+    }
+
+    #[test]
+    fn five_enqueues_and_one_drain_are_one_commit() {
+        use spasm_journal::VfsOpKind::{Rename, SyncDir, SyncFile, Write};
+        let (sweep, ok) = three_points();
+        let vfs = Arc::new(FaultVfs::pristine());
+        let j = SweepJournal::open(vfs.clone(), "/j", &sweep, false).unwrap();
+        let created = vfs.ops();
+        for procs in [2, 4, 8, 16, 32] {
+            j.enqueue(Machine::Target, procs, &ok);
+        }
+        assert_eq!(
+            (vfs.ops(), j.commits()),
+            (created, 0),
+            "an enqueue is a push"
+        );
+        j.drain();
+        let kinds: Vec<_> = vfs.trace()[created..].iter().map(|t| t.kind).collect();
+        assert_eq!(kinds, [Write, SyncFile, Rename, SyncDir]);
+        assert_eq!(j.commits(), 1);
+        // Nothing enqueued since: no I/O, no commit.
+        j.drain();
+        assert_eq!((vfs.ops(), j.commits()), (created + 4, 1));
+        assert!(j.io_error().is_none());
+        drop(j);
+        let r = SweepJournal::open(vfs, "/j", &sweep, true).unwrap();
+        assert_eq!(r.replayed(), 5);
+    }
+
+    #[test]
+    fn a_crash_between_enqueue_and_commit_costs_exactly_the_backlog() {
+        let (sweep, ok) = three_points();
+        // One point committed, two enqueued behind it.
+        let victim = |vfs: &Arc<FaultVfs>| {
+            let j = SweepJournal::open(vfs.clone(), "/j", &sweep, false).unwrap();
+            j.record([(Machine::Target, 2, &ok)]);
+            j.enqueue(Machine::LogP, 2, &ok);
+            j.enqueue(Machine::CLogP, 2, &ok);
+            j
+        };
+        let dry = Arc::new(FaultVfs::pristine());
+        victim(&dry);
+        // The power goes on the drain's first operation.
+        let vfs = Arc::new(FaultVfs::new(FaultScript::crash_at(dry.ops())));
+        let j = victim(&vfs);
+        j.drain();
+        assert!(vfs.crashed() && j.io_error().is_some());
+        assert_eq!(j.commits(), 1);
+        drop(j);
+
+        // The previous prefix survives, and a resumed sweep runs the two
+        // points the backlog held — no more, no fewer.
+        vfs.reboot();
+        let r = SweepJournal::open(vfs.clone(), "/j", &sweep, true).unwrap();
+        assert_eq!(r.replayed(), 1);
+        assert!(r.lookup(Machine::Target, 2).is_some());
+        let mut ran = 0usize;
+        sweep.run(Some(&r), &mut crate::sweep::PointCache::default(), |ev| {
+            ran += usize::from(matches!(ev, spasm_exec::ExecEvent::Finished { .. }));
+        });
+        assert_eq!((ran, r.commits()), (2, 2));
+        assert!(r.io_error().is_none());
+        drop(r);
+        let whole = SweepJournal::open(vfs, "/j", &sweep, true).unwrap();
+        assert_eq!(whole.replayed(), 3);
+    }
+
+    #[test]
+    fn a_journal_that_stopped_persisting_does_no_more_io() {
+        let (sweep, ok) = three_points();
+        // The disk fills on the first commit after the create (4 ops).
+        let vfs = Arc::new(FaultVfs::new(FaultScript {
+            seed: 0,
+            faults: vec![(4, Fault::Enospc)],
+        }));
+        let j = SweepJournal::open(vfs.clone(), "/j", &sweep, false).unwrap();
+        assert_eq!(vfs.ops(), 4);
+        j.enqueue(Machine::Target, 2, &ok);
+        j.drain();
+        assert!(j.io_error().is_some() && !vfs.crashed());
+        let latched = vfs.ops();
+        j.enqueue(Machine::LogP, 2, &ok);
+        j.drain();
+        j.record([(Machine::CLogP, 2, &ok)]);
+        assert_eq!((vfs.ops(), j.commits()), (latched, 0));
+        drop(j);
+        let r = SweepJournal::open(vfs, "/j", &sweep, true).unwrap();
+        assert_eq!(r.replayed(), 0);
     }
 
     #[test]

@@ -301,11 +301,15 @@ impl<'a> Sweep<'a> {
     /// Under a `journal`, points it already holds are replayed without
     /// simulating (and without entering the executor, so the observer
     /// sees only fresh points), and every freshly completed point is
-    /// appended before its result is assembled. Kill this at any moment
+    /// committed — by this thread, never by the worker that ran it (see
+    /// [`SweepJournal`]) — before `observe` hears it finished and before
+    /// anything is assembled. Kill this at any moment
     /// and re-run with a resumed journal: the final [`FigureData`] is
     /// byte-identical to an uninterrupted sweep. Points that never
     /// completed an attempt cycle — overrun by the deadline or lost to
-    /// the crash itself — are *not* journaled, so a resume re-runs them.
+    /// the crash itself — are *not* journaled, so a resume re-runs them,
+    /// as it does the few that finished while the last commit was in
+    /// flight.
     ///
     /// Points `cache` already holds do not run either: they are appended
     /// to *this* sweep's journal under one commit, so the journal ends up
@@ -403,7 +407,7 @@ impl<'a> Sweep<'a> {
         journal: Option<&SweepJournal>,
         cache: &mut PointCache,
         owns: impl Fn(usize) -> bool,
-        observe: impl FnMut(&ExecEvent),
+        mut observe: impl FnMut(&ExecEvent),
     ) -> (Vec<PointVerdict>, usize) {
         // The header certifies what every record under it was computed
         // from; scheduling knobs are outside the fingerprint, so a resume
@@ -463,8 +467,24 @@ impl<'a> Sweep<'a> {
             },
             pending,
             |ctx, (machine, exp)| journaled_point(journal, self.config, machine, &exp, ctx),
-            observe,
+            // This thread is the journal's only committer. It wakes on every
+            // event, and a point is enqueued before its `Finished` is sent,
+            // so each commit takes whatever finished during the last one;
+            // inline (`jobs <= 1`) events arrive synchronously and that is
+            // one commit per point, before the next point starts.
+            |ev| {
+                if let Some(j) = journal {
+                    j.drain();
+                }
+                observe(ev);
+            },
         );
+        // `execute` has joined its workers, so whatever finished is
+        // enqueued, and after this drain nothing is left waiting whatever
+        // the events did: nothing below runs on an undurable point.
+        if let Some(j) = journal {
+            j.drain();
+        }
         // Back on the calling thread: no worker ever touches the cache.
         let mut slots = report.results.into_iter();
         let verdicts = points
@@ -521,10 +541,10 @@ pub fn run_figure_journaled(
     .run(Some(journal), &mut PointCache::default(), observe)
 }
 
-/// Runs one submitted point on a worker and makes it durable: the
-/// journal append (an atomic whole-file commit) happens before the
-/// result becomes visible to the caller, so a crash after this function
-/// loses nothing.
+/// Runs one submitted point on a worker and hands its verdict to the
+/// journal's backlog; the submitting thread commits it (see
+/// [`SweepJournal::drain`]) before the result becomes visible to the
+/// caller.
 fn journaled_point(
     journal: Option<&SweepJournal>,
     sweep: SweepConfig,
@@ -547,7 +567,7 @@ fn journaled_point(
     );
     if let Some(j) = journal {
         if !cancelled {
-            j.record([(machine, exp.procs, &verdict)]);
+            j.enqueue(machine, exp.procs, &verdict);
         }
     }
     let (cost, faults) = m.as_ref().map_or((0, 0), |m| (m.events, m.faults_injected));
@@ -1260,6 +1280,37 @@ mod tests {
         assert_eq!(resumed.to_csv(), plain.to_csv());
         assert_eq!(resumed.render_table(), plain.render_table());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn commits_are_one_per_fresh_point_when_serial_and_no_more_with_workers() {
+        // F3 runs six points, F12 takes all six from the cache: serial,
+        // that is six commits and one; with workers a commit may take
+        // several points, and either way both journals end up whole.
+        for jobs in [1, 4] {
+            let vfs = Arc::new(spasm_journal::FaultVfs::pristine());
+            let mut cache = PointCache::default();
+            let mut commits = Vec::new();
+            for id in ["F3", "F12"] {
+                let sweep = Sweep {
+                    config: SweepConfig::parallel(jobs),
+                    ..Sweep::new(figures::by_id(id).unwrap(), SizeClass::Test, &[2, 4], 5)
+                };
+                let j = SweepJournal::open(vfs.clone(), id, &sweep, false).unwrap();
+                sweep.run(Some(&j), &mut cache, |_| {});
+                assert!(j.io_error().is_none());
+                commits.push(j.commits());
+                drop(j);
+                let whole = SweepJournal::open(vfs.clone(), id, &sweep, true).unwrap();
+                assert_eq!(whole.replayed(), 6, "{id} at jobs={jobs}");
+            }
+            if jobs == 1 {
+                assert_eq!(commits, [6, 1]);
+            } else {
+                assert!((1..=6).contains(&commits[0]), "{commits:?}");
+                assert_eq!(commits[1], 1);
+            }
+        }
     }
 
     #[test]

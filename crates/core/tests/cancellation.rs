@@ -98,12 +98,27 @@ fn killing_a_run_at_every_poll_point_aborts_cleanly() {
 /// on an uninterrupted sweep's output.
 #[test]
 fn cancelled_points_never_reach_the_journal() {
+    cancelled_points_stay_out_of_the_journal(1);
+}
+
+/// The same on two workers, where a finished point reaches the journal
+/// through the backlog the submitting thread drains: a cancelled one must
+/// not get that far either.
+#[test]
+fn cancelled_points_never_reach_the_backlog() {
+    cancelled_points_stay_out_of_the_journal(2);
+}
+
+fn cancelled_points_stay_out_of_the_journal(jobs: usize) {
     let spec = figures::by_id("F1").expect("F1 exists");
-    let sweep = Sweep::new(spec, SizeClass::Small, &[8], 1995);
+    let sweep = Sweep {
+        config: SweepConfig::parallel(jobs),
+        ..Sweep::new(spec, SizeClass::Small, &[8], 1995)
+    };
 
     let dir = std::env::temp_dir().join("spasm-cancel-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{}-cancel.journal", std::process::id()));
+    let path = dir.join(format!("{}-cancel-{jobs}.journal", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
     // Pass 1: every point is overdue the moment it starts running (the
@@ -119,6 +134,7 @@ fn cancelled_points_never_reach_the_journal() {
     let j = SweepJournal::open(Arc::new(RealVfs), &path, &doomed, false).unwrap();
     let data = doomed.run(Some(&j), &mut PointCache::default(), |_| {});
     assert!(j.io_error().is_none());
+    assert_eq!(j.commits(), 0);
     assert_eq!(
         data.failed_points(),
         spec.machines.len(),

@@ -28,6 +28,24 @@ expect_rc() {
     fi
 }
 
+# kill_after_first_commit FILE -- CMD...: runs CMD (a journaled sweep) in
+# the background and SIGKILLs it once FILE, a journal of its, holds a
+# committed record (anything beyond the 16-byte header), so the kill lands
+# genuinely mid-sweep.
+kill_after_first_commit() {
+    local file=$1 victim size
+    shift 2
+    "$@" > /dev/null 2>&1 &
+    victim=$!
+    for _ in $(seq 1 2000); do
+        size=$(stat -c %s "$file" 2>/dev/null || echo 0)
+        [ "$size" -gt 16 ] && break
+        sleep 0.005
+    done
+    kill -9 "$victim" 2>/dev/null || true
+    wait "$victim" 2>/dev/null || true
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -160,6 +178,14 @@ if ! diff "$pdir/solo.out" "$pdir/resume.out"; then
     echo "ERROR: F12 resumed from a journal of shared points differs from a solo F12" >&2
     exit 1
 fi
+# Group commit, read off stderr: serially the submitting thread commits
+# after every point, so F3 reports a commit per fresh point and all-shared
+# F12 its one batch. (With workers a commit takes whatever finished during
+# the one before it: never more commits than that, and the same records.)
+timeout 60 ./target/release/figures --figure F3 --figure F12 --size test --procs 2,4 \
+    --serial --journal "$pdir/s" > /dev/null 2> "$pdir/serial.err"
+grep -q "F3: swept in .*(6 fresh, 0 replayed, 0 shared, 6 commits, jobs=1)" "$pdir/serial.err"
+grep -q "F12: swept in .*(0 fresh, 0 replayed, 6 shared, 1 commits, jobs=1)" "$pdir/serial.err"
 rm -rf "$pdir"
 trap - EXIT
 
@@ -171,30 +197,33 @@ expect_rc 3 "invariant" -- timeout 60 ./target/release/figures \
     --figure F12 --size test --procs 2 --strict-check --faults 7 --jobs 1
 
 # Kill-and-resume: a journaled sweep SIGKILLed mid-run and resumed must
-# produce byte-identical stdout to an uninterrupted run. The poll loop
-# waits for the first committed record (anything beyond the 16-byte
-# header) so the kill lands genuinely mid-sweep.
+# produce byte-identical stdout to an uninterrupted run.
 echo "==> kill-and-resume: journaled sweep survives SIGKILL"
 jdir=$(mktemp -d)
 trap 'rm -rf "$jdir"' EXIT
 timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
     --serial --budget-events 50000000 > "$jdir/ref.out"
-./target/release/figures --figure F2 --size test --procs 2,4,8 \
-    --serial --budget-events 50000000 --journal "$jdir/j" \
-    > /dev/null 2>&1 &
-victim=$!
-for _ in $(seq 1 400); do
-    size=$(stat -c %s "$jdir/j.F2" 2>/dev/null || echo 0)
-    [ "$size" -gt 16 ] && break
-    sleep 0.025
-done
-kill -9 "$victim" 2>/dev/null || true
-wait "$victim" 2>/dev/null || true
+kill_after_first_commit "$jdir/j.F2" -- ./target/release/figures --figure F2 \
+    --size test --procs 2,4,8 --serial --budget-events 50000000 --journal "$jdir/j"
 timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
     --serial --budget-events 50000000 --journal "$jdir/j" --resume \
     > "$jdir/resume.out"
 if ! diff "$jdir/ref.out" "$jdir/resume.out"; then
     echo "ERROR: resumed sweep is not byte-identical to the straight run" >&2
+    exit 1
+fi
+
+# The same kill on a victim with two workers, whose finished points wait in
+# a backlog for the submitting thread's next commit: whatever the kill
+# catches there or in flight, a serial resume converges on the same bytes.
+echo "==> kill-and-resume: a --jobs 2 victim resumes --serial byte-identically"
+kill_after_first_commit "$jdir/p.F2" -- ./target/release/figures --figure F2 \
+    --size test --procs 2,4,8 --jobs 2 --budget-events 50000000 --journal "$jdir/p"
+timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
+    --serial --budget-events 50000000 --journal "$jdir/p" --resume \
+    > "$jdir/resume-p.out"
+if ! diff "$jdir/ref.out" "$jdir/resume-p.out"; then
+    echo "ERROR: a --jobs 2 victim resumed --serial is not byte-identical to the straight run" >&2
     exit 1
 fi
 
@@ -205,16 +234,8 @@ fi
 echo "==> kill-and-resume: SIGKILL inside a figure written partly from shared points"
 timeout 60 ./target/release/figures --figure F8 --figure A1 --size small \
     --serial > "$jdir/ref2.out" 2> /dev/null
-./target/release/figures --figure F8 --figure A1 --size small --serial \
-    --journal "$jdir/k" > /dev/null 2>&1 &
-victim=$!
-for _ in $(seq 1 2000); do
-    size=$(stat -c %s "$jdir/k.A1" 2>/dev/null || echo 0)
-    [ "$size" -gt 16 ] && break
-    sleep 0.005
-done
-kill -9 "$victim" 2>/dev/null || true
-wait "$victim" 2>/dev/null || true
+kill_after_first_commit "$jdir/k.A1" -- ./target/release/figures --figure F8 \
+    --figure A1 --size small --serial --journal "$jdir/k"
 timeout 60 ./target/release/figures --figure F8 --figure A1 --size small \
     --serial --journal "$jdir/k" --resume > "$jdir/resume2.out" 2> /dev/null
 if ! diff "$jdir/ref2.out" "$jdir/resume2.out"; then
@@ -301,6 +322,14 @@ echo "==> chaos tier: crash-point explorer + seeded campaign + shrink demo"
 out=$(timeout 120 ./target/release/chaos --explore F1 2>/dev/null)
 if ! grep -q "0 divergent" <<< "$out"; then
     echo "ERROR: chaos explorer did not report zero divergence:" >&2
+    echo "$out" >&2
+    exit 1
+fi
+# The serial operation trace is a contract: one commit of four operations
+# per point, after the point and before the next. Whoever commits, and
+# however points are batched when there are workers, this line stays.
+if ! grep -q "^chaos explore F1: 16 ops, .* 38 identical, 4 refused" <<< "$out"; then
+    echo "ERROR: the serial journal trace of F1 moved:" >&2
     echo "$out" >&2
     exit 1
 fi

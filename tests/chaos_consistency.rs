@@ -6,11 +6,11 @@
 
 use spasm::apps::SizeClass;
 use spasm::core::chaos::{
-    explore_crash_points, run_campaign, run_reference, shrink_demo, total_points, verify_script,
-    verify_script_with, CampaignConfig, CrashVerdict,
+    explore_crash_points, run_campaign, run_reference, script_gen, shrink_demo, total_points,
+    verify_script, verify_script_with, CampaignConfig, CrashVerdict,
 };
 use spasm::core::figures::{self, FigureSpec};
-use spasm::core::sweep::{PointCache, Sweep};
+use spasm::core::sweep::{PointCache, Sweep, SweepConfig};
 use spasm::journal::{Fault, FaultScript};
 
 /// The smallest interesting sweep — the one the campaign itself uses.
@@ -145,6 +145,39 @@ fn single_fault_species_each_meet_the_oracle() {
             }
         }
     }
+}
+
+/// Group commit under fire: the victim differs from the reference only in
+/// `jobs = 2`, so its workers enqueue and the submitting thread commits
+/// whatever has accumulated — batches whose size, and so the operation a
+/// scripted fault lands on, vary from run to run. The oracle does not:
+/// every script recovers to the serial reference's bytes or refuses typed.
+#[test]
+fn a_group_committing_victim_meets_the_oracle_under_generated_scripts() {
+    let spec = figures::by_id("F1").expect("F1 is a defined figure");
+    let cs = Sweep::new(spec, SizeClass::Test, &[2, 4], 42);
+    let cold = PointCache::default();
+    let (expected, trace) = run_reference(&cs, &cold).expect("reference run is clean");
+    let victim = SweepConfig {
+        jobs: 2,
+        ..cs.config
+    };
+    let config = spasm_testkit::Config {
+        cases: 24,
+        ..spasm_testkit::Config::default()
+    };
+    // Indices past the victim's last operation reach into the recoveries.
+    let scripts = script_gen(trace.len() + 8);
+    spasm_testkit::check_with(config, "group_commit_oracle", &scripts, |faults| {
+        let script = FaultScript {
+            seed: cs.seed,
+            faults: faults.clone(),
+        };
+        // `Ok` is identical or refused typed; `Err` is a divergence.
+        verify_script_with(&cs, &victim, &cold, &expected, &script)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+    });
 }
 
 #[test]

@@ -202,6 +202,68 @@ fn a_shared_sweep_is_byte_identical_to_a_solo_one() {
     }
 }
 
+/// Group commit changes the order records land in, never which records:
+/// four workers enqueue points as they finish and the submitting thread
+/// commits whatever has accumulated, so the journal holds every point of
+/// the grid exactly once in some order — and resumed serially it renders
+/// what a serial sweep that never saw a journal renders, byte for byte.
+#[test]
+fn a_group_committed_journal_holds_each_point_once_and_resumes_serially() {
+    use spasm::core::figures;
+    use spasm::core::journal::SweepJournal;
+    use spasm::core::sweep::{PointCache, Sweep, SweepConfig};
+    use spasm::core::TelemetryConfig;
+    use spasm::journal::{Journal, RealVfs};
+    use std::sync::Arc;
+
+    let spec = figures::by_id("F2").expect("F2 exists");
+    let dir = std::env::temp_dir().join("spasm-determinism-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    for telemetry in [None, Some(TelemetryConfig::every_us(100))] {
+        let on = |jobs| Sweep {
+            config: SweepConfig {
+                jobs,
+                telemetry,
+                ..SweepConfig::default()
+            },
+            ..Sweep::new(spec, SizeClass::Test, &[2, 4, 8], 1995)
+        };
+        let label = format!("telemetry={}", telemetry.is_some());
+        let path = dir.join(format!("{}-{label}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+
+        let j = SweepJournal::open(Arc::new(RealVfs), &path, &on(4), false).unwrap();
+        on(4).run(Some(&j), &mut PointCache::default(), |_| {});
+        assert!(j.io_error().is_none(), "{label}");
+        assert!((1..=9).contains(&j.commits()), "{label}: {}", j.commits());
+        drop(j);
+
+        // Nine records; below, nine distinct points of which the serial
+        // resume misses none of the grid's nine: each exactly once.
+        let records = Journal::read(&path, on(4).fingerprint()).unwrap().records;
+        assert_eq!(records.len(), 9, "{label}");
+
+        let plain = on(1).run(None, &mut PointCache::default(), |_| {});
+        let r = SweepJournal::open(Arc::new(RealVfs), &path, &on(1), true).unwrap();
+        let mut ran = 0usize;
+        let resumed = on(1).run(Some(&r), &mut PointCache::default(), |_| ran += 1);
+        assert_eq!((r.replayed(), ran, r.commits()), (9, 0, 0), "{label}");
+        assert_eq!(resumed.render_table(), plain.render_table(), "{label}");
+        assert_eq!(resumed.to_csv(), plain.to_csv(), "{label}");
+        assert_eq!(
+            resumed.to_telemetry_jsonl(),
+            plain.to_telemetry_jsonl(),
+            "{label}"
+        );
+        assert_eq!(
+            plain.to_telemetry_jsonl().is_empty(),
+            telemetry.is_none(),
+            "{label}"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
 #[test]
 fn different_seeds_give_different_dynamic_behaviour() {
     // CHOLESKY's matrix (and so its task graph) depends on the seed.
