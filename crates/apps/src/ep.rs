@@ -1,5 +1,7 @@
 //! EP — the NAS Embarrassingly Parallel kernel.
 
+use std::sync::Arc;
+
 use spasm_machine::{sync, MemCtx, Pred, ProcBody, SetupCtx};
 
 use crate::common::{block_range, close, proc_rng};
@@ -52,10 +54,11 @@ impl Ep {
     }
 }
 
-/// One processor's private statistics pass. Returns (bins, sx, sy, charged
-/// chunks); shared by the simulated body and the verifier so the reference
-/// is exact by construction.
-fn local_stats(seed: u64, proc: usize, lo: usize, hi: usize) -> ([u64; BINS], f64, f64) {
+/// One processor's private statistics: (bins, sx, sy).
+type Stats = ([u64; BINS], f64, f64);
+
+/// One processor's private statistics pass over its own `proc_rng` stream.
+fn local_stats(seed: u64, proc: usize, lo: usize, hi: usize) -> Stats {
     let mut rng = proc_rng(seed, proc);
     let mut q = [0u64; BINS];
     let (mut sx, mut sy) = (0.0f64, 0.0f64);
@@ -77,6 +80,36 @@ fn local_stats(seed: u64, proc: usize, lo: usize, hi: usize) -> ([u64; BINS], f6
     (q, sx, sy)
 }
 
+/// Every processor's private statistics, indexed by processor. Built once
+/// per point by `Ep::build` and shared by the simulated bodies and the
+/// verifier, so the reference is exact by construction and the pass — most
+/// of an EP point's host time — runs once, not once on each side. It lives
+/// and dies with the built point: a process-wide memo across points or
+/// machines would save the pass again but is hidden state, and is
+/// deliberately not kept.
+fn stats_table(seed: u64, pairs: usize, p: usize) -> Vec<Stats> {
+    (0..p)
+        .map(|proc| {
+            let (lo, hi) = block_range(pairs, p, proc);
+            local_stats(seed, proc, lo, hi)
+        })
+        .collect()
+}
+
+/// The sequential reference: the table summed in processor order.
+fn totals(stats: &[Stats]) -> Stats {
+    let mut want_q = [0u64; BINS];
+    let (mut want_sx, mut want_sy) = (0.0f64, 0.0f64);
+    for (q, sx, sy) in stats {
+        for l in 0..BINS {
+            want_q[l] += q[l];
+        }
+        want_sx += sx;
+        want_sy += sy;
+    }
+    (want_q, want_sx, want_sy)
+}
+
 impl App for Ep {
     fn name(&self) -> &'static str {
         "ep"
@@ -96,21 +129,24 @@ impl App for Ep {
         setup.init_f64(sx_global, 0.0);
         setup.init_f64(sy_global, 0.0);
 
+        let stats = Arc::new(stats_table(seed, pairs, p));
+
         let bodies: Vec<ProcBody> = (0..p)
             .map(|_| {
+                let stats = Arc::clone(&stats);
                 let body: ProcBody = Box::new(move |me, ctx| {
                     let mem = MemCtx::new(ctx);
                     let (lo, hi) = block_range(pairs, p, me);
 
-                    // Private computation: executed natively, charged in
-                    // chunks.
+                    // Private computation: executed natively (in `build`),
+                    // charged in chunks.
                     let todo = hi - lo;
                     let full_chunks = todo / CHUNK;
                     for _ in 0..full_chunks {
                         mem.compute(CYCLES_PER_PAIR * CHUNK as u64);
                     }
                     mem.compute(CYCLES_PER_PAIR * (todo % CHUNK) as u64);
-                    let (q, sx, sy) = local_stats(seed, me, lo, hi);
+                    let (q, sx, sy) = stats[me];
 
                     // Lock-protected global accumulation.
                     sync::lock(&mem, lock);
@@ -142,18 +178,7 @@ impl App for Ep {
             .collect();
 
         let verify: crate::Verifier = Box::new(move |store| {
-            // Sequential reference with the identical per-proc streams.
-            let mut want_q = [0u64; BINS];
-            let (mut want_sx, mut want_sy) = (0.0f64, 0.0f64);
-            for proc in 0..p {
-                let (lo, hi) = block_range(pairs, p, proc);
-                let (q, sx, sy) = local_stats(seed, proc, lo, hi);
-                for l in 0..BINS {
-                    want_q[l] += q[l];
-                }
-                want_sx += sx;
-                want_sy += sy;
-            }
+            let (want_q, want_sx, want_sy) = totals(&stats);
             for (l, &want) in want_q.iter().enumerate() {
                 let got = store.read_word(q_global.offset_words(l as u64));
                 if got != want {
@@ -213,6 +238,43 @@ mod tests {
             r.totals.busy,
             r.totals.latency
         );
+    }
+
+    /// The verifier as it was before the shared table: every processor's
+    /// pass recomputed from its `proc_rng` stream. The oracle the table is
+    /// held to, bit for bit.
+    fn fresh_reference(seed: u64, pairs: usize, p: usize) -> Stats {
+        let mut want_q = [0u64; BINS];
+        let (mut want_sx, mut want_sy) = (0.0f64, 0.0f64);
+        for proc in 0..p {
+            let (lo, hi) = block_range(pairs, p, proc);
+            let (q, sx, sy) = local_stats(seed, proc, lo, hi);
+            for l in 0..BINS {
+                want_q[l] += q[l];
+            }
+            want_sx += sx;
+            want_sy += sy;
+        }
+        (want_q, want_sx, want_sy)
+    }
+
+    #[test]
+    fn shared_stats_match_a_fresh_reference() {
+        // 1001 pairs split evenly over none of 2, 4 and 32 processors.
+        for p in [1, 2, 4, 32] {
+            for pairs in [1001, 4096] {
+                let table = stats_table(9, pairs, p);
+                assert_eq!(table.len(), p);
+                let (q, sx, sy) = totals(&table);
+                let (want_q, want_sx, want_sy) = fresh_reference(9, pairs, p);
+                assert_eq!(q, want_q, "p={p} pairs={pairs}");
+                assert_eq!(
+                    (sx.to_bits(), sy.to_bits()),
+                    (want_sx.to_bits(), want_sy.to_bits()),
+                    "p={p} pairs={pairs}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -181,6 +181,7 @@ impl Cache {
     }
 
     /// Looks up `block` without touching LRU or statistics.
+    #[inline]
     pub fn peek(&self, block: u64) -> Option<BState> {
         self.find(block).map(|slot| self.meta[slot].state)
     }
@@ -190,6 +191,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the block is not resident — a protocol logic error.
+    #[inline]
     pub fn set_state(&mut self, block: u64, state: BState) {
         let slot = self
             .find(block)
@@ -203,6 +205,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the block is already resident (use [`Cache::set_state`]).
+    #[inline]
     pub fn insert(&mut self, block: u64, state: BState) -> Option<Evicted> {
         self.clock += 1;
         let clock = self.clock;
@@ -247,6 +250,7 @@ impl Cache {
     }
 
     /// Removes `block` (external invalidation). Returns the state it held.
+    #[inline]
     pub fn invalidate(&mut self, block: u64) -> Option<BState> {
         let slot = self.find(block)?;
         let state = self.meta[slot].state;

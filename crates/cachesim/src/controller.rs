@@ -120,6 +120,7 @@ impl CoherenceController {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
+    #[inline]
     pub fn access(&mut self, node: usize, block: u64, kind: AccessKind) -> Outcome {
         let resident = self.caches[node].lookup(block);
         match (kind, resident) {
@@ -136,6 +137,7 @@ impl CoherenceController {
         }
     }
 
+    #[inline]
     fn miss(&mut self, node: usize, block: u64, kind: AccessKind) -> Outcome {
         let entry = *self.dir.entry(block);
         let supplier = match entry.owner() {
@@ -188,6 +190,7 @@ impl CoherenceController {
 
     /// Invalidates every copy of `block` except `node`'s, updating both
     /// caches and directory. Returns the invalidated nodes in id order.
+    #[inline]
     fn invalidate_others(&mut self, node: usize, block: u64) -> Vec<usize> {
         let entry = *self.dir.entry(block);
         let victims: Vec<usize> = entry.sharers().filter(|&s| s != node).collect();
@@ -203,6 +206,7 @@ impl CoherenceController {
     /// directory bookkeeping. An owned victim produces a writeback; a
     /// clean victim is dropped silently (the directory is updated as a
     /// free replacement hint — see DESIGN.md).
+    #[inline]
     fn fill(&mut self, node: usize, block: u64, state: BState) -> Option<Writeback> {
         let evicted = self.caches[node].insert(block, state)?;
         self.dir.entry(evicted.block).remove_sharer(node);

@@ -17,6 +17,7 @@ impl DirEntry {
     /// Nodes currently holding the block (including the owner), in
     /// ascending id order. Iterates by clearing the lowest set bit, so
     /// the cost is one step per sharer rather than one per possible node.
+    #[inline]
     pub fn sharers(&self) -> impl Iterator<Item = usize> + '_ {
         let mut bits = self.sharers;
         std::iter::from_fn(move || {
@@ -40,17 +41,20 @@ impl DirEntry {
     }
 
     /// The owning cache, if any cache owns the block.
+    #[inline]
     pub fn owner(&self) -> Option<usize> {
         self.owner
     }
 
     /// Marks `node` as holding a copy.
+    #[inline]
     pub fn add_sharer(&mut self, node: usize) {
         assert!(node < 64, "directory presence set supports up to 64 nodes");
         self.sharers |= 1 << node;
     }
 
     /// Clears `node`'s presence (and ownership if it was the owner).
+    #[inline]
     pub fn remove_sharer(&mut self, node: usize) {
         self.sharers &= !(1 << node);
         if self.owner == Some(node) {
@@ -59,6 +63,7 @@ impl DirEntry {
     }
 
     /// Transfers ownership to `node` (which must be a sharer).
+    #[inline]
     pub fn set_owner(&mut self, node: Option<usize>) {
         if let Some(n) = node {
             assert!(self.is_sharer(n), "owner must hold the block");
@@ -149,6 +154,7 @@ impl Directory {
     }
 
     /// The entry for `block`, creating an empty one on first touch.
+    #[inline]
     pub fn entry(&mut self, block: u64) -> &mut DirEntry {
         // Keep the load factor under ~70% so probe chains stay short.
         if self.items * 10 >= self.slots.len() * 7 {

@@ -81,6 +81,7 @@ pub enum BState {
 
 impl BState {
     /// Whether this state carries ownership (write-back responsibility).
+    #[inline]
     pub fn is_owned(self) -> bool {
         matches!(self, BState::SharedDirty | BState::Dirty)
     }

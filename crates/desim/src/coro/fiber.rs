@@ -268,6 +268,7 @@ impl<Q, R> Coroutine<Q, R> {
         }
     }
 
+    #[inline]
     fn shared(&self) -> &Shared<Q, R> {
         // SAFETY: allocated in `new`, freed only in `drop` (invariant 3);
         // only shared references to it are ever formed (invariant 2).
@@ -277,6 +278,7 @@ impl<Q, R> Coroutine<Q, R> {
     /// Runs the process until it next suspends in `call` (`Request`) or
     /// finishes. The first resume maps the stack and starts the body;
     /// its "start" response is discarded, as the API documents.
+    #[inline]
     fn resume(&mut self, resp: R) -> Step<Q> {
         if self.stack.is_none() {
             let stack = Stack::map();
@@ -294,6 +296,7 @@ impl<Q, R> Coroutine<Q, R> {
 
     /// Switches to the coroutine and returns what it hands back; unmaps
     /// the stack if that was its last switch out.
+    #[inline]
     fn switch_in(&mut self) -> Option<Step<Q>> {
         let shared = self.shared();
         // SAFETY: `coro_sp` was stored by `prepare` or by the coroutine's
@@ -382,6 +385,7 @@ impl<Q, R> fmt::Debug for CoroCtx<Q, R> {
 
 impl<Q, R> CoroCtx<Q, R> {
     /// This process's id.
+    #[inline]
     pub fn id(&self) -> ProcId {
         self.me
     }
@@ -398,6 +402,7 @@ impl<Q, R> CoroCtx<Q, R> {
     /// `Shutdown` token, so it never reaches the global panic hook (no
     /// spurious backtraces) and is caught silently by the coroutine's
     /// root frame.
+    #[inline]
     pub fn call(&self, req: Q) -> R {
         // SAFETY: a context exists only in the root frame of a running
         // coroutine, whose owner keeps the cell alive (invariant 3).
@@ -526,6 +531,7 @@ where
     ///
     /// Panics if `proc` already finished (resuming a dead process is a
     /// simulator logic error).
+    #[inline]
     pub fn resume(&mut self, proc: ProcId, resp: R) -> Step<Q> {
         let slot = &mut self.slots[proc];
         let Some(coro) = slot else {

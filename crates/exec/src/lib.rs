@@ -481,9 +481,9 @@ mod tests {
 
     #[test]
     fn deadline_forfeits_the_result_even_when_the_closure_returns_ok() {
-        // The exact race the phase CAS exists for: the job *observes*
-        // its expiry, then returns Ok anyway. The slot must still
-        // record Deadline — the watchdog's verdict is already final.
+        // The job *observes* its expiry, then returns Ok anyway. The slot
+        // must still record Deadline: the worker reads the same monotonic
+        // clock after the closure returns, so it cannot read "in time".
         let limit = Duration::from_millis(10);
         let mut deadlined_events = 0;
         let report = execute(

@@ -143,10 +143,11 @@ fn deadline_expiry_observed_by_a_job_never_races_to_ok() {
     // Regression for the cancel-path race: a job that *sees* its own
     // deadline expire (via `ctx.deadline_expired()`) and then returns a
     // value anyway must land in its slot as `Deadline`, never `Ok` —
-    // the watchdog's verdict is latched by the phase CAS before the
-    // job's poll can observe it. Jobs sleep per a shuffled permutation
-    // so completion order is adversarial relative to submission order,
-    // and some jobs straddle the deadline while others beat it.
+    // the worker's verdict is a later reading of the clock the job's
+    // poll read, so the two cannot disagree. Jobs sleep per a shuffled
+    // permutation so completion order is adversarial relative to
+    // submission order, and some jobs straddle the deadline while others
+    // beat it.
     check_with(
         Config {
             cases: 12,

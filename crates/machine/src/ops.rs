@@ -19,6 +19,7 @@ pub enum RmwOp {
 
 impl RmwOp {
     /// The value stored after applying this operation to `old`.
+    #[inline]
     pub fn apply(self, old: u64) -> u64 {
         match self {
             RmwOp::TestAndSet => 1,
@@ -41,6 +42,7 @@ pub enum Pred {
 
 impl Pred {
     /// Evaluates the predicate.
+    #[inline]
     pub fn eval(self, value: u64) -> bool {
         match self {
             Pred::Eq(x) => value == x,
@@ -124,6 +126,7 @@ pub enum MemResp {
 }
 
 impl MemResp {
+    #[inline]
     fn value(self) -> u64 {
         match self {
             MemResp::Value(v) => v,
@@ -149,11 +152,13 @@ impl<'a> MemCtx<'a> {
     }
 
     /// This processor's id.
+    #[inline]
     pub fn id(&self) -> usize {
         self.ctx.id()
     }
 
     /// Charges `cycles` cycles of local computation.
+    #[inline]
     pub fn compute(&self, cycles: u64) {
         if cycles == 0 {
             return;
@@ -162,26 +167,31 @@ impl<'a> MemCtx<'a> {
     }
 
     /// Loads the word at `addr`.
+    #[inline]
     pub fn read(&self, addr: Addr) -> u64 {
         self.ctx.call(MemReq::Read { addr }).value()
     }
 
     /// Stores `value` at `addr`.
+    #[inline]
     pub fn write(&self, addr: Addr, value: u64) {
         self.ctx.call(MemReq::Write { addr, value });
     }
 
     /// Loads the word at `addr` as an `f64`.
+    #[inline]
     pub fn read_f64(&self, addr: Addr) -> f64 {
         f64::from_bits(self.read(addr))
     }
 
     /// Stores `value` at `addr` as its bit pattern.
+    #[inline]
     pub fn write_f64(&self, addr: Addr, value: f64) {
         self.write(addr, value.to_bits());
     }
 
     /// Atomic test-and-set; returns the old value.
+    #[inline]
     pub fn test_and_set(&self, addr: Addr) -> u64 {
         self.ctx
             .call(MemReq::Rmw {
@@ -192,6 +202,7 @@ impl<'a> MemCtx<'a> {
     }
 
     /// Atomic fetch-and-add; returns the old value.
+    #[inline]
     pub fn fetch_add(&self, addr: Addr, n: u64) -> u64 {
         self.ctx
             .call(MemReq::Rmw {
@@ -202,6 +213,7 @@ impl<'a> MemCtx<'a> {
     }
 
     /// Atomic swap; returns the old value.
+    #[inline]
     pub fn swap(&self, addr: Addr, value: u64) -> u64 {
         self.ctx
             .call(MemReq::Rmw {
@@ -213,6 +225,7 @@ impl<'a> MemCtx<'a> {
 
     /// Spins until the word at `addr` satisfies `pred`; returns the
     /// satisfying value.
+    #[inline]
     pub fn wait_until(&self, addr: Addr, pred: Pred) -> u64 {
         self.ctx.call(MemReq::WaitUntil { addr, pred }).value()
     }
@@ -224,6 +237,7 @@ impl<'a> MemCtx<'a> {
     ///
     /// The engine rejects `bytes` outside `1..=32` (the paper's message
     /// size limit) or a destination out of range.
+    #[inline]
     pub fn send(&self, dst: usize, bytes: u64, tag: u64, value: u64) {
         self.ctx.call(MemReq::Send {
             dst,
@@ -235,6 +249,7 @@ impl<'a> MemCtx<'a> {
 
     /// Receives the oldest arrived message with `tag`, blocking until one
     /// is available. Returns its payload.
+    #[inline]
     pub fn recv(&self, tag: u64) -> u64 {
         self.ctx.call(MemReq::Recv { tag }).value()
     }

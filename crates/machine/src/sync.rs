@@ -16,6 +16,7 @@ use crate::{Addr, MemCtx, Pred, SetupCtx};
 /// Spins (in-cache where the machine has caches) until the lock word reads
 /// free, then attempts the atomic test-and-set; on failure, resumes
 /// spinning.
+#[inline]
 pub fn lock(mem: &MemCtx<'_>, lock: Addr) {
     loop {
         mem.wait_until(lock, Pred::Eq(0));
@@ -29,6 +30,7 @@ pub fn lock(mem: &MemCtx<'_>, lock: Addr) {
 ///
 /// The releasing store invalidates the spinners' cached copies, waking
 /// them to re-read and re-contend.
+#[inline]
 pub fn unlock(mem: &MemCtx<'_>, lock: Addr) {
     mem.write(lock, 0);
 }
@@ -78,6 +80,7 @@ pub struct BarrierHandle {
 
 impl BarrierHandle {
     /// Waits until all `p` processors have arrived.
+    #[inline]
     pub fn wait(&mut self, mem: &MemCtx<'_>) {
         self.episode += 1;
         let b = self.barrier;
@@ -114,12 +117,14 @@ impl CondFlag {
     /// # Panics
     ///
     /// Panics if `value` is zero (would not release waiters).
+    #[inline]
     pub fn signal(&self, mem: &MemCtx<'_>, value: u64) {
         assert!(value != 0, "signal value must be nonzero");
         mem.write(self.flag, value);
     }
 
     /// Spins until the flag is signalled; returns the signalled value.
+    #[inline]
     pub fn wait(&self, mem: &MemCtx<'_>) -> u64 {
         mem.wait_until(self.flag, Pred::Ne(0))
     }

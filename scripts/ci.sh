@@ -140,6 +140,22 @@ if ! diff scripts/smoke_fingerprints.txt <(sed -n \
     exit 1
 fi
 
+# The sampler DESIGN.md §12's profiles come from must keep building,
+# sampling and symbolizing: two seconds of clogp_grid have to put samples
+# under Engine::run. Its tools are the host's, not the toolchain's, so a
+# host without them skips.
+if command -v gcc > /dev/null && command -v python3 > /dev/null && command -v addr2line > /dev/null; then
+    echo "==> profile smoke: scripts/profile.sh clogp_grid 2 samples Engine::run"
+    out=$(scripts/profile.sh clogp_grid 2 2> /dev/null)
+    if ! grep -q 'engine::Engine>::run$' <<< "$out"; then
+        echo "ERROR: the profile attributes no sample to Engine::run:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+else
+    echo "==> profile smoke: skipped"
+fi
+
 # Executor smoke: one real figure sweep on 2 workers. Belt and braces
 # against a hung pool: the shell kills the process after 60s, and
 # --budget-events caps each run inside the simulator (RunBudget fails a

@@ -178,14 +178,17 @@ fn r5_event_counts_order_logp_heaviest() {
 /// (`benchmark/src/grid.rs`) at the small size; interference only ever
 /// adds time, so each point counts its fastest of five runs, with the
 /// machines interleaved so a slow spell hits all three alike. Sixteen
-/// release runs on the 2-vCPU reference host read `clogp/target`
-/// 0.79–0.84 and `logp/target` 0.99–1.04: LogP's host-time surplus over
-/// the target was its 2.2× accesses multiplied by per-access bookkeeping
-/// that is now an array index (it read 1.09–1.17 before), so here LogP
-/// simulates *at par* with the target, and "LogP is the heaviest to
-/// simulate" is held in its deterministic form by
-/// [`r5_event_counts_order_logp_heaviest`]. Each bound sits at least
-/// 0.05 outside what those runs read.
+/// release runs on the 2-vCPU reference host (8 pinned, 8 not) read
+/// `clogp/target` 0.72–0.78 and `logp/target` 1.05–1.12. Both moved
+/// toward the paper when the per-operation path became inlinable across
+/// crates (DESIGN.md §12 "Compilation units"): the saving is a fixed cost
+/// per crossing between application and engine, so CLogP, which does the
+/// least other work per crossing, gained the largest share (it read
+/// 0.79–0.84), and LogP, whose polls are engine events with no crossing,
+/// the smallest: it is dearer than the target again (it read 0.99–1.04).
+/// "LogP is the heaviest to simulate" is also held in its deterministic
+/// form by [`r5_event_counts_order_logp_heaviest`]. Each bound sits at
+/// least 0.05 outside what those runs read.
 #[test]
 #[ignore = "host time: release build, run by scripts/ci.sh"]
 fn r5_host_time_clogp_beats_target() {
@@ -219,7 +222,7 @@ fn r5_host_time_clogp_beats_target() {
         clogp / target
     );
     assert!(
-        clogp / target <= 0.90,
+        clogp / target <= 0.83,
         "CLogP must simulate clearly faster than the target: {clogp:.3}s vs {target:.3}s"
     );
     assert!(
