@@ -53,23 +53,29 @@ fn usage() -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
-enum Mode {
-    Explore(String),
-    Campaign,
-    ShrinkDemo,
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut mode = None;
+    let mut figure = String::new();
     let mut size = spasm_apps::SizeClass::Test;
     let mut procs = vec![2usize];
     let mut seed = 42u64;
     let mut trials = 8usize;
     let mut torn_window = 8usize;
 
+    // The mode is its flag. It refuses a second mode and the flags it
+    // would ignore, by name.
+    let mut mode: Option<&str> = None;
+    let mut given: Vec<&str> = Vec::new();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if matches!(arg.as_str(), "--explore" | "--campaign" | "--shrink-demo") {
+            if let Some(first) = mode {
+                eprintln!("chaos: {arg} and {first} are both modes; give one");
+                return usage();
+            }
+            mode = Some(arg);
+        }
+        given.push(arg);
         let mut take = |name: &str| -> Option<String> {
             match it.next() {
                 Some(v) => Some(v.clone()),
@@ -81,11 +87,10 @@ fn main() -> ExitCode {
         };
         match arg.as_str() {
             "--explore" => match take("--explore") {
-                Some(fig) => mode = Some(Mode::Explore(fig)),
+                Some(fig) => figure = fig,
                 None => return usage(),
             },
-            "--campaign" => mode = Some(Mode::Campaign),
-            "--shrink-demo" => mode = Some(Mode::ShrinkDemo),
+            "--campaign" | "--shrink-demo" => {}
             "--size" => match take("--size").and_then(|v| parse_size(&v)) {
                 Some(s) => size = s,
                 None => return usage(),
@@ -112,12 +117,24 @@ fn main() -> ExitCode {
             }
         }
     }
+    let Some(mode) = mode else {
+        return usage();
+    };
+    let reads: &[&str] = match mode {
+        "--explore" => &["--explore", "--size", "--procs", "--seed", "--torn-window"],
+        "--campaign" => &["--campaign", "--seed", "--trials"],
+        _ => &["--shrink-demo", "--seed"],
+    };
+    if let Some(flag) = given.iter().find(|f| !reads.contains(f)) {
+        eprintln!("chaos: {flag} does not apply to {mode}");
+        return usage();
+    }
 
     let started = Instant::now();
     match mode {
-        Some(Mode::Explore(fig)) => {
-            let Some(spec) = figures::by_id(&fig) else {
-                eprintln!("chaos: unknown figure {fig} (try: figures --list)");
+        "--explore" => {
+            let Some(spec) = figures::by_id(&figure) else {
+                eprintln!("chaos: unknown figure {figure} (try: figures --list)");
                 return usage();
             };
             let sweep = Sweep::new(spec, size, &procs, seed);
@@ -148,7 +165,7 @@ fn main() -> ExitCode {
             eprintln!("explored in {:.1?}", started.elapsed());
             ExitCode::from(EXIT_OK)
         }
-        Some(Mode::Campaign) => {
+        "--campaign" => {
             let config = CampaignConfig::new(seed, trials);
             match run_campaign(&config) {
                 Ok(outcome) => {
@@ -165,7 +182,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some(Mode::ShrinkDemo) => match shrink_demo(seed) {
+        _ => match shrink_demo(seed) {
             Ok(demo) => {
                 println!(
                     "chaos shrink-demo: {} -> {} ({} shrink attempts, {} points)",
@@ -186,6 +203,5 @@ fn main() -> ExitCode {
                 ExitCode::from(EXIT_FAIL)
             }
         },
-        None => usage(),
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! The synopsis is [`USAGE`], printed on any usage error. `--all`,
 //! `--figure ID` (repeatable) and `--scenario FILE` pick what to sweep,
-//! each id once in first-mention order; `--list` prints the figure ids;
-//! `--ablation g|protocol|cache` runs one of the extension studies
-//! (EXPERIMENTS.md A2–A4) instead of a sweep.
+//! each id once in first-mention order; `--list` alone prints the figure
+//! ids; `--ablation g|protocol|cache` runs one of the extension studies
+//! (EXPERIMENTS.md A2–A4) instead of a sweep, at the size, p and seed it
+//! fixes itself, so it takes no flag but `--jobs` / `--serial`. A flag a
+//! mode would ignore is refused by name.
 //!
 //! Sweep points run on the `spasm-exec` worker pool — one worker per
 //! host hardware thread by default (`--jobs auto`); `--serial` forces
@@ -64,7 +66,7 @@ use spasm_core::figures::{self, FigureSpec};
 use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
 use spasm_core::sweep::{FigureData, Outcome, PointCache, Sweep, SweepConfig};
-use spasm_exec::ExecEvent;
+use spasm_exec::{ExecConfig, ExecEvent};
 use spasm_journal::RealVfs;
 use spasm_machine::{CheckMode, FaultPlan, RunBudget, TelemetryConfig};
 
@@ -172,6 +174,9 @@ fn parse_args() -> Args {
         telemetry: None,
         telemetry_interval_us: None,
     };
+    // Every flag given, in order: a mode refuses the ones it would ignore
+    // by name.
+    let mut given: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -186,19 +191,7 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--list" => {
-                for f in figures::FIGURES {
-                    println!(
-                        "{:>3}  {:8} {:4} {:24} {}",
-                        f.id,
-                        f.app.to_string(),
-                        f.net.to_string(),
-                        f.metric.to_string(),
-                        f.expect
-                    );
-                }
-                Exit::Clean.exit();
-            }
+            "--list" => {}
             "--size" => {
                 args.size =
                     parse_size(&it.next().unwrap_or_else(|| usage())).unwrap_or_else(|| usage());
@@ -284,8 +277,29 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| usage()),
                 ));
             }
-            _ => usage(),
+            _ => {
+                eprintln!("unknown flag {flag}");
+                usage();
+            }
         }
+        given.push(flag);
+    }
+    if given.iter().any(|f| f == "--list") {
+        if let Some(flag) = given.iter().find(|f| *f != "--list") {
+            eprintln!("--list takes no other flag; got {flag}");
+            usage();
+        }
+        for f in figures::FIGURES {
+            println!(
+                "{:>3}  {:8} {:4} {:24} {}",
+                f.id,
+                f.app.to_string(),
+                f.net.to_string(),
+                f.metric.to_string(),
+                f.expect
+            );
+        }
+        Exit::Clean.exit();
     }
     if args.figures.is_empty() && args.ablation.is_none() {
         usage();
@@ -313,21 +327,13 @@ fn parse_args() -> Args {
         eprintln!("--merge reads finished shard journals; it conflicts with --shard/--journal");
         usage();
     }
+    // The studies fix their own size (test), p (8) and seed (1995); of the
+    // rest, only the worker pool is theirs to take.
     if args.ablation.is_some() {
-        let sweep_only = [
-            ("--journal", args.journal.is_some()),
-            ("--resume", args.resume),
-            ("--csv", args.csv.is_some()),
-            ("--chart", args.chart),
-            ("--check/--strict-check", args.check != CheckMode::Off),
-            ("--faults", args.faults.is_some()),
-            ("--budget-events", args.budget_events.is_some()),
-            ("--deadline-secs", args.deadline.is_some()),
-            ("--telemetry", args.telemetry.is_some()),
-            ("--shard", args.shard.is_some()),
-            ("--merge", args.merge.is_some()),
-        ];
-        if let Some((flag, _)) = sweep_only.iter().find(|(_, set)| *set) {
+        let sweep_only = given
+            .iter()
+            .find(|f| !matches!(f.as_str(), "--ablation" | "--jobs" | "--serial"));
+        if let Some(flag) = sweep_only {
             eprintln!("{flag} applies to figure sweeps, not ablations");
             usage();
         }
@@ -435,19 +441,10 @@ fn run_ablation(which: &str, jobs: usize) {
     );
 }
 
-/// The worker count a `--jobs` setting asks for (0 = auto).
-fn workers(jobs: usize) -> usize {
-    if jobs == 0 {
-        spasm_exec::available_parallelism()
-    } else {
-        jobs
-    }
-}
-
 /// Human label for a `--jobs` setting.
 fn jobs_label(jobs: usize) -> String {
     if jobs == 0 {
-        format!("jobs=auto({})", workers(jobs))
+        format!("jobs=auto({})", spasm_exec::available_parallelism())
     } else {
         format!("jobs={jobs}")
     }
@@ -766,7 +763,7 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
         total_busy,
         total_wall,
         total_busy.as_secs_f64() / total_wall.as_secs_f64().max(1e-9),
-        workers(args.jobs),
+        ExecConfig::with_jobs(args.jobs).resolved_workers(usize::MAX),
         jobs_label(args.jobs)
     );
     out.finish(args, Exit::Clean)

@@ -456,27 +456,22 @@ pub fn explore_crash_points(
 /// order.
 pub const FAMILIES: [&str; 4] = ["journal", "shard-merge", "deadline", "machine-faults"];
 
-/// Campaign dimensions: how many trials, seeded where, shrinking how
-/// hard.
+/// Shrink attempts a failing campaign trial may spend on its reproducer.
+const SHRINK_BUDGET: u32 = 256;
+
+/// Campaign dimensions: how many trials, seeded where.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Master seed; every trial's script seed derives from it.
     pub seed: u64,
     /// Trials to run, rotating through [`FAMILIES`].
     pub trials: usize,
-    /// Shrink-attempt budget if a trial fails.
-    pub shrink_budget: u32,
 }
 
 impl CampaignConfig {
-    /// A campaign of `trials` trials under `seed` with the default
-    /// shrink budget.
+    /// A campaign of `trials` trials under `seed`.
     pub fn new(seed: u64, trials: usize) -> CampaignConfig {
-        CampaignConfig {
-            seed,
-            trials,
-            shrink_budget: 256,
-        }
+        CampaignConfig { seed, trials }
     }
 }
 
@@ -644,7 +639,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
                     prop,
                     script.faults.clone(),
                     detail.clone(),
-                    config.shrink_budget,
+                    SHRINK_BUDGET,
                 );
                 return Err(Box::new(CampaignFailure {
                     family,

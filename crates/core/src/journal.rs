@@ -328,25 +328,10 @@ impl SweepJournal {
             .commits
     }
 
-    /// Commits completed points at once, on the calling thread, under one
-    /// commit: all of a figure's cache hits (a crash keeps every one of
-    /// them or none). An append failure is latched (see
-    /// [`SweepJournal::io_error`]) rather than failing the sweep — the
-    /// in-memory figure is still correct.
-    pub(crate) fn record<'a>(
-        &self,
-        points: impl IntoIterator<Item = (Machine, usize, &'a PointVerdict)>,
-    ) {
-        let payloads: Vec<Vec<u8>> = points
-            .into_iter()
-            .map(|(machine, procs, verdict)| encode_verdict(machine, procs, verdict))
-            .collect();
-        self.commit(&payloads);
-    }
-
-    /// A worker's whole part in journaling: encodes the point it just
-    /// finished and leaves it for the next [`SweepJournal::drain`]. No
-    /// I/O, and no lock a commit ever holds.
+    /// The journal's one write path: encodes a finished point — a
+    /// worker's, or a cache hit the submitting thread shares — and leaves
+    /// it for the next [`SweepJournal::drain`]. No I/O, and no lock a
+    /// commit ever holds.
     pub(crate) fn enqueue(&self, machine: Machine, procs: usize, verdict: &PointVerdict) {
         let payload = encode_verdict(machine, procs, verdict);
         self.backlog
@@ -355,10 +340,13 @@ impl SweepJournal {
             .push(payload);
     }
 
-    /// Commits everything enqueued since the last drain under one commit;
-    /// nothing enqueued, no I/O. The submitting thread calls it on every
-    /// executor event and once more after the last, so a sweep returns
-    /// with each record it produced durable or its failure latched.
+    /// Commits everything enqueued since the last drain under one commit
+    /// (a crash keeps every record of it or none); nothing enqueued, no
+    /// I/O. The submitting thread calls it once for a figure's cache hits,
+    /// on every executor event and once more after the last, so a sweep
+    /// returns with each record it produced durable or its failure
+    /// latched (see [`SweepJournal::io_error`]) rather than failing the
+    /// sweep — the in-memory figure is still correct.
     pub(crate) fn drain(&self) {
         let batch = std::mem::take(
             &mut *self
@@ -366,11 +354,7 @@ impl SweepJournal {
                 .lock()
                 .expect("backlog mutex poisoned: a push panicked"),
         );
-        self.commit(&batch);
-    }
-
-    fn commit(&self, payloads: &[Vec<u8>]) {
-        if payloads.is_empty() {
+        if batch.is_empty() {
             return;
         }
         let mut inner = self
@@ -380,7 +364,7 @@ impl SweepJournal {
         if inner.io_error.is_some() {
             return;
         }
-        match inner.journal.append_all(payloads) {
+        match inner.journal.append_all(&batch) {
             Ok(()) => inner.commits += 1,
             Err(e) => inner.io_error = Some(e),
         }
@@ -787,12 +771,14 @@ pub(crate) mod tests {
         let path = scratch("create-resume");
         let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).unwrap();
         let ok = (Outcome::Ok, Some(sample_metrics()), sample_telemetry());
-        j.record([(Machine::Pram, 2, &ok)]);
+        j.enqueue(Machine::Pram, 2, &ok);
+        j.drain();
         let failed = Outcome::Failed {
             error: ExperimentError::Verify("wrong sum".into()),
             attempts: 1,
         };
-        j.record([(Machine::Target, 2, &(failed, None, Vec::new()))]);
+        j.enqueue(Machine::Target, 2, &(failed, None, Vec::new()));
+        j.drain();
         assert!(j.io_error().is_none());
         drop(j);
 
@@ -873,7 +859,8 @@ pub(crate) mod tests {
         // One point committed, two enqueued behind it.
         let victim = |vfs: &Arc<FaultVfs>| {
             let j = SweepJournal::open(vfs.clone(), "/j", &sweep, false).unwrap();
-            j.record([(Machine::Target, 2, &ok)]);
+            j.enqueue(Machine::Target, 2, &ok);
+            j.drain();
             j.enqueue(Machine::LogP, 2, &ok);
             j.enqueue(Machine::CLogP, 2, &ok);
             j
@@ -921,7 +908,8 @@ pub(crate) mod tests {
         let latched = vfs.ops();
         j.enqueue(Machine::LogP, 2, &ok);
         j.drain();
-        j.record([(Machine::CLogP, 2, &ok)]);
+        j.enqueue(Machine::CLogP, 2, &ok);
+        j.drain();
         assert_eq!((vfs.ops(), j.commits()), (latched, 0));
         drop(j);
         let r = SweepJournal::open(vfs, "/j", &sweep, true).unwrap();

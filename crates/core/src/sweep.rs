@@ -453,11 +453,15 @@ impl<'a> Sweep<'a> {
         // a hit costs nothing to compute, so a commit apiece would be most
         // of what sharing saves.
         if let Some(j) = journal {
-            j.record(hits.iter().map(|&at| {
+            for &at in &hits {
                 let (exp, hit) = &points[at];
-                let hit = hit.as_ref().expect("a hit holds its verdict");
-                (exp.machine, exp.procs, hit)
-            }));
+                j.enqueue(
+                    exp.machine,
+                    exp.procs,
+                    hit.as_ref().expect("a hit holds its verdict"),
+                );
+            }
+            j.drain();
         }
         let fresh = pending.len();
         let report = execute(

@@ -17,8 +17,9 @@
 //!   coroutines in rendezvous with the (single-threaded) simulator, so that
 //!   application code can be written as ordinary blocking Rust code while the
 //!   simulator retains full control over interleaving (exactly one process
-//!   runs at any instant). On x86-64 Linux a process is a stack the
-//!   simulator's own thread switches to; elsewhere it is an OS thread;
+//!   runs at any instant). A process is a stack the simulator's own thread
+//!   switches to, which ties the crate to x86-64 Linux, its one supported
+//!   host;
 //! * [`Facility`] — a CSIM-style FCFS single-server resource with wait-time
 //!   accounting.
 //!

@@ -5,7 +5,7 @@
 //! observer closure is `FnMut`, never called concurrently). The events
 //! double as the executor's metrics feed: per-job wall time, cost
 //! (simulator events) and injected-fault counts ride on
-//! [`ExecEvent::Finished`], and [`ExecStats`] is the fold of the stream.
+//! [`ExecEvent::Finished`], and an observer folds whatever it needs.
 
 use std::time::Duration;
 
@@ -68,92 +68,9 @@ pub enum ExecEvent {
     },
 }
 
-impl ExecEvent {
-    /// The submission index of the job this event concerns.
-    pub fn job(&self) -> usize {
-        match *self {
-            ExecEvent::Queued { job }
-            | ExecEvent::Started { job, .. }
-            | ExecEvent::Finished { job, .. }
-            | ExecEvent::Panicked { job, .. }
-            | ExecEvent::Deadlined { job, .. } => job,
-        }
-    }
-}
-
-/// Aggregate statistics of one [`crate::execute`] call — the fold of its
-/// event stream plus pool-level facts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Jobs submitted.
-    pub jobs: usize,
-    /// Workers the pool actually ran (`min(requested, jobs)`, at least 1).
-    pub workers: usize,
-    /// Jobs whose closure returned normally.
-    pub finished: usize,
-    /// Jobs whose closure panicked.
-    pub panicked: usize,
-    /// Jobs cancelled mid-run by the per-job deadline.
-    pub deadlined: usize,
-    /// Wall-clock time of the whole batch (queue to last completion).
-    pub wall: Duration,
-    /// Sum of per-job wall times — the "busy" time; `busy / wall`
-    /// approximates realized parallelism.
-    pub busy: Duration,
-    /// Total cost units charged by finished jobs.
-    pub cost_spent: u64,
-    /// Total faults reported injected by finished jobs.
-    pub faults_injected: u64,
-}
-
-impl ExecStats {
-    /// Folds one event into the totals (pool-level fields are set by the
-    /// executor, not here).
-    pub(crate) fn absorb(&mut self, ev: &ExecEvent) {
-        match ev {
-            ExecEvent::Queued { .. } | ExecEvent::Started { .. } => {}
-            ExecEvent::Finished {
-                wall, cost, faults, ..
-            } => {
-                self.finished += 1;
-                self.busy += *wall;
-                self.cost_spent += cost;
-                self.faults_injected += faults;
-            }
-            ExecEvent::Panicked { wall, .. } => {
-                self.panicked += 1;
-                self.busy += *wall;
-            }
-            ExecEvent::Deadlined { wall, .. } => {
-                self.deadlined += 1;
-                self.busy += *wall;
-            }
-        }
-    }
-
-    /// Realized speedup proxy: busy time over wall time (1.0 on a serial
-    /// pool, approaching the worker count under perfect scaling).
-    pub fn parallelism(&self) -> f64 {
-        if self.wall.is_zero() {
-            return 1.0;
-        }
-        self.busy.as_secs_f64() / self.wall.as_secs_f64()
-    }
-}
-
-/// The outcome of one batch: per-job results in **submission order** plus
-/// the aggregate stats.
+/// The outcome of one batch: per-job results in **submission order**.
 #[derive(Debug)]
 pub struct ExecReport<R> {
     /// One slot per submitted job, index-aligned with the input vector.
     pub results: Vec<Result<R, JobError>>,
-    /// Aggregate counters and timings.
-    pub stats: ExecStats,
-}
-
-impl<R> ExecReport<R> {
-    /// True if every job finished normally.
-    pub fn all_ok(&self) -> bool {
-        self.results.iter().all(|r| r.is_ok())
-    }
 }

@@ -46,7 +46,7 @@
 
 mod events;
 
-pub use events::{ExecEvent, ExecReport, ExecStats};
+pub use events::{ExecEvent, ExecReport};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -103,16 +103,6 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Auto-sized pool: one worker per available hardware thread.
-    pub fn auto() -> Self {
-        ExecConfig::default()
-    }
-
-    /// Inline serial execution on the calling thread.
-    pub fn serial() -> Self {
-        ExecConfig::with_jobs(1)
-    }
-
     /// A pool of exactly `jobs` workers (`0` = auto).
     pub fn with_jobs(jobs: usize) -> Self {
         ExecConfig {
@@ -214,12 +204,6 @@ where
 {
     let n = items.len();
     let workers = config.resolved_workers(n);
-    let started_at = Instant::now();
-    let mut stats = ExecStats {
-        jobs: n,
-        workers,
-        ..ExecStats::default()
-    };
 
     let pool = Pool {
         config: &config,
@@ -230,19 +214,13 @@ where
     };
 
     for job in 0..n {
-        let ev = ExecEvent::Queued { job };
-        stats.absorb(&ev);
-        observe(&ev);
+        observe(&ExecEvent::Queued { job });
     }
 
     if workers <= 1 {
         // Inline serial path: same pool code, synchronous event
         // delivery.
-        let mut emit = |ev: ExecEvent| {
-            stats.absorb(&ev);
-            observe(&ev);
-        };
-        while pool.run_next(0, &mut emit) {}
+        while pool.run_next(0, &mut |ev| observe(&ev)) {}
     } else {
         let (tx, rx) = mpsc::channel::<ExecEvent>();
         std::thread::scope(|s| {
@@ -262,7 +240,6 @@ where
             // Drain events on the submitting thread until every worker
             // sender is gone.
             for ev in rx {
-                stats.absorb(&ev);
                 observe(&ev);
             }
         });
@@ -277,8 +254,7 @@ where
                 .expect("every job slot is filled before the pool drains")
         })
         .collect();
-    stats.wall = started_at.elapsed();
-    ExecReport { results, stats }
+    ExecReport { results }
 }
 
 /// The shared state of one batch, borrowed by every worker.
@@ -386,21 +362,44 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    fn squares(jobs: usize, n: u64) -> ExecReport<u64> {
-        execute(
+    /// Events of each kind, counted off the stream.
+    #[derive(Debug, Default)]
+    struct Tally {
+        queued: usize,
+        finished: usize,
+        panicked: usize,
+        deadlined: usize,
+    }
+
+    impl Tally {
+        fn see(&mut self, ev: &ExecEvent) {
+            match ev {
+                ExecEvent::Queued { .. } => self.queued += 1,
+                ExecEvent::Started { .. } => {}
+                ExecEvent::Finished { .. } => self.finished += 1,
+                ExecEvent::Panicked { .. } => self.panicked += 1,
+                ExecEvent::Deadlined { .. } => self.deadlined += 1,
+            }
+        }
+    }
+
+    fn squares(jobs: usize, n: u64) -> (ExecReport<u64>, Tally) {
+        let mut tally = Tally::default();
+        let report = execute(
             ExecConfig::with_jobs(jobs),
             (0..n).collect(),
             |_ctx, v| JobOutput::plain(v * v),
-            |_| {},
-        )
+            |ev| tally.see(ev),
+        );
+        (report, tally)
     }
 
     #[test]
     fn results_are_in_submission_order_for_any_worker_count() {
         for jobs in [1, 2, 3, 8, 64] {
-            let report = squares(jobs, 50);
-            assert_eq!(report.stats.jobs, 50);
-            assert!(report.all_ok());
+            let (report, tally) = squares(jobs, 50);
+            assert_eq!(tally.queued, 50);
+            assert_eq!(tally.finished, 50);
             for (i, r) in report.results.iter().enumerate() {
                 assert_eq!(*r.as_ref().unwrap(), (i * i) as u64, "jobs={jobs}");
             }
@@ -409,31 +408,31 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree_exactly() {
-        let serial: Vec<_> = squares(1, 40).results;
-        let parallel: Vec<_> = squares(4, 40).results;
+        let serial: Vec<_> = squares(1, 40).0.results;
+        let parallel: Vec<_> = squares(4, 40).0.results;
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let report = squares(4, 0);
+        let (report, tally) = squares(4, 0);
         assert!(report.results.is_empty());
-        assert_eq!(report.stats.finished, 0);
-        assert_eq!(report.stats.workers, 1);
+        assert_eq!((tally.queued, tally.finished), (0, 0));
     }
 
     #[test]
     fn worker_count_resolution() {
         assert_eq!(ExecConfig::with_jobs(8).resolved_workers(3), 3);
         assert_eq!(ExecConfig::with_jobs(2).resolved_workers(100), 2);
-        assert_eq!(ExecConfig::serial().resolved_workers(100), 1);
-        let auto = ExecConfig::auto().resolved_workers(1000);
+        assert_eq!(ExecConfig::with_jobs(1).resolved_workers(100), 1);
+        let auto = ExecConfig::with_jobs(0).resolved_workers(1000);
         assert!(auto >= 1);
         assert_eq!(ExecConfig::with_jobs(8).resolved_workers(0), 1);
     }
 
     #[test]
     fn panicking_job_is_isolated_and_reported() {
+        let mut tally = Tally::default();
         let report = execute(
             ExecConfig::with_jobs(4),
             (0u64..16).collect(),
@@ -443,10 +442,10 @@ mod tests {
                 }
                 JobOutput::plain(v)
             },
-            |_| {},
+            |ev| tally.see(ev),
         );
-        assert_eq!(report.stats.panicked, 1);
-        assert_eq!(report.stats.finished, 15);
+        assert_eq!(tally.panicked, 1);
+        assert_eq!(tally.finished, 15);
         match &report.results[5] {
             Err(JobError::Panicked(msg)) => assert!(msg.contains("boom at 5"), "{msg}"),
             other => panic!("expected panic error, got {other:?}"),
@@ -455,10 +454,12 @@ mod tests {
     }
 
     #[test]
-    fn events_cover_every_job_and_stats_fold_them() {
+    fn events_cover_every_job_and_carry_cost_and_faults() {
         let mut seen_started = [false; 12];
         let mut seen_done = [false; 12];
-        let report = execute(
+        let (mut cost_spent, mut faults_injected, mut busy) = (0, 0, Duration::ZERO);
+        let t = Instant::now();
+        execute(
             ExecConfig::with_jobs(3),
             (0u64..12).collect(),
             |_ctx, v| JobOutput {
@@ -468,15 +469,27 @@ mod tests {
             },
             |ev| match *ev {
                 ExecEvent::Started { job, .. } => seen_started[job] = true,
-                ExecEvent::Finished { job, .. } => seen_done[job] = true,
+                ExecEvent::Finished {
+                    job,
+                    wall,
+                    cost,
+                    faults,
+                    ..
+                } => {
+                    seen_done[job] = true;
+                    cost_spent += cost;
+                    faults_injected += faults;
+                    busy += wall;
+                }
                 _ => {}
             },
         );
+        let wall = t.elapsed();
         assert!(seen_started.iter().all(|&b| b));
         assert!(seen_done.iter().all(|&b| b));
-        assert_eq!(report.stats.cost_spent, 24);
-        assert_eq!(report.stats.faults_injected, 12);
-        assert!(report.stats.busy <= report.stats.wall * 3 + Duration::from_millis(1));
+        assert_eq!(cost_spent, 24);
+        assert_eq!(faults_injected, 12);
+        assert!(busy <= wall * 3 + Duration::from_millis(1));
     }
 
     #[test]
@@ -485,7 +498,7 @@ mod tests {
         // must still record Deadline: the worker reads the same monotonic
         // clock after the closure returns, so it cannot read "in time".
         let limit = Duration::from_millis(10);
-        let mut deadlined_events = 0;
+        let mut tally = Tally::default();
         let report = execute(
             ExecConfig {
                 jobs: 1,
@@ -502,20 +515,16 @@ mod tests {
                 );
                 JobOutput::plain("raced to ok")
             },
-            |ev| {
-                if matches!(ev, ExecEvent::Deadlined { .. }) {
-                    deadlined_events += 1;
-                }
-            },
+            |ev| tally.see(ev),
         );
         assert_eq!(report.results[0], Err(JobError::Deadline { limit }));
-        assert_eq!(report.stats.deadlined, 1);
-        assert_eq!(report.stats.finished, 0);
-        assert_eq!(deadlined_events, 1);
+        assert_eq!(tally.deadlined, 1);
+        assert_eq!(tally.finished, 0);
     }
 
     #[test]
     fn jobs_within_deadline_are_untouched() {
+        let mut tally = Tally::default();
         let report = execute(
             ExecConfig {
                 jobs: 2,
@@ -523,10 +532,10 @@ mod tests {
             },
             (0u64..8).collect(),
             |_ctx, v| JobOutput::plain(v * 3),
-            |_| {},
+            |ev| tally.see(ev),
         );
-        assert!(report.all_ok());
-        assert_eq!(report.stats.deadlined, 0);
+        assert!(report.results.iter().all(Result::is_ok));
+        assert_eq!((tally.finished, tally.deadlined), (8, 0));
         assert_eq!(*report.results[5].as_ref().unwrap(), 15);
     }
 

@@ -68,6 +68,7 @@ fn panic_pattern_maps_exactly_onto_results() {
         "exec_panic_isolation",
         &gens::tuple2(gens::usizes(1..6), gens::vecs(gens::bools(), 1..24)),
         |(workers, pattern)| {
+            let mut panicked = 0usize;
             let report = execute(
                 ExecConfig::with_jobs(*workers),
                 pattern.clone(),
@@ -77,7 +78,7 @@ fn panic_pattern_maps_exactly_onto_results() {
                     }
                     JobOutput::plain(ctx.job)
                 },
-                |_| {},
+                |ev| panicked += usize::from(matches!(ev, ExecEvent::Panicked { .. })),
             );
             for (i, (r, &explode)) in report.results.iter().zip(pattern).enumerate() {
                 match r {
@@ -89,10 +90,7 @@ fn panic_pattern_maps_exactly_onto_results() {
                     Err(other) => return Err(format!("job {i}: unexpected {other}")),
                 }
             }
-            prop_assert_eq!(
-                report.stats.panicked,
-                pattern.iter().filter(|&&b| b).count()
-            );
+            prop_assert_eq!(panicked, pattern.iter().filter(|&&b| b).count());
             Ok(())
         },
     );
@@ -107,7 +105,8 @@ fn event_stream_is_complete_and_consistent() {
             let mut queued = 0usize;
             let mut started = vec![false; *n];
             let mut finished = vec![false; *n];
-            let report = execute(
+            let (mut cost_spent, mut faults_injected) = (0u64, 0u64);
+            execute(
                 ExecConfig::with_jobs(*workers),
                 (0..*n).collect(),
                 |_ctx, v| JobOutput {
@@ -121,18 +120,21 @@ fn event_stream_is_complete_and_consistent() {
                         assert!(worker < *workers);
                         started[job] = true;
                     }
-                    ExecEvent::Finished { job, .. } => {
+                    ExecEvent::Finished {
+                        job, cost, faults, ..
+                    } => {
                         assert!(started[job], "finish before start");
                         finished[job] = true;
+                        cost_spent += cost;
+                        faults_injected += faults;
                     }
                     ref other => panic!("unexpected event {other:?}"),
                 },
             );
             prop_assert_eq!(queued, *n);
             prop_assert!(finished.iter().all(|&b| b));
-            prop_assert_eq!(report.stats.cost_spent, 3 * *n as u64);
-            prop_assert_eq!(report.stats.faults_injected, 2 * *n as u64);
-            prop_assert_eq!(report.stats.finished, *n);
+            prop_assert_eq!(cost_spent, 3 * *n as u64);
+            prop_assert_eq!(faults_injected, 2 * *n as u64);
             Ok(())
         },
     );
@@ -159,6 +161,7 @@ fn deadline_expiry_observed_by_a_job_never_races_to_ok() {
             let limit = Duration::from_millis(4);
             let n = perm.len();
             let mut deadlined_events = vec![false; n];
+            let mut finished_events = 0usize;
             let report = execute(
                 ExecConfig {
                     jobs: *workers,
@@ -175,11 +178,13 @@ fn deadline_expiry_observed_by_a_job_never_races_to_ok() {
                     }
                     JobOutput::plain((ctx.job, observed))
                 },
-                |ev| {
-                    if let ExecEvent::Deadlined { job, limit: l, .. } = ev {
+                |ev| match ev {
+                    ExecEvent::Deadlined { job, limit: l, .. } => {
                         assert_eq!(*l, limit);
                         deadlined_events[*job] = true;
                     }
+                    ExecEvent::Finished { .. } => finished_events += 1,
+                    _ => {}
                 },
             );
             let mut deadlined = 0usize;
@@ -198,8 +203,9 @@ fn deadline_expiry_observed_by_a_job_never_races_to_ok() {
                     other => return Err(format!("job {i}: unexpected {other:?}")),
                 }
             }
-            prop_assert_eq!(report.stats.deadlined, deadlined);
-            prop_assert_eq!(report.stats.finished + report.stats.deadlined, n);
+            let deadlined_seen = deadlined_events.iter().filter(|&&b| b).count();
+            prop_assert_eq!(deadlined_seen, deadlined);
+            prop_assert_eq!(finished_events + deadlined_seen, n);
             Ok(())
         },
     );

@@ -266,6 +266,18 @@ fi
 echo "==> figures exit codes: usage=2, salvaged=3, mismatch=4, corrupt=5"
 expect_rc 3 -- timeout 60 ./target/release/figures --figure F2 --size test --procs 2,3 --serial
 expect_rc 2 -- ./target/release/figures --figure F12 --size test --procs 2 --telemetry-interval-us 50
+# A flag a mode would ignore is refused by name: --list takes no other,
+# and an ablation fixes its own figure set, size, p and seed.
+expect_rc 2 "--bogus" -- ./target/release/figures --list --bogus
+expect_rc 2 "--serial" -- ./target/release/figures --list --serial
+expect_rc 2 "--figure" -- ./target/release/figures --ablation protocol --figure F1 \
+    --size full --procs 2 --seed 7
+expect_rc 2 "--all" -- ./target/release/figures --ablation g --all
+expect_rc 2 "--scenario" -- ./target/release/figures --ablation g \
+    --scenario examples/scenarios/bsp.scn
+expect_rc 2 "--size" -- ./target/release/figures --ablation g --size test
+expect_rc 2 "--procs" -- ./target/release/figures --ablation g --procs 2
+expect_rc 2 "--seed" -- ./target/release/figures --ablation g --seed 7
 expect_rc 4 -- timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
     --seed 7 --serial --budget-events 50000000 --journal "$jdir/j" --resume
 printf '\x41' | dd of="$jdir/j.F2" bs=1 seek=40 conv=notrunc 2>/dev/null
@@ -349,6 +361,19 @@ if ! grep -q "^chaos explore F1: 16 ops, .* 38 identical, 4 refused" <<< "$out";
     echo "$out" >&2
     exit 1
 fi
+# From a warm cache every point is a hit, enqueued and drained in one
+# batched commit before anything runs: that trace is a contract too.
+if ! grep -q "^chaos explore F1 shared: 8 ops, 8 crash points + 10 torn points: 14 identical, 4 refused" <<< "$out"; then
+    echo "ERROR: the warm-cache journal trace of F1 moved:" >&2
+    echo "$out" >&2
+    exit 1
+fi
+# Flags a mode would ignore, and a second mode, are refused by name.
+expect_rc 2 "--size" -- ./target/release/chaos --campaign --size test
+expect_rc 2 "--procs" -- ./target/release/chaos --shrink-demo --procs 2
+expect_rc 2 "--torn-window" -- ./target/release/chaos --campaign --torn-window 3
+expect_rc 2 "--trials" -- ./target/release/chaos --explore F1 --trials 2
+expect_rc 2 "--campaign" -- ./target/release/chaos --explore F1 --campaign
 out=$(timeout 120 ./target/release/chaos --campaign --seed 1 --trials 8 \
     2>/dev/null)
 if ! grep -q "0 divergent" <<< "$out"; then
