@@ -52,7 +52,6 @@ mod dynamic;
 mod ep;
 mod fft;
 mod is;
-pub mod msg;
 pub mod sparse;
 
 pub use dynamic::register_app;

@@ -37,8 +37,8 @@
 //! workload (see `spasm-scenario`) into a figure and sweeps it like
 //! any built-in id. `--telemetry FILE` turns on engine interval
 //! telemetry and streams one JSONL record per sim-time bucket (plus a
-//! per-point summary) into FILE; `--telemetry-interval-us N` sets the
-//! bucket width (default 100). Telemetry output is byte-identical
+//! per-point summary) into FILE, bucketed every
+//! [`TELEMETRY_INTERVAL_US`] simulated µs. Telemetry output is byte-identical
 //! across `--jobs` settings and across journaled resume.
 //!
 //! `--shard K/N` runs only shard K's points (of N, round-robin over the
@@ -102,9 +102,10 @@ struct Args {
     merge: Option<String>,
     /// Stream per-interval telemetry JSONL into this file.
     telemetry: Option<String>,
-    /// Telemetry bucket width in simulated microseconds (default 100).
-    telemetry_interval_us: Option<u64>,
 }
+
+/// Telemetry bucket width in simulated microseconds.
+const TELEMETRY_INTERVAL_US: u64 = 100;
 
 /// Every exit code of the binary. Ordered by severity: a run that meets
 /// several reports the largest.
@@ -146,7 +147,7 @@ usage: figures (--all | --figure ID | --list | --ablation g|protocol|cache)
                [--budget-events N] [--check] [--strict-check] [--faults SEED]
                [--journal PATH [--resume]] [--deadline-secs N]
                [--shard K/N --journal DIR] [--merge DIR]
-               [--scenario FILE] [--telemetry FILE [--telemetry-interval-us N]]";
+               [--scenario FILE] [--telemetry FILE]";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -172,7 +173,6 @@ fn parse_args() -> Args {
         shard: None,
         merge: None,
         telemetry: None,
-        telemetry_interval_us: None,
     };
     // Every flag given, in order: a mode refuses the ones it would ignore
     // by name.
@@ -262,14 +262,6 @@ fn parse_args() -> Args {
                 }
             }
             "--telemetry" => args.telemetry = Some(it.next().unwrap_or_else(|| usage())),
-            "--telemetry-interval-us" => {
-                args.telemetry_interval_us = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&us| us > 0)
-                        .unwrap_or_else(|| usage()),
-                );
-            }
             "--deadline-secs" => {
                 args.deadline = Some(Duration::from_secs(
                     it.next()
@@ -309,10 +301,6 @@ fn parse_args() -> Args {
     args.figures.retain(|f| seen.insert(f.id));
     if args.resume && args.journal.is_none() {
         eprintln!("--resume requires --journal PATH");
-        usage();
-    }
-    if args.telemetry_interval_us.is_some() && args.telemetry.is_none() {
-        eprintln!("--telemetry-interval-us requires --telemetry FILE");
         usage();
     }
     if args.shard.is_some() && args.journal.is_none() {
@@ -786,7 +774,7 @@ fn main() -> ExitCode {
         telemetry: args
             .telemetry
             .as_ref()
-            .map(|_| TelemetryConfig::every_us(args.telemetry_interval_us.unwrap_or(100))),
+            .map(|_| TelemetryConfig::every_us(TELEMETRY_INTERVAL_US)),
     };
     // One sweep value per requested figure; every mode below takes these.
     let sweeps: Vec<Sweep<'_>> = args

@@ -3,7 +3,6 @@
 //! * `figures` (`cargo run -p spasm-bench --release --bin figures --
 //!   --all`) regenerates the data behind every figure of the paper's
 //!   evaluation section as aligned tables and CSV;
-//! * `chaos` drives the crash-consistency oracle of `spasm_core::chaos`;
 //! * `scnlint` validates the telemetry JSONL that `figures --telemetry`
 //!   writes.
 //!

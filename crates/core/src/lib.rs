@@ -14,7 +14,8 @@
 //!   [`journal`], sharing points with other figures through a
 //!   [`sweep::PointCache`]), shard it across worker processes
 //!   ([`shard`]), and render aligned tables / CSV;
-//! * [`chaos`] — the crash-consistency harness over journaled sweeps.
+//! * [`chaos`] — the journal's recovery oracle over journaled sweeps,
+//!   driven by the `chaos_consistency` integration tests.
 //!
 //! # Example
 //!

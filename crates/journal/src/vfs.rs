@@ -367,16 +367,6 @@ impl FaultVfs {
         st.crashed = false;
     }
 
-    /// Places a file in both the live and durable images without
-    /// counting as an operation — for planting fixture bytes (e.g. a
-    /// hand-corrupted journal) before a scenario starts.
-    pub fn install(&self, path: impl AsRef<Path>, bytes: &[u8]) {
-        let mut st = self.lock();
-        st.set_content(path.as_ref(), bytes.to_vec(), bytes.to_vec());
-        let id = st.live[path.as_ref()];
-        st.durable.insert(path.as_ref().to_path_buf(), id);
-    }
-
     /// The live content of `path`, if it exists — a test peephole that
     /// does not count as an operation.
     pub fn peek(&self, path: impl AsRef<Path>) -> Option<Vec<u8>> {

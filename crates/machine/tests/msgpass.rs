@@ -192,6 +192,52 @@ fn logp_sender_is_asynchronous_target_sender_holds_circuit() {
 }
 
 #[test]
+fn message_passing_latency_is_exact_under_logp() {
+    // With explicit 32-byte messages there is no memory system to
+    // abstract and L exactly equals the target's per-message transmission
+    // time, so the two machines' *latency* overheads agree to the
+    // nanosecond (they count the same messages at the same price). The
+    // remaining divergence is purely the g-model's contention pessimism —
+    // LogP in its cleanest form.
+    const P: usize = 4;
+    const ROUNDS: u64 = 4;
+    let run = |kind| {
+        let topo = Topology::full(P);
+        let setup = SetupCtx::new(P);
+        let bodies: Vec<ProcBody> = (0..P)
+            .map(|_| {
+                let b: ProcBody = Box::new(|me, ctx| {
+                    let mem = MemCtx::new(ctx);
+                    // One tag per (round, sender): each value is checkable.
+                    let tag = |round: u64, src: usize| round * P as u64 + src as u64;
+                    for round in 0..ROUNDS {
+                        for dst in (0..P).filter(|&d| d != me) {
+                            mem.send(dst, 32, tag(round, me), me as u64);
+                        }
+                        for src in (0..P).filter(|&s| s != me) {
+                            assert_eq!(mem.recv(tag(round, src)), src as u64);
+                        }
+                    }
+                });
+                b
+            })
+            .collect();
+        Engine::new(kind, &topo, setup, bodies).run().unwrap()
+    };
+    let target = run(MachineKind::Target);
+    let logp = run(MachineKind::LogP);
+    assert_eq!(
+        target.summary.net_messages, logp.summary.net_messages,
+        "same messages on both machines"
+    );
+    assert_eq!(target.summary.net_messages, ROUNDS * (P * (P - 1)) as u64);
+    // Every message is 32 B: latency overheads agree exactly.
+    assert_eq!(target.totals.latency, logp.totals.latency);
+    // Contention is where the models part ways (g pessimism).
+    assert!(logp.totals.contention > target.totals.contention);
+}
+
+#[test]
 fn missing_sender_is_a_deadlock_not_a_hang() {
     let topo = Topology::full(2);
     let setup = SetupCtx::new(2);

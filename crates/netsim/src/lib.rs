@@ -108,7 +108,6 @@ pub struct Network {
     topo: Topology,
     free_at: Vec<SimTime>,
     stats: NetworkStats,
-    per_link_busy: Vec<SimTime>,
     /// Scratch route buffer reused across sends (avoids a per-message
     /// allocation on the simulator hot path).
     route_buf: Vec<LinkId>,
@@ -122,7 +121,6 @@ impl Network {
             topo,
             free_at: vec![SimTime::ZERO; n],
             stats: NetworkStats::default(),
-            per_link_busy: vec![SimTime::ZERO; n],
             route_buf: Vec::new(),
         }
     }
@@ -186,7 +184,6 @@ impl Network {
         let arrive = depart + transmission;
         for link in &self.route_buf {
             self.free_at[link.0] = arrive;
-            self.per_link_busy[link.0] += transmission;
         }
 
         let contention = depart - at;
@@ -211,22 +208,6 @@ impl Network {
     /// Traffic statistics accumulated so far.
     pub fn stats(&self) -> NetworkStats {
         self.stats
-    }
-
-    /// Busy time accumulated on each link (for utilization reporting).
-    pub fn link_busy(&self) -> &[SimTime] {
-        &self.per_link_busy
-    }
-
-    /// The maximum link utilization over `[0, horizon]`.
-    pub fn peak_link_utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        self.per_link_busy
-            .iter()
-            .map(|b| b.as_ns() as f64 / horizon.as_ns() as f64)
-            .fold(0.0, f64::max)
     }
 }
 
@@ -344,15 +325,6 @@ mod tests {
         assert_eq!(s.hops, 4);
         assert_eq!(s.latency, ns(2000));
         assert!(s.contention > SimTime::ZERO);
-    }
-
-    #[test]
-    fn peak_utilization() {
-        let mut net = Network::new(Topology::full(2));
-        net.send(SimTime::ZERO, NodeId(0), NodeId(1), 32);
-        let u = net.peak_link_utilization(ns(3200));
-        assert!((u - 0.5).abs() < 1e-12);
-        assert_eq!(net.peak_link_utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

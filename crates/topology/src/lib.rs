@@ -429,22 +429,6 @@ impl Topology {
             }
         }
     }
-
-    /// Average hop count over all ordered pairs of distinct nodes.
-    pub fn mean_hops(&self) -> f64 {
-        if self.p < 2 {
-            return 0.0;
-        }
-        let mut total = 0usize;
-        for s in 0..self.p {
-            for d in 0..self.p {
-                if s != d {
-                    total += self.hops(NodeId(s), NodeId(d));
-                }
-            }
-        }
-        total as f64 / (self.p * (self.p - 1)) as f64
-    }
 }
 
 fn validate_p(kind: TopologyKind, p: usize) -> Result<(), TopologyError> {
@@ -641,15 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_hops_sanity() {
-        assert!((Topology::full(8).mean_hops() - 1.0).abs() < 1e-12);
-        // hypercube mean distance = dim/2 * p/(p-1)
-        let t = Topology::hypercube(16);
-        let expect = 4.0 / 2.0 * 16.0 / 15.0;
-        assert!((t.mean_hops() - expect).abs() < 1e-9);
-    }
-
-    #[test]
     fn kind_display() {
         assert_eq!(TopologyKind::Full.to_string(), "full");
         assert_eq!(TopologyKind::Hypercube.to_string(), "cube");
@@ -673,7 +648,6 @@ mod tests {
     fn single_node_topologies_route_nothing() {
         for t in [Topology::full(1), Topology::hypercube(1), Topology::mesh(1)] {
             assert!(t.route(NodeId(0), NodeId(0)).is_empty());
-            assert_eq!(t.mean_hops(), 0.0);
         }
     }
 

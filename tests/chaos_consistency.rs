@@ -182,7 +182,7 @@ fn a_group_committing_victim_meets_the_oracle_under_generated_scripts() {
 
 #[test]
 fn a_seeded_campaign_passes_across_all_families() {
-    // One trial per family; the chaos ci tier runs the longer sweep.
+    // One trial per family; the pinned record below runs eight.
     let outcome = run_campaign(&CampaignConfig::new(0xC4A05, 4))
         .unwrap_or_else(|failure| panic!("campaign failed: {failure}"));
     assert_eq!(outcome.trials, 4);
@@ -201,4 +201,42 @@ fn a_failing_campaign_shrinks_to_a_minimal_script() {
     );
     assert!(demo.shrink_steps > 0);
     assert!(!demo.minimized_detail.is_empty());
+}
+
+/// The record EXPERIMENTS.md quotes, pinned by equality. The serial
+/// operation trace is a contract: one commit of four operations per point,
+/// after the point and before the next. From a warm cache every point is a
+/// hit, enqueued and drained in one batched commit before anything runs:
+/// that trace is a contract too.
+#[test]
+fn the_f1_traces_the_campaign_and_the_shrink_demo_are_pinned() {
+    let cs = smoke();
+    let cold = explore_crash_points(&cs, &PointCache::default(), 8).expect("zero divergence");
+    assert_eq!(
+        cold.to_string(),
+        "16 ops, 16 crash points + 26 torn points: 38 identical, 4 refused \
+         (0 on pure crashes), replayed 0..=3, 0 divergent"
+    );
+    let mut warm = PointCache::default();
+    cs.run(None, &mut warm, |_| {});
+    let shared = explore_crash_points(&cs, &warm, 8).expect("zero divergence");
+    assert_eq!(
+        shared.to_string(),
+        "8 ops, 8 crash points + 10 torn points: 14 identical, 4 refused \
+         (0 on pure crashes), replayed 0..=3, 0 divergent"
+    );
+
+    let outcome = run_campaign(&CampaignConfig::new(1, 8))
+        .unwrap_or_else(|failure| panic!("campaign failed: {failure}"));
+    assert_eq!(
+        (outcome.trials, outcome.identical, outcome.refused),
+        (8, 7, 1)
+    );
+
+    let demo = shrink_demo(7).expect("demo finds its failure");
+    assert_eq!(
+        demo.script.to_string(),
+        "seed=0x7 [Enospc@0, DropSync@13, Crash@15]"
+    );
+    assert_eq!(demo.minimized.to_string(), "seed=0x7 [Enospc@0]");
 }
