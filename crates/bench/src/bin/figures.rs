@@ -30,8 +30,7 @@
 //! the same command with `--resume` replays completed points and runs
 //! only the rest, producing byte-identical stdout. Workers never wait
 //! for the disk — this thread commits what they finish, in batches —
-//! and stderr says in how many `commits`. `--deadline-secs N` bounds
-//! each point's wall time.
+//! and stderr says in how many `commits`.
 //!
 //! `--scenario FILE` (repeatable) compiles a declarative `.scn`
 //! workload (see `spasm-scenario`) into a figure and sweeps it like
@@ -92,8 +91,6 @@ struct Args {
     journal: Option<String>,
     /// Replay an existing journal instead of refusing to clobber it.
     resume: bool,
-    /// Per-point wall-clock deadline.
-    deadline: Option<Duration>,
     /// Worker mode: run only this shard's points into a journal
     /// directory (`--shard K/N`, requires `--journal DIR`).
     shard: Option<ShardSpec>,
@@ -145,7 +142,7 @@ usage: figures (--all | --figure ID | --list | --ablation g|protocol|cache)
                [--size test|small|full] [--procs 2,4,...] [--seed N]
                [--csv PATH] [--chart] [--jobs N|auto] [--serial]
                [--budget-events N] [--check] [--strict-check] [--faults SEED]
-               [--journal PATH [--resume]] [--deadline-secs N]
+               [--journal PATH [--resume]]
                [--shard K/N --journal DIR] [--merge DIR]
                [--scenario FILE] [--telemetry FILE]";
 
@@ -169,7 +166,6 @@ fn parse_args() -> Args {
         ablation: None,
         journal: None,
         resume: false,
-        deadline: None,
         shard: None,
         merge: None,
         telemetry: None,
@@ -197,8 +193,11 @@ fn parse_args() -> Args {
                     parse_size(&it.next().unwrap_or_else(|| usage())).unwrap_or_else(|| usage());
             }
             "--procs" => {
-                args.procs =
-                    parse_procs(&it.next().unwrap_or_else(|| usage())).unwrap_or_else(|| usage());
+                let list = it.next().unwrap_or_else(|| usage());
+                args.procs = parse_procs(&list).unwrap_or_else(|e| {
+                    eprintln!("--procs {list}: {e}");
+                    usage();
+                });
             }
             "--seed" => {
                 args.seed = it
@@ -262,13 +261,6 @@ fn parse_args() -> Args {
                 }
             }
             "--telemetry" => args.telemetry = Some(it.next().unwrap_or_else(|| usage())),
-            "--deadline-secs" => {
-                args.deadline = Some(Duration::from_secs(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                ));
-            }
             _ => {
                 eprintln!("unknown flag {flag}");
                 usage();
@@ -683,10 +675,7 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
         // once on two contended vCPUs each run slower than one alone.
         let mut fresh = 0usize;
         let fresh_points = |ev: &ExecEvent| {
-            if let ExecEvent::Finished { wall, .. }
-            | ExecEvent::Panicked { wall, .. }
-            | ExecEvent::Deadlined { wall, .. } = ev
-            {
+            if let ExecEvent::Finished { wall, .. } | ExecEvent::Panicked { wall, .. } = ev {
                 fresh += 1;
                 total_busy += *wall;
             }
@@ -770,7 +759,6 @@ fn main() -> ExitCode {
             .map_or(RunBudget::UNLIMITED, RunBudget::events),
         check: args.check,
         faults: args.faults.map(FaultPlan::adversarial),
-        deadline: args.deadline,
         telemetry: args
             .telemetry
             .as_ref()

@@ -28,11 +28,21 @@ pub fn parse_size(s: &str) -> Option<SizeClass> {
 /// Parses a comma-separated processor list. Counts the networks cannot
 /// host (non-powers-of-two, zero) are accepted here: the resilient
 /// sweep layer reports them as typed `FAILED` points instead of the CLI
-/// guessing at validity.
-pub fn parse_procs(s: &str) -> Option<Vec<usize>> {
-    s.split(',')
-        .map(|t| t.trim().parse::<usize>().ok())
-        .collect()
+/// guessing at validity. A count given twice is refused: it would run
+/// each of its points twice and print its row twice.
+pub fn parse_procs(s: &str) -> Result<Vec<usize>, String> {
+    let mut procs = Vec::new();
+    for t in s.split(',') {
+        let p = t
+            .trim()
+            .parse::<usize>()
+            .map_err(|_| format!("{:?} is not a processor count", t.trim()))?;
+        if procs.contains(&p) {
+            return Err(format!("processor count {p} given twice"));
+        }
+        procs.push(p);
+    }
+    Ok(procs)
 }
 
 /// Parses a `--jobs` worker count: `auto` (or `0`) means one worker per
@@ -68,11 +78,15 @@ mod tests {
 
     #[test]
     fn procs_parsing() {
-        assert_eq!(parse_procs("2,4,8"), Some(vec![2, 4, 8]));
-        assert_eq!(parse_procs("2, 16"), Some(vec![2, 16]));
+        assert_eq!(parse_procs("2,4,8"), Ok(vec![2, 4, 8]));
+        assert_eq!(parse_procs("2, 16"), Ok(vec![2, 16]));
         // Invalid counts parse; the sweep layer turns them into typed
         // FAILED points rather than a CLI rejection.
-        assert_eq!(parse_procs("3"), Some(vec![3]));
-        assert_eq!(parse_procs("2,x"), None);
+        assert_eq!(parse_procs("3"), Ok(vec![3]));
+        assert!(parse_procs("2,x").is_err());
+        assert_eq!(
+            parse_procs("2,4,2"),
+            Err("processor count 2 given twice".to_string())
+        );
     }
 }

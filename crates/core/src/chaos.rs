@@ -28,17 +28,15 @@
 //!   operation trace of a reference sweep, then re-runs the sweep once
 //!   per operation index with a crash injected there (plus a
 //!   dropped-fsync × delayed-crash grid that manufactures torn files).
-//! - [`run_campaign`] fuzzes random multi-fault scripts across four
+//! - [`run_campaign`] fuzzes random multi-fault scripts across three
 //!   failure families: the plain journal, a sharded fleet with merge,
-//!   deadline-cut sweeps resumed without the deadline, and a checked
-//!   sweep under a machine [`FaultPlan`].
+//!   and a checked sweep under a machine [`FaultPlan`].
 //! - [`shrink_demo`] shows the [`spasm_testkit`] shrinker reducing a
 //!   many-entry failing script to a minimal reproducer.
 
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use spasm_apps::SizeClass;
 use spasm_journal::{Fault, FaultScript, FaultVfs, TraceEntry, Vfs, VfsOpKind};
@@ -172,11 +170,8 @@ pub fn verify_script(
 
 /// [`verify_script`] with a distinct victim: its own configuration, and a
 /// copy of `shared` to start from. The victim config must be
-/// fingerprint-compatible with `cs`'s (scheduling knobs like
-/// [`SweepConfig::deadline`] are excluded from the journal fingerprint
-/// precisely so this works); when the two configs differ the
-/// uncrashed-victim identity check is skipped, since e.g. a deadline
-/// legitimately cuts points until recovery re-runs them.
+/// fingerprint-compatible with `cs`'s ([`SweepConfig::jobs`] is excluded
+/// from the journal fingerprint precisely so this works).
 pub fn verify_script_with(
     cs: &Sweep<'_>,
     victim: &SweepConfig,
@@ -197,7 +192,7 @@ pub fn verify_script_with(
     // recovery below treats as a clean fresh start.
     if let Ok(journal) = SweepJournal::open(vfs.clone(), &path, &victim, false) {
         let data = victim.run(Some(&journal), &mut shared.clone(), |_| {});
-        if !fault.crashed() && victim.config.deadline == cs.config.deadline {
+        if !fault.crashed() {
             // Non-crash faults may wreck durability, but they must
             // never corrupt the in-memory figure of a run that was
             // allowed to finish.
@@ -452,9 +447,9 @@ pub fn explore_crash_points(
     Ok(report)
 }
 
-/// The four failure families [`run_campaign`] rotates through, in trial
+/// The three failure families [`run_campaign`] rotates through, in trial
 /// order.
-pub const FAMILIES: [&str; 4] = ["journal", "shard-merge", "deadline", "machine-faults"];
+pub const FAMILIES: [&str; 3] = ["journal", "shard-merge", "machine-faults"];
 
 /// Shrink attempts a failing campaign trial may spend on its reproducer.
 const SHRINK_BUDGET: u32 = 256;
@@ -548,9 +543,8 @@ pub fn script_gen(max_op: usize) -> Gen<Vec<(usize, Fault)>> {
 
 /// Runs a fuzzing campaign: each trial draws a random multi-fault
 /// script and applies the recovery oracle in one of the [`FAMILIES`] —
-/// the plain journal, a two-shard fleet with merge, a deadline-cut
-/// victim resumed without its deadline, and a checked sweep under a
-/// [`FaultPlan::chaos`] machine fault plan. On the first oracle
+/// the plain journal, a two-shard fleet with merge, and a checked sweep
+/// under a [`FaultPlan::chaos`] machine fault plan. On the first oracle
 /// violation the failing script is shrunk to a minimal reproducer and
 /// returned as a [`CampaignFailure`].
 pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<CampaignFailure>> {
@@ -578,10 +572,6 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
         }
     };
     let base = smoke(spec);
-    let deadline_victim = SweepConfig {
-        deadline: Some(Duration::from_millis(1)),
-        ..base.config
-    };
     let faulted = Sweep {
         config: SweepConfig {
             faults: Some(FaultPlan::chaos(config.seed)),
@@ -616,7 +606,6 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
         let verify = |s: &FaultScript| match family {
             "journal" => verify_script(&base, &expected_base, s),
             "shard-merge" => verify_shard_script(&base, 2, &expected_base, s),
-            "deadline" => verify_script_with(&base, &deadline_victim, &cold, &expected_base, s),
             _ => verify_script(&faulted, &expected_faulted, s),
         };
         match verify(&script) {

@@ -7,8 +7,7 @@ use std::time::Duration;
 use spasm_apps::{AppId, SizeClass};
 use spasm_logp::GapPolicy;
 use spasm_machine::{
-    CancelProbe, Engine, IntervalRecord, MachineConfig, MachineKind, ProcBody, RunError, SetupCtx,
-    SpecStats,
+    Engine, IntervalRecord, MachineConfig, MachineKind, ProcBody, RunError, SetupCtx, SpecStats,
 };
 use spasm_topology::{Topology, TopologyKind};
 
@@ -186,12 +185,6 @@ pub enum ExperimentError {
     /// A panic escaped the simulation infrastructure itself (builder,
     /// model, or verifier) and was caught at the experiment boundary.
     Aborted(String),
-    /// The point's job overran the sweep's per-job wall-clock deadline
-    /// and was cancelled by the executor.
-    Deadline {
-        /// The deadline the job overran.
-        limit: Duration,
-    },
     /// The failure was reconstructed from a sweep journal on resume: the
     /// string is the original error's rendering, preserved verbatim so
     /// resumed figures are byte-identical to uninterrupted ones.
@@ -205,9 +198,6 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Run(e) => write!(f, "simulation failed: {e}"),
             ExperimentError::Verify(e) => write!(f, "verification failed: {e}"),
             ExperimentError::Aborted(e) => write!(f, "experiment aborted: {e}"),
-            ExperimentError::Deadline { limit } => {
-                write!(f, "job overran its {limit:?} wall-clock deadline")
-            }
             // Verbatim: the journal stored the original error's rendering.
             ExperimentError::Replayed(e) => f.write_str(e),
         }
@@ -227,15 +217,11 @@ impl ExperimentError {
 }
 
 /// A job-level failure from the parallel executor: a panic outside the
-/// experiment's own `catch_unwind` fence maps onto the abort class; a
-/// deadline overrun keeps its own typed variant so renderers and retry
-/// policy can distinguish "slow" from "broken".
+/// experiment's own `catch_unwind` fence maps onto the abort class.
 impl From<spasm_exec::JobError> for ExperimentError {
     fn from(e: spasm_exec::JobError) -> Self {
-        match e {
-            spasm_exec::JobError::Panicked(msg) => ExperimentError::Aborted(msg),
-            spasm_exec::JobError::Deadline { limit } => ExperimentError::Deadline { limit },
-        }
+        let spasm_exec::JobError::Panicked(msg) = e;
+        ExperimentError::Aborted(msg)
     }
 }
 
@@ -324,23 +310,20 @@ impl Experiment {
         self.run_observed(config, None).map(|(m, _, _)| m)
     }
 
-    /// The full-control entry point behind every other `run_*`: an
-    /// optional cancellation probe (polled by the engine between events,
-    /// so an expired sweep deadline aborts the run mid-flight instead of
-    /// letting a forfeit simulation finish), and the run's telemetry
-    /// alongside the metrics. The third element is inert (always
-    /// `SpecStats::default()`): `benchmark/src/grid.rs` destructures
-    /// it; it goes when that stops.
+    /// The full-control entry point behind every other `run_*`: the run's
+    /// telemetry alongside the metrics. The second parameter and the
+    /// third element are inert remnants (the parameter admits only
+    /// `None`; the element is always `SpecStats::default()`):
+    /// `benchmark/src/grid.rs` passes the one and destructures the
+    /// other; they go when that stops.
     ///
     /// # Errors
     ///
-    /// As [`Experiment::run_with_config`], plus
-    /// [`RunError::Cancelled`] (wrapped in [`ExperimentError::Run`])
-    /// when the probe fires mid-run.
+    /// As [`Experiment::run_with_config`].
     pub fn run_observed(
         &self,
         config: MachineConfig,
-        cancel: Option<CancelProbe>,
+        _: Option<std::convert::Infallible>,
     ) -> Result<(RunMetrics, Vec<IntervalRecord>, SpecStats), ExperimentError> {
         let topo = Topology::try_of_kind(self.net.kind(), self.procs)
             .map_err(|e| ExperimentError::Config(e.to_string()))?;
@@ -350,9 +333,6 @@ impl Experiment {
             let built = app.build(&mut setup, self.seed);
             let mut engine =
                 Engine::with_config(self.machine.kind(), &topo, config, setup, built.bodies);
-            if let Some(probe) = cancel {
-                engine.set_cancel_probe(probe);
-            }
             let report = engine.run().map_err(ExperimentError::Run)?;
             (built.verify)(&report.final_store).map_err(ExperimentError::Verify)?;
             Ok((metrics_of(&report), report.telemetry, SpecStats::default()))

@@ -12,9 +12,8 @@
 //!
 //! Only completed *attempt cycles* are journaled: a point that ran to a
 //! verdict (`Ok`, or `Failed` with `attempts >= 1`) is durable, while
-//! job-level casualties — points cut by the deadline or lost to a
-//! SIGKILL — are not, so a resumed sweep re-runs exactly those
-//! and converges on the same [`crate::sweep::FigureData`] an
+//! points lost to a SIGKILL are not, so a resumed sweep re-runs exactly
+//! those and converges on the same [`crate::sweep::FigureData`] an
 //! uninterrupted run produces, byte-for-byte (failure reasons replay
 //! verbatim via [`ExperimentError::Replayed`]).
 
@@ -85,10 +84,10 @@ impl Sweep<'_> {
     /// Fingerprint of everything that determines this sweep's point
     /// outcomes — what a journal's header certifies.
     ///
-    /// Scheduling knobs are deliberately excluded — `jobs` and `deadline`
-    /// change *when* points run, not what they compute, and a sweep may
-    /// legitimately be resumed with more workers or a longer deadline than
-    /// the run that was killed.
+    /// The one scheduling knob is deliberately excluded — `jobs` changes
+    /// *when* points run, not what they compute, and a sweep may
+    /// legitimately be resumed with more workers than the run that was
+    /// killed.
     pub fn fingerprint(&self) -> u64 {
         let Sweep {
             spec,
@@ -732,13 +731,8 @@ pub(crate) mod tests {
         ] {
             assert_ne!(fp, other.fingerprint(), "{knob}");
         }
-        // Scheduling knobs do NOT separate: resume may change them.
-        let rescheduled = SweepConfig {
-            jobs: 7,
-            deadline: Some(Duration::from_secs(30)),
-            ..SweepConfig::default()
-        };
-        assert_eq!(fp, with(rescheduled).fingerprint());
+        // `jobs` does NOT separate: resume may change it.
+        assert_eq!(fp, with(SweepConfig::parallel(7)).fingerprint());
     }
 
     #[test]

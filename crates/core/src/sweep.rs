@@ -26,11 +26,10 @@
 //! any rendering or journal.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use spasm_apps::SizeClass;
-use spasm_exec::{execute, ExecConfig, ExecEvent, JobCtx, JobOutput};
-use spasm_machine::{CheckMode, FaultPlan, IntervalRecord, RunBudget, RunError, TelemetryConfig};
+use spasm_exec::{execute, ExecConfig, ExecEvent, JobOutput};
+use spasm_machine::{CheckMode, FaultPlan, IntervalRecord, RunBudget, TelemetryConfig};
 
 use crate::figures::{FigureSpec, Metric};
 use crate::journal::SweepJournal;
@@ -108,19 +107,10 @@ pub struct SweepConfig {
     /// invariant fails the point (never retried — the checkers are
     /// deterministic) without failing the figure.
     pub check: CheckMode,
-    /// Per-point wall-clock deadline, read off the executor's monotonic
-    /// clock: an overdue point is cancelled (cooperatively — the
-    /// simulation thread is never killed) and fails typed as
-    /// [`ExperimentError::Deadline`]. `None` (the default) never
-    /// deadlines. A scheduling knob: it does not enter the sweep's
-    /// journal fingerprint, and deadline failures are never journaled,
-    /// so a resume with a longer deadline re-runs exactly the points
-    /// that timed out.
-    pub deadline: Option<Duration>,
     /// Streaming interval telemetry applied to every run. `None` (the
     /// default) collects nothing. Telemetry is outcome-affecting for
     /// journaling purposes — the records ride in the journal — so it
-    /// enters the sweep fingerprint, unlike the scheduling knobs.
+    /// enters the sweep fingerprint, unlike `jobs`.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -131,7 +121,6 @@ impl Default for SweepConfig {
             budget: RunBudget::UNLIMITED,
             jobs: 1,
             check: CheckMode::Off,
-            deadline: None,
             telemetry: None,
         }
     }
@@ -148,8 +137,8 @@ impl SweepConfig {
 
     /// The outcome-affecting knobs — `faults`, `budget`, `check`,
     /// `telemetry` — as the renderings [`Sweep::fingerprint`] absorbs and
-    /// [`PointCache`] keys on. `jobs` and `deadline` decide when a point
-    /// runs, never what it computes, so they appear in neither.
+    /// [`PointCache`] keys on. `jobs` decides when a point runs, never
+    /// what it computes, so it appears in neither.
     pub(crate) fn outcome_knobs(&self) -> [String; 4] {
         [
             format!("{:?}", self.faults),
@@ -227,7 +216,6 @@ pub fn extract(metric: Metric, m: &RunMetrics) -> f64 {
         Metric::Latency => m.latency_us,
         Metric::Contention => m.contention_us,
         Metric::ExecTime => m.exec_us,
-        Metric::SimSpeed => m.wall.as_secs_f64() * 1e3,
         Metric::Events => m.events as f64,
     }
 }
@@ -305,11 +293,9 @@ impl<'a> Sweep<'a> {
     /// [`SweepJournal`]) — before `observe` hears it finished and before
     /// anything is assembled. Kill this at any moment
     /// and re-run with a resumed journal: the final [`FigureData`] is
-    /// byte-identical to an uninterrupted sweep. Points that never
-    /// completed an attempt cycle — overrun by the deadline or lost to
-    /// the crash itself — are *not* journaled, so a resume re-runs them,
-    /// as it does the few that finished while the last commit was in
-    /// flight.
+    /// byte-identical to an uninterrupted sweep. Points lost to the crash
+    /// itself are *not* journaled, so a resume re-runs them, as it does
+    /// the few that finished while the last commit was in flight.
     ///
     /// Points `cache` already holds do not run either: they are appended
     /// to *this* sweep's journal under one commit, so the journal ends up
@@ -363,9 +349,9 @@ impl<'a> Sweep<'a> {
             replayed: verdicts.len() - shared - fresh,
             shared,
             fresh,
-            // A failed point or a job-level casualty (deadlined, panicked) —
-            // the latter never reached the journal and will re-run on the
-            // next resume.
+            // A failed point or a job-level casualty (a panic past the
+            // experiment fence) — the latter never reached the journal and
+            // will re-run on the next resume.
             failed: verdicts.iter().filter(|(o, _, _)| !o.is_ok()).count(),
         }
     }
@@ -410,8 +396,8 @@ impl<'a> Sweep<'a> {
         mut observe: impl FnMut(&ExecEvent),
     ) -> (Vec<PointVerdict>, usize) {
         // The header certifies what every record under it was computed
-        // from; scheduling knobs are outside the fingerprint, so a resume
-        // may still change `jobs` or `deadline`.
+        // from; `jobs` is outside the fingerprint, so a resume may still
+        // change it.
         if let Some(j) = journal {
             assert!(
                 j.fingerprint() == self.fingerprint(),
@@ -465,12 +451,9 @@ impl<'a> Sweep<'a> {
         }
         let fresh = pending.len();
         let report = execute(
-            ExecConfig {
-                jobs: self.config.jobs,
-                deadline: self.config.deadline,
-            },
+            ExecConfig::with_jobs(self.config.jobs),
             pending,
-            |ctx, (machine, exp)| journaled_point(journal, self.config, machine, &exp, ctx),
+            |_, (machine, exp)| journaled_point(journal, self.config, machine, &exp),
             // This thread is the journal's only committer. It wakes on every
             // event, and a point is enqueued before its `Finished` is sent,
             // so each commit takes whatever finished during the last one;
@@ -503,10 +486,10 @@ impl<'a> Sweep<'a> {
                             cache.insert((exp, knobs.clone()), &point);
                             point
                         }
-                        // A job-level failure (panic past the experiment
-                        // fence, or a deadline overrun) becomes a FAILED cell
-                        // like any other; attempts = 0 records that the
-                        // simulation never completed an attempt cycle.
+                        // A job-level failure (a panic past the experiment
+                        // fence) becomes a FAILED cell like any other;
+                        // attempts = 0 records that the simulation never
+                        // completed an attempt cycle.
                         Err(e) => (
                             Outcome::Failed {
                                 error: e.into(),
@@ -554,26 +537,12 @@ fn journaled_point(
     sweep: SweepConfig,
     machine: Machine,
     exp: &Experiment,
-    ctx: &JobCtx,
 ) -> JobOutput<PointVerdict> {
-    let verdict = run_point(exp, machine, sweep, ctx);
-    let (outcome, m, _) = &verdict;
-    // A mid-run cancellation (the deadline) is not a verdict on the
-    // point — the executor discards the result anyway — so it must
-    // never reach the journal: a journaled "failure" from an aborted run
-    // would poison every resume with uncommitted history.
-    let cancelled = matches!(
-        outcome,
-        Outcome::Failed {
-            error: ExperimentError::Run(RunError::Cancelled { .. }),
-            ..
-        }
-    );
+    let verdict = run_point(exp, machine, sweep);
     if let Some(j) = journal {
-        if !cancelled {
-            j.enqueue(machine, exp.procs, &verdict);
-        }
+        j.enqueue(machine, exp.procs, &verdict);
     }
+    let (_, m, _) = &verdict;
     let (cost, faults) = m.as_ref().map_or((0, 0), |m| (m.events, m.faults_injected));
     JobOutput {
         value: verdict,
@@ -588,10 +557,7 @@ fn journaled_point(
 /// is deterministic and would fail identically. Shared verbatim by the
 /// serial and parallel paths (the executor calls it from worker
 /// threads), with [`retry_seed`] supplying the per-attempt fault seed.
-/// The executor's `ctx` supplies a cancellation probe the engine polls
-/// between events, so a deadline-expired point aborts mid-run instead of
-/// finishing a forfeit simulation.
-fn run_point(exp: &Experiment, machine: Machine, sweep: SweepConfig, ctx: &JobCtx) -> PointVerdict {
+fn run_point(exp: &Experiment, machine: Machine, sweep: SweepConfig) -> PointVerdict {
     let mut attempts = 0;
     loop {
         attempts += 1;
@@ -603,7 +569,7 @@ fn run_point(exp: &Experiment, machine: Machine, sweep: SweepConfig, ctx: &JobCt
             seed: retry_seed(f.seed, attempts),
             ..f
         });
-        match exp.run_observed(config, Some(ctx.cancel_probe())) {
+        match exp.run_observed(config, None) {
             Ok((m, telemetry, _spec)) => return (Outcome::Ok, Some(m), telemetry),
             Err(e) if e.is_retryable() && sweep.faults.is_some() && attempts < MAX_ATTEMPTS => {
                 continue;
@@ -1139,9 +1105,8 @@ mod tests {
         assert_eq!(*finished.borrow(), data.series.len() * data.procs.len());
     }
 
-    /// One (experiment, config) pair picked by twelve binary choices: the
-    /// ten dimensions a point's outcome depends on, then `jobs` and
-    /// `deadline`.
+    /// One (experiment, config) pair picked by eleven binary choices: the
+    /// ten dimensions a point's outcome depends on, then `jobs`.
     fn pick(c: &[usize]) -> (Experiment, SweepConfig) {
         let exp = Experiment {
             app: [AppId::Ep, AppId::Fft][c[0]],
@@ -1157,19 +1122,18 @@ mod tests {
             check: [CheckMode::Off, CheckMode::On][c[8]],
             telemetry: [None, Some(TelemetryConfig::every_us(100))][c[9]],
             jobs: [1, 4][c[10]],
-            deadline: [None, Some(Duration::from_secs(9))][c[11]],
         };
         (exp, config)
     }
 
     #[test]
     fn two_points_share_a_cache_entry_iff_their_outcomes_must_agree() {
-        // A pair and up to two of its twelve choices flipped (12 = none),
+        // A pair and up to two of its eleven choices flipped (11 = none),
         // so a good share of the cases differ in nothing that matters.
         let cases = gens::tuple3(
-            gens::vecs(gens::usizes(0..2), 12..13),
-            gens::usizes(0..13),
-            gens::usizes(0..13),
+            gens::vecs(gens::usizes(0..2), 11..12),
+            gens::usizes(0..12),
+            gens::usizes(0..12),
         );
         let config = Config {
             cases: 256,
@@ -1178,7 +1142,7 @@ mod tests {
         let f1 = figures::by_id("F1").unwrap();
         check_with(config, "point_cache_key", &cases, |(a, f1st, f2nd)| {
             let mut b = a.clone();
-            for flip in [*f1st, *f2nd].into_iter().filter(|&f| f < 12) {
+            for flip in [*f1st, *f2nd].into_iter().filter(|&f| f < 11) {
                 b[flip] ^= 1;
             }
             let ((exp_a, config_a), (exp_b, config_b)) = (pick(a), pick(&b));
@@ -1338,13 +1302,9 @@ mod tests {
         let on_disk = spasm_journal::Journal::read(&path, sweep.fingerprint()).unwrap();
         assert!(on_disk.records.is_empty(), "the refused sweep journaled");
 
-        // Scheduling knobs are outside the fingerprint: same sweep.
+        // `jobs` is outside the fingerprint: same sweep.
         let rescheduled = Sweep {
-            config: SweepConfig {
-                jobs: 4,
-                deadline: Some(Duration::from_secs(60)),
-                ..sweep.config
-            },
+            config: SweepConfig::parallel(4),
             ..sweep
         };
         let data = rescheduled.run(Some(&j), &mut PointCache::default(), |_| {});

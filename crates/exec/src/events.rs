@@ -52,20 +52,6 @@ pub enum ExecEvent {
         /// Rendered panic payload.
         message: String,
     },
-    /// The job ran past its per-job wall-clock deadline: it was
-    /// cancelled while still running, and when its closure eventually
-    /// returned the result was discarded as
-    /// [`JobError::Deadline`](crate::JobError::Deadline).
-    Deadlined {
-        /// Submission index of the job.
-        job: usize,
-        /// Worker that ran it.
-        worker: usize,
-        /// Wall-clock time the job actually took before returning.
-        wall: Duration,
-        /// The deadline it overran.
-        limit: Duration,
-    },
 }
 
 /// The outcome of one batch: per-job results in **submission order**.

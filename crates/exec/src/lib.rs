@@ -18,9 +18,8 @@
 //!   calling thread with the *same* code path and event stream, so a
 //!   serial run is the trivial case of a parallel one, not a fork.
 //!
-//! A per-job wall-clock deadline ([`ExecConfig::deadline`]) turns an
-//! overdue job into a typed [`JobError::Deadline`]; every job always
-//! starts. Progress and metrics flow to the submitting thread as an
+//! Every job starts and runs to completion: the pool never cancels one.
+//! Progress and metrics flow to the submitting thread as an
 //! [`ExecEvent`] stream (queued/started/finished, per-job wall time,
 //! cost and injected-fault counters).
 //!
@@ -53,33 +52,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why one job produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// The job's closure panicked; the payload is the rendered message.
     Panicked(String),
-    /// The job overran its per-job wall-clock deadline
-    /// ([`ExecConfig::deadline`]). An overdue job is *cancelled* — its
-    /// thread is never killed — so the closure ran to completion, but
-    /// its result was discarded: a job is deadlined iff the clock read
-    /// past the limit when its closure returned, and since that clock
-    /// is monotonic, a job that saw its own expiry can never land `Ok`.
-    Deadline {
-        /// The deadline the job overran. (Deliberately not the elapsed
-        /// time: the rendered error stays byte-stable across runs.)
-        limit: Duration,
-    },
 }
 
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
-            JobError::Deadline { limit } => {
-                write!(f, "job overran its {limit:?} wall-clock deadline")
-            }
         }
     }
 }
@@ -92,23 +77,12 @@ pub struct ExecConfig {
     /// Worker count: `0` means auto (host parallelism), `1` runs inline
     /// on the calling thread, `n > 1` spawns `min(n, jobs)` workers.
     pub jobs: usize,
-    /// Per-job wall-clock deadline, read off the monotonic clock each
-    /// job starts on. An overdue job is *cancelled* (cooperatively —
-    /// the closure keeps running and may poll
-    /// [`JobCtx::deadline_expired`] to bail out early), and its slot
-    /// records [`JobError::Deadline`] no matter what the closure
-    /// returns after expiry. `None` (the default) never reads the
-    /// clock for it.
-    pub deadline: Option<Duration>,
 }
 
 impl ExecConfig {
     /// A pool of exactly `jobs` workers (`0` = auto).
     pub fn with_jobs(jobs: usize) -> Self {
-        ExecConfig {
-            jobs,
-            ..ExecConfig::default()
-        }
+        ExecConfig { jobs }
     }
 
     /// The worker count this config resolves to for `n_jobs` jobs.
@@ -134,31 +108,6 @@ pub fn available_parallelism() -> usize {
 pub struct JobCtx {
     /// Submission index of this job.
     pub job: usize,
-    /// When the worker picked the job up (monotonic, so suspend or a
-    /// clock step cannot expire it early).
-    started: Instant,
-    /// [`ExecConfig::deadline`].
-    limit: Option<Duration>,
-}
-
-impl JobCtx {
-    /// True once this job has run past its deadline. The job's result is
-    /// already forfeit ([`JobError::Deadline`]); returning early just
-    /// frees the worker sooner.
-    pub fn deadline_expired(&self) -> bool {
-        self.limit.is_some_and(|l| self.started.elapsed() > l)
-    }
-
-    /// An owned probe equivalent to [`JobCtx::deadline_expired`]: a boxed
-    /// closure that outlives the `JobCtx` borrow. The experiment layer
-    /// installs it into the simulation engine, which polls it between
-    /// events — a deadline-expired job then aborts mid-run instead of
-    /// completing a forfeit simulation. Without a deadline it reads no
-    /// clock.
-    pub fn cancel_probe(&self) -> Box<dyn Fn() -> bool + Send + 'static> {
-        let (started, limit) = (self.started, self.limit);
-        Box::new(move || limit.is_some_and(|l| started.elapsed() > l))
-    }
 }
 
 /// What one job hands back: its value plus metered cost and fault counts
@@ -188,8 +137,7 @@ impl<R> JobOutput<R> {
 /// returns the results in submission order. `observe` sees every
 /// [`ExecEvent`] on the calling thread, serialized.
 ///
-/// Panics inside `run` are caught per job ([`JobError::Panicked`]); a job
-/// that overruns [`ExecConfig::deadline`] is [`JobError::Deadline`].
+/// Panics inside `run` are caught per job ([`JobError::Panicked`]).
 pub fn execute<T, R, F, O>(
     config: ExecConfig,
     items: Vec<T>,
@@ -206,7 +154,6 @@ where
     let workers = config.resolved_workers(n);
 
     let pool = Pool {
-        config: &config,
         run: &run,
         next: AtomicUsize::new(0),
         cells: items.into_iter().map(|t| Mutex::new(Some(t))).collect(),
@@ -259,7 +206,6 @@ where
 
 /// The shared state of one batch, borrowed by every worker.
 struct Pool<'a, T, R, F> {
-    config: &'a ExecConfig,
     run: &'a F,
     /// Submission-order job cursor; `fetch_add` hands each worker the
     /// next unclaimed job, so starts follow submission order.
@@ -289,51 +235,29 @@ where
             .take()
             .expect("each job claimed exactly once");
         emit(ExecEvent::Started { job, worker });
-        let ctx = JobCtx {
-            job,
-            started: Instant::now(),
-            limit: self.config.deadline,
-        };
-        match catch_unwind(AssertUnwindSafe(|| (self.run)(&ctx, item))) {
+        let started = Instant::now();
+        match catch_unwind(AssertUnwindSafe(|| (self.run)(&JobCtx { job }, item))) {
             Ok(JobOutput {
                 value,
                 cost,
                 faults,
-            }) => match self.config.deadline {
-                // Forfeit once overdue, whatever the closure returned and
-                // however it observed cancellation: a job that saw its
-                // own expiry gets here later on the same monotonic
-                // clock, so this read cannot disagree with it.
-                Some(limit) if ctx.deadline_expired() => {
-                    self.fill(job, Err(JobError::Deadline { limit }));
-                    emit(ExecEvent::Deadlined {
-                        job,
-                        worker,
-                        wall: ctx.started.elapsed(),
-                        limit,
-                    });
-                }
-                _ => {
-                    self.fill(job, Ok(value));
-                    emit(ExecEvent::Finished {
-                        job,
-                        worker,
-                        wall: ctx.started.elapsed(),
-                        cost,
-                        faults,
-                    });
-                }
-            },
+            }) => {
+                self.fill(job, Ok(value));
+                emit(ExecEvent::Finished {
+                    job,
+                    worker,
+                    wall: started.elapsed(),
+                    cost,
+                    faults,
+                });
+            }
             Err(payload) => {
-                // A panic outranks a deadline expiry: the panic message
-                // says *why* the job died, a deadline only that it was
-                // slow.
                 let message = panic_message(payload.as_ref());
                 self.fill(job, Err(JobError::Panicked(message.clone())));
                 emit(ExecEvent::Panicked {
                     job,
                     worker,
-                    wall: ctx.started.elapsed(),
+                    wall: started.elapsed(),
                     message,
                 });
             }
@@ -361,6 +285,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// Events of each kind, counted off the stream.
     #[derive(Debug, Default)]
@@ -368,7 +293,6 @@ mod tests {
         queued: usize,
         finished: usize,
         panicked: usize,
-        deadlined: usize,
     }
 
     impl Tally {
@@ -378,7 +302,6 @@ mod tests {
                 ExecEvent::Started { .. } => {}
                 ExecEvent::Finished { .. } => self.finished += 1,
                 ExecEvent::Panicked { .. } => self.panicked += 1,
-                ExecEvent::Deadlined { .. } => self.deadlined += 1,
             }
         }
     }
@@ -490,75 +413,5 @@ mod tests {
         assert_eq!(cost_spent, 24);
         assert_eq!(faults_injected, 12);
         assert!(busy <= wall * 3 + Duration::from_millis(1));
-    }
-
-    #[test]
-    fn deadline_forfeits_the_result_even_when_the_closure_returns_ok() {
-        // The job *observes* its expiry, then returns Ok anyway. The slot
-        // must still record Deadline: the worker reads the same monotonic
-        // clock after the closure returns, so it cannot read "in time".
-        let limit = Duration::from_millis(10);
-        let mut tally = Tally::default();
-        let report = execute(
-            ExecConfig {
-                jobs: 1,
-                deadline: Some(limit),
-            },
-            vec![()],
-            |ctx, ()| {
-                while !ctx.deadline_expired() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                assert!(
-                    ctx.cancel_probe()(),
-                    "own expiry must trip the engine probe"
-                );
-                JobOutput::plain("raced to ok")
-            },
-            |ev| tally.see(ev),
-        );
-        assert_eq!(report.results[0], Err(JobError::Deadline { limit }));
-        assert_eq!(tally.deadlined, 1);
-        assert_eq!(tally.finished, 0);
-    }
-
-    #[test]
-    fn jobs_within_deadline_are_untouched() {
-        let mut tally = Tally::default();
-        let report = execute(
-            ExecConfig {
-                jobs: 2,
-                deadline: Some(Duration::from_secs(60)),
-            },
-            (0u64..8).collect(),
-            |_ctx, v| JobOutput::plain(v * 3),
-            |ev| tally.see(ev),
-        );
-        assert!(report.results.iter().all(Result::is_ok));
-        assert_eq!((tally.finished, tally.deadlined), (8, 0));
-        assert_eq!(*report.results[5].as_ref().unwrap(), 15);
-    }
-
-    #[test]
-    fn deadlined_job_panicking_still_reports_the_panic() {
-        // A panic carries more diagnosis than "slow"; it wins.
-        let report = execute(
-            ExecConfig {
-                jobs: 1,
-                deadline: Some(Duration::from_millis(5)),
-            },
-            vec![()],
-            |ctx, ()| -> JobOutput<()> {
-                while !ctx.deadline_expired() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                panic!("died late");
-            },
-            |_| {},
-        );
-        match &report.results[0] {
-            Err(JobError::Panicked(msg)) => assert!(msg.contains("died late"), "{msg}"),
-            other => panic!("expected Panicked, got {other:?}"),
-        }
     }
 }

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use spasm_exec::{execute, ExecConfig, ExecEvent, JobError, JobOutput};
-use spasm_testkit::{check, check_with, gens, prop_assert, prop_assert_eq, Config};
+use spasm_testkit::{check, gens, prop_assert, prop_assert_eq};
 
 #[test]
 fn parallel_results_match_serial_for_any_worker_count() {
@@ -87,7 +87,6 @@ fn panic_pattern_maps_exactly_onto_results() {
                         prop_assert!(explode, "job {i} panicked unasked");
                         prop_assert!(msg.contains(&format!("job {i} exploded")), "{msg}");
                     }
-                    Err(other) => return Err(format!("job {i}: unexpected {other}")),
                 }
             }
             prop_assert_eq!(panicked, pattern.iter().filter(|&&b| b).count());
@@ -135,77 +134,6 @@ fn event_stream_is_complete_and_consistent() {
             prop_assert!(finished.iter().all(|&b| b));
             prop_assert_eq!(cost_spent, 3 * *n as u64);
             prop_assert_eq!(faults_injected, 2 * *n as u64);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn deadline_expiry_observed_by_a_job_never_races_to_ok() {
-    // Regression for the cancel-path race: a job that *sees* its own
-    // deadline expire (via `ctx.deadline_expired()`) and then returns a
-    // value anyway must land in its slot as `Deadline`, never `Ok` —
-    // the worker's verdict is a later reading of the clock the job's
-    // poll read, so the two cannot disagree. Jobs sleep per a shuffled
-    // permutation so completion order is adversarial relative to
-    // submission order, and some jobs straddle the deadline while others
-    // beat it.
-    check_with(
-        Config {
-            cases: 12,
-            ..Config::default()
-        },
-        "exec_deadline_race",
-        &gens::tuple2(gens::usizes(1..4), gens::shuffled(0..8)),
-        |(workers, perm)| {
-            let limit = Duration::from_millis(4);
-            let n = perm.len();
-            let mut deadlined_events = vec![false; n];
-            let mut finished_events = 0usize;
-            let report = execute(
-                ExecConfig {
-                    jobs: *workers,
-                    deadline: Some(limit),
-                },
-                perm.clone(),
-                |ctx, rank| {
-                    // ~1ms of polled sleep per rank unit: rank 0 returns
-                    // immediately, high ranks overrun the 4ms limit.
-                    let mut observed = false;
-                    for _ in 0..rank {
-                        std::thread::sleep(Duration::from_millis(1));
-                        observed |= ctx.deadline_expired();
-                    }
-                    JobOutput::plain((ctx.job, observed))
-                },
-                |ev| match ev {
-                    ExecEvent::Deadlined { job, limit: l, .. } => {
-                        assert_eq!(*l, limit);
-                        deadlined_events[*job] = true;
-                    }
-                    ExecEvent::Finished { .. } => finished_events += 1,
-                    _ => {}
-                },
-            );
-            let mut deadlined = 0usize;
-            for (i, r) in report.results.iter().enumerate() {
-                match r {
-                    Ok((job, observed)) => {
-                        prop_assert_eq!(*job, i);
-                        prop_assert!(!observed, "job {} observed expiry yet won the slot", i);
-                        prop_assert!(!deadlined_events[i], "job {} Ok despite Deadlined event", i);
-                    }
-                    Err(JobError::Deadline { limit: l }) => {
-                        prop_assert_eq!(*l, limit);
-                        prop_assert!(deadlined_events[i], "job {} Deadline without event", i);
-                        deadlined += 1;
-                    }
-                    other => return Err(format!("job {i}: unexpected {other:?}")),
-                }
-            }
-            let deadlined_seen = deadlined_events.iter().filter(|&&b| b).count();
-            prop_assert_eq!(deadlined_seen, deadlined);
-            prop_assert_eq!(finished_events + deadlined_seen, n);
             Ok(())
         },
     );

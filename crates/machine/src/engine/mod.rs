@@ -24,10 +24,6 @@ use crate::{Addr, AddressMap, SetupCtx, ValueStore};
 /// One simulated processor's program.
 pub type ProcBody = Box<dyn FnOnce(usize, &CoroCtx<MemReq, MemResp>) + Send + 'static>;
 
-/// Cooperative cancellation probe, polled by [`Engine::run`] between
-/// events. Returning `true` aborts the run with [`RunError::Cancelled`].
-pub type CancelProbe = Box<dyn Fn() -> bool + Send>;
-
 /// Inert remnant of the Time Warp engine retired at PR 19: names only,
 /// no behaviour. Stays because `benchmark/src/grid.rs` constructs
 /// `Optimistic`; goes when that stops.
@@ -46,8 +42,8 @@ pub enum EngineMode {
 /// Why a simulation failed.
 ///
 /// Every variant is a *typed* outcome of [`Engine::run`]: application-level
-/// failure modes (panic, deadlock, bad request) and injected or configured
-/// limits (budget, cancellation) end the run with an error value, never a
+/// failure modes (panic, deadlock, bad request) and a configured
+/// [`RunBudget`] end the run with an error value, never a
 /// process abort.
 #[derive(Debug)]
 pub enum RunError {
@@ -72,15 +68,6 @@ pub enum RunError {
         /// Simulated time when the budget tripped.
         at: SimTime,
         /// Events processed when the budget tripped.
-        events: u64,
-    },
-    /// A cancellation probe (see [`Engine::set_cancel_probe`]) asked the
-    /// run to stop. The report is never produced; suspended processes
-    /// are torn down with the engine.
-    Cancelled {
-        /// Simulated time when the cancellation was observed.
-        at: SimTime,
-        /// Events processed when the cancellation was observed.
         events: u64,
     },
     /// A memory operation named an address outside every allocation.
@@ -122,9 +109,6 @@ impl fmt::Display for RunError {
             }
             RunError::BudgetExceeded { at, events } => {
                 write!(f, "run budget exceeded at {at} after {events} events")
-            }
-            RunError::Cancelled { at, events } => {
-                write!(f, "run cancelled at {at} after {events} events")
             }
             RunError::UnallocatedAddress { addr } => {
                 write!(f, "address {addr} not allocated")
@@ -340,7 +324,6 @@ pub struct Engine {
     checker: Option<EngineChecker<Popped>>,
     telemetry: Option<Collector>,
     processed: u64,
-    cancel: Option<CancelProbe>,
 }
 
 impl fmt::Debug for Engine {
@@ -415,14 +398,7 @@ impl Engine {
                 .then(|| EngineChecker::new(config.check)),
             telemetry: config.telemetry.map(Collector::new),
             processed: 0,
-            cancel: None,
         }
-    }
-
-    /// Installs a cooperative cancellation probe, polled between events.
-    /// See [`RunError::Cancelled`].
-    pub fn set_cancel_probe(&mut self, probe: CancelProbe) {
-        self.cancel = Some(probe);
     }
 
     /// Samples the monotone counters the telemetry deltas derive from.

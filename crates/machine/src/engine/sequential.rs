@@ -16,12 +16,6 @@ use crate::{Addr, CYCLE_NS};
 
 use super::{Action, Engine, Ev, Popped, RunError, RunReport};
 
-/// How often (in popped events) the cooperative cancellation probe is
-/// polled. Cheap enough to keep the hot loop unaffected, frequent enough
-/// that a budgeted job dies within a fraction of a millisecond of wall
-/// time.
-const CANCEL_POLL_EVENTS: u64 = 1024;
-
 impl Engine {
     /// Runs the simulation to completion.
     ///
@@ -32,9 +26,7 @@ impl Engine {
     /// waits that can never be satisfied, [`RunError::BudgetExceeded`]
     /// when a configured [`crate::RunBudget`] trips (the only way a
     /// *livelock* — e.g. a polling spin whose flag never flips —
-    /// terminates), [`RunError::Cancelled`] when an installed probe asks
-    /// the run to stop, and the remaining variants for malformed
-    /// requests.
+    /// terminates), and the remaining variants for malformed requests.
     pub fn run(&mut self) -> Result<RunReport, RunError> {
         let wall_start = Instant::now();
         let p = self.stats.len();
@@ -64,14 +56,6 @@ impl Engine {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.processed += 1;
-            if self.processed.is_multiple_of(CANCEL_POLL_EVENTS)
-                && self.cancel.as_ref().is_some_and(|probe| probe())
-            {
-                return Err(RunError::Cancelled {
-                    at: self.now,
-                    events: self.processed,
-                });
-            }
             if let Some(mut tele) = self.telemetry.take() {
                 if tele.boundary_crossed(t) {
                     let snapshot = self.telemetry_snapshot();

@@ -75,7 +75,7 @@ pub mod sync;
 mod telemetry;
 
 pub use addr::{Addr, AddressMap, UnallocatedAddress, BLOCK_BYTES, WORD_BYTES};
-pub use engine::{CancelProbe, Engine, EngineMode, ProcBody, RunError, RunReport, SpecStats};
+pub use engine::{Engine, EngineMode, ProcBody, RunError, RunReport, SpecStats};
 pub use faults::{FaultCounters, FaultPlan, RunBudget};
 pub use models::{MachineConfig, MachineKind, Model};
 pub use ops::{MemCtx, MemReq, MemResp, Pred, RmwOp};

@@ -101,17 +101,17 @@ echo "==> tests took $((SECONDS - tests_started))s"
 echo "==> R5 host time: cargo test --release --test reproduction -- --ignored r5_host_time"
 cargo test --release --offline --test reproduction -- --ignored r5_host_time
 
-# Paper-wide golden: every figure except S1 (host milliseconds are not
-# byte-stable) regenerated at --size small must match the committed
-# tables and CSV byte for byte. The non-S1 bytes were first generated on
-# the BinaryHeap event queue (the oracle in desim's tests/queue_diff.rs),
-# so this is also the whole-stack differential check of the calendar
-# queue: 285 points, every machine model, every app.
+# Paper-wide golden: every figure regenerated at --size small must match
+# the committed tables and CSV byte for byte, with no exception: every
+# byte is a function of the sweep's inputs. The golden's first 285 points
+# were generated on the BinaryHeap event queue (the oracle in desim's
+# tests/queue_diff.rs), so this is also the whole-stack differential
+# check of the calendar queue: 300 points, every machine model, every
+# app; the one invocation shares 145 of them between figures.
 echo "==> golden: figures_small.{txt,csv} regenerate byte for byte"
 gdir=$(mktemp -d)
 trap 'rm -rf "$gdir"' EXIT
-ids=$(./target/release/figures --list | awk '$1 != "S1" { print "--figure", $1 }')
-./target/release/figures $ids --size small --csv "$gdir/figures_small.csv" \
+./target/release/figures --all --size small --csv "$gdir/figures_small.csv" \
     2> /dev/null | grep -v '^wrote ' > "$gdir/figures_small.txt"
 cmp figures_small.txt "$gdir/figures_small.txt"
 cmp figures_small.csv "$gdir/figures_small.csv"
@@ -178,7 +178,7 @@ timeout 60 ./target/release/figures \
 # both simulates them once — F12 runs nothing — and still leaves F12 a
 # whole journal of its own: resumed alone it prints what a journal-less
 # solo F12 prints. (The golden tier above is the wide version: its one
-# invocation shares 130 of 285 points and must still match byte for byte.)
+# invocation shares 145 of 300 points and must still match byte for byte.)
 echo "==> shared points: F12 after F3 runs 0 fresh, and its journal resumes alone"
 pdir=$(mktemp -d)
 trap 'rm -rf "$pdir"' EXIT
@@ -277,6 +277,8 @@ expect_rc 2 "--scenario" -- ./target/release/figures --ablation g \
 expect_rc 2 "--size" -- ./target/release/figures --ablation g --size test
 expect_rc 2 "--procs" -- ./target/release/figures --ablation g --procs 2
 expect_rc 2 "--seed" -- ./target/release/figures --ablation g --seed 7
+# A repeated processor count would run its points twice.
+expect_rc 2 "--procs 2,2" -- ./target/release/figures --figure F2 --size test --procs 2,2
 expect_rc 4 -- timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
     --seed 7 --serial --budget-events 50000000 --journal "$jdir/j" --resume
 printf '\x41' | dd of="$jdir/j.F2" bs=1 seek=40 conv=notrunc 2>/dev/null

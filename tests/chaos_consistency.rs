@@ -7,7 +7,7 @@
 use spasm::apps::SizeClass;
 use spasm::core::chaos::{
     explore_crash_points, run_campaign, run_reference, script_gen, shrink_demo, total_points,
-    verify_script, verify_script_with, CampaignConfig, CrashVerdict,
+    verify_script, verify_script_with, CampaignConfig, CrashVerdict, FAMILIES,
 };
 use spasm::core::figures::{self, FigureSpec};
 use spasm::core::sweep::{PointCache, Sweep, SweepConfig};
@@ -183,10 +183,11 @@ fn a_group_committing_victim_meets_the_oracle_under_generated_scripts() {
 #[test]
 fn a_seeded_campaign_passes_across_all_families() {
     // One trial per family; the pinned record below runs eight.
-    let outcome = run_campaign(&CampaignConfig::new(0xC4A05, 4))
+    let trials = FAMILIES.len();
+    let outcome = run_campaign(&CampaignConfig::new(0xC4A05, trials))
         .unwrap_or_else(|failure| panic!("campaign failed: {failure}"));
-    assert_eq!(outcome.trials, 4);
-    assert_eq!(outcome.identical + outcome.refused, 4);
+    assert_eq!(outcome.trials, trials);
+    assert_eq!(outcome.identical + outcome.refused, trials);
 }
 
 #[test]

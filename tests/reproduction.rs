@@ -172,6 +172,38 @@ fn r5_event_counts_order_logp_heaviest() {
     }
 }
 
+/// R5 at Small size, read off S1's rows in the committed golden (which
+/// `scripts/ci.sh` regenerates byte for byte): cholesky on the full
+/// network, every p of the sweep. LogP processes the most events at
+/// every p. CLogP processes fewer than the target from p = 8 on; at
+/// p = 2 and p = 4 it processes slightly more, by under 0.1 %.
+#[test]
+fn s1_golden_event_counts_order_the_machines_at_every_p() {
+    let mut events = std::collections::HashMap::new();
+    let rows = include_str!("../figures_small.csv").lines();
+    for row in rows.filter(|r| r.starts_with("S1,")) {
+        let cells: Vec<&str> = row.split(',').collect();
+        let procs: usize = cells[4].parse().unwrap();
+        events.insert((procs, cells[5]), cells[6].parse::<u64>().unwrap());
+    }
+    assert_eq!(events.len(), 15, "S1 golden holds 3 machines x 5 p");
+    for p in [2, 4, 8, 16, 32] {
+        let [target, logp, clogp] = ["target", "logp", "clogp"].map(|m| events[&(p, m)]);
+        assert!(
+            logp > target && logp > clogp,
+            "p={p}: LogP {logp} must exceed target {target} and CLogP {clogp}"
+        );
+        if p >= 8 {
+            assert!(clogp < target, "p={p}: CLogP {clogp} vs target {target}");
+        } else {
+            assert!(
+                clogp > target && (clogp - target) * 1000 < target,
+                "p={p}: CLogP {clogp} must sit above target {target} by under 0.1 %"
+            );
+        }
+    }
+}
+
 /// R5 in host time — the paper's own form of the claim: simulating the
 /// CLogP machine is 25–30 % cheaper than simulating the target, and the
 /// LogP machine is dearer. Measured over the benchmark's 41-point grid
