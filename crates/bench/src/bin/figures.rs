@@ -6,7 +6,10 @@
 //! ids; `--ablation g|protocol|cache` runs one of the extension studies
 //! (EXPERIMENTS.md A2–A4) instead of a sweep, at the size, p and seed it
 //! fixes itself, so it takes no flag but `--jobs` / `--serial`. A flag a
-//! mode would ignore is refused by name.
+//! mode would ignore is refused by name, and so is a one-value flag given
+//! twice (`--serial` and `--jobs` set one value, as do the two checks, so
+//! `--serial --serial` is refused too; `--chart`, `--resume`, `--list` and
+//! the figure pickers may repeat).
 //!
 //! Sweep points run on the `spasm-exec` worker pool — one worker per
 //! host hardware thread by default (`--jobs auto`); `--serial` forces
@@ -65,7 +68,7 @@ use spasm_core::figures::{self, FigureSpec};
 use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
 use spasm_core::sweep::{FigureData, Outcome, PointCache, Sweep, SweepConfig};
-use spasm_exec::{ExecConfig, ExecEvent};
+use spasm_exec::ExecConfig;
 use spasm_journal::RealVfs;
 use spasm_machine::{CheckMode, FaultPlan, RunBudget, TelemetryConfig};
 
@@ -267,6 +270,36 @@ fn parse_args() -> Args {
             }
         }
         given.push(flag);
+    }
+    // Each group sets one value, so a second mention would silently
+    // override the first — a value-setting switch (`--serial`, the checks)
+    // included. What may repeat is what sets nothing twice: `--chart`,
+    // `--resume`, `--list` and the figure pickers.
+    const ONE_VALUE: [&[&str]; 13] = [
+        &["--size"],
+        &["--procs"],
+        &["--seed"],
+        &["--csv"],
+        &["--jobs", "--serial"],
+        &["--budget-events"],
+        &["--check", "--strict-check"],
+        &["--faults"],
+        &["--ablation"],
+        &["--journal"],
+        &["--shard"],
+        &["--merge"],
+        &["--telemetry"],
+    ];
+    for group in ONE_VALUE {
+        let mut set = given.iter().filter(|f| group.contains(&f.as_str()));
+        if let (Some(first), Some(again)) = (set.next(), set.next()) {
+            if first == again {
+                eprintln!("{again} given twice");
+            } else {
+                eprintln!("{again} conflicts with {first}");
+            }
+            usage();
+        }
     }
     if given.iter().any(|f| f == "--list") {
         if let Some(flag) = given.iter().find(|f| *f != "--list") {
@@ -505,10 +538,10 @@ impl Output {
         }
         for s in &data.series {
             for (i, outcome) in s.outcomes.iter().enumerate() {
-                if let Outcome::Failed { error, attempts } = outcome {
+                if let Outcome::Failed { error } = outcome {
                     self.failed_points += 1;
                     eprintln!(
-                        "{}: p={} {}: FAILED after {attempts} attempt(s): {error}",
+                        "{}: p={} {}: FAILED: {error}",
                         data.spec.id, data.procs[i], s.machine
                     );
                 }
@@ -674,11 +707,9 @@ fn run_sweeps(args: &Args, sweeps: &[Sweep<'_>]) -> ExitCode {
         // many workers were busy simulating, not a speedup: two points at
         // once on two contended vCPUs each run slower than one alone.
         let mut fresh = 0usize;
-        let fresh_points = |ev: &ExecEvent| {
-            if let ExecEvent::Finished { wall, .. } | ExecEvent::Panicked { wall, .. } = ev {
-                fresh += 1;
-                total_busy += *wall;
-            }
+        let fresh_points = |wall| {
+            fresh += 1;
+            total_busy += wall;
         };
         let shared_before = cache.hits();
         // Under a journal, how the fresh points were batched: one commit

@@ -21,34 +21,18 @@ use crate::{Experiment, ExperimentError, Machine, Net, RunMetrics};
 
 /// Runs a batch of independent (experiment, config) pairs on a worker
 /// pool (`jobs` as in [`crate::sweep::SweepConfig::jobs`]), returning
-/// per-run results in submission order. A job-level failure (a panic
-/// that escaped the experiment's own fence) maps onto
-/// [`ExperimentError::Aborted`].
+/// per-run results in submission order.
 fn run_batch(
     jobs: usize,
     runs: Vec<(Experiment, MachineConfig)>,
 ) -> Vec<Result<RunMetrics, ExperimentError>> {
-    let report = execute(
+    execute(
         ExecConfig::with_jobs(jobs),
         runs,
-        |_ctx, (exp, config)| {
-            let result = exp.run_with_config(config);
-            let (cost, faults) = result
-                .as_ref()
-                .map_or((0, 0), |m| (m.events, m.faults_injected));
-            JobOutput {
-                value: result,
-                cost,
-                faults,
-            }
-        },
+        |_ctx, (exp, config)| JobOutput::plain(exp.run_with_config(config)),
         |_| {},
-    );
-    report
-        .results
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|e| Err(e.into())))
-        .collect()
+    )
+    .results
 }
 
 /// Results of the traffic-aware-g study for one configuration.

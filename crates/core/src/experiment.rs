@@ -206,25 +206,6 @@ impl fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
-impl ExperimentError {
-    /// True for failures that a bounded retry with a reseeded fault
-    /// stream may clear: only resource-budget exhaustion qualifies —
-    /// deadlocks, panics, config and verify errors are deterministic
-    /// for a fixed seed and will simply recur.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, ExperimentError::Run(RunError::BudgetExceeded { .. }))
-    }
-}
-
-/// A job-level failure from the parallel executor: a panic outside the
-/// experiment's own `catch_unwind` fence maps onto the abort class.
-impl From<spasm_exec::JobError> for ExperimentError {
-    fn from(e: spasm_exec::JobError) -> Self {
-        let spasm_exec::JobError::Panicked(msg) = e;
-        ExperimentError::Aborted(msg)
-    }
-}
-
 /// Renders a caught panic payload (best effort: `&str` and `String`
 /// payloads are quoted, anything else is described).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

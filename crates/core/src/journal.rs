@@ -10,12 +10,12 @@
 //! a typed error instead of silently mixing incompatible results, and
 //! [`Sweep::run`] refuses a journal opened for another sweep.
 //!
-//! Only completed *attempt cycles* are journaled: a point that ran to a
-//! verdict (`Ok`, or `Failed` with `attempts >= 1`) is durable, while
-//! points lost to a SIGKILL are not, so a resumed sweep re-runs exactly
-//! those and converges on the same [`crate::sweep::FigureData`] an
-//! uninterrupted run produces, byte-for-byte (failure reasons replay
-//! verbatim via [`ExperimentError::Replayed`]).
+//! Only completed points are journaled: a point that ran to a verdict
+//! (`Ok` or `Failed`) is durable, while points lost to a SIGKILL are not,
+//! so a resumed sweep re-runs exactly those and converges on the same
+//! [`crate::sweep::FigureData`] an uninterrupted run produces,
+//! byte-for-byte (failure reasons replay verbatim via
+//! [`ExperimentError::Replayed`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -28,7 +28,7 @@ use spasm_journal::{DirSyncWarning, Fingerprint, Journal, JournalError, RealVfs,
 use spasm_machine::IntervalRecord;
 
 use crate::figures::FigureSpec;
-use crate::sweep::{Outcome, PointVerdict, Sweep, SweepConfig, MAX_ATTEMPTS};
+use crate::sweep::{PointVerdict, Sweep, SweepConfig};
 use crate::{ExperimentError, Machine, RunMetrics};
 
 /// Why a journal could not be created, opened, or replayed.
@@ -133,9 +133,9 @@ impl Sweep<'_> {
         let [faults, budget, check, telemetry] = config.outcome_knobs();
         fp.absorb_str(&faults);
         fp.absorb_str(&budget);
-        // The attempt ceiling was once a per-sweep knob absorbed here; the
-        // constant keeps its slot so journals written back then stay valid.
-        fp.absorb_u64(u64::from(MAX_ATTEMPTS));
+        // The slot of the retired retry ceiling, a per-sweep knob and then
+        // a constant, which every journal ever written absorbed as 3.
+        fp.absorb_u64(3);
         fp.absorb_str(&check);
         // Likewise the slot of a removed sweep-wide event budget, which every
         // journal ever written by `figures` absorbed as its unset rendering.
@@ -149,30 +149,15 @@ impl Sweep<'_> {
 }
 
 /// A decoded journal record, held for replay (also the unit
-/// `shard::merge_shards` reassembles figures from).
-#[derive(Debug)]
-pub(crate) enum ReplayPoint {
-    Ok(RunMetrics, Vec<IntervalRecord>),
-    Failed { reason: String, attempts: u32 },
-}
+/// `shard::merge_shards` reassembles figures from): a failure is the
+/// original error's rendering.
+pub(crate) type ReplayPoint = Result<(RunMetrics, Vec<IntervalRecord>), String>;
 
-impl ReplayPoint {
-    /// The verdict this record replays as. Failed points come back as
-    /// [`ExperimentError::Replayed`] carrying the original error's
-    /// rendering verbatim.
-    pub(crate) fn verdict(&self) -> PointVerdict {
-        match self {
-            ReplayPoint::Ok(m, telemetry) => (Outcome::Ok, Some(*m), telemetry.clone()),
-            ReplayPoint::Failed { reason, attempts } => (
-                Outcome::Failed {
-                    error: ExperimentError::Replayed(reason.clone()),
-                    attempts: *attempts,
-                },
-                None,
-                Vec::new(),
-            ),
-        }
-    }
+/// The verdict a record replays as. Failed points come back as
+/// [`ExperimentError::Replayed`] carrying the original error's rendering
+/// verbatim.
+pub(crate) fn replayed(point: &ReplayPoint) -> PointVerdict {
+    point.clone().map_err(ExperimentError::Replayed)
 }
 
 /// A durable journal bound to one figure sweep, committed as a pipelined
@@ -313,7 +298,7 @@ impl SweepJournal {
 
     /// The journaled verdict for a point, if one exists.
     pub(crate) fn lookup(&self, machine: Machine, procs: usize) -> Option<PointVerdict> {
-        self.replay.get(&(machine, procs)).map(ReplayPoint::verdict)
+        self.replay.get(&(machine, procs)).map(replayed)
     }
 
     /// Successful point commits since open — not the create, not a
@@ -332,7 +317,7 @@ impl SweepJournal {
     /// it for the next [`SweepJournal::drain`]. No I/O, and no lock a
     /// commit ever holds.
     pub(crate) fn enqueue(&self, machine: Machine, procs: usize, verdict: &PointVerdict) {
-        let payload = encode_verdict(machine, procs, verdict);
+        let payload = encode_point(machine, procs, verdict);
         self.backlog
             .lock()
             .expect("backlog mutex poisoned: a push panicked")
@@ -431,24 +416,13 @@ impl<'a> Cursor<'a> {
 const TAG_OK: u64 = 0;
 const TAG_FAILED: u64 = 1;
 
-fn encode_verdict(machine: Machine, procs: usize, verdict: &PointVerdict) -> Vec<u8> {
-    let (outcome, metrics, telemetry) = verdict;
-    encode_point(machine, procs, outcome, metrics.as_ref(), telemetry)
-}
-
-fn encode_point(
-    machine: Machine,
-    procs: usize,
-    outcome: &Outcome,
-    metrics: Option<&RunMetrics>,
-    telemetry: &[IntervalRecord],
-) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(160 + telemetry.len() * 96);
+fn encode_point(machine: Machine, procs: usize, verdict: &PointVerdict) -> Vec<u8> {
+    let intervals = verdict.as_ref().map_or(0, |(_, telemetry)| telemetry.len());
+    let mut buf = Vec::with_capacity(160 + intervals * 96);
     push_str(&mut buf, &machine.to_string());
     push_u64(&mut buf, procs as u64);
-    match outcome {
-        Outcome::Ok => {
-            let m = metrics.expect("an Ok outcome always carries metrics");
+    match verdict {
+        Ok((m, telemetry)) => {
             push_u64(&mut buf, TAG_OK);
             push_f64(&mut buf, m.exec_us);
             push_f64(&mut buf, m.latency_us);
@@ -481,9 +455,11 @@ fn encode_point(
                 push_u64(&mut buf, r.faults);
             }
         }
-        Outcome::Failed { error, attempts } => {
+        Err(error) => {
             push_u64(&mut buf, TAG_FAILED);
-            push_u64(&mut buf, u64::from(*attempts));
+            // The slot of the retired attempt count: every point now runs
+            // once, and records written under retries replay unchanged.
+            push_u64(&mut buf, 1);
             push_str(&mut buf, &error.to_string());
         }
     }
@@ -539,12 +515,11 @@ pub(crate) fn decode_point(record: &[u8]) -> Result<(Machine, usize, ReplayPoint
                     faults: c.u64()?,
                 });
             }
-            ReplayPoint::Ok(metrics, telemetry)
+            Ok((metrics, telemetry))
         }
         TAG_FAILED => {
-            let attempts = u32::try_from(c.u64()?).map_err(|_| "attempts overflow".to_string())?;
-            let reason = c.str()?;
-            ReplayPoint::Failed { reason, attempts }
+            c.u64()?; // the attempt count: read, never interpreted
+            Err(c.str()?)
         }
         tag => return Err(format!("unknown outcome tag {tag}")),
     };
@@ -621,61 +596,109 @@ pub(crate) mod tests {
     fn point_codec_roundtrips_both_outcomes() {
         let m = sample_metrics();
         let telemetry = sample_telemetry();
-        let ok = encode_point(Machine::CLogP, 8, &Outcome::Ok, Some(&m), &telemetry);
+        let ok = encode_point(Machine::CLogP, 8, &Ok((m, telemetry.clone())));
         let (machine, procs, point) = decode_point(&ok).unwrap();
         assert_eq!(machine, Machine::CLogP);
         assert_eq!(procs, 8);
-        match point {
-            ReplayPoint::Ok(got, got_telemetry) => {
-                assert_eq!(got.exec_us.to_bits(), m.exec_us.to_bits());
-                assert_eq!(got.messages, m.messages);
-                assert_eq!(got.wall, m.wall);
-                assert_eq!(got_telemetry, telemetry);
-            }
-            ReplayPoint::Failed { .. } => panic!("expected Ok"),
-        }
+        let (got, got_telemetry) = point.expect("an Ok record");
+        assert_eq!(got.exec_us.to_bits(), m.exec_us.to_bits());
+        assert_eq!(got.messages, m.messages);
+        assert_eq!(got.wall, m.wall);
+        assert_eq!(got_telemetry, telemetry);
 
-        let failed = Outcome::Failed {
-            error: ExperimentError::Config("3 is not a power of two".into()),
-            attempts: 2,
-        };
-        let enc = encode_point(Machine::Pram, 3, &failed, None, &[]);
+        let failed = Err(ExperimentError::Config("3 is not a power of two".into()));
+        let enc = encode_point(Machine::Pram, 3, &failed);
+        assert_eq!(
+            enc,
+            failed_record(
+                "pram",
+                3,
+                1,
+                "invalid configuration: 3 is not a power of two"
+            )
+        );
         let (machine, procs, point) = decode_point(&enc).unwrap();
         assert_eq!((machine, procs), (Machine::Pram, 3));
-        match point {
-            ReplayPoint::Failed { reason, attempts } => {
-                assert_eq!(reason, "invalid configuration: 3 is not a power of two");
-                assert_eq!(attempts, 2);
-            }
-            ReplayPoint::Ok(..) => panic!("expected Failed"),
+        assert_eq!(
+            point.unwrap_err(),
+            "invalid configuration: 3 is not a power of two"
+        );
+    }
+
+    /// A Failed record as every version writes it: the attempt count (1
+    /// now, up to 3 under the retired retries) sits before the reason.
+    fn failed_record(machine: &str, procs: u64, attempts: u64, reason: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
+        push_str(&mut buf, machine);
+        push_u64(&mut buf, procs);
+        push_u64(&mut buf, TAG_FAILED);
+        push_u64(&mut buf, attempts);
+        push_str(&mut buf, reason);
+        buf
+    }
+
+    #[test]
+    fn a_failed_record_from_a_retrying_writer_replays_and_merges_as_today() {
+        use crate::shard::{merge_shards, ShardSpec};
+        let spec = figures::FigureSpec {
+            id: "R3",
+            app: spasm_apps::AppId::Ep,
+            net: crate::Net::Full,
+            metric: figures::Metric::ExecTime,
+            machines: &[Machine::Pram],
+            expect: "one failed point",
+        };
+        let sweep = Sweep::new(&spec, SizeClass::Test, &[3], 1);
+        let today = sweep.run(None, &mut crate::sweep::PointCache::default(), |_| {});
+        let reason = "invalid configuration: processor count must be a power of two (got 3)";
+        assert!(today.to_csv().contains(reason), "{}", today.to_csv());
+        let fp = sweep.fingerprint();
+        let vfs = Arc::new(FaultVfs::pristine());
+        let write = |path: &str, attempts: u64| {
+            let mut j = Journal::create_with(vfs.clone(), path, fp).unwrap();
+            j.append(&failed_record("pram", 3, attempts, reason))
+                .unwrap();
+        };
+
+        // Replay: a journal holding the attempts = 3 record renders the
+        // figure byte-for-byte and runs nothing.
+        write("/j", 3);
+        let r = SweepJournal::open(vfs.clone(), "/j", &sweep, true).unwrap();
+        let mut ran = 0;
+        let resumed = sweep.run(Some(&r), &mut crate::sweep::PointCache::default(), |_| {
+            ran += 1
+        });
+        assert_eq!(ran, 0);
+        assert_eq!(resumed.to_csv(), today.to_csv());
+        assert_eq!(resumed.render_table(), today.render_table());
+
+        // Merge: the same point from an attempts = 1 writer is a duplicate,
+        // not a conflict.
+        for (k, attempts) in [(1, 3), (2, 1)] {
+            let shard = ShardSpec::new(k, 2).unwrap();
+            write(&format!("/shards/{}", shard.file_name(spec.id)), attempts);
         }
+        let report = merge_shards(&*vfs, Path::new("/shards"), &sweep).unwrap();
+        assert_eq!((report.shards_merged, report.duplicates), (2, 1));
+        assert_eq!(report.data.to_csv(), today.to_csv());
     }
 
     #[test]
     fn decode_rejects_malformed_payloads() {
         assert!(decode_point(&[]).is_err());
         // A valid record with trailing garbage must not decode.
-        let mut enc = encode_point(
-            Machine::Pram,
-            2,
-            &Outcome::Ok,
-            Some(&sample_metrics()),
-            &sample_telemetry(),
-        );
-        enc.push(0);
-        assert!(decode_point(&enc).unwrap_err().contains("trailing"));
-        // A truncated telemetry section must not decode either.
         let whole = encode_point(
             Machine::Pram,
             2,
-            &Outcome::Ok,
-            Some(&sample_metrics()),
-            &sample_telemetry(),
+            &Ok((sample_metrics(), sample_telemetry())),
         );
+        let mut enc = whole.clone();
+        enc.push(0);
+        assert!(decode_point(&enc).unwrap_err().contains("trailing"));
+        // A truncated telemetry section must not decode either.
         assert!(decode_point(&whole[..whole.len() - 4]).is_err());
         // An absurd interval count is rejected before allocating.
-        let mut counted =
-            encode_point(Machine::Pram, 2, &Outcome::Ok, Some(&sample_metrics()), &[]);
+        let mut counted = encode_point(Machine::Pram, 2, &Ok((sample_metrics(), Vec::new())));
         let tail = counted.len() - 8;
         counted[tail..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode_point(&counted).unwrap_err().contains("intervals"));
@@ -764,14 +787,17 @@ pub(crate) mod tests {
         let sweep = Sweep::new(spec, SizeClass::Test, &[2], 5);
         let path = scratch("create-resume");
         let j = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, false).unwrap();
-        let ok = (Outcome::Ok, Some(sample_metrics()), sample_telemetry());
-        j.enqueue(Machine::Pram, 2, &ok);
+        j.enqueue(
+            Machine::Pram,
+            2,
+            &Ok((sample_metrics(), sample_telemetry())),
+        );
         j.drain();
-        let failed = Outcome::Failed {
-            error: ExperimentError::Verify("wrong sum".into()),
-            attempts: 1,
-        };
-        j.enqueue(Machine::Target, 2, &(failed, None, Vec::new()));
+        j.enqueue(
+            Machine::Target,
+            2,
+            &Err(ExperimentError::Verify("wrong sum".into())),
+        );
         j.drain();
         assert!(j.io_error().is_none());
         drop(j);
@@ -786,21 +812,12 @@ pub(crate) mod tests {
         let r = SweepJournal::open(Arc::new(RealVfs), &path, &sweep, true).unwrap();
         assert_eq!(r.replayed(), 2);
         assert_eq!(r.repaired_bytes(), 0);
-        let (outcome, metrics, telemetry) = r.lookup(Machine::Pram, 2).unwrap();
-        assert!(outcome.is_ok());
-        assert_eq!(metrics.unwrap().events, 9001);
+        let (metrics, telemetry) = r.lookup(Machine::Pram, 2).unwrap().unwrap();
+        assert_eq!(metrics.events, 9001);
         assert_eq!(telemetry, sample_telemetry());
-        let (outcome, metrics, telemetry) = r.lookup(Machine::Target, 2).unwrap();
-        assert!(metrics.is_none());
-        assert!(telemetry.is_empty());
-        match outcome {
-            Outcome::Failed { error, attempts } => {
-                assert_eq!(error.to_string(), "verification failed: wrong sum");
-                assert!(matches!(error, ExperimentError::Replayed(_)));
-                assert_eq!(attempts, 1);
-            }
-            Outcome::Ok => panic!("expected Failed"),
-        }
+        let error = r.lookup(Machine::Target, 2).unwrap().unwrap_err();
+        assert_eq!(error.to_string(), "verification failed: wrong sum");
+        assert!(matches!(error, ExperimentError::Replayed(_)));
         assert!(r.lookup(Machine::LogP, 2).is_none());
 
         // Resume under a different seed must refuse the journal.
@@ -815,7 +832,7 @@ pub(crate) mod tests {
     /// journal for any of them.
     fn three_points() -> (Sweep<'static>, PointVerdict) {
         let spec = figures::by_id("F12").unwrap();
-        let ok = (Outcome::Ok, Some(sample_metrics()), sample_telemetry());
+        let ok = Ok((sample_metrics(), sample_telemetry()));
         (Sweep::new(spec, SizeClass::Test, &[2], 5), ok)
     }
 
@@ -876,8 +893,8 @@ pub(crate) mod tests {
         assert_eq!(r.replayed(), 1);
         assert!(r.lookup(Machine::Target, 2).is_some());
         let mut ran = 0usize;
-        sweep.run(Some(&r), &mut crate::sweep::PointCache::default(), |ev| {
-            ran += usize::from(matches!(ev, spasm_exec::ExecEvent::Finished { .. }));
+        sweep.run(Some(&r), &mut crate::sweep::PointCache::default(), |_| {
+            ran += 1
         });
         assert_eq!((ran, r.commits()), (2, 2));
         assert!(r.io_error().is_none());

@@ -36,32 +36,23 @@ use std::path::{Path, PathBuf};
 
 use spasm_journal::{Journal, JournalError, Vfs};
 
-use crate::journal::{decode_point, ReplayPoint};
-use crate::sweep::{FigureData, Outcome, Sweep};
+use crate::journal::{decode_point, replayed, ReplayPoint};
+use crate::sweep::{FigureData, Sweep};
 use crate::{ExperimentError, Machine, RunMetrics};
 
 /// Whether two records of the same point agree on everything the
 /// simulation determines. `RunMetrics::wall` is host wall-clock — two
 /// honest runs of the same point measure different nanos — so it is
 /// excluded; every other field, interval telemetry included, is
-/// seeded-deterministic.
+/// seeded-deterministic. Failures agree when their reasons do.
 fn same_result(a: &ReplayPoint, b: &ReplayPoint) -> bool {
     let strip = |m: &RunMetrics| RunMetrics {
         wall: std::time::Duration::ZERO,
         ..*m
     };
     match (a, b) {
-        (ReplayPoint::Ok(x, tx), ReplayPoint::Ok(y, ty)) => strip(x) == strip(y) && tx == ty,
-        (
-            ReplayPoint::Failed {
-                reason: ra,
-                attempts: aa,
-            },
-            ReplayPoint::Failed {
-                reason: rb,
-                attempts: ab,
-            },
-        ) => ra == rb && aa == ab,
+        (Ok((x, tx)), Ok((y, ty))) => strip(x) == strip(y) && tx == ty,
+        (Err(ra), Err(rb)) => ra == rb,
         _ => false,
     }
 }
@@ -381,25 +372,18 @@ pub fn merge_shards(
     // cells naming the shard that should have produced them.
     let mut missing_points = 0usize;
     let data = FigureData::assemble(sweep, |machine, p, i| match merged.get(&(machine, p)) {
-        Some((point, _)) => point.verdict(),
+        Some((point, _)) => replayed(point),
         None => {
             missing_points += 1;
             let owner = ShardSpec {
                 index: i % width + 1,
                 count: width,
             };
-            (
-                Outcome::Failed {
-                    error: ExperimentError::Replayed(format!(
-                        "point not merged: shard {owner} ({}) is absent, \
-                         incomplete, or quarantined",
-                        owner.file_name(spec.id)
-                    )),
-                    attempts: 0,
-                },
-                None,
-                Vec::new(),
-            )
+            Err(ExperimentError::Replayed(format!(
+                "point not merged: shard {owner} ({}) is absent, \
+                 incomplete, or quarantined",
+                owner.file_name(spec.id)
+            )))
         }
     });
     Ok(MergeReport {

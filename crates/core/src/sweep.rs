@@ -7,9 +7,9 @@
 //!
 //! Sweeps are *resilient*: a failed point (invalid configuration,
 //! exhausted budget, deadlock, wrong answer) is recorded as a
-//! [`Outcome::Failed`] cell instead of aborting the whole figure, and
-//! budget-class failures get a bounded retry with a reseeded fault
-//! stream before being declared dead.
+//! [`Outcome::Failed`] cell instead of aborting the whole figure. A
+//! point runs exactly once: it is a pure function of its experiment and
+//! the sweep's knobs, which is what [`Sweep::fingerprint`] certifies.
 //!
 //! Sweeps are also *parallel*: every (machine × procs) point is an
 //! independent simulation, so [`SweepConfig::jobs`] hands the points to
@@ -26,9 +26,10 @@
 //! any rendering or journal.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 use spasm_apps::SizeClass;
-use spasm_exec::{execute, ExecConfig, ExecEvent, JobOutput};
+use spasm_exec::{execute, ExecConfig, JobOutput};
 use spasm_machine::{CheckMode, FaultPlan, IntervalRecord, RunBudget, TelemetryConfig};
 
 use crate::figures::{FigureSpec, Metric};
@@ -70,14 +71,10 @@ pub struct Series {
 pub enum Outcome {
     /// The run completed and verified.
     Ok,
-    /// The point failed after `attempts` attempts; the error is from the
-    /// final attempt.
+    /// The point failed.
     Failed {
-        /// The final attempt's error.
+        /// Why the point failed.
         error: ExperimentError,
-        /// How many attempts were made (1 unless the failure was
-        /// budget-class and a fault plan allowed reseeded retries).
-        attempts: u32,
     },
 }
 
@@ -104,8 +101,7 @@ pub struct SweepConfig {
     /// byte-identical across all settings.
     pub jobs: usize,
     /// Online invariant checking applied to every run. A violated
-    /// invariant fails the point (never retried — the checkers are
-    /// deterministic) without failing the figure.
+    /// invariant fails the point without failing the figure.
     pub check: CheckMode,
     /// Streaming interval telemetry applied to every run. `None` (the
     /// default) collects nothing. Telemetry is outcome-affecting for
@@ -180,33 +176,13 @@ impl PointCache {
     fn get(&mut self, key: &PointKey) -> Option<PointVerdict> {
         let (m, telemetry) = self.points.get(key)?;
         self.hits += 1;
-        Some((Outcome::Ok, Some(*m), telemetry.clone()))
+        Some(Ok((*m, telemetry.clone())))
     }
 
     fn insert(&mut self, key: PointKey, verdict: &PointVerdict) {
-        if let (Outcome::Ok, Some(m), telemetry) = verdict {
+        if let Ok((m, telemetry)) = verdict {
             self.points.insert(key, (*m, telemetry.clone()));
         }
-    }
-}
-
-/// Attempt ceiling per point. Retries happen only for budget-class
-/// failures under an active fault plan (each retry reseeds the fault
-/// stream); deterministic failures are never retried.
-pub(crate) const MAX_ATTEMPTS: u32 = 3;
-
-/// The fault seed used for attempt `attempt` (1-based) of a point whose
-/// plan is seeded with `base`: attempt 1 keeps the plan's own seed, and
-/// every later attempt derives a fresh, decorrelated seed. Pure — the
-/// serial and parallel paths share it, and retries are reproducible from
-/// `(base, attempt)` alone.
-pub fn retry_seed(base: u64, attempt: u32) -> u64 {
-    if attempt <= 1 {
-        base
-    } else {
-        // `FaultPlan::reseeded` holds the canonical derivation; routing
-        // through it keeps the two in lockstep.
-        FaultPlan::quiet(base).reseeded(u64::from(attempt)).seed
     }
 }
 
@@ -252,14 +228,13 @@ pub struct ShardRunReport {
     pub shared: usize,
     /// Owned points simulated (and journaled) by this pass.
     pub fresh: usize,
-    /// Owned points whose verdict — replayed or fresh — is a failure,
-    /// including job-level casualties that never reached the journal.
+    /// Owned points whose verdict — replayed or fresh — is a failure.
     pub failed: usize,
 }
 
 /// One point's verdict: replayed from a journal, shared through a
 /// [`PointCache`], or fresh from a run.
-pub(crate) type PointVerdict = (Outcome, Option<RunMetrics>, Vec<IntervalRecord>);
+pub(crate) type PointVerdict = Result<(RunMetrics, Vec<IntervalRecord>), ExperimentError>;
 
 impl<'a> Sweep<'a> {
     /// The sweep of `spec` under default resilience settings (no faults,
@@ -275,16 +250,14 @@ impl<'a> Sweep<'a> {
     }
 
     /// Runs the full processor sweep. Never fails as a whole: each point
-    /// carries its own [`Outcome`], budget-class failures under a fault
-    /// plan get bounded reseeded retries, and [`SweepConfig::jobs`] sizes
-    /// the worker pool.
+    /// runs once and carries its own [`Outcome`], and
+    /// [`SweepConfig::jobs`] sizes the worker pool.
     ///
     /// Points are submitted series-major (every processor count of the
     /// first machine, then the second, …), exactly the serial iteration
     /// order, and results are reassembled by submission index, so the
     /// returned [`FigureData`] does not depend on scheduling. `observe`
-    /// sees the executor's progress events (queue / start / finish,
-    /// per-point wall time and fault counts) on the calling thread.
+    /// hears the wall time of every point that ran, on the calling thread.
     ///
     /// Under a `journal`, points it already holds are replayed without
     /// simulating (and without entering the executor, so the observer
@@ -311,7 +284,7 @@ impl<'a> Sweep<'a> {
         &self,
         journal: Option<&SweepJournal>,
         cache: &mut PointCache,
-        observe: impl FnMut(&ExecEvent),
+        observe: impl FnMut(Duration),
     ) -> FigureData {
         let (verdicts, _) = self.points(journal, cache, |_| true, observe);
         let mut verdicts = verdicts.into_iter();
@@ -339,7 +312,7 @@ impl<'a> Sweep<'a> {
         shard: crate::shard::ShardSpec,
         journal: &SweepJournal,
         cache: &mut PointCache,
-        observe: impl FnMut(&ExecEvent),
+        observe: impl FnMut(Duration),
     ) -> ShardRunReport {
         let hits_before = cache.hits();
         let (verdicts, fresh) = self.points(Some(journal), cache, |i| shard.owns(i), observe);
@@ -349,10 +322,7 @@ impl<'a> Sweep<'a> {
             replayed: verdicts.len() - shared - fresh,
             shared,
             fresh,
-            // A failed point or a job-level casualty (a panic past the
-            // experiment fence) — the latter never reached the journal and
-            // will re-run on the next resume.
-            failed: verdicts.iter().filter(|(o, _, _)| !o.is_ok()).count(),
+            failed: verdicts.iter().filter(|v| v.is_err()).count(),
         }
     }
 
@@ -393,7 +363,7 @@ impl<'a> Sweep<'a> {
         journal: Option<&SweepJournal>,
         cache: &mut PointCache,
         owns: impl Fn(usize) -> bool,
-        mut observe: impl FnMut(&ExecEvent),
+        mut observe: impl FnMut(Duration),
     ) -> (Vec<PointVerdict>, usize) {
         // The header certifies what every record under it was computed
         // from; `jobs` is outside the fingerprint, so a resume may still
@@ -455,15 +425,15 @@ impl<'a> Sweep<'a> {
             pending,
             |_, (machine, exp)| journaled_point(journal, self.config, machine, &exp),
             // This thread is the journal's only committer. It wakes on every
-            // event, and a point is enqueued before its `Finished` is sent,
+            // event, and a point is enqueued before its wall time is sent,
             // so each commit takes whatever finished during the last one;
             // inline (`jobs <= 1`) events arrive synchronously and that is
             // one commit per point, before the next point starts.
-            |ev| {
+            |wall| {
                 if let Some(j) = journal {
                     j.drain();
                 }
-                observe(ev);
+                observe(wall);
             },
         );
         // `execute` has joined its workers, so whatever finished is
@@ -478,27 +448,11 @@ impl<'a> Sweep<'a> {
             .into_iter()
             .map(|(exp, known)| {
                 known.unwrap_or_else(|| {
-                    match slots
+                    let point = slots
                         .next()
-                        .expect("one result slot per point that had to run")
-                    {
-                        Ok(point) => {
-                            cache.insert((exp, knobs.clone()), &point);
-                            point
-                        }
-                        // A job-level failure (a panic past the experiment
-                        // fence) becomes a FAILED cell like any other;
-                        // attempts = 0 records that the simulation never
-                        // completed an attempt cycle.
-                        Err(e) => (
-                            Outcome::Failed {
-                                error: e.into(),
-                                attempts: 0,
-                            },
-                            None,
-                            Vec::new(),
-                        ),
-                    }
+                        .expect("one result slot per point that had to run");
+                    cache.insert((exp, knobs.clone()), &point);
+                    point
                 })
             })
             .collect();
@@ -516,7 +470,7 @@ pub fn run_figure_journaled(
     seed: u64,
     config: SweepConfig,
     journal: &SweepJournal,
-    observe: impl FnMut(&ExecEvent),
+    observe: impl FnMut(Duration),
 ) -> FigureData {
     Sweep {
         spec,
@@ -542,41 +496,20 @@ fn journaled_point(
     if let Some(j) = journal {
         j.enqueue(machine, exp.procs, &verdict);
     }
-    let (_, m, _) = &verdict;
-    let (cost, faults) = m.as_ref().map_or((0, 0), |m| (m.events, m.faults_injected));
-    JobOutput {
-        value: verdict,
-        cost,
-        faults,
-    }
+    JobOutput::plain(verdict)
 }
 
-/// Runs one sweep point with bounded retry. A retry is worthwhile only
-/// when the failure is budget-class *and* a fault plan is active — a
-/// reseeded fault stream changes the run; without faults the simulation
-/// is deterministic and would fail identically. Shared verbatim by the
-/// serial and parallel paths (the executor calls it from worker
-/// threads), with [`retry_seed`] supplying the per-attempt fault seed.
+/// Runs one sweep point, once: the machine's own configuration under the
+/// sweep's knobs. Shared verbatim by the serial and parallel paths (the
+/// executor calls it from worker threads).
 fn run_point(exp: &Experiment, machine: Machine, sweep: SweepConfig) -> PointVerdict {
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        let mut config = machine.config();
-        config.budget = sweep.budget;
-        config.check = sweep.check;
-        config.telemetry = sweep.telemetry;
-        config.faults = sweep.faults.map(|f| FaultPlan {
-            seed: retry_seed(f.seed, attempts),
-            ..f
-        });
-        match exp.run_observed(config, None) {
-            Ok((m, telemetry, _spec)) => return (Outcome::Ok, Some(m), telemetry),
-            Err(e) if e.is_retryable() && sweep.faults.is_some() && attempts < MAX_ATTEMPTS => {
-                continue;
-            }
-            Err(e) => return (Outcome::Failed { error: e, attempts }, None, Vec::new()),
-        }
-    }
+    let mut config = machine.config();
+    config.budget = sweep.budget;
+    config.check = sweep.check;
+    config.telemetry = sweep.telemetry;
+    config.faults = sweep.faults;
+    exp.run_observed(config, None)
+        .map(|(m, telemetry, _spec)| (m, telemetry))
 }
 
 /// Renders a JSON string literal (quotes, backslashes, and control
@@ -625,7 +558,10 @@ impl FigureData {
             let mut outcomes = Vec::with_capacity(sweep.procs.len());
             let mut telemetry = Vec::with_capacity(sweep.procs.len());
             for &p in sweep.procs {
-                let (outcome, m, intervals) = verdict_of(machine, p, index);
+                let (outcome, m, intervals) = match verdict_of(machine, p, index) {
+                    Ok((m, intervals)) => (Outcome::Ok, Some(m), intervals),
+                    Err(error) => (Outcome::Failed { error }, None, Vec::new()),
+                };
                 index += 1;
                 values.push(
                     m.as_ref()
@@ -972,9 +908,8 @@ mod tests {
             assert!(s.values[1].is_nan());
             assert!(s.values[2].is_finite());
             match &s.outcomes[1] {
-                Outcome::Failed { error, attempts } => {
+                Outcome::Failed { error } => {
                     assert!(matches!(error, ExperimentError::Config(_)), "{error}");
-                    assert_eq!(*attempts, 1, "config errors must not be retried");
                 }
                 other => panic!("expected Failed outcome, got {other:?}"),
             }
@@ -988,61 +923,60 @@ mod tests {
     }
 
     #[test]
-    fn budget_failures_retry_reseeded_then_fail_typed() {
-        // An absurdly small event budget under an active fault plan: every
-        // attempt exhausts the budget, so the point fails after exactly
-        // `MAX_ATTEMPTS` reseeded tries.
+    fn a_faulted_point_runs_once_under_the_sweep_seed() {
+        // Under an adversarial plan a swept point — completed, and FAILED
+        // by a starved budget — is exactly a direct run under the plan's
+        // own seed: nothing reseeds it, and nothing runs it twice.
         let spec = figures::FigureSpec {
             id: "B",
             app: AppId::Ep,
             net: Net::Full,
             metric: Metric::ExecTime,
             machines: &[Machine::Target],
-            expect: "budget exceeded",
+            expect: "one run per point",
         };
-        let config = SweepConfig {
-            faults: Some(FaultPlan::quiet(7)),
-            budget: RunBudget::events(3),
-            ..SweepConfig::default()
-        };
-        let sweep = Sweep {
-            config,
-            ..Sweep::new(&spec, SizeClass::Test, &[2], 1)
-        };
-        let data = alone(sweep);
-        match &data.series[0].outcomes[0] {
-            Outcome::Failed { error, attempts } => {
-                assert!(
-                    matches!(
-                        error,
-                        ExperimentError::Run(spasm_machine::RunError::BudgetExceeded { .. })
-                    ),
-                    "{error}"
-                );
-                assert_eq!(*attempts, MAX_ATTEMPTS);
+        let faults = Some(FaultPlan::adversarial(7));
+        for budget in [RunBudget::UNLIMITED, RunBudget::events(3)] {
+            let sweep = Sweep {
+                config: SweepConfig {
+                    faults,
+                    budget,
+                    ..SweepConfig::default()
+                },
+                ..Sweep::new(&spec, SizeClass::Test, &[2], 1)
+            };
+            let mut ran = 0;
+            let data = sweep.run(None, &mut PointCache::default(), |_| ran += 1);
+            assert_eq!(ran, 1);
+            let exp = sweep.grid()[0].1;
+            let mut config = Machine::Target.config();
+            config.faults = faults;
+            config.budget = budget;
+            let direct = exp.run_with_config(config);
+            let series = &data.series[0];
+            match (&series.outcomes[0], direct) {
+                (Outcome::Ok, Ok(m)) => {
+                    let swept = series.metrics[0].expect("an Ok point carries metrics");
+                    assert!(m.faults_injected > 0, "the plan injected nothing");
+                    assert_eq!(swept.exec_us.to_bits(), m.exec_us.to_bits());
+                    assert_eq!(
+                        (swept.events, swept.faults_injected),
+                        (m.events, m.faults_injected)
+                    );
+                }
+                (Outcome::Failed { error }, Err(e)) => {
+                    assert!(
+                        matches!(
+                            error,
+                            ExperimentError::Run(spasm_machine::RunError::BudgetExceeded { .. })
+                        ),
+                        "{error}"
+                    );
+                    assert_eq!(error.to_string(), e.to_string());
+                }
+                (swept, direct) => panic!("{budget:?}: swept {swept:?}, direct {direct:?}"),
             }
-            other => panic!("expected Failed outcome, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn retry_seed_is_pure_and_matches_the_fault_plan_derivation() {
-        // Attempt 1 is always the plan's own seed.
-        assert_eq!(retry_seed(77, 1), 77);
-        assert_eq!(retry_seed(77, 0), 77);
-        // Later attempts reseed exactly like FaultPlan::reseeded.
-        let plan = FaultPlan::adversarial(77);
-        for attempt in 2..6u32 {
-            assert_eq!(
-                retry_seed(77, attempt),
-                plan.reseeded(u64::from(attempt)).seed,
-                "attempt {attempt}"
-            );
-        }
-        // Pure and decorrelated across attempts.
-        assert_eq!(retry_seed(3, 4), retry_seed(3, 4));
-        assert_ne!(retry_seed(3, 2), retry_seed(3, 3));
-        assert_ne!(retry_seed(3, 2), 3);
     }
 
     #[test]
@@ -1097,10 +1031,8 @@ mod tests {
             config: SweepConfig::parallel(2),
             ..Sweep::new(spec, SizeClass::Test, &[2, 4], 5)
         };
-        let data = sweep.run(None, &mut PointCache::default(), |ev| {
-            if matches!(ev, spasm_exec::ExecEvent::Finished { .. }) {
-                *finished.borrow_mut() += 1;
-            }
+        let data = sweep.run(None, &mut PointCache::default(), |_| {
+            *finished.borrow_mut() += 1;
         });
         assert_eq!(*finished.borrow(), data.series.len() * data.procs.len());
     }
@@ -1146,7 +1078,7 @@ mod tests {
                 b[flip] ^= 1;
             }
             let ((exp_a, config_a), (exp_b, config_b)) = (pick(a), pick(&b));
-            let verdict = (Outcome::Ok, Some(sample_metrics()), Vec::new());
+            let verdict = Ok((sample_metrics(), Vec::new()));
             let mut cache = PointCache::default();
             cache.insert((exp_a, config_a.outcome_knobs()), &verdict);
             let served = cache.get(&(exp_b, config_b.outcome_knobs())).is_some();
@@ -1181,9 +1113,7 @@ mod tests {
                 config,
                 ..Sweep::new(figures::by_id(id).unwrap(), SizeClass::Test, &[2, 4], 5)
             };
-            last = Some(sweep.run(None, cache, |ev| {
-                ran[i] += usize::from(matches!(ev, ExecEvent::Finished { .. }));
-            }));
+            last = Some(sweep.run(None, cache, |_| ran[i] += 1));
         }
         (last.expect("two figures swept"), ran)
     }
@@ -1239,10 +1169,8 @@ mod tests {
         let r = SweepJournal::resume(&path, spec, SizeClass::Test, &[2, 4], 5, &config).unwrap();
         assert_eq!(r.replayed(), spec.machines.len() * 2);
         let mut fresh = 0usize;
-        let resumed = run_figure_journaled(spec, SizeClass::Test, &[2, 4], 5, config, &r, |ev| {
-            if matches!(ev, ExecEvent::Finished { .. }) {
-                fresh += 1;
-            }
+        let resumed = run_figure_journaled(spec, SizeClass::Test, &[2, 4], 5, config, &r, |_| {
+            fresh += 1;
         });
         assert_eq!(fresh, 0, "a complete journal must replay every point");
         assert_eq!(resumed.to_csv(), plain.to_csv());

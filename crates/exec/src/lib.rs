@@ -12,16 +12,16 @@
 //!
 //! * results come back in **submission order**, one slot per job,
 //!   regardless of completion order ([`ExecReport::results`]);
-//! * a panicking job is caught at the job boundary ([`JobError::Panicked`])
-//!   and the worker continues — one bad point cannot poison a batch;
 //! * with `jobs <= 1` the pool degenerates to an inline loop on the
 //!   calling thread with the *same* code path and event stream, so a
 //!   serial run is the trivial case of a parallel one, not a fork.
 //!
-//! Every job starts and runs to completion: the pool never cancels one.
-//! Progress and metrics flow to the submitting thread as an
-//! [`ExecEvent`] stream (queued/started/finished, per-job wall time,
-//! cost and injected-fault counters).
+//! Every job starts and runs to completion: the pool never cancels one,
+//! and never catches a panic. A job that must survive its own failure
+//! fences it itself (the experiment layer does); a panic that escapes a
+//! job is a bug, and it unwinds to [`execute`]'s caller once every worker
+//! has joined. The submitting thread hears each finished job's wall
+//! time.
 //!
 //! The crate is hermetic: `std` only.
 //!
@@ -36,40 +36,16 @@
 //!     |_ctx, n| JobOutput::plain(n * n),
 //!     |_event| {},
 //! );
-//! let squares: Vec<u64> = report.results.into_iter().map(Result::unwrap).collect();
-//! assert_eq!(squares[7], 49); // submission order, whatever the schedule
+//! assert_eq!(report.results[7], 49); // submission order, whatever the schedule
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod events;
-
-pub use events::{ExecEvent, ExecReport};
-
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
-use std::time::Instant;
-
-/// Why one job produced no result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobError {
-    /// The job's closure panicked; the payload is the rendered message.
-    Panicked(String),
-}
-
-impl fmt::Display for JobError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for JobError {}
+use std::time::{Duration, Instant};
 
 /// Pool configuration.
 #[derive(Debug, Clone, Default)]
@@ -110,34 +86,36 @@ pub struct JobCtx {
     pub job: usize,
 }
 
-/// What one job hands back: its value plus metered cost and fault counts
-/// for the event stream.
+/// What one job hands back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobOutput<R> {
     /// The job's result value.
     pub value: R,
-    /// Cost units consumed (simulator events, by convention).
-    pub cost: u64,
-    /// Faults injected during the job, for the metrics stream.
-    pub faults: u64,
 }
 
 impl<R> JobOutput<R> {
-    /// A result with no metered cost or faults.
+    /// Wraps a job's result value.
     pub fn plain(value: R) -> Self {
-        JobOutput {
-            value,
-            cost: 0,
-            faults: 0,
-        }
+        JobOutput { value }
     }
 }
 
+/// The outcome of one batch: per-job results in **submission order**.
+#[derive(Debug)]
+pub struct ExecReport<R> {
+    /// One slot per submitted job, index-aligned with the input vector.
+    pub results: Vec<R>,
+}
+
 /// Runs `run` over every item of `items` on a bounded worker pool and
-/// returns the results in submission order. `observe` sees every
-/// [`ExecEvent`] on the calling thread, serialized.
+/// returns the results in submission order. `observe` hears the wall
+/// time of every job's closure as it finishes, on the calling thread,
+/// serialized (it is `FnMut`, never called concurrently).
 ///
-/// Panics inside `run` are caught per job ([`JobError::Panicked`]).
+/// # Panics
+///
+/// If `run` panics: inline, at once; on workers, after every worker has
+/// joined.
 pub fn execute<T, R, F, O>(
     config: ExecConfig,
     items: Vec<T>,
@@ -148,7 +126,7 @@ where
     T: Send,
     R: Send,
     F: Fn(&JobCtx, T) -> JobOutput<R> + Sync,
-    O: FnMut(&ExecEvent),
+    O: FnMut(Duration),
 {
     let n = items.len();
     let workers = config.resolved_workers(n);
@@ -160,34 +138,30 @@ where
         slots: (0..n).map(|_| Mutex::new(None)).collect(),
     };
 
-    for job in 0..n {
-        observe(&ExecEvent::Queued { job });
-    }
-
     if workers <= 1 {
         // Inline serial path: same pool code, synchronous event
         // delivery.
-        while pool.run_next(0, &mut |ev| observe(&ev)) {}
+        while pool.run_next(&mut observe) {}
     } else {
-        let (tx, rx) = mpsc::channel::<ExecEvent>();
+        let (tx, rx) = mpsc::channel::<Duration>();
         std::thread::scope(|s| {
-            for worker in 0..workers {
+            for _ in 0..workers {
                 let tx = tx.clone();
                 let pool = &pool;
                 s.spawn(move || {
-                    let mut emit = |ev: ExecEvent| {
+                    let mut emit = |wall: Duration| {
                         // A dropped receiver means the observer side is
                         // gone; the results vector is still filled in.
-                        let _ = tx.send(ev);
+                        let _ = tx.send(wall);
                     };
-                    while pool.run_next(worker, &mut emit) {}
+                    while pool.run_next(&mut emit) {}
                 });
             }
             drop(tx);
             // Drain events on the submitting thread until every worker
             // sender is gone.
-            for ev in rx {
-                observe(&ev);
+            for wall in rx {
+                observe(wall);
             }
         });
     }
@@ -213,7 +187,7 @@ struct Pool<'a, T, R, F> {
     /// One take-once cell per input item.
     cells: Vec<Mutex<Option<T>>>,
     /// One write-once result slot per job, in submission order.
-    slots: Vec<Mutex<Option<Result<R, JobError>>>>,
+    slots: Vec<Mutex<Option<R>>>,
 }
 
 impl<T, R, F> Pool<'_, T, R, F>
@@ -224,7 +198,7 @@ where
 {
     /// Claims and runs the next queued job. Returns `false` once the
     /// queue is empty (the worker's signal to exit).
-    fn run_next(&self, worker: usize, emit: &mut impl FnMut(ExecEvent)) -> bool {
+    fn run_next(&self, emit: &mut impl FnMut(Duration)) -> bool {
         let job = self.next.fetch_add(1, Ordering::Relaxed);
         if job >= self.cells.len() {
             return false;
@@ -234,97 +208,51 @@ where
             .expect("item cell poisoned")
             .take()
             .expect("each job claimed exactly once");
-        emit(ExecEvent::Started { job, worker });
         let started = Instant::now();
-        match catch_unwind(AssertUnwindSafe(|| (self.run)(&JobCtx { job }, item))) {
-            Ok(JobOutput {
-                value,
-                cost,
-                faults,
-            }) => {
-                self.fill(job, Ok(value));
-                emit(ExecEvent::Finished {
-                    job,
-                    worker,
-                    wall: started.elapsed(),
-                    cost,
-                    faults,
-                });
-            }
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                self.fill(job, Err(JobError::Panicked(message.clone())));
-                emit(ExecEvent::Panicked {
-                    job,
-                    worker,
-                    wall: started.elapsed(),
-                    message,
-                });
-            }
-        }
+        let JobOutput { value } = (self.run)(&JobCtx { job }, item);
+        *self.slots[job].lock().expect("result slot poisoned") = Some(value);
+        emit(started.elapsed());
         true
-    }
-
-    fn fill(&self, job: usize, result: Result<R, JobError>) {
-        *self.slots[job].lock().expect("result slot poisoned") = Some(result);
-    }
-}
-
-/// Renders a caught panic payload (same policy as the experiment layer:
-/// `&str` and `String` pass through, anything else is described).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    /// Events of each kind, counted off the stream.
-    #[derive(Debug, Default)]
-    struct Tally {
-        queued: usize,
-        finished: usize,
-        panicked: usize,
-    }
-
-    impl Tally {
-        fn see(&mut self, ev: &ExecEvent) {
-            match ev {
-                ExecEvent::Queued { .. } => self.queued += 1,
-                ExecEvent::Started { .. } => {}
-                ExecEvent::Finished { .. } => self.finished += 1,
-                ExecEvent::Panicked { .. } => self.panicked += 1,
-            }
-        }
-    }
-
-    fn squares(jobs: usize, n: u64) -> (ExecReport<u64>, Tally) {
-        let mut tally = Tally::default();
+    /// `n` squares on `jobs` workers, each taking at least `NAP`, and how
+    /// many jobs the observer heard finish. Their summed wall time is
+    /// checked both ways: every job's nap is in it, and the workers cannot
+    /// each have been busy for longer than the batch took.
+    fn squares(jobs: usize, n: u64) -> (ExecReport<u64>, usize) {
+        const NAP: Duration = Duration::from_micros(50);
+        let (mut finished, mut busy) = (0, Duration::ZERO);
+        let t = Instant::now();
         let report = execute(
             ExecConfig::with_jobs(jobs),
             (0..n).collect(),
-            |_ctx, v| JobOutput::plain(v * v),
-            |ev| tally.see(ev),
+            |_ctx, v| {
+                std::thread::sleep(NAP);
+                JobOutput::plain(v * v)
+            },
+            |wall| {
+                finished += 1;
+                busy += wall;
+            },
         );
-        (report, tally)
+        let workers = ExecConfig::with_jobs(jobs).resolved_workers(n as usize) as u32;
+        assert!(busy >= NAP * n as u32, "jobs={jobs}: {busy:?}");
+        assert!(busy <= t.elapsed() * workers + Duration::from_millis(1));
+        (report, finished)
     }
 
     #[test]
     fn results_are_in_submission_order_for_any_worker_count() {
         for jobs in [1, 2, 3, 8, 64] {
-            let (report, tally) = squares(jobs, 50);
-            assert_eq!(tally.queued, 50);
-            assert_eq!(tally.finished, 50);
+            let (report, finished) = squares(jobs, 50);
+            assert_eq!(finished, 50);
             for (i, r) in report.results.iter().enumerate() {
-                assert_eq!(*r.as_ref().unwrap(), (i * i) as u64, "jobs={jobs}");
+                assert_eq!(*r, (i * i) as u64, "jobs={jobs}");
             }
         }
     }
@@ -338,9 +266,9 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let (report, tally) = squares(4, 0);
+        let (report, finished) = squares(4, 0);
         assert!(report.results.is_empty());
-        assert_eq!((tally.queued, tally.finished), (0, 0));
+        assert_eq!(finished, 0);
     }
 
     #[test]
@@ -351,67 +279,5 @@ mod tests {
         let auto = ExecConfig::with_jobs(0).resolved_workers(1000);
         assert!(auto >= 1);
         assert_eq!(ExecConfig::with_jobs(8).resolved_workers(0), 1);
-    }
-
-    #[test]
-    fn panicking_job_is_isolated_and_reported() {
-        let mut tally = Tally::default();
-        let report = execute(
-            ExecConfig::with_jobs(4),
-            (0u64..16).collect(),
-            |_ctx, v| {
-                if v == 5 {
-                    panic!("boom at {v}");
-                }
-                JobOutput::plain(v)
-            },
-            |ev| tally.see(ev),
-        );
-        assert_eq!(tally.panicked, 1);
-        assert_eq!(tally.finished, 15);
-        match &report.results[5] {
-            Err(JobError::Panicked(msg)) => assert!(msg.contains("boom at 5"), "{msg}"),
-            other => panic!("expected panic error, got {other:?}"),
-        }
-        assert!(report.results[4].is_ok() && report.results[6].is_ok());
-    }
-
-    #[test]
-    fn events_cover_every_job_and_carry_cost_and_faults() {
-        let mut seen_started = [false; 12];
-        let mut seen_done = [false; 12];
-        let (mut cost_spent, mut faults_injected, mut busy) = (0, 0, Duration::ZERO);
-        let t = Instant::now();
-        execute(
-            ExecConfig::with_jobs(3),
-            (0u64..12).collect(),
-            |_ctx, v| JobOutput {
-                value: v,
-                cost: 2,
-                faults: 1,
-            },
-            |ev| match *ev {
-                ExecEvent::Started { job, .. } => seen_started[job] = true,
-                ExecEvent::Finished {
-                    job,
-                    wall,
-                    cost,
-                    faults,
-                    ..
-                } => {
-                    seen_done[job] = true;
-                    cost_spent += cost;
-                    faults_injected += faults;
-                    busy += wall;
-                }
-                _ => {}
-            },
-        );
-        let wall = t.elapsed();
-        assert!(seen_started.iter().all(|&b| b));
-        assert!(seen_done.iter().all(|&b| b));
-        assert_eq!(cost_spent, 24);
-        assert_eq!(faults_injected, 12);
-        assert!(busy <= wall * 3 + Duration::from_millis(1));
     }
 }

@@ -1,12 +1,13 @@
 //! Property tests for the executor's determinism contract: results come
 //! back in submission order with the same values for *any* worker count
-//! and *any* completion order, and per-job isolation holds under
-//! arbitrary panic patterns.
+//! and *any* completion order, and a job's panic reaches the caller.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use spasm_exec::{execute, ExecConfig, ExecEvent, JobError, JobOutput};
-use spasm_testkit::{check, gens, prop_assert, prop_assert_eq};
+use spasm_exec::{execute, ExecConfig, JobOutput};
+use spasm_testkit::{check, gens, prop_assert_eq};
 
 #[test]
 fn parallel_results_match_serial_for_any_worker_count() {
@@ -53,7 +54,7 @@ fn submission_order_survives_adversarial_completion_order() {
                 |_| {},
             );
             for (i, r) in report.results.iter().enumerate() {
-                let (job, rank) = *r.as_ref().unwrap();
+                let (job, rank) = *r;
                 prop_assert_eq!(job, i);
                 prop_assert_eq!(rank, perm[i]);
             }
@@ -63,78 +64,35 @@ fn submission_order_survives_adversarial_completion_order() {
 }
 
 #[test]
-fn panic_pattern_maps_exactly_onto_results() {
-    check(
-        "exec_panic_isolation",
-        &gens::tuple2(gens::usizes(1..6), gens::vecs(gens::bools(), 1..24)),
-        |(workers, pattern)| {
-            let mut panicked = 0usize;
-            let report = execute(
-                ExecConfig::with_jobs(*workers),
-                pattern.clone(),
-                |ctx, explode| {
-                    if explode {
+fn a_job_panic_unwinds_to_the_caller_inline_and_pooled() {
+    for jobs in [1, 4] {
+        let finished = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            execute(
+                ExecConfig::with_jobs(jobs),
+                (0u64..16).collect(),
+                |ctx, v| {
+                    if v == 5 {
                         panic!("job {} exploded", ctx.job);
                     }
-                    JobOutput::plain(ctx.job)
+                    JobOutput::plain(v)
                 },
-                |ev| panicked += usize::from(matches!(ev, ExecEvent::Panicked { .. })),
-            );
-            for (i, (r, &explode)) in report.results.iter().zip(pattern).enumerate() {
-                match r {
-                    Ok(job) => prop_assert!(!explode && *job == i),
-                    Err(JobError::Panicked(msg)) => {
-                        prop_assert!(explode, "job {i} panicked unasked");
-                        prop_assert!(msg.contains(&format!("job {i} exploded")), "{msg}");
-                    }
-                }
-            }
-            prop_assert_eq!(panicked, pattern.iter().filter(|&&b| b).count());
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn event_stream_is_complete_and_consistent() {
-    check(
-        "exec_event_stream",
-        &gens::tuple2(gens::usizes(1..6), gens::usizes(0..30)),
-        |(workers, n)| {
-            let mut queued = 0usize;
-            let mut started = vec![false; *n];
-            let mut finished = vec![false; *n];
-            let (mut cost_spent, mut faults_injected) = (0u64, 0u64);
-            execute(
-                ExecConfig::with_jobs(*workers),
-                (0..*n).collect(),
-                |_ctx, v| JobOutput {
-                    value: v,
-                    cost: 3,
-                    faults: 2,
+                |_| {
+                    finished.fetch_add(1, Ordering::Relaxed);
                 },
-                |ev| match *ev {
-                    ExecEvent::Queued { .. } => queued += 1,
-                    ExecEvent::Started { job, worker } => {
-                        assert!(worker < *workers);
-                        started[job] = true;
-                    }
-                    ExecEvent::Finished {
-                        job, cost, faults, ..
-                    } => {
-                        assert!(started[job], "finish before start");
-                        finished[job] = true;
-                        cost_spent += cost;
-                        faults_injected += faults;
-                    }
-                    ref other => panic!("unexpected event {other:?}"),
-                },
-            );
-            prop_assert_eq!(queued, *n);
-            prop_assert!(finished.iter().all(|&b| b));
-            prop_assert_eq!(cost_spent, 3 * *n as u64);
-            prop_assert_eq!(faults_injected, 2 * *n as u64);
-            Ok(())
-        },
-    );
+            )
+        }));
+        let payload = caught.expect_err("a job panic must reach the caller");
+        let finished = finished.load(Ordering::Relaxed);
+        if jobs == 1 {
+            // Inline, the panic is the job's own and stops the loop where
+            // it happened.
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(message, "job 5 exploded");
+            assert_eq!(finished, 5);
+        } else {
+            // Pooled, the other workers drain the queue before the join.
+            assert_eq!(finished, 15);
+        }
+    }
 }

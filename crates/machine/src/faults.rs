@@ -167,15 +167,6 @@ impl FaultPlan {
         }
     }
 
-    /// The same plan under a different seed, for retry-with-reseed: the
-    /// salt is mixed in so successive attempts draw fresh decisions.
-    pub fn reseeded(&self, salt: u64) -> Self {
-        let mut s = self.seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(salt.wrapping_add(1));
-        // One splitmix step decorrelates neighbouring salts.
-        let seed = spasm_prng::splitmix64(&mut s);
-        FaultPlan { seed, ..*self }
-    }
-
     /// Whether any fault class has a non-zero probability.
     pub fn is_active(&self) -> bool {
         self.delay_prob > 0.0
@@ -351,16 +342,6 @@ mod tests {
         };
         assert_eq!(decisions(9), decisions(9));
         assert_ne!(decisions(9), decisions(10));
-    }
-
-    #[test]
-    fn reseeded_changes_the_stream_deterministically() {
-        let plan = FaultPlan::adversarial(1);
-        assert_ne!(plan.reseeded(0).seed, plan.seed);
-        assert_ne!(plan.reseeded(0).seed, plan.reseeded(1).seed);
-        assert_eq!(plan.reseeded(3), plan.reseeded(3));
-        // Only the seed changes; the knobs survive.
-        assert_eq!(plan.reseeded(5).delay_prob, plan.delay_prob);
     }
 
     #[test]

@@ -57,6 +57,19 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> exactly one module opts out of the unsafe_code lint"
 [ "$(grep -rn "allow(unsafe_code)" crates src | wc -l)" -eq 1 ]
 
+# A panic is fenced in exactly two places: the experiment boundary
+# (spasm-core's experiment.rs) and the coroutine root (desim's fiber.rs).
+# The executor, the sweep and everything else let a panic unwind; a third
+# fence outside test code fails here.
+echo "==> catch_unwind only at the experiment and coroutine-root fences"
+fences=$(find crates/*/src src -name '*.rs' -not -path 'crates/testkit/*' | sort |
+    xargs awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && /catch_unwind/ && !/^[[:space:]]*\/\// { print FILENAME }' | sort -u | tr '\n' ' ')
+if [ "$fences" != "crates/core/src/experiment.rs crates/desim/src/coro/fiber.rs " ]; then
+    echo "ERROR: catch_unwind outside the two fences: $fences" >&2
+    exit 1
+fi
+
 # One build of the workspace: a cargo feature is a second product that
 # every tier below would have to run again to cover.
 echo "==> no cargo features"
@@ -279,6 +292,15 @@ expect_rc 2 "--procs" -- ./target/release/figures --ablation g --procs 2
 expect_rc 2 "--seed" -- ./target/release/figures --ablation g --seed 7
 # A repeated processor count would run its points twice.
 expect_rc 2 "--procs 2,2" -- ./target/release/figures --figure F2 --size test --procs 2,2
+# A one-value flag given twice (or with its rival) is refused by name
+# rather than letting the last mention silently win.
+expect_rc 2 "--procs given twice" -- ./target/release/figures --figure F2 --procs 2,4 --procs 8
+expect_rc 2 "--size given twice" -- ./target/release/figures --figure F2 --size test --size full
+expect_rc 2 "--jobs conflicts with --serial" -- ./target/release/figures --figure F2 --serial --jobs 4
+expect_rc 2 "--strict-check conflicts with --check" -- ./target/release/figures --figure F2 \
+    --check --strict-check
+expect_rc 2 "--faults given twice" -- ./target/release/figures --figure F2 --faults 1 --faults 2
+expect_rc 2 "--serial given twice" -- ./target/release/figures --figure F2 --serial --serial
 expect_rc 4 -- timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
     --seed 7 --serial --budget-events 50000000 --journal "$jdir/j" --resume
 printf '\x41' | dd of="$jdir/j.F2" bs=1 seek=40 conv=notrunc 2>/dev/null

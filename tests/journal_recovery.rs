@@ -177,9 +177,7 @@ fn a_journal_written_from_cache_hits_is_a_whole_journal() {
     let resume_alone = |path: &PathBuf| {
         let j = SweepJournal::open(Arc::new(RealVfs), path, &f12, true).expect("resumes");
         let mut fresh = 0usize;
-        let data = f12.run(Some(&j), &mut PointCache::default(), |ev| {
-            fresh += usize::from(matches!(ev, spasm::exec::ExecEvent::Finished { .. }));
-        });
+        let data = f12.run(Some(&j), &mut PointCache::default(), |_| fresh += 1);
         assert_eq!(j.replayed() + fresh, points);
         assert_eq!(data.to_csv(), solo.to_csv());
         assert_eq!(data.render_table(), solo.render_table());
@@ -252,12 +250,12 @@ fn resume_under_a_different_configuration_is_refused() {
     fs::write(&path, &fixture().2).expect("write journal copy");
     // Same file, different seed: the fingerprint must refuse it. And a
     // different figure entirely: also refused, not mixed.
-    let reseeded = Sweep {
+    let other_seed = Sweep {
         seed: SEED + 1,
         ..f1()
     };
     let other = sweep_of(figures::by_id("F2").expect("F2 is a defined figure"));
-    for mismatched in [reseeded, other] {
+    for mismatched in [other_seed, other] {
         match SweepJournal::open(Arc::new(RealVfs), &path, &mismatched, true) {
             Err(e) => assert!(e.is_fingerprint_mismatch(), "{e}"),
             Ok(_) => panic!("a mismatched fingerprint was accepted"),
