@@ -48,13 +48,10 @@
 mod cg;
 mod cholesky;
 mod common;
-mod dynamic;
 mod ep;
 mod fft;
 mod is;
 pub mod sparse;
-
-pub use dynamic::register_app;
 
 pub use cg::Cg;
 pub use cholesky::Cholesky;
@@ -113,9 +110,60 @@ pub enum SizeClass {
     Full,
 }
 
+/// An application defined at run time (a compiled scenario): its name,
+/// the canonical definition text that pins what it computes, and a
+/// factory instantiating it per size class.
+///
+/// Its identity is its content: two values are equal, and hash alike,
+/// exactly when name and text are. The factory is derived from the text,
+/// so it takes no part — two compiles of one definition are the same app,
+/// and an edited definition under a reused name is a different one.
+pub struct CustomApp {
+    name: &'static str,
+    canon: String,
+    factory: Box<dyn Fn(SizeClass) -> Box<dyn App> + Send + Sync>,
+}
+
+impl CustomApp {
+    /// An app named `name` whose canonical definition text is `canon`
+    /// (what sweep fingerprints absorb), instantiated by `factory`.
+    pub fn new(
+        name: &'static str,
+        canon: String,
+        factory: impl Fn(SizeClass) -> Box<dyn App> + Send + Sync + 'static,
+    ) -> Self {
+        CustomApp {
+            name,
+            canon,
+            factory: Box::new(factory),
+        }
+    }
+}
+
+impl PartialEq for CustomApp {
+    fn eq(&self, other: &Self) -> bool {
+        (self.name, &self.canon) == (other.name, &other.canon)
+    }
+}
+
+impl Eq for CustomApp {}
+
+impl std::hash::Hash for CustomApp {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self.name, &self.canon).hash(state);
+    }
+}
+
+impl std::fmt::Debug for CustomApp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CustomApp")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Identifier for an application: the five built-in kernels (figure
-/// specs, CLI) plus dynamically registered workloads (see
-/// [`register_app`]).
+/// specs, CLI) plus run-time defined workloads ([`CustomApp`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppId {
     /// NAS EP.
@@ -128,10 +176,9 @@ pub enum AppId {
     Cg,
     /// SPLASH CHOLESKY.
     Cholesky,
-    /// A dynamically registered application (a compiled scenario); the
-    /// index is process-local — durable identity is the registered name
-    /// and canonical definition ([`AppId::fingerprint_detail`]).
-    Custom(u32),
+    /// A run-time defined application (a compiled scenario), compared
+    /// by its name and canonical definition text.
+    Custom(&'static CustomApp),
 }
 
 impl AppId {
@@ -146,21 +193,13 @@ impl AppId {
             AppId::Is => Box::new(Is::new(size)),
             AppId::Cg => Box::new(Cg::new(size)),
             AppId::Cholesky => Box::new(Cholesky::new(size)),
-            AppId::Custom(i) => dynamic::instantiate(i, size),
+            AppId::Custom(app) => (app.factory)(size),
         }
     }
 
-    /// Parses a name as printed by [`AppId::name`] — a built-in first,
-    /// then the dynamic registry.
+    /// Parses a built-in's name as printed by [`AppId::name`].
     pub fn from_name(name: &str) -> Option<AppId> {
-        match name {
-            "ep" => Some(AppId::Ep),
-            "fft" => Some(AppId::Fft),
-            "is" => Some(AppId::Is),
-            "cg" => Some(AppId::Cg),
-            "cholesky" => Some(AppId::Cholesky),
-            _ => dynamic::lookup(name),
-        }
+        AppId::ALL.into_iter().find(|id| id.name() == name)
     }
 
     /// The short lowercase name.
@@ -171,19 +210,18 @@ impl AppId {
             AppId::Is => "is",
             AppId::Cg => "cg",
             AppId::Cholesky => "cholesky",
-            AppId::Custom(i) => dynamic::name_of(i),
+            AppId::Custom(app) => app.name,
         }
     }
 
-    /// Content that pins this app's identity beyond its name: the
-    /// canonical definition text for a registered custom app, `None` for
-    /// the built-ins (their behaviour is fixed by the binary). Sweep
-    /// fingerprints absorb this, so journals written under one scenario
-    /// definition refuse to resume under another even if the file name
-    /// is reused.
+    /// Content that pins this app's identity beyond its name: a custom
+    /// app's canonical definition text, `None` for the built-ins (their
+    /// behaviour is fixed by the binary). Sweep fingerprints absorb this,
+    /// so journals written under one scenario definition refuse to resume
+    /// under another even if the name is reused.
     pub fn fingerprint_detail(self) -> Option<&'static str> {
         match self {
-            AppId::Custom(i) => Some(dynamic::canon_of(i)),
+            AppId::Custom(app) => Some(&app.canon),
             _ => None,
         }
     }
@@ -212,6 +250,27 @@ mod tests {
         for id in AppId::ALL {
             let app = id.instantiate(SizeClass::Test);
             assert_eq!(app.name(), id.name());
+            assert_eq!(id.fingerprint_detail(), None);
         }
+    }
+
+    #[test]
+    fn a_custom_app_is_its_name_and_text() {
+        let leak = |canon: &str| -> AppId {
+            let app = CustomApp::new("custom", canon.to_string(), |size| Box::new(Ep::new(size)));
+            AppId::Custom(Box::leak(Box::new(app)))
+        };
+        let id = leak("v1");
+        assert_eq!(
+            (id.name(), id.to_string()),
+            ("custom", "custom".to_string())
+        );
+        assert_eq!(id.fingerprint_detail(), Some("v1"));
+        assert_eq!(id.instantiate(SizeClass::Test).name(), "ep");
+        // A second value of the same definition is the same app; an
+        // edited one is not; neither is found by name.
+        assert_eq!(leak("v1"), id);
+        assert_ne!(leak("v2"), id);
+        assert_eq!(AppId::from_name("custom"), None);
     }
 }

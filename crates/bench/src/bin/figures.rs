@@ -37,7 +37,8 @@
 //!
 //! `--scenario FILE` (repeatable) compiles a declarative `.scn`
 //! workload (see `spasm-scenario`) into a figure and sweeps it like
-//! any built-in id. `--telemetry FILE` turns on engine interval
+//! any built-in id; two files defining one name differently are refused
+//! by name. `--telemetry FILE` turns on engine interval
 //! telemetry and streams one JSONL record per sim-time bucket (plus a
 //! per-point summary) into FILE, bucketed every
 //! [`TELEMETRY_INTERVAL_US`] simulated µs. Telemetry output is byte-identical
@@ -176,6 +177,8 @@ fn parse_args() -> Args {
     // Every flag given, in order: a mode refuses the ones it would ignore
     // by name.
     let mut given: Vec<String> = Vec::new();
+    // Every compiled `--scenario`, with the file it came from.
+    let mut scenarios: Vec<(&'static FigureSpec, String)> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -251,17 +254,27 @@ fn parse_args() -> Args {
                     eprintln!("cannot read scenario {path}: {e}");
                     Exit::Usage.exit();
                 });
-                let sc = spasm_scenario::parse(&text).unwrap_or_else(|e| {
-                    eprintln!("scenario {path}: {e}");
-                    Exit::Usage.exit();
-                });
-                match spasm_scenario::compile(&sc) {
-                    Ok(spec) => args.figures.push(spec),
-                    Err(e) => {
+                let spec = spasm_scenario::parse(&text)
+                    .map_err(|e| e.to_string())
+                    .and_then(|sc| spasm_scenario::compile(&sc))
+                    .unwrap_or_else(|e| {
                         eprintln!("scenario {path}: {e}");
                         Exit::Usage.exit();
-                    }
+                    });
+                // One id names one definition: the same file again is
+                // deduplicated below, an edited one under its name refused.
+                if let Some((_, first)) = scenarios
+                    .iter()
+                    .find(|(s, _)| s.id == spec.id && s.app != spec.app)
+                {
+                    eprintln!(
+                        "--scenario {path} defines {} differently from --scenario {first}",
+                        spec.id
+                    );
+                    Exit::Usage.exit();
                 }
+                scenarios.push((spec, path));
+                args.figures.push(spec);
             }
             "--telemetry" => args.telemetry = Some(it.next().unwrap_or_else(|| usage())),
             _ => {
@@ -321,7 +334,8 @@ fn parse_args() -> Args {
     if args.figures.is_empty() && args.ablation.is_none() {
         usage();
     }
-    // A repeated id would only collide with its own journal.
+    // A repeated id (a figure, or a scenario definition, given again)
+    // would only collide with its own journal.
     let mut seen = std::collections::HashSet::new();
     args.figures.retain(|f| seen.insert(f.id));
     if args.resume && args.journal.is_none() {

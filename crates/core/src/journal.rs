@@ -98,7 +98,7 @@ impl Sweep<'_> {
         } = *self;
         let mut fp = Fingerprint::new();
         // v2: records carry interval telemetry and the fingerprint absorbs
-        // the telemetry knob plus dynamic-app definitions; v1 journals are
+        // the telemetry knob plus custom-app definitions; v1 journals are
         // refused typed rather than mis-decoded.
         fp.absorb_str("spasm-sweep-v2");
         // The shard contract rides in the fingerprint: per-shard journals
@@ -108,8 +108,8 @@ impl Sweep<'_> {
         fp.absorb_str(crate::shard::CONTRACT);
         fp.absorb_str(spec.id);
         fp.absorb_str(&spec.app.to_string());
-        // A dynamically registered app (a compiled scenario) is identified
-        // by its canonical definition text, not just its name: journals
+        // A custom app (a compiled scenario) is identified by its
+        // canonical definition text, not just its name: journals
         // written under one scenario file refuse to resume under an edited
         // one even when the name is reused. Built-ins contribute a fixed
         // empty detail.

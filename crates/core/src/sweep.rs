@@ -156,10 +156,11 @@ type PointKey = (Experiment, [String; 4]);
 /// A value its caller owns, never a global: whoever sweeps figures that
 /// may share points passes one cache to all of them, and everyone else
 /// passes a fresh empty one. Only [`Outcome::Ok`] verdicts enter it —
-/// a failure re-runs under the next figure as it would alone — and the key
-/// (the [`Experiment`] plus the four outcome-affecting [`SweepConfig`]
-/// knobs, exactly as [`Sweep::fingerprint`] absorbs them) holds
-/// process-local `AppId::Custom` indices, so it is never persisted.
+/// a failure re-runs under the next figure as it would alone. The key is
+/// content: the [`Experiment`] (a compiled scenario's app compares by its
+/// name and canonical text, the same two strings [`Sweep::fingerprint`]
+/// absorbs) plus the four outcome-affecting [`SweepConfig`] knobs,
+/// exactly as the fingerprint absorbs them.
 #[derive(Debug, Clone, Default)]
 pub struct PointCache {
     points: HashMap<PointKey, (RunMetrics, Vec<IntervalRecord>)>,

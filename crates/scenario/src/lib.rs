@@ -11,15 +11,16 @@
 //! generator emulating `clients` logical clients per processor.
 //! Everything downstream is the ordinary figure pipeline:
 //!
-//! ```no_run
-//! use spasm_core::{figures::PROC_SWEEP, sweep::{PointCache, Sweep}};
+//! ```
+//! use spasm_core::sweep::{PointCache, Sweep};
 //! use spasm_apps::SizeClass;
 //!
 //! let sc = spasm_scenario::parse("[scenario]\nname = demo\n[phase]\nkind = barrier\n")?;
 //! let spec = spasm_scenario::compile(&sc)?;
-//! let sweep = Sweep::new(spec, SizeClass::Test, PROC_SWEEP, 42);
+//! let sweep = Sweep::new(spec, SizeClass::Test, &[2, 4], 42);
 //! let data = sweep.run(None, &mut PointCache::default(), |_| {});
-//! println!("{}", spasm_scenario::report(&sc, &data));
+//! assert_eq!(data.failed_points(), 0);
+//! println!("{}", data.render_table());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -27,10 +28,10 @@
 //! see [`gen`](self) internals — so scenario sweeps inherit every
 //! determinism guarantee of the built-in figures: byte-identical
 //! output across `--jobs N`, journaled resume, sharded merge. The
-//! scenario's canonical text is its durable identity: it enters the
-//! sweep fingerprint through the dynamic-app registry, so journals
-//! and shards written under one scenario definition refuse to mix
-//! with another.
+//! scenario's canonical text is its durable identity: the compiled
+//! app ([`spasm_apps::CustomApp`]) is compared by it and the sweep
+//! fingerprint absorbs it, so journals and shards written under one
+//! scenario definition refuse to mix with another.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +41,8 @@ mod parse;
 
 pub use parse::{limits, parse, render, ParseError};
 
+use spasm_apps::{AppId, CustomApp};
 use spasm_core::figures::{FigureSpec, Metric};
-use spasm_core::sweep::FigureData;
 use spasm_core::{Machine, Net};
 
 /// Communication locality pattern: who a processor's traffic targets.
@@ -64,69 +65,6 @@ impl std::fmt::Display for Locality {
             Locality::Neighbor => "neighbor",
             Locality::Uniform => "uniform",
             Locality::Hotspot => "hotspot",
-        })
-    }
-}
-
-/// The interconnect a scenario asks for (mirrors [`Net`], spelled in
-/// scenario vocabulary so the parser owns its own names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioNet {
-    /// Fully connected.
-    Full,
-    /// Binary hypercube.
-    Cube,
-    /// 2-D mesh.
-    Mesh,
-}
-
-impl ScenarioNet {
-    fn to_net(self) -> Net {
-        match self {
-            ScenarioNet::Full => Net::Full,
-            ScenarioNet::Cube => Net::Cube,
-            ScenarioNet::Mesh => Net::Mesh,
-        }
-    }
-}
-
-impl std::fmt::Display for ScenarioNet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ScenarioNet::Full => "full",
-            ScenarioNet::Cube => "cube",
-            ScenarioNet::Mesh => "mesh",
-        })
-    }
-}
-
-/// Which metric the compiled figure plots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioMetric {
-    /// Total execution time.
-    Exec,
-    /// Mean per-processor latency overhead.
-    Latency,
-    /// Mean per-processor contention overhead.
-    Contention,
-}
-
-impl ScenarioMetric {
-    fn to_metric(self) -> Metric {
-        match self {
-            ScenarioMetric::Exec => Metric::ExecTime,
-            ScenarioMetric::Latency => Metric::Latency,
-            ScenarioMetric::Contention => Metric::Contention,
-        }
-    }
-}
-
-impl std::fmt::Display for ScenarioMetric {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ScenarioMetric::Exec => "exec",
-            ScenarioMetric::Latency => "latency",
-            ScenarioMetric::Contention => "contention",
         })
     }
 }
@@ -178,10 +116,11 @@ pub struct Scenario {
     pub locality: Locality,
     /// Message size bounds `(lo, hi)` in bytes, inclusive.
     pub msg_bytes: (u64, u64),
-    /// Interconnect to simulate.
-    pub net: ScenarioNet,
-    /// Metric the compiled figure plots.
-    pub metric: ScenarioMetric,
+    /// Interconnect to simulate (`.scn`: `full | cube | mesh`).
+    pub net: Net,
+    /// Metric the compiled figure plots (`.scn`: `exec | latency |
+    /// contention`).
+    pub metric: Metric,
     /// The per-round schedule, at least one phase.
     pub phases: Vec<Phase>,
 }
@@ -196,28 +135,25 @@ const MACHINES: &[Machine] = &[
 ];
 
 /// Compiles a scenario into a figure spec runnable by everything in
-/// [`spasm_core::sweep`]: the scenario's traffic generator is
-/// registered as a dynamic app (id `scn-<name>`) whose canonical text
-/// ([`render`]) becomes part of the sweep fingerprint.
+/// [`spasm_core::sweep`]. Its app is a [`CustomApp`] named `scn-<name>`
+/// whose canonical text ([`render`]) is its identity and part of the
+/// sweep fingerprint: two compiles of one definition give equal apps,
+/// and an edited definition under the same name gives a different one,
+/// whose journals and shards never mix with the first's.
 ///
-/// Compiling the same scenario again returns an equivalent spec;
-/// compiling a *different* scenario under an already-registered name
-/// is refused — within one process a name means one workload.
-///
-/// # Errors
-///
-/// A name collision with a built-in app or with a different scenario
-/// already registered under the same name.
+/// Never fails: the `scn-` prefix keeps every id clear of the built-in
+/// names, and a reused name is told apart by its text, not refused. Each
+/// call leaks its spec and app, which then live for the whole process as
+/// the built-in specs do.
 pub fn compile(sc: &Scenario) -> Result<&'static FigureSpec, String> {
-    let canon = render(sc);
     let id: &'static str = Box::leak(format!("scn-{}", sc.name).into_boxed_str());
     let template = sc.clone();
-    let app = spasm_apps::register_app(id, &canon, move |_size| {
+    let app = CustomApp::new(id, render(sc), move |_size| {
         Box::new(gen::ScenarioApp {
             name: id,
             sc: template.clone(),
         })
-    })?;
+    });
     let expect: &'static str = Box::leak(
         format!(
             "scenario {}: {} locality, sharing {}, {} phase(s) x {} round(s)",
@@ -231,77 +167,12 @@ pub fn compile(sc: &Scenario) -> Result<&'static FigureSpec, String> {
     );
     Ok(Box::leak(Box::new(FigureSpec {
         id,
-        app,
-        net: sc.net.to_net(),
-        metric: sc.metric.to_metric(),
+        app: AppId::Custom(Box::leak(Box::new(app))),
+        net: sc.net,
+        metric: sc.metric,
         machines: MACHINES,
         expect,
     })))
-}
-
-/// Summary of one scenario sweep, aggregated from the figure data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioReport {
-    /// The scenario's name.
-    pub name: String,
-    /// Grid points swept (machines × processor counts).
-    pub points: usize,
-    /// Points that failed (budget, verification, or salvage).
-    pub failed: usize,
-    /// Simulator events across all successful points.
-    pub events: u64,
-    /// Messages across all successful points.
-    pub messages: u64,
-    /// Bytes across all successful points.
-    pub bytes: u64,
-    /// Telemetry intervals recorded (0 with telemetry off).
-    pub intervals: usize,
-}
-
-impl std::fmt::Display for ScenarioReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "scenario {}: {} point(s), {} failed, {} events, \
-             {} message(s) / {} byte(s), {} telemetry interval(s)",
-            self.name,
-            self.points,
-            self.failed,
-            self.events,
-            self.messages,
-            self.bytes,
-            self.intervals
-        )
-    }
-}
-
-/// Aggregates a swept scenario's [`FigureData`] into a
-/// [`ScenarioReport`].
-pub fn report(sc: &Scenario, data: &FigureData) -> ScenarioReport {
-    let mut r = ScenarioReport {
-        name: sc.name.clone(),
-        points: 0,
-        failed: 0,
-        events: 0,
-        messages: 0,
-        bytes: 0,
-        intervals: 0,
-    };
-    for series in &data.series {
-        for (i, outcome) in series.outcomes.iter().enumerate() {
-            r.points += 1;
-            if !outcome.is_ok() {
-                r.failed += 1;
-            }
-            if let Some(m) = &series.metrics[i] {
-                r.events += m.events;
-                r.messages += m.messages;
-                r.bytes += m.bytes;
-            }
-            r.intervals += series.telemetry[i].len();
-        }
-    }
-    r
 }
 
 #[cfg(test)]
@@ -323,38 +194,76 @@ mod tests {
         parse(&text).unwrap()
     }
 
+    /// The bundled BSP scenario's sweep at Test, p = 2 and 4, seed 5 —
+    /// the shape of `journal::tests::fingerprint_stream_is_pinned_to_journals_already_on_disk`.
+    fn bsp_sweep() -> Sweep<'static> {
+        let sc = parse(include_str!("../../../examples/scenarios/bsp.scn")).unwrap();
+        Sweep::new(compile(&sc).unwrap(), SizeClass::Test, &[2, 4], 5)
+    }
+
+    #[test]
+    fn scenario_fingerprint_is_pinned_to_journals_already_on_disk() {
+        // Computed while a compiled scenario was an index into a
+        // process-global registry: the fingerprint absorbed its name and
+        // canonical text then as now, so scenario journals and shards
+        // written by older binaries still resume and merge.
+        assert_eq!(bsp_sweep().fingerprint(), 0x46d9_b193_78de_0229);
+    }
+
     #[test]
     fn compile_runs_through_the_figure_harness() {
-        let sc = tiny("lib-harness");
+        let sc = tiny("harness");
         let spec = compile(&sc).unwrap();
-        assert_eq!(spec.id, "scn-lib-harness");
+        assert_eq!(spec.id, "scn-harness");
         assert_eq!(spec.machines.len(), 4);
-        // Re-compiling the identical scenario is fine; a different one
-        // under the same name is refused.
-        compile(&sc).unwrap();
-        let mut other = sc.clone();
-        other.rounds = 3;
-        assert!(compile(&other)
-            .unwrap_err()
-            .contains("different definition"));
+        let sweep = Sweep::new(spec, SizeClass::Test, &[2, 4], 7);
 
-        let data = Sweep::new(spec, SizeClass::Test, &[2, 4], 7).run(
-            None,
-            &mut PointCache::default(),
-            |_| {},
+        // Compiling the same definition again gives the same app, so a
+        // second sweep through one cache runs nothing and shares all 8.
+        let again = Sweep::new(compile(&sc).unwrap(), SizeClass::Test, &[2, 4], 7);
+        assert_eq!(again.spec.app, spec.app);
+        let mut cache = PointCache::default();
+        let data = sweep.run(None, &mut cache, |_| {});
+        let mut fresh = 0;
+        let shared = again.run(None, &mut cache, |_| fresh += 1);
+        assert_eq!((fresh, cache.hits()), (0, 8));
+        assert_eq!(shared.to_csv(), data.to_csv());
+
+        // An edited definition under the same name is another app and
+        // another sweep.
+        let edited = compile(&Scenario { rounds: 3, ..sc }).unwrap();
+        assert_eq!(edited.id, spec.id);
+        assert_ne!(edited.app, spec.app);
+        assert_ne!(
+            Sweep {
+                spec: edited,
+                ..sweep
+            }
+            .fingerprint(),
+            sweep.fingerprint()
         );
-        let rep = report(&sc, &data);
-        assert_eq!(rep.points, 8);
-        assert_eq!(rep.failed, 0, "{}", data.render_table());
-        assert!(rep.events > 0);
-        assert!(rep.messages > 0);
-        assert_eq!(rep.intervals, 0, "telemetry defaults off");
+
+        assert_eq!(data.failed_points(), 0, "{}", data.render_table());
+        let metrics: Vec<_> = data
+            .series
+            .iter()
+            .flat_map(|s| s.metrics.iter().flatten())
+            .collect();
+        assert_eq!(metrics.len(), 8);
+        assert!(metrics.iter().all(|m| m.events > 0));
+        assert!(metrics.iter().any(|m| m.messages > 0));
+        assert!(
+            data.series
+                .iter()
+                .flat_map(|s| &s.telemetry)
+                .all(Vec::is_empty),
+            "telemetry defaults off"
+        );
     }
 
     #[test]
     fn telemetry_flows_through_scenario_sweeps() {
-        let sc = tiny("lib-telemetry");
-        let spec = compile(&sc).unwrap();
+        let spec = compile(&tiny("telemetry")).unwrap();
         let config = SweepConfig {
             telemetry: Some(TelemetryConfig::every_us(50)),
             ..SweepConfig::default()
@@ -364,9 +273,14 @@ mod tests {
             ..Sweep::new(spec, SizeClass::Test, &[2], 7)
         };
         let data = sweep.run(None, &mut PointCache::default(), |_| {});
-        let rep = report(&sc, &data);
-        assert_eq!(rep.failed, 0);
-        assert!(rep.intervals > 0, "intervals must be recorded");
+        assert_eq!(data.failed_points(), 0);
+        let intervals: usize = data
+            .series
+            .iter()
+            .flat_map(|s| &s.telemetry)
+            .map(Vec::len)
+            .sum();
+        assert!(intervals > 0, "intervals must be recorded");
         let jsonl = data.to_telemetry_jsonl();
         assert!(jsonl.contains("\"kind\":\"interval\""));
         assert!(jsonl.contains("\"kind\":\"summary\""));

@@ -21,7 +21,10 @@
 
 use std::fmt;
 
-use crate::{Locality, Phase, Scenario, ScenarioMetric, ScenarioNet};
+use spasm_core::figures::Metric;
+use spasm_core::Net;
+
+use crate::{Locality, Phase, Scenario};
 
 /// Hard bounds on every numeric knob. A scenario is a *workload*, not a
 /// stress test of the simulator: the caps keep any accepted file
@@ -80,8 +83,8 @@ struct Header {
     writes: Option<f64>,
     locality: Option<Locality>,
     msg_bytes: Option<(u64, u64)>,
-    net: Option<ScenarioNet>,
-    metric: Option<ScenarioMetric>,
+    net: Option<Net>,
+    metric: Option<Metric>,
 }
 
 /// Accumulates one `[phase]` section; validated when the section ends.
@@ -331,9 +334,9 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 "net" => {
                     dup(lineno, key, &header.net)?;
                     header.net = Some(match value {
-                        "full" => ScenarioNet::Full,
-                        "cube" => ScenarioNet::Cube,
-                        "mesh" => ScenarioNet::Mesh,
+                        "full" => Net::Full,
+                        "cube" => Net::Cube,
+                        "mesh" => Net::Mesh,
                         other => {
                             return err(
                                 lineno,
@@ -345,9 +348,9 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 "metric" => {
                     dup(lineno, key, &header.metric)?;
                     header.metric = Some(match value {
-                        "exec" => ScenarioMetric::Exec,
-                        "latency" => ScenarioMetric::Latency,
-                        "contention" => ScenarioMetric::Contention,
+                        "exec" => Metric::ExecTime,
+                        "latency" => Metric::Latency,
+                        "contention" => Metric::Contention,
                         other => {
                             return err(
                                 lineno,
@@ -405,8 +408,8 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
         writes: header.writes.unwrap_or(0.5),
         locality: header.locality.unwrap_or(Locality::Ring),
         msg_bytes: header.msg_bytes.unwrap_or((8, 8)),
-        net: header.net.unwrap_or(ScenarioNet::Full),
-        metric: header.metric.unwrap_or(ScenarioMetric::Exec),
+        net: header.net.unwrap_or(Net::Full),
+        metric: header.metric.unwrap_or(Metric::ExecTime),
         phases,
     })
 }
@@ -429,7 +432,14 @@ pub fn render(sc: &Scenario) -> String {
     let _ = writeln!(out, "locality = {}", sc.locality);
     let _ = writeln!(out, "msg-bytes = {}..{}", sc.msg_bytes.0, sc.msg_bytes.1);
     let _ = writeln!(out, "net = {}", sc.net);
-    let _ = writeln!(out, "metric = {}", sc.metric);
+    let metric = match sc.metric {
+        Metric::ExecTime => "exec",
+        Metric::Latency => "latency",
+        Metric::Contention => "contention",
+        // Not a `.scn` metric: rendered so that parse refuses it by name.
+        Metric::Events => "events",
+    };
+    let _ = writeln!(out, "metric = {metric}");
     for phase in &sc.phases {
         out.push('\n');
         out.push_str("[phase]\n");
@@ -492,8 +502,8 @@ kind = barrier
         assert_eq!(sc.sharing, 0.25);
         assert_eq!(sc.locality, Locality::Neighbor);
         assert_eq!(sc.msg_bytes, (4, 16));
-        assert_eq!(sc.net, ScenarioNet::Cube);
-        assert_eq!(sc.metric, ScenarioMetric::Latency);
+        assert_eq!(sc.net, Net::Cube);
+        assert_eq!(sc.metric, Metric::Latency);
         assert_eq!(
             sc.phases,
             vec![
@@ -514,8 +524,8 @@ kind = barrier
         assert_eq!(sc.writes, 0.5);
         assert_eq!(sc.locality, Locality::Ring);
         assert_eq!(sc.msg_bytes, (8, 8));
-        assert_eq!(sc.net, ScenarioNet::Full);
-        assert_eq!(sc.metric, ScenarioMetric::Exec);
+        assert_eq!(sc.net, Net::Full);
+        assert_eq!(sc.metric, Metric::ExecTime);
     }
 
     #[test]

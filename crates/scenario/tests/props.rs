@@ -1,7 +1,9 @@
 //! Property tests for the scenario parser: render∘parse round-trips,
 //! and malformed input is rejected with a line-numbered error.
 
-use spasm_scenario::{parse, render, Locality, Phase, Scenario, ScenarioMetric, ScenarioNet};
+use spasm_core::figures::Metric;
+use spasm_core::Net;
+use spasm_scenario::{parse, render, Locality, Phase, Scenario};
 use spasm_testkit::{check, gens, prop_assert, prop_assert_eq, Gen};
 
 /// Generates a structurally valid scenario across the whole knob space.
@@ -24,16 +26,8 @@ fn scenarios() -> Gen<Scenario> {
             Locality::Uniform,
             Locality::Hotspot,
         ]),
-        gens::choice(vec![
-            ScenarioNet::Full,
-            ScenarioNet::Cube,
-            ScenarioNet::Mesh,
-        ]),
-        gens::choice(vec![
-            ScenarioMetric::Exec,
-            ScenarioMetric::Latency,
-            ScenarioMetric::Contention,
-        ]),
+        gens::choice(Net::ALL.to_vec()),
+        gens::choice(vec![Metric::ExecTime, Metric::Latency, Metric::Contention]),
         gens::vecs(
             gens::choice(vec![
                 Phase::Compute { cycles: 1 },

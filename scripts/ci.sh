@@ -70,6 +70,22 @@ if [ "$fences" != "crates/core/src/experiment.rs crates/desim/src/coro/fiber.rs 
     exit 1
 fi
 
+# No process-global state: whatever a run reads is passed to it (a
+# compiled scenario's app included), so two sweeps in one process cannot
+# couple through a global. A static item, a lazily initialised global or
+# a thread-local outside test code fails here.
+echo "==> no static items or lazy/thread-local globals in product code"
+globals=$(find crates/*/src src -name '*.rs' | sort |
+    xargs awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && !/^[[:space:]]*\/\// &&
+        (/^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?static[[:space:]]/ ||
+         /OnceLock|RwLock|thread_local!|static mut/) { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$globals" ]; then
+    echo "ERROR: global state in product code:" >&2
+    echo "$globals" >&2
+    exit 1
+fi
+
 # One build of the workspace: a cargo feature is a second product that
 # every tier below would have to run again to cover.
 echo "==> no cargo features"
@@ -109,8 +125,8 @@ tests_started=$SECONDS
 cargo test -q --offline --workspace
 echo "==> tests took $((SECONDS - tests_started))s"
 
-# The paper's R5 in host time (CLogP simulates faster than the target,
-# LogP no faster) is only meaningful on the optimized build.
+# The paper's R5 in host time (CLogP simulates clearly faster than the
+# target) is only meaningful on the optimized build.
 echo "==> R5 host time: cargo test --release --test reproduction -- --ignored r5_host_time"
 cargo test --release --offline --test reproduction -- --ignored r5_host_time
 
@@ -359,5 +375,17 @@ if ! cmp "$sdir/bsp.jsonl" "$sdir/bsp-j4.jsonl"; then
     echo "ERROR: scenario telemetry differs between --serial and --jobs 4" >&2
     exit 1
 fi
+# One id names one definition per invocation: the same file twice sweeps
+# once; two files defining one name differently are refused, naming both.
+expect_rc 0 "total: 1 figure(s), 8 point(s)" -- ./target/release/figures \
+    --scenario examples/scenarios/bsp.scn --scenario examples/scenarios/bsp.scn \
+    --size test --procs 2,4 --serial
+for rounds in 1 2; do
+    printf '[scenario]\nname = x\nrounds = %s\n[phase]\nkind = barrier\n' "$rounds" \
+        > "$sdir/x$rounds.scn"
+done
+expect_rc 2 "--scenario $sdir/x2.scn defines scn-x differently from --scenario $sdir/x1.scn" \
+    -- ./target/release/figures --scenario "$sdir/x1.scn" --scenario "$sdir/x2.scn" \
+    --size test --procs 2
 
 echo "==> tier-1 green (total $((SECONDS))s)"

@@ -8,7 +8,7 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use spasm::apps::SizeClass;
 use spasm::core::figures::{self, FigureSpec};
@@ -42,27 +42,26 @@ fn scratch() -> PathBuf {
 }
 
 /// The uninterrupted run's rendering and the bytes of a complete
-/// journal of the same sweep, computed once (the simulations are the
-/// expensive part of this suite).
-fn fixture() -> &'static (String, String, Vec<u8>) {
-    static FIXTURE: OnceLock<(String, String, Vec<u8>)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let clean = f1().run(None, &mut PointCache::default(), |_| {});
-        let path = scratch();
-        let j =
-            SweepJournal::open(Arc::new(RealVfs), &path, &f1(), false).expect("create in temp dir");
-        let journaled = f1().run(Some(&j), &mut PointCache::default(), |_| {});
-        assert_eq!(journaled.to_csv(), clean.to_csv());
-        let bytes = fs::read(&path).expect("journal readable");
-        fs::remove_file(&path).expect("cleanup");
-        (clean.to_csv(), clean.render_table(), bytes)
-    })
+/// journal of the same sweep. Each test computes it once (the
+/// simulations are the expensive part of this suite).
+fn fixture() -> (String, String, Vec<u8>) {
+    let clean = f1().run(None, &mut PointCache::default(), |_| {});
+    let path = scratch();
+    let j = SweepJournal::open(Arc::new(RealVfs), &path, &f1(), false).expect("create in temp dir");
+    let journaled = f1().run(Some(&j), &mut PointCache::default(), |_| {});
+    assert_eq!(journaled.to_csv(), clean.to_csv());
+    let bytes = fs::read(&path).expect("journal readable");
+    fs::remove_file(&path).expect("cleanup");
+    (clean.to_csv(), clean.render_table(), bytes)
 }
 
 /// Resumes from a (possibly damaged) journal file and, if the journal
-/// opens, completes the sweep and demands byte-identical output.
-fn resume_and_compare(path: &PathBuf) -> Result<Result<(), ResumeError>, String> {
-    let (clean_csv, clean_table, _) = fixture();
+/// opens, completes the sweep and demands the bytes of `fixture`.
+fn resume_and_compare(
+    path: &PathBuf,
+    fixture: &(String, String, Vec<u8>),
+) -> Result<Result<(), ResumeError>, String> {
+    let (clean_csv, clean_table, _) = fixture;
     match SweepJournal::open(Arc::new(RealVfs), path, &f1(), true) {
         Ok(j) => {
             let data = f1().run(Some(&j), &mut PointCache::default(), |_| {});
@@ -80,8 +79,8 @@ fn resume_and_compare(path: &PathBuf) -> Result<Result<(), ResumeError>, String>
 
 #[test]
 fn truncation_anywhere_resumes_byte_identical_or_fails_typed() {
-    let (_, _, bytes) = fixture();
-    let len = bytes.len() as u64;
+    let fixture = fixture();
+    let len = fixture.2.len() as u64;
     check_with(
         Config {
             cases: 24,
@@ -91,8 +90,8 @@ fn truncation_anywhere_resumes_byte_identical_or_fails_typed() {
         &gens::u64s(0..len),
         |&cut| {
             let path = scratch();
-            fs::write(&path, &fixture().2[..cut as usize]).expect("write damaged copy");
-            let verdict = match resume_and_compare(&path)? {
+            fs::write(&path, &fixture.2[..cut as usize]).expect("write damaged copy");
+            let verdict = match resume_and_compare(&path, &fixture)? {
                 Ok(()) => Ok(()),
                 // A cut inside the 16-byte header leaves no journal to
                 // resume; everything past it must repair and complete.
@@ -110,8 +109,8 @@ fn truncation_anywhere_resumes_byte_identical_or_fails_typed() {
 
 #[test]
 fn byte_flip_anywhere_resumes_byte_identical_or_fails_typed() {
-    let (_, _, bytes) = fixture();
-    let len = bytes.len() as u64;
+    let fixture = fixture();
+    let len = fixture.2.len() as u64;
     check_with(
         Config {
             cases: 24,
@@ -121,10 +120,10 @@ fn byte_flip_anywhere_resumes_byte_identical_or_fails_typed() {
         &gens::tuple2(gens::u64s(0..len), gens::u64s(1..256)),
         |&(pos, flip)| {
             let path = scratch();
-            let mut damaged = fixture().2.clone();
+            let mut damaged = fixture.2.clone();
             damaged[pos as usize] ^= flip as u8;
             fs::write(&path, &damaged).expect("write damaged copy");
-            let verdict = match resume_and_compare(&path)? {
+            let verdict = match resume_and_compare(&path, &fixture)? {
                 // Opened: the flip read as a torn tail; the surviving
                 // prefix replayed and the rest re-ran to the same bytes.
                 Ok(()) => Ok(()),
@@ -217,30 +216,39 @@ fn a_journal_written_from_cache_hits_is_a_whole_journal() {
 
 #[test]
 fn journals_from_a_different_scenario_definition_are_refused() {
-    let parse = |name: &str, rounds: u64| {
+    let compile = |name: &str, rounds: u64| {
         let text =
             format!("[scenario]\nname = {name}\nrounds = {rounds}\n[phase]\nkind = barrier\n");
-        spasm::scenario::parse(&text).expect("scenario parses")
+        let sc = spasm::scenario::parse(&text).expect("scenario parses");
+        spasm::scenario::compile(&sc).expect("compiles")
     };
-    let a = spasm::scenario::compile(&parse("recov-a", 1)).expect("compiles");
-    let b = spasm::scenario::compile(&parse("recov-b", 2)).expect("compiles");
+    let a = compile("recov", 1);
+    // An edited definition under the *same* name compiles to the same
+    // figure id but a different app.
+    let edited = compile("recov", 2);
+    assert_eq!(edited.id, a.id);
+    assert_ne!(edited.app, a.app);
 
-    // An edited definition under the *same* name never reaches the
-    // journal: the registry refuses the conflicting canonical text.
-    let err = spasm::scenario::compile(&parse("recov-a", 2)).unwrap_err();
-    assert!(err.contains("different definition"), "{err}");
-
-    // A journal written under scenario A refuses scenario B outright —
-    // the scenario's canonical text is part of the sweep fingerprint.
+    // A journal written under A refuses the edit, and a different
+    // scenario outright: the canonical text is part of the sweep
+    // fingerprint.
     let path = scratch();
     drop(SweepJournal::open(Arc::new(RealVfs), &path, &sweep_of(a), false).expect("create"));
-    match SweepJournal::open(Arc::new(RealVfs), &path, &sweep_of(b), true) {
-        Err(e) => assert!(e.is_fingerprint_mismatch(), "{e}"),
-        Ok(_) => panic!("a journal from a different scenario was accepted"),
+    for other in [edited, compile("recov-b", 2)] {
+        match SweepJournal::open(Arc::new(RealVfs), &path, &sweep_of(other), true) {
+            Err(e) => assert!(e.is_fingerprint_mismatch(), "{e}"),
+            Ok(_) => panic!("a journal from a different scenario was accepted"),
+        }
     }
-    // Sanity: the journal still resumes under its own definition.
-    SweepJournal::open(Arc::new(RealVfs), &path, &sweep_of(a), true)
-        .expect("same definition resumes");
+    // Sanity: the journal still resumes under its own definition,
+    // compiled again.
+    SweepJournal::open(
+        Arc::new(RealVfs),
+        &path,
+        &sweep_of(compile("recov", 1)),
+        true,
+    )
+    .expect("same definition resumes");
     fs::remove_file(&path).expect("cleanup");
 }
 

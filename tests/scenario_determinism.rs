@@ -7,7 +7,7 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use spasm::apps::SizeClass;
 use spasm::core::figures::FigureSpec;
@@ -19,18 +19,11 @@ use spasm::machine::TelemetryConfig;
 const SEED: u64 = 7;
 const PROCS: [usize; 2] = [2, 4];
 
-/// The bundled streaming scenario, compiled once for the whole suite.
+/// The bundled streaming scenario, compiled.
 fn spec() -> &'static FigureSpec {
-    static SPEC: OnceLock<&'static FigureSpec> = OnceLock::new();
-    SPEC.get_or_init(|| {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/examples/scenarios/streaming.scn"
-        );
-        let text = fs::read_to_string(path).expect("bundled scenario readable");
-        let sc = spasm::scenario::parse(&text).expect("bundled scenario parses");
-        spasm::scenario::compile(&sc).expect("bundled scenario compiles")
-    })
+    let text = include_str!("../examples/scenarios/streaming.scn");
+    let sc = spasm::scenario::parse(text).expect("bundled scenario parses");
+    spasm::scenario::compile(&sc).expect("bundled scenario compiles")
 }
 
 /// The instrumented sweep of the scenario on `jobs` workers.

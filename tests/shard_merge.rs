@@ -8,7 +8,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use spasm::apps::SizeClass;
 use spasm::core::figures::{self, FigureSpec};
@@ -39,13 +39,10 @@ fn scratch_dir() -> PathBuf {
     dir
 }
 
-/// The uninterrupted serial run's renderings, computed once.
-fn serial() -> &'static (String, String) {
-    static FIXTURE: OnceLock<(String, String)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let data = sweep().run(None, &mut PointCache::default(), |_| {});
-        (data.render_table(), data.to_csv())
-    })
+/// The uninterrupted serial run's renderings.
+fn serial() -> (String, String) {
+    let data = sweep().run(None, &mut PointCache::default(), |_| {});
+    (data.render_table(), data.to_csv())
 }
 
 /// Runs (or resumes) one shard worker's pass into `dir`, exactly as
@@ -63,12 +60,8 @@ fn merge(dir: &Path) -> Result<MergeReport, ShardError> {
 
 fn assert_identical(report: &MergeReport) {
     let (table, csv) = serial();
-    assert_eq!(
-        &report.data.render_table(),
-        table,
-        "table must match serial"
-    );
-    assert_eq!(&report.data.to_csv(), csv, "csv must match serial");
+    assert_eq!(report.data.render_table(), table, "table must match serial");
+    assert_eq!(report.data.to_csv(), csv, "csv must match serial");
 }
 
 #[test]
