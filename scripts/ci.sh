@@ -294,29 +294,9 @@ fi
 # damaged record on stderr).
 echo "==> figures exit codes: usage=2, salvaged=3, mismatch=4, corrupt=5"
 expect_rc 3 -- timeout 60 ./target/release/figures --figure F2 --size test --procs 2,3 --serial
-# A flag a mode would ignore is refused by name: --list takes no other,
-# and an ablation fixes its own figure set, size, p and seed.
-expect_rc 2 "--bogus" -- ./target/release/figures --list --bogus
-expect_rc 2 "--serial" -- ./target/release/figures --list --serial
-expect_rc 2 "--figure" -- ./target/release/figures --ablation protocol --figure F1 \
-    --size full --procs 2 --seed 7
-expect_rc 2 "--all" -- ./target/release/figures --ablation g --all
-expect_rc 2 "--scenario" -- ./target/release/figures --ablation g \
-    --scenario examples/scenarios/bsp.scn
-expect_rc 2 "--size" -- ./target/release/figures --ablation g --size test
-expect_rc 2 "--procs" -- ./target/release/figures --ablation g --procs 2
-expect_rc 2 "--seed" -- ./target/release/figures --ablation g --seed 7
-# A repeated processor count would run its points twice.
-expect_rc 2 "--procs 2,2" -- ./target/release/figures --figure F2 --size test --procs 2,2
-# A one-value flag given twice (or with its rival) is refused by name
-# rather than letting the last mention silently win.
-expect_rc 2 "--procs given twice" -- ./target/release/figures --figure F2 --procs 2,4 --procs 8
-expect_rc 2 "--size given twice" -- ./target/release/figures --figure F2 --size test --size full
-expect_rc 2 "--jobs conflicts with --serial" -- ./target/release/figures --figure F2 --serial --jobs 4
-expect_rc 2 "--strict-check conflicts with --check" -- ./target/release/figures --figure F2 \
-    --check --strict-check
-expect_rc 2 "--faults given twice" -- ./target/release/figures --figure F2 --faults 1 --faults 2
-expect_rc 2 "--serial given twice" -- ./target/release/figures --figure F2 --serial --serial
+# Which command lines are refused, and with what message, is the unit test
+# of `Cli::parse` (crates/bench); this proves main turns a refusal into 2.
+expect_rc 2 "--serial does not apply to --list" -- ./target/release/figures --list --serial
 expect_rc 4 -- timeout 60 ./target/release/figures --figure F2 --size test --procs 2,4,8 \
     --seed 7 --serial --budget-events 50000000 --journal "$jdir/j" --resume
 printf '\x41' | dd of="$jdir/j.F2" bs=1 seek=40 conv=notrunc 2>/dev/null
@@ -376,16 +356,10 @@ if ! cmp "$sdir/bsp.jsonl" "$sdir/bsp-j4.jsonl"; then
     exit 1
 fi
 # One id names one definition per invocation: the same file twice sweeps
-# once; two files defining one name differently are refused, naming both.
+# once (two files defining one name differently are refused, naming both:
+# a unit test of `Cli::parse`).
 expect_rc 0 "total: 1 figure(s), 8 point(s)" -- ./target/release/figures \
     --scenario examples/scenarios/bsp.scn --scenario examples/scenarios/bsp.scn \
     --size test --procs 2,4 --serial
-for rounds in 1 2; do
-    printf '[scenario]\nname = x\nrounds = %s\n[phase]\nkind = barrier\n' "$rounds" \
-        > "$sdir/x$rounds.scn"
-done
-expect_rc 2 "--scenario $sdir/x2.scn defines scn-x differently from --scenario $sdir/x1.scn" \
-    -- ./target/release/figures --scenario "$sdir/x1.scn" --scenario "$sdir/x2.scn" \
-    --size test --procs 2
 
 echo "==> tier-1 green (total $((SECONDS))s)"

@@ -19,7 +19,7 @@
 # Anything else — SIGKILL, journal I/O trouble, a crashed worker — is
 # retried up to R times; a shard that never converges fails the fleet
 # with that worker's exit code. The merge's own exit code (0/3/4/5/6,
-# see `figures --help`) is the fleet's verdict.
+# see the exit-code table in DESIGN.md §13) is the fleet's verdict.
 set -euo pipefail
 caller=$PWD
 cd "$(dirname "$0")/.."
