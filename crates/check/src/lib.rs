@@ -24,7 +24,7 @@
 //!   (every send matched by exactly the scheduled deliveries), and —
 //!   under [`CheckMode::Strict`] — conformance of every scheduled time
 //!   to the machine model's price, which is how injected faults
-//!   (delays, duplicates, stalls, retries) are *provably detected*.
+//!   (delays, duplicates, stalls) are *provably detected*.
 //!
 //! A failed check produces a [`CheckViolation`]: a typed value naming
 //! the invariant, with a ring buffer of the last few events for

@@ -11,10 +11,8 @@ use crate::{CheckMode, CheckViolation, EventRing};
 ///
 /// * **event-time monotonicity** — popped event times never decrease;
 /// * **message conservation** — every `Deliver` the engine processes was
-///   scheduled by a send (matched by destination, tag, and time), every
-///   injected drop consumed a scheduled delivery and rebooked its
-///   retransmission, and at end of run every scheduled delivery has
-///   been processed;
+///   scheduled by a send (matched by destination, tag, and time), and at
+///   end of run every scheduled delivery has been processed;
 /// * **model conformance** (strict mode only) — the time the engine
 ///   actually schedules a dispatch, access completion, or delivery at is
 ///   exactly the time the machine model priced. Fault injection perturbs
@@ -41,7 +39,6 @@ pub struct EngineChecker<E> {
     sends: u64,
     scheduled: u64,
     delivered: u64,
-    dropped: u64,
     ring: EventRing<Stamped<E>>,
 }
 
@@ -65,7 +62,6 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
             sends: 0,
             scheduled: 0,
             delivered: 0,
-            dropped: 0,
             ring: EventRing::new(),
         }
     }
@@ -114,7 +110,7 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
 
     /// Observes a priced memory access: the model said it completes at
     /// `model_finish`; the engine will commit it at `scheduled` (≠ only
-    /// under injected retries/delays).
+    /// under an injected delay).
     ///
     /// # Errors
     ///
@@ -203,67 +199,14 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
         Ok(())
     }
 
-    /// Observes an injected message loss: the delivery scheduled at `at`
-    /// for `(dst, tag)` was dropped in flight and a retransmitted copy
-    /// was scheduled at `retry_at`.
-    ///
-    /// In lenient mode the dropped expectation is consumed and rebooked
-    /// at the retransmission time, so the conservation ledger follows
-    /// the drop instead of tripping on a delivery that never happens.
-    ///
-    /// # Errors
-    ///
-    /// `message-conservation` when the dropped delivery matches nothing
-    /// scheduled, or — in strict mode — for the drop itself.
-    pub fn on_drop(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        at: SimTime,
-        retry_at: SimTime,
-    ) -> Result<(), CheckViolation> {
-        let matched = self
-            .expected
-            .get_mut(&(dst, tag))
-            .and_then(|q| q.iter().position(|&t| t == at).map(|i| q.remove(i)))
-            .is_some();
-        if !matched {
-            return Err(self.violation(
-                "message-conservation",
-                format!(
-                    "dropped delivery to node {dst} (tag {tag}) at {at} matches no scheduled send"
-                ),
-            ));
-        }
-        self.dropped += 1;
-        self.scheduled += 1;
-        self.expected
-            .entry((dst, tag))
-            .or_default()
-            .push_back(retry_at);
-        if self.strict {
-            return Err(self.violation(
-                "message-conservation",
-                format!(
-                    "delivery to node {dst} (tag {tag}) at {at} was dropped in flight (retransmission at {retry_at})"
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// End-of-run ledger: every scheduled delivery was processed or
-    /// dropped-and-rebooked, and the checker's counts agree with the
-    /// injector's duplicate and retransmission counts.
+    /// End-of-run ledger: every scheduled delivery was processed, and
+    /// sends plus the injector's duplicates account for every scheduled
+    /// delivery.
     ///
     /// # Errors
     ///
     /// `message-conservation` on any imbalance.
-    pub fn on_run_end(
-        &mut self,
-        injected_duplicates: u64,
-        injected_retransmits: u64,
-    ) -> Result<(), CheckViolation> {
+    pub fn on_run_end(&mut self, injected_duplicates: u64) -> Result<(), CheckViolation> {
         let undelivered: u64 = self.expected.values().map(|q| q.len() as u64).sum();
         if undelivered > 0 {
             let mut keys: Vec<(usize, u64)> = self
@@ -278,15 +221,12 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
                 format!("{undelivered} scheduled deliveries never processed (dst, tag): {keys:?}"),
             ));
         }
-        if self.dropped != injected_retransmits
-            || self.delivered + self.dropped != self.scheduled
-            || self.scheduled != self.sends + injected_duplicates + injected_retransmits
-        {
+        if self.delivered != self.scheduled || self.scheduled != self.sends + injected_duplicates {
             return Err(self.violation(
                 "message-conservation",
                 format!(
-                    "ledger imbalance: {} sends + {injected_duplicates} injected duplicates + {injected_retransmits} injected retransmits, {} scheduled, {} delivered, {} dropped",
-                    self.sends, self.scheduled, self.delivered, self.dropped
+                    "ledger imbalance: {} sends + {injected_duplicates} injected duplicates, {} scheduled, {} delivered",
+                    self.sends, self.scheduled, self.delivered
                 ),
             ));
         }
@@ -319,7 +259,7 @@ mod tests {
         c.on_send(1, 7, ns(1600), ns(1600), 1).unwrap();
         c.on_event(ns(1600), "deliver").unwrap();
         c.on_deliver(1, 7, ns(1600)).unwrap();
-        c.on_run_end(0, 0).unwrap();
+        c.on_run_end(0).unwrap();
     }
 
     #[test]
@@ -344,7 +284,7 @@ mod tests {
         c.on_send(2, 0, ns(100), ns(100), 2).unwrap();
         c.on_deliver(2, 0, ns(100)).unwrap();
         c.on_deliver(2, 0, ns(100)).unwrap();
-        c.on_run_end(1, 0).unwrap();
+        c.on_run_end(1).unwrap();
     }
 
     #[test]
@@ -356,7 +296,7 @@ mod tests {
         let mut c = checker(CheckMode::On);
         c.on_send(1, 0, ns(100), ns(250), 1).unwrap();
         c.on_deliver(1, 0, ns(250)).unwrap();
-        c.on_run_end(0, 0).unwrap();
+        c.on_run_end(0).unwrap();
     }
 
     #[test]
@@ -388,43 +328,17 @@ mod tests {
         c.on_send(0, 5, ns(200), ns(200), 1).unwrap();
         c.on_deliver(0, 5, ns(200)).unwrap();
         c.on_deliver(0, 5, ns(400)).unwrap();
-        c.on_run_end(0, 0).unwrap();
+        c.on_run_end(0).unwrap();
     }
 
     #[test]
-    fn dropped_message_is_a_conservation_violation_in_strict_mode() {
-        let mut c = checker(CheckMode::Strict);
-        c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
-        let v = c.on_drop(1, 7, ns(100), ns(400)).unwrap_err();
-        assert_eq!(v.invariant, "message-conservation");
-        assert!(v.message.contains("dropped in flight"), "{v}");
-    }
-
-    #[test]
-    fn dropped_message_is_rebooked_and_balanced_in_lenient_mode() {
-        let mut c = checker(CheckMode::On);
-        c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
-        c.on_drop(1, 7, ns(100), ns(400)).unwrap();
-        c.on_deliver(1, 7, ns(400)).unwrap();
-        c.on_run_end(0, 1).unwrap();
-    }
-
-    #[test]
-    fn unmatched_drop_is_caught() {
-        let mut c = checker(CheckMode::On);
-        let v = c.on_drop(3, 9, ns(50), ns(80)).unwrap_err();
-        assert_eq!(v.invariant, "message-conservation");
-        assert!(v.message.contains("matches no scheduled send"), "{v}");
-    }
-
-    #[test]
-    fn retransmit_count_disagreement_is_a_ledger_imbalance() {
-        // The injector says one retransmission happened; the checker
-        // never saw a drop. The end-of-run ledger must refuse.
+    fn duplicate_count_disagreement_is_a_ledger_imbalance() {
+        // The injector says one duplicate happened; the checker saw one
+        // send schedule one delivery. The end-of-run ledger must refuse.
         let mut c = checker(CheckMode::On);
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
         c.on_deliver(1, 7, ns(100)).unwrap();
-        let v = c.on_run_end(0, 1).unwrap_err();
+        let v = c.on_run_end(1).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
         assert!(v.message.contains("ledger imbalance"), "{v}");
     }
@@ -433,7 +347,7 @@ mod tests {
     fn lost_message_is_caught_at_run_end() {
         let mut c = checker(CheckMode::On);
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
-        let v = c.on_run_end(0, 0).unwrap_err();
+        let v = c.on_run_end(0).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
         assert!(v.message.contains("never processed"), "{v}");
     }

@@ -559,19 +559,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
             shrink_steps: 0,
         })
     };
-    let spec = match figures::by_id("F1") {
-        Some(spec) => spec,
-        None => {
-            let empty = FaultScript::default();
-            return Err(harness_failure(
-                "journal",
-                0,
-                &empty,
-                "figure F1 is not registered".into(),
-            ));
-        }
-    };
-    let base = smoke(spec);
+    let base = smoke(figures::by_id("F1").expect("F1 is a const table entry"));
     let faulted = Sweep {
         config: SweepConfig {
             faults: Some(FaultPlan::chaos(config.seed)),
@@ -679,9 +667,7 @@ pub struct ShrinkDemo {
 /// against the replay-everything property. `seed` feeds the script's
 /// tear draws only, so the demo is fully deterministic.
 pub fn shrink_demo(seed: u64) -> Result<ShrinkDemo, ChaosError> {
-    let spec = figures::by_id("F1")
-        .ok_or_else(|| ChaosError::Harness("figure F1 is not registered".into()))?;
-    let cs = smoke(spec);
+    let cs = smoke(figures::by_id("F1").expect("F1 is a const table entry"));
     let (expected, trace) = run_reference(&cs, &PointCache::default())?;
     let total = total_points(&cs);
     let last_sync = trace

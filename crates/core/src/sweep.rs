@@ -138,7 +138,7 @@ impl SweepConfig {
     pub(crate) fn outcome_knobs(&self) -> [String; 4] {
         [
             format!("{:?}", self.faults),
-            format!("{:?}", self.budget),
+            self.budget.fingerprint_text(),
             format!("{:?}", self.check),
             format!("{:?}", self.telemetry),
         ]

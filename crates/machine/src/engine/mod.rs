@@ -213,34 +213,7 @@ pub(crate) enum Ev {
     /// An operation completes: apply its effect and resume the processor.
     Commit(usize, Action),
     /// An explicit message arrives at its destination's mailbox.
-    /// `drops` counts how many times this delivery has already been
-    /// dropped in flight (bounds injected message loss).
-    Deliver {
-        dst: usize,
-        tag: u64,
-        value: u64,
-        drops: u32,
-    },
-}
-
-/// What the checker's ring remembers of one queue pop: the event, or the
-/// injected loss that intercepted a delivery. Rendered (through `Debug`)
-/// only into a violation.
-#[derive(Clone, Copy)]
-pub(crate) enum Popped {
-    Event(Ev),
-    DroppedDeliver { dst: usize, tag: u64 },
-}
-
-impl fmt::Debug for Popped {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Popped::Event(ev) => ev.fmt(f),
-            Popped::DroppedDeliver { dst, tag } => {
-                write!(f, "Drop Deliver {{ dst: {dst}, tag: {tag} }}")
-            }
-        }
-    }
+    Deliver { dst: usize, tag: u64, value: u64 },
 }
 
 /// The effect a [`Ev::Commit`] applies when it pops.
@@ -321,7 +294,7 @@ pub struct Engine {
     now: SimTime,
     budget: RunBudget,
     injector: Option<FaultInjector>,
-    checker: Option<EngineChecker<Popped>>,
+    checker: Option<EngineChecker<Ev>>,
     telemetry: Option<Collector>,
     processed: u64,
 }

@@ -8,13 +8,13 @@ use std::time::Instant;
 
 use spasm_cache::AccessKind;
 use spasm_check::CheckViolation;
-use spasm_desim::{PopIfBefore, SimTime, Step};
+use spasm_desim::{SimTime, Step};
 
 use crate::ops::{MemReq, MemResp};
 use crate::stats::Buckets;
 use crate::{Addr, CYCLE_NS};
 
-use super::{Action, Engine, Ev, Popped, RunError, RunReport};
+use super::{Action, Engine, Ev, RunError, RunReport};
 
 impl Engine {
     /// Runs the simulation to completion.
@@ -33,26 +33,8 @@ impl Engine {
         for proc in 0..p {
             self.resume(proc, MemResp::Start)?;
         }
-        // A configured simulated-time budget becomes the queue's pop
-        // deadline: the queue refuses to yield an event beyond it in one
-        // combined operation, instead of popping and then rechecking.
-        let deadline = self.budget.max_sim_time.unwrap_or(SimTime::MAX);
-        loop {
-            let (t, ev) = match self.events.pop_if_before(deadline) {
-                PopIfBefore::Popped(t, id) => (t, self.slab.take(id)),
-                PopIfBefore::Deferred(t) => {
-                    // The head event lies past the budget: tripping on it
-                    // counts it as processed, exactly as the pop-then-check
-                    // formulation did.
-                    self.now = t;
-                    self.processed += 1;
-                    return Err(RunError::BudgetExceeded {
-                        at: self.now,
-                        events: self.processed,
-                    });
-                }
-                PopIfBefore::Empty => break,
-            };
+        while let Some((t, id)) = self.events.pop() {
+            let ev = self.slab.take(id);
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.processed += 1;
@@ -74,43 +56,8 @@ impl Engine {
                     events: self.processed,
                 });
             }
-            // Injected message loss intercepts a delivery as it leaves
-            // the queue: the in-flight copy vanishes and a retransmitted
-            // one is scheduled after the plan's timeout. Decided before
-            // the checker observes the delivery, so the conservation
-            // ledger follows the drop instead of tripping on a delivery
-            // that never happens.
-            if let Ev::Deliver {
-                dst,
-                tag,
-                value,
-                drops,
-            } = ev
-            {
-                if let Some(pause) = self
-                    .injector
-                    .as_mut()
-                    .and_then(|inj| inj.message_loss(drops))
-                {
-                    let retry_at = t + pause;
-                    if let Some(chk) = &mut self.checker {
-                        chk.on_event(t, Popped::DroppedDeliver { dst, tag })?;
-                        chk.on_drop(dst, tag, t, retry_at)?;
-                    }
-                    self.push_ev(
-                        retry_at,
-                        Ev::Deliver {
-                            dst,
-                            tag,
-                            value,
-                            drops: drops + 1,
-                        },
-                    );
-                    continue;
-                }
-            }
             if let Some(chk) = &mut self.checker {
-                chk.on_event(t, Popped::Event(ev))?;
+                chk.on_event(t, ev)?;
                 if let Ev::Deliver { dst, tag, .. } = ev {
                     chk.on_deliver(dst, tag, t)?;
                 }
@@ -118,9 +65,7 @@ impl Engine {
             match ev {
                 Ev::Dispatch(proc, req) => self.dispatch(proc, req)?,
                 Ev::Commit(proc, action) => self.commit(proc, action)?,
-                Ev::Deliver {
-                    dst, tag, value, ..
-                } => self.deliver(dst, tag, value),
+                Ev::Deliver { dst, tag, value } => self.deliver(dst, tag, value),
             }
         }
         if self.live > 0 {
@@ -143,11 +88,8 @@ impl Engine {
             });
         }
         if let Some(chk) = &mut self.checker {
-            let (duplicates, retransmits) = self
-                .injector
-                .as_ref()
-                .map_or((0, 0), |i| (i.counters.duplicated, i.counters.retransmits));
-            chk.on_run_end(duplicates, retransmits)?;
+            let duplicates = self.injector.as_ref().map_or(0, |i| i.counters.duplicated);
+            chk.on_run_end(duplicates)?;
             if self.events.popped() != self.events.pushed() {
                 return Err(RunError::Check(CheckViolation {
                     invariant: "event-accounting",
@@ -269,15 +211,7 @@ impl Engine {
                 }
                 self.push_ev(cost.sender_free, Ev::Commit(proc, Action::Sent));
                 for _ in 0..copies {
-                    self.push_ev(
-                        delivered,
-                        Ev::Deliver {
-                            dst,
-                            tag,
-                            value,
-                            drops: 0,
-                        },
-                    );
+                    self.push_ev(delivered, Ev::Deliver { dst, tag, value });
                 }
             }
             MemReq::Recv { tag } => {
@@ -320,21 +254,13 @@ impl Engine {
         }
         let mut cost = self.model.access(self.now, proc, addr, &self.amap, kind)?;
         let model_finish = cost.finish;
-        // Injected adversity on network-touching transactions. The retry
-        // re-pays the whole transaction (a NACKed requester re-arbitrates
-        // from scratch); the delay models slow links. Both are charged to
-        // contention — time spent waiting on the network, not using it.
+        // An injected delay on a network-touching transaction models a
+        // slow link, charged to contention — time spent waiting on the
+        // network, not using it.
         if cost.buckets.msgs > 0 {
-            if let Some(inj) = &mut self.injector {
-                let duration = cost.finish - self.now;
-                for _ in 0..inj.coherence_retries() {
-                    cost.finish += duration;
-                    cost.buckets.contention += duration;
-                }
-                if let Some(delay) = inj.message_delay() {
-                    cost.finish += delay;
-                    cost.buckets.contention += delay;
-                }
+            if let Some(delay) = self.injector.as_mut().and_then(|inj| inj.message_delay()) {
+                cost.finish += delay;
+                cost.buckets.contention += delay;
             }
         }
         if let Some(chk) = &mut self.checker {

@@ -1,63 +1,53 @@
 //! Deterministic fault injection and run budgets.
 //!
-//! A [`FaultPlan`] describes *adversity* to inject into a simulation:
-//! message delays, duplications, and losses on the network path (a lost
-//! message vanishes in flight and a retransmitted copy arrives after a
-//! timeout), per-node stall windows (a node that briefly stops
-//! dispatching, as if its OS took an interrupt), and forced
-//! coherence-controller retries (a directory that NACKs and makes the
-//! requester re-arbitrate). All decisions are drawn
+//! A [`FaultPlan`] describes *adversity* to inject into a simulation,
+//! one species per invariant the strict checker watches: delays on the
+//! network path (messages and network-touching accesses), message
+//! duplications, and per-node stall windows (a node that briefly stops
+//! dispatching, as if its OS took an interrupt). All decisions are drawn
 //! from one in-tree [`SplitMix64`] stream seeded by the plan, and the
 //! engine processes events in a deterministic order, so a given
 //! `(experiment, plan)` pair always injects the *same* faults at the same
 //! points — failures reproduce bit-identically.
 //!
-//! A [`RunBudget`] bounds a run in simulated time and/or event count so
-//! that livelock (e.g. a polling spin loop whose flag never flips) becomes
-//! a typed [`crate::RunError::BudgetExceeded`] instead of an endless loop.
+//! A [`RunBudget`] bounds a run's event count so that livelock (e.g. a
+//! polling spin loop whose flag never flips) becomes a typed
+//! [`crate::RunError::BudgetExceeded`] instead of an endless loop.
 
 use spasm_desim::SimTime;
 use spasm_prng::{Rng, SplitMix64};
 
-/// Upper bounds on a single simulation run.
+/// Upper bound on a single simulation run.
 ///
 /// `None` means unlimited. The engine checks the budget each time it pops
-/// an event; exceeding either bound aborts the run with
+/// an event; exceeding it aborts the run with
 /// [`crate::RunError::BudgetExceeded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunBudget {
     /// Maximum number of simulator events to process.
     pub max_events: Option<u64>,
-    /// Maximum simulated time to reach.
-    pub max_sim_time: Option<SimTime>,
 }
 
 impl RunBudget {
-    /// No bounds: the run may take as long as it needs.
-    pub const UNLIMITED: RunBudget = RunBudget {
-        max_events: None,
-        max_sim_time: None,
-    };
+    /// No bound: the run may take as long as it needs.
+    pub const UNLIMITED: RunBudget = RunBudget { max_events: None };
 
-    /// A budget bounded by event count only.
+    /// A budget bounded by event count.
     pub fn events(max: u64) -> Self {
         RunBudget {
             max_events: Some(max),
-            max_sim_time: None,
         }
     }
 
-    /// A budget bounded by simulated time only.
-    pub fn sim_time(max: SimTime) -> Self {
-        RunBudget {
-            max_events: None,
-            max_sim_time: Some(max),
-        }
-    }
-
-    /// Whether either bound is set.
-    pub fn is_bounded(&self) -> bool {
-        self.max_events.is_some() || self.max_sim_time.is_some()
+    /// The text sweep and machine fingerprints absorb for this budget:
+    /// the `Debug` rendering of the earlier two-field budget, whose
+    /// simulated-time bound was never set, so journals already on disk
+    /// keep resuming.
+    pub fn fingerprint_text(&self) -> String {
+        format!(
+            "RunBudget {{ max_events: {:?}, max_sim_time: None }}",
+            self.max_events
+        )
     }
 }
 
@@ -71,31 +61,18 @@ pub struct FaultPlan {
     /// Seed for the fault decision stream. Two runs with the same seed
     /// (and the same workload) inject identical faults.
     pub seed: u64,
-    /// Probability that a network message is delayed in flight.
+    /// Probability that a network message or network-touching access is
+    /// delayed in flight.
     pub delay_prob: f64,
     /// Maximum extra in-flight delay, drawn uniformly from `[1, max]` ns.
     pub max_delay_ns: u64,
     /// Probability that an explicit message is duplicated (the copy
     /// arrives after the original; receivers must tolerate it).
     pub dup_prob: f64,
-    /// Probability that a delivery is dropped in flight. A dropped
-    /// message is retransmitted [`Self::retransmit_ns`] later; after
-    /// [`Self::max_retransmits`] drops the next copy always arrives, so
-    /// delivery is guaranteed by the bound rather than the dice.
-    pub loss_prob: f64,
-    /// Delay before a dropped message's retransmitted copy arrives.
-    pub retransmit_ns: u64,
-    /// Maximum drops per message before the loss roll is bypassed.
-    pub max_retransmits: u32,
     /// Probability that a processor stalls before its next operation.
     pub stall_prob: f64,
     /// Stall window length in nanoseconds.
     pub stall_ns: u64,
-    /// Probability that a coherence/memory transaction is NACKed and
-    /// retried (each retry re-pays the transaction's network time).
-    pub retry_prob: f64,
-    /// Maximum forced retries per transaction.
-    pub max_retries: u32,
 }
 
 impl FaultPlan {
@@ -107,33 +84,21 @@ impl FaultPlan {
             delay_prob: 0.0,
             max_delay_ns: 0,
             dup_prob: 0.0,
-            loss_prob: 0.0,
-            retransmit_ns: 0,
-            max_retransmits: 0,
             stall_prob: 0.0,
             stall_ns: 0,
-            retry_prob: 0.0,
-            max_retries: 0,
         }
     }
 
-    /// An adversarial plan exercising every fault class at once: 10%
-    /// message delay (up to 2 µs), 5% duplication, 2% loss (3 µs
-    /// retransmission timeout, at most 2 drops per message), 2% stalls
-    /// of 5 µs, and 10% single retries.
+    /// An adversarial plan exercising every fault species at once: 10%
+    /// delay (up to 2 µs), 5% duplication, and 2% stalls of 5 µs.
     pub fn adversarial(seed: u64) -> Self {
         FaultPlan {
             seed,
             delay_prob: 0.10,
             max_delay_ns: 2_000,
             dup_prob: 0.05,
-            loss_prob: 0.02,
-            retransmit_ns: 3_000,
-            max_retransmits: 2,
             stall_prob: 0.02,
             stall_ns: 5_000,
-            retry_prob: 0.10,
-            max_retries: 1,
         }
     }
 
@@ -145,7 +110,7 @@ impl FaultPlan {
     /// replays inject the same faults.
     pub fn chaos(seed: u64) -> Self {
         let mut s = seed ^ 0xc0a5_c0de_0b5e_55edu64;
-        let mut d = [0u64; 10];
+        let mut d = [0u64; 5];
         for slot in &mut d {
             *slot = spasm_prng::splitmix64(&mut s);
         }
@@ -157,45 +122,32 @@ impl FaultPlan {
             delay_prob: prob(d[0], 150),
             max_delay_ns: 500 + d[1] % 3_000,
             dup_prob: prob(d[2], 100),
-            loss_prob: prob(d[3], 50),
-            retransmit_ns: 1_000 + d[4] % 4_000,
-            max_retransmits: 1 + (d[5] % 3) as u32,
-            stall_prob: prob(d[6], 50),
-            stall_ns: 1_000 + d[7] % 8_000,
-            retry_prob: prob(d[8], 150),
-            max_retries: 1 + (d[9] % 2) as u32,
+            stall_prob: prob(d[3], 50),
+            stall_ns: 1_000 + d[4] % 8_000,
         }
     }
 
-    /// Whether any fault class has a non-zero probability.
+    /// Whether any fault species has a non-zero probability.
     pub fn is_active(&self) -> bool {
-        self.delay_prob > 0.0
-            || self.dup_prob > 0.0
-            || self.loss_prob > 0.0
-            || self.stall_prob > 0.0
-            || self.retry_prob > 0.0
+        self.delay_prob > 0.0 || self.dup_prob > 0.0 || self.stall_prob > 0.0
     }
 }
 
 /// Counts of faults actually injected during a run (for reporting).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
-    /// Messages delayed in flight.
+    /// Messages and network-touching accesses delayed in flight.
     pub delayed: u64,
     /// Messages duplicated.
     pub duplicated: u64,
-    /// Deliveries dropped in flight and retransmitted.
-    pub retransmits: u64,
     /// Processor stall windows inserted.
     pub stalls: u64,
-    /// Coherence/memory transactions forced to retry.
-    pub retries: u64,
 }
 
 impl FaultCounters {
-    /// Total faults of all classes.
+    /// Total faults of all species.
     pub fn total(&self) -> u64 {
-        self.delayed + self.duplicated + self.retransmits + self.stalls + self.retries
+        self.delayed + self.duplicated + self.stalls
     }
 }
 
@@ -240,24 +192,6 @@ impl FaultInjector {
         dup
     }
 
-    /// Whether to drop a delivery that has already been dropped `drops`
-    /// times, and if so how long until the retransmitted copy arrives.
-    ///
-    /// The retransmission bound is checked *before* the dice roll, so
-    /// the attempt after the last permitted drop consumes no stream
-    /// draw and always delivers — a message can be late, never lost.
-    pub(crate) fn message_loss(&mut self, drops: u32) -> Option<SimTime> {
-        if self.plan.retransmit_ns == 0 || drops >= self.plan.max_retransmits {
-            return None;
-        }
-        if self.roll(self.plan.loss_prob) {
-            self.counters.retransmits += 1;
-            Some(SimTime::from_ns(self.plan.retransmit_ns))
-        } else {
-            None
-        }
-    }
-
     /// Stall window to insert before a processor's next operation.
     pub(crate) fn stall(&mut self) -> Option<SimTime> {
         if self.roll(self.plan.stall_prob) && self.plan.stall_ns > 0 {
@@ -266,16 +200,6 @@ impl FaultInjector {
         } else {
             None
         }
-    }
-
-    /// Number of forced retries for a network-touching transaction.
-    pub(crate) fn coherence_retries(&mut self) -> u32 {
-        if self.plan.max_retries == 0 || !self.roll(self.plan.retry_prob) {
-            return 0;
-        }
-        let n = 1 + (self.rng.gen_u64_below(u64::from(self.plan.max_retries)) as u32);
-        self.counters.retries += u64::from(n);
-        n
     }
 }
 
@@ -289,9 +213,7 @@ mod tests {
         for _ in 0..1000 {
             assert!(inj.message_delay().is_none());
             assert!(!inj.duplicate());
-            assert!(inj.message_loss(0).is_none());
             assert!(inj.stall().is_none());
-            assert_eq!(inj.coherence_retries(), 0);
         }
         assert_eq!(inj.counters.total(), 0);
         assert!(!FaultPlan::quiet(7).is_active());
@@ -303,33 +225,12 @@ mod tests {
         for _ in 0..10_000 {
             inj.message_delay();
             inj.duplicate();
-            inj.message_loss(0);
             inj.stall();
-            inj.coherence_retries();
         }
         let c = inj.counters;
         assert!(c.delayed > 0, "no delays in 10k rolls");
         assert!(c.duplicated > 0, "no dups in 10k rolls");
-        assert!(c.retransmits > 0, "no losses in 10k rolls");
         assert!(c.stalls > 0, "no stalls in 10k rolls");
-        assert!(c.retries > 0, "no retries in 10k rolls");
-    }
-
-    #[test]
-    fn loss_is_bounded_by_max_retransmits() {
-        let plan = FaultPlan {
-            loss_prob: 1.0,
-            retransmit_ns: 500,
-            max_retransmits: 2,
-            ..FaultPlan::quiet(8)
-        };
-        let mut inj = FaultInjector::new(plan);
-        // Certain loss still delivers: the roll is bypassed once a
-        // message has burned its retransmission budget.
-        assert_eq!(inj.message_loss(0), Some(SimTime::from_ns(500)));
-        assert_eq!(inj.message_loss(1), Some(SimTime::from_ns(500)));
-        assert_eq!(inj.message_loss(2), None);
-        assert_eq!(inj.counters.retransmits, 2);
     }
 
     #[test]
@@ -366,17 +267,21 @@ mod tests {
         assert_ne!(a, FaultPlan::chaos(8));
         for seed in 0..64 {
             let p = FaultPlan::chaos(seed);
-            assert!(p.delay_prob <= 0.15 && p.loss_prob <= 0.05, "{p:?}");
-            assert!(p.max_retransmits >= 1 && p.max_retries >= 1, "{p:?}");
-            assert!(p.max_delay_ns >= 500 && p.retransmit_ns >= 1_000, "{p:?}");
+            assert!(p.delay_prob <= 0.15 && p.stall_prob <= 0.05, "{p:?}");
+            assert!(p.max_delay_ns >= 500 && p.stall_ns >= 1_000, "{p:?}");
         }
     }
 
     #[test]
     fn budget_constructors() {
-        assert!(!RunBudget::UNLIMITED.is_bounded());
-        assert!(RunBudget::events(10).is_bounded());
-        assert!(RunBudget::sim_time(SimTime::from_us(5)).is_bounded());
         assert_eq!(RunBudget::default(), RunBudget::UNLIMITED);
+        assert_eq!(RunBudget::events(10).max_events, Some(10));
+        // The unlimited text is pinned through the sweep fingerprint
+        // (`journal::tests`); a bounded one only here.
+        let text = RunBudget::events(50_000_000).fingerprint_text();
+        assert!(
+            text.starts_with("RunBudget { max_events: Some(50000000), "),
+            "{text}"
+        );
     }
 }

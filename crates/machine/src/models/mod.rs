@@ -67,7 +67,7 @@ pub struct MachineConfig {
     /// Deterministic fault plan to run under, if any. `None` (the
     /// default) simulates a fault-free machine.
     pub faults: Option<FaultPlan>,
-    /// Bounds on the run (events / simulated time). Unlimited by default.
+    /// Bound on the run's event count. Unlimited by default.
     pub budget: RunBudget,
     /// How much online invariant checking the run performs. Off (the
     /// default) constructs no checker state and adds no per-event cost;
@@ -113,7 +113,7 @@ impl MachineConfig {
         fp.absorb_f64(self.g_scale);
         fp.absorb_str(&format!("{:?}", self.protocol));
         fp.absorb_str(&format!("{:?}", self.faults));
-        fp.absorb_str(&format!("{:?}", self.budget));
+        fp.absorb_str(&self.budget.fingerprint_text());
         fp.absorb_str(&format!("{:?}", self.check));
         fp.absorb_str(&format!("{:?}", self.telemetry));
         fp.absorb_str(&format!("{:?}", self.engine));

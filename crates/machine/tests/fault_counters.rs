@@ -134,43 +134,19 @@ fn stall_counts_exactly_one_per_dispatch() {
 }
 
 #[test]
-fn retry_counts_exactly_one_per_remote_transaction() {
+fn delay_counts_exactly_one_per_remote_transaction() {
     let plan = FaultPlan {
-        retry_prob: 1.0,
-        max_retries: 1,
+        delay_prob: 1.0,
+        max_delay_ns: 1,
         ..FaultPlan::quiet(4)
     };
     for reads in [1u64, 3, 6] {
         let report = run_faulted(MachineKind::Target, plan, remote_reads(reads));
-        assert_eq!(report.faults.retries, reads, "reads={reads}");
+        assert_eq!(report.faults.delayed, reads, "reads={reads}");
         assert_eq!(
             report.summary.cache_misses, reads,
             "workload must be one miss per read for the count to be exact"
         );
-    }
-}
-
-#[test]
-fn loss_counts_exactly_one_per_drop() {
-    // Certain loss drops every delivery `max_retransmits` times before
-    // the bound forces it through, so the retransmission count is an
-    // exact multiple of the message count.
-    for max in [1u32, 2, 3] {
-        let plan = FaultPlan {
-            loss_prob: 1.0,
-            retransmit_ns: 1_000,
-            max_retransmits: max,
-            ..FaultPlan::quiet(6)
-        };
-        for sends in [1u64, 3, 8] {
-            let report = run_faulted(MachineKind::Target, plan, msgpass(sends));
-            assert_eq!(
-                report.faults.retransmits,
-                sends * u64::from(max),
-                "sends={sends} max={max}"
-            );
-            assert_eq!(report.faults.total(), sends * u64::from(max));
-        }
     }
 }
 
@@ -180,7 +156,7 @@ type CounterOf = fn(&spasm_machine::FaultCounters) -> u64;
 #[test]
 fn counters_are_disjoint_and_total_is_their_sum() {
     // One species at a time: the other counters stay zero.
-    let species: [(FaultPlan, CounterOf); 5] = [
+    let species: [(FaultPlan, CounterOf); 3] = [
         (
             FaultPlan {
                 dup_prob: 1.0,
@@ -203,23 +179,6 @@ fn counters_are_disjoint_and_total_is_their_sum() {
                 ..FaultPlan::quiet(5)
             },
             |c| c.stalls,
-        ),
-        (
-            FaultPlan {
-                retry_prob: 1.0,
-                max_retries: 1,
-                ..FaultPlan::quiet(5)
-            },
-            |c| c.retries,
-        ),
-        (
-            FaultPlan {
-                loss_prob: 1.0,
-                retransmit_ns: 1_000,
-                max_retransmits: 1,
-                ..FaultPlan::quiet(5)
-            },
-            |c| c.retransmits,
         ),
     ];
     for (plan, own) in species {

@@ -68,30 +68,11 @@ fn event_budget_converts_polling_livelock_into_typed_error() {
 }
 
 #[test]
-fn sim_time_budget_trips_on_all_machines() {
-    for kind in ALL_MACHINES {
-        let config = MachineConfig {
-            budget: RunBudget::sim_time(SimTime::from_ns(1)),
-            ..MachineConfig::default()
-        };
-        match run_with(config, kind) {
-            Err(RunError::BudgetExceeded { at, .. }) => {
-                assert!(at > SimTime::from_ns(1), "{kind}")
-            }
-            other => panic!("{kind}: expected BudgetExceeded, got {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn generous_budget_changes_nothing() {
     for kind in ALL_MACHINES {
         let baseline = run_with(MachineConfig::default(), kind).unwrap();
         let config = MachineConfig {
-            budget: RunBudget {
-                max_events: Some(1_000_000),
-                max_sim_time: Some(SimTime::from_us(1_000_000)),
-            },
+            budget: RunBudget::events(1_000_000),
             ..MachineConfig::default()
         };
         let bounded = run_with(config, kind).unwrap();
