@@ -1,6 +1,7 @@
 //! Global observer over the Berkeley coherence state machine.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use spasm_cache::{AccessKind, BState, CoherenceController, Outcome, ProtocolKind};
 use spasm_desim::SimTime;
@@ -32,31 +33,38 @@ pub struct CoherenceChecker {
     protocol: ProtocolKind,
     /// block → per-node mirrored state (`None` = not resident).
     mirror: HashMap<u64, Vec<Option<BState>>>,
-    ring: EventRing,
+    ring: EventRing<Access>,
 }
 
-/// One-letter label for ring entries.
-fn kind_label(kind: AccessKind) -> char {
-    match kind {
-        AccessKind::Read => 'R',
-        AccessKind::Write => 'W',
-    }
-}
+/// One ring entry, rendered only into a violation: an access at `.0` by
+/// node `.1` to block `.2`, and its outcome. Cloning the outcome
+/// allocates only when it names invalidated nodes.
+#[derive(Debug, Clone)]
+struct Access(SimTime, usize, u64, AccessKind, Outcome);
 
-fn outcome_label(outcome: &Outcome) -> String {
-    match outcome {
-        Outcome::Hit => "Hit".to_string(),
-        Outcome::UpgradeHit { invalidated } => format!("Upgrade(inv={invalidated:?})"),
-        Outcome::Miss {
-            supplier,
-            invalidated,
-            writeback,
-            downgrade_writeback,
-        } => format!(
-            "Miss(sup={supplier:?}, inv={invalidated:?}, wb={:?}, dwb={:?})",
-            writeback.map(|w| w.block),
-            downgrade_writeback.map(|w| w.block),
-        ),
+impl fmt::Display for Access {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Access(at, node, block, kind, outcome) = self;
+        let kind = match kind {
+            AccessKind::Read => 'R',
+            AccessKind::Write => 'W',
+        };
+        write!(f, "t={at} n={node} {kind}{block} -> ")?;
+        match outcome {
+            Outcome::Hit => f.write_str("Hit"),
+            Outcome::UpgradeHit { invalidated } => write!(f, "Upgrade(inv={invalidated:?})"),
+            Outcome::Miss {
+                supplier,
+                invalidated,
+                writeback,
+                downgrade_writeback,
+            } => write!(
+                f,
+                "Miss(sup={supplier:?}, inv={invalidated:?}, wb={:?}, dwb={:?})",
+                writeback.map(|w| w.block),
+                downgrade_writeback.map(|w| w.block),
+            ),
+        }
     }
 }
 
@@ -119,11 +127,8 @@ impl CoherenceChecker {
         kind: AccessKind,
         outcome: &Outcome,
     ) -> Result<(), CheckViolation> {
-        self.ring.record(format!(
-            "t={at} n={node} {}{block} -> {}",
-            kind_label(kind),
-            outcome_label(outcome)
-        ));
+        self.ring
+            .record(Access(at, node, block, kind, outcome.clone()));
         self.check_outcome_consistency(node, block, kind, outcome)?;
         // Refresh the mirror for every block the outcome names, checking
         // each node's observed transition for legality.
@@ -508,15 +513,47 @@ mod tests {
     fn violation_carries_the_event_ring() {
         let mut cc = CoherenceController::new(2, tiny_config());
         let mut chk = CoherenceChecker::new(2, ProtocolKind::Berkeley);
-        let o = cc.access(0, 10, AccessKind::Write);
-        chk.after_access(&cc, SimTime::ZERO, 0, 10, AccessKind::Write, &o)
-            .unwrap();
+        // Every outcome shape: a memory fill, an owner forward, an
+        // upgrade that invalidates, and a fill that writes back an owned
+        // victim (blocks 3, 7 and 11 share set 3 of node 1's 2-way cache).
+        drive(
+            &mut cc,
+            &mut chk,
+            &[
+                (0, 10, AccessKind::Write),
+                (1, 10, AccessKind::Read),
+                (0, 10, AccessKind::Write),
+                (1, 3, AccessKind::Write),
+                (1, 7, AccessKind::Write),
+                (1, 11, AccessKind::Write),
+            ],
+        )
+        .unwrap();
         cc.cache_mut(1).insert(10, BState::Dirty);
         let o = cc.access(0, 10, AccessKind::Read);
         let v = chk
-            .after_access(&cc, SimTime::from_ns(60), 0, 10, AccessKind::Read, &o)
+            .after_access(
+                &cc,
+                SimTime::from_ns(1_234_567),
+                0,
+                10,
+                AccessKind::Read,
+                &o,
+            )
             .unwrap_err();
         assert!(!v.recent.is_empty());
         assert!(v.recent[0].contains("W10"), "{:?}", v.recent);
+        assert_eq!(
+            v.recent,
+            [
+                "t=0ns n=0 W10 -> Miss(sup=Memory, inv=[], wb=None, dwb=None)",
+                "t=30ns n=1 R10 -> Miss(sup=Owner(0), inv=[], wb=None, dwb=None)",
+                "t=60ns n=0 W10 -> Upgrade(inv=[1])",
+                "t=90ns n=1 W3 -> Miss(sup=Memory, inv=[], wb=None, dwb=None)",
+                "t=120ns n=1 W7 -> Miss(sup=Memory, inv=[], wb=None, dwb=None)",
+                "t=150ns n=1 W11 -> Miss(sup=Memory, inv=[], wb=Some(3), dwb=None)",
+                "t=1.235ms n=0 R10 -> Hit",
+            ]
+        );
     }
 }

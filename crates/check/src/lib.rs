@@ -10,9 +10,9 @@
 //! event, the way an always-on assertion layer catches silent
 //! corruption in a training stack.
 //!
-//! Three checkers, all zero-cost when disabled (the machine layer holds
-//! them as `Option` and never constructs them under
-//! [`CheckMode::Off`]):
+//! Three checkers and one check, all zero-cost when disabled (the
+//! machine layer holds the checkers as `Option` and never constructs
+//! them under [`CheckMode::Off`]):
 //!
 //! * [`CoherenceChecker`] — a global observer over the
 //!   `spasm-cache` controller asserting single-writer, directory–cache
@@ -20,16 +20,20 @@
 //!   access;
 //! * [`NetChecker`] — an independent re-derivation of the LogP gap/L
 //!   rules, checked against what the abstract network actually granted;
+//! * [`network_conformance`] — the target network's per-message timing
+//!   and routing, checked against the wormhole model's own definition;
 //! * [`EngineChecker`] — event-time monotonicity, message conservation
-//!   (every send matched by exactly the scheduled deliveries), and —
-//!   under [`CheckMode::Strict`] — conformance of every scheduled time
-//!   to the machine model's price, which is how injected faults
-//!   (delays, duplicates, stalls) are *provably detected*.
+//!   (every send matched by exactly the scheduled deliveries), event
+//!   accounting, and — under [`CheckMode::Strict`] — conformance of
+//!   every scheduled time to the machine model's price, which is how
+//!   injected faults (delays, duplicates, stalls) are *provably
+//!   detected*.
 //!
-//! A failed check produces a [`CheckViolation`]: a typed value naming
-//! the invariant, with a ring buffer of the last few events for
-//! post-mortem reading. Violations never panic; the machine layer
-//! surfaces them as a typed run error.
+//! This crate is the one place a violation is made. A failed check
+//! returns a [`CheckViolation`] as the `Err` of the call that detected
+//! it: a typed value naming the invariant, with a ring buffer of the
+//! last few events for post-mortem reading. Violations never panic; the
+//! machine layer surfaces them as a typed run error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +46,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 pub use coherence::CoherenceChecker;
-pub use net::NetChecker;
+pub use net::{network_conformance, NetChecker};
 pub use timing::EngineChecker;
 
 /// How much invariant checking a run performs.
@@ -118,7 +122,7 @@ pub struct CheckViolation {
 
 impl CheckViolation {
     /// Builds a violation with the given ring dump.
-    pub fn new<E: fmt::Display>(
+    pub(crate) fn new<E: fmt::Display>(
         invariant: &'static str,
         message: String,
         ring: &EventRing<E>,
@@ -153,29 +157,23 @@ impl std::error::Error for CheckViolation {}
 /// A fixed-capacity ring buffer of recent events, dumped into every
 /// [`CheckViolation`] so a failure names not just the invariant but the
 /// history that led to it. Entries are rendered only by
-/// [`EventRing::dump`], so a checker on a per-event path can record
-/// `Copy` values and pay for text only when a violation fires.
+/// [`EventRing::dump`], so a checker on a per-event path records values
+/// and pays for text only when a violation fires.
 #[derive(Debug, Clone)]
-pub struct EventRing<E = String> {
+pub(crate) struct EventRing<E> {
     buf: VecDeque<E>,
-}
-
-impl<E> Default for EventRing<E> {
-    fn default() -> Self {
-        EventRing::new()
-    }
 }
 
 impl<E> EventRing<E> {
     /// An empty ring holding up to [`RING_CAPACITY`] events.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventRing {
             buf: VecDeque::with_capacity(RING_CAPACITY),
         }
     }
 
     /// Records one event, discarding the oldest when full.
-    pub fn record(&mut self, event: E) {
+    pub(crate) fn record(&mut self, event: E) {
         if self.buf.len() == RING_CAPACITY {
             self.buf.pop_front();
         }
@@ -183,21 +181,11 @@ impl<E> EventRing<E> {
     }
 
     /// The retained events rendered, oldest first.
-    pub fn dump(&self) -> Vec<String>
+    pub(crate) fn dump(&self) -> Vec<String>
     where
         E: fmt::Display,
     {
         self.buf.iter().map(E::to_string).collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -223,13 +211,12 @@ mod tests {
     #[test]
     fn ring_keeps_the_newest_events() {
         let mut r = EventRing::<String>::new();
-        assert!(r.is_empty());
+        assert!(r.dump().is_empty());
         for i in 0..RING_CAPACITY + 5 {
             r.record(format!("e{i}"));
         }
         let d = r.dump();
         assert_eq!(d.len(), RING_CAPACITY);
-        assert_eq!(r.len(), RING_CAPACITY);
         assert_eq!(d.first().unwrap(), "e5");
         assert_eq!(d.last().unwrap(), &format!("e{}", RING_CAPACITY + 4));
     }

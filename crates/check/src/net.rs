@@ -1,7 +1,11 @@
-//! Independent re-derivation of the LogP network rules.
+//! Network checks: an independent re-derivation of the LogP network
+//! rules, and the target network's per-message conformance.
+
+use std::fmt;
 
 use spasm_desim::SimTime;
 use spasm_logp::GapPolicy;
+use spasm_net::Delivery;
 
 use crate::{CheckViolation, EventRing};
 
@@ -18,9 +22,7 @@ use crate::{CheckViolation, EventRing};
 ///
 /// The checker keeps its own next-free slot per node, updated from the
 /// *observed* grants so one violation does not cascade into spurious
-/// follow-ons. Because the observation point is infallible hot-path
-/// code, a violation is *latched* and polled by the machine model via
-/// [`NetChecker::take_violation`]; only the first is kept.
+/// follow-ons.
 ///
 /// Loopback (`src == dst`) messages bypass the network and must not be
 /// observed.
@@ -31,8 +33,23 @@ pub struct NetChecker {
     policy: GapPolicy,
     next_send: Vec<SimTime>,
     next_recv: Vec<SimTime>,
-    ring: EventRing,
-    violation: Option<CheckViolation>,
+    ring: EventRing<Msg>,
+}
+
+/// One ring entry, rendered only into a violation: a message requested
+/// at `.0` from `.1` to `.2`, granted its send slot at `.3`, arriving at
+/// `.4` and received at `.5`.
+#[derive(Debug, Clone, Copy)]
+struct Msg(SimTime, usize, usize, SimTime, SimTime, SimTime);
+
+impl fmt::Display for Msg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Msg(at, src, dst, send, arrive, recv) = self;
+        write!(
+            f,
+            "t={at} msg {src}->{dst}: send@{send} arrive@{arrive} recv@{recv}"
+        )
+    }
 }
 
 impl NetChecker {
@@ -46,13 +63,18 @@ impl NetChecker {
             next_send: vec![SimTime::ZERO; p],
             next_recv: vec![SimTime::ZERO; p],
             ring: EventRing::new(),
-            violation: None,
         }
     }
 
     /// Observes one granted message: requested at `at` from `src` to
     /// `dst`, the network granted the send slot at `send_start`, arrival
     /// at `arrive`, and the receive slot at `recv_start`.
+    ///
+    /// # Errors
+    ///
+    /// `message-gap` when a send or receive slot is not where the gap
+    /// rules put it; `network-latency` when the message does not arrive
+    /// exactly `L` after its send slot.
     pub fn observe_message(
         &mut self,
         at: SimTime,
@@ -61,10 +83,9 @@ impl NetChecker {
         send_start: SimTime,
         arrive: SimTime,
         recv_start: SimTime,
-    ) {
-        self.ring.record(format!(
-            "t={at} msg {src}->{dst}: send@{send_start} arrive@{arrive} recv@{recv_start}"
-        ));
+    ) -> Result<(), CheckViolation> {
+        self.ring
+            .record(Msg(at, src, dst, send_start, arrive, recv_start));
         let expected_send = at.max(self.slot(src, Kind::Send));
         let expected_arrive = send_start + self.l;
         let expected_recv = arrive.max(self.slot(dst, Kind::Recv));
@@ -73,39 +94,34 @@ impl NetChecker {
         // message at the same node.
         self.advance(src, Kind::Send, send_start);
         self.advance(dst, Kind::Recv, recv_start);
-        if self.violation.is_some() {
-            return;
-        }
         if send_start != expected_send {
-            self.latch(
+            return Err(self.violation(
                 "message-gap",
                 format!(
                     "send {src}->{dst} requested at {at} started at {send_start}, gap rules (g={}) give {expected_send}",
                     self.g
                 ),
-            );
-        } else if arrive != expected_arrive {
-            self.latch(
+            ));
+        }
+        if arrive != expected_arrive {
+            return Err(self.violation(
                 "network-latency",
                 format!(
                     "message {src}->{dst} sent at {send_start} arrived at {arrive}, expected exactly L={} later ({expected_arrive})",
                     self.l
                 ),
-            );
-        } else if recv_start != expected_recv {
-            self.latch(
+            ));
+        }
+        if recv_start != expected_recv {
+            return Err(self.violation(
                 "message-gap",
                 format!(
                     "receive of {src}->{dst} arriving at {arrive} started at {recv_start}, gap rules (g={}) give {expected_recv}",
                     self.g
                 ),
-            );
+            ));
         }
-    }
-
-    /// The latched violation, if any; clears it.
-    pub fn take_violation(&mut self) -> Option<CheckViolation> {
-        self.violation.take()
+        Ok(())
     }
 
     fn slot(&self, node: usize, kind: Kind) -> SimTime {
@@ -128,8 +144,8 @@ impl NetChecker {
         }
     }
 
-    fn latch(&mut self, invariant: &'static str, message: String) {
-        self.violation = Some(CheckViolation::new(invariant, message, &self.ring));
+    fn violation(&self, invariant: &'static str, message: String) -> CheckViolation {
+        CheckViolation::new(invariant, message, &self.ring)
     }
 }
 
@@ -137,6 +153,42 @@ impl NetChecker {
 enum Kind {
     Send,
     Recv,
+}
+
+/// Checks one remote message `src -> dst` injected at `at` on the
+/// target's circuit-switched network: it waits out its link contention,
+/// departs, and arrives exactly its transmission time later, having
+/// crossed at least one link.
+///
+/// # Errors
+///
+/// `network-conformance` naming the first of the three that fails.
+pub fn network_conformance(
+    at: SimTime,
+    src: usize,
+    dst: usize,
+    d: &Delivery,
+) -> Result<(), CheckViolation> {
+    let message = if d.depart != at + d.contention {
+        format!(
+            "message {src}->{dst} injected at {at} with contention {} departed at {}",
+            d.contention, d.depart
+        )
+    } else if d.arrive != d.depart + d.latency {
+        format!(
+            "message {src}->{dst} departed at {} with latency {} arrived at {}",
+            d.depart, d.latency, d.arrive
+        )
+    } else if d.hops == 0 {
+        format!("remote message {src}->{dst} crossed zero links")
+    } else {
+        return Ok(());
+    };
+    Err(CheckViolation {
+        invariant: "network-conformance",
+        message,
+        recent: Vec::new(),
+    })
 }
 
 #[cfg(test)]
@@ -179,9 +231,9 @@ mod tests {
             ];
             for (at, src, dst) in msgs {
                 let (s, a, r) = grant(&mut gaps, l, at, src, dst);
-                chk.observe_message(at, src, dst, s, a, r);
+                chk.observe_message(at, src, dst, s, a, r)
+                    .unwrap_or_else(|v| panic!("policy {policy:?}: {v}"));
             }
-            assert!(chk.take_violation().is_none(), "policy {policy:?}");
         }
     }
 
@@ -189,20 +241,30 @@ mod tests {
     fn send_before_the_gap_elapses_is_caught() {
         let (l, g) = (ns(1600), ns(200));
         let mut chk = NetChecker::new(2, l, g, GapPolicy::Unified);
-        chk.observe_message(ns(0), 0, 1, ns(0), ns(1600), ns(1600));
+        chk.observe_message(ns(0), 0, 1, ns(0), ns(1600), ns(1600))
+            .unwrap();
         // Second send from node 0 at t=0 must wait until 200; claim 100.
-        chk.observe_message(ns(0), 0, 1, ns(100), ns(1700), ns(1800));
-        let v = chk.take_violation().expect("violation");
+        let v = chk
+            .observe_message(ns(0), 0, 1, ns(100), ns(1700), ns(1800))
+            .unwrap_err();
         assert_eq!(v.invariant, "message-gap");
         assert!(v.message.contains("started at 100ns"), "{v}");
+        assert_eq!(
+            v.recent,
+            [
+                "t=0ns msg 0->1: send@0ns arrive@1.600us recv@1.600us",
+                "t=0ns msg 0->1: send@100ns arrive@1.700us recv@1.800us",
+            ]
+        );
     }
 
     #[test]
     fn wrong_latency_is_caught() {
         let (l, g) = (ns(1600), ns(200));
         let mut chk = NetChecker::new(2, l, g, GapPolicy::Unified);
-        chk.observe_message(ns(0), 0, 1, ns(0), ns(1500), ns(1500));
-        let v = chk.take_violation().expect("violation");
+        let v = chk
+            .observe_message(ns(0), 0, 1, ns(0), ns(1500), ns(1500))
+            .unwrap_err();
         assert_eq!(v.invariant, "network-latency");
     }
 
@@ -212,9 +274,11 @@ mod tests {
         let mut chk = NetChecker::new(3, l, g, GapPolicy::Unified);
         // Two messages converge on node 2; the second reception must be
         // pushed to 2600, but the feed claims it starts on arrival.
-        chk.observe_message(ns(0), 0, 2, ns(0), ns(1600), ns(1600));
-        chk.observe_message(ns(0), 1, 2, ns(0), ns(1600), ns(1600));
-        let v = chk.take_violation().expect("violation");
+        chk.observe_message(ns(0), 0, 2, ns(0), ns(1600), ns(1600))
+            .unwrap();
+        let v = chk
+            .observe_message(ns(0), 1, 2, ns(0), ns(1600), ns(1600))
+            .unwrap_err();
         assert_eq!(v.invariant, "message-gap");
         assert!(v.message.contains("receive"), "{v}");
     }
@@ -225,28 +289,86 @@ mod tests {
         // Node 1 receives at 1600 and sends at 1700: legal only when the
         // gap applies per event type.
         let feed = |chk: &mut NetChecker| {
-            chk.observe_message(ns(0), 0, 1, ns(0), ns(1600), ns(1600));
-            chk.observe_message(ns(1700), 1, 0, ns(1700), ns(3300), ns(3300));
+            chk.observe_message(ns(0), 0, 1, ns(0), ns(1600), ns(1600))?;
+            chk.observe_message(ns(1700), 1, 0, ns(1700), ns(3300), ns(3300))
         };
         let mut strict = NetChecker::new(2, l, g, GapPolicy::Unified);
-        feed(&mut strict);
-        assert_eq!(
-            strict.take_violation().expect("violation").invariant,
-            "message-gap"
-        );
+        assert_eq!(feed(&mut strict).unwrap_err().invariant, "message-gap");
         let mut relaxed = NetChecker::new(2, l, g, GapPolicy::PerEventType);
-        feed(&mut relaxed);
-        assert!(relaxed.take_violation().is_none());
+        feed(&mut relaxed).unwrap();
     }
 
     #[test]
-    fn only_the_first_violation_is_latched() {
+    fn a_deviation_is_not_echoed_by_later_messages() {
         let (l, g) = (ns(1600), ns(200));
         let mut chk = NetChecker::new(2, l, g, GapPolicy::Unified);
-        chk.observe_message(ns(0), 0, 1, ns(0), ns(1000), ns(1000)); // bad latency
-        chk.observe_message(ns(0), 0, 1, ns(50), ns(1650), ns(1650)); // bad gap too
-        let v = chk.take_violation().expect("violation");
-        assert_eq!(v.invariant, "network-latency");
-        assert!(chk.take_violation().is_none());
+        chk.observe_message(ns(0), 0, 1, ns(0), ns(1600), ns(1600))
+            .unwrap();
+        // Granted late: the gap rules give 200, the network said 500.
+        let v = chk
+            .observe_message(ns(0), 0, 1, ns(500), ns(2100), ns(2100))
+            .unwrap_err();
+        assert_eq!(v.invariant, "message-gap");
+        // The mirror follows the observed grant, so the next send one
+        // gap after it is clean.
+        chk.observe_message(ns(0), 0, 1, ns(700), ns(2300), ns(2300))
+            .unwrap();
+    }
+
+    /// A remote delivery as the wormhole network prices it: 300 ns of
+    /// link contention, 400 ns of transmission over two links.
+    fn delivery(at: SimTime) -> Delivery {
+        Delivery {
+            depart: at + ns(300),
+            arrive: at + ns(700),
+            latency: ns(400),
+            contention: ns(300),
+            hops: 2,
+        }
+    }
+
+    #[test]
+    fn a_conforming_delivery_is_clean() {
+        network_conformance(ns(1000), 0, 3, &delivery(ns(1000))).unwrap();
+    }
+
+    #[test]
+    fn departing_off_the_contention_is_a_conformance_violation() {
+        let d = Delivery {
+            depart: ns(1200),
+            ..delivery(ns(1000))
+        };
+        let v = network_conformance(ns(1000), 0, 3, &d).unwrap_err();
+        assert_eq!(v.invariant, "network-conformance");
+        assert_eq!(
+            v.message,
+            "message 0->3 injected at 1.000us with contention 300ns departed at 1.200us"
+        );
+        assert!(v.recent.is_empty());
+    }
+
+    #[test]
+    fn arriving_off_the_latency_is_a_conformance_violation() {
+        let d = Delivery {
+            arrive: ns(1600),
+            ..delivery(ns(1000))
+        };
+        let v = network_conformance(ns(1000), 0, 3, &d).unwrap_err();
+        assert_eq!(v.invariant, "network-conformance");
+        assert_eq!(
+            v.message,
+            "message 0->3 departed at 1.300us with latency 400ns arrived at 1.600us"
+        );
+    }
+
+    #[test]
+    fn a_remote_message_over_zero_links_is_a_conformance_violation() {
+        let d = Delivery {
+            hops: 0,
+            ..delivery(ns(1000))
+        };
+        let v = network_conformance(ns(1000), 2, 5, &d).unwrap_err();
+        assert_eq!(v.invariant, "network-conformance");
+        assert_eq!(v.message, "remote message 2->5 crossed zero links");
     }
 }

@@ -13,6 +13,7 @@ use crate::{CheckMode, CheckViolation, EventRing};
 /// * **message conservation** — every `Deliver` the engine processes was
 ///   scheduled by a send (matched by destination, tag, and time), and at
 ///   end of run every scheduled delivery has been processed;
+/// * **event accounting** — the drained queue popped every event pushed;
 /// * **model conformance** (strict mode only) — the time the engine
 ///   actually schedules a dispatch, access completion, or delivery at is
 ///   exactly the time the machine model priced. Fault injection perturbs
@@ -199,14 +200,21 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
         Ok(())
     }
 
-    /// End-of-run ledger: every scheduled delivery was processed, and
-    /// sends plus the injector's duplicates account for every scheduled
-    /// delivery.
+    /// End-of-run ledger: every scheduled delivery was processed, sends
+    /// plus the injector's duplicates account for every scheduled
+    /// delivery, and the drained event queue `popped` every event it
+    /// `pushed`.
     ///
     /// # Errors
     ///
-    /// `message-conservation` on any imbalance.
-    pub fn on_run_end(&mut self, injected_duplicates: u64) -> Result<(), CheckViolation> {
+    /// `message-conservation` on any delivery imbalance, then
+    /// `event-accounting` on a queue imbalance.
+    pub fn on_run_end(
+        &mut self,
+        injected_duplicates: u64,
+        popped: u64,
+        pushed: u64,
+    ) -> Result<(), CheckViolation> {
         let undelivered: u64 = self.expected.values().map(|q| q.len() as u64).sum();
         if undelivered > 0 {
             let mut keys: Vec<(usize, u64)> = self
@@ -228,6 +236,12 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
                     "ledger imbalance: {} sends + {injected_duplicates} injected duplicates, {} scheduled, {} delivered",
                     self.sends, self.scheduled, self.delivered
                 ),
+            ));
+        }
+        if popped != pushed {
+            return Err(self.violation(
+                "event-accounting",
+                format!("drained queue popped {popped} of {pushed} pushed events"),
             ));
         }
         Ok(())
@@ -259,7 +273,7 @@ mod tests {
         c.on_send(1, 7, ns(1600), ns(1600), 1).unwrap();
         c.on_event(ns(1600), "deliver").unwrap();
         c.on_deliver(1, 7, ns(1600)).unwrap();
-        c.on_run_end(0).unwrap();
+        c.on_run_end(0, 0, 0).unwrap();
     }
 
     #[test]
@@ -284,7 +298,7 @@ mod tests {
         c.on_send(2, 0, ns(100), ns(100), 2).unwrap();
         c.on_deliver(2, 0, ns(100)).unwrap();
         c.on_deliver(2, 0, ns(100)).unwrap();
-        c.on_run_end(1).unwrap();
+        c.on_run_end(1, 0, 0).unwrap();
     }
 
     #[test]
@@ -296,7 +310,7 @@ mod tests {
         let mut c = checker(CheckMode::On);
         c.on_send(1, 0, ns(100), ns(250), 1).unwrap();
         c.on_deliver(1, 0, ns(250)).unwrap();
-        c.on_run_end(0).unwrap();
+        c.on_run_end(0, 0, 0).unwrap();
     }
 
     #[test]
@@ -328,7 +342,7 @@ mod tests {
         c.on_send(0, 5, ns(200), ns(200), 1).unwrap();
         c.on_deliver(0, 5, ns(200)).unwrap();
         c.on_deliver(0, 5, ns(400)).unwrap();
-        c.on_run_end(0).unwrap();
+        c.on_run_end(0, 0, 0).unwrap();
     }
 
     #[test]
@@ -338,7 +352,7 @@ mod tests {
         let mut c = checker(CheckMode::On);
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
         c.on_deliver(1, 7, ns(100)).unwrap();
-        let v = c.on_run_end(1).unwrap_err();
+        let v = c.on_run_end(1, 0, 0).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
         assert!(v.message.contains("ledger imbalance"), "{v}");
     }
@@ -347,8 +361,19 @@ mod tests {
     fn lost_message_is_caught_at_run_end() {
         let mut c = checker(CheckMode::On);
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
-        let v = c.on_run_end(0).unwrap_err();
+        let v = c.on_run_end(0, 0, 0).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
         assert!(v.message.contains("never processed"), "{v}");
+    }
+
+    #[test]
+    fn a_queue_that_drains_short_is_an_accounting_violation() {
+        let mut c = checker(CheckMode::On);
+        c.on_event(ns(0), "a").unwrap();
+        c.on_run_end(0, 3, 3).unwrap();
+        let v = c.on_run_end(0, 2, 3).unwrap_err();
+        assert_eq!(v.invariant, "event-accounting");
+        assert_eq!(v.message, "drained queue popped 2 of 3 pushed events");
+        assert_eq!(v.recent, ["t=0ns \"a\""]);
     }
 }

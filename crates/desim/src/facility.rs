@@ -28,7 +28,6 @@ use crate::SimTime;
 #[derive(Debug, Clone, Default)]
 pub struct Facility {
     free_at: SimTime,
-    stats: FacilityStats,
 }
 
 /// A granted reservation on a [`Facility`].
@@ -39,17 +38,6 @@ pub struct Grant {
     /// When service completes and the facility becomes free again.
     pub end: SimTime,
     /// Time spent queued behind earlier requests (`start - request`).
-    pub waited: SimTime,
-}
-
-/// Aggregate usage statistics for a [`Facility`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FacilityStats {
-    /// Number of reservations granted.
-    pub requests: u64,
-    /// Total busy (service) time.
-    pub busy: SimTime,
-    /// Total time requests spent waiting for the server.
     pub waited: SimTime,
 }
 
@@ -68,32 +56,16 @@ impl Facility {
         let start = at.max(self.free_at);
         let end = start + service;
         self.free_at = end;
-        let waited = start - at;
-        self.stats.requests += 1;
-        self.stats.busy += service;
-        self.stats.waited += waited;
-        Grant { start, end, waited }
+        Grant {
+            start,
+            end,
+            waited: start - at,
+        }
     }
 
     /// The earliest time a new request could begin service.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// Returns the usage statistics accumulated so far.
-    pub fn stats(&self) -> FacilityStats {
-        self.stats
-    }
-
-    /// Utilization over `[0, horizon]`: busy time divided by horizon.
-    ///
-    /// Returns 0.0 for a zero horizon.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            0.0
-        } else {
-            self.stats.busy.as_ns() as f64 / horizon.as_ns() as f64
-        }
     }
 }
 
@@ -130,25 +102,6 @@ mod tests {
         let g = f.reserve(SimTime::from_ns(100), SimTime::from_ns(10));
         assert_eq!(g.start, SimTime::from_ns(100));
         assert_eq!(g.waited, SimTime::ZERO);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut f = Facility::new();
-        f.reserve(SimTime::ZERO, SimTime::from_ns(100));
-        f.reserve(SimTime::ZERO, SimTime::from_ns(50));
-        let s = f.stats();
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.busy, SimTime::from_ns(150));
-        assert_eq!(s.waited, SimTime::from_ns(100));
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut f = Facility::new();
-        f.reserve(SimTime::ZERO, SimTime::from_ns(250));
-        assert!((f.utilization(SimTime::from_ns(1000)) - 0.25).abs() < 1e-12);
-        assert_eq!(f.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

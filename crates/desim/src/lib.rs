@@ -49,7 +49,7 @@ mod time;
 
 pub use coro::{CoroCtx, CoroPool, ProcId, Step};
 pub use event_queue::{CalendarQueue, PopIfBefore};
-pub use facility::{Facility, FacilityStats};
+pub use facility::Facility;
 pub use time::SimTime;
 
 /// The crate-wide event queue.

@@ -7,7 +7,6 @@
 use std::time::Instant;
 
 use spasm_cache::AccessKind;
-use spasm_check::CheckViolation;
 use spasm_desim::{SimTime, Step};
 
 use crate::ops::{MemReq, MemResp};
@@ -89,21 +88,8 @@ impl Engine {
         }
         if let Some(chk) = &mut self.checker {
             let duplicates = self.injector.as_ref().map_or(0, |i| i.counters.duplicated);
-            chk.on_run_end(duplicates)?;
-            if self.events.popped() != self.events.pushed() {
-                return Err(RunError::Check(CheckViolation {
-                    invariant: "event-accounting",
-                    message: format!(
-                        "drained queue popped {} of {} pushed events",
-                        self.events.popped(),
-                        self.events.pushed()
-                    ),
-                    recent: Vec::new(),
-                }));
-            }
-            if let Some(v) = self.model.final_check() {
-                return Err(v.into());
-            }
+            chk.on_run_end(duplicates, self.events.popped(), self.events.pushed())?;
+            self.model.final_check()?;
         }
         let telemetry = match self.telemetry.take() {
             Some(mut tele) => {

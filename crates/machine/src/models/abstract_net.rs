@@ -7,7 +7,7 @@ use spasm_topology::Topology;
 
 use crate::{Buckets, DATA_BYTES};
 
-use super::MachineConfig;
+use super::{MachineConfig, MsgCost};
 
 /// Message timing under the LogP abstraction.
 ///
@@ -29,10 +29,7 @@ pub struct AbstractNet {
     bytes: u64,
     latency: SimTime,
     contention: SimTime,
-    /// Conformance checker (only under an enabled `CheckMode`). Message
-    /// granting is infallible hot-path code, so a detected violation is
-    /// latched here and polled by the owning model at its next fallible
-    /// boundary via [`AbstractNet::take_violation`].
+    /// Conformance checker (only under an enabled `CheckMode`).
     checker: Option<NetChecker>,
 }
 
@@ -60,30 +57,24 @@ impl AbstractNet {
         self.params
     }
 
-    /// Delivers one abstract message; returns the delivery time and
-    /// charges `buckets`.
+    /// Delivers one abstract message and charges `buckets`; returns
+    /// `(sender_slot, delivered)`, where the sender's network interface
+    /// slot began is the point an asynchronous LogP sender is free to
+    /// continue.
+    ///
+    /// # Errors
+    ///
+    /// The checker's violation, when checking is on and the grant breaks
+    /// the LogP rules.
     pub fn message(
         &mut self,
         at: SimTime,
         src: usize,
         dst: usize,
         buckets: &mut Buckets,
-    ) -> SimTime {
-        self.message_timed(at, src, dst, buckets).1
-    }
-
-    /// Like [`AbstractNet::message`], but also returns when the sender's
-    /// network interface slot began — the point an asynchronous LogP
-    /// sender is free to continue: `(sender_slot, delivered)`.
-    pub fn message_timed(
-        &mut self,
-        at: SimTime,
-        src: usize,
-        dst: usize,
-        buckets: &mut Buckets,
-    ) -> (SimTime, SimTime) {
+    ) -> Result<(SimTime, SimTime), CheckViolation> {
         if src == dst {
-            return (at, at);
+            return Ok((at, at));
         }
         let send = self.gaps.acquire(src, NetEvent::Send, at);
         buckets.contention += send.waited;
@@ -98,27 +89,47 @@ impl AbstractNet {
         self.latency += self.params.l;
         self.contention += send.waited + recv.waited;
         if let Some(chk) = &mut self.checker {
-            chk.observe_message(at, src, dst, send.start, arrive, recv.start);
+            chk.observe_message(at, src, dst, send.start, arrive, recv.start)?;
         }
-        (send.start, recv.start)
+        Ok((send.start, recv.start))
     }
 
-    /// The first network-conformance violation latched since the last
-    /// poll, if any.
-    pub fn take_violation(&mut self) -> Option<CheckViolation> {
-        self.checker.as_mut().and_then(NetChecker::take_violation)
+    /// Prices one explicit message: the send is asynchronous, so the
+    /// sender is free once its interface slot is granted (and a cycle
+    /// on at the earliest).
+    ///
+    /// # Errors
+    ///
+    /// As [`AbstractNet::message`].
+    pub fn msg_send(
+        &mut self,
+        at: SimTime,
+        src: usize,
+        dst: usize,
+    ) -> Result<MsgCost, CheckViolation> {
+        let mut buckets = Buckets::default();
+        let (slot, delivered) = self.message(at, src, dst, &mut buckets)?;
+        Ok(MsgCost {
+            sender_free: slot.max(at + SimTime::from_ns(crate::CYCLE_NS)),
+            delivered,
+            buckets,
+        })
     }
 
     /// A request/response pair `src → dst → src`; returns completion time.
+    ///
+    /// # Errors
+    ///
+    /// As [`AbstractNet::message`].
     pub fn round_trip(
         &mut self,
         at: SimTime,
         src: usize,
         dst: usize,
         buckets: &mut Buckets,
-    ) -> SimTime {
-        let there = self.message(at, src, dst, buckets);
-        self.message(there, dst, src, buckets)
+    ) -> Result<SimTime, CheckViolation> {
+        let (_, there) = self.message(at, src, dst, buckets)?;
+        Ok(self.message(there, dst, src, buckets)?.1)
     }
 
     /// Totals for the run report: `(messages, bytes, latency, contention)`.
@@ -140,7 +151,7 @@ mod tests {
     fn single_message_costs_l() {
         let mut n = net(4);
         let mut b = Buckets::default();
-        let t = n.message(SimTime::ZERO, 0, 1, &mut b);
+        let (_, t) = n.message(SimTime::ZERO, 0, 1, &mut b).unwrap();
         assert_eq!(t, SimTime::from_ns(1600));
         assert_eq!(b.latency, SimTime::from_ns(1600));
         assert_eq!(b.contention, SimTime::ZERO);
@@ -151,7 +162,7 @@ mod tests {
     fn round_trip_costs_two_l() {
         let mut n = net(4);
         let mut b = Buckets::default();
-        let t = n.round_trip(SimTime::ZERO, 0, 3, &mut b);
+        let t = n.round_trip(SimTime::ZERO, 0, 3, &mut b).unwrap();
         // cube g = L, so the reply's send at node 3 is gated by its recv:
         // recv at 1600 -> send allowed at 3200 -> deliver 4800, recv gap
         // at node 0 allows 3200... recv at 0 happens at 4800 (>= gap).
@@ -164,9 +175,9 @@ mod tests {
     fn back_to_back_sends_pay_gap() {
         let mut n = net(4); // g = 1600 on the cube
         let mut b = Buckets::default();
-        n.message(SimTime::ZERO, 0, 1, &mut b);
+        n.message(SimTime::ZERO, 0, 1, &mut b).unwrap();
         let before = b.contention;
-        n.message(SimTime::ZERO, 0, 2, &mut b);
+        n.message(SimTime::ZERO, 0, 2, &mut b).unwrap();
         assert!(b.contention > before, "second send must wait out g");
     }
 
@@ -174,7 +185,7 @@ mod tests {
     fn local_messages_free() {
         let mut n = net(4);
         let mut b = Buckets::default();
-        let t = n.message(SimTime::from_ns(5), 2, 2, &mut b);
+        let (_, t) = n.message(SimTime::from_ns(5), 2, 2, &mut b).unwrap();
         assert_eq!(t, SimTime::from_ns(5));
         assert_eq!(b.msgs, 0);
         assert_eq!(n.totals().0, 0);
@@ -190,10 +201,10 @@ mod tests {
         };
         let mut b1 = Buckets::default();
         let mut n1 = AbstractNet::new(&topo, &unified);
-        let t1 = n1.round_trip(SimTime::ZERO, 0, 1, &mut b1);
+        let t1 = n1.round_trip(SimTime::ZERO, 0, 1, &mut b1).unwrap();
         let mut b2 = Buckets::default();
         let mut n2 = AbstractNet::new(&topo, &per_type);
-        let t2 = n2.round_trip(SimTime::ZERO, 0, 1, &mut b2);
+        let t2 = n2.round_trip(SimTime::ZERO, 0, 1, &mut b2).unwrap();
         assert!(t2 < t1, "per-event-type gap must be faster ({t2} vs {t1})");
         assert!(b2.contention < b1.contention);
     }

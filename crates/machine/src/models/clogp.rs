@@ -57,7 +57,8 @@ impl CLogPModel {
     /// # Errors
     ///
     /// [`RunError::UnallocatedAddress`] for an address no allocation
-    /// covers.
+    /// covers; [`RunError::Check`] when checking is on and an invariant
+    /// breaks.
     pub fn access(
         &mut self,
         at: SimTime,
@@ -86,30 +87,30 @@ impl CLogPModel {
                     buckets.mem += SimTime::from_ns(MEM_NS);
                     at + SimTime::from_ns(MEM_NS)
                 } else {
-                    self.net.round_trip(at, proc, home, &mut buckets)
+                    self.net.round_trip(at, proc, home, &mut buckets)?
                 };
                 // An owned victim is written back (fire and forget).
                 if let Some(wb) = writeback {
                     let wb_home = amap.home_of(Addr(wb.block * BLOCK_BYTES))?;
-                    self.net.message(at, proc, wb_home, &mut buckets);
+                    self.net.message(at, proc, wb_home, &mut buckets)?;
                 }
                 finish
             }
         };
-        if let Some(v) = self.net.take_violation() {
-            return Err(v.into());
-        }
         Ok(Cost { finish, buckets })
     }
 
-    /// End-of-run invariant sweep: any latched network violation, then a
-    /// full coherence-state consistency scan.
-    pub fn final_check(&mut self) -> Option<CheckViolation> {
-        if let Some(v) = self.net.take_violation() {
-            return Some(v);
+    /// End-of-run invariant sweep: a full coherence-state consistency
+    /// scan (nothing when checking is off).
+    ///
+    /// # Errors
+    ///
+    /// The first violated coherence invariant.
+    pub fn final_check(&self) -> Result<(), CheckViolation> {
+        match &self.checker {
+            Some(chk) => chk.verify_all(&self.coherence),
+            None => Ok(()),
         }
-        let chk = self.checker.as_ref()?;
-        chk.verify_all(&self.coherence).err()
     }
 
     /// The derived LogP parameters in force.

@@ -37,7 +37,8 @@ impl LogPModel {
     /// # Errors
     ///
     /// [`RunError::UnallocatedAddress`] for an address no allocation
-    /// covers.
+    /// covers; [`RunError::Check`] when checking is on and the network
+    /// breaks the LogP rules.
     pub fn access(
         &mut self,
         at: SimTime,
@@ -51,11 +52,8 @@ impl LogPModel {
             buckets.mem += SimTime::from_ns(MEM_NS);
             at + SimTime::from_ns(MEM_NS)
         } else {
-            self.net.round_trip(at, proc, home, &mut buckets)
+            self.net.round_trip(at, proc, home, &mut buckets)?
         };
-        if let Some(v) = self.net.take_violation() {
-            return Err(v.into());
-        }
         Ok(Cost { finish, buckets })
     }
 

@@ -198,7 +198,7 @@ impl Model {
     pub fn new(kind: MachineKind, topo: &Topology, config: MachineConfig) -> Self {
         match kind {
             MachineKind::Pram => Model::Pram(PramModel::new()),
-            MachineKind::Target => Model::Target(TargetModel::with_config(topo.clone(), config)),
+            MachineKind::Target => Model::Target(TargetModel::new(topo, config)),
             MachineKind::LogP => Model::LogP(LogPModel::new(topo, config)),
             MachineKind::CLogP => Model::CLogP(CLogPModel::new(topo, config)),
         }
@@ -243,7 +243,8 @@ impl Model {
     /// # Errors
     ///
     /// [`RunError::Route`] if the target network cannot route the message
-    /// (the abstracted networks never fail here).
+    /// (the abstracted networks never fail here); [`RunError::Check`]
+    /// when checking is on and the network breaks its own rules.
     pub fn msg_send(
         &mut self,
         at: SimTime,
@@ -251,51 +252,34 @@ impl Model {
         dst: usize,
         bytes: u64,
     ) -> Result<MsgCost, RunError> {
-        let mut buckets = Buckets::default();
-        let cycle = SimTime::from_ns(crate::CYCLE_NS);
-        Ok(match self {
-            Model::Pram(_) => MsgCost {
-                sender_free: at + cycle,
-                delivered: at + cycle,
-                buckets: {
-                    buckets.mem += cycle;
-                    buckets
-                },
-            },
-            Model::Target(m) => m.msg_send(at, src, dst, bytes)?,
-            Model::LogP(m) => {
-                let (slot, delivered) = m.net_mut().message_timed(at, src, dst, &mut buckets);
-                if let Some(v) = m.net_mut().take_violation() {
-                    return Err(v.into());
-                }
-                MsgCost {
-                    sender_free: slot.max(at + cycle),
-                    delivered,
-                    buckets,
-                }
+        match self {
+            Model::Pram(_) => {
+                let cycle = SimTime::from_ns(crate::CYCLE_NS);
+                Ok(MsgCost {
+                    sender_free: at + cycle,
+                    delivered: at + cycle,
+                    buckets: Buckets {
+                        mem: cycle,
+                        ..Buckets::default()
+                    },
+                })
             }
-            Model::CLogP(m) => {
-                let (slot, delivered) = m.net_mut().message_timed(at, src, dst, &mut buckets);
-                if let Some(v) = m.net_mut().take_violation() {
-                    return Err(v.into());
-                }
-                MsgCost {
-                    sender_free: slot.max(at + cycle),
-                    delivered,
-                    buckets,
-                }
-            }
-        })
+            Model::Target(m) => m.msg_send(at, src, dst, bytes),
+            Model::LogP(m) => Ok(m.net_mut().msg_send(at, src, dst)?),
+            Model::CLogP(m) => Ok(m.net_mut().msg_send(at, src, dst)?),
+        }
     }
 
-    /// End-of-run invariant sweep: a full coherence-state consistency scan
-    /// on the cached machines plus a final poll of any latched network
-    /// violation. `None` when everything (or nothing — checks off) holds.
-    pub fn final_check(&mut self) -> Option<CheckViolation> {
+    /// End-of-run invariant sweep: a full coherence-state consistency
+    /// scan on the cached machines (nothing when checking is off).
+    ///
+    /// # Errors
+    ///
+    /// The first violated coherence invariant.
+    pub fn final_check(&self) -> Result<(), CheckViolation> {
         match self {
-            Model::Pram(_) => None,
+            Model::Pram(_) | Model::LogP(_) => Ok(()),
             Model::Target(m) => m.final_check(),
-            Model::LogP(m) => m.net_mut().take_violation(),
             Model::CLogP(m) => m.final_check(),
         }
     }

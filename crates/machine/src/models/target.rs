@@ -1,10 +1,10 @@
 //! The CC-NUMA target machine: full protocol, link-level network.
 
-use spasm_cache::{AccessKind, CacheConfig, CoherenceController, Outcome, ProtocolKind, Supplier};
-use spasm_check::{CheckViolation, CoherenceChecker};
+use spasm_cache::{AccessKind, CoherenceController, Outcome, Supplier};
+use spasm_check::{network_conformance, CheckViolation, CoherenceChecker};
 use spasm_desim::{Facility, SimTime};
 use spasm_net::{Delivery, Network};
-use spasm_topology::{NodeId, Topology, TopologyError};
+use spasm_topology::{NodeId, Topology};
 
 use crate::engine::RunError;
 use crate::fxhash::FxHashMap;
@@ -41,42 +41,26 @@ pub struct TargetModel {
     coherence: CoherenceController,
     memory: Vec<Facility>,
     block_free: FxHashMap<u64, SimTime>,
-    /// Coherence-invariant observer (only under an enabled `CheckMode`).
+    /// Coherence-invariant observer (only under an enabled `CheckMode`,
+    /// which also turns on the per-message network-conformance check).
     checker: Option<CoherenceChecker>,
-    /// Network-conformance violation latched inside the infallible
-    /// [`TargetModel::send`] path, polled at the next fallible boundary.
-    net_violation: Option<CheckViolation>,
 }
 
 impl TargetModel {
-    /// Builds the machine over `topo` with per-node caches of `cache`,
-    /// running the Berkeley protocol.
-    pub fn new(topo: Topology, cache: CacheConfig) -> Self {
-        Self::with_protocol(topo, cache, ProtocolKind::Berkeley)
-    }
-
-    /// Builds the machine with an explicit coherence protocol.
-    pub fn with_protocol(topo: Topology, cache: CacheConfig, protocol: ProtocolKind) -> Self {
+    /// Builds the machine over `topo` with the configured cache geometry,
+    /// coherence protocol and invariant-checking mode.
+    pub fn new(topo: &Topology, config: MachineConfig) -> Self {
         let p = topo.nodes();
         TargetModel {
-            net: Network::new(topo),
-            coherence: CoherenceController::with_protocol(p, cache, protocol),
+            net: Network::new(topo.clone()),
+            coherence: CoherenceController::with_protocol(p, config.cache, config.protocol),
             memory: vec![Facility::new(); p],
             block_free: FxHashMap::default(),
-            checker: None,
-            net_violation: None,
+            checker: config
+                .check
+                .enabled()
+                .then(|| CoherenceChecker::new(p, config.protocol)),
         }
-    }
-
-    /// Builds the machine from a full [`MachineConfig`], including the
-    /// invariant-checking mode.
-    pub fn with_config(topo: Topology, config: MachineConfig) -> Self {
-        let p = topo.nodes();
-        let mut m = Self::with_protocol(topo, config.cache, config.protocol);
-        if config.check.enabled() {
-            m.checker = Some(CoherenceChecker::new(p, config.protocol));
-        }
-        m
     }
 
     fn send(
@@ -86,39 +70,15 @@ impl TargetModel {
         dst: usize,
         bytes: u64,
         buckets: &mut Buckets,
-    ) -> Result<Delivery, TopologyError> {
+    ) -> Result<Delivery, RunError> {
         let d = self.net.try_send(at, NodeId(src), NodeId(dst), bytes)?;
         if src != dst {
             buckets.latency += d.latency;
             buckets.contention += d.contention;
             buckets.msgs += 1;
             buckets.bytes += bytes;
-            if self.checker.is_some() && self.net_violation.is_none() {
-                // Circuit-switched conformance: the message waits out link
-                // contention, departs, and arrives exactly its transmission
-                // time later, having crossed at least one link.
-                let complaint = if d.depart != at + d.contention {
-                    Some(format!(
-                        "message {src}->{dst} injected at {at} with contention {} departed at {}",
-                        d.contention, d.depart
-                    ))
-                } else if d.arrive != d.depart + d.latency {
-                    Some(format!(
-                        "message {src}->{dst} departed at {} with latency {} arrived at {}",
-                        d.depart, d.latency, d.arrive
-                    ))
-                } else if d.hops == 0 {
-                    Some(format!("remote message {src}->{dst} crossed zero links"))
-                } else {
-                    None
-                };
-                if let Some(message) = complaint {
-                    self.net_violation = Some(CheckViolation {
-                        invariant: "network-conformance",
-                        message,
-                        recent: Vec::new(),
-                    });
-                }
+            if self.checker.is_some() {
+                network_conformance(at, src, dst, &d)?;
             }
         }
         Ok(d)
@@ -143,7 +103,7 @@ impl TargetModel {
         home: usize,
         victims: &[usize],
         buckets: &mut Buckets,
-    ) -> Result<SimTime, TopologyError> {
+    ) -> Result<SimTime, RunError> {
         let cycle = SimTime::from_ns(CYCLE_NS);
         let mut all_acked = t0;
         for &s in victims {
@@ -159,7 +119,8 @@ impl TargetModel {
     /// # Errors
     ///
     /// [`RunError::UnallocatedAddress`] for an address no allocation
-    /// covers; [`RunError::Route`] if the network cannot route a message.
+    /// covers; [`RunError::Route`] if the network cannot route a message;
+    /// [`RunError::Check`] when checking is on and an invariant breaks.
     pub fn access(
         &mut self,
         at: SimTime,
@@ -241,9 +202,6 @@ impl TargetModel {
                 finish
             }
         };
-        if let Some(v) = self.net_violation.take() {
-            return Err(v.into());
-        }
         Ok(Cost { finish, buckets })
     }
 
@@ -253,7 +211,9 @@ impl TargetModel {
     ///
     /// # Errors
     ///
-    /// [`RunError::Route`] if the network cannot route the message.
+    /// [`RunError::Route`] if the network cannot route the message;
+    /// [`RunError::Check`] when checking is on and the delivery breaks
+    /// the network's own timing.
     pub fn msg_send(
         &mut self,
         at: SimTime,
@@ -264,9 +224,6 @@ impl TargetModel {
         let mut buckets = Buckets::default();
         let cycle = SimTime::from_ns(CYCLE_NS);
         let d = self.send(at, src, dst, bytes, &mut buckets)?;
-        if let Some(v) = self.net_violation.take() {
-            return Err(v.into());
-        }
         Ok(super::MsgCost {
             sender_free: d.arrive.max(at + cycle),
             delivered: d.arrive.max(at + cycle),
@@ -274,14 +231,17 @@ impl TargetModel {
         })
     }
 
-    /// End-of-run invariant sweep: any latched network violation, then a
-    /// full coherence-state consistency scan.
-    pub fn final_check(&mut self) -> Option<CheckViolation> {
-        if let Some(v) = self.net_violation.take() {
-            return Some(v);
+    /// End-of-run invariant sweep: a full coherence-state consistency
+    /// scan (nothing when checking is off).
+    ///
+    /// # Errors
+    ///
+    /// The first violated coherence invariant.
+    pub fn final_check(&self) -> Result<(), CheckViolation> {
+        match &self.checker {
+            Some(chk) => chk.verify_all(&self.coherence),
+            None => Ok(()),
         }
-        let chk = self.checker.as_ref()?;
-        chk.verify_all(&self.coherence).err()
     }
 
     /// Run-report counters.
@@ -315,7 +275,7 @@ mod tests {
             amap.alloc(home, 64);
         }
         (
-            TargetModel::new(Topology::full(p), CacheConfig::paper()),
+            TargetModel::new(&Topology::full(p), MachineConfig::default()),
             amap,
         )
     }
@@ -427,14 +387,15 @@ mod tests {
     fn writeback_counts_traffic_but_does_not_block() {
         let mut amap = AddressMap::new(2);
         amap.alloc(0, 4096);
-        let mut m = TargetModel::new(
-            Topology::full(2),
-            CacheConfig {
+        let config = MachineConfig {
+            cache: spasm_cache::CacheConfig {
                 size_bytes: 64,
                 assoc: 2,
                 block_bytes: 32,
             },
-        );
+            ..MachineConfig::default()
+        };
+        let mut m = TargetModel::new(&Topology::full(2), config);
         let w = m
             .access(SimTime::ZERO, 1, Addr(0), &amap, AccessKind::Write)
             .unwrap();

@@ -86,6 +86,17 @@ if [ -n "$globals" ]; then
     exit 1
 fi
 
+# A violation is made in one place: spasm-check returns it as the `Err`
+# of the call that detected it. A `CheckViolation` literal anywhere else,
+# or a latched violation polled later with `take_violation`, is a second
+# reporting path.
+echo "==> violations are made only in crates/check/src, and none is latched"
+if grep -rnE 'CheckViolation[[:space:]]*\{' crates src tests examples | grep -v '^crates/check/src/' ||
+    grep -rn 'take_violation' crates src tests examples; then
+    echo "ERROR: a CheckViolation made outside spasm-check, or a latched one polled" >&2
+    exit 1
+fi
+
 # One build of the workspace: a cargo feature is a second product that
 # every tier below would have to run again to cover.
 echo "==> no cargo features"
