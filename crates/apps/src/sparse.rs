@@ -93,11 +93,6 @@ impl SymSparse {
         }
         cols
     }
-
-    /// Total stored entries (full symmetric count).
-    pub fn nnz(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
 }
 
 /// Computes the Cholesky fill-in pattern.

@@ -1,5 +1,5 @@
 //! Deterministic crash-consistency harness: exhaustive I/O crash-point
-//! exploration, scripted fault campaigns, and failure shrinking.
+//! exploration and generated multi-fault scripts.
 //!
 //! The harness runs entire journaled sweeps against the in-memory
 //! [`FaultVfs`] and holds every outcome to one oracle, the **recovery
@@ -16,44 +16,33 @@
 //! is silent divergence ([`ChaosError::Divergence`]) and fails the
 //! harness. The sweep under test travels as a [`Sweep`]: its `config` is
 //! what reference and recovery runs use, its seed the default tear seed.
-//! The [`PointCache`] a victim starts from is the other input: empty, every
-//! point runs and commits alone; warm, the hits land in one batched commit
-//! — which must survive a crash whole or not at all. Recovery always
-//! starts empty, as a process that lost its memory does, so trials cannot
-//! leak results into each other.
+//! The victim may differ in its own [`SweepConfig`] and in the
+//! [`PointCache`] it starts from: empty, every point runs and commits
+//! alone; warm, the hits land in one batched commit — which must survive
+//! a crash whole or not at all. Recovery always starts empty, as a
+//! process that lost its memory does, so trials cannot leak results into
+//! each other.
 //!
-//! Three drivers sit on top of the oracle:
+//! Two drivers sit on top of the oracle:
 //!
 //! - [`explore_crash_points`] is exhaustive: it records the I/O
 //!   operation trace of a reference sweep, then re-runs the sweep once
 //!   per operation index with a crash injected there (plus a
 //!   dropped-fsync × delayed-crash grid that manufactures torn files).
-//! - [`run_campaign`] fuzzes random multi-fault scripts across three
-//!   failure families: the plain journal, a sharded fleet with merge,
-//!   and a checked sweep under a machine [`FaultPlan`].
-//! - [`shrink_demo`] shows the [`spasm_testkit`] shrinker reducing a
-//!   many-entry failing script to a minimal reproducer.
+//! - [`script_gen`] generates random multi-fault scripts for a
+//!   [`spasm_testkit`] property, which shrinks a failing trial with its
+//!   one shrinker and prints the seed that replays it.
 
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use spasm_apps::SizeClass;
 use spasm_journal::{Fault, FaultScript, FaultVfs, TraceEntry, Vfs, VfsOpKind};
-use spasm_machine::{CheckMode, FaultPlan};
-use spasm_testkit::{gens, minimize, Gen, TestRng};
+use spasm_testkit::{gens, Gen};
 
-use crate::figures::{self, FigureSpec};
 use crate::journal::SweepJournal;
 use crate::shard::{merge_shards, ShardSpec};
 use crate::sweep::{FigureData, PointCache, Sweep, SweepConfig};
-
-/// The smallest interesting sweep of `spec`: test size, one processor
-/// count, default configuration. Fast enough to re-run hundreds of times
-/// inside the crash-point explorer.
-fn smoke(spec: &FigureSpec) -> Sweep<'_> {
-    Sweep::new(spec, SizeClass::Test, &[2], 42)
-}
 
 /// Total points `sweep` simulates (every machine × every processor
 /// count).
@@ -156,22 +145,13 @@ pub fn run_reference(
 }
 
 /// Applies the recovery oracle to one fault script: run the victim
-/// sweep under the script, then keep power-cycling and resuming until
-/// an attempt finishes without crashing, and compare its rendering to
-/// `expected`. Victim and recovery both use `cs`'s own config, and the
-/// victim shares nothing.
-pub fn verify_script(
-    cs: &Sweep<'_>,
-    expected: &str,
-    script: &FaultScript,
-) -> Result<CrashVerdict, ChaosError> {
-    verify_script_with(cs, &cs.config, &PointCache::default(), expected, script)
-}
-
-/// [`verify_script`] with a distinct victim: its own configuration, and a
-/// copy of `shared` to start from. The victim config must be
-/// fingerprint-compatible with `cs`'s ([`SweepConfig::jobs`] is excluded
-/// from the journal fingerprint precisely so this works).
+/// sweep — `cs` with the `victim` configuration, starting from a copy of
+/// `shared` — under the script, then keep power-cycling and resuming
+/// with `cs`'s own config and an empty cache until an attempt finishes
+/// without crashing, and compare its rendering to `expected`. The victim
+/// config must be fingerprint-compatible with `cs`'s
+/// ([`SweepConfig::jobs`] is excluded from the journal fingerprint
+/// precisely so this works).
 pub fn verify_script_with(
     cs: &Sweep<'_>,
     victim: &SweepConfig,
@@ -242,7 +222,7 @@ pub fn verify_script_with(
     )))
 }
 
-/// [`verify_script`] for a sharded fleet: `shards` workers each run
+/// [`verify_script_with`] for a sharded fleet: `shards` workers each run
 /// their slice into their own journal, the scripted faults hit whoever
 /// is doing I/O when their operation index comes up, and after recovery
 /// the shards are merged and the merged figure compared to `expected`.
@@ -447,76 +427,6 @@ pub fn explore_crash_points(
     Ok(report)
 }
 
-/// The three failure families [`run_campaign`] rotates through, in trial
-/// order.
-pub const FAMILIES: [&str; 3] = ["journal", "shard-merge", "machine-faults"];
-
-/// Shrink attempts a failing campaign trial may spend on its reproducer.
-const SHRINK_BUDGET: u32 = 256;
-
-/// Campaign dimensions: how many trials, seeded where.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignConfig {
-    /// Master seed; every trial's script seed derives from it.
-    pub seed: u64,
-    /// Trials to run, rotating through [`FAMILIES`].
-    pub trials: usize,
-}
-
-impl CampaignConfig {
-    /// A campaign of `trials` trials under `seed`.
-    pub fn new(seed: u64, trials: usize) -> CampaignConfig {
-        CampaignConfig { seed, trials }
-    }
-}
-
-/// A passed campaign: every trial satisfied the recovery oracle.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignOutcome {
-    /// Trials run.
-    pub trials: usize,
-    /// Trials that resumed byte-identically.
-    pub identical: usize,
-    /// Trials that refused with a typed error.
-    pub refused: usize,
-}
-
-/// A failed campaign trial, with its shrunk minimal reproducer.
-#[derive(Debug, Clone)]
-pub struct CampaignFailure {
-    /// Which failure family the trial belonged to.
-    pub family: &'static str,
-    /// Zero-based trial index.
-    pub trial: usize,
-    /// The original randomly generated fault script.
-    pub script: FaultScript,
-    /// Why the original script failed the oracle.
-    pub detail: String,
-    /// The minimal fault script that still fails, per the shrinker.
-    pub minimized: FaultScript,
-    /// Why the minimized script fails.
-    pub minimized_detail: String,
-    /// Shrink attempts spent reaching the minimum.
-    pub shrink_steps: u32,
-}
-
-impl fmt::Display for CampaignFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trial {} ({}) failed: {}\n  original script: {}\n  minimized to {} \
-             after {} shrink attempts: {}",
-            self.trial,
-            self.family,
-            self.detail,
-            self.script,
-            self.minimized,
-            self.shrink_steps,
-            self.minimized_detail
-        )
-    }
-}
-
 /// Every fault species, mildest first — the order the shrinker prefers.
 const FAULT_MENU: [Fault; 7] = [
     Fault::FailDirSync,
@@ -539,192 +449,4 @@ pub fn script_gen(max_op: usize) -> Gen<Vec<(usize, Fault)>> {
         ),
         1..6,
     )
-}
-
-/// Runs a fuzzing campaign: each trial draws a random multi-fault
-/// script and applies the recovery oracle in one of the [`FAMILIES`] —
-/// the plain journal, a two-shard fleet with merge, and a checked sweep
-/// under a [`FaultPlan::chaos`] machine fault plan. On the first oracle
-/// violation the failing script is shrunk to a minimal reproducer and
-/// returned as a [`CampaignFailure`].
-pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<CampaignFailure>> {
-    let harness_failure = |family, trial, script: &FaultScript, detail: String| {
-        Box::new(CampaignFailure {
-            family,
-            trial,
-            script: script.clone(),
-            detail: detail.clone(),
-            minimized: script.clone(),
-            minimized_detail: detail,
-            shrink_steps: 0,
-        })
-    };
-    let base = smoke(figures::by_id("F1").expect("F1 is a const table entry"));
-    let faulted = Sweep {
-        config: SweepConfig {
-            faults: Some(FaultPlan::chaos(config.seed)),
-            check: CheckMode::On,
-            ..base.config
-        },
-        ..base
-    };
-    let empty = FaultScript::default();
-    let cold = PointCache::default();
-    let (expected_base, trace_base) = run_reference(&base, &cold)
-        .map_err(|e| harness_failure("journal", 0, &empty, e.to_string()))?;
-    let (expected_faulted, trace_faulted) = run_reference(&faulted, &cold)
-        .map_err(|e| harness_failure("machine-faults", 0, &empty, e.to_string()))?;
-
-    // A two-shard fleet roughly doubles the op universe; the +8 keeps
-    // some scripts poking past the end (inert entries must stay inert).
-    let max_op = trace_base.len().max(trace_faulted.len()) * 2 + 8;
-    let entries_gen = script_gen(max_op);
-
-    let mut identical = 0usize;
-    let mut refused = 0usize;
-    let mut stream = config.seed ^ 0x5b_a5_0c_4a_05_c4_a0_5eu64;
-    for trial in 0..config.trials {
-        let family = FAMILIES[trial % FAMILIES.len()];
-        let case_seed = spasm_prng::splitmix64(&mut stream);
-        let entries = entries_gen.generate(&mut TestRng::seed_from_u64(case_seed));
-        let script = FaultScript {
-            seed: case_seed,
-            faults: entries,
-        };
-        let verify = |s: &FaultScript| match family {
-            "journal" => verify_script(&base, &expected_base, s),
-            "shard-merge" => verify_shard_script(&base, 2, &expected_base, s),
-            _ => verify_script(&faulted, &expected_faulted, s),
-        };
-        match verify(&script) {
-            Ok(CrashVerdict::Identical { .. }) => identical += 1,
-            Ok(CrashVerdict::Refused { .. }) => refused += 1,
-            Err(err) => {
-                let detail = err.to_string();
-                let prop = |entries: &Vec<(usize, Fault)>| {
-                    let s = FaultScript {
-                        seed: case_seed,
-                        faults: entries.clone(),
-                    };
-                    match verify(&s) {
-                        Err(e) => Err(e.to_string()),
-                        Ok(_) => Ok(()),
-                    }
-                };
-                let (min_entries, min_detail, steps) = minimize(
-                    &entries_gen,
-                    prop,
-                    script.faults.clone(),
-                    detail.clone(),
-                    SHRINK_BUDGET,
-                );
-                return Err(Box::new(CampaignFailure {
-                    family,
-                    trial,
-                    script,
-                    detail,
-                    minimized: FaultScript {
-                        seed: case_seed,
-                        faults: min_entries,
-                    },
-                    minimized_detail: min_detail,
-                    shrink_steps: steps,
-                }));
-            }
-        }
-    }
-    Ok(CampaignOutcome {
-        trials: config.trials,
-        identical,
-        refused,
-    })
-}
-
-/// A demonstration (and regression anchor) of failure shrinking: the
-/// property "a resumed sweep replays *every* point from the journal"
-/// is deliberately falsifiable — any effective fault breaks it — so a
-/// three-fault script shrinks down to a single-entry minimal
-/// reproducer.
-#[derive(Debug, Clone)]
-pub struct ShrinkDemo {
-    /// Points the sweep simulates (the replay target).
-    pub total_points: usize,
-    /// The seeded multi-fault script the demo starts from.
-    pub script: FaultScript,
-    /// Why the original script fails the replay-everything property.
-    pub detail: String,
-    /// The shrunk minimal script (expected: one entry).
-    pub minimized: FaultScript,
-    /// Why the minimized script still fails.
-    pub minimized_detail: String,
-    /// Shrink attempts spent.
-    pub shrink_steps: u32,
-}
-
-/// Builds a multi-fault script that provably breaks full replay —
-/// `ENOSPC` on the journal's very first write, a dropped fsync on its
-/// last sync, and a power cut at the final operation — then shrinks it
-/// against the replay-everything property. `seed` feeds the script's
-/// tear draws only, so the demo is fully deterministic.
-pub fn shrink_demo(seed: u64) -> Result<ShrinkDemo, ChaosError> {
-    let cs = smoke(figures::by_id("F1").expect("F1 is a const table entry"));
-    let (expected, trace) = run_reference(&cs, &PointCache::default())?;
-    let total = total_points(&cs);
-    let last_sync = trace
-        .iter()
-        .rev()
-        .find(|t| t.kind == VfsOpKind::SyncFile)
-        .map(|t| t.index)
-        .ok_or_else(|| ChaosError::Harness("reference trace has no sync".into()))?;
-    let last_op = trace.len() - 1;
-    let script = FaultScript {
-        seed,
-        faults: vec![
-            (0, Fault::Enospc),
-            (last_sync, Fault::DropSync),
-            (last_op, Fault::Crash),
-        ],
-    };
-
-    let prop = |entries: &Vec<(usize, Fault)>| {
-        let s = FaultScript {
-            seed,
-            faults: entries.clone(),
-        };
-        match verify_script(&cs, &expected, &s) {
-            Ok(CrashVerdict::Identical { replayed }) if replayed == total => Ok(()),
-            Ok(CrashVerdict::Identical { replayed }) => Err(format!(
-                "resume re-simulated {} of {total} points instead of replaying them",
-                total - replayed
-            )),
-            Ok(CrashVerdict::Refused { error }) => Err(format!("resume refused: {error}")),
-            Err(err) => Err(err.to_string()),
-        }
-    };
-    let detail = match prop(&script.faults) {
-        Err(detail) => detail,
-        Ok(()) => {
-            return Err(ChaosError::Harness(
-                "the demo script unexpectedly passed the replay-everything property".into(),
-            ))
-        }
-    };
-    let (min_entries, minimized_detail, shrink_steps) = minimize(
-        &script_gen(trace.len()),
-        prop,
-        script.faults.clone(),
-        detail.clone(),
-        300,
-    );
-    Ok(ShrinkDemo {
-        total_points: total,
-        script,
-        detail,
-        minimized: FaultScript {
-            seed,
-            faults: min_entries,
-        },
-        minimized_detail,
-        shrink_steps,
-    })
 }

@@ -495,7 +495,7 @@ pub(crate) fn decode_point(record: &[u8]) -> Result<(Machine, usize, ReplayPoint
                 .map_err(|_| "interval count overflows usize".to_string())?;
             // 12 u64 fields per interval; bound the claim against the
             // remaining bytes before allocating.
-            if count > record.len() / 96 {
+            if count > (record.len() - c.pos) / 96 {
                 return Err(format!("{count} intervals cannot fit the record"));
             }
             let mut telemetry = Vec::with_capacity(count);
@@ -532,6 +532,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::figures;
     use spasm_journal::{Fault, FaultScript, FaultVfs};
+    use spasm_testkit::{check_with, gens, Config};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("spasm-core-journal-tests");
@@ -687,27 +688,73 @@ pub(crate) mod tests {
     fn decode_rejects_malformed_payloads() {
         assert!(decode_point(&[]).is_err());
         // A valid record with trailing garbage must not decode.
-        let whole = encode_point(
+        let mut enc = encode_point(
             Machine::Pram,
             2,
             &Ok((sample_metrics(), sample_telemetry())),
         );
-        let mut enc = whole.clone();
         enc.push(0);
         assert!(decode_point(&enc).unwrap_err().contains("trailing"));
-        // A truncated telemetry section must not decode either.
-        assert!(decode_point(&whole[..whole.len() - 4]).is_err());
-        // An absurd interval count is rejected before allocating.
-        let mut counted = encode_point(Machine::Pram, 2, &Ok((sample_metrics(), Vec::new())));
-        let tail = counted.len() - 8;
-        counted[tail..].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_point(&counted).unwrap_err().contains("intervals"));
         // An unknown machine name is named in the error.
         let mut bad = Vec::new();
         push_str(&mut bad, "bsp");
         push_u64(&mut bad, 2);
         push_u64(&mut bad, TAG_OK);
         assert!(decode_point(&bad).unwrap_err().contains("bsp"));
+    }
+
+    /// Hostile input for the record codec, generated: any truncation,
+    /// single-byte flip or inflated length or count field of a valid Ok
+    /// record with telemetry, or of a Failed record, decodes to `Ok` or a
+    /// typed `Err` (a panic fails the property). An interval count that
+    /// cannot fit is refused by the check that runs before allocating.
+    #[test]
+    fn hostile_records_decode_or_refuse_typed() {
+        let ok = Ok((sample_metrics(), sample_telemetry()));
+        let failed = Err(ExperimentError::Config("3 is not a power of two".into()));
+        let records = [
+            encode_point(Machine::CLogP, 8, &ok),
+            encode_point(Machine::Pram, 3, &failed),
+        ];
+        // The u64 fields that claim a size: the machine name's length, then
+        // the Ok record's interval count or the Failed record's reason length.
+        let count_at = 8 + Machine::CLogP.to_string().len() + 8 + 8 + 13 * 8;
+        let sized = [[0, count_at], [0, 8 + "pram".len() + 8 + 8 + 8]];
+        // (record, edit: truncate | flip | inflate, position, inflation).
+        let edits = gens::tuple4(
+            gens::usizes(0..2),
+            gens::usizes(0..3),
+            gens::usizes(0..4096),
+            gens::choice(vec![1u64, 2, 95, 96, 97, 1 << 32, u64::MAX]),
+        );
+        // Decoding is cheap: enough cases to touch most positions of both.
+        let config = Config {
+            cases: 1024,
+            ..Config::default()
+        };
+        check_with(
+            config,
+            "hostile_journal_records",
+            &edits,
+            |&(r, edit, at, k)| {
+                let mut bytes = records[r].clone();
+                let (pos, field) = (at % bytes.len(), sized[r][at % 2]);
+                let claim = u64::from_le_bytes(bytes[field..field + 8].try_into().unwrap());
+                let claim = claim.saturating_add(k);
+                match edit {
+                    0 => bytes.truncate(pos),
+                    1 => bytes[pos] = !bytes[pos],
+                    _ => bytes[field..field + 8].copy_from_slice(&claim.to_le_bytes()),
+                }
+                match decode_point(&bytes) {
+                    Ok(_) if edit != 1 => Err("a truncated or inflated record decoded".into()),
+                    Err(e) if edit == 2 && field == count_at && !e.contains("cannot fit") => {
+                        Err(format!("{claim} intervals were not refused up front: {e}"))
+                    }
+                    _ => Ok(()),
+                }
+            },
+        );
     }
 
     #[test]

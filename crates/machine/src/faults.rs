@@ -102,31 +102,6 @@ impl FaultPlan {
         }
     }
 
-    /// A randomized plan for chaos campaigns: every knob is drawn
-    /// deterministically from the seed (decorrelated via SplitMix64),
-    /// spanning near-quiet corners up to beyond-adversarial
-    /// intensities. Two calls with the same seed build the identical
-    /// plan, so a chaos trial's reference run and its crash-recovery
-    /// replays inject the same faults.
-    pub fn chaos(seed: u64) -> Self {
-        let mut s = seed ^ 0xc0a5_c0de_0b5e_55edu64;
-        let mut d = [0u64; 5];
-        for slot in &mut d {
-            *slot = spasm_prng::splitmix64(&mut s);
-        }
-        // Probabilities are drawn on a per-mille lattice so plans are
-        // exactly reproducible in decimal logs.
-        let prob = |raw: u64, ceiling_permille: u64| (raw % (ceiling_permille + 1)) as f64 / 1000.0;
-        FaultPlan {
-            seed,
-            delay_prob: prob(d[0], 150),
-            max_delay_ns: 500 + d[1] % 3_000,
-            dup_prob: prob(d[2], 100),
-            stall_prob: prob(d[3], 50),
-            stall_ns: 1_000 + d[4] % 8_000,
-        }
-    }
-
     /// Whether any fault species has a non-zero probability.
     pub fn is_active(&self) -> bool {
         self.delay_prob > 0.0 || self.dup_prob > 0.0 || self.stall_prob > 0.0
@@ -256,19 +231,6 @@ mod tests {
         for _ in 0..1000 {
             let d = inj.message_delay().unwrap();
             assert!(d >= SimTime::from_ns(1) && d <= SimTime::from_ns(10));
-        }
-    }
-
-    #[test]
-    fn chaos_plans_are_deterministic_bounded_and_seed_sensitive() {
-        let a = FaultPlan::chaos(7);
-        let b = FaultPlan::chaos(7);
-        assert_eq!(a, b);
-        assert_ne!(a, FaultPlan::chaos(8));
-        for seed in 0..64 {
-            let p = FaultPlan::chaos(seed);
-            assert!(p.delay_prob <= 0.15 && p.stall_prob <= 0.05, "{p:?}");
-            assert!(p.max_delay_ns >= 500 && p.stall_ns >= 1_000, "{p:?}");
         }
     }
 

@@ -333,17 +333,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 }
                 "net" => {
                     dup(lineno, key, &header.net)?;
-                    header.net = Some(match value {
-                        "full" => Net::Full,
-                        "cube" => Net::Cube,
-                        "mesh" => Net::Mesh,
-                        other => {
-                            return err(
-                                lineno,
-                                format!("unknown net {other:?} (valid: full, cube, mesh)"),
-                            )
-                        }
-                    });
+                    match Net::from_name(value) {
+                        Ok(net) => header.net = Some(net),
+                        Err(e) => return err(lineno, e.to_string()),
+                    }
                 }
                 "metric" => {
                     dup(lineno, key, &header.metric)?;
@@ -555,6 +548,11 @@ kind = barrier
                 "[scenario]\nname = x\nlocality = star\n[phase]\nkind = barrier",
                 3,
                 "unknown locality",
+            ),
+            (
+                "[scenario]\nname = x\nnet = ring\n[phase]\nkind = barrier",
+                3,
+                "unknown network \"ring\" (valid: full, cube, mesh)",
             ),
             (
                 "[scenario]\nname = x\nmsg-bytes = 9..4\n[phase]\nkind = barrier",

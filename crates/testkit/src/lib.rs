@@ -391,23 +391,6 @@ fn run_case<T>(prop: &impl Fn(&T) -> Result<(), String>, value: &T) -> Result<()
     }
 }
 
-/// Greedily minimizes a failing value outside the [`check`] harness:
-/// repeatedly adopts the first shrink candidate that still fails until
-/// no candidate fails or the budget runs out. Returns the minimized
-/// value, its failure message, and the shrink attempts spent. This is
-/// the same shrinker [`check`] applies to failing property cases,
-/// exposed for drivers — like the chaos campaign — that find failures
-/// on their own and want a minimal reproducer.
-pub fn minimize<T: Clone + Debug>(
-    gen: &Gen<T>,
-    prop: impl Fn(&T) -> Result<(), String>,
-    failing: T,
-    msg: String,
-    budget: u32,
-) -> (T, String, u32) {
-    shrink_failure(gen, &prop, failing, msg, budget)
-}
-
 /// Greedy bounded shrinking: repeatedly adopt the first candidate that
 /// still fails, until no candidate fails or the budget runs out.
 fn shrink_failure<T: Clone + Debug>(

@@ -126,6 +126,23 @@ if grep -rn too_many_arguments crates/core; then
     exit 1
 fi
 
+# The two records every PR touches stay readable: DESIGN.md within its
+# 56 KiB cap, and each `PR N` entry of CHANGES.md within 1.5 KiB (condense
+# an old entry rather than let one grow past it).
+echo "==> DESIGN.md <= 57344 bytes, every CHANGES.md PR entry <= 1536 bytes"
+design_bytes=$(wc -c < DESIGN.md)
+if [ "$design_bytes" -gt 57344 ]; then
+    echo "ERROR: DESIGN.md is $design_bytes bytes, over its 57344-byte cap" >&2
+    exit 1
+fi
+long_entries=$(LC_ALL=C awk '/^PR [0-9]+/ && length($0) > 1536 {
+    print "CHANGES.md:" NR ": " length($0) " bytes" }' CHANGES.md)
+if [ -n "$long_entries" ]; then
+    echo "ERROR: CHANGES.md entries over 1536 bytes:" >&2
+    echo "$long_entries" >&2
+    exit 1
+fi
+
 # --workspace so the release bins the later tiers drive (figures,
 # scnlint) are built here explicitly.
 echo "==> cargo build --release --offline --workspace"

@@ -1,19 +1,23 @@
 //! Crash-consistency oracle, end to end: every I/O-operation crash
 //! point of a reference journaled sweep must either resume
 //! **byte-identically** or refuse with a **typed error naming the
-//! corruption** — zero silent divergence — and a failing chaos
-//! campaign must shrink to a minimal reproducing fault script.
+//! corruption** — zero silent divergence — and so must every generated
+//! multi-fault trial, whose failure shrinks to a minimal script.
+
+use std::cell::Cell;
 
 use spasm::apps::SizeClass;
 use spasm::core::chaos::{
-    explore_crash_points, run_campaign, run_reference, script_gen, shrink_demo, total_points,
-    verify_script, verify_script_with, CampaignConfig, CrashVerdict, FAMILIES,
+    explore_crash_points, run_reference, script_gen, total_points, verify_script_with,
+    verify_shard_script, CrashVerdict,
 };
 use spasm::core::figures::{self, FigureSpec};
 use spasm::core::sweep::{PointCache, Sweep, SweepConfig};
 use spasm::journal::{Fault, FaultScript};
+use spasm::machine::{CheckMode, FaultPlan};
+use spasm_testkit::{check_with, gens, Config};
 
-/// The smallest interesting sweep — the one the campaign itself uses.
+/// The smallest interesting sweep: F1 at test size, p = 2.
 fn smoke() -> Sweep<'static> {
     let spec = figures::by_id("F1").expect("F1 is a defined figure");
     Sweep::new(spec, SizeClass::Test, &[2], 42)
@@ -137,7 +141,9 @@ fn single_fault_species_each_meet_the_oracle() {
             seed: cs.seed,
             faults: vec![(mid, fault)],
         };
-        let verdict = verify_script(&cs, &expected, &script).expect("no divergence");
+        let verdict =
+            verify_script_with(&cs, &cs.config, &PointCache::default(), &expected, &script)
+                .expect("no divergence");
         match verdict {
             CrashVerdict::Identical { .. } => {}
             CrashVerdict::Refused { ref error } => {
@@ -147,61 +153,104 @@ fn single_fault_species_each_meet_the_oracle() {
     }
 }
 
-/// Group commit under fire: the victim differs from the reference only in
-/// `jobs = 2`, so its workers enqueue and the submitting thread commits
-/// whatever has accumulated — batches whose size, and so the operation a
-/// scripted fault lands on, vary from run to run. The oracle does not:
-/// every script recovers to the serial reference's bytes or refuses typed.
+/// Where a generated trial runs, simplest first (the order it shrinks
+/// toward). Each family has one sweep, and its reference is computed
+/// once, before any trial.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Family {
+    /// The serial F1 sweep: one commit per point.
+    Journal,
+    /// F1 at p = 2, 4 on a victim that differs from the reference only
+    /// in `jobs = 2`: its workers enqueue and the submitting thread
+    /// commits whatever has accumulated, so the batch sizes, and the
+    /// operation a scripted fault lands on, vary from run to run.
+    GroupCommit,
+    /// The serial sweep as a two-shard fleet, recovered and then merged.
+    ShardMerge,
+    /// The serial sweep checked (`CheckMode::On`) under an adversarial
+    /// machine fault plan.
+    MachineFaults,
+}
+
+impl Family {
+    const ALL: [Family; 4] = [
+        Family::Journal,
+        Family::GroupCommit,
+        Family::ShardMerge,
+        Family::MachineFaults,
+    ];
+}
+
+/// One value is the whole trial: a family, the script's tear seed and its
+/// faults. Every trial recovers to its family's reference bytes or
+/// refuses typed. A failing one shrinks through testkit to a minimal
+/// trial, printed with the `SPASM_PT_SEED` line that replays it alone.
 #[test]
-fn a_group_committing_victim_meets_the_oracle_under_generated_scripts() {
+fn every_generated_fault_trial_meets_the_oracle() {
+    let serial = smoke();
     let spec = figures::by_id("F1").expect("F1 is a defined figure");
-    let cs = Sweep::new(spec, SizeClass::Test, &[2, 4], 42);
+    let wide = Sweep::new(spec, SizeClass::Test, &[2, 4], 42);
+    let faulted = Sweep {
+        config: SweepConfig {
+            faults: Some(FaultPlan::adversarial(serial.seed)),
+            check: CheckMode::On,
+            ..serial.config
+        },
+        ..serial
+    };
     let cold = PointCache::default();
-    let (expected, trace) = run_reference(&cs, &cold).expect("reference run is clean");
+    let reference = |cs: &Sweep<'_>| run_reference(cs, &cold).expect("reference run is clean");
+    let (serial_bytes, _) = reference(&serial);
+    let (wide_bytes, wide_trace) = reference(&wide);
+    let (faulted_bytes, _) = reference(&faulted);
     let victim = SweepConfig {
         jobs: 2,
-        ..cs.config
+        ..wide.config
     };
-    let config = spasm_testkit::Config {
-        cases: 24,
-        ..spasm_testkit::Config::default()
-    };
-    // Indices past the victim's last operation reach into the recoveries.
-    let scripts = script_gen(trace.len() + 8);
-    spasm_testkit::check_with(config, "group_commit_oracle", &scripts, |faults| {
-        let script = FaultScript {
-            seed: cs.seed,
-            faults: faults.clone(),
-        };
-        // `Ok` is identical or refused typed; `Err` is a divergence.
-        verify_script_with(&cs, &victim, &cold, &expected, &script)
-            .map(|_| ())
-            .map_err(|e| e.to_string())
-    });
-}
 
-#[test]
-fn a_seeded_campaign_passes_across_all_families() {
-    // One trial per family; the pinned record below runs eight.
-    let trials = FAMILIES.len();
-    let outcome = run_campaign(&CampaignConfig::new(0xC4A05, trials))
-        .unwrap_or_else(|failure| panic!("campaign failed: {failure}"));
-    assert_eq!(outcome.trials, trials);
-    assert_eq!(outcome.identical + outcome.refused, trials);
-}
-
-#[test]
-fn a_failing_campaign_shrinks_to_a_minimal_script() {
-    let demo = shrink_demo(0xD).expect("demo finds its failure");
-    assert_eq!(demo.script.faults.len(), 3, "the demo starts multi-fault");
-    assert_eq!(
-        demo.minimized.faults.len(),
-        1,
-        "the shrinker must reach a single-entry reproducer, got {}",
-        demo.minimized
+    // Twice the widest sweep's I/O: past a victim's last operation,
+    // indices reach into its recoveries.
+    let max_op = 2 * wide_trace.len() + 8;
+    let trials = gens::tuple3(
+        gens::choice(Family::ALL.to_vec()),
+        gens::u64s(0..u64::MAX),
+        script_gen(max_op),
     );
-    assert!(demo.shrink_steps > 0);
-    assert!(!demo.minimized_detail.is_empty());
+    let config = Config {
+        cases: 32,
+        ..Config::default()
+    };
+    let seen = Cell::new(0u8);
+    check_with(
+        config,
+        "fault_trial_oracle",
+        &trials,
+        |(family, seed, faults)| {
+            seen.set(seen.get() | 1 << *family as u8);
+            let script = FaultScript {
+                seed: *seed,
+                faults: faults.clone(),
+            };
+            let verdict = match family {
+                Family::Journal => {
+                    verify_script_with(&serial, &serial.config, &cold, &serial_bytes, &script)
+                }
+                Family::GroupCommit => {
+                    verify_script_with(&wide, &victim, &cold, &wide_bytes, &script)
+                }
+                Family::ShardMerge => verify_shard_script(&serial, 2, &serial_bytes, &script),
+                Family::MachineFaults => {
+                    verify_script_with(&faulted, &faulted.config, &cold, &faulted_bytes, &script)
+                }
+            };
+            // `Ok` is identical or refused typed; `Err` is a divergence.
+            verdict.map(|_| ()).map_err(|e| e.to_string())
+        },
+    );
+    // A replay runs the one case it names; a full run reaches every family.
+    if std::env::var_os("SPASM_PT_SEED").is_none() {
+        assert_eq!(seen.get(), 0b1111, "a family was never generated");
+    }
 }
 
 /// The record EXPERIMENTS.md quotes, pinned by equality. The serial
@@ -210,7 +259,7 @@ fn a_failing_campaign_shrinks_to_a_minimal_script() {
 /// hit, enqueued and drained in one batched commit before anything runs:
 /// that trace is a contract too.
 #[test]
-fn the_f1_traces_the_campaign_and_the_shrink_demo_are_pinned() {
+fn the_f1_traces_are_pinned() {
     let cs = smoke();
     let cold = explore_crash_points(&cs, &PointCache::default(), 8).expect("zero divergence");
     assert_eq!(
@@ -226,18 +275,4 @@ fn the_f1_traces_the_campaign_and_the_shrink_demo_are_pinned() {
         "8 ops, 8 crash points + 10 torn points: 14 identical, 4 refused \
          (0 on pure crashes), replayed 0..=3, 0 divergent"
     );
-
-    let outcome = run_campaign(&CampaignConfig::new(1, 8))
-        .unwrap_or_else(|failure| panic!("campaign failed: {failure}"));
-    assert_eq!(
-        (outcome.trials, outcome.identical, outcome.refused),
-        (8, 7, 1)
-    );
-
-    let demo = shrink_demo(7).expect("demo finds its failure");
-    assert_eq!(
-        demo.script.to_string(),
-        "seed=0x7 [Enospc@0, DropSync@13, Crash@15]"
-    );
-    assert_eq!(demo.minimized.to_string(), "seed=0x7 [Enospc@0]");
 }
