@@ -63,7 +63,7 @@ use spasm_machine::{ProcBody, SetupCtx, ValueStore};
 
 /// Checks an application's numerical result against an independently
 /// computed reference.
-pub type Verifier = Box<dyn FnOnce(&ValueStore) -> Result<(), String> + Send>;
+pub type Verifier = Box<dyn FnOnce(&ValueStore) -> Result<(), String>>;
 
 /// A constructed application instance: one body per processor plus the
 /// result verifier.

@@ -32,7 +32,7 @@ use spasm_bench::{Cli, Mode, Study, USAGE};
 use spasm_core::figures;
 use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
-use spasm_core::sweep::{FigureData, Outcome, PointCache, Sweep};
+use spasm_core::sweep::{FigureData, PointCache, Sweep};
 use spasm_core::ExperimentError;
 use spasm_exec::ExecConfig;
 use spasm_journal::RealVfs;
@@ -229,8 +229,8 @@ impl Output {
             println!("{}", data.render_chart(12));
         }
         for s in &data.series {
-            for (i, outcome) in s.outcomes.iter().enumerate() {
-                if let Outcome::Failed { error } = outcome {
+            for (i, point) in s.points.iter().enumerate() {
+                if let Err(error) = point {
                     self.failed_points += 1;
                     eprintln!(
                         "{}: p={} {}: FAILED: {error}",
@@ -436,7 +436,7 @@ fn run_sweeps(cli: &Cli, sweeps: &[Sweep<'_>], journal: Option<&(String, bool)>)
         // hold for replayed and shared points too, and name a run once per
         // figure that plots it. What this invocation simulated is `total:`.
         for s in &data.series {
-            let busy: Duration = s.metrics.iter().flatten().map(|m| m.wall).sum();
+            let busy: Duration = s.points.iter().flatten().map(|(m, _)| m.wall).sum();
             eprintln!(
                 "{id}: series {}: {busy:.1?} of recorded run time across {} point(s)",
                 s.machine,

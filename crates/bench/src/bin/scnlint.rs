@@ -17,18 +17,22 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-/// A flat JSON value as emitted by the telemetry writer.
+/// A flat JSON value as emitted by the telemetry writer. A number keeps
+/// its literal text, so an integer field is read exactly or not at all.
 #[derive(Debug, Clone, PartialEq)]
 enum Val {
     Str(String),
-    Num(f64),
+    Num(String),
     Null,
 }
 
 impl Val {
+    /// The value as an unsigned integer, only if its literal is one that
+    /// fits: `1e300`, `2.0` and anything past `u64::MAX` are refused rather
+    /// than rounded or saturated.
     fn as_u64(&self) -> Option<u64> {
         match self {
-            Val::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Val::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -81,10 +85,10 @@ fn parse_flat(line: &str) -> Result<HashMap<String, Val>, String> {
             {
                 i += 1;
             }
-            let n: f64 = line[start..i]
-                .parse()
+            let text = &line[start..i];
+            text.parse::<f64>()
                 .map_err(|_| format!("bad number for key {key:?}"))?;
-            Val::Num(n)
+            Val::Num(text.to_string())
         };
         if out.insert(key.clone(), val).is_some() {
             return Err(format!("duplicate key {key:?}"));
@@ -154,7 +158,7 @@ struct PointState {
 fn require_u64(obj: &HashMap<String, Val>, key: &str) -> Result<u64, String> {
     obj.get(key)
         .and_then(Val::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+        .ok_or_else(|| format!("missing or non-integer field {key:?} (want 0..=u64::MAX)"))
 }
 
 fn lint_line(
@@ -198,8 +202,14 @@ fn lint_line(
                     st.last_t1
                 ));
             }
+            let events = require_u64(obj, "events")?;
+            st.events = st.events.checked_add(events).ok_or_else(|| {
+                format!(
+                    "{id}: interval events overflow u64 at index {index} ({} + {events})",
+                    st.events
+                )
+            })?;
             st.intervals += 1;
-            st.events += require_u64(obj, "events")?;
             st.last_t1 = t1;
             Ok(())
         }
@@ -280,6 +290,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spasm_testkit::{check_with, gens, Config};
 
     fn lint_text(text: &str) -> Result<(), String> {
         let mut points = HashMap::new();
@@ -328,6 +339,84 @@ mod tests {
             "{\"v\":1,\"kind\":\"summary\"}",
         );
         assert!(lint_text(&garbled).is_err());
+    }
+
+    #[test]
+    fn an_event_sum_past_u64_max_is_refused_naming_the_point() {
+        let forged = GOOD
+            .replace("\"events\":5", "\"events\":18446744073709551615")
+            .replace("\"events\":7", "\"events\":1")
+            .replace("\"events\":12", "\"events\":0");
+        let e = lint_text(&forged).unwrap_err();
+        let named = "line 2: f/target/p2: interval events overflow u64";
+        assert!(e.starts_with(named), "{e}");
+    }
+
+    #[test]
+    fn an_integer_field_is_exact_or_refused() {
+        let at_max = GOOD.replace("\"queue\":1", "\"queue\":18446744073709551615");
+        assert!(lint_text(&at_max).is_ok());
+        for inexact in ["18446744073709551616", "1e300", "1e0", "5.0", "-1"] {
+            let bad = GOOD.replace("\"events\":5", &format!("\"events\":{inexact}"));
+            let e = lint_text(&bad).unwrap_err();
+            assert!(e.contains("non-integer field \"events\""), "{inexact}: {e}");
+        }
+    }
+
+    /// Hostile input for the line decoder, generated: up to three
+    /// truncations, single-byte flips or inflated numbers of the clean
+    /// stream lint to `Ok` or `Err`; a panic (an unchecked sum, a bad
+    /// slice) fails it.
+    #[test]
+    fn mutated_streams_lint_or_refuse_without_panicking() {
+        // (truncate | flip | inflate, position, flip mask, inflated literal).
+        let edit = gens::tuple4(
+            gens::usizes(0..3),
+            gens::usizes(0..4096),
+            gens::usizes(1..256),
+            gens::choice(vec![
+                "18446744073709551615",
+                "18446744073709551614",
+                "18446744073709551616",
+                "9223372036854775808",
+                "1e300",
+                "-1",
+                "",
+            ]),
+        );
+        let config = Config {
+            cases: 1024,
+            ..Config::default()
+        };
+        check_with(
+            config,
+            "scnlint_hostile_streams",
+            &gens::vecs(edit, 1..4),
+            |edits| {
+                let mut bytes = GOOD.as_bytes().to_vec();
+                for &(kind, at, mask, inflated) in edits {
+                    if bytes.is_empty() {
+                        break;
+                    }
+                    let pos = at % bytes.len();
+                    match kind {
+                        0 => bytes.truncate(pos),
+                        1 => bytes[pos] ^= mask as u8,
+                        _ => {
+                            // The digits at or after `pos` become the literal.
+                            let digits = |i: &usize| bytes[*i].is_ascii_digit();
+                            let start = (pos..bytes.len()).find(digits).unwrap_or(bytes.len());
+                            let end = (start..bytes.len())
+                                .find(|i| !digits(i))
+                                .unwrap_or(bytes.len());
+                            bytes.splice(start..end, inflated.bytes());
+                        }
+                    }
+                }
+                let _ = lint_text(&String::from_utf8_lossy(&bytes));
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -172,7 +172,7 @@ pub struct Experiment {
 }
 
 /// Why an experiment failed.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentError {
     /// The experiment was rejected before anything ran: bad processor
     /// count, oversized topology, and friends.

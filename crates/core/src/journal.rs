@@ -2,8 +2,9 @@
 //!
 //! A [`SweepJournal`] wraps a durable `spasm-journal` file with one
 //! record per *completed* sweep point — the point's identity (machine,
-//! processor count), its [`Outcome`] and, for successful points, the
-//! full [`RunMetrics`]. The file's header carries [`Sweep::fingerprint`]
+//! processor count) and its [`PointVerdict`]: for a completed point the
+//! full [`RunMetrics`] and interval telemetry, for a failed one the
+//! error's rendering. The file's header carries [`Sweep::fingerprint`]
 //! — everything that determines point outcomes (figure spec, size, procs
 //! grid, seed, machine configurations, resilience knobs) — so a resume
 //! against a journal written under a different configuration fails with
@@ -148,18 +149,6 @@ impl Sweep<'_> {
     }
 }
 
-/// A decoded journal record, held for replay (also the unit
-/// `shard::merge_shards` reassembles figures from): a failure is the
-/// original error's rendering.
-pub(crate) type ReplayPoint = Result<(RunMetrics, Vec<IntervalRecord>), String>;
-
-/// The verdict a record replays as. Failed points come back as
-/// [`ExperimentError::Replayed`] carrying the original error's rendering
-/// verbatim.
-pub(crate) fn replayed(point: &ReplayPoint) -> PointVerdict {
-    point.clone().map_err(ExperimentError::Replayed)
-}
-
 /// A durable journal bound to one figure sweep, committed as a pipelined
 /// group-commit log. A commit is a full atomic rewrite plus two fsyncs —
 /// milliseconds on a disk, as much as a small point — so no worker pays
@@ -174,7 +163,7 @@ pub struct SweepJournal {
     /// Encoded records of points that finished since the last drain; held
     /// only for a push or a swap, never across I/O.
     backlog: Mutex<Vec<Vec<u8>>>,
-    replay: HashMap<(Machine, usize), ReplayPoint>,
+    replay: HashMap<(Machine, usize), PointVerdict>,
     repaired_bytes: usize,
     /// The header's fingerprint: the one sweep this journal serves.
     fingerprint: u64,
@@ -298,7 +287,7 @@ impl SweepJournal {
 
     /// The journaled verdict for a point, if one exists.
     pub(crate) fn lookup(&self, machine: Machine, procs: usize) -> Option<PointVerdict> {
-        self.replay.get(&(machine, procs)).map(replayed)
+        self.replay.get(&(machine, procs)).cloned()
     }
 
     /// Successful point commits since open — not the create, not a
@@ -466,7 +455,10 @@ fn encode_point(machine: Machine, procs: usize, verdict: &PointVerdict) -> Vec<u
     buf
 }
 
-pub(crate) fn decode_point(record: &[u8]) -> Result<(Machine, usize, ReplayPoint), String> {
+/// Decodes one record. A failed point comes back as
+/// [`ExperimentError::Replayed`] carrying the original error's rendering
+/// verbatim.
+pub(crate) fn decode_point(record: &[u8]) -> Result<(Machine, usize, PointVerdict), String> {
     let mut c = Cursor {
         buf: record,
         pos: 0,
@@ -519,7 +511,7 @@ pub(crate) fn decode_point(record: &[u8]) -> Result<(Machine, usize, ReplayPoint
         }
         TAG_FAILED => {
             c.u64()?; // the attempt count: read, never interpreted
-            Err(c.str()?)
+            Err(ExperimentError::Replayed(c.str()?))
         }
         tag => return Err(format!("unknown outcome tag {tag}")),
     };
@@ -622,7 +614,7 @@ pub(crate) mod tests {
         assert_eq!((machine, procs), (Machine::Pram, 3));
         assert_eq!(
             point.unwrap_err(),
-            "invalid configuration: 3 is not a power of two"
+            ExperimentError::Replayed("invalid configuration: 3 is not a power of two".into())
         );
     }
 

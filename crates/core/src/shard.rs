@@ -36,23 +36,24 @@ use std::path::{Path, PathBuf};
 
 use spasm_journal::{Journal, JournalError, Vfs};
 
-use crate::journal::{decode_point, replayed, ReplayPoint};
-use crate::sweep::{FigureData, Sweep};
+use crate::journal::decode_point;
+use crate::sweep::{FigureData, PointVerdict, Sweep};
 use crate::{ExperimentError, Machine, RunMetrics};
 
 /// Whether two records of the same point agree on everything the
 /// simulation determines. `RunMetrics::wall` is host wall-clock — two
 /// honest runs of the same point measure different nanos — so it is
 /// excluded; every other field, interval telemetry included, is
-/// seeded-deterministic. Failures agree when their reasons do.
-fn same_result(a: &ReplayPoint, b: &ReplayPoint) -> bool {
+/// seeded-deterministic. Failures agree when they are equal: decoded,
+/// both are the replayed rendering of the original error.
+fn same_result(a: &PointVerdict, b: &PointVerdict) -> bool {
     let strip = |m: &RunMetrics| RunMetrics {
         wall: std::time::Duration::ZERO,
         ..*m
     };
     match (a, b) {
         (Ok((x, tx)), Ok((y, ty))) => strip(x) == strip(y) && tx == ty,
-        (Err(ra), Err(rb)) => ra == rb,
+        (Err(ea), Err(eb)) => ea == eb,
         _ => false,
     }
 }
@@ -290,7 +291,7 @@ pub fn merge_shards(
     // families still yield a deterministic owner for missing points.
     let width = files.iter().map(|&(_, s)| s.count).max().unwrap_or(1);
 
-    let mut merged: HashMap<(Machine, usize), (ReplayPoint, PathBuf)> = HashMap::new();
+    let mut merged: HashMap<(Machine, usize), (PointVerdict, PathBuf)> = HashMap::new();
     let mut quarantined = Vec::new();
     let mut torn = Vec::new();
     let mut shards_merged = 0usize;
@@ -372,7 +373,7 @@ pub fn merge_shards(
     // cells naming the shard that should have produced them.
     let mut missing_points = 0usize;
     let data = FigureData::assemble(sweep, |machine, p, i| match merged.get(&(machine, p)) {
-        Some((point, _)) => replayed(point),
+        Some((point, _)) => point.clone(),
         None => {
             missing_points += 1;
             let owner = ShardSpec {

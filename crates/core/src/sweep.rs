@@ -7,7 +7,7 @@
 //!
 //! Sweeps are *resilient*: a failed point (invalid configuration,
 //! exhausted budget, deadlock, wrong answer) is recorded as a
-//! [`Outcome::Failed`] cell instead of aborting the whole figure. A
+//! failed [`PointVerdict`] cell instead of aborting the whole figure. A
 //! point runs exactly once: it is a pure function of its experiment and
 //! the sweep's knobs, which is what [`Sweep::fingerprint`] certifies.
 //!
@@ -36,8 +36,8 @@ use crate::figures::{FigureSpec, Metric};
 use crate::journal::SweepJournal;
 use crate::{Experiment, ExperimentError, Machine, RunMetrics};
 
-/// One figure's regenerated data: `values[series][point]` aligned with
-/// `procs[point]`.
+/// One figure's regenerated data: `series[s].points[i]` is the verdict
+/// at `procs[i]`.
 #[derive(Debug)]
 pub struct FigureData {
     /// The figure this data regenerates.
@@ -53,35 +53,23 @@ pub struct FigureData {
 pub struct Series {
     /// The machine simulated.
     pub machine: Machine,
-    /// The plotted metric at each processor count; `NaN` for failed
-    /// points (renderers show `FAILED`, never a bogus number).
-    pub values: Vec<f64>,
-    /// Full metrics (for secondary analysis); `None` for failed points.
+    /// Each point's verdict, aligned with [`FigureData::procs`]: its
+    /// metrics and interval telemetry (empty unless
+    /// [`SweepConfig::telemetry`] was set), or why it failed.
+    pub points: Vec<PointVerdict>,
+    /// Remnant: each point's metrics, `None` for a failed one, derived
+    /// from `points` by [`FigureData::assemble`]. Stays only because
+    /// `benchmark/src/fleet.rs` reads it; goes when that stops.
     pub metrics: Vec<Option<RunMetrics>>,
-    /// Per-point outcome, aligned with `values`.
-    pub outcomes: Vec<Outcome>,
-    /// Per-point interval telemetry, aligned with `values` (empty vectors
-    /// unless [`SweepConfig::telemetry`] was set; always empty for failed
-    /// points).
-    pub telemetry: Vec<Vec<IntervalRecord>>,
 }
 
-/// What happened at one sweep point.
-#[derive(Debug)]
-pub enum Outcome {
-    /// The run completed and verified.
-    Ok,
-    /// The point failed.
-    Failed {
-        /// Why the point failed.
-        error: ExperimentError,
-    },
-}
-
-impl Outcome {
-    /// True for a completed point.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Outcome::Ok)
+impl Series {
+    /// The plotted `metric` at point `i`; `NaN` for a failed point
+    /// (renderers show `FAILED`, never a bogus number).
+    fn value(&self, metric: Metric, i: usize) -> f64 {
+        self.points[i]
+            .as_ref()
+            .map_or(f64::NAN, |(m, _)| extract(metric, m))
     }
 }
 
@@ -155,7 +143,7 @@ type PointKey = (Experiment, [String; 4]);
 ///
 /// A value its caller owns, never a global: whoever sweeps figures that
 /// may share points passes one cache to all of them, and everyone else
-/// passes a fresh empty one. Only [`Outcome::Ok`] verdicts enter it —
+/// passes a fresh empty one. Only `Ok` verdicts enter it —
 /// a failure re-runs under the next figure as it would alone. The key is
 /// content: the [`Experiment`] (a compiled scenario's app compares by its
 /// name and canonical text, the same two strings [`Sweep::fingerprint`]
@@ -163,7 +151,7 @@ type PointKey = (Experiment, [String; 4]);
 /// exactly as the fingerprint absorbs them.
 #[derive(Debug, Clone, Default)]
 pub struct PointCache {
-    points: HashMap<PointKey, (RunMetrics, Vec<IntervalRecord>)>,
+    points: HashMap<PointKey, PointVerdict>,
     hits: usize,
 }
 
@@ -175,14 +163,14 @@ impl PointCache {
     }
 
     fn get(&mut self, key: &PointKey) -> Option<PointVerdict> {
-        let (m, telemetry) = self.points.get(key)?;
+        let verdict = self.points.get(key)?.clone();
         self.hits += 1;
-        Some(Ok((*m, telemetry.clone())))
+        Some(verdict)
     }
 
     fn insert(&mut self, key: PointKey, verdict: &PointVerdict) {
-        if let Ok((m, telemetry)) = verdict {
-            self.points.insert(key, (*m, telemetry.clone()));
+        if verdict.is_ok() {
+            self.points.insert(key, verdict.clone());
         }
     }
 }
@@ -233,9 +221,11 @@ pub struct ShardRunReport {
     pub failed: usize,
 }
 
-/// One point's verdict: replayed from a journal, shared through a
-/// [`PointCache`], or fresh from a run.
-pub(crate) type PointVerdict = Result<(RunMetrics, Vec<IntervalRecord>), ExperimentError>;
+/// One point's verdict: its metrics and interval telemetry, or why it
+/// failed. Replayed from a journal, shared through a [`PointCache`], merged
+/// from shards or fresh from a run, it is this one value from the sweep to
+/// every rendering.
+pub type PointVerdict = Result<(RunMetrics, Vec<IntervalRecord>), ExperimentError>;
 
 impl<'a> Sweep<'a> {
     /// The sweep of `spec` under default resilience settings (no faults,
@@ -251,7 +241,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// Runs the full processor sweep. Never fails as a whole: each point
-    /// runs once and carries its own [`Outcome`], and
+    /// runs once and carries its own [`PointVerdict`], and
     /// [`SweepConfig::jobs`] sizes the worker pool.
     ///
     /// Points are submitted series-major (every processor count of the
@@ -331,23 +321,18 @@ impl<'a> Sweep<'a> {
     /// order: every processor count of the first machine, then the second,
     /// …. The enumeration index of this order is the *point index* the
     /// shard contract ([`crate::shard::ShardSpec::owns`]) partitions.
-    fn grid(&self) -> Vec<(Machine, Experiment)> {
+    fn grid(&self) -> Vec<Experiment> {
         self.spec
             .machines
             .iter()
             .flat_map(|&machine| {
-                self.procs.iter().map(move |&p| {
-                    (
-                        machine,
-                        Experiment {
-                            app: self.spec.app,
-                            size: self.size,
-                            net: self.spec.net,
-                            machine,
-                            procs: p,
-                            seed: self.seed,
-                        },
-                    )
+                self.procs.iter().map(move |&procs| Experiment {
+                    app: self.spec.app,
+                    size: self.size,
+                    net: self.spec.net,
+                    machine,
+                    procs,
+                    seed: self.seed,
                 })
             })
             .collect()
@@ -385,12 +370,12 @@ impl<'a> Sweep<'a> {
         let mut points = Vec::new();
         let mut hits = Vec::new();
         let mut pending = Vec::new();
-        for (i, (machine, exp)) in self.grid().into_iter().enumerate() {
+        for (i, exp) in self.grid().into_iter().enumerate() {
             if !owns(i) {
                 continue;
             }
             let key = (exp, knobs.clone());
-            let known = match journal.and_then(|j| j.lookup(machine, exp.procs)) {
+            let known = match journal.and_then(|j| j.lookup(exp.machine, exp.procs)) {
                 Some(replayed) => {
                     cache.insert(key, &replayed);
                     Some(replayed)
@@ -399,7 +384,7 @@ impl<'a> Sweep<'a> {
                     let hit = cache.get(&key);
                     match &hit {
                         Some(_) => hits.push(points.len()),
-                        None => pending.push((machine, exp)),
+                        None => pending.push(exp),
                     }
                     hit
                 }
@@ -424,7 +409,7 @@ impl<'a> Sweep<'a> {
         let report = execute(
             ExecConfig::with_jobs(self.config.jobs),
             pending,
-            |_, (machine, exp)| journaled_point(journal, self.config, machine, &exp),
+            |_, exp| run_point(journal, self.config, &exp),
             // This thread is the journal's only committer. It wakes on every
             // event, and a point is enqueued before its wall time is sent,
             // so each commit takes whatever finished during the last one;
@@ -483,34 +468,28 @@ pub fn run_figure_journaled(
     .run(Some(journal), &mut PointCache::default(), observe)
 }
 
-/// Runs one submitted point on a worker and hands its verdict to the
-/// journal's backlog; the submitting thread commits it (see
+/// Runs one submitted point, once: the machine's own configuration under
+/// the sweep's knobs, on whichever thread the executor picked. Its verdict
+/// goes to the journal's backlog; the submitting thread commits it (see
 /// [`SweepJournal::drain`]) before the result becomes visible to the
 /// caller.
-fn journaled_point(
+fn run_point(
     journal: Option<&SweepJournal>,
     sweep: SweepConfig,
-    machine: Machine,
     exp: &Experiment,
 ) -> JobOutput<PointVerdict> {
-    let verdict = run_point(exp, machine, sweep);
-    if let Some(j) = journal {
-        j.enqueue(machine, exp.procs, &verdict);
-    }
-    JobOutput::plain(verdict)
-}
-
-/// Runs one sweep point, once: the machine's own configuration under the
-/// sweep's knobs. Shared verbatim by the serial and parallel paths (the
-/// executor calls it from worker threads).
-fn run_point(exp: &Experiment, machine: Machine, sweep: SweepConfig) -> PointVerdict {
-    let mut config = machine.config();
+    let mut config = exp.machine.config();
     config.budget = sweep.budget;
     config.check = sweep.check;
     config.telemetry = sweep.telemetry;
     config.faults = sweep.faults;
-    exp.run_observed(config, None)
-        .map(|(m, telemetry, _spec)| (m, telemetry))
+    let verdict = exp
+        .run_observed(config, None)
+        .map(|(m, telemetry, _spec)| (m, telemetry));
+    if let Some(j) = journal {
+        j.enqueue(exp.machine, exp.procs, &verdict);
+    }
+    JobOutput::plain(verdict)
 }
 
 /// Renders a JSON string literal (quotes, backslashes, and control
@@ -554,30 +533,20 @@ impl FigureData {
         let mut index = 0;
         let mut series = Vec::with_capacity(sweep.spec.machines.len());
         for &machine in sweep.spec.machines {
-            let mut values = Vec::with_capacity(sweep.procs.len());
-            let mut metrics = Vec::with_capacity(sweep.procs.len());
-            let mut outcomes = Vec::with_capacity(sweep.procs.len());
-            let mut telemetry = Vec::with_capacity(sweep.procs.len());
-            for &p in sweep.procs {
-                let (outcome, m, intervals) = match verdict_of(machine, p, index) {
-                    Ok((m, intervals)) => (Outcome::Ok, Some(m), intervals),
-                    Err(error) => (Outcome::Failed { error }, None, Vec::new()),
-                };
-                index += 1;
-                values.push(
-                    m.as_ref()
-                        .map_or(f64::NAN, |m| extract(sweep.spec.metric, m)),
-                );
-                metrics.push(m);
-                outcomes.push(outcome);
-                telemetry.push(intervals);
-            }
+            let points: Vec<PointVerdict> = sweep
+                .procs
+                .iter()
+                .map(|&p| {
+                    let verdict = verdict_of(machine, p, index);
+                    index += 1;
+                    verdict
+                })
+                .collect();
+            let metrics = points.iter().map(|v| v.as_ref().ok().map(|(m, _)| *m));
             series.push(Series {
                 machine,
-                values,
-                metrics,
-                outcomes,
-                telemetry,
+                metrics: metrics.collect(),
+                points,
             });
         }
         FigureData {
@@ -591,8 +560,8 @@ impl FigureData {
     pub fn failed_points(&self) -> usize {
         self.series
             .iter()
-            .flat_map(|s| s.outcomes.iter())
-            .filter(|o| !o.is_ok())
+            .flat_map(|s| &s.points)
+            .filter(|v| v.is_err())
             .count()
     }
 
@@ -612,7 +581,7 @@ impl FigureData {
         for (i, &p) in self.procs.iter().enumerate() {
             out.push_str(&format!("  {p:>6}"));
             for s in &self.series {
-                let v = s.values[i];
+                let v = s.value(self.spec.metric, i);
                 if v.is_finite() {
                     out.push_str(&format!(" {v:>14.2}"));
                 } else {
@@ -638,15 +607,15 @@ impl FigureData {
         let mut out = String::from("figure,app,net,metric,procs,machine,value,reason\n");
         for s in &self.series {
             for (i, &p) in self.procs.iter().enumerate() {
-                let v = s.values[i];
+                let v = s.value(self.spec.metric, i);
                 let cell = if v.is_finite() {
                     v.to_string()
                 } else {
                     "FAILED".to_string()
                 };
-                let reason = match &s.outcomes[i] {
-                    Outcome::Ok => String::new(),
-                    Outcome::Failed { error, .. } => csv_sanitize(&error.to_string()),
+                let reason = match &s.points[i] {
+                    Ok(_) => String::new(),
+                    Err(error) => csv_sanitize(&error.to_string()),
                 };
                 out.push_str(&format!(
                     "{},{},{},{:?},{},{},{},{}\n",
@@ -684,11 +653,12 @@ impl FigureData {
                     json_str(&self.spec.net.to_string()),
                     json_str(&s.machine.to_string()),
                 );
-                let intervals = &s.telemetry[i];
-                if intervals.is_empty() && s.outcomes[i].is_ok() {
+                let (intervals, exec_us, outcome) = match &s.points[i] {
                     // Telemetry was off for this sweep: no lines at all.
-                    continue;
-                }
+                    Ok((_, intervals)) if intervals.is_empty() => continue,
+                    Ok((m, intervals)) => (&intervals[..], m.exec_us.to_string(), "ok"),
+                    Err(_) => (&[][..], "null".to_string(), "failed"),
+                };
                 for r in intervals {
                     out.push_str(&format!(
                         "{{\"v\":1,\"kind\":\"interval\",{point},\"i\":{},\"t0_ns\":{},\"t1_ns\":{},\"events\":{},\"queue\":{},\"busy_ns\":{},\"mem_ns\":{},\"comm_ns\":{},\"sync_ns\":{},\"cache_hits\":{},\"cache_misses\":{},\"faults\":{}}}\n",
@@ -708,10 +678,6 @@ impl FigureData {
                 }
                 let events: u64 = intervals.iter().map(|r| r.events).sum();
                 let peak_queue = intervals.iter().map(|r| r.queue_depth).max().unwrap_or(0);
-                let (exec_us, outcome) = match (&s.outcomes[i], &s.metrics[i]) {
-                    (Outcome::Ok, Some(m)) => (m.exec_us.to_string(), "ok"),
-                    _ => ("null".to_string(), "failed"),
-                };
                 out.push_str(&format!(
                     "{{\"v\":1,\"kind\":\"summary\",{point},\"intervals\":{},\"events\":{events},\"exec_us\":{exec_us},\"peak_queue\":{peak_queue},\"outcome\":\"{outcome}\"}}\n",
                     intervals.len(),
@@ -719,11 +685,6 @@ impl FigureData {
             }
         }
         out
-    }
-
-    /// The series for `machine`, if present.
-    pub fn series_for(&self, machine: Machine) -> Option<&Series> {
-        self.series.iter().find(|s| s.machine == machine)
     }
 
     /// Renders the figure as an ASCII chart (the closest a terminal gets
@@ -736,10 +697,11 @@ impl FigureData {
     pub fn render_chart(&self, height: usize) -> String {
         const GLYPHS: [char; 5] = ['T', 'L', 'C', 'P', 'G'];
         let height = height.max(4);
+        let metric = self.spec.metric;
         let max = self
             .series
             .iter()
-            .flat_map(|s| s.values.iter().copied())
+            .flat_map(|s| (0..s.points.len()).map(move |i| s.value(metric, i)))
             .filter(|v| v.is_finite())
             .fold(0.0f64, f64::max);
         let mut out = String::new();
@@ -756,7 +718,8 @@ impl FigureData {
         let mut grid = vec![vec![' '; self.procs.len() * col_w]; height];
         for (si, s) in self.series.iter().enumerate() {
             let glyph = GLYPHS[si % GLYPHS.len()];
-            for (pi, &v) in s.values.iter().enumerate() {
+            for pi in 0..s.points.len() {
+                let v = s.value(metric, pi);
                 let c = pi * col_w + col_w / 2;
                 if !v.is_finite() {
                     // Failed point: a question mark on the baseline.
@@ -816,12 +779,9 @@ mod tests {
         assert_eq!(data.series.len(), 3);
         assert_eq!(data.failed_points(), 0);
         for s in &data.series {
-            assert_eq!(s.values.len(), 2);
-            assert_eq!(s.metrics.len(), 2);
-            assert_eq!(s.outcomes.len(), 2);
-            assert!(s.values.iter().all(|v| v.is_finite()));
-            assert!(s.metrics.iter().all(|m| m.is_some()));
-            assert!(s.outcomes.iter().all(|o| o.is_ok()));
+            assert_eq!(s.points.len(), 2);
+            assert!(s.points.iter().all(Result::is_ok));
+            assert!((0..2).all(|i| s.value(spec.metric, i).is_finite()));
         }
     }
 
@@ -872,7 +832,7 @@ mod tests {
     }
 
     #[test]
-    fn series_lookup() {
+    fn pram_is_the_ideal_time_floor() {
         let spec = figures::FigureSpec {
             id: "T",
             app: AppId::Ep,
@@ -882,11 +842,9 @@ mod tests {
             expect: "test",
         };
         let data = alone(Sweep::new(&spec, SizeClass::Test, &[2], 1));
-        assert!(data.series_for(Machine::Pram).is_some());
-        assert!(data.series_for(Machine::LogP).is_none());
-        // PRAM is the ideal-time floor.
-        let pram = data.series_for(Machine::Pram).unwrap().values[0];
-        let target = data.series_for(Machine::Target).unwrap().values[0];
+        let machines: Vec<_> = data.series.iter().map(|s| s.machine).collect();
+        assert_eq!(machines, spec.machines);
+        let [pram, target] = [0, 1].map(|s| data.series[s].value(spec.metric, 0));
         assert!(pram <= target);
     }
 
@@ -905,14 +863,14 @@ mod tests {
         let data = alone(Sweep::new(&spec, SizeClass::Test, &[2, 3, 4], 1));
         assert_eq!(data.failed_points(), 2); // one per series
         for s in &data.series {
-            assert!(s.values[0].is_finite());
-            assert!(s.values[1].is_nan());
-            assert!(s.values[2].is_finite());
-            match &s.outcomes[1] {
-                Outcome::Failed { error } => {
+            assert!(s.value(spec.metric, 0).is_finite());
+            assert!(s.value(spec.metric, 1).is_nan());
+            assert!(s.value(spec.metric, 2).is_finite());
+            match &s.points[1] {
+                Err(error) => {
                     assert!(matches!(error, ExperimentError::Config(_)), "{error}");
                 }
-                other => panic!("expected Failed outcome, got {other:?}"),
+                other => panic!("expected a failed point, got {other:?}"),
             }
         }
         let table = data.render_table();
@@ -949,15 +907,14 @@ mod tests {
             let mut ran = 0;
             let data = sweep.run(None, &mut PointCache::default(), |_| ran += 1);
             assert_eq!(ran, 1);
-            let exp = sweep.grid()[0].1;
+            let exp = sweep.grid()[0];
             let mut config = Machine::Target.config();
             config.faults = faults;
             config.budget = budget;
             let direct = exp.run_with_config(config);
             let series = &data.series[0];
-            match (&series.outcomes[0], direct) {
-                (Outcome::Ok, Ok(m)) => {
-                    let swept = series.metrics[0].expect("an Ok point carries metrics");
+            match (&series.points[0], direct) {
+                (Ok((swept, _)), Ok(m)) => {
                     assert!(m.faults_injected > 0, "the plan injected nothing");
                     assert_eq!(swept.exec_us.to_bits(), m.exec_us.to_bits());
                     assert_eq!(
@@ -965,7 +922,7 @@ mod tests {
                         (m.events, m.faults_injected)
                     );
                 }
-                (Outcome::Failed { error }, Err(e)) => {
+                (Err(error), Err(e)) => {
                     assert!(
                         matches!(
                             error,
@@ -994,7 +951,8 @@ mod tests {
         assert_eq!(serial.render_table(), parallel.render_table());
         assert_eq!(serial.render_chart(10), parallel.render_chart(10));
         for (a, b) in serial.series.iter().zip(&parallel.series) {
-            for (va, vb) in a.values.iter().zip(&b.values) {
+            for i in 0..a.points.len() {
+                let (va, vb) = (a.value(spec.metric, i), b.value(spec.metric, i));
                 assert_eq!(va.to_bits(), vb.to_bits(), "{}", a.machine);
             }
         }
@@ -1290,8 +1248,8 @@ mod tests {
         let b = alone(sweep);
         for (sa, sb) in a.series.iter().zip(&b.series) {
             assert_eq!(
-                sa.values[0].to_bits(),
-                sb.values[0].to_bits(),
+                sa.value(spec.metric, 0).to_bits(),
+                sb.value(spec.metric, 0).to_bits(),
                 "{}",
                 sa.machine
             );

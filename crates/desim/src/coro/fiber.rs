@@ -483,17 +483,13 @@ impl<Q, R> fmt::Debug for CoroPool<Q, R> {
     }
 }
 
-impl<Q, R> CoroPool<Q, R>
-where
-    Q: Send + 'static,
-    R: Send + 'static,
-{
+impl<Q: 'static, R: 'static> CoroPool<Q, R> {
     /// Creates `n` processes, each running `body(proc_id, ctx)`.
     ///
     /// Processes are parked until their first [`CoroPool::resume`].
     pub fn new<F>(n: usize, body: F) -> Self
     where
-        F: Fn(ProcId, &CoroCtx<Q, R>) + Send + Sync + Clone + 'static,
+        F: Fn(ProcId, &CoroCtx<Q, R>) + Clone + 'static,
     {
         Self::from_bodies((0..n).map(|_| body.clone()).collect::<Vec<_>>())
     }
@@ -504,7 +500,7 @@ where
     /// (closure), which is how per-processor application kernels are built.
     pub fn from_bodies<F>(bodies: Vec<F>) -> Self
     where
-        F: FnOnce(ProcId, &CoroCtx<Q, R>) + Send + 'static,
+        F: FnOnce(ProcId, &CoroCtx<Q, R>) + 'static,
     {
         let slots = bodies
             .into_iter()

@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn distinct_bodies_per_process() {
-        let bodies: Vec<Box<dyn FnOnce(ProcId, &CoroCtx<u32, u32>) + Send>> = vec![
+        let bodies: Vec<Box<dyn FnOnce(ProcId, &CoroCtx<u32, u32>)>> = vec![
             Box::new(|_, ctx| {
                 ctx.call(1);
             }),

@@ -22,7 +22,7 @@ use crate::telemetry::{Collector, IntervalRecord, Snapshot};
 use crate::{Addr, AddressMap, SetupCtx, ValueStore};
 
 /// One simulated processor's program.
-pub type ProcBody = Box<dyn FnOnce(usize, &CoroCtx<MemReq, MemResp>) + Send + 'static>;
+pub type ProcBody = Box<dyn FnOnce(usize, &CoroCtx<MemReq, MemResp>) + 'static>;
 
 /// Inert remnant of the Time Warp engine retired at PR 19: names only,
 /// no behaviour. Stays because `benchmark/src/grid.rs` constructs
@@ -45,7 +45,7 @@ pub enum EngineMode {
 /// failure modes (panic, deadlock, bad request) and a configured
 /// [`RunBudget`] end the run with an error value, never a
 /// process abort.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// A processor's body panicked.
     Panicked {

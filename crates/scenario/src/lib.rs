@@ -247,7 +247,8 @@ mod tests {
         let metrics: Vec<_> = data
             .series
             .iter()
-            .flat_map(|s| s.metrics.iter().flatten())
+            .flat_map(|s| s.points.iter().flatten())
+            .map(|(m, _)| m)
             .collect();
         assert_eq!(metrics.len(), 8);
         assert!(metrics.iter().all(|m| m.events > 0));
@@ -255,8 +256,8 @@ mod tests {
         assert!(
             data.series
                 .iter()
-                .flat_map(|s| &s.telemetry)
-                .all(Vec::is_empty),
+                .flat_map(|s| s.points.iter().flatten())
+                .all(|(_, telemetry)| telemetry.is_empty()),
             "telemetry defaults off"
         );
     }
@@ -277,8 +278,8 @@ mod tests {
         let intervals: usize = data
             .series
             .iter()
-            .flat_map(|s| &s.telemetry)
-            .map(Vec::len)
+            .flat_map(|s| s.points.iter().flatten())
+            .map(|(_, telemetry)| telemetry.len())
             .sum();
         assert!(intervals > 0, "intervals must be recorded");
         let jsonl = data.to_telemetry_jsonl();

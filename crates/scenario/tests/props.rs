@@ -4,7 +4,7 @@
 use spasm_core::figures::Metric;
 use spasm_core::Net;
 use spasm_scenario::{parse, render, Locality, Phase, Scenario};
-use spasm_testkit::{check, gens, prop_assert, prop_assert_eq, Gen};
+use spasm_testkit::{check, check_with, gens, prop_assert, prop_assert_eq, Config, Gen};
 
 /// Generates a structurally valid scenario across the whole knob space.
 fn scenarios() -> Gen<Scenario> {
@@ -158,4 +158,93 @@ fn out_of_range_values_are_rejected_everywhere() {
         prop_assert_eq!(e.line, 3);
         Ok(())
     });
+}
+
+/// The bundled `examples/scenarios/*.scn` files, sorted by name.
+fn bundled() -> Vec<String> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples/scenarios is readable")
+        .map(|entry| entry.expect("a directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "scn"))
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| std::fs::read_to_string(path).expect("a bundled scenario is text"))
+        .collect()
+}
+
+/// Hostile input for the parser, generated: any truncation, single-byte
+/// flip or inflated number of a bundled scenario or of a rendered
+/// generated one parses to a scenario that survives `parse(render(s))`,
+/// or is refused with a line inside the text; a panic fails it.
+#[test]
+fn mutated_scenario_files_parse_or_refuse_on_a_line_of_theirs() {
+    let files = bundled();
+    assert!(files.len() >= 4, "{} bundled scenarios", files.len());
+    // (source: a bundled file, or the generated scenario past the last
+    // index; truncate | flip | inflate; position; flip mask; literal).
+    let cases = gens::tuple3(
+        scenarios(),
+        gens::tuple2(gens::usizes(0..files.len() + 1), gens::usizes(0..3)),
+        gens::tuple3(
+            gens::usizes(0..4096),
+            gens::usizes(1..256),
+            gens::choice(vec![
+                "18446744073709551615",
+                "18446744073709551616",
+                "99999999999999999999999",
+                "1e300",
+                "-1",
+                "nan",
+                "",
+            ]),
+        ),
+    );
+    let config = Config {
+        cases: 512,
+        ..Config::default()
+    };
+    check_with(
+        config,
+        "scn_hostile_files",
+        &cases,
+        |(sc, (source, edit), (at, mask, inflated))| {
+            let text = files.get(*source).cloned().unwrap_or_else(|| render(sc));
+            let mut bytes = text.into_bytes();
+            let pos = at % bytes.len();
+            match edit {
+                0 => bytes.truncate(pos),
+                1 => bytes[pos] ^= *mask as u8,
+                _ => {
+                    // The digits at or after `pos` become the literal.
+                    let digits = |i: &usize| bytes[*i].is_ascii_digit();
+                    let start = (pos..bytes.len()).find(digits).unwrap_or(bytes.len());
+                    let end = (start..bytes.len())
+                        .find(|i| !digits(i))
+                        .unwrap_or(bytes.len());
+                    bytes.splice(start..end, inflated.bytes());
+                }
+            }
+            let mutated = String::from_utf8_lossy(&bytes);
+            match parse(&mutated) {
+                Ok(got) => {
+                    let again = parse(&render(&got)).map_err(|e| e.to_string())?;
+                    prop_assert_eq!(again, got);
+                }
+                Err(e) => {
+                    let lines = mutated.lines().count().max(1);
+                    prop_assert!(
+                        (1..=lines).contains(&e.line),
+                        "line {} outside 1..={}: {}",
+                        e.line,
+                        lines,
+                        e
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
 }

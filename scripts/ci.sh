@@ -175,6 +175,19 @@ cmp figures_small.csv "$gdir/figures_small.csv"
 rm -rf "$gdir"
 trap - EXIT
 
+# Examples are the README's entry points, and EXPERIMENTS.md and DESIGN.md
+# quote numbers from some of them: each must run to exit 0, not just
+# compile (each takes well under a second in release).
+echo "==> examples: every examples/*.rs runs to exit 0 (60s watchdog apiece)"
+cargo build --release --offline --examples
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    if ! timeout 60 "./target/release/examples/$name" > /dev/null; then
+        echo "ERROR: example $name did not run to exit 0" >&2
+        exit 1
+    fi
+done
+
 # The repo benchmark is a package of its own (benchmark/, built by the
 # pipeline from each commit's sources): its unit tests and a test-size
 # pass over all four workloads here mean an API break in the crates it

@@ -122,15 +122,15 @@ fn parallel_sweep_is_byte_identical_to_serial() {
             "{label}: rendered table must not depend on worker count"
         );
         for (a, b) in serial.series.iter().zip(&parallel.series) {
-            for (ma, mb) in a.metrics.iter().zip(&b.metrics) {
-                match (ma, mb) {
-                    (Some(ma), Some(mb)) => assert_eq!(
+            for (pa, pb) in a.points.iter().zip(&b.points) {
+                match (pa, pb) {
+                    (Ok((ma, _)), Ok((mb, _))) => assert_eq!(
                         fingerprint(ma),
                         fingerprint(mb),
                         "{label}: {} metrics must be bit-identical across schedules",
                         a.machine
                     ),
-                    (None, None) => {}
+                    (Err(_), Err(_)) => {}
                     _ => panic!(
                         "{label}: {} point succeeded on one schedule only",
                         a.machine
@@ -148,7 +148,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 #[test]
 fn a_shared_sweep_is_byte_identical_to_a_solo_one() {
     use spasm::core::figures;
-    use spasm::core::sweep::{PointCache, Sweep, SweepConfig};
+    use spasm::core::sweep::{PointCache, PointVerdict, Sweep, SweepConfig};
     use spasm::core::TelemetryConfig;
 
     let f3 = figures::by_id("F3").expect("F3 exists");
@@ -184,16 +184,16 @@ fn a_shared_sweep_is_byte_identical_to_a_solo_one() {
                 telemetry.is_none(),
                 "{label}"
             );
-            let timeless = |m: &Option<RunMetrics>| {
-                m.map(|m| RunMetrics {
+            let timeless = |v: &PointVerdict| {
+                v.as_ref().ok().map(|(m, _)| RunMetrics {
                     wall: std::time::Duration::ZERO,
-                    ..m
+                    ..*m
                 })
             };
             for (a, b) in shared.series.iter().zip(&solo.series) {
                 let (ma, mb): (Vec<_>, Vec<_>) = (
-                    a.metrics.iter().map(timeless).collect(),
-                    b.metrics.iter().map(timeless).collect(),
+                    a.points.iter().map(timeless).collect(),
+                    b.points.iter().map(timeless).collect(),
                 );
                 assert!(ma.iter().all(Option::is_some), "{label}: {}", a.machine);
                 assert_eq!(ma, mb, "{label}: {} metrics", a.machine);

@@ -177,7 +177,7 @@ fn quiet_fault_plan_matches_unfaulted_baseline() {
 #[test]
 fn figure_sweep_renders_failed_point_without_dropping_series() {
     use spasm::core::figures::{FigureSpec, Metric};
-    use spasm::core::sweep::{Outcome, PointCache, Sweep};
+    use spasm::core::sweep::{PointCache, Sweep};
 
     let spec = FigureSpec {
         id: "RX",
@@ -194,14 +194,13 @@ fn figure_sweep_renders_failed_point_without_dropping_series() {
     );
     assert_eq!(data.failed_points(), 3, "one failed point per series");
     for s in &data.series {
-        assert!(s.values[0].is_finite() && s.values[2].is_finite());
-        assert!(matches!(
-            s.outcomes[1],
-            Outcome::Failed {
-                error: ExperimentError::Config(_),
-                ..
-            }
-        ));
+        let finite = |i: usize| {
+            s.points[i]
+                .as_ref()
+                .is_ok_and(|(m, _)| m.exec_us.is_finite())
+        };
+        assert!(finite(0) && finite(2));
+        assert!(matches!(s.points[1], Err(ExperimentError::Config(_))));
     }
     let table = data.render_table();
     assert!(table.contains("FAILED"), "{table}");

@@ -14,7 +14,7 @@ use spasm::apps::SizeClass;
 use spasm::core::figures::{self, FigureSpec};
 use spasm::core::journal::SweepJournal;
 use spasm::core::shard::{merge_shards, MergeReport, ShardError, ShardSpec};
-use spasm::core::sweep::{Outcome, PointCache, Sweep};
+use spasm::core::sweep::{PointCache, Sweep};
 use spasm::journal::{Journal, RealVfs};
 
 const SEED: u64 = 5;
@@ -257,10 +257,10 @@ fn corrupt_shard_is_quarantined_and_its_points_salvaged() {
         .data
         .series
         .iter()
-        .flat_map(|s| &s.outcomes)
-        .filter(|o| match o {
-            Outcome::Failed { error, .. } => error.to_string().contains("shard 1/3"),
-            Outcome::Ok => false,
+        .flat_map(|s| &s.points)
+        .filter(|v| {
+            v.as_ref()
+                .is_err_and(|e| e.to_string().contains("shard 1/3"))
         })
         .count();
     assert_eq!(named, report.missing_points);
