@@ -1,15 +1,14 @@
 //! Shared helpers for the application kernels.
 
-use spasm_prng::StdRng;
+use spasm_prng::{mix64, StdRng};
 
 /// Deterministic per-processor RNG: mixes the run seed and processor id so
 /// every machine model sees the identical workload.
 pub(crate) fn proc_rng(seed: u64, proc: usize) -> StdRng {
-    // SplitMix-style avalanche keeps nearby (seed, proc) pairs uncorrelated.
-    let mut z = seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
+    // The SplitMix avalanche keeps nearby (seed, proc) pairs uncorrelated.
+    StdRng::seed_from_u64(mix64(
+        seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    ))
 }
 
 /// The contiguous `[lo, hi)` range of `n` items owned by `proc` of `p`

@@ -118,9 +118,24 @@ impl Sweep<'_> {
         fp.absorb_str(&spec.net.to_string());
         fp.absorb_str(&format!("{:?}", spec.metric));
         fp.absorb_u64(spec.machines.len() as u64);
+        // Every outcome-affecting machine-config field, so a resumed sweep
+        // refuses a journal written under a different configuration.
+        // Composite fields go in via their `Debug` rendering
+        // (length-prefixed, so fields cannot alias across boundaries);
+        // `g_scale` goes in as exact bits.
         for &m in spec.machines {
             fp.absorb_str(&m.to_string());
-            m.config().absorb_fingerprint(&mut fp);
+            let c = m.config();
+            fp.absorb_str("machine-config");
+            fp.absorb_str(&format!("{:?}", c.cache));
+            fp.absorb_str(&format!("{:?}", c.gap_policy));
+            fp.absorb_f64(c.g_scale);
+            fp.absorb_str(&format!("{:?}", c.protocol));
+            fp.absorb_str(&format!("{:?}", c.faults));
+            fp.absorb_str(&c.budget.fingerprint_text());
+            fp.absorb_str(&format!("{:?}", c.check));
+            fp.absorb_str(&format!("{:?}", c.telemetry));
+            fp.absorb_str(&format!("{:?}", c.engine));
         }
         fp.absorb_str(&format!("{size:?}"));
         fp.absorb_u64(procs.len() as u64);

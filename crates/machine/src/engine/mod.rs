@@ -75,8 +75,7 @@ pub enum RunError {
         /// The offending address.
         addr: Addr,
     },
-    /// A message could not be routed (out-of-range node or a broken
-    /// link table).
+    /// A message could not be routed (an out-of-range node).
     Route {
         /// The underlying topology error.
         error: TopologyError,

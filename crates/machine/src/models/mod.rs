@@ -100,26 +100,6 @@ impl Default for MachineConfig {
     }
 }
 
-impl MachineConfig {
-    /// Absorbs every outcome-affecting field into a sweep journal
-    /// fingerprint, so a resumed sweep refuses a journal written under a
-    /// different machine configuration. Composite fields go in via their
-    /// `Debug` rendering (length-prefixed by the fingerprint, so fields
-    /// cannot alias across boundaries); `g_scale` goes in as exact bits.
-    pub fn absorb_fingerprint(&self, fp: &mut spasm_journal::Fingerprint) {
-        fp.absorb_str("machine-config");
-        fp.absorb_str(&format!("{:?}", self.cache));
-        fp.absorb_str(&format!("{:?}", self.gap_policy));
-        fp.absorb_f64(self.g_scale);
-        fp.absorb_str(&format!("{:?}", self.protocol));
-        fp.absorb_str(&format!("{:?}", self.faults));
-        fp.absorb_str(&self.budget.fingerprint_text());
-        fp.absorb_str(&format!("{:?}", self.check));
-        fp.absorb_str(&format!("{:?}", self.telemetry));
-        fp.absorb_str(&format!("{:?}", self.engine));
-    }
-}
-
 /// The time-and-traffic price of one memory operation.
 #[derive(Debug, Clone, Copy)]
 pub struct Cost {

@@ -52,7 +52,7 @@ impl TargetModel {
     pub fn new(topo: &Topology, config: MachineConfig) -> Self {
         let p = topo.nodes();
         TargetModel {
-            net: Network::new(topo.clone()),
+            net: Network::new(*topo),
             coherence: CoherenceController::with_protocol(p, config.cache, config.protocol),
             memory: vec![Facility::new(); p],
             block_free: FxHashMap::default(),

@@ -116,10 +116,9 @@ pub struct Network {
 impl Network {
     /// Creates an idle network over `topo`.
     pub fn new(topo: Topology) -> Self {
-        let n = topo.links().len();
         Network {
             topo,
-            free_at: vec![SimTime::ZERO; n],
+            free_at: vec![SimTime::ZERO; topo.link_count()],
             stats: NetworkStats::default(),
             route_buf: Vec::new(),
         }
@@ -154,8 +153,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// [`TopologyError::NodeOutOfRange`] when an endpoint exceeds the
-    /// topology's node count.
+    /// [`TopologyError::NodeOutOfRange`] when an endpoint, of a
+    /// self-message too, is not a node of the topology.
     pub fn try_send(
         &mut self,
         at: SimTime,
@@ -163,6 +162,7 @@ impl Network {
         dst: NodeId,
         bytes: u64,
     ) -> Result<Delivery, TopologyError> {
+        self.topo.try_route_into(src, dst, &mut self.route_buf)?;
         if src == dst {
             return Ok(Delivery {
                 depart: at,
@@ -173,7 +173,6 @@ impl Network {
             });
         }
         let bytes = bytes.max(1); // messages carry at least a header
-        self.topo.try_route_into(src, dst, &mut self.route_buf)?;
         let transmission = SimTime::from_ns(bytes * LINK_NS_PER_BYTE);
 
         // Circuit establishment: all links simultaneously free.
@@ -340,6 +339,11 @@ mod tests {
             .try_send(SimTime::ZERO, NodeId(0), NodeId(4), 32)
             .unwrap_err();
         assert_eq!(err, TopologyError::NodeOutOfRange { node: 4, p: 4 });
+        // A self-message is free, but its node must still exist.
+        let err = net
+            .try_send(SimTime::ZERO, NodeId(7), NodeId(7), 8)
+            .unwrap_err();
+        assert_eq!(err, TopologyError::NodeOutOfRange { node: 7, p: 4 });
         // A failed send must leave the network state untouched.
         assert_eq!(net.stats().messages, 0);
     }

@@ -27,14 +27,19 @@
 
 use std::ops::{Range, RangeInclusive};
 
-/// Advances a SplitMix64 state and returns the next output.
-///
-/// This is the exact finalizer from the reference implementation at
-/// <https://prng.di.unimi.it/splitmix64.c>.
+/// Advances a SplitMix64 state and returns the next output,
+/// [`mix64`] of the advanced state.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    mix64(*state)
+}
+
+/// The SplitMix64 finalizer: a stateless 64-bit avalanche, the exact
+/// output function of the reference implementation at
+/// <https://prng.di.unimi.it/splitmix64.c>.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

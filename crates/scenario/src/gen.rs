@@ -20,19 +20,17 @@
 
 use spasm_apps::{App, BuiltApp, Verifier};
 use spasm_machine::{sync, Addr, MemCtx, ProcBody, SetupCtx};
+use spasm_prng::mix64;
 
 use crate::{Locality, Phase, Scenario};
 
-/// SplitMix64-style avalanche over a word list: the generator's one
+/// SplitMix64 avalanche over a word list: the generator's one
 /// source of randomness. Stateless, so the simulated bodies and the
 /// sequential verifier replay identical streams by construction.
 fn mix(parts: &[u64]) -> u64 {
     let mut z = 0x9E37_79B9_7F4A_7C15u64;
     for &p in parts {
-        z ^= p.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(z << 6);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        z = mix64(z ^ p.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(z << 6));
     }
     z
 }

@@ -11,8 +11,9 @@
 //!   columns when the processor count is an even power of two, otherwise
 //!   twice as many columns as rows.
 //!
-//! This crate is pure combinatorics: node/link naming, deterministic routing
-//! paths, and bisection-width computation (which the LogP abstraction uses
+//! This crate is pure combinatorics: node naming, link ids computed from
+//! their endpoints, deterministic routing paths, and bisection-width
+//! computation (which the LogP abstraction uses
 //! to derive its *g* parameter). The timing model lives in `spasm-net`.
 //!
 //! # Example
@@ -29,10 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod links;
 mod route;
-
-pub use links::LinkTable;
 
 use std::fmt;
 
@@ -46,16 +44,15 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifier of a unidirectional link, an index into the topology's
-/// [`LinkTable`].
+/// Identifier of a unidirectional link, dense in
+/// `0..`[`Topology::link_count`] so per-link state fits a flat vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 /// Why a topology could not be constructed or a route could not be
 /// produced.
 ///
-/// The fallible constructors ([`Topology::try_of_kind`] and friends) and
-/// lookups ([`Topology::try_route`], [`LinkTable::pair_link`]) return these
+/// [`Topology::try_of_kind`] and [`Topology::try_route_into`] return these
 /// instead of panicking, so experiment drivers can surface a bad
 /// configuration as a typed error rather than aborting a whole sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,13 +78,6 @@ pub enum TopologyError {
         /// The topology's processor count.
         p: usize,
     },
-    /// No direct link exists between a node pair expected to be adjacent.
-    MissingLink {
-        /// Source node id.
-        src: usize,
-        /// Destination node id.
-        dst: usize,
-    },
 }
 
 impl fmt::Display for TopologyError {
@@ -106,17 +96,15 @@ impl fmt::Display for TopologyError {
             TopologyError::NodeOutOfRange { node, p } => {
                 write!(f, "node n{node} out of range (p = {p})")
             }
-            TopologyError::MissingLink { src, dst } => {
-                write!(f, "no link n{src}->n{dst}")
-            }
         }
     }
 }
 
 impl std::error::Error for TopologyError {}
 
-/// Construction cap for the fully connected network: its link table is
-/// `p * (p - 1)` entries, so quadratic growth is bounded here.
+/// Construction cap for the fully connected network: it has `p * (p - 1)`
+/// links, each with per-link state in `spasm-net`, so quadratic growth is
+/// bounded here.
 pub const MAX_FULL_NODES: usize = 1 << 12;
 
 /// Construction cap for the hypercube and mesh networks.
@@ -147,15 +135,16 @@ impl fmt::Display for TopologyKind {
 /// An interconnection network topology over `p` nodes.
 ///
 /// Construction validates the processor count (all three topologies in the
-/// study restrict `p` to powers of two, matching the paper).
-#[derive(Debug, Clone)]
+/// study restrict `p` to powers of two, matching the paper). The networks
+/// are regular, so a topology is four numbers and every link id is a
+/// formula of its endpoints.
+#[derive(Debug, Clone, Copy)]
 pub struct Topology {
     kind: TopologyKind,
     p: usize,
     /// Mesh geometry; rows == cols == 0 for non-mesh topologies.
     rows: usize,
     cols: usize,
-    links: LinkTable,
 }
 
 impl Topology {
@@ -166,51 +155,16 @@ impl Topology {
     /// Panics if `p` is zero, not a power of two, or oversized; see
     /// [`Topology::try_of_kind`] for the fallible form.
     pub fn full(p: usize) -> Self {
-        Topology::try_full(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Topology::full`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TopologyError`] when `p` is zero, not a power of two,
-    /// or exceeds [`MAX_FULL_NODES`].
-    pub fn try_full(p: usize) -> Result<Self, TopologyError> {
-        validate_p(TopologyKind::Full, p)?;
-        Ok(Topology {
-            kind: TopologyKind::Full,
-            p,
-            rows: 0,
-            cols: 0,
-            links: LinkTable::full(p),
-        })
+        Topology::of_kind(TopologyKind::Full, p)
     }
 
     /// Creates a binary hypercube over `p` nodes.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is zero, not a power of two, or oversized; see
-    /// [`Topology::try_of_kind`] for the fallible form.
+    /// As [`Topology::full`].
     pub fn hypercube(p: usize) -> Self {
-        Topology::try_hypercube(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Topology::hypercube`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TopologyError`] when `p` is zero, not a power of two,
-    /// or exceeds [`MAX_NODES`].
-    pub fn try_hypercube(p: usize) -> Result<Self, TopologyError> {
-        validate_p(TopologyKind::Hypercube, p)?;
-        Ok(Topology {
-            kind: TopologyKind::Hypercube,
-            p,
-            rows: 0,
-            cols: 0,
-            links: LinkTable::hypercube(p),
-        })
+        Topology::of_kind(TopologyKind::Hypercube, p)
     }
 
     /// Creates a 2-D mesh over `p` nodes.
@@ -220,28 +174,9 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is zero, not a power of two, or oversized; see
-    /// [`Topology::try_of_kind`] for the fallible form.
+    /// As [`Topology::full`].
     pub fn mesh(p: usize) -> Self {
-        Topology::try_mesh(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Topology::mesh`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TopologyError`] when `p` is zero, not a power of two,
-    /// or exceeds [`MAX_NODES`] (an oversized mesh).
-    pub fn try_mesh(p: usize) -> Result<Self, TopologyError> {
-        validate_p(TopologyKind::Mesh2D, p)?;
-        let (rows, cols) = mesh_shape(p);
-        Ok(Topology {
-            kind: TopologyKind::Mesh2D,
-            p,
-            rows,
-            cols,
-            links: LinkTable::mesh(rows, cols),
-        })
+        Topology::of_kind(TopologyKind::Mesh2D, p)
     }
 
     /// Creates the topology of the given kind over `p` nodes.
@@ -259,13 +194,20 @@ impl Topology {
     /// # Errors
     ///
     /// Returns a [`TopologyError`] when `p` is zero, not a power of two,
-    /// or exceeds the family's construction cap.
+    /// or exceeds the family's construction cap ([`MAX_FULL_NODES`] for
+    /// the full network, [`MAX_NODES`] otherwise).
     pub fn try_of_kind(kind: TopologyKind, p: usize) -> Result<Self, TopologyError> {
-        match kind {
-            TopologyKind::Full => Topology::try_full(p),
-            TopologyKind::Hypercube => Topology::try_hypercube(p),
-            TopologyKind::Mesh2D => Topology::try_mesh(p),
-        }
+        validate_p(kind, p)?;
+        let (rows, cols) = match kind {
+            TopologyKind::Mesh2D => mesh_shape(p),
+            TopologyKind::Full | TopologyKind::Hypercube => (0, 0),
+        };
+        Ok(Topology {
+            kind,
+            p,
+            rows,
+            cols,
+        })
     }
 
     /// Which topology family this is.
@@ -278,9 +220,86 @@ impl Topology {
         self.p
     }
 
-    /// The table of unidirectional links.
-    pub fn links(&self) -> &LinkTable {
-        &self.links
+    /// Number of unidirectional links: `p(p−1)` for the full network,
+    /// `p·log2 p` for the hypercube, two per grid edge for the mesh.
+    pub fn link_count(&self) -> usize {
+        match self.kind {
+            TopologyKind::Full => self.p * (self.p - 1),
+            TopologyKind::Hypercube => self.p * self.p.trailing_zeros() as usize,
+            TopologyKind::Mesh2D => 2 * (self.horizontal_edges() + self.cols * (self.rows - 1)),
+        }
+    }
+
+    /// The `(src, dst)` endpoints of a link: the inverse of the id
+    /// formula routing uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is not below [`Topology::link_count`].
+    pub fn endpoints(&self, link: LinkId) -> (NodeId, NodeId) {
+        let l = link.0;
+        assert!(l < self.link_count(), "link {l} out of range");
+        let (a, b) = match self.kind {
+            TopologyKind::Full => {
+                let (a, r) = (l / (self.p - 1), l % (self.p - 1));
+                (a, r + usize::from(r >= a))
+            }
+            TopologyKind::Hypercube => {
+                let dims = self.p.trailing_zeros() as usize;
+                let a = l / dims;
+                (a, a ^ (1 << (l % dims)))
+            }
+            TopologyKind::Mesh2D => {
+                let edge = l / 2;
+                let h = self.horizontal_edges();
+                let (lo, hi) = if edge < h {
+                    let lo = edge / (self.cols - 1) * self.cols + edge % (self.cols - 1);
+                    (lo, lo + 1)
+                } else {
+                    (edge - h, edge - h + self.cols)
+                };
+                if l.is_multiple_of(2) {
+                    (lo, hi)
+                } else {
+                    (hi, lo)
+                }
+            }
+        };
+        (NodeId(a), NodeId(b))
+    }
+
+    /// The id of the link from `a` to the adjacent node `b`.
+    ///
+    /// Full: `a(p−1) + b − [b > a]`. Hypercube: `a·log2 p` plus the
+    /// dimension the two differ in. Mesh: each grid edge, horizontal ones
+    /// first, numbered by its lower node, holds ids `2·edge` (towards the
+    /// higher node) and `2·edge + 1`.
+    fn link(&self, a: usize, b: usize) -> LinkId {
+        debug_assert_eq!(
+            self.hops(NodeId(a), NodeId(b)),
+            1,
+            "n{a}, n{b} not adjacent"
+        );
+        LinkId(match self.kind {
+            TopologyKind::Full => a * (self.p - 1) + b - usize::from(b > a),
+            TopologyKind::Hypercube => {
+                a * self.p.trailing_zeros() as usize + (a ^ b).trailing_zeros() as usize
+            }
+            TopologyKind::Mesh2D => {
+                let lo = a.min(b);
+                let edge = if a.abs_diff(b) == 1 {
+                    lo - lo / self.cols
+                } else {
+                    self.horizontal_edges() + lo
+                };
+                2 * edge + usize::from(a > b)
+            }
+        })
+    }
+
+    /// Number of east-west mesh edges (`rows · (cols − 1)`).
+    fn horizontal_edges(&self) -> usize {
+        self.rows * (self.cols - 1)
     }
 
     /// Mesh geometry as `(rows, cols)`.
@@ -301,36 +320,23 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if either node is out of range; [`Topology::try_route`] is
-    /// the fallible form.
+    /// Panics if either node is out of range; [`Topology::try_route_into`]
+    /// is the fallible form.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
-        self.try_route(src, dst).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Topology::route`]: a typed error instead of a
-    /// panic for out-of-range nodes or a broken link table.
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyError::NodeOutOfRange`] when an endpoint exceeds `p`;
-    /// [`TopologyError::MissingLink`] if the link table is inconsistent
-    /// (unreachable for the built-in constructors).
-    pub fn try_route(&self, src: NodeId, dst: NodeId) -> Result<Vec<LinkId>, TopologyError> {
         let mut path = Vec::new();
-        self.try_route_into(src, dst, &mut path)?;
-        Ok(path)
+        self.try_route_into(src, dst, &mut path)
+            .unwrap_or_else(|e| panic!("{e}"));
+        path
     }
 
-    /// Allocation-free form of [`Topology::try_route`]: clears `out` and
-    /// fills it with the route. Callers on a hot path keep one scratch
-    /// buffer alive across messages instead of allocating a path per send.
-    ///
-    /// On error `out` is left cleared (possibly after partial progress for
-    /// a broken link table, which the built-in constructors never produce).
+    /// Clears `out` and fills it with the route from `src` to `dst`.
+    /// Callers on a hot path keep one scratch buffer alive across messages
+    /// instead of allocating a path per send.
     ///
     /// # Errors
     ///
-    /// As [`Topology::try_route`].
+    /// [`TopologyError::NodeOutOfRange`] when an endpoint is not below
+    /// `p` (`out` is left empty).
     pub fn try_route_into(
         &self,
         src: NodeId,
@@ -346,18 +352,14 @@ impl Topology {
                 });
             }
         }
-        if src == dst {
-            return Ok(());
+        let mut hop = |a, b| out.push(self.link(a, b));
+        match self.kind {
+            TopologyKind::Full if src != dst => hop(src.0, dst.0),
+            TopologyKind::Full => {}
+            TopologyKind::Hypercube => route::ecube(src.0, dst.0, hop),
+            TopologyKind::Mesh2D => route::xy(self.cols, src.0, dst.0, hop),
         }
-        let r = match self.kind {
-            TopologyKind::Full => self.links.pair_link(src, dst).map(|l| out.push(l)),
-            TopologyKind::Hypercube => route::ecube(&self.links, src, dst, out),
-            TopologyKind::Mesh2D => route::xy(&self.links, self.cols, src, dst, out),
-        };
-        if r.is_err() {
-            out.clear();
-        }
-        r
+        Ok(())
     }
 
     /// Number of hops between two nodes under this topology's routing.
@@ -509,7 +511,7 @@ mod tests {
         // The full network rejects sizes the sparse networks still accept.
         let over = MAX_FULL_NODES * 2;
         assert_eq!(
-            Topology::try_full(over).unwrap_err(),
+            Topology::try_of_kind(TopologyKind::Full, over).unwrap_err(),
             TopologyError::TooLarge {
                 kind: TopologyKind::Full,
                 p: over,
@@ -521,15 +523,18 @@ mod tests {
     #[test]
     fn try_route_rejects_out_of_range_nodes() {
         let t = Topology::mesh(4);
+        let mut path = vec![LinkId(0)];
         assert_eq!(
-            t.try_route(NodeId(0), NodeId(9)).unwrap_err(),
-            TopologyError::NodeOutOfRange { node: 9, p: 4 }
+            t.try_route_into(NodeId(0), NodeId(9), &mut path),
+            Err(TopologyError::NodeOutOfRange { node: 9, p: 4 })
         );
+        assert!(path.is_empty());
         assert_eq!(
-            t.try_route(NodeId(7), NodeId(0)).unwrap_err(),
-            TopologyError::NodeOutOfRange { node: 7, p: 4 }
+            t.try_route_into(NodeId(7), NodeId(7), &mut path),
+            Err(TopologyError::NodeOutOfRange { node: 7, p: 4 })
         );
-        assert_eq!(t.try_route(NodeId(0), NodeId(3)).unwrap().len(), 2);
+        t.try_route_into(NodeId(0), NodeId(3), &mut path).unwrap();
+        assert_eq!(path.len(), 2);
     }
 
     #[test]
@@ -538,9 +543,9 @@ mod tests {
         assert!(TopologyError::NotPowerOfTwo(6)
             .to_string()
             .contains("power of two"));
-        assert!(TopologyError::MissingLink { src: 1, dst: 2 }
+        assert!(TopologyError::NodeOutOfRange { node: 9, p: 4 }
             .to_string()
-            .contains("no link"));
+            .contains("n9 out of range"));
     }
 
     #[test]
@@ -553,7 +558,7 @@ mod tests {
                     assert!(path.is_empty());
                 } else {
                     assert_eq!(path.len(), 1);
-                    let link = t.links().endpoints(path[0]);
+                    let link = t.endpoints(path[0]);
                     assert_eq!(link, (s, d));
                 }
             }
@@ -588,7 +593,7 @@ mod tests {
                     let path = t.route(s, d);
                     let mut at = s;
                     for link in &path {
-                        let (from, to) = t.links().endpoints(*link);
+                        let (from, to) = t.endpoints(*link);
                         assert_eq!(from, at, "{:?} path breaks at {from}", t.kind());
                         at = to;
                     }
@@ -609,11 +614,34 @@ mod tests {
     #[test]
     fn link_counts() {
         // full: p(p-1) directed links
-        assert_eq!(Topology::full(8).links().len(), 8 * 7);
+        assert_eq!(Topology::full(8).link_count(), 8 * 7);
         // cube: p * log2(p) directed links
-        assert_eq!(Topology::hypercube(8).links().len(), 8 * 3);
+        assert_eq!(Topology::hypercube(8).link_count(), 8 * 3);
         // mesh rows x cols: 2*(rows*(cols-1) + cols*(rows-1))
-        assert_eq!(Topology::mesh(16).links().len(), 2 * (4 * 3 + 4 * 3));
+        assert_eq!(Topology::mesh(16).link_count(), 2 * (4 * 3 + 4 * 3));
+    }
+
+    #[test]
+    fn link_ids_are_a_bijection_onto_adjacent_pairs() {
+        for kind in [
+            TopologyKind::Full,
+            TopologyKind::Hypercube,
+            TopologyKind::Mesh2D,
+        ] {
+            for p in [1, 2, 4, 8, 16, 32, 64] {
+                let t = Topology::of_kind(kind, p);
+                let mut adjacent = 0;
+                for a in t.node_ids() {
+                    for b in t.node_ids().filter(|&b| t.hops(a, b) == 1) {
+                        let link = t.link(a.0, b.0);
+                        assert!(link.0 < t.link_count(), "{kind} p={p}: {a}->{b}");
+                        assert_eq!(t.endpoints(link), (a, b), "{kind} p={p}");
+                        adjacent += 1;
+                    }
+                }
+                assert_eq!(adjacent, t.link_count(), "{kind} p={p}");
+            }
+        }
     }
 
     #[test]

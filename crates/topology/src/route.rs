@@ -1,108 +1,77 @@
-//! Deterministic minimal routing: e-cube (hypercube) and XY (mesh).
-
-use crate::{LinkId, LinkTable, NodeId, TopologyError};
+//! Deterministic minimal routing: e-cube (hypercube) and XY (mesh). Each
+//! hop is handed to `hop(from, to)` as a pair of adjacent node ids.
 
 /// E-cube routing: correct differing address bits from the lowest dimension
 /// up. Deterministic, minimal, and deadlock-free under wormhole switching.
-pub(crate) fn ecube(
-    links: &LinkTable,
-    src: NodeId,
-    dst: NodeId,
-    path: &mut Vec<LinkId>,
-) -> Result<(), TopologyError> {
-    let mut at = src.0;
-    let mut diff = at ^ dst.0;
-    while diff != 0 {
-        let bit = diff & diff.wrapping_neg(); // lowest set bit
-        let next = at ^ bit;
-        path.push(links.pair_link(NodeId(at), NodeId(next))?);
+pub(crate) fn ecube(src: usize, dst: usize, mut hop: impl FnMut(usize, usize)) {
+    let mut at = src;
+    while at != dst {
+        let diff = at ^ dst;
+        let next = at ^ (diff & diff.wrapping_neg()); // lowest set bit
+        hop(at, next);
         at = next;
-        diff = at ^ dst.0;
     }
-    Ok(())
 }
 
 /// XY routing: travel along the row (X/columns) first, then along the
 /// column (Y/rows). Deterministic, minimal, deadlock-free.
-pub(crate) fn xy(
-    links: &LinkTable,
-    cols: usize,
-    src: NodeId,
-    dst: NodeId,
-    path: &mut Vec<LinkId>,
-) -> Result<(), TopologyError> {
-    let (mut r, mut c) = (src.0 / cols, src.0 % cols);
-    let (tr, tc) = (dst.0 / cols, dst.0 % cols);
+pub(crate) fn xy(cols: usize, src: usize, dst: usize, mut hop: impl FnMut(usize, usize)) {
+    let (mut r, mut c) = (src / cols, src % cols);
+    let (tr, tc) = (dst / cols, dst % cols);
     while c != tc {
         let nc = if c < tc { c + 1 } else { c - 1 };
-        path.push(links.pair_link(NodeId(r * cols + c), NodeId(r * cols + nc))?);
+        hop(r * cols + c, r * cols + nc);
         c = nc;
     }
     while r != tr {
         let nr = if r < tr { r + 1 } else { r - 1 };
-        path.push(links.pair_link(NodeId(r * cols + c), NodeId(nr * cols + c))?);
+        hop(r * cols + c, nr * cols + c);
         r = nr;
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ecube_hops(src: usize, dst: usize) -> Vec<(usize, usize)> {
+        let mut hops = Vec::new();
+        ecube(src, dst, |a, b| hops.push((a, b)));
+        hops
+    }
+
+    fn xy_hops(cols: usize, src: usize, dst: usize) -> Vec<(usize, usize)> {
+        let mut hops = Vec::new();
+        xy(cols, src, dst, |a, b| hops.push((a, b)));
+        hops
+    }
+
     #[test]
     fn ecube_corrects_low_dimensions_first() {
-        let links = LinkTable::hypercube(8);
-        let mut path = Vec::new();
-        ecube(&links, NodeId(0), NodeId(0b101), &mut path).unwrap();
-        assert_eq!(path.len(), 2);
-        let (a0, b0) = links.endpoints(path[0]);
-        assert_eq!((a0.0, b0.0), (0, 1)); // bit 0 first
-        let (a1, b1) = links.endpoints(path[1]);
-        assert_eq!((a1.0, b1.0), (1, 0b101)); // then bit 2
+        // bit 0 first, then bit 2
+        assert_eq!(ecube_hops(0, 0b101), [(0, 1), (1, 0b101)]);
+        assert_eq!(ecube_hops(0b110, 0b001), [(6, 7), (7, 5), (5, 1)]);
     }
 
     #[test]
     fn xy_goes_along_row_then_column() {
-        let links = LinkTable::mesh(4, 4);
-        // node 0 = (0,0) to node 15 = (3,3)
-        let mut path = Vec::new();
-        xy(&links, 4, NodeId(0), NodeId(15), &mut path).unwrap();
-        assert_eq!(path.len(), 6);
-        // first three hops move east along row 0: 0->1->2->3
-        let (_, to0) = links.endpoints(path[0]);
-        let (_, to1) = links.endpoints(path[1]);
-        let (_, to2) = links.endpoints(path[2]);
-        assert_eq!((to0.0, to1.0, to2.0), (1, 2, 3));
-        // then south down column 3: 3->7->11->15
-        let (_, to3) = links.endpoints(path[3]);
-        assert_eq!(to3.0, 7);
+        // 4x4: node 0 = (0,0) to node 15 = (3,3): east along row 0, then
+        // south down column 3.
+        assert_eq!(
+            xy_hops(4, 0, 15),
+            [(0, 1), (1, 2), (2, 3), (3, 7), (7, 11), (11, 15)]
+        );
     }
 
     #[test]
     fn xy_handles_westward_and_northward() {
-        let links = LinkTable::mesh(2, 4);
-        // node 7 = (1,3) to node 0 = (0,0): 3 west, 1 north
-        let mut path = Vec::new();
-        xy(&links, 4, NodeId(7), NodeId(0), &mut path).unwrap();
-        assert_eq!(path.len(), 4);
-        let mut at = NodeId(7);
-        for l in &path {
-            let (from, to) = links.endpoints(*l);
-            assert_eq!(from, at);
-            at = to;
-        }
-        assert_eq!(at, NodeId(0));
+        // 2x4: node 7 = (1,3) to node 0 = (0,0): 3 west, 1 north.
+        assert_eq!(xy_hops(4, 7, 0), [(7, 6), (6, 5), (5, 4), (4, 0)]);
     }
 
     #[test]
     fn zero_length_routes() {
-        let mut path = Vec::new();
-        let links = LinkTable::hypercube(4);
-        ecube(&links, NodeId(2), NodeId(2), &mut path).unwrap();
-        assert!(path.is_empty());
-        let links = LinkTable::mesh(2, 2);
-        xy(&links, 2, NodeId(1), NodeId(1), &mut path).unwrap();
-        assert!(path.is_empty());
+        assert!(ecube_hops(2, 2).is_empty());
+        assert!(xy_hops(2, 1, 1).is_empty());
     }
 }

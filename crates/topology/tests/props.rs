@@ -36,7 +36,7 @@ fn routes_connect() {
         let path = t.route(s, d);
         let mut at = s;
         for link in &path {
-            let (from, to) = t.links().endpoints(*link);
+            let (from, to) = t.endpoints(*link);
             prop_assert_eq!(from, at);
             at = to;
         }
@@ -110,7 +110,7 @@ fn all_links_reachable() {
         &gens::tuple2(kinds(), gens::choice(vec![2usize, 4, 8, 16, 32])),
         |&(kind, p)| {
             let t = Topology::of_kind(kind, p);
-            let mut used = vec![false; t.links().len()];
+            let mut used = vec![false; t.link_count()];
             for s in t.node_ids() {
                 for d in t.node_ids() {
                     for link in t.route(s, d) {
@@ -134,7 +134,7 @@ fn bisection_sane() {
             let t = Topology::of_kind(kind, p);
             let b = t.bisection_links();
             prop_assert!(b > 0);
-            prop_assert!(b <= t.links().len());
+            prop_assert!(b <= t.link_count());
             Ok(())
         },
     );

@@ -105,6 +105,15 @@ if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
     exit 1
 fi
 
+# A machine prices a run; what a sweep journals of it is spasm-core's
+# business. spasm-machine depending on spasm-journal again fails here.
+echo "==> spasm-machine does not depend on spasm-journal"
+machine_deps=$(cargo tree --offline -p spasm-machine -e normal)
+if grep -q spasm-journal <<< "$machine_deps"; then
+    echo "ERROR: spasm-machine depends on spasm-journal" >&2
+    exit 1
+fi
+
 # Only benchmark/ (which `benchmark` PRs alone may edit) uses the call
 # shapes kept for it: the retired engine's inert variant and the two
 # positional sweep entry points. crates/core/src/sweep.rs holds the one
