@@ -1,6 +1,6 @@
 //! The Berkeley-protocol coherence state machine.
 
-use crate::{BState, Cache, CacheConfig, Directory};
+use crate::{BState, Cache, CacheConfig, Directory, NodeSet};
 
 /// The two access kinds the protocol distinguishes. Atomic read-modify-write
 /// operations are writes for coherence purposes (they need exclusivity).
@@ -55,7 +55,9 @@ pub enum ProtocolKind {
 /// target machine prices the request/forward/invalidate/ack/data messages;
 /// the CLogP "ideal cache" prices only true data transfers (`Miss` fetches
 /// and writebacks) and performs `UpgradeHit` invalidations for free.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// It is `Copy`: the invalidated nodes are a [`NodeSet`], so no access
+/// allocates to report what it did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Data present with sufficient rights; no directory involvement.
     Hit,
@@ -63,14 +65,14 @@ pub enum Outcome {
     /// were invalidated, no data transfer is needed.
     UpgradeHit {
         /// Nodes whose copies were invalidated (may be empty).
-        invalidated: Vec<usize>,
+        invalidated: NodeSet,
     },
     /// The block was not resident and was fetched.
     Miss {
         /// Where the data comes from.
         supplier: Supplier,
         /// Nodes invalidated (write misses only; empty for reads).
-        invalidated: Vec<usize>,
+        invalidated: NodeSet,
         /// Owned victim displaced by the fill, if any.
         writeback: Option<Writeback>,
         /// Under [`ProtocolKind::WriteBackOnRead`], the supplying owner's
@@ -166,7 +168,7 @@ impl CoherenceController {
                         }
                     }
                 }
-                (Vec::new(), BState::Valid)
+                (NodeSet::default(), BState::Valid)
             }
             AccessKind::Write => {
                 let invalidated = self.invalidate_others(node, block);
@@ -189,15 +191,15 @@ impl CoherenceController {
     }
 
     /// Invalidates every copy of `block` except `node`'s, updating both
-    /// caches and directory. Returns the invalidated nodes in id order.
+    /// caches and directory. Returns the invalidated nodes.
     #[inline]
-    fn invalidate_others(&mut self, node: usize, block: u64) -> Vec<usize> {
-        let entry = *self.dir.entry(block);
-        let victims: Vec<usize> = entry.sharers().filter(|&s| s != node).collect();
-        for &s in &victims {
+    fn invalidate_others(&mut self, node: usize, block: u64) -> NodeSet {
+        let entry = self.dir.entry(block);
+        let victims = entry.sharer_bits().without(node);
+        for s in victims.iter() {
             let was = self.caches[s].invalidate(block);
             debug_assert!(was.is_some(), "directory said {s} held block {block}");
-            self.dir.entry(block).remove_sharer(s);
+            entry.remove_sharer(s);
         }
         victims
     }
@@ -323,7 +325,9 @@ mod tests {
         c.access(1, 10, AccessKind::Read);
         c.access(2, 10, AccessKind::Read);
         match c.access(0, 10, AccessKind::Write) {
-            Outcome::UpgradeHit { invalidated } => assert_eq!(invalidated, vec![1, 2]),
+            Outcome::UpgradeHit { invalidated } => {
+                assert_eq!(invalidated.iter().collect::<Vec<_>>(), vec![1, 2])
+            }
             o => panic!("{o:?}"),
         }
         assert_eq!(c.cache(0).peek(10), Some(BState::Dirty));
@@ -375,7 +379,9 @@ mod tests {
                 supplier: Supplier::Owner(0),
                 invalidated,
                 ..
-            } => assert_eq!(invalidated, vec![0, 1]),
+            } => {
+                assert_eq!(invalidated.iter().collect::<Vec<_>>(), vec![0, 1])
+            }
             o => panic!("{o:?}"),
         }
         assert_eq!(c.cache(0).peek(10), None);
@@ -468,7 +474,9 @@ mod tests {
         c.access(0, 10, AccessKind::Write); // Dirty@0
         c.access(1, 10, AccessKind::Read); // SharedDirty@0, Valid@1
         match c.access(0, 10, AccessKind::Write) {
-            Outcome::UpgradeHit { invalidated } => assert_eq!(invalidated, vec![1]),
+            Outcome::UpgradeHit { invalidated } => {
+                assert_eq!(invalidated.iter().collect::<Vec<_>>(), vec![1])
+            }
             o => panic!("{o:?}"),
         }
         assert_eq!(c.cache(0).peek(10), Some(BState::Dirty));

@@ -1,25 +1,25 @@
 //! Fully-mapped directory state.
 
+use std::fmt;
+
 use crate::{fnv_word, FNV_OFFSET};
 
-/// One block's directory entry: a full-map presence set plus the Berkeley
-/// owner (the cache responsible for supplying data and writing back).
+/// A set of node ids below 64, one bit per node: a directory presence
+/// set as a `Copy` value, so naming nodes (an [`Outcome`]'s invalidated
+/// sharers, say) allocates nothing. Renders with `{:?}` as the ascending
+/// list of its ids, exactly as a `Vec<usize>` of them would.
 ///
-/// The presence set is a bit set over node ids, which bounds the system at
-/// 64 processors — comfortably above the paper's 32-processor sweeps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirEntry {
-    sharers: u64,
-    owner: Option<usize>,
-}
+/// [`Outcome`]: crate::Outcome
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeSet(u64);
 
-impl DirEntry {
-    /// Nodes currently holding the block (including the owner), in
-    /// ascending id order. Iterates by clearing the lowest set bit, so
-    /// the cost is one step per sharer rather than one per possible node.
+impl NodeSet {
+    /// The members in ascending id order. Iterates by clearing the lowest
+    /// set bit, so the cost is one step per member rather than one per
+    /// possible node.
     #[inline]
-    pub fn sharers(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut bits = self.sharers;
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
         std::iter::from_fn(move || {
             if bits == 0 {
                 return None;
@@ -30,14 +30,81 @@ impl DirEntry {
         })
     }
 
+    /// True when the set has no member.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Number of members.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether `node` is a member.
+    #[inline]
+    pub fn contains(self, node: usize) -> bool {
+        node < 64 && self.0 & (1 << node) != 0
+    }
+
+    /// Adds `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is 64 or more.
+    #[inline]
+    pub fn insert(&mut self, node: usize) {
+        assert!(node < 64, "directory presence set supports up to 64 nodes");
+        self.0 |= 1 << node;
+    }
+
+    /// The set without `node`.
+    #[inline]
+    pub fn without(self, node: usize) -> NodeSet {
+        NodeSet(self.0 & !1u64.checked_shl(node as u32).unwrap_or(0))
+    }
+}
+
+impl fmt::Debug for NodeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One block's directory entry: a full-map presence set plus the Berkeley
+/// owner (the cache responsible for supplying data and writing back).
+///
+/// The presence set is a bit set over node ids, which bounds the system at
+/// 64 processors — comfortably above the paper's 32-processor sweeps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DirEntry {
+    sharers: NodeSet,
+    owner: Option<usize>,
+}
+
+impl DirEntry {
+    /// Nodes currently holding the block (including the owner), in
+    /// ascending id order.
+    #[inline]
+    pub fn sharers(&self) -> impl Iterator<Item = usize> {
+        self.sharers.iter()
+    }
+
+    /// The presence set itself.
+    #[inline]
+    pub fn sharer_bits(&self) -> NodeSet {
+        self.sharers
+    }
+
     /// Whether `node` holds a copy.
     pub fn is_sharer(&self, node: usize) -> bool {
-        self.sharers & (1 << node) != 0
+        self.sharers.contains(node)
     }
 
     /// Number of nodes holding the block.
     pub fn sharer_count(&self) -> u32 {
-        self.sharers.count_ones()
+        self.sharers.len() as u32
     }
 
     /// The owning cache, if any cache owns the block.
@@ -49,14 +116,13 @@ impl DirEntry {
     /// Marks `node` as holding a copy.
     #[inline]
     pub fn add_sharer(&mut self, node: usize) {
-        assert!(node < 64, "directory presence set supports up to 64 nodes");
-        self.sharers |= 1 << node;
+        self.sharers.insert(node);
     }
 
     /// Clears `node`'s presence (and ownership if it was the owner).
     #[inline]
     pub fn remove_sharer(&mut self, node: usize) {
-        self.sharers &= !(1 << node);
+        self.sharers = self.sharers.without(node);
         if self.owner == Some(node) {
             self.owner = None;
         }
@@ -73,7 +139,7 @@ impl DirEntry {
 
     /// True when no cache holds the block (memory is the only copy).
     pub fn is_uncached(&self) -> bool {
-        self.sharers == 0
+        self.sharers.is_empty()
     }
 }
 
@@ -201,7 +267,7 @@ impl Directory {
         for &(block, entry) in self.slots.iter().flatten() {
             let mut h = FNV_OFFSET;
             fnv_word(&mut h, block);
-            fnv_word(&mut h, entry.sharers);
+            fnv_word(&mut h, entry.sharers.0);
             fnv_word(&mut h, entry.owner.map_or(u64::MAX, |o| o as u64));
             // Commutative fold: wrapping add is order-insensitive.
             acc = acc.wrapping_add(h);
@@ -235,6 +301,18 @@ mod tests {
         assert_eq!(e.sharer_count(), 2);
         e.remove_sharer(3);
         assert!(!e.is_sharer(3));
+    }
+
+    #[test]
+    fn node_set_renders_like_a_vec() {
+        let mut s = NodeSet::default();
+        assert_eq!(format!("{s:?}"), "[]");
+        for n in [63, 2, 1] {
+            s.insert(n);
+        }
+        assert_eq!(format!("{s:?}"), format!("{:?}", vec![1usize, 2, 63]));
+        assert_eq!(format!("{:?}", s.without(2)), "[1, 63]");
+        assert_eq!(s.without(64), s);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! * [`Cache`] — a set-associative cache array with LRU replacement and
 //!   Berkeley line states;
-//! * [`Directory`] — fully-mapped directory entries (presence set + owner);
+//! * [`Directory`] — fully-mapped directory entries (presence set + owner),
+//!   the presence set a `Copy` [`NodeSet`];
 //! * [`CoherenceController`] — the pure protocol state machine. An access
 //!   mutates cache/directory state and returns an [`Outcome`] describing
 //!   *what happened* (hit, upgrade, miss with supplier / invalidations /
@@ -47,7 +48,7 @@ mod directory;
 
 pub use cache::{Cache, CacheConfig, CacheStats, Evicted};
 pub use controller::{AccessKind, CoherenceController, Outcome, ProtocolKind, Supplier, Writeback};
-pub use directory::{DirEntry, Directory};
+pub use directory::{DirEntry, Directory, NodeSet};
 
 /// FNV-1a offset basis, shared by the crate's state-hash digests.
 pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;

@@ -120,6 +120,64 @@ fn popcount_iteration_yields_ascending_ids() {
     });
 }
 
+/// `sharer_bits()` is the presence set as a `Copy` value: it names the
+/// reference's sharers, and `DirEntry::sharers()`, at every system size
+/// from 1 to 64 nodes, and renders with `{:?}` exactly as the
+/// `Vec<usize>` of the same ids does (the checker's ring text relies on
+/// it).
+#[test]
+fn node_set_names_the_reference_sharers_at_every_size() {
+    for nodes in 1usize..=64 {
+        let raw = gens::vecs(gens::tuple2(gens::u64s(0..3), gens::u64s(0..64)), 0..40);
+        check(
+            &format!("directory_bitset/node_set_p{nodes}"),
+            &raw,
+            |ops| {
+                let mut real = DirEntry::default();
+                let mut model = RefEntry::with_nodes(nodes);
+                for &(sel, who) in ops {
+                    let node = (who % nodes as u64) as usize;
+                    if sel == 2 {
+                        real.remove_sharer(node);
+                        model.remove_sharer(node);
+                    } else {
+                        real.add_sharer(node);
+                        model.add_sharer(node);
+                    }
+                }
+                let set = real.sharer_bits();
+                let want = model.sharers();
+                prop_assert_eq!(
+                    set.iter().collect::<Vec<_>>(),
+                    want.clone(),
+                    "iter (nodes={nodes})"
+                );
+                prop_assert_eq!(
+                    set.iter().collect::<Vec<_>>(),
+                    real.sharers().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(format!("{set:?}"), format!("{want:?}"), "Debug rendering");
+                prop_assert_eq!(
+                    format!("{set:#?}"),
+                    format!("{want:#?}"),
+                    "pretty Debug rendering"
+                );
+                prop_assert_eq!((set.len(), set.is_empty()), (want.len(), want.is_empty()));
+                for n in 0..nodes {
+                    prop_assert_eq!(set.contains(n), model.present[n], "contains({n})");
+                    let rest: Vec<usize> = want.iter().copied().filter(|&s| s != n).collect();
+                    prop_assert_eq!(
+                        set.without(n).iter().collect::<Vec<_>>(),
+                        rest,
+                        "without({n})"
+                    );
+                }
+                Ok(())
+            },
+        );
+    }
+}
+
 #[test]
 fn word_width_boundary() {
     // Node 63 is the last representable id; 64 must be rejected loudly.

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use spasm_cache::{AccessKind, BState, CoherenceController, Outcome, ProtocolKind};
+use spasm_cache::{AccessKind, BState, CoherenceController, NodeSet, Outcome, ProtocolKind};
 use spasm_desim::SimTime;
 
 use crate::{CheckViolation, EventRing};
@@ -37,9 +37,9 @@ pub struct CoherenceChecker {
 }
 
 /// One ring entry, rendered only into a violation: an access at `.0` by
-/// node `.1` to block `.2`, and its outcome. Cloning the outcome
-/// allocates only when it names invalidated nodes.
-#[derive(Debug, Clone)]
+/// node `.1` to block `.2`, and its outcome (a `Copy` value, so recording
+/// an access allocates nothing).
+#[derive(Debug, Clone, Copy)]
 struct Access(SimTime, usize, u64, AccessKind, Outcome);
 
 impl fmt::Display for Access {
@@ -127,25 +127,21 @@ impl CoherenceChecker {
         kind: AccessKind,
         outcome: &Outcome,
     ) -> Result<(), CheckViolation> {
-        self.ring
-            .record(Access(at, node, block, kind, outcome.clone()));
+        self.ring.record(Access(at, node, block, kind, *outcome));
         self.check_outcome_consistency(node, block, kind, outcome)?;
         // Refresh the mirror for every block the outcome names, checking
         // each node's observed transition for legality.
         self.refresh_and_check_transitions(cc, block)?;
-        let mut victims = Vec::new();
         if let Outcome::Miss {
             writeback,
             downgrade_writeback,
             ..
-        } = outcome
+        } = *outcome
         {
-            victims.extend(writeback.iter().map(|w| w.block));
-            victims.extend(downgrade_writeback.iter().map(|w| w.block));
-        }
-        for v in victims {
-            self.refresh_and_check_transitions(cc, v)?;
-            self.verify_block(cc, v)?;
+            for victim in [writeback, downgrade_writeback].into_iter().flatten() {
+                self.refresh_and_check_transitions(cc, victim.block)?;
+                self.verify_block(cc, victim.block)?;
+            }
         }
         self.verify_block(cc, block)
     }
@@ -156,16 +152,22 @@ impl CoherenceChecker {
     ///
     /// The first violated invariant.
     pub fn verify_block(&self, cc: &CoherenceController, block: u64) -> Result<(), CheckViolation> {
-        let holders: Vec<(usize, BState)> = (0..self.p)
-            .filter_map(|n| cc.cache(n).peek(block).map(|s| (n, s)))
-            .collect();
+        // Who holds the block, who owns it, and the first Dirty holder.
+        let (mut holders, mut owned, mut dirty) = (NodeSet::default(), NodeSet::default(), None);
+        for n in 0..self.p {
+            let Some(s) = cc.cache(n).peek(block) else {
+                continue;
+            };
+            holders.insert(n);
+            if s.is_owned() {
+                owned.insert(n);
+            }
+            if s == BState::Dirty && dirty.is_none() {
+                dirty = Some(n);
+            }
+        }
 
         // Single-writer: at most one owned copy; Dirty means sole copy.
-        let owned: Vec<usize> = holders
-            .iter()
-            .filter(|(_, s)| s.is_owned())
-            .map(|&(n, _)| n)
-            .collect();
         if owned.len() > 1 {
             return Err(self.violation(
                 "single-writer",
@@ -175,17 +177,13 @@ impl CoherenceChecker {
                 ),
             ));
         }
-        if let Some(&(n, _)) = holders.iter().find(|(_, s)| *s == BState::Dirty) {
+        if let Some(n) = dirty {
             if holders.len() > 1 {
                 return Err(self.violation(
                     "single-writer",
                     format!(
                         "block {block} is Dirty at node {n} but also held by {:?}",
-                        holders
-                            .iter()
-                            .filter(|&&(h, _)| h != n)
-                            .map(|&(h, _)| h)
-                            .collect::<Vec<_>>()
+                        holders.without(n)
                     ),
                 ));
             }
@@ -194,14 +192,14 @@ impl CoherenceChecker {
         // Directory-cache agreement, both directions, plus ownership.
         let entry = cc.directory().get(block).copied().unwrap_or_default();
         for s in entry.sharers() {
-            if s >= self.p || cc.cache(s).peek(block).is_none() {
+            if !holders.contains(s) {
                 return Err(self.violation(
                     "directory-agreement",
                     format!("directory lists node {s} as sharer of block {block} but its cache does not hold it"),
                 ));
             }
         }
-        for &(n, _) in &holders {
+        for n in holders.iter() {
             if !entry.is_sharer(n) {
                 return Err(self.violation(
                     "directory-agreement",
@@ -213,7 +211,7 @@ impl CoherenceChecker {
         }
         match entry.owner() {
             Some(o) => {
-                if !holders.iter().any(|&(n, s)| n == o && s.is_owned()) {
+                if !owned.contains(o) {
                     return Err(self.violation(
                         "directory-agreement",
                         format!("directory owner {o} of block {block} holds no owned copy"),
@@ -221,12 +219,12 @@ impl CoherenceChecker {
                 }
             }
             None => {
-                if let Some(&(n, s)) = holders.iter().find(|(_, s)| s.is_owned()) {
+                if let Some(n) = owned.iter().next() {
                     return Err(self.violation(
                         "directory-agreement",
                         format!(
                             "node {n} holds block {block} as {} but the directory records no owner",
-                            state_label(Some(s))
+                            state_label(cc.cache(n).peek(block))
                         ),
                     ));
                 }

@@ -97,6 +97,9 @@ pub struct CalendarQueue<E> {
     /// `epoch_end`, redistributed (and the width re-adapted) when the
     /// ring and current run drain dry.
     far: Vec<(SimTime, u64, E)>,
+    /// Always empty: the ladder's second buffer, swapped with `far` at a
+    /// re-seed so the events that stay far are kept without allocating.
+    spare: Vec<(SimTime, u64, E)>,
     seq: u64,
     popped: u64,
     last_popped: Option<SimTime>,
@@ -116,6 +119,7 @@ impl<E> CalendarQueue<E> {
             in_ring: 0,
             epoch_end: (1u128 << INIT_WIDTH_SHIFT) * RING_BUCKETS as u128,
             far: Vec::new(),
+            spare: Vec::new(),
             seq: 0,
             popped: 0,
             last_popped: None,
@@ -179,10 +183,12 @@ impl<E> CalendarQueue<E> {
                     break;
                 }
             }
-            let mut batch = std::mem::take(&mut self.ring[self.ring_pos]);
-            self.in_ring -= batch.len();
-            batch.sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
-            self.cur = batch;
+            // Swap, not take: the drained slot keeps `cur`'s empty
+            // buffer, so the next lap's pushes there need no allocation.
+            std::mem::swap(&mut self.cur, &mut self.ring[self.ring_pos]);
+            self.in_ring -= self.cur.len();
+            self.cur
+                .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
             return true;
         }
         if self.far.is_empty() {
@@ -194,6 +200,8 @@ impl<E> CalendarQueue<E> {
 
     /// Re-anchors the window at the earliest far event, re-adapting the
     /// bucket width to the observed span, and redistributes the ladder.
+    /// `cur` is empty here, so the first bucket's events go straight into
+    /// it, and the events that stay far move into `spare`'s buffer.
     fn reseed_from_far(&mut self) {
         let (mut min_t, mut max_t) = (u64::MAX, 0u64);
         for &(t, _, _) in &self.far {
@@ -213,25 +221,27 @@ impl<E> CalendarQueue<E> {
         self.epoch_end = u128::from(self.base) + u128::from(self.width()) * RING_BUCKETS as u128;
         let cur_end = self.cur_end();
         let epoch_end = self.epoch_end;
-        let mut batch = Vec::new();
-        let mut keep = Vec::new();
-        for (time, seq, event) in self.far.drain(..) {
+        debug_assert!(self.cur.is_empty() && self.spare.is_empty());
+        std::mem::swap(&mut self.far, &mut self.spare);
+        for (time, seq, event) in self.spare.drain(..) {
             let t = u128::from(time.as_ns());
             if t < cur_end {
-                batch.push((time, seq, event));
+                self.cur.push((time, seq, event));
             } else if t < epoch_end {
                 let offset = ((time.as_ns() - self.base) >> self.width_shift) as usize;
                 let slot = (self.ring_pos + offset) & (RING_BUCKETS - 1);
                 self.ring[slot].push((time, seq, event));
                 self.in_ring += 1;
             } else {
-                keep.push((time, seq, event));
+                self.far.push((time, seq, event));
             }
         }
-        self.far = keep;
-        debug_assert!(!batch.is_empty(), "min far event must land in the window");
-        batch.sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
-        self.cur = batch;
+        debug_assert!(
+            !self.cur.is_empty(),
+            "min far event must land in the window"
+        );
+        self.cur
+            .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
     }
 
     #[inline]
@@ -461,6 +471,54 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_ns(u64::MAX - 1), 'n')));
         assert_eq!(q.pop(), Some((SimTime::MAX, 'm')));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn drained_buckets_and_the_far_ladder_keep_their_buffers() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // One event in every ring bucket after the first, plus two in the
+        // far ladder, popped against a heap ordered by (time, push seq).
+        let lap = |q: &mut CalendarQueue<u64>, base: u64| {
+            let mut heap = BinaryHeap::new();
+            for i in 1..RING_BUCKETS as u64 {
+                heap.push(Reverse((base + i * 64 + 5, q.pushed())));
+                q.push(SimTime::from_ns(base + i * 64 + 5), q.pushed());
+            }
+            for far in [base + 1_000_000_000, base + 1_000_000_007] {
+                heap.push(Reverse((far, q.pushed())));
+                q.push(SimTime::from_ns(far), q.pushed());
+            }
+            heap
+        };
+        let drain = |q: &mut CalendarQueue<u64>, mut heap: BinaryHeap<Reverse<(u64, u64)>>| {
+            while let Some(Reverse((t, id))) = heap.pop() {
+                assert_eq!(q.pop(), Some((SimTime::from_ns(t), id)));
+            }
+            assert_eq!(q.pop(), None);
+        };
+
+        let mut q = CalendarQueue::new();
+        let heap = lap(&mut q, 0);
+        let (far_ptr, far_cap) = (q.far.as_ptr(), q.far.capacity());
+        drain(&mut q, heap);
+        // Each drained bucket took the previous one's buffer; only the
+        // first drained and the never-used bucket 0 hold none.
+        let kept = q.ring.iter().filter(|b| b.capacity() > 0).count();
+        assert!(kept >= RING_BUCKETS - 2, "{kept} buckets kept a buffer");
+        // The re-seed drained the ladder's buffer into `spare`, not the heap.
+        assert_eq!((q.spare.as_ptr(), q.spare.capacity()), (far_ptr, far_cap));
+
+        // The second lap pushes into the buffers the first left behind.
+        let before: Vec<_> = q.ring.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
+        let heap = lap(&mut q, 1_000_000_000);
+        for (slot, (b, &(ptr, cap))) in q.ring.iter().zip(&before).enumerate() {
+            if cap > 0 {
+                assert_eq!(b.as_ptr(), ptr, "bucket {slot} reallocated");
+            }
+        }
+        drain(&mut q, heap);
+        assert!(q.far.capacity() >= 2 && q.spare.capacity() >= 2);
     }
 
     #[test]

@@ -319,17 +319,24 @@ impl Engine {
     }
 
     fn wake_watchers(&mut self, addr: Addr) {
-        if let Some(waiters) = self.watchers.remove(&addr.word_index()) {
-            for (proc, pred) in waiters {
-                // Each waiter re-reads the (just-invalidated) word and
-                // re-checks — the paper's "first and last accesses use the
-                // network" spin behaviour.
-                self.push_ev(
-                    self.now,
-                    Ev::Dispatch(proc, MemReq::WaitUntil { addr, pred }),
-                );
-            }
+        let word = addr.word_index();
+        let Some(list) = self.watchers.get_mut(&word) else {
+            return;
+        };
+        // The word gets its emptied list back, so the next spinner on it
+        // pushes into a buffer that already exists.
+        let mut waiters = std::mem::take(list);
+        for &(proc, pred) in &waiters {
+            // Each waiter re-reads the (just-invalidated) word and
+            // re-checks — the paper's "first and last accesses use the
+            // network" spin behaviour.
+            self.push_ev(
+                self.now,
+                Ev::Dispatch(proc, MemReq::WaitUntil { addr, pred }),
+            );
         }
+        waiters.clear();
+        self.watchers.insert(word, waiters);
     }
 
     fn deliver(&mut self, dst: usize, tag: u64, value: u64) {

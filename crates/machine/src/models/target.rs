@@ -1,6 +1,6 @@
 //! The CC-NUMA target machine: full protocol, link-level network.
 
-use spasm_cache::{AccessKind, CoherenceController, Outcome, Supplier};
+use spasm_cache::{AccessKind, CoherenceController, NodeSet, Outcome, Supplier};
 use spasm_check::{network_conformance, CheckViolation, CoherenceChecker};
 use spasm_desim::{Facility, SimTime};
 use spasm_net::{Delivery, Network};
@@ -101,12 +101,12 @@ impl TargetModel {
         &mut self,
         t0: SimTime,
         home: usize,
-        victims: &[usize],
+        victims: NodeSet,
         buckets: &mut Buckets,
     ) -> Result<SimTime, RunError> {
         let cycle = SimTime::from_ns(CYCLE_NS);
         let mut all_acked = t0;
-        for &s in victims {
+        for s in victims.iter() {
             let inv = self.send(t0, home, s, CTRL_BYTES, buckets)?;
             let ack = self.send(inv.arrive + cycle, s, home, CTRL_BYTES, buckets)?;
             all_acked = all_acked.max(ack.arrive);
@@ -146,7 +146,7 @@ impl TargetModel {
             Outcome::UpgradeHit { invalidated } => {
                 let req = self.send(at, proc, home, CTRL_BYTES, &mut buckets)?;
                 let t0 = self.block_start(block, req.arrive, &mut buckets);
-                let all_acked = self.invalidate(t0, home, &invalidated, &mut buckets)?;
+                let all_acked = self.invalidate(t0, home, invalidated, &mut buckets)?;
                 let grant = self.send(all_acked, home, proc, CTRL_BYTES, &mut buckets)?;
                 let finish = grant.arrive.max(at + cycle);
                 self.block_free.insert(block, finish);
@@ -180,7 +180,7 @@ impl TargetModel {
                 // Invalidation path (write misses with extant copies).
                 let mut finish = data_arrive;
                 if !invalidated.is_empty() {
-                    let all_acked = self.invalidate(t0, home, &invalidated, &mut buckets)?;
+                    let all_acked = self.invalidate(t0, home, invalidated, &mut buckets)?;
                     let grant = self.send(all_acked, home, proc, CTRL_BYTES, &mut buckets)?;
                     finish = finish.max(grant.arrive);
                 }

@@ -220,17 +220,20 @@ if ! diff scripts/smoke_fingerprints.txt <(sed -n \
 fi
 
 # The sampler DESIGN.md §12's profiles come from must keep building,
-# sampling and symbolizing: two seconds of clogp_grid have to put samples
-# under Engine::run. Its tools are the host's, not the toolchain's, so a
-# host without them skips.
+# sampling and symbolizing, in both modes: two seconds of clogp_grid, and
+# figure F2 at small (F2 at test lasts ~20 ms, 7-11 samples: too few to
+# gate on), have to put samples under Engine::run. Its tools are the
+# host's, not the toolchain's, so a host without them skips.
 if command -v gcc > /dev/null && command -v python3 > /dev/null && command -v addr2line > /dev/null; then
-    echo "==> profile smoke: scripts/profile.sh clogp_grid 2 samples Engine::run"
-    out=$(scripts/profile.sh clogp_grid 2 2> /dev/null)
-    if ! grep -q 'engine::Engine>::run$' <<< "$out"; then
-        echo "ERROR: the profile attributes no sample to Engine::run:" >&2
-        echo "$out" >&2
-        exit 1
-    fi
+    for args in "clogp_grid 2" "figure F2 small --serial"; do
+        echo "==> profile smoke: scripts/profile.sh $args samples Engine::run"
+        out=$(scripts/profile.sh $args 2> /dev/null)
+        if ! grep -q 'engine::Engine>::run$' <<< "$out"; then
+            echo "ERROR: the profile attributes no sample to Engine::run:" >&2
+            echo "$out" >&2
+            exit 1
+        fi
+    done
 else
     echo "==> profile smoke: skipped"
 fi
