@@ -1,7 +1,7 @@
 //! The timestamped event queue, with stable tie-breaking.
 //!
 //! [`CalendarQueue`] is a bucketed ladder/calendar queue with O(1)
-//! amortized push/pop, and the crate-wide [`EventQueue`](crate::EventQueue).
+//! amortized push/pop.
 //!
 //! Events are ordered by `(time, push sequence)`: events scheduled for the
 //! same instant pop in the order they were pushed (FIFO within a
@@ -59,12 +59,12 @@ const MAX_WIDTH_SHIFT: u32 = 40;
 /// # Example
 ///
 /// ```
-/// use spasm_desim::{EventQueue, SimTime};
+/// use spasm_desim::{CalendarQueue, SimTime};
 ///
-/// let mut q = EventQueue::new();
+/// let mut q = CalendarQueue::new();
 /// q.push(SimTime::from_ns(5), 'b');
 /// q.push(SimTime::from_ns(1), 'a');
-/// assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
+/// assert_eq!(q.len(), 2);
 /// assert_eq!(q.pop(), Some((SimTime::from_ns(1), 'a')));
 /// ```
 #[derive(Debug)]
@@ -253,6 +253,10 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
+    ///
+    /// Inlined: the caller then reads a large event straight out of
+    /// `cur` instead of through a returned temporary (DESIGN.md §12).
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if !self.refill() {
             return None;
@@ -274,22 +278,6 @@ impl<E> CalendarQueue<E> {
         }
         let (t, e) = self.take_head();
         PopIfBefore::Popped(t, e)
-    }
-
-    /// Returns the timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(&(t, _, _)) = self.cur.last() {
-            return Some(t);
-        }
-        if self.in_ring > 0 {
-            for step in 1..=RING_BUCKETS {
-                let slot = (self.ring_pos + step) & (RING_BUCKETS - 1);
-                if let Some(t) = self.ring[slot].iter().map(|&(t, _, _)| t).min() {
-                    return Some(t);
-                }
-            }
-        }
-        self.far.iter().map(|&(t, _, _)| t).min()
     }
 
     /// Returns the number of pending events.
@@ -319,16 +307,6 @@ impl<E> CalendarQueue<E> {
     pub fn last_popped(&self) -> Option<SimTime> {
         self.last_popped
     }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.cur.clear();
-        for b in &mut self.ring {
-            b.clear();
-        }
-        self.in_ring = 0;
-        self.far.clear();
-    }
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -341,14 +319,11 @@ impl<E> Default for CalendarQueue<E> {
 mod tests {
     use super::*;
 
-    // Queue-contract tests name the crate-wide alias; the ones that probe
-    // calendar internals (spill ladder, window edges) name the type. The
-    // differential suite against the heap oracle is tests/queue_diff.rs.
-    use crate::EventQueue;
+    // The differential suite against the heap oracle is tests/queue_diff.rs.
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.push(SimTime::from_ns(30), 3);
         q.push(SimTime::from_ns(10), 1);
         q.push(SimTime::from_ns(20), 2);
@@ -358,7 +333,7 @@ mod tests {
 
     #[test]
     fn equal_times_pop_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         for i in 0..100 {
             q.push(SimTime::from_ns(7), i);
         }
@@ -368,7 +343,7 @@ mod tests {
 
     #[test]
     fn interleaved_equal_and_distinct_times() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.push(SimTime::from_ns(5), "a5");
         q.push(SimTime::from_ns(1), "a1");
         q.push(SimTime::from_ns(5), "b5");
@@ -378,17 +353,8 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(9)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn pushed_counts_all_events() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.push(SimTime::ZERO, ());
         q.push(SimTime::ZERO, ());
         q.pop();
@@ -397,7 +363,7 @@ mod tests {
 
     #[test]
     fn popped_and_last_popped_track_consumption() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         assert_eq!(q.popped(), 0);
         assert_eq!(q.last_popped(), None);
         q.push(SimTime::from_ns(10), 'a');
@@ -414,17 +380,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn pop_if_before_pops_at_or_before_limit_only() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.push(SimTime::from_ns(10), 'a');
         q.push(SimTime::from_ns(20), 'b');
         assert_eq!(
@@ -466,7 +423,6 @@ mod tests {
         q.push(SimTime::MAX, 'm');
         q.push(SimTime::ZERO, 'z');
         q.push(SimTime::from_ns(u64::MAX - 1), 'n');
-        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
         assert_eq!(q.pop(), Some((SimTime::ZERO, 'z')));
         assert_eq!(q.pop(), Some((SimTime::from_ns(u64::MAX - 1), 'n')));
         assert_eq!(q.pop(), Some((SimTime::MAX, 'm')));

@@ -7,12 +7,12 @@
 //! package; this crate plays the same role:
 //!
 //! * [`SimTime`] — simulated time in nanoseconds, with saturating arithmetic;
-//! * [`EventQueue`] — a min-ordered queue of timestamped events with
+//! * [`CalendarQueue`] — a min-ordered queue of timestamped events with
 //!   **stable tie-breaking** (events at equal times pop in push order),
 //!   which makes whole simulations deterministic and reproducible. It is
-//!   a [`CalendarQueue`] (a bucketed ladder/calendar queue, O(1)
-//!   amortized), verified against a binary-heap reference by the
-//!   differential suite in `tests/queue_diff.rs`;
+//!   a bucketed ladder/calendar queue (O(1) amortized), verified against
+//!   a binary-heap reference by the differential suite in
+//!   `tests/queue_diff.rs`;
 //! * [`CoroPool`] — process-oriented simulation processes implemented as
 //!   coroutines in rendezvous with the (single-threaded) simulator, so that
 //!   application code can be written as ordinary blocking Rust code while the
@@ -26,9 +26,9 @@
 //! # Example
 //!
 //! ```
-//! use spasm_desim::{EventQueue, SimTime};
+//! use spasm_desim::{CalendarQueue, SimTime};
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = CalendarQueue::new();
 //! q.push(SimTime::from_ns(30), "beta");
 //! q.push(SimTime::from_ns(10), "alpha");
 //! q.push(SimTime::from_ns(10), "gamma"); // same time: pops after alpha
@@ -51,6 +51,3 @@ pub use coro::{CoroCtx, CoroPool, ProcId, Step};
 pub use event_queue::{CalendarQueue, PopIfBefore};
 pub use facility::Facility;
 pub use time::SimTime;
-
-/// The crate-wide event queue.
-pub type EventQueue<E> = CalendarQueue<E>;

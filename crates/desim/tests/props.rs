@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation kernel (spasm-testkit).
 
-use spasm_desim::{EventQueue, Facility, SimTime};
+use spasm_desim::{CalendarQueue, Facility, SimTime};
 use spasm_testkit::{check, gens, prop_assert, prop_assert_eq};
 
 /// The event queue is a stable priority queue: pops are sorted by time,
@@ -11,7 +11,7 @@ fn event_queue_pops_sorted_and_stable() {
         "event_queue_pops_sorted_and_stable",
         &gens::vecs(gens::u64s(0..100), 0..200),
         |times| {
-            let mut q = EventQueue::new();
+            let mut q = CalendarQueue::new();
             for (i, &t) in times.iter().enumerate() {
                 q.push(SimTime::from_ns(t), i);
             }
@@ -34,7 +34,7 @@ fn event_queue_interleaved_operations() {
         "event_queue_interleaved_operations",
         &gens::vecs(gens::tuple2(gens::bools(), gens::u64s(0..50)), 0..100),
         |ops| {
-            let mut q = EventQueue::new();
+            let mut q = CalendarQueue::new();
             let mut last_popped = None::<u64>;
             for &(push, t) in ops {
                 if push {

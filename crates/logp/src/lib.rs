@@ -148,8 +148,6 @@ pub struct GapTracker {
     /// Next allowed event time, per node: [unified] or [send, recv].
     next_send: Vec<SimTime>,
     next_recv: Vec<SimTime>,
-    /// Total gap-induced waiting (contention) accumulated per node.
-    waited: Vec<SimTime>,
 }
 
 impl GapTracker {
@@ -160,7 +158,6 @@ impl GapTracker {
             policy,
             next_send: vec![SimTime::ZERO; p],
             next_recv: vec![SimTime::ZERO; p],
-            waited: vec![SimTime::ZERO; p],
         }
     }
 
@@ -199,14 +196,10 @@ impl GapTracker {
                 s
             }
         };
-        let waited = start - at;
-        self.waited[node] += waited;
-        GapGrant { start, waited }
-    }
-
-    /// Total gap-induced waiting accumulated at `node`.
-    pub fn waited(&self, node: usize) -> SimTime {
-        self.waited[node]
+        GapGrant {
+            start,
+            waited: start - at,
+        }
     }
 }
 
@@ -260,7 +253,7 @@ mod tests {
         assert_eq!(a.start, ns(0));
         assert_eq!(b.start, ns(100)); // recv also pushed by the send
         assert_eq!(c.start, ns(200));
-        assert_eq!(g.waited(0), ns(300));
+        assert_eq!(a.waited + b.waited + c.waited, ns(300));
     }
 
     #[test]

@@ -9,14 +9,14 @@ use std::fmt;
 use std::time::Duration;
 
 use spasm_check::{CheckViolation, EngineChecker};
-use spasm_desim::{CoroCtx, CoroPool, EventQueue, SimTime};
+use spasm_desim::{CalendarQueue, CoroCtx, CoroPool, SimTime};
 use spasm_topology::{Topology, TopologyError};
 
 use crate::addr::UnallocatedAddress;
 use crate::faults::{FaultCounters, FaultInjector, RunBudget};
 use crate::fxhash::FxHashMap;
 use crate::models::{MachineConfig, MachineKind, Model, ModelSummary};
-use crate::ops::{MemReq, MemResp, Pred, RmwOp};
+use crate::ops::{MemReq, MemResp, Pred};
 use crate::stats::{Buckets, ProcStats};
 use crate::telemetry::{Collector, IntervalRecord, Snapshot};
 use crate::{Addr, AddressMap, SetupCtx, ValueStore};
@@ -205,65 +205,23 @@ impl RunReport {
     }
 }
 
+/// One scheduled event. `Copy` and 48 bytes: the queue holds the events
+/// themselves, so a pop hands over the value the handler consumes. The
+/// processor is a `u32` so that it shares the variant tag's word; a
+/// topology has at most [`spasm_topology::MAX_NODES`] nodes, so the
+/// `as u32` casts never truncate.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// Handle a processor's request at its issue time.
-    Dispatch(usize, MemReq),
-    /// An operation completes: apply its effect and resume the processor.
-    Commit(usize, Action),
+    Dispatch(u32, MemReq),
+    /// The request completes: apply its effect and resume the processor.
+    Commit(u32, MemReq),
     /// An explicit message arrives at its destination's mailbox.
     Deliver { dst: usize, tag: u64, value: u64 },
 }
 
-/// The effect a [`Ev::Commit`] applies when it pops.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Action {
-    Compute,
-    Read(Addr),
-    Write(Addr, u64),
-    Rmw(Addr, RmwOp),
-    Check(Addr, Pred),
-    Sent,
-    Received(u64),
-}
-
-/// Arena for in-flight events. The queue orders bare `u32` slot ids (so
-/// its internal moves, sorts, and bucket redistributions shuffle 4-byte
-/// handles, not full [`Ev`] payloads); the payloads themselves sit in the
-/// slab until popped. Freed slots are recycled LIFO, keeping the live
-/// working set dense.
-#[derive(Debug, Default)]
-struct EvSlab {
-    slots: Vec<Option<Ev>>,
-    free: Vec<u32>,
-}
-
-impl EvSlab {
-    #[inline]
-    fn alloc(&mut self, ev: Ev) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                debug_assert!(self.slots[id as usize].is_none());
-                self.slots[id as usize] = Some(ev);
-                id
-            }
-            None => {
-                let id = u32::try_from(self.slots.len()).expect("more than 2^32 in-flight events");
-                self.slots.push(Some(ev));
-                id
-            }
-        }
-    }
-
-    #[inline]
-    fn take(&mut self, id: u32) -> Ev {
-        let ev = self.slots[id as usize]
-            .take()
-            .expect("popped id names a live event");
-        self.free.push(id);
-        ev
-    }
-}
+// A queue entry is `(SimTime, seq, Ev)`: one 64-byte cache line.
+const _: () = assert!(std::mem::size_of::<(SimTime, u64, Ev)>() == 64);
 
 /// Drives application processes over a machine model.
 ///
@@ -275,8 +233,7 @@ pub struct Engine {
     model: Model,
     amap: AddressMap,
     store: ValueStore,
-    events: EventQueue<u32>,
-    slab: EvSlab,
+    events: CalendarQueue<Ev>,
     /// word index → processors spin-waiting on that word.
     watchers: FxHashMap<u64, Vec<(usize, Pred)>>,
     /// Label id (see [`AddressMap::labels`]) → overheads attributed to the
@@ -349,8 +306,7 @@ impl Engine {
             model: Model::new(kind, topo, config),
             amap,
             store,
-            events: EventQueue::new(),
-            slab: EvSlab::default(),
+            events: CalendarQueue::new(),
             watchers: FxHashMap::default(),
             region_traffic: vec![None; labels],
             mailboxes: FxHashMap::default(),
@@ -397,12 +353,5 @@ impl Engine {
             cache_misses: summary.cache_misses,
             faults: self.injector.as_ref().map_or(0, |i| i.counters.total()),
         }
-    }
-
-    /// Allocates a slab slot for `ev` and schedules it at `at`.
-    #[inline]
-    fn push_ev(&mut self, at: SimTime, ev: Ev) {
-        let id = self.slab.alloc(ev);
-        self.events.push(at, id);
     }
 }

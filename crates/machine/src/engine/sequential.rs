@@ -13,7 +13,7 @@ use crate::ops::{MemReq, MemResp};
 use crate::stats::Buckets;
 use crate::{Addr, CYCLE_NS};
 
-use super::{Action, Engine, Ev, RunError, RunReport};
+use super::{Engine, Ev, RunError, RunReport};
 
 impl Engine {
     /// Runs the simulation to completion.
@@ -32,8 +32,7 @@ impl Engine {
         for proc in 0..p {
             self.resume(proc, MemResp::Start)?;
         }
-        while let Some((t, id)) = self.events.pop() {
-            let ev = self.slab.take(id);
+        while let Some((t, ev)) = self.events.pop() {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.processed += 1;
@@ -62,8 +61,8 @@ impl Engine {
                 }
             }
             match ev {
-                Ev::Dispatch(proc, req) => self.dispatch(proc, req)?,
-                Ev::Commit(proc, action) => self.commit(proc, action)?,
+                Ev::Dispatch(proc, req) => self.dispatch(proc as usize, req)?,
+                Ev::Commit(proc, req) => self.commit(proc as usize, req)?,
                 Ev::Deliver { dst, tag, value } => self.deliver(dst, tag, value),
             }
         }
@@ -106,6 +105,10 @@ impl Engine {
             totals.add(&s.buckets);
             exec_time = exec_time.max(s.finish);
         }
+        // The buckets are the one traffic ledger; the summary reads it.
+        let mut summary = self.model.summary(p);
+        summary.net_messages = totals.msgs;
+        summary.net_bytes = totals.bytes;
         let mut region_traffic: Vec<(&'static str, Buckets)> = self
             .amap
             .labels()
@@ -122,7 +125,7 @@ impl Engine {
             per_proc: std::mem::take(&mut self.stats),
             totals,
             events: self.events.pushed(),
-            summary: self.model.summary(p),
+            summary,
             region_traffic,
             final_store: std::mem::take(&mut self.store),
             faults: self
@@ -138,27 +141,17 @@ impl Engine {
     fn dispatch(&mut self, proc: usize, req: MemReq) -> Result<(), RunError> {
         self.stats[proc].ops += 1;
         let now = self.now;
-        match req {
+        let finish = match req {
             MemReq::Compute { cycles } => {
                 let dur = SimTime::from_ns(cycles * CYCLE_NS);
                 self.stats[proc].buckets.busy += dur;
-                self.push_ev(now + dur, Ev::Commit(proc, Action::Compute));
+                now + dur
             }
-            MemReq::Read { addr } => {
-                let finish = self.priced_access(proc, addr, AccessKind::Read)?;
-                self.push_ev(finish, Ev::Commit(proc, Action::Read(addr)));
+            MemReq::Read { addr } | MemReq::WaitUntil { addr, .. } => {
+                self.priced_access(proc, addr, AccessKind::Read)?
             }
-            MemReq::Write { addr, value } => {
-                let finish = self.priced_access(proc, addr, AccessKind::Write)?;
-                self.push_ev(finish, Ev::Commit(proc, Action::Write(addr, value)));
-            }
-            MemReq::Rmw { addr, op } => {
-                let finish = self.priced_access(proc, addr, AccessKind::Write)?;
-                self.push_ev(finish, Ev::Commit(proc, Action::Rmw(addr, op)));
-            }
-            MemReq::WaitUntil { addr, pred } => {
-                let finish = self.priced_access(proc, addr, AccessKind::Read)?;
-                self.push_ev(finish, Ev::Commit(proc, Action::Check(addr, pred)));
+            MemReq::Write { addr, .. } | MemReq::Rmw { addr, .. } => {
+                self.priced_access(proc, addr, AccessKind::Write)?
             }
             MemReq::Send {
                 dst,
@@ -178,7 +171,7 @@ impl Engine {
                         message: format!("destination {dst} out of range"),
                     });
                 }
-                let cost = self.model.msg_send(self.now, proc, dst, bytes)?;
+                let cost = self.model.msg_send(now, proc, dst, bytes)?;
                 self.stats[proc].buckets.add(&cost.buckets);
                 let mut delivered = cost.delivered;
                 let mut copies = 1u64;
@@ -195,20 +188,23 @@ impl Engine {
                 if let Some(chk) = &mut self.checker {
                     chk.on_send(dst, tag, cost.delivered, delivered, copies)?;
                 }
-                self.push_ev(cost.sender_free, Ev::Commit(proc, Action::Sent));
+                self.events
+                    .push(cost.sender_free, Ev::Commit(proc as u32, req));
                 for _ in 0..copies {
-                    self.push_ev(delivered, Ev::Deliver { dst, tag, value });
+                    self.events.push(delivered, Ev::Deliver { dst, tag, value });
                 }
+                return Ok(());
             }
             MemReq::Recv { tag } => {
-                if let Some(value) = self
+                if self
                     .mailboxes
-                    .get_mut(&(proc, tag))
-                    .and_then(|q| q.pop_front())
+                    .get(&(proc, tag))
+                    .is_some_and(|q| !q.is_empty())
                 {
                     // Message already arrived: charge the receive handoff.
-                    let finish = self.now + SimTime::from_ns(CYCLE_NS);
-                    self.push_ev(finish, Ev::Commit(proc, Action::Received(value)));
+                    // Only this processor consumes the mailbox, so the
+                    // commit pops the message seen here.
+                    now + SimTime::from_ns(CYCLE_NS)
                 } else {
                     if self.recv_wait[proc].is_some() {
                         return Err(RunError::BadRequest {
@@ -218,11 +214,13 @@ impl Engine {
                     }
                     self.recv_wait[proc] = Some(tag);
                     if self.wait_start[proc].is_none() {
-                        self.wait_start[proc] = Some(self.now);
+                        self.wait_start[proc] = Some(now);
                     }
+                    return Ok(());
                 }
             }
-        }
+        };
+        self.events.push(finish, Ev::Commit(proc as u32, req));
         Ok(())
     }
 
@@ -261,32 +259,36 @@ impl Engine {
         Ok(cost.finish)
     }
 
-    fn commit(&mut self, proc: usize, action: Action) -> Result<(), RunError> {
-        match action {
-            Action::Compute => self.resume(proc, MemResp::Ack),
-            Action::Read(addr) => {
+    fn commit(&mut self, proc: usize, req: MemReq) -> Result<(), RunError> {
+        match req {
+            MemReq::Compute { .. } | MemReq::Send { .. } => self.resume(proc, MemResp::Ack),
+            MemReq::Read { addr } => {
                 let v = self.store.read_word(addr);
                 self.resume(proc, MemResp::Value(v))
             }
-            Action::Write(addr, value) => {
+            MemReq::Write { addr, value } => {
                 self.store.write_word(addr, value);
                 self.wake_watchers(addr);
                 self.resume(proc, MemResp::Ack)
             }
-            Action::Rmw(addr, op) => {
+            MemReq::Rmw { addr, op } => {
                 let old = self.store.read_word(addr);
                 self.store.write_word(addr, op.apply(old));
                 self.wake_watchers(addr);
                 self.resume(proc, MemResp::Value(old))
             }
-            Action::Sent => self.resume(proc, MemResp::Ack),
-            Action::Received(value) => {
+            MemReq::Recv { tag } => {
+                let value = self
+                    .mailboxes
+                    .get_mut(&(proc, tag))
+                    .and_then(|q| q.pop_front())
+                    .expect("a committed receive finds the message its dispatch saw");
                 if let Some(start) = self.wait_start[proc].take() {
                     self.stats[proc].buckets.sync += self.now - start;
                 }
                 self.resume(proc, MemResp::Value(value))
             }
-            Action::Check(addr, pred) => {
+            MemReq::WaitUntil { addr, pred } => {
                 let v = self.store.read_word(addr);
                 if pred.eval(v) {
                     if let Some(start) = self.wait_start[proc].take() {
@@ -301,10 +303,7 @@ impl Engine {
                         // Cache-less machine: each poll really re-reads
                         // over the network. Re-dispatch immediately; the
                         // read itself advances time, so this terminates.
-                        self.push_ev(
-                            self.now,
-                            Ev::Dispatch(proc, MemReq::WaitUntil { addr, pred }),
-                        );
+                        self.events.push(self.now, Ev::Dispatch(proc as u32, req));
                     } else {
                         // Spin in-cache: idle until the word is written.
                         self.watchers
@@ -330,9 +329,9 @@ impl Engine {
             // Each waiter re-reads the (just-invalidated) word and
             // re-checks — the paper's "first and last accesses use the
             // network" spin behaviour.
-            self.push_ev(
+            self.events.push(
                 self.now,
-                Ev::Dispatch(proc, MemReq::WaitUntil { addr, pred }),
+                Ev::Dispatch(proc as u32, MemReq::WaitUntil { addr, pred }),
             );
         }
         waiters.clear();
@@ -347,7 +346,8 @@ impl Engine {
         if self.recv_wait[dst] == Some(tag) {
             self.recv_wait[dst] = None;
             // Re-dispatch the receive; it will find the mailbox non-empty.
-            self.push_ev(self.now, Ev::Dispatch(dst, MemReq::Recv { tag }));
+            self.events
+                .push(self.now, Ev::Dispatch(dst as u32, MemReq::Recv { tag }));
         }
     }
 
@@ -370,7 +370,7 @@ impl Engine {
                 if let Some(chk) = &mut self.checker {
                     chk.on_dispatch(proc, self.now, at)?;
                 }
-                self.push_ev(at, Ev::Dispatch(proc, req));
+                self.events.push(at, Ev::Dispatch(proc as u32, req));
                 Ok(())
             }
             Step::Done => {

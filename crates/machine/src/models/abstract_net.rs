@@ -25,10 +25,6 @@ use super::{MachineConfig, MsgCost};
 pub struct AbstractNet {
     params: LogPParams,
     gaps: GapTracker,
-    messages: u64,
-    bytes: u64,
-    latency: SimTime,
-    contention: SimTime,
     /// Conformance checker (only under an enabled `CheckMode`).
     checker: Option<NetChecker>,
 }
@@ -41,10 +37,6 @@ impl AbstractNet {
         AbstractNet {
             params,
             gaps: GapTracker::new(topo.nodes(), params.g, config.gap_policy),
-            messages: 0,
-            bytes: 0,
-            latency: SimTime::ZERO,
-            contention: SimTime::ZERO,
             checker: config
                 .check
                 .enabled()
@@ -84,10 +76,6 @@ impl AbstractNet {
         buckets.contention += recv.waited;
         buckets.msgs += 1;
         buckets.bytes += DATA_BYTES;
-        self.messages += 1;
-        self.bytes += DATA_BYTES;
-        self.latency += self.params.l;
-        self.contention += send.waited + recv.waited;
         if let Some(chk) = &mut self.checker {
             chk.observe_message(at, src, dst, send.start, arrive, recv.start)?;
         }
@@ -130,11 +118,6 @@ impl AbstractNet {
     ) -> Result<SimTime, CheckViolation> {
         let (_, there) = self.message(at, src, dst, buckets)?;
         Ok(self.message(there, dst, src, buckets)?.1)
-    }
-
-    /// Totals for the run report: `(messages, bytes, latency, contention)`.
-    pub fn totals(&self) -> (u64, u64, SimTime, SimTime) {
-        (self.messages, self.bytes, self.latency, self.contention)
     }
 }
 
@@ -188,7 +171,6 @@ mod tests {
         let (_, t) = n.message(SimTime::from_ns(5), 2, 2, &mut b).unwrap();
         assert_eq!(t, SimTime::from_ns(5));
         assert_eq!(b.msgs, 0);
-        assert_eq!(n.totals().0, 0);
     }
 
     #[test]

@@ -125,14 +125,7 @@ impl CLogPModel {
 
     /// Run-report counters.
     pub fn summary(&self, p: usize) -> ModelSummary {
-        let (net_messages, net_bytes, net_latency, net_contention) = self.net.totals();
-        let mut s = ModelSummary {
-            net_messages,
-            net_bytes,
-            net_latency,
-            net_contention,
-            ..ModelSummary::default()
-        };
+        let mut s = ModelSummary::default();
         for n in 0..p {
             let cs = self.coherence.cache_stats(n);
             s.cache_hits += cs.hits;

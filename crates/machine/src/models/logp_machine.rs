@@ -6,7 +6,7 @@ use spasm_topology::Topology;
 use crate::engine::RunError;
 use crate::{Addr, AddressMap, Buckets, MEM_NS};
 
-use super::{AbstractNet, Cost, MachineConfig, ModelSummary};
+use super::{AbstractNet, Cost, MachineConfig};
 
 /// The paper's §3.1 machine: "a collection of processors, each with a piece
 /// of the globally shared memory, connected by a network which is abstracted
@@ -65,18 +65,6 @@ impl LogPModel {
     /// Mutable access to the abstract network (explicit messaging).
     pub(crate) fn net_mut(&mut self) -> &mut AbstractNet {
         &mut self.net
-    }
-
-    /// Run-report counters.
-    pub fn summary(&self) -> ModelSummary {
-        let (net_messages, net_bytes, net_latency, net_contention) = self.net.totals();
-        ModelSummary {
-            net_messages,
-            net_bytes,
-            net_latency,
-            net_contention,
-            ..ModelSummary::default()
-        }
     }
 }
 

@@ -126,14 +126,11 @@ pub struct MsgCost {
 /// Aggregate machine-side counters for reporting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelSummary {
-    /// Network messages (real or abstracted).
+    /// Network messages (real or abstracted): the run's
+    /// [`Buckets::msgs`] total, filled in by the engine.
     pub net_messages: u64,
-    /// Bytes carried.
+    /// Bytes carried: the run's [`Buckets::bytes`] total.
     pub net_bytes: u64,
-    /// Total network transmission (latency) time.
-    pub net_latency: SimTime,
-    /// Total network waiting (contention) time.
-    pub net_contention: SimTime,
     /// Cache hits summed over nodes (cached machines).
     pub cache_hits: u64,
     /// Cache misses summed over nodes (cached machines).
@@ -271,12 +268,12 @@ impl Model {
         matches!(self, Model::LogP(_))
     }
 
-    /// Aggregate counters for the run report.
+    /// Aggregate counters for the run report. The traffic fields stay
+    /// zero: the engine fills them from the processors' [`Buckets`].
     pub fn summary(&self, p: usize) -> ModelSummary {
         match self {
-            Model::Pram(_) => ModelSummary::default(),
+            Model::Pram(_) | Model::LogP(_) => ModelSummary::default(),
             Model::Target(m) => m.summary(p),
-            Model::LogP(m) => m.summary(),
             Model::CLogP(m) => m.summary(p),
         }
     }

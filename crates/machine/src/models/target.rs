@@ -246,13 +246,8 @@ impl TargetModel {
 
     /// Run-report counters.
     pub fn summary(&self, p: usize) -> ModelSummary {
-        let net = self.net.stats();
         let mut s = ModelSummary {
-            net_messages: net.messages,
-            net_bytes: net.bytes,
-            net_latency: net.latency,
-            net_contention: net.contention,
-            bisection_crossings: net.bisection_crossings,
+            bisection_crossings: self.net.stats().bisection_crossings,
             ..ModelSummary::default()
         };
         for n in 0..p {

@@ -201,4 +201,41 @@ fn violations_render_the_event_ring() {
         }
         other => panic!("expected a check violation, got {other:?}"),
     }
+
+    // A commit carries the request it completes. Under seed 9 the first
+    // two requests draw no stall and the sender's next one, issued when
+    // its `Send` commits, does: the ring ends on that commit.
+    let plan = FaultPlan {
+        stall_prob: 0.5,
+        stall_ns: 1_000,
+        ..FaultPlan::quiet(9)
+    };
+    let send_then_compute = || {
+        let (topo, setup, mut bodies) = msgpass_workload();
+        bodies[0] = Box::new(|_, ctx| {
+            let mem = MemCtx::new(ctx);
+            mem.send(1, 8, 42, 1234);
+            mem.compute(10);
+        });
+        (topo, setup, bodies)
+    };
+    match run(
+        MachineKind::Target,
+        CheckMode::Strict,
+        plan,
+        send_then_compute,
+    ) {
+        Err(RunError::Check(v)) => {
+            assert_eq!(v.invariant, "dispatch-conformance", "{v}");
+            assert_eq!(
+                v.recent,
+                [
+                    "t=0ns Dispatch(0, Send { dst: 1, bytes: 8, tag: 42, value: 1234 })",
+                    "t=0ns Dispatch(1, Recv { tag: 42 })",
+                    "t=400ns Commit(0, Send { dst: 1, bytes: 8, tag: 42, value: 1234 })",
+                ]
+            );
+        }
+        other => panic!("expected a check violation, got {other:?}"),
+    }
 }

@@ -66,34 +66,15 @@ pub struct Delivery {
     pub hops: usize,
 }
 
-/// Aggregate traffic statistics for a [`Network`].
+/// Aggregate statistics for a [`Network`]. Per-message traffic
+/// (latency, contention, hops) is each [`Delivery`]'s, for the caller
+/// to charge; the network counts only what needs its geometry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkStats {
-    /// Messages delivered.
-    pub messages: u64,
-    /// Payload bytes delivered.
-    pub bytes: u64,
-    /// Sum of all messages' transmission (latency) time.
-    pub latency: SimTime,
-    /// Sum of all messages' link-wait (contention) time.
-    pub contention: SimTime,
-    /// Sum of hop counts.
-    pub hops: u64,
     /// Messages whose endpoints lie on opposite sides of the canonical
     /// bisection — the numerator of the communication-locality fraction
     /// the paper's §7 wants a better g estimate to use.
     pub bisection_crossings: u64,
-}
-
-impl NetworkStats {
-    /// Fraction of messages that crossed the bisection (0 when idle).
-    pub fn crossing_fraction(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.bisection_crossings as f64 / self.messages as f64
-        }
-    }
 }
 
 /// A circuit-switched wormhole network over a [`Topology`].
@@ -185,12 +166,6 @@ impl Network {
             self.free_at[link.0] = arrive;
         }
 
-        let contention = depart - at;
-        self.stats.messages += 1;
-        self.stats.bytes += bytes;
-        self.stats.latency += transmission;
-        self.stats.contention += contention;
-        self.stats.hops += self.route_buf.len() as u64;
         if self.topo.crosses_bisection(src, dst) {
             self.stats.bisection_crossings += 1;
         }
@@ -199,7 +174,7 @@ impl Network {
             depart,
             arrive,
             latency: transmission,
-            contention,
+            contention: depart - at,
             hops: self.route_buf.len(),
         })
     }
@@ -290,7 +265,7 @@ mod tests {
         let d = net.send(ns(7), NodeId(2), NodeId(2), 32);
         assert_eq!(d.arrive, ns(7));
         assert_eq!(d.hops, 0);
-        assert_eq!(net.stats().messages, 0);
+        assert_eq!(d.latency + d.contention, SimTime::ZERO);
     }
 
     #[test]
@@ -314,19 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
-        let mut net = Network::new(Topology::hypercube(4));
-        net.send(SimTime::ZERO, NodeId(0), NodeId(3), 32);
-        net.send(SimTime::ZERO, NodeId(0), NodeId(3), 8);
-        let s = net.stats();
-        assert_eq!(s.messages, 2);
-        assert_eq!(s.bytes, 40);
-        assert_eq!(s.hops, 4);
-        assert_eq!(s.latency, ns(2000));
-        assert!(s.contention > SimTime::ZERO);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one byte")]
     fn zero_byte_remote_message_rejected() {
         Network::new(Topology::full(2)).send(SimTime::ZERO, NodeId(0), NodeId(1), 0);
@@ -345,7 +307,8 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, TopologyError::NodeOutOfRange { node: 7, p: 4 });
         // A failed send must leave the network state untouched.
-        assert_eq!(net.stats().messages, 0);
+        let d = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 8);
+        assert_eq!(d.contention, SimTime::ZERO);
     }
 
     #[test]

@@ -89,31 +89,26 @@ fn same_pair_fifo() {
     );
 }
 
-/// Aggregate stats equal the sum of per-delivery values.
+/// The bisection count is the number of remote messages whose
+/// endpoints the topology's canonical cut separates.
 #[test]
-fn stats_are_sums() {
+fn bisection_crossings_count_crossing_messages() {
     check(
-        "stats_are_sums",
+        "bisection_crossings_count_crossing_messages",
         &gens::tuple3(kinds(), gens::choice(vec![2usize, 4, 8, 16]), msgs(16)),
         |(kind, p, raw)| {
             let (kind, p) = (*kind, *p);
-            let mut net = Network::new(Topology::of_kind(kind, p));
-            let mut latency = SimTime::ZERO;
-            let mut contention = SimTime::ZERO;
-            let mut count = 0u64;
+            let topo = Topology::of_kind(kind, p);
+            let mut net = Network::new(topo);
+            let mut crossings = 0u64;
             for (at, src, dst, bytes) in sorted_by_time(raw) {
                 let (src, dst) = (NodeId(src % p), NodeId(dst % p));
-                let d = net.send(SimTime::from_ns(at), src, dst, bytes);
-                if src != dst {
-                    latency += d.latency;
-                    contention += d.contention;
-                    count += 1;
+                net.send(SimTime::from_ns(at), src, dst, bytes);
+                if src != dst && topo.crosses_bisection(src, dst) {
+                    crossings += 1;
                 }
             }
-            let s = net.stats();
-            prop_assert_eq!(s.messages, count);
-            prop_assert_eq!(s.latency, latency);
-            prop_assert_eq!(s.contention, contention);
+            prop_assert_eq!(net.stats().bisection_crossings, crossings);
             Ok(())
         },
     );

@@ -127,6 +127,18 @@ for shape in 'EngineMode::Optimistic' 'run_figure_journaled(' 'SweepJournal::res
     fi
 done
 
+# Traffic is counted once: every message's latency, contention, count and
+# bytes are charged to the processor that caused it, in `Buckets::add`
+# (crates/machine/src/stats.rs), and the run report sums those. A model,
+# the LogP gap tracker or the network keeping a running total of its own
+# is a second ledger of the same traffic.
+echo "==> one traffic ledger: no running totals in the models, logp or netsim"
+if grep -rnE 'self\.([a-z_]+\.)*(messages|bytes|latency|contention|waited|hops)(\[[^]]*\])?[[:space:]]*\+=' \
+    crates/machine/src/models crates/logp/src crates/netsim/src; then
+    echo "ERROR: a second traffic ledger; charge Buckets instead" >&2
+    exit 1
+fi
+
 # A sweep's identity travels as one `Sweep` value; a function in
 # crates/core that needs this allowance is spelling it positionally again.
 echo "==> no too_many_arguments allowance in crates/core"
