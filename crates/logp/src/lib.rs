@@ -9,15 +9,12 @@
 //!   assuming 32-byte messages on 20 MB/s serial links, *independent of
 //!   topology* — the deliberate pessimism/optimism of this choice is one of
 //!   the paper's findings (R1 in DESIGN.md).
-//! * **o** — the per-message processor overhead. On a shared-memory platform
-//!   the message overhead is incurred in hardware, so the paper drops `o`;
-//!   we keep the field (always zero by default) for completeness.
 //! * **g** — the gap: the minimum interval between consecutive message
 //!   transmissions/receptions at a node, computed from the per-processor
 //!   *bisection bandwidth* of the abstracted topology exactly as in the
 //!   paper: full `3.2/p µs`, hypercube `1.6 µs`, mesh `0.8·px µs` (`px` =
 //!   number of columns).
-//! * **P** — the number of processors.
+//! * **P** — the number of processors, which is the topology's node count.
 //!
 //! The [`GapTracker`] enforces `g` at each node. The paper's §7 observes
 //! that LogP's definition — no simultaneous sends *and* receives from one
@@ -49,17 +46,16 @@
 use spasm_desim::SimTime;
 use spasm_topology::{Topology, TopologyKind};
 
-/// The four LogP parameters, in simulation time units.
+/// The LogP parameters a topology determines, in simulation time units.
+/// `o` is zero on a shared-memory platform, where the hardware pays the
+/// message overhead, and `P` is the topology's node count, so neither is
+/// a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogPParams {
     /// Network latency per message (paper: 1.6 µs for 32-byte messages).
     pub l: SimTime,
     /// Per-node communication gap derived from bisection bandwidth.
     pub g: SimTime,
-    /// Per-message processor overhead (0 on the shared-memory platform).
-    pub o: SimTime,
-    /// Number of processors.
-    pub p: usize,
 }
 
 /// The paper's fixed L: one 32-byte message at 50 ns/byte.
@@ -93,8 +89,6 @@ impl LogPParams {
         LogPParams {
             l: SimTime::from_ns(L_NS),
             g: SimTime::from_ns(g_ns),
-            o: SimTime::ZERO,
-            p,
         }
     }
 
@@ -159,16 +153,6 @@ impl GapTracker {
             next_send: vec![SimTime::ZERO; p],
             next_recv: vec![SimTime::ZERO; p],
         }
-    }
-
-    /// The gap being enforced.
-    pub fn g(&self) -> SimTime {
-        self.g
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> GapPolicy {
-        self.policy
     }
 
     /// Acquires a network-interface slot for `kind` at `node`, at or after

@@ -63,11 +63,14 @@ impl fmt::Display for UnallocatedAddress {
 
 impl std::error::Error for UnallocatedAddress {}
 
+/// An allocation's placement: what the engine resolves a request's
+/// address to, once, before any model prices it.
 #[derive(Debug, Clone, Copy)]
-struct Region {
-    home: usize,
+pub(crate) struct Region {
+    /// The node whose memory holds the region.
+    pub(crate) home: usize,
     /// Index into [`AddressMap::labels`].
-    label: Option<usize>,
+    pub(crate) label: Option<usize>,
 }
 
 /// The NUMA placement map: which node's memory is home to each address.
@@ -152,24 +155,44 @@ impl AddressMap {
         Addr(start)
     }
 
-    #[inline]
-    fn region_of(&self, addr: Addr) -> Option<&Region> {
-        let block = usize::try_from(addr.block()).ok()?;
-        let &region = self.block_region.get(block)?;
-        Some(&self.regions[region as usize])
-    }
-
-    /// The home node of `addr`.
+    /// The region containing `addr`: the one lookup the engine makes per
+    /// access, which both validates the address and places it.
     ///
     /// # Errors
     ///
     /// [`UnallocatedAddress`] if no allocation covers `addr` — surfaced by
     /// the engine as [`crate::RunError::UnallocatedAddress`].
     #[inline]
-    pub fn home_of(&self, addr: Addr) -> Result<usize, UnallocatedAddress> {
-        self.region_of(addr)
-            .map(|r| r.home)
+    pub(crate) fn region(&self, addr: Addr) -> Result<Region, UnallocatedAddress> {
+        usize::try_from(addr.block())
+            .ok()
+            .and_then(|block| self.block_region.get(block))
+            .map(|&region| self.regions[region as usize])
             .ok_or(UnallocatedAddress(addr))
+    }
+
+    /// The home node of `addr`.
+    ///
+    /// # Errors
+    ///
+    /// [`UnallocatedAddress`] if no allocation covers `addr`.
+    pub fn home_of(&self, addr: Addr) -> Result<usize, UnallocatedAddress> {
+        self.region(addr).map(|r| r.home)
+    }
+
+    /// The home node of `block`, a block some cache already holds. Every
+    /// cached block was brought in by an access the engine validated, so
+    /// this cannot miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not allocated — a broken invariant.
+    #[inline]
+    pub(crate) fn home_of_block(&self, block: u64) -> usize {
+        match self.region(Addr(block * BLOCK_BYTES)) {
+            Ok(region) => region.home,
+            Err(e) => panic!("cached block {block}: {e}"),
+        }
     }
 
     /// The label of the region containing `addr`, if the address is
@@ -177,13 +200,8 @@ impl AddressMap {
     /// simply has no label; [`AddressMap::home_of`] is the lookup that
     /// reports unallocated addresses as errors.
     pub fn label_of(&self, addr: Addr) -> Option<&'static str> {
-        self.label_id_of(addr).map(|id| self.labels[id])
-    }
-
-    /// [`AddressMap::label_of`] as an index into [`AddressMap::labels`].
-    #[inline]
-    pub(crate) fn label_id_of(&self, addr: Addr) -> Option<usize> {
-        self.region_of(addr).and_then(|r| r.label)
+        let id = self.region(addr).ok()?.label?;
+        Some(self.labels[id])
     }
 
     /// Every distinct label allocated so far, indexed by label id.
@@ -282,8 +300,8 @@ mod tests {
         m.alloc_labeled(0, 1, Some("other"));
         let second = m.alloc_labeled(0, 1, Some(b));
         assert_eq!(m.labels(), ["twin", "other"]);
-        assert_eq!(m.label_id_of(first), Some(0));
-        assert_eq!(m.label_id_of(second), Some(0));
+        assert_eq!(m.region(first).unwrap().label, Some(0));
+        assert_eq!(m.region(second).unwrap().label, Some(0));
     }
 
     /// Two labels with equal text at different addresses.

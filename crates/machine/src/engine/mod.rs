@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use spasm_check::{CheckViolation, EngineChecker};
 use spasm_desim::{CalendarQueue, CoroCtx, CoroPool, SimTime};
-use spasm_topology::{Topology, TopologyError};
+use spasm_topology::Topology;
 
 use crate::addr::UnallocatedAddress;
 use crate::faults::{FaultCounters, FaultInjector, RunBudget};
@@ -75,11 +75,6 @@ pub enum RunError {
         /// The offending address.
         addr: Addr,
     },
-    /// A message could not be routed (an out-of-range node).
-    Route {
-        /// The underlying topology error.
-        error: TopologyError,
-    },
     /// A processor issued a malformed request (unaligned access,
     /// out-of-range destination, oversized message, double receive).
     BadRequest {
@@ -112,7 +107,6 @@ impl fmt::Display for RunError {
             RunError::UnallocatedAddress { addr } => {
                 write!(f, "address {addr} not allocated")
             }
-            RunError::Route { error } => write!(f, "routing failed: {error}"),
             RunError::BadRequest { proc, message } => {
                 write!(f, "processor {proc} issued a bad request: {message}")
             }
@@ -126,12 +120,6 @@ impl std::error::Error for RunError {}
 impl From<UnallocatedAddress> for RunError {
     fn from(e: UnallocatedAddress) -> Self {
         RunError::UnallocatedAddress { addr: e.0 }
-    }
-}
-
-impl From<TopologyError> for RunError {
-    fn from(error: TopologyError) -> Self {
-        RunError::Route { error }
     }
 }
 

@@ -236,7 +236,13 @@ impl Engine {
                 message: format!("unaligned access at {addr}"),
             });
         }
-        let mut cost = self.model.access(self.now, proc, addr, &self.amap, kind)?;
+        // The one lookup of this request's address: it refuses an
+        // unallocated address on every machine, the PRAM's included, and
+        // places an allocated one for both pricing and attribution.
+        let region = self.amap.region(addr)?;
+        let mut cost =
+            self.model
+                .access(self.now, proc, addr.block(), region.home, &self.amap, kind)?;
         let model_finish = cost.finish;
         // An injected delay on a network-touching transaction models a
         // slow link, charged to contention — time spent waiting on the
@@ -251,7 +257,7 @@ impl Engine {
             chk.on_access(proc, model_finish, cost.finish)?;
         }
         self.stats[proc].buckets.add(&cost.buckets);
-        if let Some(label) = self.amap.label_id_of(addr) {
+        if let Some(label) = region.label {
             self.region_traffic[label]
                 .get_or_insert_with(Buckets::default)
                 .add(&cost.buckets);

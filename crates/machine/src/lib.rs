@@ -77,7 +77,7 @@ mod telemetry;
 pub use addr::{Addr, AddressMap, UnallocatedAddress, BLOCK_BYTES, WORD_BYTES};
 pub use engine::{Engine, EngineMode, ProcBody, RunError, RunReport, SpecStats};
 pub use faults::{FaultCounters, FaultPlan, RunBudget};
-pub use models::{MachineConfig, MachineKind, Model};
+pub use models::{MachineConfig, MachineKind};
 pub use ops::{MemCtx, MemReq, MemResp, Pred, RmwOp};
 pub use setup::SetupCtx;
 pub use spasm_check::{CheckMode, CheckViolation};

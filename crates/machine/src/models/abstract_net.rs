@@ -44,11 +44,6 @@ impl AbstractNet {
         }
     }
 
-    /// The derived parameters.
-    pub fn params(&self) -> LogPParams {
-        self.params
-    }
-
     /// Delivers one abstract message and charges `buckets`; returns
     /// `(sender_slot, delivered)`, where the sender's network interface
     /// slot began is the point an asynchronous LogP sender is free to

@@ -5,8 +5,7 @@ use spasm_check::{CheckViolation, CoherenceChecker};
 use spasm_desim::SimTime;
 use spasm_topology::Topology;
 
-use crate::engine::RunError;
-use crate::{Addr, AddressMap, Buckets, BLOCK_BYTES, CYCLE_NS, MEM_NS};
+use crate::{AddressMap, Buckets, CYCLE_NS, MEM_NS};
 
 use super::{AbstractNet, Cost, MachineConfig, ModelSummary};
 
@@ -52,26 +51,25 @@ impl CLogPModel {
         }
     }
 
-    /// Prices one access.
+    /// Prices one access to `block`, homed at `home`.
     ///
     /// # Errors
     ///
-    /// [`RunError::UnallocatedAddress`] for an address no allocation
-    /// covers; [`RunError::Check`] when checking is on and an invariant
-    /// breaks.
+    /// The violation, when checking is on and an invariant breaks.
     pub fn access(
         &mut self,
         at: SimTime,
         proc: usize,
-        addr: Addr,
+        block: u64,
+        home: usize,
         amap: &AddressMap,
         kind: AccessKind,
-    ) -> Result<Cost, RunError> {
+    ) -> Result<Cost, CheckViolation> {
         let mut buckets = Buckets::default();
         let cycle = SimTime::from_ns(CYCLE_NS);
-        let outcome = self.coherence.access(proc, addr.block(), kind);
+        let outcome = self.coherence.access(proc, block, kind);
         if let Some(chk) = &mut self.checker {
-            chk.after_access(&self.coherence, at, proc, addr.block(), kind, &outcome)?;
+            chk.after_access(&self.coherence, at, proc, block, kind, &outcome)?;
         }
         let finish = match outcome {
             // Present with sufficient rights, or upgradable for free:
@@ -82,7 +80,6 @@ impl CLogPModel {
             }
             Outcome::Miss { writeback, .. } => {
                 // True data movement: fetch the block.
-                let home = amap.home_of(addr)?;
                 let finish = if home == proc {
                     buckets.mem += SimTime::from_ns(MEM_NS);
                     at + SimTime::from_ns(MEM_NS)
@@ -91,7 +88,7 @@ impl CLogPModel {
                 };
                 // An owned victim is written back (fire and forget).
                 if let Some(wb) = writeback {
-                    let wb_home = amap.home_of(Addr(wb.block * BLOCK_BYTES))?;
+                    let wb_home = amap.home_of_block(wb.block);
                     self.net.message(at, proc, wb_home, &mut buckets)?;
                 }
                 finish
@@ -111,11 +108,6 @@ impl CLogPModel {
             Some(chk) => chk.verify_all(&self.coherence),
             None => Ok(()),
         }
-    }
-
-    /// The derived LogP parameters in force.
-    pub fn params(&self) -> spasm_logp::LogPParams {
-        self.net.params()
     }
 
     /// Mutable access to the abstract network (explicit messaging).
@@ -139,6 +131,21 @@ impl CLogPModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Addr;
+
+    /// Prices an access to `addr` as the engine does: resolved to its
+    /// home first.
+    fn priced(
+        m: &mut CLogPModel,
+        amap: &AddressMap,
+        at: SimTime,
+        proc: usize,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> Cost {
+        let home = amap.region(addr).unwrap().home;
+        m.access(at, proc, addr.block(), home, amap, kind).unwrap()
+    }
 
     fn setup() -> (CLogPModel, AddressMap) {
         let topo = Topology::full(4);
@@ -153,13 +160,9 @@ mod tests {
     fn first_remote_read_pays_then_hits() {
         let (mut m, amap) = setup();
         let remote = Addr(512); // homed at 1
-        let c1 = m
-            .access(SimTime::ZERO, 0, remote, &amap, AccessKind::Read)
-            .unwrap();
+        let c1 = priced(&mut m, &amap, SimTime::ZERO, 0, remote, AccessKind::Read);
         assert_eq!(c1.buckets.msgs, 2);
-        let c2 = m
-            .access(c1.finish, 0, remote, &amap, AccessKind::Read)
-            .unwrap();
+        let c2 = priced(&mut m, &amap, c1.finish, 0, remote, AccessKind::Read);
         assert_eq!(c2.buckets.msgs, 0);
         assert_eq!(c2.finish, c1.finish + SimTime::from_ns(CYCLE_NS));
     }
@@ -173,9 +176,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut msgs = 0;
         for w in 0..4 {
-            let c = m
-                .access(t, 0, base.offset_words(w), &amap, AccessKind::Read)
-                .unwrap();
+            let c = priced(&mut m, &amap, t, 0, base.offset_words(w), AccessKind::Read);
             msgs += c.buckets.msgs;
             t = c.finish;
         }
@@ -189,17 +190,11 @@ mod tests {
         // processor's next read misses on both machines.
         let (mut m, amap) = setup();
         let a = Addr(512); // homed at node 1; procs 0 and 2 are remote
-        m.access(SimTime::ZERO, 0, a, &amap, AccessKind::Read)
-            .unwrap();
-        m.access(SimTime::ZERO, 2, a, &amap, AccessKind::Read)
-            .unwrap();
-        let w = m
-            .access(SimTime::ZERO, 0, a, &amap, AccessKind::Write)
-            .unwrap();
+        priced(&mut m, &amap, SimTime::ZERO, 0, a, AccessKind::Read);
+        priced(&mut m, &amap, SimTime::ZERO, 2, a, AccessKind::Read);
+        let w = priced(&mut m, &amap, SimTime::ZERO, 0, a, AccessKind::Write);
         assert_eq!(w.buckets.msgs, 0, "upgrade must be free");
-        let r = m
-            .access(SimTime::ZERO, 2, a, &amap, AccessKind::Read)
-            .unwrap();
+        let r = priced(&mut m, &amap, SimTime::ZERO, 2, a, AccessKind::Read);
         assert_eq!(r.buckets.msgs, 2, "re-read is a true communication");
     }
 
@@ -207,9 +202,7 @@ mod tests {
     fn local_miss_costs_memory_not_network() {
         let (mut m, amap) = setup();
         let local = Addr(0);
-        let c = m
-            .access(SimTime::ZERO, 0, local, &amap, AccessKind::Read)
-            .unwrap();
+        let c = priced(&mut m, &amap, SimTime::ZERO, 0, local, AccessKind::Read);
         assert_eq!(c.buckets.msgs, 0);
         assert_eq!(c.finish, SimTime::from_ns(MEM_NS));
     }
@@ -229,17 +222,11 @@ mod tests {
         };
         let mut m = CLogPModel::new(&topo, config);
         // Node 1 dirties block 0, then reads blocks 1 and 2 evicting it.
-        let w = m
-            .access(SimTime::ZERO, 1, Addr(0), &amap, AccessKind::Write)
-            .unwrap();
+        let w = priced(&mut m, &amap, SimTime::ZERO, 1, Addr(0), AccessKind::Write);
         assert_eq!(w.buckets.msgs, 2);
-        let r1 = m
-            .access(w.finish, 1, Addr(32), &amap, AccessKind::Read)
-            .unwrap();
+        let r1 = priced(&mut m, &amap, w.finish, 1, Addr(32), AccessKind::Read);
         assert_eq!(r1.buckets.msgs, 2);
-        let r2 = m
-            .access(r1.finish, 1, Addr(64), &amap, AccessKind::Read)
-            .unwrap();
+        let r2 = priced(&mut m, &amap, r1.finish, 1, Addr(64), AccessKind::Read);
         // fetch round trip (2) + writeback of dirty block 0 (1)
         assert_eq!(r2.buckets.msgs, 3);
     }

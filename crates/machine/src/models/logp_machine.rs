@@ -1,10 +1,10 @@
 //! The LogP machine: no caches, L/g network abstraction.
 
+use spasm_check::CheckViolation;
 use spasm_desim::SimTime;
 use spasm_topology::Topology;
 
-use crate::engine::RunError;
-use crate::{Addr, AddressMap, Buckets, MEM_NS};
+use crate::{Buckets, MEM_NS};
 
 use super::{AbstractNet, Cost, MachineConfig};
 
@@ -32,22 +32,20 @@ impl LogPModel {
         }
     }
 
-    /// Prices one access (kind-independent on this machine).
+    /// Prices one access to a word homed at `home` (kind-independent on
+    /// this machine).
     ///
     /// # Errors
     ///
-    /// [`RunError::UnallocatedAddress`] for an address no allocation
-    /// covers; [`RunError::Check`] when checking is on and the network
-    /// breaks the LogP rules.
+    /// The violation, when checking is on and the network breaks the LogP
+    /// rules.
     pub fn access(
         &mut self,
         at: SimTime,
         proc: usize,
-        addr: Addr,
-        amap: &AddressMap,
-    ) -> Result<Cost, RunError> {
+        home: usize,
+    ) -> Result<Cost, CheckViolation> {
         let mut buckets = Buckets::default();
-        let home = amap.home_of(addr)?;
         let finish = if home == proc {
             buckets.mem += SimTime::from_ns(MEM_NS);
             at + SimTime::from_ns(MEM_NS)
@@ -55,11 +53,6 @@ impl LogPModel {
             self.net.round_trip(at, proc, home, &mut buckets)?
         };
         Ok(Cost { finish, buckets })
-    }
-
-    /// The derived LogP parameters in force.
-    pub fn params(&self) -> spasm_logp::LogPParams {
-        self.net.params()
     }
 
     /// Mutable access to the abstract network (explicit messaging).
@@ -72,29 +65,22 @@ impl LogPModel {
 mod tests {
     use super::*;
 
-    fn setup() -> (LogPModel, AddressMap) {
-        let topo = Topology::hypercube(4);
-        let mut amap = AddressMap::new(4);
-        for home in 0..4 {
-            amap.alloc(home, 16);
-        }
-        (LogPModel::new(&topo, MachineConfig::default()), amap)
+    fn setup() -> LogPModel {
+        LogPModel::new(&Topology::hypercube(4), MachineConfig::default())
     }
 
     #[test]
     fn local_access_costs_memory_time() {
-        let (mut m, amap) = setup();
-        let local = Addr(0); // homed at 0
-        let c = m.access(SimTime::ZERO, 0, local, &amap).unwrap();
+        let mut m = setup();
+        let c = m.access(SimTime::ZERO, 0, 0).unwrap();
         assert_eq!(c.finish, SimTime::from_ns(300));
         assert_eq!(c.buckets.msgs, 0);
     }
 
     #[test]
     fn remote_access_is_a_round_trip() {
-        let (mut m, amap) = setup();
-        let remote = Addr(128); // homed at 1
-        let c = m.access(SimTime::ZERO, 0, remote, &amap).unwrap();
+        let mut m = setup();
+        let c = m.access(SimTime::ZERO, 0, 1).unwrap();
         assert_eq!(c.buckets.msgs, 2);
         assert_eq!(c.buckets.latency, SimTime::from_ns(3200));
         assert!(c.finish >= SimTime::from_ns(3200));
@@ -104,10 +90,9 @@ mod tests {
     fn repeated_remote_reads_always_pay() {
         // No cache: the same word costs the same every time — the essence
         // of what CLogP fixes.
-        let (mut m, amap) = setup();
-        let remote = Addr(128);
-        let c1 = m.access(SimTime::ZERO, 0, remote, &amap).unwrap();
-        let c2 = m.access(c1.finish, 0, remote, &amap).unwrap();
+        let mut m = setup();
+        let c1 = m.access(SimTime::ZERO, 0, 1).unwrap();
+        let c2 = m.access(c1.finish, 0, 1).unwrap();
         assert_eq!(c2.buckets.msgs, 2);
         assert!(c2.finish > c1.finish);
     }

@@ -14,9 +14,9 @@ use spasm_desim::SimTime;
 use spasm_logp::GapPolicy;
 use spasm_topology::Topology;
 
-use crate::engine::{EngineMode, RunError};
+use crate::engine::EngineMode;
 use crate::faults::{FaultPlan, RunBudget};
-use crate::{Addr, AddressMap, Buckets};
+use crate::{AddressMap, Buckets};
 
 pub use clogp::CLogPModel;
 pub use logp_machine::LogPModel;
@@ -157,9 +157,11 @@ impl ModelSummary {
 ///
 /// An enum rather than a trait object so the engine's hot loop dispatches
 /// statically-knowable variants and the whole simulator stays trivially
-/// `Send`.
+/// `Send`. A model prices only requests the engine has validated: every
+/// address it sees is allocated and resolved to its home, and every node
+/// it routes is in range.
 #[derive(Debug)]
-pub enum Model {
+pub(crate) enum Model {
     /// See [`MachineKind::Pram`].
     Pram(PramModel),
     /// See [`MachineKind::Target`].
@@ -191,26 +193,26 @@ impl Model {
         }
     }
 
-    /// Prices one access of `kind` by `proc` to `addr` starting at `at`.
+    /// Prices one access of `kind` by `proc` to `block`, homed at `home`,
+    /// starting at `at`. `amap` places the victims of evictions.
     ///
     /// # Errors
     ///
-    /// [`RunError::UnallocatedAddress`] when `addr` lies outside every
-    /// allocation; [`RunError::Route`] if the target network cannot route
-    /// the access's messages.
+    /// The violation, when checking is on and an invariant breaks.
     pub fn access(
         &mut self,
         at: SimTime,
         proc: usize,
-        addr: Addr,
+        block: u64,
+        home: usize,
         amap: &AddressMap,
         kind: AccessKind,
-    ) -> Result<Cost, RunError> {
+    ) -> Result<Cost, CheckViolation> {
         match self {
             Model::Pram(m) => Ok(m.access(at)),
-            Model::Target(m) => m.access(at, proc, addr, amap, kind),
-            Model::LogP(m) => m.access(at, proc, addr, amap),
-            Model::CLogP(m) => m.access(at, proc, addr, amap, kind),
+            Model::Target(m) => m.access(at, proc, block, home, amap, kind),
+            Model::LogP(m) => m.access(at, proc, home),
+            Model::CLogP(m) => m.access(at, proc, block, home, amap, kind),
         }
     }
 
@@ -219,16 +221,15 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// [`RunError::Route`] if the target network cannot route the message
-    /// (the abstracted networks never fail here); [`RunError::Check`]
-    /// when checking is on and the network breaks its own rules.
+    /// The violation, when checking is on and the network breaks its own
+    /// rules.
     pub fn msg_send(
         &mut self,
         at: SimTime,
         src: usize,
         dst: usize,
         bytes: u64,
-    ) -> Result<MsgCost, RunError> {
+    ) -> Result<MsgCost, CheckViolation> {
         match self {
             Model::Pram(_) => {
                 let cycle = SimTime::from_ns(crate::CYCLE_NS);
@@ -242,8 +243,8 @@ impl Model {
                 })
             }
             Model::Target(m) => m.msg_send(at, src, dst, bytes),
-            Model::LogP(m) => Ok(m.net_mut().msg_send(at, src, dst)?),
-            Model::CLogP(m) => Ok(m.net_mut().msg_send(at, src, dst)?),
+            Model::LogP(m) => m.net_mut().msg_send(at, src, dst),
+            Model::CLogP(m) => m.net_mut().msg_send(at, src, dst),
         }
     }
 

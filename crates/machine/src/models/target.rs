@@ -6,9 +6,8 @@ use spasm_desim::{Facility, SimTime};
 use spasm_net::{Delivery, Network};
 use spasm_topology::{NodeId, Topology};
 
-use crate::engine::RunError;
 use crate::fxhash::FxHashMap;
-use crate::{Addr, AddressMap, Buckets, BLOCK_BYTES, CTRL_BYTES, CYCLE_NS, DATA_BYTES, MEM_NS};
+use crate::{AddressMap, Buckets, CTRL_BYTES, CYCLE_NS, DATA_BYTES, MEM_NS};
 
 use super::{Cost, MachineConfig, ModelSummary};
 
@@ -63,6 +62,8 @@ impl TargetModel {
         }
     }
 
+    /// Sends one message. Every endpoint is a node the engine checked or
+    /// the address map or directory named, so routing cannot fail.
     fn send(
         &mut self,
         at: SimTime,
@@ -70,8 +71,8 @@ impl TargetModel {
         dst: usize,
         bytes: u64,
         buckets: &mut Buckets,
-    ) -> Result<Delivery, RunError> {
-        let d = self.net.try_send(at, NodeId(src), NodeId(dst), bytes)?;
+    ) -> Result<Delivery, CheckViolation> {
+        let d = self.net.send(at, NodeId(src), NodeId(dst), bytes);
         if src != dst {
             buckets.latency += d.latency;
             buckets.contention += d.contention;
@@ -103,7 +104,7 @@ impl TargetModel {
         home: usize,
         victims: NodeSet,
         buckets: &mut Buckets,
-    ) -> Result<SimTime, RunError> {
+    ) -> Result<SimTime, CheckViolation> {
         let cycle = SimTime::from_ns(CYCLE_NS);
         let mut all_acked = t0;
         for s in victims.iter() {
@@ -114,25 +115,22 @@ impl TargetModel {
         Ok(all_acked)
     }
 
-    /// Prices one access.
+    /// Prices one access to `block`, homed at `home`.
     ///
     /// # Errors
     ///
-    /// [`RunError::UnallocatedAddress`] for an address no allocation
-    /// covers; [`RunError::Route`] if the network cannot route a message;
-    /// [`RunError::Check`] when checking is on and an invariant breaks.
+    /// The violation, when checking is on and an invariant breaks.
     pub fn access(
         &mut self,
         at: SimTime,
         proc: usize,
-        addr: Addr,
+        block: u64,
+        home: usize,
         amap: &AddressMap,
         kind: AccessKind,
-    ) -> Result<Cost, RunError> {
+    ) -> Result<Cost, CheckViolation> {
         let mut buckets = Buckets::default();
         let cycle = SimTime::from_ns(CYCLE_NS);
-        let block = addr.block();
-        let home = amap.home_of(addr)?;
 
         let outcome = self.coherence.access(proc, block, kind);
         if let Some(chk) = &mut self.checker {
@@ -189,7 +187,7 @@ impl TargetModel {
 
                 // Writeback of an owned victim: fire and forget.
                 if let Some(wb) = writeback {
-                    let wb_home = amap.home_of(Addr(wb.block * BLOCK_BYTES))?;
+                    let wb_home = amap.home_of_block(wb.block);
                     let w = self.send(at, proc, wb_home, DATA_BYTES, &mut buckets)?;
                     self.memory[wb_home].reserve(w.arrive, SimTime::from_ns(MEM_NS));
                 }
@@ -211,16 +209,15 @@ impl TargetModel {
     ///
     /// # Errors
     ///
-    /// [`RunError::Route`] if the network cannot route the message;
-    /// [`RunError::Check`] when checking is on and the delivery breaks
-    /// the network's own timing.
+    /// The violation, when checking is on and the delivery breaks the
+    /// network's own timing.
     pub fn msg_send(
         &mut self,
         at: SimTime,
         src: usize,
         dst: usize,
         bytes: u64,
-    ) -> Result<super::MsgCost, RunError> {
+    ) -> Result<super::MsgCost, CheckViolation> {
         let mut buckets = Buckets::default();
         let cycle = SimTime::from_ns(CYCLE_NS);
         let d = self.send(at, src, dst, bytes, &mut buckets)?;
@@ -263,6 +260,21 @@ impl TargetModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Addr;
+
+    /// Prices an access to `addr` as the engine does: resolved to its
+    /// home first.
+    fn priced(
+        m: &mut TargetModel,
+        amap: &AddressMap,
+        at: SimTime,
+        proc: usize,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> Cost {
+        let home = amap.region(addr).unwrap().home;
+        m.access(at, proc, addr.block(), home, amap, kind).unwrap()
+    }
 
     fn setup(p: usize) -> (TargetModel, AddressMap) {
         let mut amap = AddressMap::new(p);
@@ -279,9 +291,7 @@ mod tests {
     fn read_miss_from_memory_costs_req_mem_data() {
         let (mut m, amap) = setup(2);
         let remote = Addr(512); // homed at 1
-        let c = m
-            .access(SimTime::ZERO, 0, remote, &amap, AccessKind::Read)
-            .unwrap();
+        let c = priced(&mut m, &amap, SimTime::ZERO, 0, remote, AccessKind::Read);
         // 8B request (400ns) + 300ns memory + 32B data (1600ns) = 2300ns.
         assert_eq!(c.finish, SimTime::from_ns(2300));
         assert_eq!(c.buckets.msgs, 2);
@@ -293,12 +303,8 @@ mod tests {
     fn hit_costs_one_cycle() {
         let (mut m, amap) = setup(2);
         let remote = Addr(512);
-        let c1 = m
-            .access(SimTime::ZERO, 0, remote, &amap, AccessKind::Read)
-            .unwrap();
-        let c2 = m
-            .access(c1.finish, 0, remote, &amap, AccessKind::Read)
-            .unwrap();
+        let c1 = priced(&mut m, &amap, SimTime::ZERO, 0, remote, AccessKind::Read);
+        let c2 = priced(&mut m, &amap, c1.finish, 0, remote, AccessKind::Read);
         assert_eq!(c2.finish, c1.finish + SimTime::from_ns(CYCLE_NS));
         assert_eq!(c2.buckets.msgs, 0);
     }
@@ -306,9 +312,7 @@ mod tests {
     #[test]
     fn local_cold_miss_costs_memory_only() {
         let (mut m, amap) = setup(2);
-        let c = m
-            .access(SimTime::ZERO, 0, Addr(0), &amap, AccessKind::Read)
-            .unwrap();
+        let c = priced(&mut m, &amap, SimTime::ZERO, 0, Addr(0), AccessKind::Read);
         // Request and data are zero-hop; only the 300ns module access.
         assert_eq!(c.finish, SimTime::from_ns(300));
         assert_eq!(c.buckets.msgs, 0);
@@ -318,15 +322,17 @@ mod tests {
     fn upgrade_pays_invalidation_round_trips() {
         let (mut m, amap) = setup(4);
         let a = Addr(512); // homed at 1
-        m.access(SimTime::ZERO, 0, a, &amap, AccessKind::Read)
-            .unwrap();
-        m.access(SimTime::ZERO, 2, a, &amap, AccessKind::Read)
-            .unwrap();
-        m.access(SimTime::ZERO, 3, a, &amap, AccessKind::Read)
-            .unwrap();
-        let w = m
-            .access(SimTime::from_us(100), 0, a, &amap, AccessKind::Write)
-            .unwrap();
+        priced(&mut m, &amap, SimTime::ZERO, 0, a, AccessKind::Read);
+        priced(&mut m, &amap, SimTime::ZERO, 2, a, AccessKind::Read);
+        priced(&mut m, &amap, SimTime::ZERO, 3, a, AccessKind::Read);
+        let w = priced(
+            &mut m,
+            &amap,
+            SimTime::from_us(100),
+            0,
+            a,
+            AccessKind::Write,
+        );
         // req + 2 invals + 2 acks + grant = 6 control messages.
         assert_eq!(w.buckets.msgs, 6);
         // req(400) -> inval(400) -> +cycle ack(400) -> grant(400) ≈ 1630ns
@@ -338,11 +344,8 @@ mod tests {
         let (mut m, amap) = setup(4);
         let a = Addr(512); // homed at 1
                            // Node 2 writes (miss, becomes owner), then node 3 reads.
-        m.access(SimTime::ZERO, 2, a, &amap, AccessKind::Write)
-            .unwrap();
-        let r = m
-            .access(SimTime::from_us(100), 3, a, &amap, AccessKind::Read)
-            .unwrap();
+        priced(&mut m, &amap, SimTime::ZERO, 2, a, AccessKind::Write);
+        let r = priced(&mut m, &amap, SimTime::from_us(100), 3, a, AccessKind::Read);
         // req(3->1) + fwd(1->2) + data(2->3): 400+400+1600 (+cycle).
         assert_eq!(r.buckets.msgs, 3);
         assert_eq!(r.buckets.bytes, 8 + 8 + 32);
@@ -352,13 +355,9 @@ mod tests {
     fn same_block_transactions_serialize_at_home() {
         let (mut m, amap) = setup(4);
         let a = Addr(512);
-        let c1 = m
-            .access(SimTime::ZERO, 0, a, &amap, AccessKind::Read)
-            .unwrap();
+        let c1 = priced(&mut m, &amap, SimTime::ZERO, 0, a, AccessKind::Read);
         // Overlapping read of the same block from another node waits.
-        let c2 = m
-            .access(SimTime::ZERO, 2, a, &amap, AccessKind::Read)
-            .unwrap();
+        let c2 = priced(&mut m, &amap, SimTime::ZERO, 2, a, AccessKind::Read);
         assert!(c2.buckets.dir_wait > SimTime::ZERO);
         assert!(c2.finish > c1.finish);
     }
@@ -367,13 +366,16 @@ mod tests {
     fn write_miss_completion_covers_data_and_grant() {
         let (mut m, amap) = setup(4);
         let a = Addr(512);
-        m.access(SimTime::ZERO, 2, a, &amap, AccessKind::Read)
-            .unwrap();
-        m.access(SimTime::ZERO, 3, a, &amap, AccessKind::Read)
-            .unwrap();
-        let w = m
-            .access(SimTime::from_us(100), 0, a, &amap, AccessKind::Write)
-            .unwrap();
+        priced(&mut m, &amap, SimTime::ZERO, 2, a, AccessKind::Read);
+        priced(&mut m, &amap, SimTime::ZERO, 3, a, AccessKind::Read);
+        let w = priced(
+            &mut m,
+            &amap,
+            SimTime::from_us(100),
+            0,
+            a,
+            AccessKind::Write,
+        );
         // req + data(from mem) + 2 invals + 2 acks + grant = 7 messages.
         assert_eq!(w.buckets.msgs, 7);
     }
@@ -391,16 +393,10 @@ mod tests {
             ..MachineConfig::default()
         };
         let mut m = TargetModel::new(&Topology::full(2), config);
-        let w = m
-            .access(SimTime::ZERO, 1, Addr(0), &amap, AccessKind::Write)
-            .unwrap();
-        let r1 = m
-            .access(w.finish, 1, Addr(32), &amap, AccessKind::Read)
-            .unwrap();
+        let w = priced(&mut m, &amap, SimTime::ZERO, 1, Addr(0), AccessKind::Write);
+        let r1 = priced(&mut m, &amap, w.finish, 1, Addr(32), AccessKind::Read);
         // Third access evicts the dirty block 0 -> 32B writeback message.
-        let r2 = m
-            .access(r1.finish, 1, Addr(64), &amap, AccessKind::Read)
-            .unwrap();
+        let r2 = priced(&mut m, &amap, r1.finish, 1, Addr(64), AccessKind::Read);
         assert_eq!(r2.buckets.msgs, 3); // req + data + writeback
         assert_eq!(r2.buckets.bytes, 8 + 32 + 32);
         // Completion = req + mem + data; the writeback does not extend it.
@@ -413,9 +409,7 @@ mod tests {
         // pessimistic (paper §6.1).
         let (mut m, amap) = setup(2);
         let a = Addr(512);
-        let r = m
-            .access(SimTime::ZERO, 0, a, &amap, AccessKind::Read)
-            .unwrap();
+        let r = priced(&mut m, &amap, SimTime::ZERO, 0, a, AccessKind::Read);
         // 8B request costs 400ns, not 1600ns.
         assert_eq!(r.buckets.latency, SimTime::from_ns(400 + 1600));
     }

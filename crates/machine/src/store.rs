@@ -1,7 +1,5 @@
 //! The simulated shared-memory value store.
 
-use std::collections::BTreeMap;
-
 use crate::addr::WORD_BYTES;
 use crate::Addr;
 
@@ -12,11 +10,11 @@ use crate::Addr;
 /// processes the completion event), so overlapping atomic operations
 /// serialize in commit order. Unwritten words read as zero.
 ///
-/// The allocated address space is one dense vector indexed by word
-/// ([`crate::SetupCtx`] extends it with every allocation), so the engine's
-/// reads and writes — which only ever reach allocated words — are array
-/// accesses. A word outside it still works, through a sparse side map, so
-/// no allocation is ever proportional to an address nobody allocated.
+/// The store is the allocated address space as one dense vector indexed
+/// by word ([`crate::SetupCtx`] extends it with every allocation). The
+/// engine refuses an unallocated address before any request commits, so
+/// every read and write is an array access; a word outside the space is a
+/// broken invariant and panics naming the address.
 ///
 /// Floating-point values are stored as `u64` bit patterns; see
 /// [`ValueStore::read_f64`] / [`ValueStore::write_f64`].
@@ -24,8 +22,6 @@ use crate::Addr;
 pub struct ValueStore {
     /// Word `i` of the allocated address space.
     dense: Vec<u64>,
-    /// Word index → value, for written words outside `dense`.
-    overflow: BTreeMap<u64, u64>,
 }
 
 impl ValueStore {
@@ -34,17 +30,25 @@ impl ValueStore {
         ValueStore::default()
     }
 
-    /// Extends the dense range to the first `bytes` bytes of the address
-    /// space, keeping every value written so far.
+    /// Extends the store to the first `bytes` bytes of the address space,
+    /// keeping every value written so far.
     pub(crate) fn cover(&mut self, bytes: u64) {
         let words = bytes / WORD_BYTES;
         let len = usize::try_from(words).expect("allocated space fits host memory");
         self.dense.resize(len, 0);
-        if !self.overflow.is_empty() {
-            let outside = self.overflow.split_off(&words);
-            for (word, value) in std::mem::replace(&mut self.overflow, outside) {
-                self.dense[word as usize] = value;
-            }
+    }
+
+    /// The dense index of the word at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is not word-aligned or not allocated.
+    #[inline]
+    fn index(&self, addr: Addr) -> usize {
+        assert!(addr.is_word_aligned(), "unaligned access at {addr}");
+        match usize::try_from(addr.word_index()) {
+            Ok(i) if i < self.dense.len() => i,
+            _ => panic!("address {addr} outside the allocated space"),
         }
     }
 
@@ -52,32 +56,21 @@ impl ValueStore {
     ///
     /// # Panics
     ///
-    /// Panics if the address is not word-aligned.
+    /// Panics if the address is not word-aligned or not allocated.
     #[inline]
     pub fn read_word(&self, addr: Addr) -> u64 {
-        assert!(addr.is_word_aligned(), "unaligned read at {addr}");
-        let word = addr.word_index();
-        match usize::try_from(word).ok().and_then(|i| self.dense.get(i)) {
-            Some(&value) => value,
-            None => self.overflow.get(&word).copied().unwrap_or(0),
-        }
+        self.dense[self.index(addr)]
     }
 
     /// Writes the word at `addr`.
     ///
     /// # Panics
     ///
-    /// Panics if the address is not word-aligned.
+    /// Panics if the address is not word-aligned or not allocated.
     #[inline]
     pub fn write_word(&mut self, addr: Addr, value: u64) {
-        assert!(addr.is_word_aligned(), "unaligned write at {addr}");
-        let word = addr.word_index();
-        let index = usize::try_from(word).ok();
-        if let Some(slot) = index.and_then(|i| self.dense.get_mut(i)) {
-            *slot = value;
-        } else {
-            self.overflow.insert(word, value);
-        }
+        let i = self.index(addr);
+        self.dense[i] = value;
     }
 
     /// Reads the word at `addr` as an `f64` bit pattern.
@@ -98,12 +91,9 @@ mod tests {
     #[test]
     fn unwritten_words_read_zero() {
         let mut s = ValueStore::new();
-        assert_eq!(s.read_word(Addr(0)), 0);
-        assert_eq!(s.read_word(Addr(8192)), 0);
-        // Inside the dense range, on its edge, and far outside it.
         s.cover(64);
         assert_eq!(s.dense.len(), 8);
-        for a in [0, 56, 64, 8192, 1 << 60] {
+        for a in [0, 8, 56] {
             assert_eq!(s.read_word(Addr(a)), 0, "{a:#x}");
         }
     }
@@ -111,35 +101,10 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let mut s = ValueStore::new();
+        s.cover(32);
         s.write_word(Addr(16), 42);
         assert_eq!(s.read_word(Addr(16)), 42);
         assert_eq!(s.read_word(Addr(24)), 0);
-    }
-
-    #[test]
-    fn a_write_far_above_the_allocated_space_stays_sparse() {
-        let mut s = ValueStore::new();
-        s.cover(32);
-        s.write_word(Addr(24), 7);
-        assert!(s.overflow.is_empty());
-        s.write_word(Addr(1 << 60), 99);
-        assert_eq!(s.read_word(Addr(24)), 7);
-        assert_eq!(s.read_word(Addr(1 << 60)), 99);
-        assert_eq!(s.read_word(Addr((1 << 60) + 8)), 0);
-        assert_eq!(s.dense.len(), 4);
-        assert_eq!(s.overflow.len(), 1);
-    }
-
-    #[test]
-    fn cover_keeps_values_written_before_the_range_reached_them() {
-        let mut s = ValueStore::new();
-        s.write_word(Addr(40), 5);
-        s.write_word(Addr(64), 6);
-        s.cover(64);
-        assert_eq!(s.read_word(Addr(40)), 5);
-        assert_eq!(s.read_word(Addr(64)), 6);
-        assert_eq!(s.dense[5], 5);
-        assert_eq!(s.overflow.len(), 1);
     }
 
     #[test]
@@ -164,11 +129,20 @@ mod tests {
     #[test]
     fn f64_roundtrip() {
         let mut s = ValueStore::new();
+        s.cover(32);
         s.write_f64(Addr(8), -1234.5e-6);
         assert_eq!(s.read_f64(Addr(8)), -1234.5e-6);
         // NaN bit patterns survive too.
         s.write_f64(Addr(16), f64::NAN);
         assert!(s.read_f64(Addr(16)).is_nan());
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x20 outside the allocated space")]
+    fn a_word_outside_the_allocated_space_panics() {
+        let mut s = ValueStore::new();
+        s.cover(32);
+        s.write_word(Addr(32), 1);
     }
 
     #[test]

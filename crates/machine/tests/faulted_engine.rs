@@ -181,21 +181,35 @@ fn stalls_are_counted_and_charged() {
 #[test]
 fn unallocated_address_is_a_typed_run_error() {
     use spasm_machine::Addr;
-    for kind in [MachineKind::Target, MachineKind::LogP, MachineKind::CLogP] {
-        let topo = Topology::full(2);
-        let mut setup = SetupCtx::new(2);
-        setup.alloc(0, 1);
-        let bodies: Vec<ProcBody> = vec![
-            Box::new(|_, ctx| {
-                MemCtx::new(ctx).read(Addr(1 << 40)); // fabricated pointer
-            }),
-            Box::new(|_, _| {}),
-        ];
-        match Engine::new(kind, &topo, setup, bodies).run() {
-            Err(RunError::UnallocatedAddress { addr }) => {
-                assert_eq!(addr, Addr(1 << 40), "{kind}")
+    // A fabricated pointer, touched by each kind of memory operation.
+    const FABRICATED: Addr = Addr(1 << 40);
+    let touches: [fn(&MemCtx<'_>); 4] = [
+        |mem| {
+            mem.read(FABRICATED);
+        },
+        |mem| mem.write(FABRICATED, 7),
+        |mem| {
+            mem.fetch_add(FABRICATED, 1);
+        },
+        |mem| {
+            mem.wait_until(FABRICATED, Pred::Eq(1));
+        },
+    ];
+    for kind in ALL_MACHINES {
+        for (op, touch) in touches.into_iter().enumerate() {
+            let topo = Topology::full(2);
+            let mut setup = SetupCtx::new(2);
+            setup.alloc(0, 1);
+            let bodies: Vec<ProcBody> = vec![
+                Box::new(move |_, ctx| touch(&MemCtx::new(ctx))),
+                Box::new(|_, _| {}),
+            ];
+            match Engine::new(kind, &topo, setup, bodies).run() {
+                Err(RunError::UnallocatedAddress { addr }) => {
+                    assert_eq!(addr, FABRICATED, "{kind} op {op}")
+                }
+                other => panic!("{kind} op {op}: expected UnallocatedAddress, got {other:?}"),
             }
-            other => panic!("{kind}: expected UnallocatedAddress, got {other:?}"),
         }
     }
 }

@@ -139,6 +139,18 @@ if grep -rnE 'self\.([a-z_]+\.)*(messages|bytes|latency|contention|waited|hops)(
     exit 1
 fi
 
+# The engine resolves a request's address once, in `priced_access`, and
+# refuses an unallocated one on every machine; a model receives the home.
+# A model looking an address up again, or naming `RunError`, is a second
+# validation, and a sparse map in the store is a place for an address the
+# engine should have refused.
+echo "==> a request is validated once, in the engine"
+if grep -nE 'RunError|home_of\(addr\)' crates/machine/src/models/*.rs ||
+    grep -n BTreeMap crates/machine/src/store.rs; then
+    echo "ERROR: validation outside Engine::priced_access" >&2
+    exit 1
+fi
+
 # A sweep's identity travels as one `Sweep` value; a function in
 # crates/core that needs this allowance is spelling it positionally again.
 echo "==> no too_many_arguments allowance in crates/core"
