@@ -204,6 +204,11 @@ impl AddressMap {
         Some(self.labels[id])
     }
 
+    /// Number of allocated blocks: block ids run densely from zero.
+    pub(crate) fn blocks(&self) -> usize {
+        self.block_region.len()
+    }
+
     /// Every distinct label allocated so far, indexed by label id.
     pub(crate) fn labels(&self) -> &[&'static str] {
         &self.labels

@@ -5,6 +5,7 @@
 
 mod sequential;
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
 
@@ -14,7 +15,6 @@ use spasm_topology::Topology;
 
 use crate::addr::UnallocatedAddress;
 use crate::faults::{FaultCounters, FaultInjector, RunBudget};
-use crate::fxhash::FxHashMap;
 use crate::models::{MachineConfig, MachineKind, Model, ModelSummary};
 use crate::ops::{MemReq, MemResp, Pred};
 use crate::stats::{Buckets, ProcStats};
@@ -211,6 +211,16 @@ pub(crate) enum Ev {
 // A queue entry is `(SimTime, seq, Ev)`: one 64-byte cache line.
 const _: () = assert!(std::mem::size_of::<(SimTime, u64, Ev)>() == 64);
 
+/// What a blocked processor waits for.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// A write to this word (an in-cache spin on a caching machine); the
+    /// woken processor re-reads it and re-checks the predicate.
+    Word(Addr, Pred),
+    /// A message with this tag.
+    Tag(u64),
+}
+
 /// Drives application processes over a machine model.
 ///
 /// See the crate-level example. The engine owns the coroutine pool, the
@@ -222,16 +232,17 @@ pub struct Engine {
     amap: AddressMap,
     store: ValueStore,
     events: CalendarQueue<Ev>,
-    /// word index → processors spin-waiting on that word.
-    watchers: FxHashMap<u64, Vec<(usize, Pred)>>,
+    /// Processors blocked on a word or a tag, in the order they blocked:
+    /// a write wakes its word's spinners in that order. A processor
+    /// blocks at most once, so the list holds at most one entry each.
+    blocked: Vec<(usize, Wait)>,
     /// Label id (see [`AddressMap::labels`]) → overheads attributed to the
     /// label's regions; `None` until the first access, so the report
     /// lists exactly the labels that were touched.
     region_traffic: Vec<Option<Buckets>>,
-    /// (receiver, tag) → arrived-but-unconsumed message payloads, FIFO.
-    mailboxes: FxHashMap<(usize, u64), std::collections::VecDeque<u64>>,
-    /// Per-processor pending blocking receive (tag), if any.
-    recv_wait: Vec<Option<u64>>,
+    /// Receiver → arrived-but-unconsumed `(tag, value)` messages in
+    /// arrival order; a receive takes the first with its tag.
+    mailboxes: Vec<VecDeque<(u64, u64)>>,
     wait_start: Vec<Option<SimTime>>,
     stats: Vec<ProcStats>,
     live: usize,
@@ -291,14 +302,13 @@ impl Engine {
             .collect();
         Engine {
             pool: CoroPool::from_bodies(wrapped),
-            model: Model::new(kind, topo, config),
+            model: Model::new(kind, topo, &amap, config),
             amap,
             store,
             events: CalendarQueue::new(),
-            watchers: FxHashMap::default(),
+            blocked: Vec::with_capacity(p),
             region_traffic: vec![None; labels],
-            mailboxes: FxHashMap::default(),
-            recv_wait: vec![None; p],
+            mailboxes: vec![VecDeque::new(); p],
             wait_start: vec![None; p],
             stats: vec![ProcStats::default(); p],
             live: p,

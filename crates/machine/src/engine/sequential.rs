@@ -13,7 +13,7 @@ use crate::ops::{MemReq, MemResp};
 use crate::stats::Buckets;
 use crate::{Addr, CYCLE_NS};
 
-use super::{Engine, Ev, RunError, RunReport};
+use super::{Engine, Ev, RunError, RunReport, Wait};
 
 impl Engine {
     /// Runs the simulation to completion.
@@ -67,18 +67,7 @@ impl Engine {
             }
         }
         if self.live > 0 {
-            let mut waiting: Vec<usize> = self
-                .watchers
-                .values()
-                .flat_map(|v| v.iter().map(|&(p, _)| p))
-                .collect();
-            waiting.extend(
-                self.recv_wait
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.is_some())
-                    .map(|(p, _)| p),
-            );
+            let mut waiting: Vec<usize> = self.blocked.iter().map(|&(p, _)| p).collect();
             waiting.sort_unstable();
             return Err(RunError::Deadlock {
                 at: self.now,
@@ -196,23 +185,23 @@ impl Engine {
                 return Ok(());
             }
             MemReq::Recv { tag } => {
-                if self
-                    .mailboxes
-                    .get(&(proc, tag))
-                    .is_some_and(|q| !q.is_empty())
-                {
+                if self.mailboxes[proc].iter().any(|&(t, _)| t == tag) {
                     // Message already arrived: charge the receive handoff.
                     // Only this processor consumes the mailbox, so the
-                    // commit pops the message seen here.
+                    // commit takes the message seen here.
                     now + SimTime::from_ns(CYCLE_NS)
                 } else {
-                    if self.recv_wait[proc].is_some() {
+                    if self
+                        .blocked
+                        .iter()
+                        .any(|&(p, wait)| p == proc && matches!(wait, Wait::Tag(_)))
+                    {
                         return Err(RunError::BadRequest {
                             proc,
                             message: format!("processor {proc} already blocked in recv"),
                         });
                     }
-                    self.recv_wait[proc] = Some(tag);
+                    self.blocked.push((proc, Wait::Tag(tag)));
                     if self.wait_start[proc].is_none() {
                         self.wait_start[proc] = Some(now);
                     }
@@ -274,20 +263,22 @@ impl Engine {
             }
             MemReq::Write { addr, value } => {
                 self.store.write_word(addr, value);
-                self.wake_watchers(addr);
+                self.wake_spinners(addr);
                 self.resume(proc, MemResp::Ack)
             }
             MemReq::Rmw { addr, op } => {
                 let old = self.store.read_word(addr);
                 self.store.write_word(addr, op.apply(old));
-                self.wake_watchers(addr);
+                self.wake_spinners(addr);
                 self.resume(proc, MemResp::Value(old))
             }
             MemReq::Recv { tag } => {
-                let value = self
-                    .mailboxes
-                    .get_mut(&(proc, tag))
-                    .and_then(|q| q.pop_front())
+                let mailbox = &mut self.mailboxes[proc];
+                let value = mailbox
+                    .iter()
+                    .position(|&(t, _)| t == tag)
+                    .and_then(|i| mailbox.remove(i))
+                    .map(|(_, value)| value)
                     .expect("a committed receive finds the message its dispatch saw");
                 if let Some(start) = self.wait_start[proc].take() {
                     self.stats[proc].buckets.sync += self.now - start;
@@ -312,10 +303,7 @@ impl Engine {
                         self.events.push(self.now, Ev::Dispatch(proc as u32, req));
                     } else {
                         // Spin in-cache: idle until the word is written.
-                        self.watchers
-                            .entry(addr.word_index())
-                            .or_default()
-                            .push((proc, pred));
+                        self.blocked.push((proc, Wait::Word(addr, pred)));
                     }
                     Ok(())
                 }
@@ -323,35 +311,37 @@ impl Engine {
         }
     }
 
-    fn wake_watchers(&mut self, addr: Addr) {
-        let word = addr.word_index();
-        let Some(list) = self.watchers.get_mut(&word) else {
+    fn wake_spinners(&mut self, addr: Addr) {
+        // Most writes find nobody blocked (on a polling machine, every one).
+        if self.blocked.is_empty() {
             return;
-        };
-        // The word gets its emptied list back, so the next spinner on it
-        // pushes into a buffer that already exists.
-        let mut waiters = std::mem::take(list);
-        for &(proc, pred) in &waiters {
-            // Each waiter re-reads the (just-invalidated) word and
-            // re-checks — the paper's "first and last accesses use the
-            // network" spin behaviour.
-            self.events.push(
-                self.now,
-                Ev::Dispatch(proc as u32, MemReq::WaitUntil { addr, pred }),
-            );
         }
-        waiters.clear();
-        self.watchers.insert(word, waiters);
+        let now = self.now;
+        let events = &mut self.events;
+        self.blocked.retain(|&(proc, wait)| match wait {
+            Wait::Word(word, pred) if word == addr => {
+                // Each waiter re-reads the (just-invalidated) word and
+                // re-checks — the paper's "first and last accesses use the
+                // network" spin behaviour.
+                events.push(
+                    now,
+                    Ev::Dispatch(proc as u32, MemReq::WaitUntil { addr, pred }),
+                );
+                false
+            }
+            _ => true,
+        });
     }
 
     fn deliver(&mut self, dst: usize, tag: u64, value: u64) {
-        self.mailboxes
-            .entry((dst, tag))
-            .or_default()
-            .push_back(value);
-        if self.recv_wait[dst] == Some(tag) {
-            self.recv_wait[dst] = None;
-            // Re-dispatch the receive; it will find the mailbox non-empty.
+        self.mailboxes[dst].push_back((tag, value));
+        if let Some(i) = self
+            .blocked
+            .iter()
+            .position(|&(p, wait)| p == dst && matches!(wait, Wait::Tag(t) if t == tag))
+        {
+            self.blocked.remove(i);
+            // Re-dispatch the receive; it will find the message.
             self.events
                 .push(self.now, Ev::Dispatch(dst as u32, MemReq::Recv { tag }));
         }

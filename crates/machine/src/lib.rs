@@ -64,7 +64,6 @@
 mod addr;
 mod engine;
 mod faults;
-mod fxhash;
 mod models;
 mod ops;
 mod report;

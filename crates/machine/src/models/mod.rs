@@ -173,11 +173,17 @@ pub(crate) enum Model {
 }
 
 impl Model {
-    /// Builds the model for `kind` over `topo` with `config`.
-    pub fn new(kind: MachineKind, topo: &Topology, config: MachineConfig) -> Self {
+    /// Builds the model for `kind` over `topo` and the final address
+    /// space `amap` with `config`.
+    pub fn new(
+        kind: MachineKind,
+        topo: &Topology,
+        amap: &AddressMap,
+        config: MachineConfig,
+    ) -> Self {
         match kind {
             MachineKind::Pram => Model::Pram(PramModel::new()),
-            MachineKind::Target => Model::Target(TargetModel::new(topo, config)),
+            MachineKind::Target => Model::Target(TargetModel::new(topo, amap, config)),
             MachineKind::LogP => Model::LogP(LogPModel::new(topo, config)),
             MachineKind::CLogP => Model::CLogP(CLogPModel::new(topo, config)),
         }

@@ -6,7 +6,6 @@ use spasm_desim::{Facility, SimTime};
 use spasm_net::{Delivery, Network};
 use spasm_topology::{NodeId, Topology};
 
-use crate::fxhash::FxHashMap;
 use crate::{AddressMap, Buckets, CTRL_BYTES, CYCLE_NS, DATA_BYTES, MEM_NS};
 
 use super::{Cost, MachineConfig, ModelSummary};
@@ -39,7 +38,8 @@ pub struct TargetModel {
     net: Network,
     coherence: CoherenceController,
     memory: Vec<Facility>,
-    block_free: FxHashMap<u64, SimTime>,
+    /// Block id → when the home finishes its last transaction on it.
+    block_free: Vec<SimTime>,
     /// Coherence-invariant observer (only under an enabled `CheckMode`,
     /// which also turns on the per-message network-conformance check).
     checker: Option<CoherenceChecker>,
@@ -47,14 +47,15 @@ pub struct TargetModel {
 
 impl TargetModel {
     /// Builds the machine over `topo` with the configured cache geometry,
-    /// coherence protocol and invariant-checking mode.
-    pub fn new(topo: &Topology, config: MachineConfig) -> Self {
+    /// coherence protocol and invariant-checking mode, for the blocks
+    /// `amap` allocated.
+    pub fn new(topo: &Topology, amap: &AddressMap, config: MachineConfig) -> Self {
         let p = topo.nodes();
         TargetModel {
             net: Network::new(*topo),
             coherence: CoherenceController::with_protocol(p, config.cache, config.protocol),
             memory: vec![Facility::new(); p],
-            block_free: FxHashMap::default(),
+            block_free: vec![SimTime::ZERO; amap.blocks()],
             checker: config
                 .check
                 .enabled()
@@ -85,14 +86,10 @@ impl TargetModel {
         Ok(d)
     }
 
-    /// Serializes transactions per block at the home directory.
-    fn block_start(&mut self, block: u64, arrive: SimTime, buckets: &mut Buckets) -> SimTime {
-        let free = self
-            .block_free
-            .get(&block)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let start = arrive.max(free);
+    /// Serializes transactions per block at the home directory. `block`
+    /// is one the engine validated, so it indexes `block_free`.
+    fn block_start(&self, block: u64, arrive: SimTime, buckets: &mut Buckets) -> SimTime {
+        let start = arrive.max(self.block_free[block as usize]);
         buckets.dir_wait += start - arrive;
         start
     }
@@ -147,7 +144,7 @@ impl TargetModel {
                 let all_acked = self.invalidate(t0, home, invalidated, &mut buckets)?;
                 let grant = self.send(all_acked, home, proc, CTRL_BYTES, &mut buckets)?;
                 let finish = grant.arrive.max(at + cycle);
-                self.block_free.insert(block, finish);
+                self.block_free[block as usize] = finish;
                 finish
             }
             Outcome::Miss {
@@ -183,7 +180,7 @@ impl TargetModel {
                     finish = finish.max(grant.arrive);
                 }
                 let finish = finish.max(at + cycle);
-                self.block_free.insert(block, finish);
+                self.block_free[block as usize] = finish;
 
                 // Writeback of an owned victim: fire and forget.
                 if let Some(wb) = writeback {
@@ -282,7 +279,7 @@ mod tests {
             amap.alloc(home, 64);
         }
         (
-            TargetModel::new(&Topology::full(p), MachineConfig::default()),
+            TargetModel::new(&Topology::full(p), &amap, MachineConfig::default()),
             amap,
         )
     }
@@ -392,7 +389,7 @@ mod tests {
             },
             ..MachineConfig::default()
         };
-        let mut m = TargetModel::new(&Topology::full(2), config);
+        let mut m = TargetModel::new(&Topology::full(2), &amap, config);
         let w = priced(&mut m, &amap, SimTime::ZERO, 1, Addr(0), AccessKind::Write);
         let r1 = priced(&mut m, &amap, w.finish, 1, Addr(32), AccessKind::Read);
         // Third access evicts the dirty block 0 -> 32B writeback message.

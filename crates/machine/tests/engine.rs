@@ -304,6 +304,63 @@ fn lost_wakeup_detected_as_deadlock() {
 }
 
 #[test]
+fn a_deadlock_names_spinners_and_receivers_together() {
+    let topo = Topology::full(4);
+    let mut setup = SetupCtx::new(4);
+    let flag = setup.alloc(0, 1);
+    let bodies: Vec<ProcBody> = vec![
+        Box::new(|_, _| {}), // never sends, never signals
+        Box::new(|_, ctx| {
+            MemCtx::new(ctx).recv(9);
+        }),
+        Box::new(move |_, ctx| {
+            MemCtx::new(ctx).wait_until(flag, Pred::Eq(1));
+        }),
+        Box::new(move |_, ctx| {
+            MemCtx::new(ctx).wait_until(flag, Pred::Eq(1));
+        }),
+    ];
+    match Engine::new(MachineKind::Target, &topo, setup, bodies).run() {
+        Err(RunError::Deadlock { waiting, .. }) => assert_eq!(waiting, vec![1, 2, 3]),
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn spinners_wake_in_the_order_they_blocked() {
+    let p = 4;
+    let topo = Topology::full(p);
+    let mut setup = SetupCtx::new(p);
+    let flag = setup.alloc(0, 1);
+    let ticket = setup.alloc(0, 1);
+    let took = setup.alloc(0, p as u64);
+    // Staggered work makes processors 3, 1 and 2 block in that order.
+    let delay = [0, 20, 30, 10];
+    let bodies: Vec<ProcBody> = (0..p)
+        .map(|_| {
+            let b: ProcBody = Box::new(move |me, ctx| {
+                let mem = MemCtx::new(ctx);
+                if me == 0 {
+                    mem.compute(100);
+                    mem.write(flag, 1);
+                } else {
+                    mem.compute(delay[me]);
+                    mem.wait_until(flag, Pred::Eq(1));
+                    let t = mem.fetch_add(ticket, 1);
+                    mem.write(took.offset_words(t), me as u64);
+                }
+            });
+            b
+        })
+        .collect();
+    let r = run(MachineKind::Pram, &topo, setup, bodies);
+    let order: Vec<u64> = (0..3)
+        .map(|t| r.final_store.read_word(took.offset_words(t)))
+        .collect();
+    assert_eq!(order, [3, 1, 2]);
+}
+
+#[test]
 fn exec_time_orders_pram_fastest() {
     // PRAM <= CLogP <= target <= LogP for a communication-heavy kernel.
     let mut times = std::collections::HashMap::new();

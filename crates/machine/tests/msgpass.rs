@@ -90,30 +90,37 @@ fn messages_with_same_tag_are_fifo() {
 
 #[test]
 fn tags_demultiplex_independent_streams() {
-    let topo = Topology::hypercube(2);
-    let mut setup = SetupCtx::new(2);
-    let out = setup.alloc(0, 2);
-    let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            mem.send(1, 8, 2, 222);
-            mem.send(1, 8, 1, 111);
-        }),
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            // Receive in the opposite order of sending: tag matching, not
-            // arrival order, decides.
-            let a = mem.recv(1);
-            let b = mem.recv(2);
-            mem.write(out, a);
-            mem.write(out.offset_words(1), b);
-        }),
-    ];
-    let r = Engine::new(MachineKind::CLogP, &topo, setup, bodies)
-        .run()
-        .unwrap();
-    assert_eq!(r.final_store.read_word(out), 111);
-    assert_eq!(r.final_store.read_word(out.offset_words(1)), 222);
+    for kind in ALL {
+        let topo = Topology::hypercube(2);
+        let mut setup = SetupCtx::new(2);
+        let out = setup.alloc(0, 3);
+        let bodies: Vec<ProcBody> = vec![
+            Box::new(move |_, ctx| {
+                let mem = MemCtx::new(ctx);
+                mem.send(1, 8, 2, 222);
+                mem.send(1, 8, 1, 111);
+                mem.send(1, 8, 2, 333);
+            }),
+            Box::new(move |_, ctx| {
+                let mem = MemCtx::new(ctx);
+                // Let all three arrive first, so the tag-1 receive has to
+                // skip the earlier tag-2 message: tag matching, not arrival
+                // order, decides, and each tag stays FIFO.
+                mem.compute(10_000);
+                let a = mem.recv(1);
+                let b = mem.recv(2);
+                let c = mem.recv(2);
+                mem.write(out, a);
+                mem.write(out.offset_words(1), b);
+                mem.write(out.offset_words(2), c);
+            }),
+        ];
+        let r = Engine::new(kind, &topo, setup, bodies).run().unwrap();
+        let got: Vec<u64> = (0..3)
+            .map(|i| r.final_store.read_word(out.offset_words(i)))
+            .collect();
+        assert_eq!(got, [111, 222, 333], "{kind}");
+    }
 }
 
 #[test]

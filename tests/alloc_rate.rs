@@ -7,8 +7,9 @@
 //! and a Small-size run of the same point is what the simulated events
 //! themselves cost. A calendar bucket that drops its buffer when drained,
 //! an `Outcome` that collects the invalidated nodes into a `Vec`, or a
-//! spin-watcher list freed on every wake each shows up as a fraction of
-//! an allocation per extra event; the bound is one per twenty.
+//! blocked-processor list or mailbox rebuilt on every wake or delivery
+//! each shows up as a fraction of an allocation per extra event; the
+//! bound is one per twenty.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
