@@ -1,6 +1,5 @@
 //! Global observer over the Berkeley coherence state machine.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use spasm_cache::{AccessKind, BState, CoherenceController, NodeSet, Outcome, ProtocolKind};
@@ -22,17 +21,19 @@ use crate::{CheckViolation, EventRing};
 ///
 /// The checker keeps a *mirror* of per-block states, refreshed from the
 /// real caches whenever a block is touched, so each access yields an
-/// observed `(old, new)` transition per node. Clean victims are evicted
-/// silently by the controller, so a mirror entry may be stale-`Valid`;
-/// every transition out of `Valid` is legal precisely because of that,
-/// while stale owned states are impossible (owned victims always
-/// surface as writebacks, which the checker observes).
+/// observed `(old, new)` transition per node. Block ids are dense, so the
+/// mirror is one slot per `(block, node)`, sized up front. Clean victims
+/// are evicted silently by the controller, so a mirror entry may be
+/// stale-`Valid`; every transition out of `Valid` is legal precisely
+/// because of that, while stale owned states are impossible (owned
+/// victims always surface as writebacks, which the checker observes).
 #[derive(Debug)]
 pub struct CoherenceChecker {
     p: usize,
     protocol: ProtocolKind,
-    /// block → per-node mirrored state (`None` = not resident).
-    mirror: HashMap<u64, Vec<Option<BState>>>,
+    /// Mirrored state of `block` at `node` in slot `block * p + node`
+    /// (`None` = not resident).
+    mirror: Vec<Option<BState>>,
     ring: EventRing<Access>,
 }
 
@@ -102,12 +103,13 @@ fn legal_transition(protocol: ProtocolKind, old: Option<BState>, new: Option<BSt
 }
 
 impl CoherenceChecker {
-    /// A checker for a `p`-node controller running `protocol`.
-    pub fn new(p: usize, protocol: ProtocolKind) -> Self {
+    /// A checker for a `p`-node controller running `protocol` over block
+    /// ids `0..blocks`.
+    pub fn new(p: usize, blocks: usize, protocol: ProtocolKind) -> Self {
         CoherenceChecker {
             p,
             protocol,
-            mirror: HashMap::new(),
+            mirror: vec![None; blocks * p],
             ring: EventRing::new(),
         }
     }
@@ -262,7 +264,7 @@ impl CoherenceChecker {
         kind: AccessKind,
         outcome: &Outcome,
     ) -> Result<(), CheckViolation> {
-        let prev = self.mirror.get(&block).and_then(|states| states[node]);
+        let prev = self.mirror[block as usize * self.p + node];
         match outcome {
             Outcome::Hit => {
                 if prev.is_none() {
@@ -317,12 +319,9 @@ impl CoherenceChecker {
         cc: &CoherenceController,
         block: u64,
     ) -> Result<(), CheckViolation> {
-        let states = self
-            .mirror
-            .entry(block)
-            .or_insert_with(|| vec![None; self.p]);
+        let first = block as usize * self.p;
         let mut bad = None;
-        for (n, old) in states.iter_mut().enumerate() {
+        for (n, old) in self.mirror[first..first + self.p].iter_mut().enumerate() {
             let new = cc.cache(n).peek(block);
             if !legal_transition(self.protocol, *old, new) && bad.is_none() {
                 bad = Some((n, *old, new));
@@ -352,6 +351,9 @@ impl CoherenceChecker {
 mod tests {
     use super::*;
     use spasm_cache::CacheConfig;
+
+    /// Every test's blocks lie below this.
+    const BLOCKS: usize = 16;
 
     fn tiny_config() -> CacheConfig {
         CacheConfig {
@@ -384,7 +386,7 @@ mod tests {
     #[test]
     fn healthy_berkeley_stream_is_clean() {
         let mut cc = CoherenceController::new(4, tiny_config());
-        let mut chk = CoherenceChecker::new(4, ProtocolKind::Berkeley);
+        let mut chk = CoherenceChecker::new(4, BLOCKS, ProtocolKind::Berkeley);
         drive(
             &mut cc,
             &mut chk,
@@ -409,7 +411,7 @@ mod tests {
     fn healthy_write_back_on_read_stream_is_clean() {
         let mut cc =
             CoherenceController::with_protocol(3, tiny_config(), ProtocolKind::WriteBackOnRead);
-        let mut chk = CoherenceChecker::new(3, ProtocolKind::WriteBackOnRead);
+        let mut chk = CoherenceChecker::new(3, BLOCKS, ProtocolKind::WriteBackOnRead);
         drive(
             &mut cc,
             &mut chk,
@@ -427,7 +429,7 @@ mod tests {
     #[test]
     fn corrupted_second_dirty_copy_is_a_single_writer_violation() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, ProtocolKind::Berkeley);
+        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 10, AccessKind::Write);
         // Corrupt: a second cache conjures an exclusive copy.
         cc.cache_mut(1).insert(10, BState::Dirty);
@@ -438,7 +440,7 @@ mod tests {
     #[test]
     fn corrupted_unowned_dirty_line_is_an_agreement_violation() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, ProtocolKind::Berkeley);
+        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 10, AccessKind::Read); // Valid, no owner
         cc.cache_mut(0).set_state(10, BState::Dirty);
         let v = chk.verify_block(&cc, 10).unwrap_err();
@@ -449,7 +451,7 @@ mod tests {
     #[test]
     fn corrupted_stale_sharer_is_an_agreement_violation() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, ProtocolKind::Berkeley);
+        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 10, AccessKind::Read);
         cc.access(1, 10, AccessKind::Read);
         // Corrupt: node 1's line vanishes without directory bookkeeping.
@@ -462,7 +464,7 @@ mod tests {
     #[test]
     fn verify_all_finds_corruption_on_untouched_blocks() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, ProtocolKind::Berkeley);
+        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 10, AccessKind::Read);
         cc.access(0, 12, AccessKind::Read);
         cc.cache_mut(0).set_state(12, BState::SharedDirty);
@@ -474,7 +476,7 @@ mod tests {
     #[test]
     fn illegal_transition_valid_to_shared_dirty_is_caught() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let mut chk = CoherenceChecker::new(2, ProtocolKind::Berkeley);
+        let mut chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         let o = cc.access(0, 10, AccessKind::Read);
         chk.after_access(&cc, SimTime::ZERO, 0, 10, AccessKind::Read, &o)
             .unwrap();
@@ -510,7 +512,7 @@ mod tests {
     #[test]
     fn violation_carries_the_event_ring() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let mut chk = CoherenceChecker::new(2, ProtocolKind::Berkeley);
+        let mut chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         // Every outcome shape: a memory fill, an owner forward, an
         // upgrade that invalidates, and a fill that writes back an owned
         // victim (blocks 3, 7 and 11 share set 3 of node 1's 2-way cache).

@@ -77,16 +77,6 @@ impl CheckMode {
     pub fn strict(self) -> bool {
         self == CheckMode::Strict
     }
-
-    /// Parses "off" / "on" / "strict".
-    pub fn from_name(name: &str) -> Option<CheckMode> {
-        match name {
-            "off" => Some(CheckMode::Off),
-            "on" => Some(CheckMode::On),
-            "strict" => Some(CheckMode::Strict),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for CheckMode {
@@ -195,17 +185,12 @@ mod tests {
 
     #[test]
     fn mode_parsing_and_predicates() {
-        assert_eq!(CheckMode::from_name("off"), Some(CheckMode::Off));
-        assert_eq!(CheckMode::from_name("on"), Some(CheckMode::On));
-        assert_eq!(CheckMode::from_name("strict"), Some(CheckMode::Strict));
-        assert_eq!(CheckMode::from_name("paranoid"), None);
         assert!(!CheckMode::Off.enabled());
         assert!(CheckMode::On.enabled() && !CheckMode::On.strict());
         assert!(CheckMode::Strict.enabled() && CheckMode::Strict.strict());
         assert_eq!(CheckMode::default(), CheckMode::Off);
-        for m in [CheckMode::Off, CheckMode::On, CheckMode::Strict] {
-            assert_eq!(CheckMode::from_name(&m.to_string()), Some(m));
-        }
+        let names = [CheckMode::Off, CheckMode::On, CheckMode::Strict].map(|m| m.to_string());
+        assert_eq!(names, ["off", "on", "strict"]);
     }
 
     #[test]

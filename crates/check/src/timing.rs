@@ -1,6 +1,5 @@
 //! Engine-level timing and message-conservation checks.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use spasm_desim::SimTime;
@@ -35,8 +34,9 @@ use crate::{CheckMode, CheckViolation, EventRing};
 pub struct EngineChecker<E> {
     strict: bool,
     last: SimTime,
-    /// (dst, tag) → scheduled delivery times, in scheduling order.
-    expected: HashMap<(usize, u64), VecDeque<SimTime>>,
+    /// Per destination node, the `(tag, time)` of each scheduled but not
+    /// yet processed delivery, in scheduling order.
+    expected: Vec<Vec<(u64, SimTime)>>,
     sends: u64,
     scheduled: u64,
     delivered: u64,
@@ -54,12 +54,13 @@ impl<E: fmt::Debug> fmt::Display for Stamped<E> {
 }
 
 impl<E: Copy + fmt::Debug> EngineChecker<E> {
-    /// A checker for one run under `mode` (which must be enabled).
-    pub fn new(mode: CheckMode) -> Self {
+    /// A checker for one run of `p` nodes under `mode` (which must be
+    /// enabled).
+    pub fn new(mode: CheckMode, p: usize) -> Self {
         EngineChecker {
             strict: mode.strict(),
             last: SimTime::ZERO,
-            expected: HashMap::new(),
+            expected: vec![Vec::new(); p],
             sends: 0,
             scheduled: 0,
             delivered: 0,
@@ -152,10 +153,7 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
         self.sends += 1;
         self.scheduled += copies;
         for _ in 0..copies {
-            self.expected
-                .entry((dst, tag))
-                .or_default()
-                .push_back(scheduled);
+            self.expected[dst].push((tag, scheduled));
         }
         if self.strict && copies != 1 {
             return Err(self.violation(
@@ -179,18 +177,17 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
     ///
     /// Deliveries to one `(dst, tag)` pair may be processed out of
     /// scheduling order (the event queue orders by time, sends by issue),
-    /// so the match is by time anywhere in the pending queue, not FIFO.
+    /// so the match is by `(tag, time)` anywhere in the destination's
+    /// pending list, not FIFO.
     ///
     /// # Errors
     ///
     /// `message-conservation` when no scheduled delivery matches.
     pub fn on_deliver(&mut self, dst: usize, tag: u64, at: SimTime) -> Result<(), CheckViolation> {
-        let matched = self
-            .expected
-            .get_mut(&(dst, tag))
-            .and_then(|q| q.iter().position(|&t| t == at).map(|i| q.remove(i)))
-            .is_some();
-        if !matched {
+        let pending = &mut self.expected[dst];
+        if let Some(i) = pending.iter().position(|&d| d == (tag, at)) {
+            pending.remove(i);
+        } else {
             return Err(self.violation(
                 "message-conservation",
                 format!("delivery to node {dst} (tag {tag}) at {at} matches no scheduled send"),
@@ -215,15 +212,16 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
         popped: u64,
         pushed: u64,
     ) -> Result<(), CheckViolation> {
-        let undelivered: u64 = self.expected.values().map(|q| q.len() as u64).sum();
-        if undelivered > 0 {
-            let mut keys: Vec<(usize, u64)> = self
-                .expected
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(&k, _)| k)
-                .collect();
+        let mut keys: Vec<(usize, u64)> = self
+            .expected
+            .iter()
+            .enumerate()
+            .flat_map(|(dst, pending)| pending.iter().map(move |&(tag, _)| (dst, tag)))
+            .collect();
+        if !keys.is_empty() {
+            let undelivered = keys.len();
             keys.sort_unstable();
+            keys.dedup();
             return Err(self.violation(
                 "message-conservation",
                 format!("{undelivered} scheduled deliveries never processed (dst, tag): {keys:?}"),
@@ -263,7 +261,7 @@ mod tests {
     /// Most tests observe no event, so the entry type is named here
     /// instead of inferred.
     fn checker(mode: CheckMode) -> EngineChecker<&'static str> {
-        EngineChecker::new(mode)
+        EngineChecker::new(mode, 4)
     }
 
     #[test]
@@ -360,10 +358,16 @@ mod tests {
     #[test]
     fn lost_message_is_caught_at_run_end() {
         let mut c = checker(CheckMode::On);
+        c.on_send(2, 9, ns(100), ns(100), 1).unwrap();
         c.on_send(1, 7, ns(100), ns(100), 1).unwrap();
+        c.on_send(2, 9, ns(200), ns(200), 1).unwrap();
         let v = c.on_run_end(0, 0, 0).unwrap_err();
         assert_eq!(v.invariant, "message-conservation");
-        assert!(v.message.contains("never processed"), "{v}");
+        // Pending pairs are listed once each, sorted.
+        assert_eq!(
+            v.message,
+            "3 scheduled deliveries never processed (dst, tag): [(1, 7), (2, 9)]"
+        );
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //!   simulator retains full control over interleaving (exactly one process
 //!   runs at any instant). A process is a stack the simulator's own thread
 //!   switches to, which ties the crate to x86-64 Linux, its one supported
-//!   host;
-//! * [`Facility`] — a CSIM-style FCFS single-server resource with wait-time
-//!   accounting.
+//!   host.
 //!
 //! # Example
 //!
@@ -44,10 +42,8 @@
 
 mod coro;
 mod event_queue;
-mod facility;
 mod time;
 
 pub use coro::{CoroCtx, CoroPool, ProcId, Step};
 pub use event_queue::{CalendarQueue, PopIfBefore};
-pub use facility::Facility;
 pub use time::SimTime;

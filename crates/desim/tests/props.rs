@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation kernel (spasm-testkit).
 
-use spasm_desim::{CalendarQueue, Facility, SimTime};
+use spasm_desim::{CalendarQueue, SimTime};
 use spasm_testkit::{check, gens, prop_assert, prop_assert_eq};
 
 /// The event queue is a stable priority queue: pops are sorted by time,
@@ -49,32 +49,6 @@ fn event_queue_interleaved_operations() {
                     last_popped = Some(t.as_ns());
                 }
             }
-            Ok(())
-        },
-    );
-}
-
-/// A facility serializes: grants never overlap, start at or after the
-/// request, and FCFS order is preserved.
-#[test]
-fn facility_grants_never_overlap() {
-    check(
-        "facility_grants_never_overlap",
-        &gens::vecs(gens::tuple2(gens::u64s(0..1000), gens::u64s(1..100)), 1..50),
-        |reqs| {
-            let mut f = Facility::new();
-            let mut sorted = reqs.clone();
-            sorted.sort(); // requests arrive in time order
-            let mut last_end = SimTime::ZERO;
-            for (at, service) in sorted {
-                let g = f.reserve(SimTime::from_ns(at), SimTime::from_ns(service));
-                prop_assert!(g.start >= SimTime::from_ns(at));
-                prop_assert!(g.start >= last_end, "overlapping grants");
-                prop_assert_eq!(g.end, g.start + SimTime::from_ns(service));
-                prop_assert_eq!(g.waited, g.start - SimTime::from_ns(at));
-                last_end = g.end;
-            }
-            prop_assert_eq!(f.free_at(), last_end);
             Ok(())
         },
     );

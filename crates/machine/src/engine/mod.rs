@@ -321,7 +321,7 @@ impl Engine {
             checker: config
                 .check
                 .enabled()
-                .then(|| EngineChecker::new(config.check)),
+                .then(|| EngineChecker::new(config.check, p)),
             telemetry: config.telemetry.map(Collector::new),
             processed: 0,
         }

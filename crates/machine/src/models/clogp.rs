@@ -37,17 +37,16 @@ pub struct CLogPModel {
 }
 
 impl CLogPModel {
-    /// Builds the machine.
-    pub fn new(topo: &Topology, config: MachineConfig) -> Self {
+    /// Builds the machine over `topo` for the blocks `amap` allocated.
+    pub fn new(topo: &Topology, amap: &AddressMap, config: MachineConfig) -> Self {
         CLogPModel {
             net: AbstractNet::new(topo, &config),
             // The ideal cache always runs Berkeley transitions, whatever
             // protocol the target is configured with.
             coherence: CoherenceController::new(topo.nodes(), config.cache),
-            checker: config
-                .check
-                .enabled()
-                .then(|| CoherenceChecker::new(topo.nodes(), ProtocolKind::Berkeley)),
+            checker: config.check.enabled().then(|| {
+                CoherenceChecker::new(topo.nodes(), amap.blocks(), ProtocolKind::Berkeley)
+            }),
         }
     }
 
@@ -153,7 +152,10 @@ mod tests {
         for home in 0..4 {
             amap.alloc(home, 64);
         }
-        (CLogPModel::new(&topo, MachineConfig::default()), amap)
+        (
+            CLogPModel::new(&topo, &amap, MachineConfig::default()),
+            amap,
+        )
     }
 
     #[test]
@@ -220,7 +222,7 @@ mod tests {
             },
             ..MachineConfig::default()
         };
-        let mut m = CLogPModel::new(&topo, config);
+        let mut m = CLogPModel::new(&topo, &amap, config);
         // Node 1 dirties block 0, then reads blocks 1 and 2 evicting it.
         let w = priced(&mut m, &amap, SimTime::ZERO, 1, Addr(0), AccessKind::Write);
         assert_eq!(w.buckets.msgs, 2);

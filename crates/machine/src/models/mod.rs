@@ -185,7 +185,7 @@ impl Model {
             MachineKind::Pram => Model::Pram(PramModel::new()),
             MachineKind::Target => Model::Target(TargetModel::new(topo, amap, config)),
             MachineKind::LogP => Model::LogP(LogPModel::new(topo, config)),
-            MachineKind::CLogP => Model::CLogP(CLogPModel::new(topo, config)),
+            MachineKind::CLogP => Model::CLogP(CLogPModel::new(topo, amap, config)),
         }
     }
 

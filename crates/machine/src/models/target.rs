@@ -2,7 +2,7 @@
 
 use spasm_cache::{AccessKind, CoherenceController, NodeSet, Outcome, Supplier};
 use spasm_check::{network_conformance, CheckViolation, CoherenceChecker};
-use spasm_desim::{Facility, SimTime};
+use spasm_desim::SimTime;
 use spasm_net::{Delivery, Network};
 use spasm_topology::{NodeId, Topology};
 
@@ -37,7 +37,9 @@ use super::{Cost, MachineConfig, ModelSummary};
 pub struct TargetModel {
     net: Network,
     coherence: CoherenceController,
-    memory: Vec<Facility>,
+    /// Home node → when its memory module finishes its last fill or
+    /// writeback.
+    memory_free: Vec<SimTime>,
     /// Block id → when the home finishes its last transaction on it.
     block_free: Vec<SimTime>,
     /// Coherence-invariant observer (only under an enabled `CheckMode`,
@@ -54,12 +56,12 @@ impl TargetModel {
         TargetModel {
             net: Network::new(*topo),
             coherence: CoherenceController::with_protocol(p, config.cache, config.protocol),
-            memory: vec![Facility::new(); p],
+            memory_free: vec![SimTime::ZERO; p],
             block_free: vec![SimTime::ZERO; amap.blocks()],
             checker: config
                 .check
                 .enabled()
-                .then(|| CoherenceChecker::new(p, config.protocol)),
+                .then(|| CoherenceChecker::new(p, amap.blocks(), config.protocol)),
         }
     }
 
@@ -92,6 +94,14 @@ impl TargetModel {
         let start = arrive.max(self.block_free[block as usize]);
         buckets.dir_wait += start - arrive;
         start
+    }
+
+    /// Serves one module access at `home`'s memory, first come first
+    /// served: returns when it finishes and how long it queued.
+    fn memory_access(&mut self, home: usize, arrive: SimTime) -> (SimTime, SimTime) {
+        let start = arrive.max(self.memory_free[home]);
+        self.memory_free[home] = start + SimTime::from_ns(MEM_NS);
+        (self.memory_free[home], start - arrive)
     }
 
     /// Invalidation fan-out from `home`: returns the time all acks are in.
@@ -159,10 +169,10 @@ impl TargetModel {
                 // Data path.
                 let data_arrive = match supplier {
                     Supplier::Memory => {
-                        let grant = self.memory[home].reserve(t0, SimTime::from_ns(MEM_NS));
+                        let (done, waited) = self.memory_access(home, t0);
                         buckets.mem += SimTime::from_ns(MEM_NS);
-                        buckets.dir_wait += grant.waited;
-                        self.send(grant.end, home, proc, DATA_BYTES, &mut buckets)?
+                        buckets.dir_wait += waited;
+                        self.send(done, home, proc, DATA_BYTES, &mut buckets)?
                             .arrive
                     }
                     Supplier::Owner(owner) => {
@@ -186,13 +196,13 @@ impl TargetModel {
                 if let Some(wb) = writeback {
                     let wb_home = amap.home_of_block(wb.block);
                     let w = self.send(at, proc, wb_home, DATA_BYTES, &mut buckets)?;
-                    self.memory[wb_home].reserve(w.arrive, SimTime::from_ns(MEM_NS));
+                    self.memory_access(wb_home, w.arrive);
                 }
                 // WriteBackOnRead: the supplying owner also writes the
                 // block back to its home (fire and forget).
                 if let Some(wb) = downgrade_writeback {
                     let w = self.send(t0, wb.from, home, DATA_BYTES, &mut buckets)?;
-                    self.memory[home].reserve(w.arrive, SimTime::from_ns(MEM_NS));
+                    self.memory_access(home, w.arrive);
                 }
                 finish
             }
@@ -357,6 +367,20 @@ mod tests {
         let c2 = priced(&mut m, &amap, SimTime::ZERO, 2, a, AccessKind::Read);
         assert!(c2.buckets.dir_wait > SimTime::ZERO);
         assert!(c2.finish > c1.finish);
+    }
+
+    #[test]
+    fn distinct_blocks_queue_at_their_home_memory() {
+        let (mut m, amap) = setup(4);
+        // Two blocks homed at node 2, read-missed at t = 0 by nodes 0 and
+        // 1: the requests and replies use disjoint links, so the only
+        // wait is the second fill queueing behind the first at the module.
+        let (a, b) = (Addr(1024), Addr(1056));
+        let c1 = priced(&mut m, &amap, SimTime::ZERO, 0, a, AccessKind::Read);
+        let c2 = priced(&mut m, &amap, SimTime::ZERO, 1, b, AccessKind::Read);
+        assert_eq!(c1.buckets.dir_wait, SimTime::ZERO);
+        assert_eq!(c2.buckets.dir_wait, SimTime::from_ns(MEM_NS));
+        assert_eq!(c2.finish, c1.finish + SimTime::from_ns(MEM_NS));
     }
 
     #[test]
