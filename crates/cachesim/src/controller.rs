@@ -206,8 +206,8 @@ impl CoherenceController {
 
     /// Inserts `block` into `node`'s cache, handling the victim's
     /// directory bookkeeping. An owned victim produces a writeback; a
-    /// clean victim is dropped silently (the directory is updated as a
-    /// free replacement hint — see DESIGN.md).
+    /// clean victim is dropped silently (the directory clears its sharer
+    /// bit at no cost: a free replacement hint).
     #[inline]
     fn fill(&mut self, node: usize, block: u64, state: BState) -> Option<Writeback> {
         let evicted = self.caches[node].insert(block, state)?;

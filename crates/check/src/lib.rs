@@ -42,7 +42,6 @@ mod coherence;
 mod net;
 mod timing;
 
-use std::collections::VecDeque;
 use std::fmt;
 
 pub use coherence::CoherenceChecker;
@@ -144,38 +143,39 @@ impl fmt::Display for CheckViolation {
 
 impl std::error::Error for CheckViolation {}
 
-/// A fixed-capacity ring buffer of recent events, dumped into every
-/// [`CheckViolation`] so a failure names not just the invariant but the
-/// history that led to it. Entries are rendered only by
-/// [`EventRing::dump`], so a checker on a per-event path records values
-/// and pays for text only when a violation fires.
+/// The last [`RING_CAPACITY`] events a checker saw, dumped oldest first
+/// into every [`CheckViolation`]. Events are kept as values and rendered
+/// only by [`EventRing::dump`], so a clean checked run formats nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct EventRing<E> {
-    buf: VecDeque<E>,
+    buf: Vec<E>,
+    /// Once `buf` is full, the slot of the oldest event: the next to go.
+    head: usize,
 }
 
-impl<E> EventRing<E> {
+impl<E: fmt::Display> EventRing<E> {
     /// An empty ring holding up to [`RING_CAPACITY`] events.
     pub(crate) fn new() -> Self {
         EventRing {
-            buf: VecDeque::with_capacity(RING_CAPACITY),
+            buf: Vec::with_capacity(RING_CAPACITY),
+            head: 0,
         }
     }
 
-    /// Records one event, discarding the oldest when full.
+    /// Records one event, overwriting the oldest in place when full.
     pub(crate) fn record(&mut self, event: E) {
-        if self.buf.len() == RING_CAPACITY {
-            self.buf.pop_front();
+        if self.buf.len() < RING_CAPACITY {
+            self.buf.push(event);
+        } else {
+            self.buf[self.head] = event;
+            self.head = (self.head + 1) % RING_CAPACITY;
         }
-        self.buf.push_back(event);
     }
 
     /// The retained events rendered, oldest first.
-    pub(crate) fn dump(&self) -> Vec<String>
-    where
-        E: fmt::Display,
-    {
-        self.buf.iter().map(E::to_string).collect()
+    pub(crate) fn dump(&self) -> Vec<String> {
+        let (newest, oldest) = self.buf.split_at(self.head);
+        oldest.iter().chain(newest).map(E::to_string).collect()
     }
 }
 
@@ -195,15 +195,22 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_events() {
+        let names =
+            |range: std::ops::Range<usize>| range.map(|i| format!("e{i}")).collect::<Vec<_>>();
         let mut r = EventRing::<String>::new();
         assert!(r.dump().is_empty());
-        for i in 0..RING_CAPACITY + 5 {
+        // Below capacity: everything recorded, oldest first.
+        for i in 0..RING_CAPACITY - 3 {
             r.record(format!("e{i}"));
         }
-        let d = r.dump();
-        assert_eq!(d.len(), RING_CAPACITY);
-        assert_eq!(d.first().unwrap(), "e5");
-        assert_eq!(d.last().unwrap(), &format!("e{}", RING_CAPACITY + 4));
+        assert_eq!(r.dump(), names(0..RING_CAPACITY - 3));
+        // Exactly full, then wrapped more than twice: the newest
+        // RING_CAPACITY events, oldest first, after every record.
+        for i in RING_CAPACITY - 3..3 * RING_CAPACITY + 5 {
+            r.record(format!("e{i}"));
+            let first = (i + 1).saturating_sub(RING_CAPACITY);
+            assert_eq!(r.dump(), names(first..i + 1), "after e{i}");
+        }
     }
 
     #[test]

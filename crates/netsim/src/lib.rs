@@ -46,7 +46,7 @@
 #![warn(missing_docs)]
 
 use spasm_desim::SimTime;
-use spasm_topology::{LinkId, NodeId, Topology, TopologyError};
+use spasm_topology::{LinkId, NodeId, Topology};
 
 /// Serial link transmission cost: 20 MBytes/sec → 50 ns per byte.
 pub const LINK_NS_PER_BYTE: u64 = 50;
@@ -119,41 +119,23 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero for a remote message (messages carry at
-    /// least a header) or a node id is out of range.
-    /// [`Network::try_send`] is the fallible form.
+    /// Panics if `bytes` is zero (messages carry at least a header), or
+    /// if an endpoint, of a self-message too, is not a node of the
+    /// topology.
     pub fn send(&mut self, at: SimTime, src: NodeId, dst: NodeId, bytes: u64) -> Delivery {
-        assert!(bytes > 0, "remote message must carry at least one byte");
-        self.try_send(at, src, dst, bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Network::send`]: returns a typed
-    /// [`TopologyError`] for out-of-range node ids instead of panicking.
-    /// A zero-byte remote message is treated as a one-byte header.
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyError::NodeOutOfRange`] when an endpoint, of a
-    /// self-message too, is not a node of the topology.
-    pub fn try_send(
-        &mut self,
-        at: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-    ) -> Result<Delivery, TopologyError> {
-        self.topo.try_route_into(src, dst, &mut self.route_buf)?;
+        assert!(bytes > 0, "a message must carry at least one byte");
+        if let Err(e) = self.topo.try_route_into(src, dst, &mut self.route_buf) {
+            panic!("{e}");
+        }
         if src == dst {
-            return Ok(Delivery {
+            return Delivery {
                 depart: at,
                 arrive: at,
                 latency: SimTime::ZERO,
                 contention: SimTime::ZERO,
                 hops: 0,
-            });
+            };
         }
-        let bytes = bytes.max(1); // messages carry at least a header
         let transmission = SimTime::from_ns(bytes * LINK_NS_PER_BYTE);
 
         // Circuit establishment: all links simultaneously free.
@@ -170,13 +152,13 @@ impl Network {
             self.stats.bisection_crossings += 1;
         }
 
-        Ok(Delivery {
+        Delivery {
             depart,
             arrive,
             latency: transmission,
             contention: depart - at,
             hops: self.route_buf.len(),
-        })
+        }
     }
 
     /// Traffic statistics accumulated so far.
@@ -295,18 +277,28 @@ mod tests {
     }
 
     #[test]
-    fn try_send_rejects_out_of_range_nodes() {
+    #[should_panic(expected = "at least one byte")]
+    fn zero_byte_self_message_rejected() {
+        Network::new(Topology::full(2)).send(SimTime::ZERO, NodeId(1), NodeId(1), 0);
+    }
+
+    #[test]
+    fn send_rejects_out_of_range_nodes() {
+        use spasm_topology::TopologyError;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut net = Network::new(Topology::full(4));
-        let err = net
-            .try_send(SimTime::ZERO, NodeId(0), NodeId(4), 32)
-            .unwrap_err();
-        assert_eq!(err, TopologyError::NodeOutOfRange { node: 4, p: 4 });
+        let mut refused = |src, dst| {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                net.send(SimTime::ZERO, NodeId(src), NodeId(dst), 8)
+            }))
+            .expect_err("an out-of-range endpoint must panic");
+            *err.downcast::<String>().expect("a formatted panic message")
+        };
+        let out_of_range = |node| TopologyError::NodeOutOfRange { node, p: 4 }.to_string();
+        assert_eq!(refused(0, 4), out_of_range(4));
         // A self-message is free, but its node must still exist.
-        let err = net
-            .try_send(SimTime::ZERO, NodeId(7), NodeId(7), 8)
-            .unwrap_err();
-        assert_eq!(err, TopologyError::NodeOutOfRange { node: 7, p: 4 });
-        // A failed send must leave the network state untouched.
+        assert_eq!(refused(7, 7), out_of_range(7));
+        // A refused send leaves the network state untouched.
         let d = net.send(SimTime::ZERO, NodeId(0), NodeId(1), 8);
         assert_eq!(d.contention, SimTime::ZERO);
     }

@@ -14,8 +14,8 @@
 # addr2line -i: an inlined function keeps its own row). A grid runs
 # pinned as benchmark/run.sh pins it; a figure runs as `figures --figure
 # ID --size SIZE [figures args]` (add --serial for one worker), its
-# stdout sent to stderr. DESIGN.md §12 reads these tables; compare two
-# commits by running this in a checkout of each.
+# stdout sent to stderr. DESIGN.md §12 says how an `#[inline]` is judged
+# by these tables; compare two commits by running this in a checkout of each.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
