@@ -32,7 +32,7 @@ use spasm_bench::{Cli, Mode, Study, USAGE};
 use spasm_core::figures;
 use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
-use spasm_core::sweep::{FigureData, PointCache, Sweep};
+use spasm_core::sweep::{FigureData, PointCache, Sweep, CSV_HEADER};
 use spasm_core::ExperimentError;
 use spasm_exec::ExecConfig;
 use spasm_journal::RealVfs;
@@ -215,7 +215,7 @@ struct Output {
 impl Output {
     fn new() -> Self {
         Output {
-            csv: String::from("figure,app,net,metric,procs,machine,value,reason\n"),
+            csv: format!("{CSV_HEADER}\n"),
             jsonl: String::new(),
             failed_points: 0,
         }

@@ -4,7 +4,8 @@
 //! (figure, machine, procs) point:
 //!
 //! * every line is a flat JSON object with `"v":1` and a known `kind`;
-//! * interval indexes start at 0 and increase by 1;
+//! * interval indexes strictly increase (the writer skips buckets with
+//!   no events, so an index may jump);
 //! * interval sim-time windows are monotone and non-overlapping
 //!   (`t0 < t1`, next `t0 >= previous t1`);
 //! * the summary's `intervals` count and `events` total match the
@@ -150,6 +151,7 @@ fn parse_string(bytes: &[u8], i: &mut usize) -> Result<String, String> {
 #[derive(Default)]
 struct PointState {
     intervals: u64,
+    last_index: Option<u64>,
     events: u64,
     last_t1: u64,
     summarized: bool,
@@ -187,10 +189,9 @@ fn lint_line(
             let index = require_u64(obj, "i")?;
             let t0 = require_u64(obj, "t0_ns")?;
             let t1 = require_u64(obj, "t1_ns")?;
-            if index != st.intervals {
+            if let Some(last) = st.last_index.filter(|&last| index <= last) {
                 return Err(format!(
-                    "{id}: interval index {index}, expected {}",
-                    st.intervals
+                    "{id}: interval index {index} after {last}; indexes must increase"
                 ));
             }
             if t0 >= t1 {
@@ -210,6 +211,7 @@ fn lint_line(
                 )
             })?;
             st.intervals += 1;
+            st.last_index = Some(index);
             st.last_t1 = t1;
             Ok(())
         }
@@ -417,6 +419,21 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    #[test]
+    fn interval_indexes_may_jump_but_must_increase() {
+        // The writer skips empty buckets: 0 then 3 is a valid stream.
+        let skipped = GOOD.replace("\"i\":1", "\"i\":3");
+        assert!(lint_text(&skipped).is_ok());
+        let backwards = GOOD
+            .replace("\"i\":0", "\"i\":3")
+            .replace("\"i\":1", "\"i\":2");
+        let e = lint_text(&backwards).unwrap_err();
+        assert!(e.contains("interval index 2 after 3"), "{e}");
+        let repeated = GOOD.replace("\"i\":1", "\"i\":0");
+        let e = lint_text(&repeated).unwrap_err();
+        assert!(e.contains("interval index 0 after 0"), "{e}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Set-associative cache array with LRU replacement.
 
-use crate::{fnv_word, BState, FNV_OFFSET};
+use crate::BState;
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,36 +272,6 @@ impl Cache {
         self.stats
     }
 
-    /// Number of resident lines (for tests and occupancy reporting).
-    pub fn resident(&self) -> usize {
-        self.lens.iter().map(|&n| n as usize).sum()
-    }
-
-    /// A 64-bit digest of the complete cache state (FNV-1a over every
-    /// field, in declaration order). Two caches with equal hashes are
-    /// equal for all practical purposes; property tests use this to see
-    /// which components an access perturbed.
-    pub fn state_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for set in 0..self.lens.len() {
-            let base = set * self.assoc;
-            let used = self.lens[set] as usize;
-            fnv_word(&mut h, used as u64);
-            fnv_word(&mut h, u64::from(self.mru[set]));
-            for slot in base..base + used {
-                fnv_word(&mut h, self.blocks[slot]);
-                fnv_word(&mut h, self.meta[slot].stamp);
-                fnv_word(&mut h, self.meta[slot].state as u64);
-            }
-        }
-        fnv_word(&mut h, self.clock);
-        fnv_word(&mut h, self.stats.hits);
-        fnv_word(&mut h, self.stats.misses);
-        fnv_word(&mut h, self.stats.evictions);
-        fnv_word(&mut h, self.stats.invalidations);
-        h
-    }
-
     /// All resident blocks with their states, in no particular order
     /// (invariant checkers scan this; sort before comparing).
     pub fn resident_blocks(&self) -> impl Iterator<Item = (u64, BState)> + '_ {
@@ -374,7 +344,7 @@ mod tests {
         c.insert(2, BState::Valid); // set 0
         c.insert(3, BState::Valid); // set 1
         assert!(c.insert(5, BState::Valid).is_some()); // set 1 full
-        assert_eq!(c.resident(), 4);
+        assert_eq!(c.resident_blocks().count(), 4);
     }
 
     #[test]
@@ -406,7 +376,7 @@ mod tests {
         assert_eq!(c.invalidate(8), Some(BState::SharedDirty));
         assert_eq!(c.invalidate(8), None);
         assert_eq!(c.stats().invalidations, 1);
-        assert_eq!(c.resident(), 0);
+        assert_eq!(c.resident_blocks().count(), 0);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::{fnv_word, FNV_OFFSET};
-
 /// A set of node ids below 64, one bit per node: a directory presence
 /// set as a `Copy` value, so naming nodes (an [`Outcome`]'s invalidated
 /// sharers, say) allocates nothing. Renders with `{:?}` as the ascending
@@ -12,6 +10,9 @@ use crate::{fnv_word, FNV_OFFSET};
 /// [`Outcome`]: crate::Outcome
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeSet(u64);
+
+// Every node of the largest topology has a presence bit.
+const _: () = assert!(spasm_topology::MAX_NODES <= u64::BITS as usize);
 
 impl NodeSet {
     /// The members in ascending id order. Iterates by clearing the lowest
@@ -75,8 +76,8 @@ impl fmt::Debug for NodeSet {
 /// One block's directory entry: a full-map presence set plus the Berkeley
 /// owner (the cache responsible for supplying data and writing back).
 ///
-/// The presence set is a bit set over node ids, which bounds the system at
-/// 64 processors — comfortably above the paper's 32-processor sweeps.
+/// The presence set is a [`NodeSet`], which holds every node of a
+/// topology of up to [`spasm_topology::MAX_NODES`] processors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirEntry {
     sharers: NodeSet,
@@ -159,7 +160,6 @@ impl DirEntry {
 ///
 /// Equality compares the physical table (slot layout included), so it
 /// only holds between directories with identical insertion histories.
-/// For a layout-independent comparison use [`Directory::state_hash`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directory {
     /// Power-of-two slot array; `None` is an empty slot.
@@ -256,26 +256,6 @@ impl Directory {
     /// (invariant checkers scan this; sort before comparing).
     pub fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
         self.slots.iter().flatten().map(|&(k, _)| k)
-    }
-
-    /// A 64-bit digest of the directory's *logical* state: per-entry
-    /// hashes combined commutatively, so the digest is independent of
-    /// slot layout and table capacity (entries land in different slots
-    /// after a [`Directory::grow`], but the hash is unchanged).
-    pub fn state_hash(&self) -> u64 {
-        let mut acc = 0u64;
-        for &(block, entry) in self.slots.iter().flatten() {
-            let mut h = FNV_OFFSET;
-            fnv_word(&mut h, block);
-            fnv_word(&mut h, entry.sharers.0);
-            fnv_word(&mut h, entry.owner.map_or(u64::MAX, |o| o as u64));
-            // Commutative fold: wrapping add is order-insensitive.
-            acc = acc.wrapping_add(h);
-        }
-        let mut out = FNV_OFFSET;
-        fnv_word(&mut out, self.items as u64);
-        fnv_word(&mut out, acc);
-        out
     }
 }
 

@@ -50,18 +50,6 @@ pub use cache::{Cache, CacheConfig, CacheStats, Evicted};
 pub use controller::{AccessKind, CoherenceController, Outcome, ProtocolKind, Supplier, Writeback};
 pub use directory::{DirEntry, Directory, NodeSet};
 
-/// FNV-1a offset basis, shared by the crate's state-hash digests.
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Folds one word into an FNV-1a digest, byte by byte.
-#[inline]
-pub(crate) fn fnv_word(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Berkeley-protocol cache line states.
 ///
 /// Absence from the cache is the Invalid state. `Valid` is an unowned,

@@ -263,19 +263,6 @@ impl Experiment {
         self.run_with_config(self.machine.config())
     }
 
-    /// Checks the experiment's static configuration without running it:
-    /// the processor count must be a nonzero power of two that the chosen
-    /// network can host.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::Config`] naming the offending parameter.
-    pub fn validate(&self) -> Result<(), ExperimentError> {
-        Topology::try_of_kind(self.net.kind(), self.procs)
-            .map(|_| ())
-            .map_err(|e| ExperimentError::Config(e.to_string()))
-    }
-
     /// Runs the experiment with an explicit machine configuration — used
     /// by the ablations (gap policy, scaled g) and by faulted sweeps
     /// (fault plan, run budget).
@@ -306,20 +293,32 @@ impl Experiment {
         config: MachineConfig,
         _: Option<std::convert::Infallible>,
     ) -> Result<(RunMetrics, Vec<IntervalRecord>, SpecStats), ExperimentError> {
-        let topo = Topology::try_of_kind(self.net.kind(), self.procs)
-            .map_err(|e| ExperimentError::Config(e.to_string()))?;
-        let outcome = catch_unwind(AssertUnwindSafe(move || {
+        fenced(self.net, self.procs, |topo| {
             let mut setup = SetupCtx::new(self.procs);
             let app = self.app.instantiate(self.size);
             let built = app.build(&mut setup, self.seed);
             let mut engine =
-                Engine::with_config(self.machine.kind(), &topo, config, setup, built.bodies);
+                Engine::with_config(self.machine.kind(), topo, config, setup, built.bodies);
             let report = engine.run().map_err(ExperimentError::Run)?;
             (built.verify)(&report.final_store).map_err(ExperimentError::Verify)?;
             Ok((metrics_of(&report), report.telemetry, SpecStats::default()))
-        }));
-        outcome.unwrap_or_else(|payload| Err(ExperimentError::Aborted(panic_message(&*payload))))
+        })
     }
+}
+
+/// The experiment boundary: builds the `net` topology over `procs`
+/// processors, refusing an invalid count as [`ExperimentError::Config`],
+/// and runs `body` on it behind the one panic fence, so a panic from the
+/// builder, a model or a verifier surfaces as [`ExperimentError::Aborted`].
+fn fenced<T>(
+    net: Net,
+    procs: usize,
+    body: impl FnOnce(&Topology) -> Result<T, ExperimentError>,
+) -> Result<T, ExperimentError> {
+    let topo = Topology::try_of_kind(net.kind(), procs)
+        .map_err(|e| ExperimentError::Config(e.to_string()))?;
+    catch_unwind(AssertUnwindSafe(|| body(&topo)))
+        .unwrap_or_else(|payload| Err(ExperimentError::Aborted(panic_message(&*payload))))
 }
 
 /// Extracts figure-ready metrics from an engine report.
@@ -361,14 +360,11 @@ pub fn run_bodies(
     setup: SetupCtx,
     bodies: Vec<ProcBody>,
 ) -> Result<RunMetrics, ExperimentError> {
-    let topo = Topology::try_of_kind(net.kind(), procs)
-        .map_err(|e| ExperimentError::Config(e.to_string()))?;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut engine = Engine::with_config(machine.kind(), &topo, config, setup, bodies);
+    fenced(net, procs, |topo| {
+        let mut engine = Engine::with_config(machine.kind(), topo, config, setup, bodies);
         let report = engine.run().map_err(ExperimentError::Run)?;
         Ok(metrics_of(&report))
-    }));
-    outcome.unwrap_or_else(|payload| Err(ExperimentError::Aborted(panic_message(&*payload))))
+    })
 }
 
 #[cfg(test)]
@@ -456,18 +452,15 @@ mod tests {
             procs: 3,
             seed: 1,
         };
-        for (procs, needle) in [(3, "power of two"), (0, "positive"), (1 << 20, "maximum")] {
-            let exp = Experiment { procs, ..base };
-            match exp.validate() {
+        for (procs, needle) in [(3, "power of two"), (0, "positive"), (128, "maximum")] {
+            match (Experiment { procs, ..base }).run() {
                 Err(ExperimentError::Config(msg)) => {
                     assert!(msg.contains(needle), "procs={procs}: {msg}")
                 }
                 other => panic!("procs={procs}: expected Config error, got {other:?}"),
             }
-            // `run` must agree with `validate`, not panic.
-            assert!(matches!(exp.run(), Err(ExperimentError::Config(_))));
         }
-        assert!(Experiment { procs: 4, ..base }.validate().is_ok());
+        assert!(Experiment { procs: 4, ..base }.run().is_ok());
     }
 
     #[test]

@@ -36,6 +36,10 @@ use crate::figures::{FigureSpec, Metric};
 use crate::journal::SweepJournal;
 use crate::{Experiment, ExperimentError, Machine, RunMetrics};
 
+/// The header line of every figures CSV ([`FigureData::to_csv`] and the
+/// `figures --csv` file that concatenates their rows).
+pub const CSV_HEADER: &str = "figure,app,net,metric,procs,machine,value,reason";
+
 /// One figure's regenerated data: `series[s].points[i]` is the verdict
 /// at `procs[i]`.
 #[derive(Debug)]
@@ -597,14 +601,13 @@ impl FigureData {
         out
     }
 
-    /// Renders the figure as CSV
-    /// (`figure,app,net,metric,procs,machine,value,reason`). Failed
+    /// Renders the figure as CSV under [`CSV_HEADER`]. Failed
     /// points emit the literal `FAILED` so downstream consumers fail
     /// loudly instead of silently plotting `NaN` as zero, and carry the
     /// failure's rendering in the `reason` column (empty for completed
     /// points) so salvaged partial figures stay machine-readable.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("figure,app,net,metric,procs,machine,value,reason\n");
+        let mut out = format!("{CSV_HEADER}\n");
         for s in &self.series {
             for (i, &p) in self.procs.iter().enumerate() {
                 let v = s.value(self.spec.metric, i);

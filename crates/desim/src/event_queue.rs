@@ -52,7 +52,7 @@ const MAX_WIDTH_SHIFT: u32 = 40;
 /// the bucket being drained), and each event is sorted exactly once, in
 /// the small batch of its bucket, when the drain front reaches it. The
 /// observable behaviour — pop order, FIFO stability within a timestamp,
-/// `pushed`/`popped`/`last_popped` accounting — is bit-identical to a
+/// `pushed`/`popped` accounting — is bit-identical to a
 /// binary heap ordered by `(time, seq)`, which the differential suite
 /// (`tests/queue_diff.rs`) enforces.
 ///
@@ -102,7 +102,6 @@ pub struct CalendarQueue<E> {
     spare: Vec<(SimTime, u64, E)>,
     seq: u64,
     popped: u64,
-    last_popped: Option<SimTime>,
 }
 
 impl<E> CalendarQueue<E> {
@@ -122,7 +121,6 @@ impl<E> CalendarQueue<E> {
             spare: Vec::new(),
             seq: 0,
             popped: 0,
-            last_popped: None,
         }
     }
 
@@ -248,7 +246,6 @@ impl<E> CalendarQueue<E> {
     fn take_head(&mut self) -> (SimTime, E) {
         let (t, _, e) = self.cur.pop().expect("refill guaranteed a head");
         self.popped += 1;
-        self.last_popped = Some(t);
         (t, e)
     }
 
@@ -300,12 +297,6 @@ impl<E> CalendarQueue<E> {
     /// must have popped exactly what was pushed.
     pub fn popped(&self) -> u64 {
         self.popped
-    }
-
-    /// Timestamp of the most recently popped event, if any — the queue-side
-    /// record of the simulation clock, for monotonicity checks.
-    pub fn last_popped(&self) -> Option<SimTime> {
-        self.last_popped
     }
 }
 
@@ -362,18 +353,15 @@ mod tests {
     }
 
     #[test]
-    fn popped_and_last_popped_track_consumption() {
+    fn popped_tracks_consumption() {
         let mut q = CalendarQueue::new();
         assert_eq!(q.popped(), 0);
-        assert_eq!(q.last_popped(), None);
         q.push(SimTime::from_ns(10), 'a');
         q.push(SimTime::from_ns(20), 'b');
         q.pop();
         assert_eq!(q.popped(), 1);
-        assert_eq!(q.last_popped(), Some(SimTime::from_ns(10)));
         q.pop();
         assert_eq!(q.popped(), 2);
-        assert_eq!(q.last_popped(), Some(SimTime::from_ns(20)));
         assert_eq!(q.popped(), q.pushed());
         q.pop();
         assert_eq!(q.popped(), 2); // empty pop does not count

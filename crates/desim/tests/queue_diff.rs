@@ -1,7 +1,7 @@
 //! Differential queue property suite: `CalendarQueue` must be
 //! observationally identical to the `HeapQueue` oracle below — pop
 //! sequences (including FIFO tie order), deferred heads, lengths, and the
-//! `pushed()`/`popped()`/`last_popped()` accounting — across adversarial
+//! `pushed()`/`popped()` accounting — across adversarial
 //! schedules: same-timestamp bursts, far-future spills, interleaved
 //! push/pop, monotonic engine-like streams, and non-monotonic inserts
 //! into the past.
@@ -21,7 +21,6 @@ struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     popped: u64,
-    last_popped: Option<SimTime>,
 }
 
 struct Entry<E> {
@@ -57,7 +56,6 @@ impl<E> HeapQueue<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             popped: 0,
-            last_popped: None,
         }
     }
 
@@ -70,7 +68,6 @@ impl<E> HeapQueue<E> {
     fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| {
             self.popped += 1;
-            self.last_popped = Some(e.time);
             (e.time, e.event)
         })
     }
@@ -96,10 +93,6 @@ impl<E> HeapQueue<E> {
 
     fn popped(&self) -> u64 {
         self.popped
-    }
-
-    fn last_popped(&self) -> Option<SimTime> {
-        self.last_popped
     }
 }
 
@@ -142,8 +135,6 @@ fn run_diff(ops: &[Op]) -> Result<(), String> {
         prop_assert_eq!(cal.len(), heap.len(), "step {step}: len diverged");
         prop_assert_eq!(cal.pushed(), heap.pushed(), "step {step}: pushed diverged");
         prop_assert_eq!(cal.popped(), heap.popped(), "step {step}: popped diverged");
-        let (a, b) = (cal.last_popped(), heap.last_popped());
-        prop_assert_eq!(a, b, "step {step}: last_popped diverged: {a:?} vs {b:?}");
     }
     // Drain both to the end: the full residual order must agree too.
     loop {

@@ -171,15 +171,6 @@ impl AddressMap {
             .ok_or(UnallocatedAddress(addr))
     }
 
-    /// The home node of `addr`.
-    ///
-    /// # Errors
-    ///
-    /// [`UnallocatedAddress`] if no allocation covers `addr`.
-    pub fn home_of(&self, addr: Addr) -> Result<usize, UnallocatedAddress> {
-        self.region(addr).map(|r| r.home)
-    }
-
     /// The home node of `block`, a block some cache already holds. Every
     /// cached block was brought in by an access the engine validated, so
     /// this cannot miss.
@@ -193,15 +184,6 @@ impl AddressMap {
             Ok(region) => region.home,
             Err(e) => panic!("cached block {block}: {e}"),
         }
-    }
-
-    /// The label of the region containing `addr`, if the address is
-    /// allocated and the region was labeled. An unallocated address
-    /// simply has no label; [`AddressMap::home_of`] is the lookup that
-    /// reports unallocated addresses as errors.
-    pub fn label_of(&self, addr: Addr) -> Option<&'static str> {
-        let id = self.region(addr).ok()?.label?;
-        Some(self.labels[id])
     }
 
     /// Number of allocated blocks: block ids run densely from zero.
@@ -259,18 +241,21 @@ mod tests {
         let mut m = AddressMap::new(4);
         let a = m.alloc(3, 4);
         let b = m.alloc(1, 100);
-        assert_eq!(m.home_of(a), Ok(3));
-        assert_eq!(m.home_of(a.offset_words(3)), Ok(3));
-        assert_eq!(m.home_of(b), Ok(1));
-        assert_eq!(m.home_of(b.offset_words(99)), Ok(1));
+        let home = |addr| m.region(addr).map(|r| r.home);
+        assert_eq!(home(a), Ok(3));
+        assert_eq!(home(a.offset_words(3)), Ok(3));
+        assert_eq!(home(b), Ok(1));
+        assert_eq!(home(b.offset_words(99)), Ok(1));
     }
 
     #[test]
     fn unallocated_address_is_a_typed_error() {
         let mut m = AddressMap::new(2);
         m.alloc(0, 1);
-        assert_eq!(m.home_of(Addr(1000)), Err(UnallocatedAddress(Addr(1000))));
-        assert_eq!(m.label_of(Addr(1000)), None);
+        assert!(matches!(
+            m.region(Addr(1000)),
+            Err(UnallocatedAddress(Addr(1000)))
+        ));
         assert!(UnallocatedAddress(Addr(1000))
             .to_string()
             .contains("not allocated"));
@@ -357,12 +342,11 @@ mod tests {
             }
             probes.extend([map.allocated_bytes(), map.allocated_bytes() + BLOCK_BYTES]);
             for addr in probes.into_iter().map(Addr) {
-                let expected = oracle.region_of(addr);
-                prop_assert_eq!(
-                    map.home_of(addr),
-                    expected.map(|r| r.2).ok_or(UnallocatedAddress(addr))
-                );
-                prop_assert_eq!(map.label_of(addr), expected.and_then(|r| r.3));
+                let found = map
+                    .region(addr)
+                    .map(|r| (r.home, r.label.map(|id| map.labels()[id])));
+                let expected = oracle.region_of(addr).map(|r| (r.2, r.3));
+                prop_assert_eq!(found, expected.ok_or(UnallocatedAddress(addr)));
             }
             Ok(())
         });

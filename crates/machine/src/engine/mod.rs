@@ -195,9 +195,7 @@ impl RunReport {
 
 /// One scheduled event. `Copy` and 48 bytes: the queue holds the events
 /// themselves, so a pop hands over the value the handler consumes. The
-/// processor is a `u32` so that it shares the variant tag's word; a
-/// topology has at most [`spasm_topology::MAX_NODES`] nodes, so the
-/// `as u32` casts never truncate.
+/// processor is a `u32` so that it shares the variant tag's word.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// Handle a processor's request at its issue time.
@@ -210,6 +208,8 @@ pub(crate) enum Ev {
 
 // A queue entry is `(SimTime, seq, Ev)`: one 64-byte cache line.
 const _: () = assert!(std::mem::size_of::<(SimTime, u64, Ev)>() == 64);
+// Every processor id fits `Ev`'s `u32`, so its `as u32` casts never truncate.
+const _: () = assert!(spasm_topology::MAX_NODES <= u32::MAX as usize);
 
 /// What a blocked processor waits for.
 #[derive(Debug, Clone, Copy)]
@@ -251,7 +251,6 @@ pub struct Engine {
     injector: Option<FaultInjector>,
     checker: Option<EngineChecker<Ev>>,
     telemetry: Option<Collector>,
-    processed: u64,
 }
 
 impl fmt::Debug for Engine {
@@ -323,7 +322,6 @@ impl Engine {
                 .enabled()
                 .then(|| EngineChecker::new(config.check, p)),
             telemetry: config.telemetry.map(Collector::new),
-            processed: 0,
         }
     }
 

@@ -35,7 +35,6 @@ impl Engine {
         while let Some((t, ev)) = self.events.pop() {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
-            self.processed += 1;
             if let Some(mut tele) = self.telemetry.take() {
                 if tele.boundary_crossed(t) {
                     let snapshot = self.telemetry_snapshot();
@@ -47,11 +46,11 @@ impl Engine {
             if self
                 .budget
                 .max_events
-                .is_some_and(|max| self.processed > max)
+                .is_some_and(|max| self.events.popped() > max)
             {
                 return Err(RunError::BudgetExceeded {
                     at: self.now,
-                    events: self.processed,
+                    events: self.events.popped(),
                 });
             }
             if let Some(chk) = &mut self.checker {

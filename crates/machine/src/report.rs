@@ -82,25 +82,6 @@ impl RunReport {
         }
         out
     }
-
-    /// The load imbalance: slowest processor's finish over the mean
-    /// finish. 1.0 is perfectly balanced.
-    pub fn imbalance(&self) -> f64 {
-        if self.per_proc.is_empty() {
-            return 1.0;
-        }
-        let mean: f64 = self
-            .per_proc
-            .iter()
-            .map(|s| s.finish.as_us_f64())
-            .sum::<f64>()
-            / self.per_proc.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            self.exec_time_us() / mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,12 +116,5 @@ mod tests {
         assert!(table.lines().count() >= 6); // header x2 + 2 procs + sum + net
         assert!(table.contains("msgs"));
         assert!(table.contains("invalidations"));
-    }
-
-    #[test]
-    fn imbalance_reflects_uneven_finish() {
-        let r = demo_report();
-        // Proc 0 works much longer than proc 1.
-        assert!(r.imbalance() > 1.2, "imbalance {}", r.imbalance());
     }
 }

@@ -7,10 +7,12 @@
 //!
 //! Checked over testkit-generated access sequences under both coherence
 //! protocols. Failures shrink (testkit halves and drops ops from the
-//! generated sequence), and state is compared per component, so a shrunk
-//! counterexample names the field that moved — `cache[n]` or `directory`.
+//! generated sequence), and state is compared per cache, so a shrunk
+//! counterexample names the cache that moved.
 
-use spasm_cache::{AccessKind, CacheConfig, CoherenceController, Outcome, ProtocolKind, Supplier};
+use spasm_cache::{
+    AccessKind, Cache, CacheConfig, CoherenceController, Outcome, ProtocolKind, Supplier,
+};
 use spasm_testkit::{check_with, gens, prop_assert, Config, Gen};
 
 /// Nodes in the generated machine.
@@ -71,21 +73,17 @@ fn apply(c: &mut CoherenceController, ops: &[RawOp]) -> Vec<Outcome> {
         .collect()
 }
 
-/// Per-component digests: one per cache, one for the directory. Named so
-/// a failure localizes to a field.
-fn component_hashes(c: &CoherenceController) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = (0..c.nodes())
-        .map(|n| (format!("cache[{n}]"), c.cache(n).state_hash()))
-        .collect();
-    v.push(("directory".to_string(), c.directory().state_hash()));
-    v
+/// A copy of every cache, in node order. The directory is not copied:
+/// every access may change it.
+fn caches(c: &CoherenceController) -> Vec<Cache> {
+    (0..c.nodes()).map(|n| c.cache(n).clone()).collect()
 }
 
 /// An access perturbs only the components its outcome names — the
 /// accessor's cache, the caches the outcome says were invalidated or
-/// supplied/downgraded from, and the directory. Anything outside that set
-/// must hash identically before and after: there is no hidden
-/// cross-component coupling.
+/// supplied/downgraded from, and the directory. Every other cache must
+/// compare equal before and after: there is no hidden cross-component
+/// coupling.
 #[test]
 fn access_perturbs_only_named_components() {
     let gen = gens::tuple2(
@@ -104,46 +102,42 @@ fn access_perturbs_only_named_components() {
             let mut c =
                 CoherenceController::with_protocol(NODES, tiny_cache(), protocol_of(*proto));
             apply(&mut c, ops);
-            let before = component_hashes(&c);
+            let before = caches(&c);
             let (node, block, kind) = decode(*probe);
             let outcome = c.access(node, block, kind);
-            let after = component_hashes(&c);
+            let after = caches(&c);
 
-            // Upper bound on what this outcome is allowed to touch.
-            let mut allowed = vec![format!("cache[{node}]"), "directory".to_string()];
+            // Upper bound on the caches this outcome is allowed to touch.
+            let mut allowed = vec![node];
             match &outcome {
                 Outcome::Hit => {}
-                Outcome::UpgradeHit { invalidated } => {
-                    allowed.extend(invalidated.iter().map(|n| format!("cache[{n}]")));
-                }
+                Outcome::UpgradeHit { invalidated } => allowed.extend(invalidated.iter()),
                 Outcome::Miss {
                     supplier,
                     invalidated,
                     downgrade_writeback,
                     ..
                 } => {
-                    allowed.extend(invalidated.iter().map(|n| format!("cache[{n}]")));
+                    allowed.extend(invalidated.iter());
                     if let Supplier::Owner(o) = supplier {
-                        allowed.push(format!("cache[{o}]"));
+                        allowed.push(*o);
                     }
                     if let Some(wb) = downgrade_writeback {
-                        allowed.push(format!("cache[{}]", wb.from));
+                        allowed.push(wb.from);
                     }
                 }
             }
-            for ((name, ha), (_, hb)) in before.iter().zip(&after) {
-                if ha != hb {
-                    prop_assert!(
-                        allowed.contains(name),
-                        "{name} changed but outcome {outcome:?} does not name it"
-                    );
-                }
+            for (n, (a, b)) in before.iter().zip(&after).enumerate() {
+                prop_assert!(
+                    a == b || allowed.contains(&n),
+                    "cache[{n}] changed but outcome {outcome:?} does not name it"
+                );
             }
             // The accessor's own cache always records the access (at
             // minimum its hit/miss counters move).
             prop_assert!(
-                before[node].1 != after[node].1,
-                "cache[{node}] made an access yet its state hash is unchanged"
+                before[node] != after[node],
+                "cache[{node}] made an access yet its state is unchanged"
             );
             Ok(())
         },

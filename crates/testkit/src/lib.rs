@@ -188,11 +188,6 @@ pub mod gens {
         )
     }
 
-    /// The constant generator.
-    pub fn just<T: Clone + 'static>(value: T) -> Gen<T> {
-        Gen::new(move |_| value.clone(), |_| Vec::new())
-    }
-
     /// A vector whose length is uniform in `len` and whose elements come
     /// from `elem`. Shrinks by dropping the front/back half, dropping
     /// single elements (never below the minimum length), and shrinking

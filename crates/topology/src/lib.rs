@@ -12,9 +12,10 @@
 //!   twice as many columns as rows.
 //!
 //! This crate is pure combinatorics: node naming, link ids computed from
-//! their endpoints, deterministic routing paths, and bisection-width
-//! computation (which the LogP abstraction uses
-//! to derive its *g* parameter). The timing model lives in `spasm-net`.
+//! their endpoints, deterministic routing paths, and the bisection cut
+//! that traffic-locality measurements use. The timing model lives in
+//! `spasm-net`; LogP's *g* follows the paper's §5 rules, written out in
+//! `spasm_logp::LogPParams::for_topology`.
 //!
 //! # Example
 //!
@@ -24,7 +25,6 @@
 //! let mesh = Topology::mesh(16); // 4x4
 //! let path = mesh.route(NodeId(0), NodeId(15));
 //! assert_eq!(path.len(), 6); // 3 hops east + 3 hops south
-//! assert_eq!(mesh.diameter(), 6);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,13 +62,11 @@ pub enum TopologyError {
     /// The processor count was not a power of two (all three topologies in
     /// the study restrict `p` to powers of two, matching the paper).
     NotPowerOfTwo(usize),
-    /// The processor count exceeds the per-kind construction cap.
+    /// The processor count exceeds [`MAX_NODES`].
     TooLarge {
-        /// The requested topology family.
-        kind: TopologyKind,
         /// The requested processor count.
         p: usize,
-        /// The maximum supported for this family.
+        /// The maximum supported ([`MAX_NODES`]).
         max: usize,
     },
     /// A node id was outside `0..p`.
@@ -87,11 +85,8 @@ impl fmt::Display for TopologyError {
             TopologyError::NotPowerOfTwo(p) => {
                 write!(f, "processor count must be a power of two (got {p})")
             }
-            TopologyError::TooLarge { kind, p, max } => {
-                write!(
-                    f,
-                    "processor count {p} exceeds the {kind} network's maximum {max}"
-                )
+            TopologyError::TooLarge { p, max } => {
+                write!(f, "processor count {p} exceeds the maximum {max}")
             }
             TopologyError::NodeOutOfRange { node, p } => {
                 write!(f, "node n{node} out of range (p = {p})")
@@ -102,13 +97,10 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// Construction cap for the fully connected network: it has `p * (p - 1)`
-/// links, each with per-link state in `spasm-net`, so quadratic growth is
-/// bounded here.
-pub const MAX_FULL_NODES: usize = 1 << 12;
-
-/// Construction cap for the hypercube and mesh networks.
-pub const MAX_NODES: usize = 1 << 16;
+/// The most processors any topology, and so any machine, has: the
+/// target's full-map directory keeps one presence bit per node in a
+/// 64-bit word, and the paper's sweeps run p = 2…32.
+pub const MAX_NODES: usize = 64;
 
 /// Which of the paper's three interconnects a [`Topology`] instance is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,10 +186,9 @@ impl Topology {
     /// # Errors
     ///
     /// Returns a [`TopologyError`] when `p` is zero, not a power of two,
-    /// or exceeds the family's construction cap ([`MAX_FULL_NODES`] for
-    /// the full network, [`MAX_NODES`] otherwise).
+    /// or exceeds [`MAX_NODES`].
     pub fn try_of_kind(kind: TopologyKind, p: usize) -> Result<Self, TopologyError> {
-        validate_p(kind, p)?;
+        validate_p(p)?;
         let (rows, cols) = match kind {
             TopologyKind::Mesh2D => mesh_shape(p),
             TopologyKind::Full | TopologyKind::Hypercube => (0, 0),
@@ -375,41 +366,12 @@ impl Topology {
         }
     }
 
-    /// The network diameter (maximum hop count between any node pair).
-    pub fn diameter(&self) -> usize {
-        match self.kind {
-            TopologyKind::Full => usize::from(self.p > 1),
-            TopologyKind::Hypercube => self.p.trailing_zeros() as usize,
-            TopologyKind::Mesh2D => (self.rows - 1) + (self.cols - 1),
-        }
-    }
-
-    /// Number of unidirectional links crossing the canonical bisection.
-    ///
-    /// For the full network every ordered pair with endpoints on opposite
-    /// halves contributes its dedicated link; for the hypercube the cut
-    /// across the top dimension crosses `p` directed links; for the mesh a
-    /// vertical cut between the column halves crosses `2 * rows` directed
-    /// links. Used to derive the LogP *g* parameter from per-processor
-    /// bisection bandwidth.
-    pub fn bisection_links(&self) -> usize {
-        if self.p == 1 {
-            return 1; // degenerate: avoid division by zero downstream
-        }
-        match self.kind {
-            TopologyKind::Full => 2 * (self.p / 2) * (self.p / 2),
-            TopologyKind::Hypercube => self.p,
-            TopologyKind::Mesh2D => 2 * self.rows,
-        }
-    }
-
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.p).map(NodeId)
     }
 
-    /// Whether a `src → dst` message crosses the canonical bisection used
-    /// by [`Topology::bisection_links`].
+    /// Whether a `src → dst` message crosses the canonical bisection.
     ///
     /// For the full network and hypercube the cut is between ids `< p/2`
     /// and the rest; for the mesh it is the vertical cut between the
@@ -433,20 +395,15 @@ impl Topology {
     }
 }
 
-fn validate_p(kind: TopologyKind, p: usize) -> Result<(), TopologyError> {
+fn validate_p(p: usize) -> Result<(), TopologyError> {
     if p == 0 {
         return Err(TopologyError::ZeroNodes);
     }
     if !p.is_power_of_two() {
         return Err(TopologyError::NotPowerOfTwo(p));
     }
-    // The full network keeps O(p^2) links; cap it tighter than the others.
-    let max = match kind {
-        TopologyKind::Full => MAX_FULL_NODES,
-        TopologyKind::Hypercube | TopologyKind::Mesh2D => MAX_NODES,
-    };
-    if p > max {
-        return Err(TopologyError::TooLarge { kind, p, max });
+    if p > MAX_NODES {
+        return Err(TopologyError::TooLarge { p, max: MAX_NODES });
     }
     Ok(())
 }
@@ -506,18 +463,15 @@ mod tests {
                 Topology::try_of_kind(kind, 3).unwrap_err(),
                 TopologyError::NotPowerOfTwo(3)
             );
-            assert!(Topology::try_of_kind(kind, 4).is_ok());
+            assert!(Topology::try_of_kind(kind, MAX_NODES).is_ok());
+            assert_eq!(
+                Topology::try_of_kind(kind, 2 * MAX_NODES).unwrap_err(),
+                TopologyError::TooLarge {
+                    p: 2 * MAX_NODES,
+                    max: MAX_NODES,
+                }
+            );
         }
-        // The full network rejects sizes the sparse networks still accept.
-        let over = MAX_FULL_NODES * 2;
-        assert_eq!(
-            Topology::try_of_kind(TopologyKind::Full, over).unwrap_err(),
-            TopologyError::TooLarge {
-                kind: TopologyKind::Full,
-                p: over,
-                max: MAX_FULL_NODES,
-            }
-        );
     }
 
     #[test]
@@ -604,14 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn diameters() {
-        assert_eq!(Topology::full(32).diameter(), 1);
-        assert_eq!(Topology::hypercube(32).diameter(), 5);
-        assert_eq!(Topology::mesh(32).diameter(), 3 + 7); // 4x8
-        assert_eq!(Topology::full(1).diameter(), 0);
-    }
-
-    #[test]
     fn link_counts() {
         // full: p(p-1) directed links
         assert_eq!(Topology::full(8).link_count(), 8 * 7);
@@ -642,14 +588,6 @@ mod tests {
                 assert_eq!(adjacent, t.link_count(), "{kind} p={p}");
             }
         }
-    }
-
-    #[test]
-    fn bisection_links_counts() {
-        assert_eq!(Topology::full(8).bisection_links(), 2 * 4 * 4);
-        assert_eq!(Topology::hypercube(8).bisection_links(), 8);
-        assert_eq!(Topology::mesh(16).bisection_links(), 8); // 4 rows, both dirs
-        assert_eq!(Topology::full(1).bisection_links(), 1);
     }
 
     #[test]

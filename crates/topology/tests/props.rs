@@ -70,16 +70,6 @@ fn routes_simple() {
     });
 }
 
-/// Hop counts never exceed the diameter.
-#[test]
-fn hops_bounded_by_diameter() {
-    check("hops_bounded_by_diameter", &kpsd(), |&(kind, p, s, d)| {
-        let t = Topology::of_kind(kind, p);
-        prop_assert!(t.hops(NodeId(s % p), NodeId(d % p)) <= t.diameter());
-        Ok(())
-    });
-}
-
 /// The hop metric is symmetric for all three topologies.
 #[test]
 fn hops_symmetric() {
@@ -119,22 +109,6 @@ fn all_links_reachable() {
                 }
             }
             prop_assert!(used.iter().all(|&u| u), "{kind:?} p={p} has unused links");
-            Ok(())
-        },
-    );
-}
-
-/// Bisection width is positive and bounded by the total link count.
-#[test]
-fn bisection_sane() {
-    check(
-        "bisection_sane",
-        &gens::tuple2(kinds(), gens::choice(vec![2usize, 4, 8, 16, 32, 64])),
-        |&(kind, p)| {
-            let t = Topology::of_kind(kind, p);
-            let b = t.bisection_links();
-            prop_assert!(b > 0);
-            prop_assert!(b <= t.link_count());
             Ok(())
         },
     );

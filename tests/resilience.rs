@@ -91,12 +91,28 @@ fn config_errors_name_the_bad_parameter() {
         procs: 4,
         seed: 1,
     };
-    for (procs, needle) in [(0, "positive"), (6, "power of two"), (1 << 20, "maximum")] {
-        match (Experiment { procs, ..base }).run() {
-            Err(ExperimentError::Config(msg)) => {
-                assert!(msg.contains(needle), "procs={procs}: {msg}")
+    // 128 is past every machine's bound (the target's full-map directory
+    // keeps a 64-bit presence set): each must refuse it before running.
+    let bad = [
+        (0, "positive"),
+        (6, "power of two"),
+        (128, "maximum"),
+        (1 << 20, "maximum"),
+    ];
+    for machine in Machine::ALL {
+        for (procs, needle) in bad {
+            match (Experiment {
+                procs,
+                machine,
+                ..base
+            })
+            .run()
+            {
+                Err(ExperimentError::Config(msg)) => {
+                    assert!(msg.contains(needle), "{machine} procs={procs}: {msg}")
+                }
+                other => panic!("{machine} procs={procs}: expected Config, got {other:?}"),
             }
-            other => panic!("procs={procs}: expected Config, got {other:?}"),
         }
     }
 }
