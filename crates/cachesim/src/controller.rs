@@ -111,11 +111,6 @@ impl CoherenceController {
         }
     }
 
-    /// The protocol in force.
-    pub fn protocol(&self) -> ProtocolKind {
-        self.protocol
-    }
-
     /// Performs `kind` access by `node` to `block`, mutating cache and
     /// directory state, and reports what happened.
     ///
@@ -335,7 +330,7 @@ mod tests {
         assert_eq!(c.cache(2).peek(10), None);
         let e = c.directory().get(10).unwrap();
         assert_eq!(e.owner(), Some(0));
-        assert_eq!(e.sharer_count(), 1);
+        assert_eq!(e.sharer_bits().len(), 1);
     }
 
     #[test]
@@ -426,7 +421,7 @@ mod tests {
             o => panic!("{o:?}"),
         }
         // Directory no longer thinks node 0 holds block 0.
-        assert!(c.directory().get(0).unwrap().is_uncached());
+        assert!(c.directory().get(0).unwrap().sharer_bits().is_empty());
         assert_eq!(c.directory().get(0).unwrap().owner(), None);
     }
 
@@ -527,7 +522,6 @@ mod tests {
             } => {}
             o => panic!("{o:?}"),
         }
-        assert_eq!(c.protocol(), ProtocolKind::Berkeley);
     }
 
     #[test]

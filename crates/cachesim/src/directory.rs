@@ -103,11 +103,6 @@ impl DirEntry {
         self.sharers.contains(node)
     }
 
-    /// Number of nodes holding the block.
-    pub fn sharer_count(&self) -> u32 {
-        self.sharers.len() as u32
-    }
-
     /// The owning cache, if any cache owns the block.
     #[inline]
     pub fn owner(&self) -> Option<usize> {
@@ -137,49 +132,18 @@ impl DirEntry {
         }
         self.owner = node;
     }
-
-    /// True when no cache holds the block (memory is the only copy).
-    pub fn is_uncached(&self) -> bool {
-        self.sharers.is_empty()
-    }
 }
 
-/// The directory: block number → [`DirEntry`].
+/// The directory: one [`DirEntry`] per block, indexed by block id.
 ///
 /// Physically the directory is distributed across homes; which node is the
 /// home of a block is an addressing question the machine layer answers, so
-/// this type is just the (sparse) state map.
-///
-/// The map is a purpose-built open-addressing table rather than a general
-/// `HashMap`: directory entries are touched on every miss and upgrade, and
-/// **never removed** (a block whose last copy is evicted keeps an empty
-/// entry — `is_uncached` — exactly as the `HashMap` version did). That
-/// insert-only discipline permits plain linear probing with no tombstones,
-/// and block numbers hash with a single Fibonacci multiply instead of
-/// SipHash.
-///
-/// Equality compares the physical table (slot layout included), so it
-/// only holds between directories with identical insertion histories.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// this type is just the state. The table grows on first touch to the
+/// highest block seen; a block below that mark that no access touched
+/// reads as the empty, uncached entry.
+#[derive(Debug, Clone, Default)]
 pub struct Directory {
-    /// Power-of-two slot array; `None` is an empty slot.
-    slots: Vec<Option<(u64, DirEntry)>>,
-    /// Occupied slot count.
-    items: usize,
-    /// `64 - log2(slots.len())`: shift applied to the hashed key.
-    shift: u32,
-}
-
-const DIR_INITIAL_SLOTS: usize = 64;
-
-impl Default for Directory {
-    fn default() -> Self {
-        Directory {
-            slots: vec![None; DIR_INITIAL_SLOTS],
-            items: 0,
-            shift: 64 - DIR_INITIAL_SLOTS.trailing_zeros(),
-        }
-    }
+    entries: Vec<DirEntry>,
 }
 
 impl Directory {
@@ -188,74 +152,20 @@ impl Directory {
         Directory::default()
     }
 
-    /// Fibonacci-hash home slot for `block`.
-    #[inline]
-    fn slot_of(&self, block: u64) -> usize {
-        (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// Index of the slot holding `block`, or of the empty slot where it
-    /// would be inserted. With no deletions the probe chain from the home
-    /// slot to the first empty slot is authoritative.
-    #[inline]
-    fn probe(&self, block: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = self.slot_of(block);
-        loop {
-            match &self.slots[i] {
-                Some((k, _)) if *k != block => i = (i + 1) & mask,
-                _ => return i,
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![None; new_len]);
-        self.shift = 64 - new_len.trailing_zeros();
-        for slot in old.into_iter().flatten() {
-            let i = self.probe(slot.0);
-            self.slots[i] = Some(slot);
-        }
-    }
-
-    /// The entry for `block`, creating an empty one on first touch.
+    /// The entry for `block`, growing the table to cover it.
     #[inline]
     pub fn entry(&mut self, block: u64) -> &mut DirEntry {
-        // Keep the load factor under ~70% so probe chains stay short.
-        if self.items * 10 >= self.slots.len() * 7 {
-            self.grow();
+        let i = block as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, DirEntry::default());
         }
-        let i = self.probe(block);
-        if self.slots[i].is_none() {
-            self.slots[i] = Some((block, DirEntry::default()));
-            self.items += 1;
-        }
-        &mut self.slots[i]
-            .as_mut()
-            .expect("probe returned occupied or inserted slot")
-            .1
+        &mut self.entries[i]
     }
 
-    /// Read-only view of the entry for `block`, if it was ever touched.
+    /// Read-only view of the entry for `block`; `None` above the highest
+    /// block the table has grown to.
     pub fn get(&self, block: u64) -> Option<&DirEntry> {
-        self.slots[self.probe(block)].as_ref().map(|(_, e)| e)
-    }
-
-    /// Number of blocks with directory state.
-    pub fn len(&self) -> usize {
-        self.items
-    }
-
-    /// True when no block has directory state.
-    pub fn is_empty(&self) -> bool {
-        self.items == 0
-    }
-
-    /// All blocks with directory state, in no particular order
-    /// (invariant checkers scan this; sort before comparing).
-    pub fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slots.iter().flatten().map(|&(k, _)| k)
+        self.entries.get(block as usize)
     }
 }
 
@@ -266,7 +176,7 @@ mod tests {
     #[test]
     fn empty_entry_is_uncached() {
         let mut d = Directory::new();
-        assert!(d.entry(7).is_uncached());
+        assert!(d.entry(7).sharer_bits().is_empty());
         assert_eq!(d.entry(7).owner(), None);
     }
 
@@ -278,7 +188,7 @@ mod tests {
         assert!(e.is_sharer(3));
         assert!(!e.is_sharer(4));
         assert_eq!(e.sharers().collect::<Vec<_>>(), vec![3, 5]);
-        assert_eq!(e.sharer_count(), 2);
+        assert_eq!(e.sharer_bits().len(), 2);
         e.remove_sharer(3);
         assert!(!e.is_sharer(3));
     }
@@ -303,7 +213,7 @@ mod tests {
         assert_eq!(e.owner(), Some(2));
         e.remove_sharer(2);
         assert_eq!(e.owner(), None);
-        assert!(e.is_uncached());
+        assert!(e.sharer_bits().is_empty());
     }
 
     #[test]
@@ -318,17 +228,5 @@ mod tests {
     fn presence_set_bound() {
         let mut e = DirEntry::default();
         e.add_sharer(64);
-    }
-
-    #[test]
-    fn directory_len_tracks_touched_blocks() {
-        let mut d = Directory::new();
-        assert!(d.is_empty());
-        d.entry(1).add_sharer(0);
-        d.entry(2).add_sharer(0);
-        d.entry(1).add_sharer(1);
-        assert_eq!(d.len(), 2);
-        assert!(d.get(3).is_none());
-        assert!(d.get(1).unwrap().is_sharer(1));
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! * [`Cache`] — a set-associative cache array with LRU replacement and
 //!   Berkeley line states;
-//! * [`Directory`] — fully-mapped directory entries (presence set + owner),
-//!   the presence set a `Copy` [`NodeSet`];
+//! * [`Directory`] — the fully-mapped directory, one entry (presence set +
+//!   owner) per block in a table indexed by block id, the presence set a
+//!   `Copy` [`NodeSet`];
 //! * [`CoherenceController`] — the pure protocol state machine. An access
 //!   mutates cache/directory state and returns an [`Outcome`] describing
 //!   *what happened* (hit, upgrade, miss with supplier / invalidations /

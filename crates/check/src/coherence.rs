@@ -235,24 +235,17 @@ impl CoherenceChecker {
         Ok(())
     }
 
-    /// Full-state sweep at end of run: every directory entry agrees with
-    /// the caches and every cached line is known to the directory.
+    /// Full-state sweep at end of run over every block id the checker was
+    /// sized for: every directory entry agrees with the caches and every
+    /// cached line is known to the directory.
     ///
     /// # Errors
     ///
     /// The first violated invariant, scanning blocks in ascending order
     /// so a given corrupted state always reports the same violation.
     pub fn verify_all(&self, cc: &CoherenceController) -> Result<(), CheckViolation> {
-        let mut blocks: Vec<u64> = cc.directory().blocks().collect();
-        for n in 0..self.p {
-            blocks.extend(cc.cache(n).resident_blocks().map(|(b, _)| b));
-        }
-        blocks.sort_unstable();
-        blocks.dedup();
-        for b in blocks {
-            self.verify_block(cc, b)?;
-        }
-        Ok(())
+        let blocks = self.mirror.len() / self.p;
+        (0..blocks as u64).try_for_each(|b| self.verify_block(cc, b))
     }
 
     /// Checks that the reported outcome is consistent with the mirror's
@@ -471,6 +464,19 @@ mod tests {
         let v = chk.verify_all(&cc).unwrap_err();
         assert_eq!(v.invariant, "directory-agreement", "{v}");
         assert!(v.message.contains("block 12"), "{v}");
+    }
+
+    #[test]
+    fn verify_all_finds_a_line_above_the_directory_table() {
+        let mut cc = CoherenceController::new(2, tiny_config());
+        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
+        cc.access(0, 3, AccessKind::Read);
+        // Corrupt: a cache conjures a block the directory never grew to.
+        cc.cache_mut(1).insert(12, BState::Valid);
+        assert!(cc.directory().get(12).is_none());
+        let v = chk.verify_all(&cc).unwrap_err();
+        assert_eq!(v.invariant, "directory-agreement", "{v}");
+        assert!(v.message.contains("node 1 caches block 12"), "{v}");
     }
 
     #[test]

@@ -151,12 +151,14 @@ if grep -nE 'RunError|home_of\(addr\)' crates/machine/src/models/*.rs ||
     exit 1
 fi
 
-# Block ids, words and processors are dense from zero, so the machine and
-# the checkers that watch it keep their state in `Vec`s indexed by them, as
-# `AddressMap` does; a hash map beside it is a second indexing scheme.
-echo "==> the engine and its checkers key no state by hash"
-if grep -rnE 'HashMap|HashSet|BTreeMap|Hasher|fxhash' crates/machine/src crates/check/src; then
-    echo "ERROR: crates/machine/src or crates/check/src keys state by hash; index a Vec by a dense id" >&2
+# Block ids, words and processors are dense from zero, so every simulator
+# layer keeps its state in `Vec`s indexed by them, as `AddressMap` does; a
+# hash map beside it is a second indexing scheme, and so is a hand-rolled
+# table (the Fibonacci multiplier `0x9E37_79B9...` is its mark).
+echo "==> the simulator layers key no state by hash"
+if grep -rnE 'HashMap|HashSet|BTreeMap|Hasher|fxhash|0x9E37_79B9' \
+    crates/{desim,topology,netsim,logp,cachesim,machine,check}/src; then
+    echo "ERROR: a simulator crate keys state by hash; index a Vec by a dense id" >&2
     exit 1
 fi
 
@@ -266,13 +268,24 @@ cargo test --release --offline --test reproduction -- --ignored r5_host_time
 # tests/queue_diff.rs), so this is also the whole-stack differential
 # check of the calendar queue: 300 points, every machine model, every
 # app; the one invocation shares 145 of them between figures.
-echo "==> golden: figures_small.{txt,csv} regenerate byte for byte"
+# The same bytes come out under --strict-check too, so no committed byte
+# can come from a run that breaks an invariant; the unchecked run stays to
+# prove that the checked and unchecked paths agree.
+echo "==> golden: figures_small.{txt,csv} regenerate byte for byte, plain and --strict-check"
 gdir=$(mktemp -d)
 trap 'rm -rf "$gdir"' EXIT
-./target/release/figures --all --size small --csv "$gdir/figures_small.csv" \
-    2> /dev/null | grep -v '^wrote ' > "$gdir/figures_small.txt"
-cmp figures_small.txt "$gdir/figures_small.txt"
-cmp figures_small.csv "$gdir/figures_small.csv"
+for mode in plain strict; do
+    flag=()
+    [[ $mode == strict ]] && flag=(--strict-check)
+    started=$(date +%s%N)
+    ./target/release/figures --all --size small "${flag[@]}" --csv "$gdir/$mode.csv" \
+        2> /dev/null | grep -v '^wrote ' > "$gdir/$mode.txt"
+    elapsed=$((($(date +%s%N) - started) / 1000000))
+    cmp figures_small.txt "$gdir/$mode.txt"
+    cmp figures_small.csv "$gdir/$mode.csv"
+    # The strict run is the wall time this tier adds for the invariants.
+    echo "    $mode run: $elapsed ms"
+done
 rm -rf "$gdir"
 trap - EXIT
 
