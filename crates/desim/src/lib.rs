@@ -7,12 +7,13 @@
 //! package; this crate plays the same role:
 //!
 //! * [`SimTime`] — simulated time in nanoseconds, with saturating arithmetic;
-//! * [`CalendarQueue`] — a min-ordered queue of timestamped events with
+//! * [`EventQueue`] — a min-ordered queue of timestamped events with
 //!   **stable tie-breaking** (events at equal times pop in push order),
 //!   which makes whole simulations deterministic and reproducible. It is
-//!   a bucketed ladder/calendar queue (O(1) amortized), verified against
-//!   a binary-heap reference by the differential suite in
-//!   `tests/queue_diff.rs`;
+//!   one `Vec` kept sorted, latest event first, so a pop is `Vec::pop`
+//!   and a push shifts a population of a few events per processor; the
+//!   differential suite in `tests/queue_diff.rs` holds it against a
+//!   binary-heap reference;
 //! * [`CoroPool`] — process-oriented simulation processes implemented as
 //!   coroutines in rendezvous with the (single-threaded) simulator, so that
 //!   application code can be written as ordinary blocking Rust code while the
@@ -24,9 +25,9 @@
 //! # Example
 //!
 //! ```
-//! use spasm_desim::{CalendarQueue, SimTime};
+//! use spasm_desim::{EventQueue, SimTime};
 //!
-//! let mut q = CalendarQueue::new();
+//! let mut q = EventQueue::new();
 //! q.push(SimTime::from_ns(30), "beta");
 //! q.push(SimTime::from_ns(10), "alpha");
 //! q.push(SimTime::from_ns(10), "gamma"); // same time: pops after alpha
@@ -45,5 +46,5 @@ mod event_queue;
 mod time;
 
 pub use coro::{CoroCtx, CoroPool, ProcId, Step};
-pub use event_queue::{CalendarQueue, PopIfBefore};
+pub use event_queue::{CalendarQueue, EventQueue, PopIfBefore};
 pub use time::SimTime;

@@ -1,4 +1,4 @@
-//! Differential queue property suite: `CalendarQueue` must be
+//! Differential queue property suite: `EventQueue` must be
 //! observationally identical to the `HeapQueue` oracle below — pop
 //! sequences (including FIFO tie order), deferred heads, lengths, and the
 //! `pushed()`/`popped()` accounting — across adversarial
@@ -9,7 +9,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use spasm_desim::{CalendarQueue, PopIfBefore, SimTime};
+use spasm_desim::{EventQueue, PopIfBefore, SimTime};
 use spasm_testkit::{check, gens, prop_assert, prop_assert_eq};
 
 /// The reference implementation: the simulator's original event queue, a
@@ -108,7 +108,7 @@ enum Op {
 /// every observable result. Events carry their push index so FIFO tie
 /// order is visible in the payload.
 fn run_diff(ops: &[Op]) -> Result<(), String> {
-    let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+    let mut cal: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapQueue<u64> = HeapQueue::new();
     let mut payload = 0u64;
     for (step, op) in ops.iter().enumerate() {
@@ -171,7 +171,7 @@ fn decode(origin: u64, sel: u64, tsel: u64, tweak: u64) -> Op {
 
 #[test]
 fn both_agree_on_a_monotonic_engine_stream() {
-    let mut cal = CalendarQueue::new();
+    let mut cal = EventQueue::new();
     let mut heap = HeapQueue::new();
     for i in 0..64u64 {
         cal.push(SimTime::from_ns(i % 7), i);

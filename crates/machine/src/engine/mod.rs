@@ -10,7 +10,7 @@ use std::fmt;
 use std::time::Duration;
 
 use spasm_check::{CheckViolation, EngineChecker};
-use spasm_desim::{CalendarQueue, CoroCtx, CoroPool, SimTime};
+use spasm_desim::{CoroCtx, CoroPool, EventQueue, SimTime};
 use spasm_topology::Topology;
 
 use crate::addr::UnallocatedAddress;
@@ -231,7 +231,7 @@ pub struct Engine {
     model: Model,
     amap: AddressMap,
     store: ValueStore,
-    events: CalendarQueue<Ev>,
+    events: EventQueue<Ev>,
     /// Processors blocked on a word or a tag, in the order they blocked:
     /// a write wakes its word's spinners in that order. A processor
     /// blocks at most once, so the list holds at most one entry each.
@@ -304,7 +304,7 @@ impl Engine {
             model: Model::new(kind, topo, &amap, config),
             amap,
             store,
-            events: CalendarQueue::new(),
+            events: EventQueue::new(),
             blocked: Vec::with_capacity(p),
             region_traffic: vec![None; labels],
             mailboxes: vec![VecDeque::new(); p],

@@ -115,10 +115,12 @@ if grep -q spasm-journal <<< "$machine_deps"; then
 fi
 
 # Only benchmark/ (which `benchmark` PRs alone may edit) uses the call
-# shapes kept for it: the retired engine's inert variant and the two
-# positional sweep entry points. crates/core/src/sweep.rs holds the one
-# definition and the one remnant test that name them; when benchmark/
-# stops, delete the remnants and this guard.
+# shapes kept for it: the retired engine's inert variant, the two
+# positional sweep entry points and the event queue's former name.
+# crates/core/src/sweep.rs holds the one definition and the one remnant
+# test that name the first three; crates/desim/src/event_queue.rs holds
+# the alias's one definition line, which desim's lib.rs re-exports. When
+# benchmark/ stops, delete the remnants and this guard.
 echo "==> only benchmark/ uses the remnant call shapes"
 for shape in 'EngineMode::Optimistic' 'run_figure_journaled(' 'SweepJournal::resume('; do
     if grep -rnF "$shape" crates src tests examples | grep -v '^crates/core/src/sweep.rs:'; then
@@ -126,6 +128,12 @@ for shape in 'EngineMode::Optimistic' 'run_figure_journaled(' 'SweepJournal::res
         exit 1
     fi
 done
+if grep -rnw CalendarQueue crates src tests examples \
+    | grep -vx 'crates/desim/src/event_queue.rs:[0-9]*:pub type CalendarQueue<E> = EventQueue<E>;' \
+    | grep -vx 'crates/desim/src/lib.rs:[0-9]*:pub use event_queue::{CalendarQueue, EventQueue, PopIfBefore};'; then
+    echo "ERROR: the workspace uses the remnant CalendarQueue" >&2
+    exit 1
+fi
 
 # Traffic is counted once: every message's latency, contention, count and
 # bytes are charged to the processor that caused it, in `Buckets::add`
@@ -266,7 +274,7 @@ cargo test --release --offline --test reproduction -- --ignored r5_host_time
 # byte is a function of the sweep's inputs. The golden's first 285 points
 # were generated on the BinaryHeap event queue (the oracle in desim's
 # tests/queue_diff.rs), so this is also the whole-stack differential
-# check of the calendar queue: 300 points, every machine model, every
+# check of the event queue: 300 points, every machine model, every
 # app; the one invocation shares 145 of them between figures.
 # The same bytes come out under --strict-check too, so no committed byte
 # can come from a run that breaks an invariant; the unchecked run stays to

@@ -5,7 +5,7 @@
 //! arrays, the machine's tables) allocates in proportion to the number
 //! of structures, not events, so the *marginal* count between a Test-
 //! and a Small-size run of the same point is what the simulated events
-//! themselves cost. A calendar bucket that drops its buffer when drained,
+//! themselves cost. An event queue that drops its buffer when drained,
 //! an `Outcome` that collects the invalidated nodes into a `Vec`, or a
 //! blocked-processor list or mailbox rebuilt on every wake or delivery
 //! each shows up as a fraction of an allocation per extra event; the
