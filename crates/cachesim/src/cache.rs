@@ -72,48 +72,28 @@ pub struct CacheStats {
 /// machine's value store, so the cache answers "is this block resident and
 /// with what rights", which is all the timing models need.
 ///
-/// Lines are kept split by access pattern: a flat tag array (`blocks`)
-/// indexed by `set * assoc + way` that the hit/miss scan walks, and a
-/// parallel `meta` array holding the LRU stamp and coherence state that
-/// are only touched once a way is chosen. The scan therefore stays within
-/// one or two cache lines of host memory instead of striding over full
-/// line records, and the hit bookkeeping costs a single indexed access.
-///
-/// Equality compares every field — tags, metadata, LRU stamps, hint,
-/// clock, statistics — so `a == b` means the two caches are behaviorally
-/// indistinguishable for all future access sequences.
+/// Each set is its `assoc` way slots (`set * assoc + way`) in recency
+/// order: the most recently used way first, empty ways (block id
+/// `u64::MAX`) last. A hit moves its way to the front, a fill enters at
+/// the front and evicts a full set's last way, and an invalidation closes
+/// the gap, so the victim is the least recently used line
+/// (`tests/cache_diff.rs` holds that against a stamped reference LRU).
+/// The order is the whole replacement state: equal caches behave alike
+/// for every future access sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
-    /// Block number per way slot (`set * assoc + way`); valid for ways
-    /// below the set's `lens` entry.
+    /// Block number per way slot, each set most recent first.
     blocks: Vec<u64>,
-    /// LRU stamp and state per way slot, parallel to `blocks`.
-    meta: Vec<Meta>,
-    /// Occupied ways per set.
-    lens: Vec<u32>,
-    /// Most-recently-stamped way *slot* per set (`NO_MRU` when unknown).
-    /// A pure hint: a repeat hit on this slot skips the clock bump and
-    /// the stamp store, which preserves the *relative* order of every
-    /// stamp — the only thing victim selection reads — so eviction
-    /// behaviour is bit-identical to stamping every hit. Invariant: a
-    /// non-sentinel hint always points at an occupied way (sets only
-    /// shrink via `invalidate`, which drops the hint).
-    mru: Vec<u32>,
+    /// Coherence state per way slot, parallel to `blocks` (`Valid` in an
+    /// empty way).
+    states: Vec<BState>,
     set_mask: u64,
     assoc: usize,
-    clock: u64,
     stats: CacheStats,
 }
 
-/// Per-way bookkeeping touched only after the tag scan picks a slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Meta {
-    stamp: u64,
-    state: BState,
-}
-
-/// Sentinel for [`Cache::mru`]: no valid hint for this set.
-const NO_MRU: u32 = u32::MAX;
+/// The block id of an empty way; [`Cache::insert`] refuses it.
+const EMPTY: u64 = u64::MAX;
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
@@ -121,69 +101,58 @@ impl Cache {
         let sets = config.sets();
         let slots = sets * config.assoc;
         Cache {
-            blocks: vec![0; slots],
-            meta: vec![
-                Meta {
-                    stamp: 0,
-                    state: BState::Valid
-                };
-                slots
-            ],
-            lens: vec![0; sets],
-            mru: vec![NO_MRU; sets],
+            blocks: vec![EMPTY; slots],
+            states: vec![BState::Valid; slots],
             set_mask: (sets - 1) as u64,
             assoc: config.assoc,
-            clock: 0,
             stats: CacheStats::default(),
         }
     }
 
+    /// First way slot of `block`'s set.
     #[inline]
-    fn set_of(&self, block: u64) -> usize {
-        (block & self.set_mask) as usize
+    fn base_of(&self, block: u64) -> usize {
+        (block & self.set_mask) as usize * self.assoc
     }
 
-    /// Index of `block`'s way slot within its set, if resident.
+    /// Index of `block`'s way slot, if resident.
     #[inline]
     fn find(&self, block: u64) -> Option<usize> {
-        let set = self.set_of(block);
-        let base = set * self.assoc;
-        let used = self.lens[set] as usize;
-        self.blocks[base..base + used]
+        let base = self.base_of(block);
+        let way = self.blocks[base..base + self.assoc]
             .iter()
-            .position(|&b| b == block)
-            .map(|way| base + way)
+            .position(|&b| b == block)?;
+        (block != EMPTY).then_some(base + way)
     }
 
-    /// Looks up `block`, refreshing its LRU position. Counts a hit or miss.
+    /// Moves the way at `slot` to the front of its set (`base`), keeping
+    /// the order of the ways it passes.
+    #[inline]
+    fn move_to_front(&mut self, base: usize, slot: usize) {
+        for i in (base..slot).rev() {
+            self.blocks.swap(i, i + 1);
+            self.states.swap(i, i + 1);
+        }
+    }
+
+    /// Looks up `block`, making it its set's most recent. Counts a hit or
+    /// miss.
     #[inline]
     pub fn lookup(&mut self, block: u64) -> Option<BState> {
-        let set = self.set_of(block);
-        // Fast path: a repeat hit on the set's most-recently-stamped way.
-        // The line already holds the set's newest stamp, so re-stamping it
-        // (and spending a clock tick) cannot change any victim choice —
-        // skip both.
-        let hint = self.mru[set] as usize;
-        if hint != NO_MRU as usize && self.blocks[hint] == block {
-            self.stats.hits += 1;
-            return Some(self.meta[hint].state);
-        }
-        self.clock += 1;
-        if let Some(slot) = self.find(block) {
-            let m = &mut self.meta[slot];
-            m.stamp = self.clock;
-            self.mru[set] = slot as u32;
-            self.stats.hits += 1;
-            return Some(m.state);
-        }
-        self.stats.misses += 1;
-        None
+        let Some(slot) = self.find(block) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let base = self.base_of(block);
+        self.move_to_front(base, slot);
+        Some(self.states[base])
     }
 
-    /// Looks up `block` without touching LRU or statistics.
+    /// Looks up `block` without touching recency or statistics.
     #[inline]
     pub fn peek(&self, block: u64) -> Option<BState> {
-        self.find(block).map(|slot| self.meta[slot].state)
+        self.find(block).map(|slot| self.states[slot])
     }
 
     /// Changes the state of a resident block.
@@ -196,73 +165,49 @@ impl Cache {
         let slot = self
             .find(block)
             .unwrap_or_else(|| panic!("set_state on non-resident block {block}"));
-        self.meta[slot].state = state;
+        self.states[slot] = state;
     }
 
-    /// Inserts `block` with `state`, evicting the LRU line if the set is
-    /// full. Returns the victim, whose owners must be written back.
+    /// Inserts `block` with `state` as its set's most recent, evicting the
+    /// least recent line if the set is full. Returns the victim, whose
+    /// owners must be written back.
     ///
     /// # Panics
     ///
-    /// Panics if the block is already resident (use [`Cache::set_state`]).
+    /// Panics if the block is already resident (use [`Cache::set_state`])
+    /// or is the empty-way id `u64::MAX`.
     #[inline]
     pub fn insert(&mut self, block: u64, state: BState) -> Option<Evicted> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_of(block);
-        let base = set * self.assoc;
-        let used = self.lens[set] as usize;
+        assert!(block != EMPTY, "insert of the empty-way block id {block}");
         assert!(
-            !self.blocks[base..base + used].contains(&block),
+            self.find(block).is_none(),
             "insert of already-resident block {block}"
         );
-        let slot = if used < self.assoc {
-            self.lens[set] += 1;
-            base + used
-        } else {
-            // Evict the least recently used line (first minimum stamp).
-            let victim = self.meta[base..base + used]
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, m)| m.stamp)
-                .map(|(way, _)| base + way)
-                .expect("full set is non-empty");
-            let evicted = Evicted {
-                block: self.blocks[victim],
-                state: self.meta[victim].state,
-            };
-            self.blocks[victim] = block;
-            self.meta[victim] = Meta {
-                stamp: clock,
-                state,
-            };
-            self.mru[set] = victim as u32;
-            self.stats.evictions += 1;
-            return Some(evicted);
-        };
-        self.blocks[slot] = block;
-        self.meta[slot] = Meta {
-            stamp: clock,
-            state,
-        };
-        self.mru[set] = slot as u32;
-        None
+        let base = self.base_of(block);
+        let last = base + self.assoc - 1;
+        let evicted = (self.blocks[last] != EMPTY).then(|| Evicted {
+            block: self.blocks[last],
+            state: self.states[last],
+        });
+        self.stats.evictions += u64::from(evicted.is_some());
+        self.blocks[last] = block;
+        self.states[last] = state;
+        self.move_to_front(base, last);
+        evicted
     }
 
     /// Removes `block` (external invalidation). Returns the state it held.
     #[inline]
     pub fn invalidate(&mut self, block: u64) -> Option<BState> {
         let slot = self.find(block)?;
-        let state = self.meta[slot].state;
-        // Swap-remove within the set: the last occupied way fills the gap.
-        let set = self.set_of(block);
-        let last = set * self.assoc + (self.lens[set] as usize - 1);
-        self.blocks[slot] = self.blocks[last];
-        self.meta[slot] = self.meta[last];
-        self.lens[set] -= 1;
-        // The swap-remove may have moved the most-recent line into `slot`;
-        // rather than track that, drop the hint — the next hit re-stamps.
-        self.mru[set] = NO_MRU;
+        let state = self.states[slot];
+        let last = self.base_of(block) + self.assoc - 1;
+        for i in slot..last {
+            self.blocks.swap(i, i + 1);
+            self.states.swap(i, i + 1);
+        }
+        self.blocks[last] = EMPTY;
+        self.states[last] = BState::Valid;
         self.stats.invalidations += 1;
         Some(state)
     }
@@ -357,6 +302,12 @@ mod tests {
         let mut c = tiny();
         c.insert(8, BState::Valid);
         c.insert(8, BState::Valid);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty-way block id")]
+    fn insert_of_the_empty_way_id_panics() {
+        tiny().insert(u64::MAX, BState::Valid);
     }
 
     #[test]

@@ -43,6 +43,13 @@ pub enum PopIfBefore<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Pending events, `(time, seq)` descending: the head is the last.
+    ///
+    /// Ordering never reads `seq`: `push` places each event by time
+    /// alone. The field stays because it keeps the engine's `(time, seq,
+    /// Ev)` entry one 64 B line; with 56 B `(time, Ev)` entries,
+    /// `logp_grid` `wall_s` measured a median 0.161 → 0.175 s (4
+    /// alternating pairs on a 2-vCPU x86-64 VM, 3 of them worse). It goes
+    /// only when a measurement says so.
     events: Vec<(SimTime, u64, E)>,
     seq: u64,
     popped: u64,

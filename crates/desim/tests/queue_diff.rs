@@ -2,9 +2,9 @@
 //! observationally identical to the `HeapQueue` oracle below — pop
 //! sequences (including FIFO tie order), deferred heads, lengths, and the
 //! `pushed()`/`popped()` accounting — across adversarial
-//! schedules: same-timestamp bursts, far-future spills, interleaved
-//! push/pop, monotonic engine-like streams, and non-monotonic inserts
-//! into the past.
+//! schedules: same-timestamp bursts, clusters far apart in time,
+//! interleaved push/pop, monotonic engine-like streams, and
+//! non-monotonic inserts into the past.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -141,25 +141,25 @@ fn run_diff(ops: &[Op]) -> Result<(), String> {
         let (a, b) = (cal.pop(), heap.pop());
         prop_assert_eq!(a, b, "drain: pop diverged: {a:?} vs {b:?}");
         if a.is_none() {
-            prop_assert!(cal.is_empty(), "calendar not empty after drain");
+            prop_assert!(cal.is_empty(), "queue not empty after drain");
             return Ok(());
         }
     }
 }
 
 /// Decodes a raw `(sel, tsel, tweak)` tuple into an op. Timestamps come
-/// from a palette mixing near times, bucket boundaries, the spill
-/// ladder, and extremes, anchored at `origin`.
+/// from a palette mixing equal, near, far and extreme times, anchored at
+/// `origin`.
 fn decode(origin: u64, sel: u64, tsel: u64, tweak: u64) -> Op {
     let palette: [u64; 8] = [
         0,
         origin,
-        origin.saturating_add(tweak % 64), // same initial bucket
-        origin.saturating_add(64 + tweak % 4_096), // nearby buckets
-        origin.saturating_add(32_768),     // exactly past the initial window
-        origin.saturating_add(40_000 + tweak % 100_000), // beyond the window
-        origin.saturating_add(1 << 30).saturating_add(tweak), // deep spill
-        u64::MAX,                          // extreme boundary
+        origin.saturating_add(tweak % 64),         // within 64 ns
+        origin.saturating_add(64 + tweak % 4_096), // near
+        origin.saturating_add(32_768),             // a fixed offset: equal times
+        origin.saturating_add(40_000 + tweak % 100_000), // farther
+        origin.saturating_add(1 << 30).saturating_add(tweak), // far
+        u64::MAX,                                  // extreme boundary
     ];
     let t = palette[(tsel % 8) as usize];
     match sel % 8 {
@@ -239,8 +239,8 @@ fn same_timestamp_bursts_pop_fifo_identically() {
 
 #[test]
 fn far_future_spills_and_reseeds_agree() {
-    // Clusters separated by huge gaps force the spill ladder and its
-    // re-seed/redistribute path, including width re-adaptation.
+    // Clusters separated by gaps of up to 2^50 ns: pops and pushes far
+    // from every pending time.
     let raw = gens::vecs(
         gens::tuple3(
             gens::vecs(gens::u64s(0..10_000), 1..20),
@@ -259,7 +259,7 @@ fn far_future_spills_and_reseeds_agree() {
             for _ in 0..*pops {
                 ops.push(Op::Pop);
             }
-            // Jump far beyond any plausible ring window (up to 2^50 ns).
+            // Jump far ahead (up to 2^50 ns).
             base = base.saturating_add(1 << gap_log2);
         }
         ops.push(Op::PopIfBefore(0));
@@ -295,7 +295,7 @@ fn monotonic_engine_like_streams_agree() {
 #[test]
 fn non_monotonic_inserts_into_the_past_agree() {
     // Drain forward, then schedule before the last popped timestamp
-    // (the heap permits it; the calendar must match).
+    // (the heap permits it; the queue must match).
     let raw = gens::tuple2(
         gens::u64s(1_000..200_000),
         gens::vecs(gens::tuple2(gens::u64s(0..200_000), gens::bools()), 1..40),
@@ -303,8 +303,7 @@ fn non_monotonic_inserts_into_the_past_agree() {
     check("queue_diff/non_monotonic", &raw, |(t0, pasts)| {
         let mut ops = vec![Op::Push(*t0), Op::Pop];
         for &(t, pop) in pasts {
-            // Anything in [0, t0): strictly in the past for the calendar
-            // window that has advanced to t0.
+            // Anything in [0, t0): strictly before the last pop, at t0.
             ops.push(Op::Push(t % t0));
             if pop {
                 ops.push(Op::Pop);
@@ -340,7 +339,7 @@ fn deterministic_regression_scripts() {
     // Hand-picked boundary scripts, kept deterministic so failures here
     // are immediately reproducible without a seed.
     let scripts: Vec<Vec<Op>> = vec![
-        // Same-time burst wider than one bucket's typical population.
+        // A same-time burst far deeper than the engine ever holds.
         (0..200)
             .map(|_| Op::Push(42))
             .chain((0..200).map(|_| Op::Pop))
@@ -354,7 +353,7 @@ fn deterministic_regression_scripts() {
             Op::Pop,
             Op::Pop,
         ],
-        // Exact initial window boundary: 64ns × 512 buckets = 32768.
+        // Adjacent times, pushed in ascending order.
         vec![
             Op::Push(32_767),
             Op::Push(32_768),
@@ -363,7 +362,7 @@ fn deterministic_regression_scripts() {
             Op::Pop,
             Op::Pop,
         ],
-        // Re-seed then immediately schedule into the new past.
+        // Pop a far event, then schedule into the past.
         vec![
             Op::Push(1 << 40),
             Op::Pop,

@@ -289,18 +289,8 @@ impl Engine {
         // once the engine owns the map.
         let (amap, store) = setup.into_parts();
         let labels = amap.labels().len();
-        let wrapped: Vec<_> = bodies
-            .into_iter()
-            .enumerate()
-            .map(|(id, body)| {
-                move |proc: usize, ctx: &CoroCtx<MemReq, MemResp>| {
-                    debug_assert_eq!(proc, id);
-                    body(proc, ctx)
-                }
-            })
-            .collect();
         Engine {
-            pool: CoroPool::from_bodies(wrapped),
+            pool: CoroPool::from_bodies(bodies),
             model: Model::new(kind, topo, &amap, config),
             amap,
             store,

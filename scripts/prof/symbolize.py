@@ -20,7 +20,8 @@ import sys
 
 def load(dump, exe):
     """Samples as lists of ELF virtual addresses in `exe`; an address
-    elsewhere becomes `[file:nearest exported symbol]`."""
+    elsewhere becomes `[file:exported symbol]`, or `[file:+lo..hi]` when
+    no exported symbol's extent holds it."""
     spans, others, samples, lost = [], [], [], 0
     for line in open(dump):
         kind, _, rest = line.partition(" ")
@@ -53,18 +54,30 @@ def load(dump, exe):
 
 @functools.lru_cache(maxsize=None)
 def dynsyms(path):
-    """A shared object's exported (address, name) pairs, ascending."""
+    """A shared object's exported (address, end, name) triples, ascending;
+    a symbol nm gives no size for is left out."""
     if not path.startswith("/"):
         return []
-    out = subprocess.run(["nm", "-D", "--defined-only", path], capture_output=True, text=True)
+    out = subprocess.run(["nm", "-D", "-S", "--defined-only", path],
+                         capture_output=True, text=True)
     rows = (line.split() for line in out.stdout.splitlines())
-    return sorted((int(f[0], 16), f[2].split("@")[0]) for f in rows if len(f) == 3)
+    return sorted((int(f[0], 16), int(f[0], 16) + int(f[1], 16), f[3].split("@")[0])
+                  for f in rows if len(f) == 4)
 
 
 def exported(path, offset):
+    """The exported symbol whose extent holds `offset`, else the offsets of
+    the unexported stretch between two exported symbols that holds it:
+    glibc's unexported routines (its `memmove` variants) must not take the
+    name of the exported symbol before them, and one row per stretch keeps
+    a routine's samples together."""
     syms = dynsyms(path)
-    i = bisect.bisect_right(syms, (offset, "\x7f")) - 1
-    return syms[i][1] if i >= 0 else "?"
+    i = bisect.bisect_right(syms, (offset, float("inf"))) - 1
+    if i >= 0 and offset < syms[i][1]:
+        return syms[i][2]
+    lo = syms[i][1] if i >= 0 else 0
+    hi = f"{syms[i + 1][0]:#x}" if i + 1 < len(syms) else ""
+    return f"+{lo:#x}..{hi}"
 
 
 def short(name):

@@ -258,6 +258,90 @@ fn r5_host_time_clogp_beats_target() {
     );
 }
 
+/// R5 in host time as a report: the same 41-point grid as
+/// [`r5_host_time_clogp_beats_target`], but each point runs its slots
+/// back to back — target, logp, clogp, and target again as an A/A
+/// control — in a balanced order rotated by round and point, each timed in
+/// this thread's on-CPU ns (`/proc/thread-self/schedstat`). A slot's
+/// figure is the median over 9 rounds of its per-round sum. Prints the
+/// A/A, clogp/target and logp/target ratios and the host's steal ticks
+/// over the run (`/proc/stat`); asserts nothing.
+#[test]
+#[ignore = "host time: release build, a report"]
+fn r5_ratios() {
+    let mut points = Vec::new();
+    for app in [AppId::Ep, AppId::Is, AppId::Cg, AppId::Fft] {
+        for net in [Net::Full, Net::Mesh] {
+            for procs in [2, 4, 8, 16, 32] {
+                points.push((app, net, procs));
+            }
+        }
+    }
+    points.push((AppId::Cholesky, Net::Full, 4));
+    let rounds = 9;
+
+    let on_cpu_ns = || -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").expect("schedstat");
+        stat.split_whitespace()
+            .next()
+            .and_then(|f| f.parse().ok())
+            .expect("on-CPU ns")
+    };
+    // The aggregate `cpu` line: (user + nice + system, steal) ticks.
+    let cpu_ticks = || -> (u64, u64) {
+        let stat = std::fs::read_to_string("/proc/stat").expect("/proc/stat");
+        let f: Vec<u64> = stat
+            .lines()
+            .next()
+            .expect("cpu line")
+            .split_whitespace()
+            .skip(1)
+            .map(|v| v.parse().expect("tick count"))
+            .collect();
+        (f[0] + f[1] + f[2], f[7])
+    };
+
+    let slots = [
+        Machine::Target,
+        Machine::LogP,
+        Machine::CLogP,
+        Machine::Target,
+    ];
+    let (busy0, steal0) = cpu_ticks();
+    let mut sums = vec![[0u64; 4]; rounds];
+    for (round, sum) in sums.iter_mut().enumerate() {
+        for (i, &(app, net, procs)) in points.iter().enumerate() {
+            // A balanced Latin square (Williams): over four rotations each
+            // slot runs once in each position and once after each other
+            // slot, so no slot always follows its own machine's run.
+            for k in [0, 1, 3, 2] {
+                let slot = (round + i + k) % 4;
+                let started = on_cpu_ns();
+                run_sized(SizeClass::Small, app, net, slots[slot], procs);
+                sum[slot] += on_cpu_ns() - started;
+            }
+        }
+    }
+    let (busy1, steal1) = cpu_ticks();
+    let median = |slot: usize| {
+        let mut v: Vec<u64> = sums.iter().map(|s| s[slot]).collect();
+        v.sort_unstable();
+        v[rounds / 2] as f64
+    };
+    let target = median(0);
+    println!(
+        "R5 ratios (median of {rounds} per-round on-CPU sums, target {:.3}s): \
+         A/A {:.3}, clogp/target {:.3}, logp/target {:.3}; \
+         steal {} ticks against {} busy",
+        target / 1e9,
+        median(3) / target,
+        median(2) / target,
+        median(1) / target,
+        steal1 - steal0,
+        busy1 - busy0
+    );
+}
+
 /// R6 — enforcing the gap only between identical communication events
 /// (the paper's §7 experiment) brings FFT-on-cube contention much closer
 /// to the target than the unified LogP definition.
