@@ -132,7 +132,7 @@ impl CoherenceChecker {
         self.ring.record(Access(at, node, block, kind, *outcome));
         self.check_outcome_consistency(node, block, kind, outcome)?;
         // Refresh the mirror for every block the outcome names, checking
-        // each node's observed transition for legality.
+        // each node's transition; the structural checks then read it.
         self.refresh_and_check_transitions(cc, block)?;
         if let Outcome::Miss {
             writeback,
@@ -142,24 +142,40 @@ impl CoherenceChecker {
         {
             for victim in [writeback, downgrade_writeback].into_iter().flatten() {
                 self.refresh_and_check_transitions(cc, victim.block)?;
-                self.verify_block(cc, victim.block)?;
+                self.check_structure(cc, victim.block)?;
             }
         }
-        self.verify_block(cc, block)
+        self.check_structure(cc, block)
     }
 
-    /// Structural invariants on one block's current global state.
+    /// Full-state sweep at end of run: refreshes every block id the
+    /// checker was sized for and checks its structure and transitions.
     ///
     /// # Errors
     ///
-    /// The first violated invariant.
-    pub fn verify_block(&self, cc: &CoherenceController, block: u64) -> Result<(), CheckViolation> {
+    /// The first structural violation in ascending block order, so a
+    /// given corrupted state always reports the same one; failing that,
+    /// the first illegal transition.
+    pub fn verify_all(&mut self, cc: &CoherenceController) -> Result<(), CheckViolation> {
+        let blocks = self.mirror.len() / self.p;
+        let mut transitions = Ok(());
+        for b in 0..blocks as u64 {
+            let refreshed = self.refresh_and_check_transitions(cc, b);
+            self.check_structure(cc, b)?;
+            transitions = transitions.and(refreshed);
+        }
+        transitions
+    }
+
+    /// Structural invariants on one block, read from its just-refreshed
+    /// mirror slots and the directory.
+    fn check_structure(&self, cc: &CoherenceController, block: u64) -> Result<(), CheckViolation> {
+        let first = block as usize * self.p;
+        let states = &self.mirror[first..first + self.p];
         // Who holds the block, who owns it, and the first Dirty holder.
         let (mut holders, mut owned, mut dirty) = (NodeSet::default(), NodeSet::default(), None);
-        for n in 0..self.p {
-            let Some(s) = cc.cache(n).peek(block) else {
-                continue;
-            };
+        for (n, s) in states.iter().enumerate() {
+            let Some(s) = *s else { continue };
             holders.insert(n);
             if s.is_owned() {
                 owned.insert(n);
@@ -226,26 +242,13 @@ impl CoherenceChecker {
                         "directory-agreement",
                         format!(
                             "node {n} holds block {block} as {} but the directory records no owner",
-                            state_label(cc.cache(n).peek(block))
+                            state_label(states[n])
                         ),
                     ));
                 }
             }
         }
         Ok(())
-    }
-
-    /// Full-state sweep at end of run over every block id the checker was
-    /// sized for: every directory entry agrees with the caches and every
-    /// cached line is known to the directory.
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant, scanning blocks in ascending order
-    /// so a given corrupted state always reports the same violation.
-    pub fn verify_all(&self, cc: &CoherenceController) -> Result<(), CheckViolation> {
-        let blocks = self.mirror.len() / self.p;
-        (0..blocks as u64).try_for_each(|b| self.verify_block(cc, b))
     }
 
     /// Checks that the reported outcome is consistent with the mirror's
@@ -306,7 +309,8 @@ impl CoherenceChecker {
     }
 
     /// Refreshes the mirror for `block` from the real caches, checking
-    /// every node's observed `(old, new)` transition for legality.
+    /// every node's observed `(old, new)` transition for legality: the
+    /// checker's one read of cache state.
     fn refresh_and_check_transitions(
         &mut self,
         cc: &CoherenceController,
@@ -422,21 +426,21 @@ mod tests {
     #[test]
     fn corrupted_second_dirty_copy_is_a_single_writer_violation() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
+        let mut chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 10, AccessKind::Write);
         // Corrupt: a second cache conjures an exclusive copy.
         cc.cache_mut(1).insert(10, BState::Dirty);
-        let v = chk.verify_block(&cc, 10).unwrap_err();
+        let v = chk.verify_all(&cc).unwrap_err();
         assert_eq!(v.invariant, "single-writer", "{v}");
     }
 
     #[test]
     fn corrupted_unowned_dirty_line_is_an_agreement_violation() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
+        let mut chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 10, AccessKind::Read); // Valid, no owner
         cc.cache_mut(0).set_state(10, BState::Dirty);
-        let v = chk.verify_block(&cc, 10).unwrap_err();
+        let v = chk.verify_all(&cc).unwrap_err();
         assert_eq!(v.invariant, "directory-agreement", "{v}");
         assert!(v.message.contains("no owner"), "{v}");
     }
@@ -444,12 +448,12 @@ mod tests {
     #[test]
     fn corrupted_stale_sharer_is_an_agreement_violation() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
+        let mut chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 10, AccessKind::Read);
         cc.access(1, 10, AccessKind::Read);
         // Corrupt: node 1's line vanishes without directory bookkeeping.
         cc.cache_mut(1).invalidate(10);
-        let v = chk.verify_block(&cc, 10).unwrap_err();
+        let v = chk.verify_all(&cc).unwrap_err();
         assert_eq!(v.invariant, "directory-agreement", "{v}");
         assert!(v.message.contains("does not hold"), "{v}");
     }
@@ -457,7 +461,7 @@ mod tests {
     #[test]
     fn verify_all_finds_corruption_on_untouched_blocks() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
+        let mut chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 10, AccessKind::Read);
         cc.access(0, 12, AccessKind::Read);
         cc.cache_mut(0).set_state(12, BState::SharedDirty);
@@ -469,7 +473,7 @@ mod tests {
     #[test]
     fn verify_all_finds_a_line_above_the_directory_table() {
         let mut cc = CoherenceController::new(2, tiny_config());
-        let chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
+        let mut chk = CoherenceChecker::new(2, BLOCKS, ProtocolKind::Berkeley);
         cc.access(0, 3, AccessKind::Read);
         // Corrupt: a cache conjures a block the directory never grew to.
         cc.cache_mut(1).insert(12, BState::Valid);

@@ -102,8 +102,8 @@ impl CLogPModel {
     /// # Errors
     ///
     /// The first violated coherence invariant.
-    pub fn final_check(&self) -> Result<(), CheckViolation> {
-        match &self.checker {
+    pub fn final_check(&mut self) -> Result<(), CheckViolation> {
+        match &mut self.checker {
             Some(chk) => chk.verify_all(&self.coherence),
             None => Ok(()),
         }

@@ -260,7 +260,7 @@ impl Model {
     /// # Errors
     ///
     /// The first violated coherence invariant.
-    pub fn final_check(&self) -> Result<(), CheckViolation> {
+    pub fn final_check(&mut self) -> Result<(), CheckViolation> {
         match self {
             Model::Pram(_) | Model::LogP(_) => Ok(()),
             Model::Target(m) => m.final_check(),

@@ -241,8 +241,8 @@ impl TargetModel {
     /// # Errors
     ///
     /// The first violated coherence invariant.
-    pub fn final_check(&self) -> Result<(), CheckViolation> {
-        match &self.checker {
+    pub fn final_check(&mut self) -> Result<(), CheckViolation> {
+        match &mut self.checker {
             Some(chk) => chk.verify_all(&self.coherence),
             None => Ok(()),
         }

@@ -57,6 +57,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> exactly one module opts out of the unsafe_code lint"
 [ "$(grep -rn "allow(unsafe_code)" crates src | wc -l)" -eq 1 ]
 
+# The coherence checker reads cache state in one function, its mirror
+# refresh; the structural invariants and the end-of-run sweep read the
+# states it stored. A second `.peek(` outside the test module fails here.
+echo "==> the coherence checker reads cache state once, in its mirror refresh"
+[ "$(awk '/^#\[cfg\(test\)\]/ { exit } /\.peek\(/ && !/^[[:space:]]*\/\// { n++ }
+    END { print n + 0 }' crates/check/src/coherence.rs)" -eq 1 ]
+
 # A panic is fenced in exactly two places: the experiment boundary
 # (spasm-core's experiment.rs) and the coroutine root (desim's fiber.rs).
 # The executor, the sweep and everything else let a panic unwind; a third
