@@ -13,10 +13,13 @@
 //!   OS thread and no process body changes the rounding mode;
 //! * **the stack** — [`STACK_BYTES`] (std's default thread stack size, so
 //!   every body that fits a thread fits a coroutine) above one `PROT_NONE`
-//!   guard page, mapped `MAP_NORESERVE` on the first resume and unmapped
-//!   as soon as the body finishes or its pool is dropped. Untouched pages
-//!   cost no memory; an overflow faults on the guard page and kills the
-//!   program with SIGSEGV instead of corrupting a neighbour;
+//!   guard page, mapped `MAP_NORESERVE`. The first resume takes one from
+//!   the thread's spare list, or maps one if the list is empty; when the
+//!   body finishes or its pool is dropped the stack goes back on the list,
+//!   guard page and all, up to [`MAX_SPARE_STACKS`], and is unmapped past
+//!   that or once the thread's TLS is gone. Untouched pages cost no
+//!   memory; an overflow faults on the guard page and kills the program
+//!   with SIGSEGV instead of corrupting a neighbour;
 //! * **the shared cell** — one heap cell per process through which the two
 //!   sides pass the response, the next envelope, the shutdown flag and
 //!   each other's saved stack pointer.
@@ -44,10 +47,12 @@
 //!    root frame. The boot trampoline marks `rip` undefined in its CFI, so
 //!    unwinders and backtraces stop there.
 //! 5. *A finished stack is never re-entered.* The root frame's last act
-//!    is a switch to the owner, who unmaps the stack before doing
-//!    anything else with the coroutine.
+//!    is a switch to the owner, who releases the stack (to the spare list,
+//!    or unmapped) before doing anything else with the coroutine. A spare
+//!    stack runs again only from the boot frame `prepare` writes afresh
+//!    for its next body, never from a frame its last body left.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ffi::c_void;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -144,6 +149,16 @@ const STACK_BYTES: usize = 2 << 20;
 /// One x86-64 page below the stack, never accessible.
 const GUARD_BYTES: usize = 4096;
 const MAPPING_BYTES: usize = GUARD_BYTES + STACK_BYTES;
+/// Finished stacks a thread keeps mapped for its next pools: one per
+/// processor of the largest machine (`spasm_topology::MAX_NODES`).
+const MAX_SPARE_STACKS: usize = 64;
+
+thread_local! {
+    /// This thread's finished stacks, guard pages intact. Memory, not
+    /// state: a body starts on a spare stack from a frame `prepare` wrote
+    /// for it and reads nothing its predecessor left.
+    static SPARE_STACKS: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
 
 /// An owned stack mapping: guard page at `base`, stack above it.
 struct Stack {
@@ -151,7 +166,30 @@ struct Stack {
 }
 
 impl Stack {
+    /// One of this thread's spare stacks, else a fresh mapping.
+    fn take() -> Stack {
+        SPARE_STACKS
+            .try_with(|spare| spare.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_else(Stack::map)
+    }
+
+    /// Puts a stack no coroutine is suspended on (invariant 5) on this
+    /// thread's spare list. A full list, or a thread whose TLS is gone,
+    /// drops it instead, which unmaps it.
+    fn release(self) {
+        let _ = SPARE_STACKS.try_with(move |spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() < MAX_SPARE_STACKS {
+                spare.push(self);
+            }
+        });
+    }
+
     fn map() -> Stack {
+        #[cfg(test)]
+        tests::MAPPED.with(|n| n.set(n.get() + 1));
         // SAFETY: a fresh anonymous private mapping at an address the
         // kernel chooses aliases no existing memory.
         let base = unsafe {
@@ -209,8 +247,8 @@ impl Stack {
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        // SAFETY: exactly the mapping `map` created; `Coroutine` drops a
-        // `Stack` only when no coroutine is suspended on it (invariant 5).
+        // SAFETY: exactly the mapping `map` created; a `Stack` is dropped
+        // only when no coroutine is suspended on it (invariant 5).
         // A failure would leak address space, nothing more, so the result
         // is ignored (drops must not panic).
         unsafe { munmap(self.base.as_ptr(), MAPPING_BYTES) };
@@ -276,12 +314,12 @@ impl<Q, R> Coroutine<Q, R> {
     }
 
     /// Runs the process until it next suspends in `call` (`Request`) or
-    /// finishes. The first resume maps the stack and starts the body;
+    /// finishes. The first resume takes a stack and starts the body;
     /// its "start" response is discarded, as the API documents.
     #[inline]
     fn resume(&mut self, resp: R) -> Step<Q> {
         if self.stack.is_none() {
-            let stack = Stack::map();
+            let stack = Stack::take();
             let root = root::<Q, R> as extern "C" fn(*const Shared<Q, R>) -> !;
             let sp = stack.prepare(root as usize, self.shared.as_ptr() as usize);
             self.shared().coro_sp.set(sp);
@@ -294,7 +332,7 @@ impl<Q, R> Coroutine<Q, R> {
             .expect("a process unwound with Shutdown outside its pool's drop")
     }
 
-    /// Switches to the coroutine and returns what it hands back; unmaps
+    /// Switches to the coroutine and returns what it hands back; releases
     /// the stack if that was its last switch out.
     #[inline]
     fn switch_in(&mut self) -> Option<Step<Q>> {
@@ -307,7 +345,9 @@ impl<Q, R> Coroutine<Q, R> {
         let step = shared.step.take();
         if !matches!(step, Some(Step::Request(_))) {
             // The root frame made its final switch (invariant 5).
-            self.stack = None;
+            if let Some(stack) = self.stack.take() {
+                stack.release();
+            }
         }
         step
     }
@@ -338,7 +378,7 @@ extern "C" fn root<Q, R>(shared: *const Shared<Q, R>) -> ! {
     // (invariant 3).
     let shared = unsafe { &*shared };
     // Everything with a destructor lives inside `run`, so nothing is
-    // left on this stack when the owner unmaps it.
+    // left on this stack when the owner releases it.
     run(shared);
     // SAFETY: `owner_sp` was stored by the `switch_in` that is running
     // this coroutine, on a stack that is blocked in that call.
@@ -553,6 +593,43 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    thread_local! {
+        /// Stacks `Stack::map` made on this thread. Each test runs on its
+        /// own thread, so a concurrent test cannot move another's count.
+        pub(super) static MAPPED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Runs one pool of `n` processes to its drop: process 0 finishes,
+    /// the others are dropped suspended in `call`.
+    fn finish_one_pool(n: usize) {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(n, |_, ctx| {
+            ctx.call(0);
+        });
+        for p in 0..n {
+            assert!(matches!(pool.resume(p, 0), Step::Request(0)));
+        }
+        assert!(matches!(pool.resume(0, 0), Step::Done));
+    }
+
+    #[test]
+    fn a_second_pool_of_the_same_size_maps_no_stack() {
+        finish_one_pool(8);
+        let mapped = MAPPED.with(Cell::get);
+        finish_one_pool(8);
+        assert_eq!(MAPPED.with(Cell::get), mapped);
+    }
+
+    #[test]
+    fn the_spare_list_keeps_at_most_its_cap() {
+        finish_one_pool(MAX_SPARE_STACKS + 8);
+        let spare = SPARE_STACKS.with(|s| s.borrow().len());
+        assert_eq!(spare, MAX_SPARE_STACKS);
+        // Past the cap a pool maps only what the list cannot give.
+        let mapped = MAPPED.with(Cell::get);
+        finish_one_pool(MAX_SPARE_STACKS + 8);
+        assert_eq!(MAPPED.with(Cell::get), mapped + 8);
+    }
+
     /// Recurses until `want` bytes of stack lie between `top` and the
     /// current frame, then returns how many were actually used.
     #[inline(never)]
@@ -583,11 +660,17 @@ mod tests {
     }
 
     /// The child half of `runaway_recursion_dies_by_signal`: overflows a
-    /// coroutine stack on purpose and takes the test process with it.
+    /// coroutine stack on purpose and takes the test process with it. The
+    /// stack it overflows is a reused one, so the guard page must survive
+    /// a round on the spare list.
     #[test]
     #[ignore = "crashes by design; run by runaway_recursion_dies_by_signal"]
     fn runaway_recursion_child() {
-        let mut pool: CoroPool<usize, usize> = CoroPool::new(1, |_, ctx| {
+        finish_one_pool(1);
+        let mapped = MAPPED.with(Cell::get);
+        let mut pool: CoroPool<usize, usize> = CoroPool::new(1, move |_, ctx| {
+            // A panic here reports as a clean exit, failing the parent.
+            assert_eq!(MAPPED.with(Cell::get), mapped, "not a reused stack");
             let top = 0u8;
             ctx.call(dive(black_box(&top) as *const u8 as usize, usize::MAX));
         });

@@ -398,3 +398,37 @@ fn deterministic_regression_scripts() {
         }
     }
 }
+
+#[test]
+fn pushes_at_and_beside_the_head_agree() {
+    // The push paths split at the head: strictly before it appends, at
+    // or after it searches. Each push lands one tick before, at, or one
+    // tick after the pending head (the oracle's, tracked as the script
+    // is built), or at a small offset past it, with pops between.
+    let raw = gens::tuple2(
+        gens::u64s(1..1_000),
+        gens::vecs(gens::tuple2(gens::u64s(0..6), gens::u64s(0..64)), 1..300),
+    );
+    check("queue_diff/head_boundary", &raw, |(t0, raw_ops)| {
+        let mut shadow: HeapQueue<()> = HeapQueue::new();
+        shadow.push(SimTime::from_ns(*t0), ());
+        let mut ops = vec![Op::Push(*t0)];
+        for &(kind, off) in raw_ops {
+            let head = shadow.heap.peek().map_or(*t0, |e| e.time.as_ns());
+            let t = match kind {
+                0 => head.saturating_sub(1),
+                1 => head,
+                2 => head + 1,
+                3 => head + off,
+                _ => {
+                    ops.push(Op::Pop);
+                    shadow.pop();
+                    continue;
+                }
+            };
+            ops.push(Op::Push(t));
+            shadow.push(SimTime::from_ns(t), ());
+        }
+        run_diff(&ops)
+    });
+}

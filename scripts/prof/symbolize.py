@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Turns a scripts/prof/sigprof.c dump into two tables: self time by
-function and inclusive time (every function of this workspace on the
+"""Turns a scripts/prof/sigprof.c dump into three tables: self time by
+function, inclusive time (every function of this workspace on the
 walked stack, inlined frames included, once per sample; a coroutine's
 stack ends at its root frame, so application code is not under
-`Engine::run`). Self time goes to the innermost function at the sampled
-rip that is this workspace's, inlined or not: a `Cell::take` or
-`Option::expect` inlined into `CoroCtx::call` counts as `CoroCtx::call`,
-and library code that was really called keeps its name.
+`Engine::run`) and self time by source line. Self time by function goes
+to the innermost function at the sampled rip that is this workspace's,
+inlined or not: a `Cell::take` or `Option::expect` inlined into
+`CoroCtx::call` counts as `CoroCtx::call`, and library code that was
+really called keeps its name. Self time by line goes to the innermost
+inlined frame's file:line, library frames kept (with the function the
+first table charges, where that differs), so one function's row splits
+into, say, its search, its copy and its `memmove`.
 
 usage: symbolize.py DUMP EXECUTABLE [ROWS]
 """
 import bisect
 import collections
 import functools
+import os
 import re
 import subprocess
 import sys
@@ -84,9 +89,23 @@ def short(name):
     return re.sub(r"\b(?:spasm_[a-z]+|core|std|alloc)::", "", name)
 
 
+# This checkout, which `where` leaves off its own source paths.
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))) + "/"
+
+
+def where(location):
+    """A file:line as addr2line prints it, without its discriminator and
+    with the toolchain's /rustc/<hash>/library/ or this checkout's
+    directory left off."""
+    location = location.split(" (discriminator")[0]
+    location = re.sub(r"^/rustc/[0-9a-f]+/library/", "", location)
+    return location.removeprefix(ROOT)
+
+
 def symbolize(exe, addrs):
-    """vaddr -> (function, is it the toolchain's library) pairs, innermost
-    inlined frame first. The library's sources sit under /rustc/<hash>/."""
+    """vaddr -> (function, is it the toolchain's library, file:line)
+    triples, innermost inlined frame first. The library's sources sit
+    under /rustc/<hash>/."""
     addrs = sorted(addrs)
     out = subprocess.run(["addr2line", "-a", "-f", "-C", "-i", "-e", exe],
                          input="".join(f"{a:#x}\n" for a in addrs),
@@ -97,7 +116,7 @@ def symbolize(exe, addrs):
             cur = chains.setdefault(int(out[i], 16), [])
             i += 1
         else:
-            cur.append((out[i], out[i + 1].startswith("/rustc/")))
+            cur.append((out[i], out[i + 1].startswith("/rustc/"), out[i + 1]))
             i += 2  # function line, then its file:line
     return chains
 
@@ -111,22 +130,28 @@ def table(title, counts, total, rows):
 def main():
     if len(sys.argv) < 3:
         sys.exit(__doc__)
-    dump, exe = sys.argv[1], sys.argv[2]
+    # The dump names the executable by its real path.
+    dump, exe = sys.argv[1], os.path.realpath(sys.argv[2])
     rows = int(sys.argv[3]) if len(sys.argv) > 3 else 25
     samples, lost = load(dump, exe)
     if not samples:
         sys.exit("symbolize.py: the dump holds no samples")
     chains = symbolize(exe, {a for s in samples for a in s if isinstance(a, int)})
-    self_by, inclusive = collections.Counter(), collections.Counter()
+    self_by, inclusive, by_line = (collections.Counter() for _ in range(3))
     for s in samples:
-        frames = [chains[a] if isinstance(a, int) else [(a, False)] for a in s]
+        frames = [chains[a] if isinstance(a, int) else [(a, False, a)] for a in s]
         leaf = frames[0]
-        self_by[short(next((n for n, library in leaf if not library), leaf[-1][0]))] += 1
-        inclusive.update({short(n) for chain in frames for n, library in chain if not library})
+        owner = short(next((n for n, library, _ in leaf if not library), leaf[-1][0]))
+        self_by[owner] += 1
+        inclusive.update({short(n) for chain in frames for n, library, _ in chain if not library})
+        name, _, location = leaf[0]
+        line = f"{where(location)}  {short(name)}" if location != name else name
+        by_line[line if short(name) == owner else f"{line}  in {owner}"] += 1
     if lost:
         print(f"{lost} samples lost: the buffer was full")
     table("self time by function", self_by, len(samples), rows)
     table("inclusive time by function", inclusive, len(samples), rows)
+    table("self time by innermost source line", by_line, len(samples), rows)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@
 # the `figures` binary (figure mode) with frame pointers into
 # target/profile (nothing under benchmark/ is edited and the measured
 # build in target/ is not disturbed), runs it under LD_PRELOAD, and
-# prints self and inclusive time by function (scripts/prof/symbolize.py,
-# addr2line -i: an inlined function keeps its own row). A grid runs
+# prints self and inclusive time by function and self time by source
+# line (scripts/prof/symbolize.py, addr2line -i: an inlined function
+# keeps its own row). A grid runs
 # pinned as benchmark/run.sh pins it; a figure runs as `figures --figure
 # ID --size SIZE [figures args]` (add --serial for one worker), its
 # stdout sent to stderr. DESIGN.md §12 says how an `#[inline]` is judged
