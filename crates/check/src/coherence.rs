@@ -37,6 +37,10 @@ pub struct CoherenceChecker {
     ring: EventRing<Access>,
 }
 
+/// Who holds a block, who owns it, and its first `Dirty` holder, as its
+/// mirror refresh saw them.
+type Holders = (NodeSet, NodeSet, Option<usize>);
+
 /// One ring entry, rendered only into a violation: an access at `.0` by
 /// node `.1` to block `.2`, and its outcome (a `Copy` value, so recording
 /// an access allocates nothing).
@@ -131,21 +135,20 @@ impl CoherenceChecker {
     ) -> Result<(), CheckViolation> {
         self.ring.record(Access(at, node, block, kind, *outcome));
         self.check_outcome_consistency(node, block, kind, outcome)?;
-        // Refresh the mirror for every block the outcome names, checking
-        // each node's transition; the structural checks then read it.
-        self.refresh_and_check_transitions(cc, block)?;
+        // Refresh the block and any eviction victim once each (a
+        // downgrade names the block itself), then check their structure.
+        let (holders, moved) = self.refresh(cc, block);
+        moved?;
         if let Outcome::Miss {
-            writeback,
-            downgrade_writeback,
+            writeback: Some(victim),
             ..
         } = *outcome
         {
-            for victim in [writeback, downgrade_writeback].into_iter().flatten() {
-                self.refresh_and_check_transitions(cc, victim.block)?;
-                self.check_structure(cc, victim.block)?;
-            }
+            let (victim_holders, moved) = self.refresh(cc, victim.block);
+            moved?;
+            self.check_structure(cc, victim.block, victim_holders)?;
         }
-        self.check_structure(cc, block)
+        self.check_structure(cc, block, holders)
     }
 
     /// Full-state sweep at end of run: refreshes every block id the
@@ -160,31 +163,21 @@ impl CoherenceChecker {
         let blocks = self.mirror.len() / self.p;
         let mut transitions = Ok(());
         for b in 0..blocks as u64 {
-            let refreshed = self.refresh_and_check_transitions(cc, b);
-            self.check_structure(cc, b)?;
-            transitions = transitions.and(refreshed);
+            let (holders, moved) = self.refresh(cc, b);
+            self.check_structure(cc, b, holders)?;
+            transitions = transitions.and(moved);
         }
         transitions
     }
 
-    /// Structural invariants on one block, read from its just-refreshed
-    /// mirror slots and the directory.
-    fn check_structure(&self, cc: &CoherenceController, block: u64) -> Result<(), CheckViolation> {
-        let first = block as usize * self.p;
-        let states = &self.mirror[first..first + self.p];
-        // Who holds the block, who owns it, and the first Dirty holder.
-        let (mut holders, mut owned, mut dirty) = (NodeSet::default(), NodeSet::default(), None);
-        for (n, s) in states.iter().enumerate() {
-            let Some(s) = *s else { continue };
-            holders.insert(n);
-            if s.is_owned() {
-                owned.insert(n);
-            }
-            if s == BState::Dirty && dirty.is_none() {
-                dirty = Some(n);
-            }
-        }
-
+    /// Structural invariants on one block, read from the holders its
+    /// refresh collected and the directory.
+    fn check_structure(
+        &self,
+        cc: &CoherenceController,
+        block: u64,
+        (holders, owned, dirty): Holders,
+    ) -> Result<(), CheckViolation> {
         // Single-writer: at most one owned copy; Dirty means sole copy.
         if owned.len() > 1 {
             return Err(self.violation(
@@ -227,28 +220,20 @@ impl CoherenceChecker {
                 ));
             }
         }
-        match entry.owner() {
-            Some(o) => {
-                if !owned.contains(o) {
-                    return Err(self.violation(
-                        "directory-agreement",
-                        format!("directory owner {o} of block {block} holds no owned copy"),
-                    ));
-                }
-            }
-            None => {
-                if let Some(n) = owned.iter().next() {
-                    return Err(self.violation(
-                        "directory-agreement",
-                        format!(
-                            "node {n} holds block {block} as {} but the directory records no owner",
-                            state_label(states[n])
-                        ),
-                    ));
-                }
-            }
+        match (entry.owner(), owned.iter().next()) {
+            (Some(o), _) if !owned.contains(o) => Err(self.violation(
+                "directory-agreement",
+                format!("directory owner {o} of block {block} holds no owned copy"),
+            )),
+            (None, Some(n)) => Err(self.violation(
+                "directory-agreement",
+                format!(
+                    "node {n} holds block {block} as {} but the directory records no owner",
+                    state_label(self.mirror[block as usize * self.p + n])
+                ),
+            )),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Checks that the reported outcome is consistent with the mirror's
@@ -308,35 +293,42 @@ impl CoherenceChecker {
         Ok(())
     }
 
-    /// Refreshes the mirror for `block` from the real caches, checking
-    /// every node's observed `(old, new)` transition for legality: the
-    /// checker's one read of cache state.
-    fn refresh_and_check_transitions(
+    /// Refreshes `block`'s mirror slots from the real caches, the checker's
+    /// one read of cache state: who holds it, and the first node whose
+    /// observed `(old, new)` transition the protocol forbids.
+    fn refresh(
         &mut self,
         cc: &CoherenceController,
         block: u64,
-    ) -> Result<(), CheckViolation> {
+    ) -> (Holders, Result<(), CheckViolation>) {
         let first = block as usize * self.p;
-        let mut bad = None;
+        let (mut holders, mut owned, mut dirty) = (NodeSet::default(), NodeSet::default(), None);
+        let mut moved = Ok(());
         for (n, old) in self.mirror[first..first + self.p].iter_mut().enumerate() {
             let new = cc.cache(n).peek(block);
-            if !legal_transition(self.protocol, *old, new) && bad.is_none() {
-                bad = Some((n, *old, new));
+            if moved.is_ok() && !legal_transition(self.protocol, *old, new) {
+                moved = Err(CheckViolation::new(
+                    "legal-transition",
+                    format!(
+                        "node {n}, block {block}: {} -> {} is not a legal {:?} transition",
+                        state_label(*old),
+                        state_label(new),
+                        self.protocol
+                    ),
+                    &self.ring,
+                ));
             }
             *old = new;
+            let Some(s) = new else { continue };
+            holders.insert(n);
+            if s.is_owned() {
+                owned.insert(n);
+            }
+            if s == BState::Dirty && dirty.is_none() {
+                dirty = Some(n);
+            }
         }
-        if let Some((n, old, new)) = bad {
-            return Err(self.violation(
-                "legal-transition",
-                format!(
-                    "node {n}, block {block}: {} -> {} is not a legal {:?} transition",
-                    state_label(old),
-                    state_label(new),
-                    self.protocol
-                ),
-            ));
-        }
-        Ok(())
+        ((holders, owned, dirty), moved)
     }
 
     fn violation(&self, invariant: &'static str, message: String) -> CheckViolation {

@@ -146,36 +146,35 @@ impl std::error::Error for CheckViolation {}
 /// The last [`RING_CAPACITY`] events a checker saw, dumped oldest first
 /// into every [`CheckViolation`]. Events are kept as values and rendered
 /// only by [`EventRing::dump`], so a clean checked run formats nothing.
+/// The slots live on the heap, so a checker held inline stays small.
 #[derive(Debug, Clone)]
 pub(crate) struct EventRing<E> {
-    buf: Vec<E>,
-    /// Once `buf` is full, the slot of the oldest event: the next to go.
-    head: usize,
+    slots: Box<[Option<E>; RING_CAPACITY]>,
+    /// Events recorded so far; the next goes to slot `count % RING_CAPACITY`.
+    count: usize,
 }
 
 impl<E: fmt::Display> EventRing<E> {
     /// An empty ring holding up to [`RING_CAPACITY`] events.
     pub(crate) fn new() -> Self {
         EventRing {
-            buf: Vec::with_capacity(RING_CAPACITY),
-            head: 0,
+            slots: Box::new([const { None }; RING_CAPACITY]),
+            count: 0,
         }
     }
 
-    /// Records one event, overwriting the oldest in place when full.
+    /// Records one event, overwriting the oldest once the ring is full.
     pub(crate) fn record(&mut self, event: E) {
-        if self.buf.len() < RING_CAPACITY {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % RING_CAPACITY;
-        }
+        self.slots[self.count % RING_CAPACITY] = Some(event);
+        self.count += 1;
     }
 
-    /// The retained events rendered, oldest first.
+    /// The retained events rendered, oldest first: the slots from the
+    /// next to be overwritten round to the newest, skipping empty ones.
     pub(crate) fn dump(&self) -> Vec<String> {
-        let (newest, oldest) = self.buf.split_at(self.head);
-        oldest.iter().chain(newest).map(E::to_string).collect()
+        let (newest, oldest) = self.slots.split_at(self.count % RING_CAPACITY);
+        let events = oldest.iter().chain(newest).flatten();
+        events.map(E::to_string).collect()
     }
 }
 

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use spasm_desim::SimTime;
-use spasm_logp::GapPolicy;
+use spasm_logp::{GapPolicy, NetEvent};
 use spasm_net::Delivery;
 
 use crate::{CheckViolation, EventRing};
@@ -86,14 +86,14 @@ impl NetChecker {
     ) -> Result<(), CheckViolation> {
         self.ring
             .record(Msg(at, src, dst, send_start, arrive, recv_start));
-        let expected_send = at.max(self.slot(src, Kind::Send));
+        let expected_send = at.max(self.slot(src, NetEvent::Send));
         let expected_arrive = send_start + self.l;
-        let expected_recv = arrive.max(self.slot(dst, Kind::Recv));
+        let expected_recv = arrive.max(self.slot(dst, NetEvent::Recv));
         // Advance the mirror from the observed grants first, so a single
         // deviation is reported once rather than echoed by every later
         // message at the same node.
-        self.advance(src, Kind::Send, send_start);
-        self.advance(dst, Kind::Recv, recv_start);
+        self.advance(src, NetEvent::Send, send_start);
+        self.advance(dst, NetEvent::Recv, recv_start);
         if send_start != expected_send {
             return Err(self.violation(
                 "message-gap",
@@ -124,35 +124,29 @@ impl NetChecker {
         Ok(())
     }
 
-    fn slot(&self, node: usize, kind: Kind) -> SimTime {
+    fn slot(&self, node: usize, kind: NetEvent) -> SimTime {
         match (self.policy, kind) {
             (GapPolicy::Unified, _) => self.next_send[node].max(self.next_recv[node]),
-            (GapPolicy::PerEventType, Kind::Send) => self.next_send[node],
-            (GapPolicy::PerEventType, Kind::Recv) => self.next_recv[node],
+            (GapPolicy::PerEventType, NetEvent::Send) => self.next_send[node],
+            (GapPolicy::PerEventType, NetEvent::Recv) => self.next_recv[node],
         }
     }
 
-    fn advance(&mut self, node: usize, kind: Kind, start: SimTime) {
+    fn advance(&mut self, node: usize, kind: NetEvent, start: SimTime) {
         let next = start + self.g;
         match (self.policy, kind) {
             (GapPolicy::Unified, _) => {
                 self.next_send[node] = next;
                 self.next_recv[node] = next;
             }
-            (GapPolicy::PerEventType, Kind::Send) => self.next_send[node] = next,
-            (GapPolicy::PerEventType, Kind::Recv) => self.next_recv[node] = next,
+            (GapPolicy::PerEventType, NetEvent::Send) => self.next_send[node] = next,
+            (GapPolicy::PerEventType, NetEvent::Recv) => self.next_recv[node] = next,
         }
     }
 
     fn violation(&self, invariant: &'static str, message: String) -> CheckViolation {
         CheckViolation::new(invariant, message, &self.ring)
     }
-}
-
-#[derive(Clone, Copy)]
-enum Kind {
-    Send,
-    Recv,
 }
 
 /// Checks one remote message `src -> dst` injected at `at` on the
@@ -194,7 +188,7 @@ pub fn network_conformance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spasm_logp::{GapTracker, NetEvent};
+    use spasm_logp::GapTracker;
 
     fn ns(n: u64) -> SimTime {
         SimTime::from_ns(n)

@@ -74,6 +74,11 @@ impl<E: Copy + fmt::Debug> EngineChecker<E> {
     /// # Errors
     ///
     /// `event-monotonicity` if `t` precedes the previous event.
+    ///
+    /// Inlined, as the queue's `pop` is: the ring slot is written from
+    /// the engine's registers instead of reloaded from a just-spilled
+    /// event (DESIGN.md §12).
+    #[inline]
     pub fn on_event(&mut self, t: SimTime, event: E) -> Result<(), CheckViolation> {
         self.ring.record(Stamped(t, event));
         if t < self.last {

@@ -223,10 +223,10 @@ type Case = (usize, bool, Vec<(usize, u64, bool)>, (Corruption, u64));
 
 fn cases() -> Gen<Case> {
     gens::tuple4(
-        gens::usizes(2..9),
+        gens::usizes(2..65),
         gens::bools(),
         gens::vecs(
-            gens::tuple3(gens::usizes(0..8), gens::u64s(0..BLOCKS), gens::bools()),
+            gens::tuple3(gens::usizes(0..64), gens::u64s(0..BLOCKS), gens::bools()),
             0..120,
         ),
         gens::tuple2(

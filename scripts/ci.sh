@@ -58,10 +58,14 @@ echo "==> exactly one module opts out of the unsafe_code lint"
 [ "$(grep -rn "allow(unsafe_code)" crates src | wc -l)" -eq 1 ]
 
 # The coherence checker reads cache state in one function, its mirror
-# refresh; the structural invariants and the end-of-run sweep read the
-# states it stored. A second `.peek(` outside the test module fails here.
+# refresh, which is also its one walk of a block's mirror slots: the
+# structural invariants and the end-of-run sweep read the holder sets it
+# collects. A second `.peek(` or a second slice of a block's slots
+# (`first..first + self.p`) outside the test module fails here.
 echo "==> the coherence checker reads cache state once, in its mirror refresh"
 [ "$(awk '/^#\[cfg\(test\)\]/ { exit } /\.peek\(/ && !/^[[:space:]]*\/\// { n++ }
+    END { print n + 0 }' crates/check/src/coherence.rs)" -eq 1 ]
+[ "$(awk '/^#\[cfg\(test\)\]/ { exit } /first\.\.first \+ self\.p/ && !/^[[:space:]]*\/\// { n++ }
     END { print n + 0 }' crates/check/src/coherence.rs)" -eq 1 ]
 
 # A panic is fenced in exactly two places: the experiment boundary
