@@ -57,17 +57,44 @@ impl Ep {
 /// One processor's private statistics: (bins, sx, sy).
 type Stats = ([u64; BINS], f64, f64);
 
-/// One processor's private statistics pass over its own `proc_rng` stream.
+/// Pairs `local_stats` carries through each of its stages at a time.
+const BLOCK: usize = 256;
+
+/// One processor's private statistics pass over its own `proc_rng` stream,
+/// in blocks of [`BLOCK`] pairs and four stages per block: draw the pairs
+/// and keep the accepted ones (without a branch), take every `ln`, every
+/// scale factor, then bin and sum in pair order. The sums are taken in the
+/// order a pair-at-a-time loop takes them, with the same IEEE operations,
+/// so the result is bit-identical to it; the stages only let independent
+/// `ln`s and square roots overlap.
 fn local_stats(seed: u64, proc: usize, lo: usize, hi: usize) -> Stats {
     let mut rng = proc_rng(seed, proc);
     let mut q = [0u64; BINS];
     let (mut sx, mut sy) = (0.0f64, 0.0f64);
-    for _ in lo..hi {
-        let x: f64 = rng.gen_range(-1.0..1.0);
-        let y: f64 = rng.gen_range(-1.0..1.0);
-        let t = x * x + y * y;
-        if t > 0.0 && t <= 1.0 {
-            let f = (-2.0 * t.ln() / t).sqrt();
+    let (mut xs, mut ys) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
+    let (mut ts, mut fs) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
+    let mut left = hi - lo;
+    while left > 0 {
+        let drawn = left.min(BLOCK);
+        left -= drawn;
+        // Every pair is stored at the next free slot, which advances only
+        // past an accepted one: at draw i, kept <= i < BLOCK.
+        let mut kept = 0;
+        for _ in 0..drawn {
+            let x: f64 = rng.gen_range(-1.0..1.0);
+            let y: f64 = rng.gen_range(-1.0..1.0);
+            let t = x * x + y * y;
+            (xs[kept], ys[kept], ts[kept]) = (x, y, t);
+            kept += usize::from((t > 0.0) & (t <= 1.0));
+        }
+        let (xs, ys, ts, fs) = (&xs[..kept], &ys[..kept], &ts[..kept], &mut fs[..kept]);
+        for (f, &t) in fs.iter_mut().zip(ts) {
+            *f = t.ln();
+        }
+        for (f, &t) in fs.iter_mut().zip(ts) {
+            *f = (-2.0 * *f / t).sqrt();
+        }
+        for ((&x, &y), &f) in xs.iter().zip(ys).zip(fs.iter()) {
             let (gx, gy) = (x * f, y * f);
             let l = gx.abs().max(gy.abs()) as usize;
             if l < BINS {
@@ -238,6 +265,49 @@ mod tests {
             r.totals.busy,
             r.totals.latency
         );
+    }
+
+    /// `local_stats` one pair at a time, as it was before its stages: the
+    /// oracle the staged pass is held to, bit for bit.
+    fn local_stats_per_pair(seed: u64, proc: usize, lo: usize, hi: usize) -> Stats {
+        let mut rng = proc_rng(seed, proc);
+        let mut q = [0u64; BINS];
+        let (mut sx, mut sy) = (0.0f64, 0.0f64);
+        for _ in lo..hi {
+            let x: f64 = rng.gen_range(-1.0..1.0);
+            let y: f64 = rng.gen_range(-1.0..1.0);
+            let t = x * x + y * y;
+            if t > 0.0 && t <= 1.0 {
+                let f = (-2.0 * t.ln() / t).sqrt();
+                let (gx, gy) = (x * f, y * f);
+                let l = gx.abs().max(gy.abs()) as usize;
+                if l < BINS {
+                    q[l] += 1;
+                }
+                sx += gx;
+                sy += gy;
+            }
+        }
+        (q, sx, sy)
+    }
+
+    #[test]
+    fn the_staged_pass_matches_the_per_pair_loop_bit_for_bit() {
+        for seed in [1, 7, 1995, 2024] {
+            for pairs in [1, 17, 255, 256, 257, 4_096, 65_536, 262_144] {
+                for p in [1, 3, 5, 32, 64] {
+                    for proc in 0..p {
+                        let (lo, hi) = block_range(pairs, p, proc);
+                        let (q, sx, sy) = local_stats(seed, proc, lo, hi);
+                        let (want_q, want_sx, want_sy) = local_stats_per_pair(seed, proc, lo, hi);
+                        let at = format!("seed={seed} pairs={pairs} p={p} proc={proc}");
+                        assert_eq!(q, want_q, "{at}");
+                        assert_eq!(sx.to_bits(), want_sx.to_bits(), "{at}");
+                        assert_eq!(sy.to_bits(), want_sy.to_bits(), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     /// The verifier as it was before the shared table: every processor's

@@ -21,8 +21,8 @@
 //!   memory; an overflow faults on the guard page and kills the program
 //!   with SIGSEGV instead of corrupting a neighbour;
 //! * **the shared cell** — one heap cell per process through which the two
-//!   sides pass the response, the next envelope, the shutdown flag and
-//!   each other's saved stack pointer.
+//!   sides pass the response, the next step, at most one posted request,
+//!   the shutdown flag and each other's saved stack pointer.
 //!
 //! # Invariants
 //!
@@ -51,6 +51,12 @@
 //!    or unmapped) before doing anything else with the coroutine. A spare
 //!    stack runs again only from the boot frame `prepare` writes afresh
 //!    for its next body, never from a frame its last body left.
+//! 6. *A posted request is served before the step after it.* `post`
+//!    parks a request in the cell without switching; the owner hands it
+//!    out ahead of the step that ended the slice, holds that step until
+//!    the next resume, and drops the response that resume carries. The
+//!    owner sees the same steps in the same order as if the body had
+//!    called; only the host time at which the body's code runs moves.
 
 use std::cell::{Cell, RefCell};
 use std::ffi::c_void;
@@ -271,6 +277,8 @@ struct Shared<Q, R> {
     /// Coroutine → owner: what the time slice ended with. `None` after a
     /// switch back means the body unwound with `Shutdown`.
     step: Cell<Option<Step<Q>>>,
+    /// Coroutine → owner: a request posted ahead of `step` (invariant 6).
+    posted: Cell<Option<Q>>,
     /// Owner → coroutine: unwind instead of returning from `call`.
     shutdown: Cell<bool>,
     /// The owner's stack pointer while the coroutine runs.
@@ -287,6 +295,9 @@ struct Coroutine<Q, R> {
     shared: NonNull<Shared<Q, R>>,
     /// `Some` iff the coroutine is suspended inside `call`.
     stack: Option<Stack>,
+    /// The step that ended the last slice, held while the request posted
+    /// ahead of it is served (invariant 6).
+    pending: Option<Step<Q>>,
 }
 
 impl<Q, R> Coroutine<Q, R> {
@@ -296,6 +307,7 @@ impl<Q, R> Coroutine<Q, R> {
             body: Cell::new(Some(body)),
             resp: Cell::new(None),
             step: Cell::new(None),
+            posted: Cell::new(None),
             shutdown: Cell::new(false),
             owner_sp: Cell::new(ptr::null_mut()),
             coro_sp: Cell::new(ptr::null_mut()),
@@ -303,6 +315,7 @@ impl<Q, R> Coroutine<Q, R> {
         Coroutine {
             shared: NonNull::from(Box::leak(shared)),
             stack: None,
+            pending: None,
         }
     }
 
@@ -315,9 +328,15 @@ impl<Q, R> Coroutine<Q, R> {
 
     /// Runs the process until it next suspends in `call` (`Request`) or
     /// finishes. The first resume takes a stack and starts the body;
-    /// its "start" response is discarded, as the API documents.
+    /// its "start" response is discarded, as the API documents. A request
+    /// the slice posted comes out first; the step behind it is returned by
+    /// the next resume, without a switch, and that resume's response (the
+    /// posted request's) is dropped.
     #[inline]
     fn resume(&mut self, resp: R) -> Step<Q> {
+        if let Some(step) = self.pending.take() {
+            return step;
+        }
         if self.stack.is_none() {
             let stack = Stack::take();
             let root = root::<Q, R> as extern "C" fn(*const Shared<Q, R>) -> !;
@@ -328,14 +347,24 @@ impl<Q, R> Coroutine<Q, R> {
         } else {
             self.shared().resp.set(Some(resp));
         }
-        self.switch_in()
-            .expect("a process unwound with Shutdown outside its pool's drop")
+        let step = self
+            .switch_in()
+            .expect("a process unwound with Shutdown outside its pool's drop");
+        match self.shared().posted.take() {
+            Some(req) => {
+                self.pending = Some(step);
+                Step::Request(req)
+            }
+            None => step,
+        }
     }
 
     /// Switches to the coroutine and returns what it hands back; releases
     /// the stack if that was its last switch out.
     #[inline]
     fn switch_in(&mut self) -> Option<Step<Q>> {
+        #[cfg(test)]
+        tests::SWITCHED_IN.with(|n| n.set(n.get() + 1));
         let shared = self.shared();
         // SAFETY: `coro_sp` was stored by `prepare` or by the coroutine's
         // last switch out of `call`; its stack is `self.stack`, still
@@ -465,6 +494,29 @@ impl<Q, R> CoroCtx<Q, R> {
             .take()
             .expect("a suspended process is resumed with a response")
     }
+
+    /// Issues `req`, whose response the body does not need, and returns
+    /// at once. The simulator serves it before the next request, and a
+    /// `Done` or panic behind it waits until it has been served. With a
+    /// request already posted, this is [`CoroCtx::call`] with the
+    /// response dropped.
+    ///
+    /// # Panics
+    ///
+    /// As [`CoroCtx::call`], when it falls back to it.
+    #[inline]
+    pub fn post(&self, req: Q) {
+        // SAFETY: a context exists only in the root frame of a running
+        // coroutine, whose owner keeps the cell alive (invariant 3).
+        let shared = unsafe { self.shared.as_ref() };
+        match shared.posted.take() {
+            None => shared.posted.set(Some(req)),
+            Some(first) => {
+                shared.posted.set(Some(first));
+                self.call(req);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -482,7 +534,11 @@ impl<Q, R> CoroCtx<Q, R> {
 /// a response value; the process runs until it issues its next request via
 /// [`CoroCtx::call`] (returned as [`Step::Request`]), returns
 /// ([`Step::Done`]) or panics ([`Step::Panicked`]). The very first `resume`
-/// of a process delivers its "start" response.
+/// of a process delivers its "start" response. A request issued with
+/// [`CoroCtx::post`] is returned as a `Step::Request` like any other, ahead
+/// of the step that ended the slice; the response that serves it is
+/// dropped, and the resume that delivers it returns the held step without
+/// running the process.
 ///
 /// # Example
 ///
@@ -597,6 +653,8 @@ mod tests {
         /// Stacks `Stack::map` made on this thread. Each test runs on its
         /// own thread, so a concurrent test cannot move another's count.
         pub(super) static MAPPED: Cell<usize> = const { Cell::new(0) };
+        /// Switches into a coroutine made on this thread.
+        pub(super) static SWITCHED_IN: Cell<usize> = const { Cell::new(0) };
     }
 
     /// Runs one pool of `n` processes to its drop: process 0 finishes,
@@ -756,5 +814,129 @@ mod tests {
             grown < leak / 10,
             "address space grew by {grown} bytes over {POOLS} pools"
         );
+    }
+
+    /// Drives process 0 of `pool` to its end, answering each request `q`
+    /// with `q * 10`; returns the requests in the order they came out.
+    fn drive(pool: &mut CoroPool<u32, u32>) -> Vec<u32> {
+        let mut seen = Vec::new();
+        let mut resp = 0;
+        loop {
+            match pool.resume(0, resp) {
+                Step::Request(q) => {
+                    seen.push(q);
+                    resp = q * 10;
+                }
+                Step::Done => return seen,
+                Step::Panicked(m) => panic!("{m}"),
+            }
+        }
+    }
+
+    #[test]
+    fn posted_requests_come_out_in_program_order() {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
+            ctx.post(1);
+            assert_eq!(ctx.call(2), 20);
+            ctx.post(3);
+            ctx.post(4);
+            assert_eq!(ctx.call(5), 50);
+            ctx.post(6);
+        });
+        assert_eq!(drive(&mut pool), [1, 2, 3, 4, 5, 6]);
+        assert!(!pool.is_live(0));
+    }
+
+    #[test]
+    fn a_done_or_panic_behind_a_posted_request_waits_for_it() {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(2, |id, ctx| {
+            ctx.post(7);
+            if id == 1 {
+                panic!("panic behind a posted request");
+            }
+        });
+        for p in 0..2 {
+            assert!(matches!(pool.resume(p, 0), Step::Request(7)));
+            // The body has ended, but its last step is held.
+            assert!(pool.is_live(p));
+        }
+        let switched = SWITCHED_IN.with(Cell::get);
+        assert!(matches!(pool.resume(0, 70), Step::Done));
+        match pool.resume(1, 70) {
+            Step::Panicked(msg) => assert!(msg.contains("behind a posted")),
+            other => panic!("{other:?}"),
+        }
+        // Both held steps came out without running the bodies again.
+        assert_eq!(SWITCHED_IN.with(Cell::get), switched);
+        assert!(!pool.is_live(0) && !pool.is_live(1));
+    }
+
+    #[test]
+    fn a_second_post_with_the_slot_full_is_a_call() {
+        use std::rc::Rc;
+
+        let reached = Rc::new(Cell::new(0));
+        let mark = Rc::clone(&reached);
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, move |_, ctx| {
+            ctx.post(1);
+            mark.set(1);
+            ctx.post(2);
+            mark.set(2);
+        });
+        assert!(matches!(pool.resume(0, 0), Step::Request(1)));
+        // The second post suspended the body, as a call does.
+        assert_eq!(reached.get(), 1);
+        assert!(matches!(pool.resume(0, 10), Step::Request(2)));
+        assert_eq!(reached.get(), 1);
+        assert!(matches!(pool.resume(0, 20), Step::Done));
+        assert_eq!(reached.get(), 2);
+    }
+
+    #[test]
+    fn k_posts_then_a_call_take_half_as_many_switches() {
+        for k in 0..=9u32 {
+            let mut pool: CoroPool<u32, u32> = CoroPool::new(1, move |_, ctx| {
+                for i in 0..k {
+                    ctx.post(i);
+                }
+                assert_eq!(ctx.call(100), 1000);
+            });
+            let before = SWITCHED_IN.with(Cell::get);
+            let want: Vec<u32> = (0..k).chain([100]).collect();
+            assert_eq!(drive(&mut pool), want);
+            let switches = SWITCHED_IN.with(Cell::get) - before;
+            assert_eq!(switches as u32, k / 2 + 2, "k={k}");
+        }
+    }
+
+    #[test]
+    fn dropping_a_pool_with_posted_requests_and_held_steps_leaks_no_stack() {
+        fn posting_pool(token: &Arc<AtomicUsize>) {
+            let seen = Arc::clone(token);
+            let mut pool: CoroPool<u32, u32> = CoroPool::new(3, move |id, ctx| {
+                let _guard = Guard(Arc::clone(&seen));
+                ctx.post(1);
+                match id {
+                    0 => {
+                        ctx.call(2);
+                    }
+                    1 => {}
+                    _ => panic!("a held panic"),
+                }
+            });
+            // Each process hands out its posted request; 0 is held at
+            // its call, 1 at Done, 2 at Panicked.
+            for p in 0..3 {
+                assert!(matches!(pool.resume(p, 0), Step::Request(1)));
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        posting_pool(&drops);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+        let mapped = MAPPED.with(Cell::get);
+        posting_pool(&drops);
+        assert_eq!(drops.load(Ordering::SeqCst), 6);
+        // Every stack of the first pool went back on the spare list.
+        assert_eq!(MAPPED.with(Cell::get), mapped);
     }
 }

@@ -18,8 +18,12 @@
 //!
 //! # The backend
 //!
-//! Every simulated memory operation crosses the simulator↔process edge
-//! twice, so the cost of one crossing bounds the whole simulator. Each
+//! An operation whose value the body reads ([`CoroCtx::call`]) crosses
+//! the simulator↔process edge twice, so the cost of one crossing bounds
+//! the whole simulator. One whose response carries nothing
+//! ([`CoroCtx::post`]: a compute, a write, a send) is parked in the
+//! process's cell and handed over at its next crossing, so a posted
+//! operation followed by a called one costs one round trip. Each
 //! process body runs on its own `mmap`ed stack *on the simulator's own OS
 //! thread* (`fiber`); a crossing saves the six callee-saved registers,
 //! swaps `rsp` and returns — no futex, no scheduler, no spinning. All of

@@ -157,13 +157,15 @@ impl<'a> MemCtx<'a> {
         self.ctx.id()
     }
 
-    /// Charges `cycles` cycles of local computation.
+    /// Charges `cycles` cycles of local computation. Posted: the body runs
+    /// on at once, and the engine charges the cycles before the next
+    /// operation, exactly as if the body had waited.
     #[inline]
     pub fn compute(&self, cycles: u64) {
         if cycles == 0 {
             return;
         }
-        self.ctx.call(MemReq::Compute { cycles });
+        self.ctx.post(MemReq::Compute { cycles });
     }
 
     /// Loads the word at `addr`.
@@ -172,10 +174,11 @@ impl<'a> MemCtx<'a> {
         self.ctx.call(MemReq::Read { addr }).value()
     }
 
-    /// Stores `value` at `addr`.
+    /// Stores `value` at `addr`. Posted, like [`MemCtx::compute`]: the
+    /// store commits, in simulated time, before the next operation starts.
     #[inline]
     pub fn write(&self, addr: Addr, value: u64) {
-        self.ctx.call(MemReq::Write { addr, value });
+        self.ctx.post(MemReq::Write { addr, value });
     }
 
     /// Loads the word at `addr` as an `f64`.
@@ -231,7 +234,8 @@ impl<'a> MemCtx<'a> {
     }
 
     /// Sends one word of payload to `dst` in a `bytes`-byte message with
-    /// the given `tag`; blocks until the message is injected.
+    /// the given `tag`. Posted, like [`MemCtx::compute`]: in simulated
+    /// time the sender still blocks until the message is injected.
     ///
     /// # Panics
     ///
@@ -239,7 +243,7 @@ impl<'a> MemCtx<'a> {
     /// size limit) or a destination out of range.
     #[inline]
     pub fn send(&self, dst: usize, bytes: u64, tag: u64, value: u64) {
-        self.ctx.call(MemReq::Send {
+        self.ctx.post(MemReq::Send {
             dst,
             bytes,
             tag,

@@ -286,6 +286,57 @@ fn panicking_body_reports_error() {
     }
 }
 
+/// A write is posted: the body runs on before the engine has priced it.
+/// The processor still finishes when its last write commits, which is when
+/// a called RMW priced the same way would have returned.
+#[test]
+fn a_last_posted_write_finishes_at_its_commit() {
+    for kind in ALL_MACHINES {
+        let finish = |last_is_write: bool| {
+            let topo = Topology::hypercube(2);
+            let mut setup = SetupCtx::new(2);
+            let remote = setup.alloc(1, 1);
+            let bodies: Vec<ProcBody> = vec![
+                Box::new(move |_, ctx| {
+                    let mem = MemCtx::new(ctx);
+                    mem.compute(100);
+                    if last_is_write {
+                        mem.write(remote, 1);
+                    } else {
+                        mem.swap(remote, 1);
+                    }
+                }),
+                Box::new(|_, _| {}),
+            ];
+            run(kind, &topo, setup, bodies).per_proc[0].finish
+        };
+        let posted_at = SimTime::from_ns(3000);
+        assert!(finish(true) > posted_at, "{kind}");
+        assert_eq!(finish(true), finish(false), "{kind}");
+    }
+}
+
+/// The panic behind a posted write waits until the write is served, so the
+/// run ends with the write's own error.
+#[test]
+fn a_bad_posted_write_is_reported_before_the_panic_behind_it() {
+    for kind in ALL_MACHINES {
+        let topo = Topology::full(1);
+        let mut setup = SetupCtx::new(1);
+        let word = setup.alloc(0, 2);
+        let bodies: Vec<ProcBody> = vec![Box::new(move |_, ctx| {
+            MemCtx::new(ctx).write(spasm_machine::Addr(word.0 + 4), 1);
+            panic!("after the unaligned write");
+        })];
+        match Engine::new(kind, &topo, setup, bodies).run() {
+            Err(RunError::BadRequest { proc: 0, message }) => {
+                assert!(message.contains("unaligned"), "{kind}: {message}");
+            }
+            other => panic!("{kind}: {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn lost_wakeup_detected_as_deadlock() {
     let topo = Topology::full(2);

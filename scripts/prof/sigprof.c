@@ -1,6 +1,12 @@
 /* LD_PRELOAD sampler for scripts/profile.sh: SIGPROF on process CPU time,
- * each sample the interrupted rip plus a bounded frame-pointer walk,
- * written with the process's memory map at exit to $SPASM_PROF_OUT.
+ * each sample the word at the interrupted rsp, the interrupted rip and a
+ * bounded frame-pointer walk, written with the process's memory map at
+ * exit to $SPASM_PROF_OUT as `S top rip frames...`.
+ *
+ * A leaf built without a frame pointer (libc's memmove) leaves rbp at its
+ * caller's frame, so the walk's first return address is the caller's
+ * caller's; the leaf's own return address is usually the word at rsp,
+ * which symbolize.py puts back.
  *
  * The walk crosses code built without frame pointers (libc, the prebuilt
  * std) and coroutine stacks that end at a guard page, so rbp may be
@@ -20,14 +26,14 @@
 #define DEPTH 32
 #define HZ 1000 /* asked for; the kernel rounds to its own tick (250 Hz is common) */
 
-static uintptr_t samples[MAX_SAMPLES][DEPTH];
+static uintptr_t samples[MAX_SAMPLES][DEPTH], tops[MAX_SAMPLES];
 static volatile size_t taken, lost;
 static int probe[2];
 
-/* Copies the two words at `fp` (saved rbp, return address); 0 if unreadable. */
-static int read_frame(uintptr_t fp, uintptr_t out[2]) {
-    if (write(probe[1], (const void *)fp, 16) != 16) return 0;
-    return read(probe[0], out, 16) == 16;
+/* Copies the `n` words at `at`; 0 if unreadable. */
+static int read_words(uintptr_t at, uintptr_t *out, size_t n) {
+    if (write(probe[1], (const void *)at, 8 * n) != (ssize_t)(8 * n)) return 0;
+    return read(probe[0], out, 8 * n) == (ssize_t)(8 * n);
 }
 
 static void on_sigprof(int sig, siginfo_t *info, void *uctx) {
@@ -37,9 +43,10 @@ static void on_sigprof(int sig, siginfo_t *info, void *uctx) {
     uintptr_t *s = samples[taken], fp = (uintptr_t)regs[REG_RBP];
     uintptr_t floor = (uintptr_t)regs[REG_RSP], frame[2];
     int d = 0;
+    if (!read_words(floor, &tops[taken], 1)) tops[taken] = 0;
     s[d++] = (uintptr_t)regs[REG_RIP];
     /* A frame record lies above the interrupted rsp and below its caller's. */
-    while (d < DEPTH && fp >= floor && fp % 8 == 0 && read_frame(fp, frame) && frame[1]) {
+    while (d < DEPTH && fp >= floor && fp % 8 == 0 && read_words(fp, frame, 2) && frame[1]) {
         s[d++] = frame[1];
         floor = fp + 16;
         fp = frame[0];
@@ -57,7 +64,7 @@ __attribute__((destructor)) static void dump(void) {
     char line[4096];
     while (fgets(line, sizeof line, maps)) fprintf(out, "M %s", line);
     for (size_t i = 0; i < taken; i++) {
-        fputc('S', out);
+        fprintf(out, "S %lx", (unsigned long)tops[i]);
         for (int d = 0; d < DEPTH && samples[i][d]; d++) fprintf(out, " %lx", (unsigned long)samples[i][d]);
         fputc('\n', out);
     }

@@ -10,7 +10,10 @@ inlined or not: a `Cell::take` or `Option::expect` inlined into
 really called keeps its name. Self time by line goes to the innermost
 inlined frame's file:line, library frames kept (with the function the
 first table charges, where that differs), so one function's row splits
-into, say, its search, its copy and its `memmove`.
+into, say, its search, its copy and its `memmove`. A shared library's
+leaf has no frame, so the walk skips its caller; the word the sampler
+read at rsp, its return address, is put back as that caller when it
+points into the executable's code.
 
 usage: symbolize.py DUMP EXECUTABLE [ROWS]
 """
@@ -27,7 +30,7 @@ def load(dump, exe):
     """Samples as lists of ELF virtual addresses in `exe`; an address
     elsewhere becomes `[file:exported symbol]`, or `[file:+lo..hi]` when
     no exported symbol's extent holds it."""
-    spans, others, samples, lost = [], [], [], 0
+    spans, code, others, samples, lost = [], [], [], [], 0
     for line in open(dump):
         kind, _, rest = line.partition(" ")
         if kind == "M":
@@ -35,10 +38,13 @@ def load(dump, exe):
             lo, hi = (int(x, 16) for x in f[0].split("-"))
             if len(f) >= 6 and f[5] == exe:
                 spans.append((lo, hi))
+                if "x" in f[1]:
+                    code.append((lo, hi))
             else:
                 others.append((lo, hi, f[5] if len(f) >= 6 else "anonymous"))
         elif kind == "S":
-            samples.append([int(x, 16) for x in rest.split()])
+            top, *stack = (int(x, 16) for x in rest.split())
+            samples.append((top, stack))
         elif kind == "L":
             lost = int(rest)
     if not spans:
@@ -46,14 +52,24 @@ def load(dump, exe):
     # A PIE's first segment has file offset 0 and virtual address 0.
     base = min(lo for lo, _ in spans)
 
+    def inside(addr, ranges):
+        return any(lo <= addr < hi for lo, hi in ranges)
+
     def vaddr(addr, is_return):
-        if not any(lo <= addr < hi for lo, hi in spans):
+        if not inside(addr, spans):
             path = next((n for lo, hi, n in others if lo <= addr < hi), "unmapped")
             start = min((lo for lo, _, n in others if n == path), default=0)
             return f"[{path.rsplit('/', 1)[-1]}:{exported(path, addr - start)}]"
         # A return address names the instruction after the call.
         return addr - base - (1 if is_return else 0)
 
+    def with_caller(top, stack):
+        """A library leaf's caller is the return address at its rsp."""
+        if not inside(stack[0], spans) and inside(top, code) and stack[1:2] != [top]:
+            return stack[:1] + [top] + stack[1:]
+        return stack
+
+    samples = [with_caller(top, stack) for top, stack in samples]
     return [[vaddr(a, i > 0) for i, a in enumerate(s)] for s in samples], lost
 
 
