@@ -53,34 +53,25 @@ impl Cg {
 /// Distributed vector: one block-range slice per processor.
 #[derive(Debug, Clone)]
 struct DistVec {
-    bases: Vec<Addr>,
-    n: usize,
-    p: usize,
+    /// Element `i`'s address, one table shared by every body.
+    addrs: Arc<[Addr]>,
 }
 
 impl DistVec {
     fn alloc(setup: &mut SetupCtx, n: usize, p: usize, label: &'static str) -> Self {
-        let bases = (0..p)
-            .map(|home| {
-                let (lo, hi) = block_range(n, p, home);
-                setup.alloc_labeled(home, (hi - lo).max(1) as u64, label)
-            })
-            .collect();
-        DistVec { bases, n, p }
+        let mut addrs = Vec::with_capacity(n);
+        for home in 0..p {
+            let (lo, hi) = block_range(n, p, home);
+            let base = setup.alloc_labeled(home, (hi - lo).max(1) as u64, label);
+            addrs.extend((0..(hi - lo) as u64).map(|k| base.offset_words(k)));
+        }
+        DistVec {
+            addrs: addrs.into(),
+        }
     }
 
     fn addr(&self, i: usize) -> Addr {
-        let mut proc = (i * self.p / self.n).min(self.p - 1);
-        loop {
-            let (lo, hi) = block_range(self.n, self.p, proc);
-            if i >= hi {
-                proc += 1;
-            } else if i < lo {
-                proc -= 1;
-            } else {
-                return self.bases[proc].offset_words((i - lo) as u64);
-            }
-        }
+        self.addrs[i]
     }
 }
 
@@ -168,15 +159,23 @@ impl App for Cg {
                     let mut bar = barrier.handle();
                     let (lo, hi) = block_range(n, p, me);
 
+                    // Values of the reads in flight; runs of reads whose
+                    // values are used only after the run go out batched.
+                    let mut vals = Vec::new();
+
                     // Partial-sum reduction: publish the local partial,
                     // rendezvous, processor 0 combines, rendezvous again.
-                    let reduce = |slot: Addr, local: f64, bar: &mut sync::BarrierHandle| {
+                    let reduce = |slot: Addr,
+                                  local: f64,
+                                  bar: &mut sync::BarrierHandle,
+                                  vals: &mut Vec<f64>| {
                         mem.write_f64(partial_slots[me], local);
                         bar.wait(&mem);
                         if me == 0 {
+                            mem.read_f64_many(partial_slots.iter().copied(), vals);
                             let mut total = 0.0;
-                            for s in &partial_slots {
-                                total += mem.read_f64(*s);
+                            for &v in vals.iter() {
+                                total += v;
                             }
                             mem.compute(CYCLES_VEC * p as u64);
                             mem.write_f64(slot, total);
@@ -186,32 +185,38 @@ impl App for Cg {
 
                     for it in 0..iters as u64 {
                         // rho = r.r over the local slice.
+                        mem.read_f64_many((lo..hi).map(|i| rv.addr(i)), &mut vals);
                         let mut local = 0.0;
-                        for i in lo..hi {
-                            let ri = mem.read_f64(rv.addr(i));
+                        for &ri in &vals {
                             local += ri * ri;
                         }
                         mem.compute(CYCLES_VEC * (hi - lo) as u64);
-                        reduce(rho_slots.offset_words(it), local, &mut bar);
+                        reduce(rho_slots.offset_words(it), local, &mut bar, &mut vals);
 
                         // q = A p over the local rows: the irregular,
                         // data-dependent remote reads.
                         for i in lo..hi {
+                            let row = &a.rows[i];
+                            mem.read_f64_many(row.iter().map(|&(j, _)| pv.addr(j)), &mut vals);
                             let mut acc = 0.0;
-                            for &(j, v) in &a.rows[i] {
-                                acc += v * mem.read_f64(pv.addr(j));
+                            for (&(_, v), &pj) in row.iter().zip(&vals) {
+                                acc += v * pj;
                             }
-                            mem.compute(CYCLES_MAC * a.rows[i].len() as u64);
+                            mem.compute(CYCLES_MAC * row.len() as u64);
                             mem.write_f64(qv.addr(i), acc);
                         }
 
                         // pq = p.q over the local slice.
+                        mem.read_f64_many(
+                            (lo..hi).flat_map(|i| [pv.addr(i), qv.addr(i)]),
+                            &mut vals,
+                        );
                         let mut local = 0.0;
-                        for i in lo..hi {
-                            local += mem.read_f64(pv.addr(i)) * mem.read_f64(qv.addr(i));
+                        for pq in vals.chunks_exact(2) {
+                            local += pq[0] * pq[1];
                         }
                         mem.compute(CYCLES_VEC * (hi - lo) as u64);
-                        reduce(pq_slots.offset_words(it), local, &mut bar);
+                        reduce(pq_slots.offset_words(it), local, &mut bar, &mut vals);
 
                         let rho = mem.read_f64(rho_slots.offset_words(it));
                         let pq = mem.read_f64(pq_slots.offset_words(it));
@@ -221,24 +226,23 @@ impl App for Cg {
                         // rho_new = r.r.
                         let mut local = 0.0;
                         for i in lo..hi {
-                            let xi = mem.read_f64(xv.addr(i));
-                            let pi = mem.read_f64(pv.addr(i));
-                            mem.write_f64(xv.addr(i), xi + alpha * pi);
-                            let ri = mem.read_f64(rv.addr(i)) - alpha * mem.read_f64(qv.addr(i));
+                            mem.read_f64_many([xv.addr(i), pv.addr(i)], &mut vals);
+                            mem.write_f64(xv.addr(i), vals[0] + alpha * vals[1]);
+                            mem.read_f64_many([rv.addr(i), qv.addr(i)], &mut vals);
+                            let ri = vals[0] - alpha * vals[1];
                             mem.write_f64(rv.addr(i), ri);
                             local += ri * ri;
                         }
                         mem.compute(2 * CYCLES_VEC * (hi - lo) as u64);
-                        reduce(rho_new_slots.offset_words(it), local, &mut bar);
+                        reduce(rho_new_slots.offset_words(it), local, &mut bar, &mut vals);
 
                         // p = r + beta p: writes that invalidate every
                         // consumer's cached copy of p.
                         let rho_new = mem.read_f64(rho_new_slots.offset_words(it));
                         let beta = rho_new / rho;
                         for i in lo..hi {
-                            let pi = mem.read_f64(pv.addr(i));
-                            let ri = mem.read_f64(rv.addr(i));
-                            mem.write_f64(pv.addr(i), ri + beta * pi);
+                            mem.read_f64_many([pv.addr(i), rv.addr(i)], &mut vals);
+                            mem.write_f64(pv.addr(i), vals[1] + beta * vals[0]);
                         }
                         mem.compute(CYCLES_VEC * (hi - lo) as u64);
                         bar.wait(&mem);

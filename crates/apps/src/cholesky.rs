@@ -122,12 +122,7 @@ impl App for Cholesky {
                 let col_locks = col_locks.clone();
                 let body: ProcBody = Box::new(move |_me, ctx| {
                     let mem = MemCtx::new(ctx);
-                    let pos = |col: usize, row: usize| -> u64 {
-                        pattern[col]
-                            .binary_search(&row)
-                            .unwrap_or_else(|_| panic!("row {row} not in column {col}"))
-                            as u64
-                    };
+                    let mut vals = Vec::new();
 
                     loop {
                         // Pop a runnable column.
@@ -163,10 +158,9 @@ impl App for Cholesky {
                         // cdiv(j): read the column, scale by sqrt(diag),
                         // write it back.
                         let rows = &pattern[j];
-                        let mut vals = Vec::with_capacity(rows.len());
-                        for slot in 0..rows.len() as u64 {
-                            vals.push(mem.read_f64(col_bases[j].offset_words(slot)));
-                        }
+                        let col =
+                            (0..rows.len() as u64).map(|slot| col_bases[j].offset_words(slot));
+                        mem.read_f64_many(col, &mut vals);
                         mem.compute(CYCLES_CDIV * rows.len() as u64);
                         let diag = vals[0].sqrt();
                         vals[0] = diag;
@@ -178,12 +172,18 @@ impl App for Cholesky {
                         }
 
                         // Fan-out: cmod(i, j) for every i in j's structure.
+                        // rows[idx..] is a sorted subset of column i's
+                        // sorted structure, so one forward walk of that
+                        // structure finds every target slot.
                         for (idx, &i) in rows.iter().enumerate().skip(1) {
                             let lij = vals[idx];
                             sync::lock(&mem, col_locks[i]);
+                            let mut slots = pattern[i].iter().enumerate();
                             for (&r, &lrj) in rows[idx..].iter().zip(&vals[idx..]) {
-                                let slot = pos(i, r);
-                                let addr = col_bases[i].offset_words(slot);
+                                let (slot, _) = slots
+                                    .find(|&(_, &row)| row == r)
+                                    .unwrap_or_else(|| panic!("row {r} not in column {i}"));
+                                let addr = col_bases[i].offset_words(slot as u64);
                                 let cur = mem.read_f64(addr);
                                 mem.write_f64(addr, cur - lij * lrj);
                             }
@@ -234,7 +234,9 @@ impl App for Cholesky {
                         .find(|&&(c, _)| c == jj)
                         .map(|&(_, v)| v)
                         .unwrap_or(0.0);
-                    let got: f64 = (0..n).map(|k| l[i][k] * l[jj][k]).sum();
+                    // L is lower-triangular: every product past
+                    // min(i, jj) is an exact zero.
+                    let got: f64 = (0..=i.min(jj)).map(|k| l[i][k] * l[jj][k]).sum();
                     if !close(got, want, 1e-6) {
                         return Err(format!("(LL^T)[{i}][{jj}] = {got}, want {want}"));
                     }

@@ -75,10 +75,16 @@ fn reference_dft(x: &[(f64, f64)]) -> Vec<(f64, f64)> {
     (0..n)
         .map(|k| {
             let mut acc = (0.0f64, 0.0f64);
-            for (t, &(re, im)) in x.iter().enumerate() {
-                let (s, c) = tw[k * t % n];
+            // Term t's twiddle is tw[k * t % n], stepped by k mod n.
+            let mut at = 0;
+            for &(re, im) in x {
+                let (s, c) = tw[at];
                 acc.0 += re * c - im * s;
                 acc.1 += re * s + im * c;
+                at += k;
+                if at >= n {
+                    at -= n;
+                }
             }
             acc
         })
@@ -131,6 +137,7 @@ impl App for Fft {
                     let (lo, hi) = (me * chunk, (me + 1) * chunk);
                     let mut src = &a;
                     let mut dst = &b;
+                    let mut vals = Vec::with_capacity(4);
                     for stage in 0..stages {
                         let m = n >> stage;
                         let half = m / 2;
@@ -138,9 +145,10 @@ impl App for Fft {
                             let pos = k % m;
                             let partner = if pos < half { k + half } else { k - half };
                             let pa = elem_addr(src, partner);
-                            let (pre, pim) = (mem.read_f64(pa), mem.read_f64(pa.offset_words(1)));
                             let oa = elem_addr(src, k);
-                            let (ore, oim) = (mem.read_f64(oa), mem.read_f64(oa.offset_words(1)));
+                            let inputs = [pa, pa.offset_words(1), oa, oa.offset_words(1)];
+                            mem.read_f64_many(inputs, &mut vals);
+                            let (pre, pim, ore, oim) = (vals[0], vals[1], vals[2], vals[3]);
                             mem.compute(CYCLES_PER_BUTTERFLY);
                             let (re, im) = if pos < half {
                                 // Upper half of the butterfly: u + v.

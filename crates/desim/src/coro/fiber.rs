@@ -22,7 +22,8 @@
 //!   with SIGSEGV instead of corrupting a neighbour;
 //! * **the shared cell** — one heap cell per process through which the two
 //!   sides pass the response, the next step, at most one posted request,
-//!   the shutdown flag and each other's saved stack pointer.
+//!   a batch of up to [`BATCH`] requests and their responses, the shutdown
+//!   flag and each other's saved stack pointer.
 //!
 //! # Invariants
 //!
@@ -32,7 +33,8 @@
 //! 2. *One side runs at a time.* A coroutine executes only inside
 //!    [`Coroutine::switch_in`], i.e. while its owner is blocked in
 //!    `resume` or a drop; the owner executes only while the coroutine is
-//!    suspended in [`CoroCtx::call`], has finished, or has not started.
+//!    suspended in [`CoroCtx::call`] (or `call_many`), has finished, or has
+//!    not started.
 //!    The shared cell is therefore never accessed concurrently, and it is
 //!    built from `Cell`s so that neither side ever holds a `&mut` into it
 //!    across a switch.
@@ -51,12 +53,16 @@
 //!    or unmapped) before doing anything else with the coroutine. A spare
 //!    stack runs again only from the boot frame `prepare` writes afresh
 //!    for its next body, never from a frame its last body left.
-//! 6. *A posted request is served before the step after it.* `post`
-//!    parks a request in the cell without switching; the owner hands it
-//!    out ahead of the step that ended the slice, holds that step until
-//!    the next resume, and drops the response that resume carries. The
-//!    owner sees the same steps in the same order as if the body had
-//!    called; only the host time at which the body's code runs moves.
+//! 6. *A posted request is served before the step after it, and a batch
+//!    one request at a time.* `post` parks a request in the cell without
+//!    switching; the owner hands it out ahead of the step that ended the
+//!    slice, holds that step until the next resume, and drops the response
+//!    that resume carries. `call_many` suspends once with up to [`BATCH`]
+//!    requests, the first in `step` and the rest in `batch`; the owner
+//!    hands out one per resume, stores each response in `batch_resp`, and
+//!    switches back in only with the last one. Either way the owner sees
+//!    the same steps in the same order as if the body had called one by
+//!    one; only the host time at which the body's code runs moves.
 
 use std::cell::{Cell, RefCell};
 use std::ffi::c_void;
@@ -267,6 +273,9 @@ impl Drop for Stack {
 
 type Body<Q, R> = Box<dyn FnOnce(ProcId, &CoroCtx<Q, R>)>;
 
+/// Requests one [`CoroCtx::call_many`] suspension carries at most.
+const BATCH: usize = 16;
+
 /// What the owner and the coroutine pass each other (invariant 2).
 struct Shared<Q, R> {
     id: ProcId,
@@ -279,6 +288,14 @@ struct Shared<Q, R> {
     step: Cell<Option<Step<Q>>>,
     /// Coroutine → owner: a request posted ahead of `step` (invariant 6).
     posted: Cell<Option<Q>>,
+    /// Coroutine → owner: a batch's requests after the first, which
+    /// travels in `step` (invariant 6).
+    batch: [Cell<Option<Q>>; BATCH - 1],
+    /// Coroutine → owner: how many requests the suspended batch holds;
+    /// 0 when the body suspended in `call`.
+    batch_len: Cell<usize>,
+    /// Owner → coroutine: a batch's responses, in request order.
+    batch_resp: [Cell<Option<R>>; BATCH],
     /// Owner → coroutine: unwind instead of returning from `call`.
     shutdown: Cell<bool>,
     /// The owner's stack pointer while the coroutine runs.
@@ -298,6 +315,10 @@ struct Coroutine<Q, R> {
     /// The step that ended the last slice, held while the request posted
     /// ahead of it is served (invariant 6).
     pending: Option<Step<Q>>,
+    /// Requests in the batch being served; 0 outside a batch.
+    batch_len: usize,
+    /// Responses of that batch stored so far.
+    answered: usize,
 }
 
 impl<Q, R> Coroutine<Q, R> {
@@ -308,6 +329,9 @@ impl<Q, R> Coroutine<Q, R> {
             resp: Cell::new(None),
             step: Cell::new(None),
             posted: Cell::new(None),
+            batch: std::array::from_fn(|_| Cell::new(None)),
+            batch_len: Cell::new(0),
+            batch_resp: std::array::from_fn(|_| Cell::new(None)),
             shutdown: Cell::new(false),
             owner_sp: Cell::new(ptr::null_mut()),
             coro_sp: Cell::new(ptr::null_mut()),
@@ -316,6 +340,8 @@ impl<Q, R> Coroutine<Q, R> {
             shared: NonNull::from(Box::leak(shared)),
             stack: None,
             pending: None,
+            batch_len: 0,
+            answered: 0,
         }
     }
 
@@ -331,13 +357,24 @@ impl<Q, R> Coroutine<Q, R> {
     /// its "start" response is discarded, as the API documents. A request
     /// the slice posted comes out first; the step behind it is returned by
     /// the next resume, without a switch, and that resume's response (the
-    /// posted request's) is dropped.
+    /// posted request's) is dropped. A batch's requests come out one per
+    /// resume, without a switch, until the resume carrying its last
+    /// response switches in.
     #[inline]
     fn resume(&mut self, resp: R) -> Step<Q> {
         if let Some(step) = self.pending.take() {
             return step;
         }
-        if self.stack.is_none() {
+        if self.batch_len > 0 {
+            let i = self.answered;
+            self.shared().batch_resp[i].set(Some(resp));
+            self.answered = i + 1;
+            if self.answered < self.batch_len {
+                let req = self.shared().batch[i].take();
+                return Step::Request(req.expect("a batch holds batch_len requests"));
+            }
+            self.batch_len = 0;
+        } else if self.stack.is_none() {
             let stack = Stack::take();
             let root = root::<Q, R> as extern "C" fn(*const Shared<Q, R>) -> !;
             let sp = stack.prepare(root as usize, self.shared.as_ptr() as usize);
@@ -350,6 +387,8 @@ impl<Q, R> Coroutine<Q, R> {
         let step = self
             .switch_in()
             .expect("a process unwound with Shutdown outside its pool's drop");
+        self.batch_len = self.shared().batch_len.get();
+        self.answered = 0;
         match self.shared().posted.take() {
             Some(req) => {
                 self.pending = Some(step);
@@ -473,6 +512,58 @@ impl<Q, R> CoroCtx<Q, R> {
     /// root frame.
     #[inline]
     pub fn call(&self, req: Q) -> R {
+        let shared = self.suspend(req);
+        shared
+            .resp
+            .take()
+            .expect("a suspended process is resumed with a response")
+    }
+
+    /// Issues every request of `reqs`, in order, and passes their
+    /// responses, in the same order, to `each`. The requests go out in
+    /// chunks of up to 16 (`BATCH`): the body suspends once per chunk and
+    /// sees the chunk's responses only after the last of them, so a
+    /// request may not depend on the response of one in the same chunk.
+    /// A chunk of one is [`CoroCtx::call`]. The simulator sees the same
+    /// requests in the same order as from one `call` each. `each` runs
+    /// while the rest of its chunk's responses are still in the cell, so
+    /// it may issue a `call` or a `post` but not a `call_many`.
+    ///
+    /// # Panics
+    ///
+    /// As [`CoroCtx::call`].
+    #[inline]
+    pub fn call_many(&self, reqs: impl IntoIterator<Item = Q>, mut each: impl FnMut(R)) {
+        let mut reqs = reqs.into_iter();
+        while let Some(first) = reqs.next() {
+            // SAFETY: as in `suspend`.
+            let shared = unsafe { self.shared.as_ref() };
+            let mut len = 1;
+            while len < BATCH {
+                let Some(req) = reqs.next() else { break };
+                shared.batch[len - 1].set(Some(req));
+                len += 1;
+            }
+            if len == 1 {
+                each(self.call(first));
+                continue;
+            }
+            shared.batch_len.set(len);
+            self.suspend(first);
+            shared.batch_len.set(0);
+            for resp in &shared.batch_resp[..len] {
+                each(
+                    resp.take()
+                        .expect("a batch is resumed with a response per request"),
+                );
+            }
+        }
+    }
+
+    /// Hands `req` to the owner as the step that ends this slice and
+    /// returns, with the cell, once the owner switches back in.
+    #[inline]
+    fn suspend(&self, req: Q) -> &Shared<Q, R> {
         // SAFETY: a context exists only in the root frame of a running
         // coroutine, whose owner keeps the cell alive (invariant 3).
         let shared = unsafe { self.shared.as_ref() };
@@ -490,9 +581,6 @@ impl<Q, R> CoroCtx<Q, R> {
             resume_unwind(Box::new(Shutdown));
         }
         shared
-            .resp
-            .take()
-            .expect("a suspended process is resumed with a response")
     }
 
     /// Issues `req`, whose response the body does not need, and returns
@@ -538,7 +626,9 @@ impl<Q, R> CoroCtx<Q, R> {
 /// [`CoroCtx::post`] is returned as a `Step::Request` like any other, ahead
 /// of the step that ended the slice; the response that serves it is
 /// dropped, and the resume that delivers it returns the held step without
-/// running the process.
+/// running the process. The requests of one [`CoroCtx::call_many`] chunk
+/// come out one per resume, each resume carrying the previous one's
+/// response, and only the resume with the last response runs the process.
 ///
 /// # Example
 ///
@@ -907,6 +997,90 @@ mod tests {
             let switches = SWITCHED_IN.with(Cell::get) - before;
             assert_eq!(switches as u32, k / 2 + 2, "k={k}");
         }
+    }
+
+    #[test]
+    fn a_batch_hands_out_its_requests_and_returns_its_responses_in_order() {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
+            let mut got = Vec::new();
+            ctx.call_many([3, 1, 4, 1, 5], |r| got.push(r));
+            assert_eq!(got, [30, 10, 40, 10, 50]);
+            assert_eq!(ctx.call(9), 90);
+        });
+        assert_eq!(drive(&mut pool), [3, 1, 4, 1, 5, 9]);
+    }
+
+    #[test]
+    fn a_posted_request_comes_out_ahead_of_a_batch() {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
+            ctx.post(1);
+            let mut got = Vec::new();
+            ctx.call_many([2, 3, 4], |r| got.push(r));
+            assert_eq!(got, [20, 30, 40]);
+            ctx.post(5);
+        });
+        assert_eq!(drive(&mut pool), [1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_run_is_split_at_sixteen_and_costs_a_switch_per_chunk() {
+        use std::rc::Rc;
+
+        for k in [1u32, 16, 17, 40] {
+            // Responses the body has seen when each request comes out.
+            let seen = Rc::new(Cell::new(0u32));
+            let mark = Rc::clone(&seen);
+            let mut pool: CoroPool<u32, u32> = CoroPool::new(1, move |_, ctx| {
+                ctx.call_many(0..k, |r| {
+                    assert_eq!(r, mark.get() * 10);
+                    mark.set(mark.get() + 1);
+                });
+                assert_eq!(mark.get(), k);
+            });
+            let before = SWITCHED_IN.with(Cell::get);
+            let mut resp = 0;
+            loop {
+                match pool.resume(0, resp) {
+                    Step::Request(q) => {
+                        // Request q opens chunk q / 16: the body has seen
+                        // every response of the chunks before it.
+                        assert_eq!(seen.get(), q / 16 * 16, "k={k} q={q}");
+                        resp = q * 10;
+                    }
+                    Step::Done => break,
+                    Step::Panicked(m) => panic!("{m}"),
+                }
+            }
+            // One switch starts the body; then one per chunk.
+            let switches = SWITCHED_IN.with(Cell::get) - before;
+            assert_eq!(switches as u32, 1 + k.div_ceil(16), "k={k}");
+        }
+    }
+
+    #[test]
+    fn a_pool_dropped_mid_batch_unwinds_the_body_and_leaks_no_stack() {
+        fn batching_pool(token: &Arc<AtomicUsize>) {
+            let seen = Arc::clone(token);
+            let mut pool: CoroPool<u32, u32> = CoroPool::new(2, move |_, ctx| {
+                let _guard = Guard(Arc::clone(&seen));
+                ctx.post(1);
+                ctx.call_many(2..10, |_| panic!("no response arrives"));
+            });
+            // Process 0 stops inside its batch, process 1 with its posted
+            // request out and the batch's first request held.
+            assert!(matches!(pool.resume(0, 0), Step::Request(1)));
+            assert!(matches!(pool.resume(0, 10), Step::Request(2)));
+            assert!(matches!(pool.resume(0, 20), Step::Request(3)));
+            assert!(matches!(pool.resume(1, 0), Step::Request(1)));
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        batching_pool(&drops);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        let mapped = MAPPED.with(Cell::get);
+        batching_pool(&drops);
+        assert_eq!(drops.load(Ordering::SeqCst), 4);
+        // Every stack of the first pool went back on the spare list.
+        assert_eq!(MAPPED.with(Cell::get), mapped);
     }
 
     #[test]

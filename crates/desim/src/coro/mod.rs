@@ -23,9 +23,12 @@
 //! the whole simulator. One whose response carries nothing
 //! ([`CoroCtx::post`]: a compute, a write, a send) is parked in the
 //! process's cell and handed over at its next crossing, so a posted
-//! operation followed by a called one costs one round trip. Each
-//! process body runs on its own `mmap`ed stack *on the simulator's own OS
-//! thread* (`fiber`); a crossing saves the six callee-saved registers,
+//! operation followed by a called one costs one round trip. A run of up
+//! to 16 requests whose responses the body reads only after the run
+//! ([`CoroCtx::call_many`]) costs one round trip too: the simulator takes
+//! them one at a time, without crossing, and crosses back with the last
+//! response. Each process body runs on its own `mmap`ed stack *on the
+//! simulator's own OS thread* (`fiber`); a crossing saves the six callee-saved registers,
 //! swaps `rsp` and returns — no futex, no scheduler, no spinning. All of
 //! the crate's `unsafe` lives in that one module. It is written for
 //! x86-64 Linux, the one supported host; elsewhere the crate stops at a

@@ -187,6 +187,20 @@ impl<'a> MemCtx<'a> {
         f64::from_bits(self.read(addr))
     }
 
+    /// Loads the words at `addrs`, in order, as `f64`s into `out`, which
+    /// is cleared first. The engine sees the same reads in the same order
+    /// as from one [`MemCtx::read_f64`] each, but the body suspends once
+    /// per 16 of them rather than once per read, so no address may depend
+    /// on a value read in the same call.
+    #[inline]
+    pub fn read_f64_many(&self, addrs: impl IntoIterator<Item = Addr>, out: &mut Vec<f64>) {
+        out.clear();
+        self.ctx
+            .call_many(addrs.into_iter().map(|addr| MemReq::Read { addr }), |r| {
+                out.push(f64::from_bits(r.value()));
+            });
+    }
+
     /// Stores `value` at `addr` as its bit pattern.
     #[inline]
     pub fn write_f64(&self, addr: Addr, value: f64) {

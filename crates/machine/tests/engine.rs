@@ -2,7 +2,8 @@
 
 use spasm_desim::SimTime;
 use spasm_machine::{
-    sync, Engine, MachineKind, MemCtx, Pred, ProcBody, RunError, RunReport, SetupCtx,
+    sync, CheckMode, Engine, FaultPlan, MachineConfig, MachineKind, MemCtx, Pred, ProcBody,
+    RunError, RunReport, SetupCtx,
 };
 use spasm_topology::Topology;
 
@@ -499,4 +500,95 @@ fn report_metric_helpers() {
     assert!((r.latency_overhead_us() - 1.6).abs() < 1e-9);
     assert!(r.exec_time_us() >= 3.2);
     assert!(r.contention_overhead_us() >= 0.0);
+}
+
+/// What a run's outcome is made of, host wall time left out.
+fn outcome(r: &RunReport) -> String {
+    let per_proc: Vec<_> = r
+        .per_proc
+        .iter()
+        .map(|s| (s.buckets, s.finish, s.ops))
+        .collect();
+    format!(
+        "exec {:?} events {} faults {:?} per_proc {per_proc:?} store {:?}",
+        r.exec_time, r.events, r.faults, r.final_store
+    )
+}
+
+/// Reading k words with one `read_f64_many` is the same run as reading
+/// them one by one: the engine sees the same requests at the same
+/// simulated times, a posted write ahead of them included, plain, under
+/// the strict checkers and under injected stalls.
+#[test]
+fn a_batched_read_run_is_the_run_of_its_reads_one_by_one() {
+    let stalls = FaultPlan {
+        stall_prob: 0.3,
+        stall_ns: 700,
+        ..FaultPlan::quiet(7)
+    };
+    let configs = [
+        MachineConfig::default(),
+        MachineConfig {
+            check: CheckMode::Strict,
+            ..MachineConfig::default()
+        },
+        MachineConfig {
+            faults: Some(stalls),
+            ..MachineConfig::default()
+        },
+    ];
+    for k in [2usize, 15, 16, 17, 40] {
+        for kind in ALL_MACHINES {
+            for config in configs {
+                let report = |batched: bool| {
+                    let topo = Topology::hypercube(2);
+                    let mut setup = SetupCtx::new(2);
+                    let words = setup.alloc(1, k as u64);
+                    for i in 0..k as u64 {
+                        setup.init_f64(words.offset_words(i), i as f64 * 1.5);
+                    }
+                    let out = setup.alloc(0, 2);
+                    let bodies: Vec<ProcBody> = (0..2)
+                        .map(|_| {
+                            let body: ProcBody = Box::new(move |me, ctx| {
+                                let mem = MemCtx::new(ctx);
+                                // Posted ahead of the reads; processor 1's
+                                // lands in the words processor 0 reads.
+                                let first = if me == 0 {
+                                    out
+                                } else {
+                                    words.offset_words(k as u64 / 2)
+                                };
+                                mem.write_f64(first, -1.0);
+                                let addrs = (0..k as u64).map(|i| words.offset_words(i));
+                                // Stale values `read_f64_many` must clear.
+                                let mut vals = vec![f64::NAN; 3];
+                                if batched {
+                                    mem.read_f64_many(addrs, &mut vals);
+                                } else {
+                                    vals = addrs.map(|a| mem.read_f64(a)).collect();
+                                }
+                                mem.compute(5);
+                                let sum: f64 = vals.iter().sum();
+                                mem.write_f64(out.offset_words(me as u64), sum);
+                            });
+                            body
+                        })
+                        .collect();
+                    Engine::with_config(kind, &topo, config, setup, bodies)
+                        .run()
+                        .unwrap_or_else(|e| panic!("k={k} {kind} {config:?}: {e}"))
+                };
+                let (one_by_one, batched) = (report(false), report(true));
+                assert_eq!(
+                    outcome(&one_by_one),
+                    outcome(&batched),
+                    "k={k} {kind} {config:?}"
+                );
+                if config.faults.is_some() {
+                    assert!(batched.faults.stalls > 0, "k={k} {kind}: no stall drawn");
+                }
+            }
+        }
+    }
 }

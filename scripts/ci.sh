@@ -353,6 +353,16 @@ if ! diff scripts/smoke_fingerprints.txt <(sed -n \
     exit 1
 fi
 
+# The A/B script host-time claims are measured with: one A/A round of
+# it must read wall_s once per side and print the B/A summary.
+echo "==> scripts/ab.sh: a one-round A/A smoke reads two wall_s"
+out=$(scripts/ab.sh . . clogp_grid 1 1)
+if [ "$(grep -c '^run .* wall_s=[0-9][0-9.e-]*$' <<< "$out")" -ne 2 ] || ! grep -q '^B/A: ' <<< "$out"; then
+    echo "ERROR: scripts/ab.sh did not read wall_s once per side:" >&2
+    echo "$out" >&2
+    exit 1
+fi
+
 # The sampler DESIGN.md §12 judges inlining with must keep building,
 # sampling and symbolizing, in both modes: two seconds of clogp_grid, and
 # figure F2 at small (F2 at test lasts ~20 ms, 7-11 samples: too few to
